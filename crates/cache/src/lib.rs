@@ -78,12 +78,12 @@ mod lru;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qppt_core::exec::materialize_dim_selection;
 use qppt_core::plan::DimHandleKind;
 use qppt_core::{
     fingerprint_dim, fingerprint_query, DimSelection, ExecStats, Plan, PlanOptions, PreparedQuery,
     QpptError,
 };
+use qppt_par::PooledEngine;
 use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot, StorageError};
 
 pub use lru::{CacheKey, CacheValue, ShardedLru, TierSnapshot};
@@ -400,38 +400,45 @@ impl QueryCache {
         }
     }
 
-    /// Composes a [`PreparedQuery`] for an already-built plan, serving
-    /// every `Materialized` dimension from the dimension tier when a
-    /// version-fresh σ entry exists (whoever built it) and materializing —
-    /// and caching — the rest. Only the query-private fused stream is
-    /// always built. This is the serving path's assemble-from-parts step
-    /// on a selection-tier miss; with the cache disabled it degrades to
-    /// [`PreparedQuery::from_plan`] (every σ built, nothing cached).
+    /// Composes a [`PreparedQuery`] for an already-built plan in three
+    /// steps: **lookup** — every `Materialized` dimension is served from
+    /// the dimension tier when a version-fresh σ entry exists (whoever
+    /// built it); **σ** — the misses go through the engine's shared
+    /// [`materialize_missing_dims`](PooledEngine::materialize_missing_dims)
+    /// step (one pool job when several remain); **put** — what was built is
+    /// cached for the next query. Only the query-private fused stream is
+    /// always built. This is the serving path's assemble-from-parts step on
+    /// a selection-tier miss; with the cache disabled the lookups miss and
+    /// the puts drop, so every σ is built and nothing is cached.
     pub fn prepare_from_parts(
         &self,
-        db: &Database,
+        engine: &PooledEngine,
         plan: Arc<Plan>,
         opts: &PlanOptions,
         snap: Snapshot,
+        priority: i32,
     ) -> Result<(PreparedQuery, DimAssembly), QpptError> {
-        let mut dims = Vec::with_capacity(plan.dims.len());
-        let mut assembly = DimAssembly::default();
+        let db = engine.db();
+        let mut dims = vec![None; plan.dims.len()];
+        let mut misses = Vec::new();
         for (di, dim) in plan.dims.iter().enumerate() {
             if dim.handle != DimHandleKind::Materialized {
-                dims.push(None);
                 continue;
             }
             let dfp = QueryFingerprint::compute_dim(db, dim, opts).map_err(QpptError::Storage)?;
-            if let Some(shared) = self.get_dim(&dfp) {
-                assembly.shared += 1;
-                dims.push(Some(shared));
-                continue;
+            match self.get_dim(&dfp) {
+                Some(shared) => dims[di] = Some(shared),
+                None => misses.push((di, dfp)),
             }
-            let built = materialize_dim_selection(db, snap, &plan, di)?
-                .expect("Materialized dims materialize");
-            self.put_dim(&dfp, built.clone());
-            assembly.built += 1;
-            dims.push(Some(built));
+        }
+        let assembly = DimAssembly {
+            shared: dims.iter().flatten().count(),
+            built: misses.len(),
+        };
+        let dims = engine.materialize_missing_dims(&plan, snap, priority, dims)?;
+        for (di, dfp) in &misses {
+            let built = dims[*di].clone().expect("Materialized dims materialize");
+            self.put_dim(dfp, built);
         }
         Ok((PreparedQuery::from_parts(db, plan, dims, snap)?, assembly))
     }
@@ -466,6 +473,7 @@ impl QueryCache {
 mod tests {
     use super::*;
     use qppt_core::{build_plan, prepare_indexes, QpptEngine};
+    use qppt_par::WorkerPool;
     use qppt_ssb::{queries, SsbDb};
 
     #[test]
@@ -537,19 +545,25 @@ mod tests {
         for q in queries::all_queries() {
             prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
         }
-        let db = ssb.db;
+        let db = Arc::new(ssb.db);
+        let pool = WorkerPool::new(1, 2);
+        let engine = PooledEngine::new(db.clone(), pool.clone());
         let cache = QueryCache::default();
         let snap = db.snapshot();
 
         // Q3.1 cold: builds supplier + date σ (customer is fused).
         let plan31 = Arc::new(build_plan(&db, &queries::q3_1(), &opts).unwrap());
-        let (p31, a31) = cache.prepare_from_parts(&db, plan31, &opts, snap).unwrap();
+        let (p31, a31) = cache
+            .prepare_from_parts(&engine, plan31, &opts, snap, 0)
+            .unwrap();
         assert_eq!(a31.shared, 0);
         assert!(a31.built >= 2, "q3.1 materializes supplier and date");
 
         // Q3.2 shares only the date σ; supplier predicate differs.
         let plan32 = Arc::new(build_plan(&db, &queries::q3_2(), &opts).unwrap());
-        let (p32, a32) = cache.prepare_from_parts(&db, plan32, &opts, snap).unwrap();
+        let (p32, a32) = cache
+            .prepare_from_parts(&engine, plan32, &opts, snap, 0)
+            .unwrap();
         assert_eq!(a32.shared, 1, "the date σ must come from the dim tier");
         assert_eq!(a32.built, a31.built - 1);
 
@@ -574,6 +588,7 @@ mod tests {
         assert_eq!(s.dims.hits, 1);
         assert_eq!(s.dims.insertions as usize, a31.built + a32.built);
         assert!(s.dims.bytes > 0);
+        pool.shutdown();
     }
 
     #[test]
@@ -655,16 +670,19 @@ mod tests {
 
         // Assemble-from-parts still works — it just builds every σ and
         // caches nothing (the cache=off contract covers the dim tier too).
-        let snap = ssb.db.snapshot();
-        let plan = Arc::new(build_plan(&ssb.db, &q, &opts).unwrap());
+        let db = Arc::new(ssb.db);
+        let pool = WorkerPool::new(1, 2);
+        let engine = PooledEngine::new(db.clone(), pool.clone());
+        let plan = Arc::new(build_plan(&db, &q, &opts).unwrap());
         let (p, a) = cache
-            .prepare_from_parts(&ssb.db, plan, &opts, snap)
+            .prepare_from_parts(&engine, plan, &opts, db.snapshot(), 0)
             .unwrap();
         assert_eq!(a.shared, 0);
         assert!(a.built > 0);
-        let (got, _) = p.execute_sequential(&ssb.db).unwrap();
-        assert_eq!(got, QpptEngine::new(&ssb.db).run(&q, &opts).unwrap());
+        let (got, _) = p.execute_sequential(&db).unwrap();
+        assert_eq!(got, QpptEngine::new(&db).run(&q, &opts).unwrap());
         let s = cache.stats();
         assert_eq!((s.dims.insertions, s.dims.hits, s.dims.misses), (0, 0, 0));
+        pool.shutdown();
     }
 }

@@ -178,9 +178,6 @@ pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
         .write_u64(opts.multidim_selections as u64)
         .write_u64(opts.parallelism as u64)
         .write_u64(opts.morsel_bits as u64)
-        .write_u64(opts.par_selections as u64)
-        .write_u64(opts.par_scans as u64)
-        .write_u64(opts.par_joins as u64)
         .write_u64(opts.par_index_build as u64);
     h.finish()
 }
@@ -322,9 +319,6 @@ mod tests {
             base.with_multidim(true),
             base.with_parallelism(4),
             base.with_morsel_bits(9),
-            base.with_par_ops(false, true, true),
-            base.with_par_ops(true, false, true),
-            base.with_par_ops(true, true, false),
             base.with_par_index_build(true),
         ];
         let fp0 = fingerprint_opts(&base);

@@ -7,12 +7,10 @@
 //! (KISS vs. prefix tree) and §4.1's set-operator selection strategy.
 //!
 //! On top of the paper's knobs sit the **parallel execution** knobs consumed
-//! by the `qppt-par` subsystem: worker count ([`PlanOptions::parallelism`]),
-//! morsel granularity ([`PlanOptions::morsel_bits`]), and per-operator-class
-//! switches ([`PlanOptions::par_selections`], [`PlanOptions::par_scans`],
-//! [`PlanOptions::par_joins`]). They default to `parallelism = 1`, i.e. the
-//! paper's single-threaded execution model, so existing callers are
-//! unaffected unless they opt in.
+//! by the `qppt-par` subsystem: worker count ([`PlanOptions::parallelism`])
+//! and morsel granularity ([`PlanOptions::morsel_bits`]). They default to
+//! `parallelism = 1`, i.e. the paper's single-threaded execution model, so
+//! existing callers are unaffected unless they opt in.
 
 /// Plan options for the QPPT engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +37,10 @@ pub struct PlanOptions {
     /// predicates on all leading columns, at most a range on the last.
     pub multidim_selections: bool,
     /// Worker count for the morsel-driven parallel executor (`qppt-par`).
-    /// `1` (the default) is sequential execution; `QpptEngine::run` ignores
-    /// this knob entirely — only the parallel entry points consult it.
+    /// `1` (the default) is sequential execution — every operator class
+    /// (selections, synchronous scans, composed joins) runs on the calling
+    /// thread; `QpptEngine::run` ignores this knob entirely — only
+    /// `qppt_par::PooledEngine` consults it.
     pub parallelism: usize,
     /// Morsel granularity: the key domain of the stage-1 join attribute is
     /// split on its top `morsel_bits` bits, i.e. into up to
@@ -49,18 +49,6 @@ pub struct PlanOptions {
     /// scheduling overhead. Must be in `1..=16`; the default of 6 yields up
     /// to 64 morsels.
     pub morsel_bits: u8,
-    /// Parallelize the *selection* operator class: materialized dimension
-    /// selections run as one task per dimension on the worker pool.
-    pub par_selections: bool,
-    /// Parallelize the *synchronous index scan* operator class: a stage-1
-    /// sync-scan pipeline is partitioned into [`KeyRange`](crate::KeyRange)
-    /// morsels. When off, plans whose first stage is a sync scan run their
-    /// pipeline sequentially even under `run_parallel`.
-    pub par_scans: bool,
-    /// Parallelize the *composed join* operator class: a stage-1 fused
-    /// select-join (select-probe) pipeline is partitioned into morsels.
-    /// When off, such pipelines run sequentially even under `run_parallel`.
-    pub par_joins: bool,
     /// Build base/composite indexes with partitioned parallel sorts on a
     /// shared worker pool (`qppt_par::prepare_indexes_pooled`): row ids are
     /// bucketed on the top [`morsel_bits`](Self::morsel_bits) of the key
@@ -126,9 +114,6 @@ impl Default for PlanOptions {
             multidim_selections: false,
             parallelism: 1,
             morsel_bits: 6,
-            par_selections: true,
-            par_scans: true,
-            par_joins: true,
             par_index_build: false,
             batch_exec: false,
             batch_rows: 1024,
@@ -228,15 +213,6 @@ impl PlanOptions {
         self
     }
 
-    /// Builder-style setter for the per-operator-class parallel switches
-    /// (selections, synchronous scans, composed joins).
-    pub fn with_par_ops(mut self, selections: bool, scans: bool, joins: bool) -> Self {
-        self.par_selections = selections;
-        self.par_scans = scans;
-        self.par_joins = joins;
-        self
-    }
-
     /// Builder-style setter for the parallel index-build switch.
     pub fn with_par_index_build(mut self, on: bool) -> Self {
         self.par_index_build = on;
@@ -271,7 +247,6 @@ mod tests {
         assert!(!o.multidim_selections);
         assert_eq!(o.parallelism, 1);
         assert_eq!(o.morsel_bits, 6);
-        assert!(o.par_selections && o.par_scans && o.par_joins);
         assert!(!o.par_index_build);
         assert!(!o.batch_exec);
         assert_eq!(o.batch_rows, 1024);
@@ -331,7 +306,6 @@ mod tests {
             .with_multidim(true)
             .with_parallelism(4)
             .with_morsel_bits(8)
-            .with_par_ops(false, true, false)
             .with_par_index_build(true)
             .with_batch_exec(true)
             .with_batch_rows(64);
@@ -349,6 +323,5 @@ mod tests {
         assert!(o.selection_via_set_ops);
         assert_eq!(o.parallelism, 4);
         assert_eq!(o.morsel_bits, 8);
-        assert!(!o.par_selections && o.par_scans && !o.par_joins);
     }
 }

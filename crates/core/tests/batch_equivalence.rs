@@ -5,8 +5,10 @@
 //! parallelism, morsel granularity, and batch block size. Any visible
 //! difference is a bug.
 
+use std::sync::Arc;
+
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-use qppt_par::RunParallel;
+use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
 
 fn prepared_db(sf: f64, seed: u64, opts: &PlanOptions) -> SsbDb {
@@ -20,8 +22,11 @@ fn prepared_db(sf: f64, seed: u64, opts: &PlanOptions) -> SsbDb {
 #[test]
 fn all_queries_identical_scalar_vs_batched_across_the_grid() {
     let base = PlanOptions::default();
-    let ssb = prepared_db(0.01, 42, &base);
-    let engine = QpptEngine::new(&ssb.db);
+    let db = Arc::new(prepared_db(0.01, 42, &base).db);
+    let engine = QpptEngine::new(&db);
+    // 3 workers + the participating caller: parallelism 4 is reachable.
+    let pool = WorkerPool::new(3, 8);
+    let pooled = PooledEngine::new(db.clone(), pool.clone());
     for q in queries::all_queries() {
         let scalar = engine.run(&q, &base).unwrap();
         // The sequential engine path (execute_agg) with batching on.
@@ -41,7 +46,7 @@ fn all_queries_identical_scalar_vs_batched_across_the_grid() {
                         .with_morsel_bits(bits)
                         .with_batch_exec(true)
                         .with_batch_rows(rows);
-                    let batched = engine.run_parallel(&q, &opts).unwrap();
+                    let batched = pooled.run(&q, &opts).unwrap();
                     assert_eq!(
                         batched, scalar,
                         "{} @ parallelism={workers} morsel_bits={bits} batch_rows={rows}",
@@ -51,6 +56,7 @@ fn all_queries_identical_scalar_vs_batched_across_the_grid() {
             }
         }
     }
+    pool.shutdown();
 }
 
 #[test]

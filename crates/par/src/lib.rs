@@ -28,33 +28,30 @@
 //!    [`QueryResult`](qppt_storage::QueryResult) — is byte-identical to a
 //!    sequential run, whatever the thread timing.
 //!
-//! Two engines drive that machinery:
+//! One engine drives that machinery: [`PooledEngine`]. Queries submit
+//! their morsel queues as jobs to a persistent shared [`WorkerPool`] (std
+//! threads created once, priority + admission budget), so N concurrent
+//! queries share one fixed set of threads instead of spawning N×P. This is
+//! what `qppt-server` runs on, and what embedded callers use too (a pool is
+//! two lines to create). `parallelism = 1` never touches the pool.
 //!
-//! * [`ParEngine`] — the embedded, one-shot path: a **scoped** thread pool
-//!   spawned per query. Zero setup, but per-query spawn cost — the
-//!   spawn-per-query baseline of `BENCH_SERVER_THROUGHPUT.json`.
-//! * [`PooledEngine`] — the serving path: queries submit their morsel
-//!   queues as jobs to a persistent shared [`WorkerPool`] (std threads
-//!   created once, priority + admission budget), so N concurrent queries
-//!   share one fixed set of threads instead of spawning N×P. This is what
-//!   `qppt-server` runs on.
-//!
-//! Dimension selections (σ) are materialized **once**, before the fact
-//! pipeline starts, optionally in parallel (one task per dimension,
-//! [`par_selections`](qppt_core::PlanOptions::par_selections)), and shared
-//! read-only by all workers. The per-class switches
-//! [`par_scans`](qppt_core::PlanOptions::par_scans) /
-//! [`par_joins`](qppt_core::PlanOptions::par_joins) gate whether a
-//! sync-scan-led or select-join-led pipeline is partitioned at all. Base
-//! and composite index *builds* can also ride the shared pool — see
-//! [`prepare_indexes_pooled`] ([`par_index_build`](qppt_core::PlanOptions::par_index_build)).
+//! Every query — embedded, served, cached or `cache=off` — runs the same
+//! four steps: **plan** ([`build_plan`](qppt_core::build_plan)), **σ**
+//! ([`PooledEngine::materialize_missing_dims`]: the dimension selections
+//! not already at hand are materialized **once**, before the fact pipeline
+//! starts — as one participating pool job when two or more remain — and
+//! shared read-only by all workers), **exec**
+//! ([`PooledEngine::run_prepared_agg`]) and **finish** (decode, or ship the
+//! undecoded aggregate). Base and composite index *builds* can also ride
+//! the shared pool — see [`prepare_indexes_pooled`]
+//! ([`par_index_build`](qppt_core::PlanOptions::par_index_build)).
 //!
 //! ## Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-//! use qppt_par::{ParEngine, PooledEngine, RunParallel, WorkerPool};
+//! use qppt_par::{PooledEngine, WorkerPool};
 //! use qppt_ssb::{queries, SsbDb};
 //!
 //! let mut ssb = SsbDb::generate(0.01, 42);
@@ -62,16 +59,10 @@
 //! let spec = queries::q2_3();
 //! prepare_indexes(&mut ssb.db, &spec, &opts).unwrap();
 //!
-//! // The one-shot engine (scoped threads per query) …
-//! let par = ParEngine::new(&ssb.db);
-//! let parallel = par.run(&spec, &opts).unwrap();
+//! // The sequential oracle …
+//! let sequential = QpptEngine::new(&ssb.db).run(&spec, &opts).unwrap();
 //!
-//! // … the extension method on the sequential engine …
-//! let engine = QpptEngine::new(&ssb.db);
-//! let sequential = engine.run(&spec, &opts).unwrap();
-//! assert_eq!(engine.run_parallel(&spec, &opts).unwrap(), parallel);
-//!
-//! // … and the serving path: a persistent pool shared across queries.
+//! // … and the parallel engine: a persistent pool shared across queries.
 //! let db = Arc::new(ssb.db);
 //! let pool = WorkerPool::new(4, 8);
 //! let pooled = PooledEngine::new(db, pool.clone());
@@ -90,32 +81,9 @@ pub use pool::{JobAborted, JobHandle, PoolJob, PoolMetrics, WorkerPool};
 pub use pooled::PooledEngine;
 pub use prepare::prepare_indexes_pooled;
 
-use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
-
-use qppt_core::exec::{
-    decode_result, materialize_dim_selection, materialize_fused_selection, new_agg_table,
-    run_pipeline, DimSelection,
-};
 use qppt_core::inter::AggTable;
-use qppt_core::plan::MainInput;
-use qppt_core::{build_plan, ExecStats, Plan, PlanOptions, QpptEngine, QpptError};
-use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
-
-/// Worker count for the fact pipeline: `opts.parallelism` if the stage-1
-/// operator's class is switched on, else 1 (sequential).
-pub(crate) fn pipeline_workers(plan: &Plan) -> usize {
-    let class_on = match plan.stages[0].main {
-        MainInput::SyncScan { .. } => plan.opts.par_scans,
-        MainInput::SelectProbe { .. } => plan.opts.par_joins,
-    };
-    if class_on {
-        plan.opts.parallelism.max(1)
-    } else {
-        1
-    }
-}
+use qppt_core::{ExecStats, Plan, QpptError};
+use qppt_storage::Database;
 
 /// Morsels over the populated key interval of the stage-1 fact index.
 pub(crate) fn partition_morsels(
@@ -136,7 +104,7 @@ pub(crate) fn partition_morsels(
         .to_vec())
 }
 
-/// Post-merge statistics fixup shared by both parallel engines.
+/// Post-merge statistics fixup of a partitioned pipeline run.
 ///
 /// Merged `out_keys`/`out_tuples`/`memory_bytes` are per-partition sums.
 /// For the final join-group operator the same group key can appear in many
@@ -230,192 +198,4 @@ pub fn merge_partial_aggregates(
         agg_cols,
         rows,
     }))
-}
-
-/// The parallel QPPT engine: same contract as
-/// [`QpptEngine`](qppt_core::QpptEngine), executed morsel-parallel according
-/// to the [`PlanOptions`] parallel knobs on a **scoped, per-query** thread
-/// pool. For a shared pool serving concurrent queries, see
-/// [`PooledEngine`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParEngine<'a> {
-    db: &'a Database,
-}
-
-impl<'a> ParEngine<'a> {
-    /// Creates a parallel engine over `db`.
-    pub fn new(db: &'a Database) -> Self {
-        Self { db }
-    }
-
-    /// Runs a query at the latest snapshot with `opts.parallelism` workers.
-    pub fn run(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError> {
-        Ok(self.run_with_stats(spec, opts)?.0)
-    }
-
-    /// Runs a query, returning merged per-operator statistics too. Operator
-    /// `micros` are summed across workers (CPU time, not wall time);
-    /// `total_micros` remains end-to-end wall time.
-    pub fn run_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        self.run_at(spec, opts, self.db.snapshot())
-    }
-
-    /// Runs a query at an explicit snapshot (MVCC reads).
-    pub fn run_at(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-        snap: Snapshot,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        let plan = build_plan(self.db, spec, opts)?;
-        let started = Instant::now();
-        let mut stats = ExecStats::default();
-        // Fresh plan: its options are the request's, so deriving the batch
-        // mode from the plan is exact.
-        let batch = plan.opts.batch_mode();
-
-        // 1. Materialize dimension selections once, shared by all workers.
-        let dim_tables = self.materialize_dims(snap, &plan, &mut stats)?;
-
-        // 2. Fact pipeline: morsel-parallel when the stage-1 operator's
-        //    class is enabled, sequential otherwise.
-        let (agg, pipeline_stats) = if pipeline_workers(&plan) > 1 {
-            // The fused select-join stream (if any) is materialized once
-            // and shared, so morsel workers do not re-evaluate the
-            // selection predicates per morsel.
-            let fused = materialize_fused_selection(self.db, snap, &plan)?;
-            let morsels = partition_morsels(self.db, &plan)?;
-            let workers = pipeline_workers(&plan).min(morsels.len()).max(1);
-            scheduler::run_morsels(
-                self.db,
-                snap,
-                &plan,
-                &dim_tables,
-                fused.as_ref(),
-                &morsels,
-                workers,
-                batch,
-            )?
-        } else {
-            let mut agg = new_agg_table(&plan);
-            let ops = run_pipeline(
-                self.db,
-                snap,
-                &plan,
-                &dim_tables,
-                None,
-                None,
-                batch,
-                &mut agg,
-            )?;
-            (
-                agg,
-                ExecStats {
-                    ops,
-                    total_micros: 0,
-                },
-            )
-        };
-        stats.ops.extend(pipeline_stats.ops);
-        fix_merged_agg_stats(&plan, &agg, &mut stats);
-
-        // 3. Decode the merged aggregation index.
-        let result = decode_result(self.db, &plan, &agg);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats))
-    }
-
-    /// Materializes every `Materialized` dimension selection — in parallel
-    /// (one task per dimension) when `par_selections` is on and more than
-    /// one worker is configured. Statistics are appended in dimension
-    /// order either way.
-    fn materialize_dims(
-        &self,
-        snap: Snapshot,
-        plan: &Plan,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Option<Arc<DimSelection>>>, QpptError> {
-        let n = plan.dims.len();
-        let materialized: Vec<usize> = (0..n)
-            .filter(|&di| plan.dims[di].handle == qppt_core::plan::DimHandleKind::Materialized)
-            .collect();
-        let results: Vec<Option<Arc<DimSelection>>> =
-            if plan.opts.par_selections && plan.opts.parallelism > 1 && materialized.len() > 1 {
-                // One task per *materialized* dimension (Base/Fused handles
-                // have no materialization step, so spawning for them would
-                // be pure overhead), in chunks of at most `parallelism`
-                // concurrent tasks so the configured worker budget also
-                // bounds this phase.
-                let db = self.db;
-                let mut results: Vec<Option<Arc<DimSelection>>> = (0..n).map(|_| None).collect();
-                for chunk in materialized.chunks(plan.opts.parallelism) {
-                    let done = thread::scope(|scope| {
-                        let handles: Vec<_> = chunk
-                            .iter()
-                            .map(|&di| {
-                                scope.spawn(move || materialize_dim_selection(db, snap, plan, di))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("selection tasks do not panic"))
-                            .collect::<Result<Vec<_>, QpptError>>()
-                    })?;
-                    for (&di, r) in chunk.iter().zip(done) {
-                        results[di] = r;
-                    }
-                }
-                results
-            } else {
-                (0..n)
-                    .map(|di| materialize_dim_selection(self.db, snap, plan, di))
-                    .collect::<Result<Vec<_>, QpptError>>()?
-            };
-        let mut dim_tables = Vec::with_capacity(n);
-        for r in results {
-            match r {
-                Some(sel) => {
-                    stats.push(sel.op.clone());
-                    dim_tables.push(Some(sel));
-                }
-                None => dim_tables.push(None),
-            }
-        }
-        Ok(dim_tables)
-    }
-}
-
-/// Extension trait adding parallel entry points to the sequential
-/// [`QpptEngine`], so call sites choose per query:
-/// `engine.run(..)` vs `engine.run_parallel(..)`.
-pub trait RunParallel {
-    /// Runs the query with `opts.parallelism` morsel workers; results are
-    /// byte-identical to the sequential [`QpptEngine::run`].
-    fn run_parallel(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError>;
-
-    /// Like [`run_parallel`](Self::run_parallel), also returning merged
-    /// per-operator statistics.
-    fn run_parallel_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError>;
-}
-
-impl RunParallel for QpptEngine<'_> {
-    fn run_parallel(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError> {
-        ParEngine::new(self.db()).run(spec, opts)
-    }
-
-    fn run_parallel_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        ParEngine::new(self.db()).run_with_stats(spec, opts)
-    }
 }

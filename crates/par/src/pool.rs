@@ -1,20 +1,19 @@
 //! The persistent, shared worker pool: std threads created **once**,
 //! serving the morsel queues of many concurrent queries.
 //!
-//! `ParEngine` (the original, embedded entry point) spawns a scoped thread
-//! pool per query — fine for one-shot library use, but under concurrent
-//! load N queries × P workers means N×P thread spawns per batch, and spawn
-//! cost dominates at small scale factors. [`WorkerPool`] is the serving-path
-//! alternative (Leis et al.'s shared morsel-driven pool): a fixed set of
-//! workers created at startup, to which queries submit *jobs* — bundles of
-//! pull-able tasks (morsels, dimension selections, index-build partitions).
+//! Spawning threads per query means N queries × P workers = N×P spawns per
+//! batch under concurrent load, and spawn cost dominates at small scale
+//! factors. [`WorkerPool`] is Leis et al.'s shared morsel-driven pool
+//! instead: a fixed set of workers created at startup, to which queries
+//! submit *jobs* — bundles of pull-able tasks (morsels, dimension
+//! selections, index-build partitions). It is the only parallel execution
+//! substrate in the tree.
 //!
 //! Scheduling model:
 //!
 //! * **Work pulling within a job** — a job exposes an atomic task dispenser
 //!   through [`PoolJob::work`]; every worker that *joins* the job pulls
-//!   tasks until none remain, so skewed tasks self-balance exactly as in
-//!   the scoped scheduler.
+//!   tasks until none remain, so skewed tasks self-balance.
 //! * **Priority across jobs** — idle workers join the admitted job with the
 //!   highest `priority` (ties: submission order, i.e. FIFO). A job never
 //!   uses more than [`PoolJob::max_workers`] workers, so one wide query
@@ -410,8 +409,8 @@ impl WorkerPool {
         st.queue[i].active -= 1;
         if st.queue[i].active == 0 && !st.queue[i].job.has_work() {
             let e = st.queue.remove(i);
-            e.slot.finish(SlotState::Done);
             self.inner.job_retired();
+            e.slot.finish(SlotState::Done);
             self.inner.admit_cv.notify_all();
         }
     }
@@ -483,8 +482,12 @@ fn worker_loop(inner: &Inner) {
             }
         };
 
-        // Work-pull until the job's dispenser is empty.
+        // Work-pull until the job's dispenser is empty. This worker's
+        // handle goes before anyone can see it leave: a job owns `Arc`s of
+        // what it reads (the database), and the submitter may rely on
+        // being their sole owner again as soon as the job reports done.
         job.work();
+        drop(job);
 
         // Retire the job when its last active worker returns.
         let mut st = inner.state.lock().expect("pool lock");
@@ -495,9 +498,10 @@ fn worker_loop(inner: &Inner) {
             .expect("in-flight jobs stay queued");
         st.queue[i].active -= 1;
         if st.queue[i].active == 0 && !st.queue[i].job.has_work() {
-            let e = st.queue.remove(i);
-            e.slot.finish(SlotState::Done);
+            let Entry { job, slot, .. } = st.queue.remove(i);
+            drop(job);
             inner.job_retired();
+            slot.finish(SlotState::Done);
             // A freed admission slot may unblock a submitter; new workers
             // cannot be needed (retiring adds no work).
             inner.admit_cv.notify_all();
@@ -638,6 +642,25 @@ mod tests {
         // Caller + at most (max_workers - 1) pool workers.
         assert!(job.participants.load(Ordering::Relaxed) <= 3);
         assert!(job.participants.load(Ordering::Relaxed) >= 1);
+        pool.shutdown();
+    }
+
+    /// Once a job is reported done, nothing in the pool may still hold it:
+    /// jobs own `Arc`s of what they read (the database), and callers rely
+    /// on being the sole owner again the moment `run*` returns.
+    #[test]
+    fn completed_jobs_are_released_before_completion_is_signalled() {
+        let pool = WorkerPool::new(2, 4);
+        for _ in 0..2000 {
+            let mut job = CountJob::new(8, 3, 50);
+            pool.run_participating(job.clone(), 0).unwrap();
+            assert!(
+                Arc::get_mut(&mut job).is_some(),
+                "a pool worker still holds a finished job"
+            );
+            pool.run(job.clone(), 0).unwrap();
+            assert!(Arc::get_mut(&mut job).is_some());
+        }
         pool.shutdown();
     }
 

@@ -1,50 +1,52 @@
-//! [`PooledEngine`]: the serving-path engine — same plans, same
-//! byte-identical results as [`QpptEngine`](qppt_core::QpptEngine) and
-//! [`ParEngine`](crate::ParEngine), executed on a persistent shared
-//! [`WorkerPool`] instead of a scoped per-query pool.
+//! [`PooledEngine`]: the parallel engine — same plans, same byte-identical
+//! results as the sequential oracle
+//! [`QpptEngine`](qppt_core::QpptEngine), executed on a persistent shared
+//! [`WorkerPool`].
 //!
-//! N concurrent queries submit their morsel queues (and, with
-//! `par_selections`, their dimension-selection tasks) as [`PoolJob`]s; the
-//! pool's fixed workers interleave them under the priority/admission policy.
-//! Total threads are bounded by the pool size, not queries × parallelism —
-//! the property `qppt-server` is built on.
+//! N concurrent queries submit their morsel queues and their
+//! dimension-selection tasks as [`PoolJob`]s; the pool's fixed workers
+//! interleave them under the priority/admission policy. Total threads are
+//! bounded by the pool size, not queries × parallelism — the property
+//! `qppt-server` is built on.
 //!
 //! Two latency paths matter for serving:
 //!
 //! * **Inline fast path** — `parallelism = 1` queries never touch the pool:
-//!   they run the whole sequential executor on the calling (connection)
-//!   thread, so a single-client workload pays zero cross-thread
-//!   round-trips.
+//!   they run the whole pipeline on the calling (connection) thread, so a
+//!   single-client workload pays zero cross-thread round-trips.
 //! * **Caller participation** — parallel queries submit their jobs with
 //!   [`WorkerPool::run_participating`]: the calling thread counts as one
 //!   of the job's workers and starts pulling tasks immediately; free pool
 //!   workers fill the remaining slots. At low concurrency the query runs
 //!   mostly inline, under load the pool balances as before.
 //!
-//! The engine can also execute from a cached
-//! [`PreparedQuery`](qppt_core::PreparedQuery)
-//! ([`run_prepared`](PooledEngine::run_prepared)): planning, dimension
-//! materialization, and the fused-selection scan are all skipped, and the
-//! prepared `InterTable`s are shared read-only across every morsel worker
-//! of every execution — the `qppt-cache` selection-tier hot path.
+//! There is one pipeline. [`run_at`](PooledEngine::run_at) is plan → σ
+//! ([`materialize_missing_dims`](PooledEngine::materialize_missing_dims))
+//! → [`run_prepared`](PooledEngine::run_prepared); the serving layer runs
+//! the same steps with cache lookups in between — a σ found in the
+//! `qppt-cache` dimension tier is simply not *missing*, and a cached
+//! [`PreparedQuery`](qppt_core::PreparedQuery) skips straight to
+//! `run_prepared`. The prepared `InterTable`s are shared read-only across
+//! every morsel worker of every execution.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use qppt_core::exec::{
-    decode_result, execute_agg, materialize_dim_selection, materialize_fused_selection,
-    new_agg_table, run_pipeline, DimSelection, FusedSelection,
+    decode_result, materialize_dim_selection, new_agg_table, run_pipeline, DimSelection,
+    FusedSelection,
 };
 use qppt_core::inter::AggTable;
+use qppt_core::plan::DimHandleKind;
 use qppt_core::{
     build_plan, BatchMode, ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError,
 };
 use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
+use crate::partition_morsels;
 use crate::pool::{PoolJob, WorkerPool};
 use crate::scheduler::{drain_morsels, merge_partials};
-use crate::{partition_morsels, pipeline_workers};
 
 /// The shared-pool QPPT engine (see module docs). Cheap to clone; clones
 /// share the database and the pool.
@@ -86,7 +88,7 @@ impl PooledEngine {
 
     /// Runs a query at an explicit snapshot with an explicit pool priority
     /// (higher preempts lower for idle workers; in-flight morsels are never
-    /// preempted).
+    /// preempted): plan → σ → [`run_prepared`](Self::run_prepared).
     pub fn run_at(
         &self,
         spec: &QuerySpec,
@@ -95,62 +97,65 @@ impl PooledEngine {
         priority: i32,
     ) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let (plan, agg, mut stats) = self.run_at_agg(spec, opts, snap, priority)?;
-        // Decode the merged aggregation index.
-        let result = decode_result(&self.db, &plan, &agg);
+        let plan = Arc::new(build_plan(&self.db, spec, opts)?);
+        let none = vec![None; plan.dims.len()];
+        let dims = self.materialize_missing_dims(&plan, snap, priority, none)?;
+        let prepared = PreparedQuery::from_parts(&self.db, plan, dims, snap)?;
+        let (result, mut stats) = self.run_prepared(&prepared, priority)?;
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
     }
 
-    /// Like [`run_at`](Self::run_at), but stops at the merged aggregation
-    /// index — the shard-side entry point when a router performs the final
-    /// decode after the cross-shard merge. Also returns the plan, which the
-    /// partial-aggregate encoding needs.
-    pub fn run_at_agg(
+    /// **The σ step** of every execution path: materializes the dimension
+    /// selections still missing from `dims` — one slot per plan dimension,
+    /// `Some` where the caller already holds the σ (a dimension-tier hit),
+    /// `None` otherwise; all `None` for an uncached run — and returns the
+    /// completed slots (`Some` exactly for the `Materialized` handles).
+    ///
+    /// With two or more selections to build and `parallelism > 1` they run
+    /// as one participating pool job (one task per dimension; even a
+    /// size-1 pool is worth submitting to, because the caller counts as a
+    /// worker); otherwise the same task loop runs inline on the calling
+    /// thread. Each σ depends only on its own dimension table, so what is
+    /// built never depends on what arrived pre-built.
+    pub fn materialize_missing_dims(
         &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
+        plan: &Arc<Plan>,
         snap: Snapshot,
         priority: i32,
-    ) -> Result<(Arc<Plan>, AggTable, ExecStats), QpptError> {
-        let plan = build_plan(&self.db, spec, opts)?;
-        // Fresh plan: its options are the request's, so deriving the batch
-        // mode from the plan is exact.
-        let batch = plan.opts.batch_mode();
-
-        // Inline fast path: a sequential query runs the whole executor on
-        // the calling thread — no jobs, no handles, no pool wakeups. This
-        // is byte-identical by construction (it *is* the sequential
-        // engine's code path).
-        if plan.opts.parallelism == 1 {
-            let plan = Arc::new(plan);
-            let (agg, stats) = execute_agg(&self.db, snap, &plan)?;
-            return Ok((plan, agg, stats));
+        dims: Vec<Option<Arc<DimSelection>>>,
+    ) -> Result<Vec<Option<Arc<DimSelection>>>, QpptError> {
+        debug_assert_eq!(dims.len(), plan.dims.len());
+        let tasks: Vec<usize> = (0..plan.dims.len())
+            .filter(|&di| plan.dims[di].handle == DimHandleKind::Materialized && dims[di].is_none())
+            .collect();
+        if tasks.is_empty() {
+            return Ok(dims);
         }
-
-        let plan = Arc::new(plan);
-        let started = Instant::now();
-        let mut stats = ExecStats::default();
-
-        // 1. Dimension selections — as a participating pool job when
-        //    parallel selections are on and there is more than one to
-        //    build.
-        let dim_tables = Arc::new(self.materialize_dims(snap, &plan, priority, &mut stats)?);
-
-        // 2. Fact pipeline. The fused stage-1 stream is materialized once
-        //    (shared by all morsel workers) only when the pipeline is
-        //    actually partitioned.
-        let fused = if self.pipeline_participants(&plan) > 1 {
-            Arc::new(materialize_fused_selection(&self.db, snap, &plan)?)
+        let pooled = tasks.len() > 1 && plan.opts.parallelism > 1;
+        let job = Arc::new(DimJob {
+            db: self.db.clone(),
+            snap,
+            plan: plan.clone(),
+            max_workers: plan.opts.parallelism.min(tasks.len()),
+            tasks,
+            next: AtomicUsize::new(0),
+            results: Mutex::new(dims),
+            error: Mutex::new(None),
+            aborted: AtomicBool::new(false),
+        });
+        if pooled {
+            self.pool
+                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
+                .map_err(|_| pool_down())?;
         } else {
-            Arc::new(None)
-        };
-        let (agg, pipeline_stats) =
-            self.execute_pipeline(snap, &plan, &dim_tables, &fused, priority, batch)?;
-        stats.ops.extend(pipeline_stats.ops);
-        crate::fix_merged_agg_stats(&plan, &agg, &mut stats);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((plan, agg, stats))
+            job.work();
+        }
+        if let Some(e) = job.error.lock().expect("job lock").take() {
+            return Err(e);
+        }
+        let dims = std::mem::take(&mut *job.results.lock().expect("job lock"));
+        Ok(dims)
     }
 
     /// Executes a query from prepared, shared state (the `qppt-cache`
@@ -189,7 +194,8 @@ impl PooledEngine {
         priority: i32,
         batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
-        // Inline fast path, as in `run_at`.
+        // Inline fast path: a sequential query runs the whole pipeline on
+        // the calling thread — no jobs, no handles, no pool wakeups.
         if prepared.plan.opts.parallelism == 1 {
             return prepared.execute_sequential_agg(&self.db, batch);
         }
@@ -216,12 +222,12 @@ impl PooledEngine {
     /// Workers the fact pipeline may use, caller included (the calling
     /// thread participates in its own jobs, so the bound is pool + 1).
     fn pipeline_participants(&self, plan: &Plan) -> usize {
-        pipeline_workers(plan).min(self.pool.size() + 1)
+        plan.opts.parallelism.clamp(1, self.pool.size() + 1)
     }
 
     /// Runs the fact pipeline — as a participating morsel job on the
-    /// shared pool when the stage-1 operator class allows more than one
-    /// worker, inline on the calling thread otherwise.
+    /// shared pool when more than one worker is allowed, inline on the
+    /// calling thread otherwise.
     fn execute_pipeline(
         &self,
         snap: Snapshot,
@@ -282,64 +288,6 @@ impl PooledEngine {
                 },
             ))
         }
-    }
-
-    /// Materializes every `Materialized` dimension selection — as one
-    /// participating pool job (one task per dimension) when
-    /// `par_selections` is on, inline otherwise. Statistics are appended
-    /// in dimension order either way.
-    fn materialize_dims(
-        &self,
-        snap: Snapshot,
-        plan: &Arc<Plan>,
-        priority: i32,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Option<Arc<DimSelection>>>, QpptError> {
-        let n = plan.dims.len();
-        let materialized: Vec<usize> = (0..n)
-            .filter(|&di| plan.dims[di].handle == qppt_core::plan::DimHandleKind::Materialized)
-            .collect();
-        // Even a size-1 pool is worth submitting to: the caller
-        // participates, so the job always has ≥ 2 potential workers.
-        let pooled =
-            plan.opts.par_selections && plan.opts.parallelism > 1 && materialized.len() > 1;
-        let results: Vec<Option<Arc<DimSelection>>> = if pooled {
-            let max_workers = plan.opts.parallelism.min(materialized.len());
-            let job = Arc::new(DimJob {
-                db: self.db.clone(),
-                snap,
-                plan: plan.clone(),
-                tasks: materialized,
-                next: AtomicUsize::new(0),
-                results: Mutex::new((0..n).map(|_| None).collect()),
-                error: Mutex::new(None),
-                aborted: AtomicBool::new(false),
-                max_workers,
-            });
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())?;
-            if let Some(e) = job.error.lock().expect("job lock").take() {
-                return Err(e);
-            }
-            let results = std::mem::take(&mut *job.results.lock().expect("job lock"));
-            results
-        } else {
-            (0..n)
-                .map(|di| materialize_dim_selection(&self.db, snap, plan, di))
-                .collect::<Result<Vec<_>, QpptError>>()?
-        };
-        let mut dim_tables = Vec::with_capacity(n);
-        for r in results {
-            match r {
-                Some(sel) => {
-                    stats.push(sel.op.clone());
-                    dim_tables.push(Some(sel));
-                }
-                None => dim_tables.push(None),
-            }
-        }
-        Ok(dim_tables)
     }
 }
 
@@ -405,7 +353,7 @@ impl PoolJob for MorselJob {
     }
 }
 
-/// The dimension-selection job: one task per materialized dimension.
+/// The dimension-selection job: one task per missing σ.
 struct DimJob {
     db: Arc<Database>,
     snap: Snapshot,
@@ -413,7 +361,8 @@ struct DimJob {
     /// Dimension indexes to materialize.
     tasks: Vec<usize>,
     next: AtomicUsize,
-    /// Slot per dimension (not per task), so output stays in dim order.
+    /// Slot per dimension (not per task), so output stays in dim order;
+    /// pre-built slots ride along untouched.
     results: Mutex<Vec<Option<Arc<DimSelection>>>>,
     error: Mutex<Option<QpptError>>,
     aborted: AtomicBool,

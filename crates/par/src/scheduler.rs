@@ -10,19 +10,13 @@
 //! worker-index order, which (with commutative accumulator sums) makes the
 //! merged result independent of thread timing.
 //!
-//! Two execution substrates share this logic:
-//!
-//! * [`run_morsels`] — the embedded path: a **scoped** thread pool spawned
-//!   for this one query (`ParEngine`). Simple, but pays thread-spawn cost
-//!   per query.
-//! * [`drain_morsels`] — the per-worker loop itself, also driven by the
-//!   persistent [`WorkerPool`](crate::WorkerPool) through
-//!   [`PooledEngine`](crate::PooledEngine)'s morsel job, where N concurrent
-//!   queries share one fixed set of threads.
+//! The persistent [`WorkerPool`](crate::WorkerPool) decides *which* threads
+//! run [`drain_morsels`] (through [`PooledEngine`](crate::PooledEngine)'s
+//! morsel job, where N concurrent queries share one fixed set of threads);
+//! the loop itself and the merge live here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 use qppt_core::exec::{new_agg_table, run_pipeline, DimSelection, FusedSelection};
 use qppt_core::inter::AggTable;
@@ -81,54 +75,4 @@ pub(crate) fn merge_partials(
         stats.merge_partition(&part_stats);
     }
     (agg, stats)
-}
-
-/// Runs the fact pipeline over `morsels` on `workers` **scoped** threads
-/// (the embedded, spawn-per-query path), returning the merged aggregation
-/// table and the merged per-operator statistics.
-///
-/// `dim_tables` (materialized dimension selections) and `fused` (the
-/// pre-materialized stage-1 select-join stream, if the plan has one) are
-/// shared read-only by every worker.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_morsels(
-    db: &Database,
-    snap: Snapshot,
-    plan: &Plan,
-    dim_tables: &[Option<Arc<DimSelection>>],
-    fused: Option<&FusedSelection>,
-    morsels: &[KeyRange],
-    workers: usize,
-    batch: BatchMode,
-) -> Result<(AggTable, ExecStats), QpptError> {
-    debug_assert!(workers >= 1);
-    let next = AtomicUsize::new(0);
-    let worker = |pid: usize| -> Result<Option<(usize, AggTable, ExecStats)>, QpptError> {
-        Ok(
-            drain_morsels(db, snap, plan, dim_tables, fused, morsels, &next, batch)?
-                .map(|(agg, stats)| (pid, agg, stats)),
-        )
-    };
-
-    let parts: Vec<Option<(usize, AggTable, ExecStats)>> = if workers == 1 {
-        vec![worker(0)?]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|pid| scope.spawn(move || worker(pid)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker threads do not panic"))
-                .collect::<Result<Vec<_>, QpptError>>()
-        })?
-    };
-
-    let mut partials: Vec<(usize, AggTable, ExecStats)> = parts.into_iter().flatten().collect();
-    if partials.is_empty() {
-        // Every worker lost the race for the (≥1) morsels — impossible, but
-        // keep the invariant locally obvious.
-        partials.push((0, new_agg_table(plan), ExecStats::default()));
-    }
-    Ok(merge_partials(partials))
 }

@@ -799,9 +799,6 @@ mod tests {
             "morsel_bits",
             "join_buffer",
             "select_join",
-            "par_selections",
-            "par_scans",
-            "par_joins",
             "priority",
             "cache",
         ] {

@@ -215,9 +215,10 @@ impl RouterObs {
         self.slow_threshold
     }
 
-    /// Counts one slow routed query (the caller records the ring entry).
-    pub fn note_slow(&self) {
-        self.slow_queries.inc();
+    /// The slow-query counter ([`slow_log`](qppt_server::obs::slow_log)
+    /// bumps it).
+    pub fn slow_queries(&self) -> &Counter {
+        &self.slow_queries
     }
 
     /// The slow-query ring buffer behind the routed `METRICS SLOW`.
@@ -257,7 +258,7 @@ mod tests {
         obs.set_replicas_live(3);
         obs.note_probe_recovery();
         obs.record_merge(40);
-        obs.note_slow();
+        obs.slow_queries().inc();
         let expo = parse_exposition(&obs.render()).expect("exposition parses");
         assert_eq!(
             expo.value("qppt_router_requests_total", &[("verb", "RUN")]),

@@ -10,8 +10,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use qppt_core::{fingerprint_query, ExecStats, OpStats, PartialAggregate, PlanOptions};
-use qppt_obs::{merge_exposition, SlowEntry, SpanRec, Trace};
+use qppt_obs::{merge_exposition, Trace};
 use qppt_par::merge_partial_aggregates;
+use qppt_server::obs::{elapsed_micros, finish_trace, make_trace, slow_log};
 use qppt_server::protocol::{
     apply_overrides, parse_partial_status, parse_request, read_partial_body, read_text_body,
     write_run_response, write_slow_response, CacheCmd, ClientError, Request, ServedStats,
@@ -584,129 +585,6 @@ impl Router {
         )))
     }
 
-    /// Scatters `forward` (a `RUN`/`QUERY` line already carrying
-    /// `mode=partial`) to every range, gathers the partials in range
-    /// order (failing over inside each range as needed), merges them, and
-    /// applies `order_by` — the merged result is byte-identical to a
-    /// single node running the same query, whichever replicas answered.
-    pub fn scatter_partial(
-        &self,
-        forward: &str,
-        order_by: &[OrderKey],
-    ) -> Result<(QueryResult, ExecStats, usize), RouterError> {
-        self.scatter_partial_traced(forward, order_by, None)
-    }
-
-    /// [`scatter_partial`](Self::scatter_partial) with request-scoped
-    /// tracing: the gather wall time becomes a `scatter` span, each
-    /// range's own span tree (carried back on the partial response) is
-    /// grafted under it as `shard<i>`, and the merge gets its own span.
-    /// Result bytes are identical with and without a trace.
-    fn scatter_partial_traced(
-        &self,
-        forward: &str,
-        order_by: &[OrderKey],
-        mut trace: Option<&mut Trace>,
-    ) -> Result<(QueryResult, ExecStats, usize), RouterError> {
-        let started = Instant::now();
-        let obs = self.obs.as_deref();
-        let map = self.shared.map.load();
-        let mut retry = RetryState {
-            budget: self.retry_budget,
-        };
-        // Scatter first: every range has the request in flight before any
-        // response is read, so shards execute concurrently.
-        let in_flight: Vec<SendOutcome> = map
-            .ranges()
-            .iter()
-            .map(|range| self.send_to_range(range, forward))
-            .collect();
-        // Gather in range order (the deterministic merge order). Every
-        // in-flight response is consumed even after an earlier range
-        // failed, so surviving pooled connections stay synchronized.
-        let mut query_err: Option<String> = None;
-        let mut unavailable: Option<(usize, String)> = None;
-        let mut gathered: Vec<(Gathered, usize)> = Vec::with_capacity(map.range_count());
-        for (i, sent) in in_flight.into_iter().enumerate() {
-            match self.gather_range(map, i, sent, forward, read_partial_response, &mut retry) {
-                Ok((g, replica)) => {
-                    if let Some(o) = obs {
-                        o.record_rtt(i, elapsed_micros(started));
-                        o.note_replica_request(i, replica);
-                    }
-                    gathered.push((g, replica));
-                }
-                Err(GatherError::Query(msg)) => {
-                    if query_err.is_none() {
-                        query_err = Some(msg);
-                    }
-                }
-                Err(GatherError::Unavailable(detail)) => {
-                    if unavailable.is_none() {
-                        unavailable = Some((i, detail));
-                    }
-                }
-            }
-        }
-        // A query error is deterministic across the fleet (same spec, same
-        // replicated dims) — relay it even if some other range was also
-        // down; a partial gather is *never* served as a complete answer.
-        if let Some(msg) = query_err {
-            return Err(RouterError::Query(msg));
-        }
-        if let Some((range, detail)) = unavailable {
-            return Err(RouterError::RangeUnavailable { range, detail });
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            // The scatter span's wall time covers every gather, so each
-            // grafted shard tree's root (the shard's request total, which
-            // excludes the network) stays ≤ its parent.
-            let scatter = t.add(t.root(), "scatter", elapsed_micros(started));
-            for (i, (g, _)) in gathered.iter().enumerate() {
-                if !g.stats.spans.is_empty() {
-                    // A malformed shard tree is dropped, never fatal —
-                    // tracing must not fail a query that produced rows.
-                    let _ = t.graft(scatter, &format!("shard{i}"), &g.stats.spans);
-                }
-            }
-        }
-
-        let workers = gathered
-            .iter()
-            .map(|(g, _)| g.stats.workers)
-            .max()
-            .unwrap_or(1);
-        let mut stats = ExecStats::default();
-        for (i, (g, replica)) in gathered.iter().enumerate() {
-            stats.push(OpStats {
-                label: format!(
-                    "gather: shard {i} replica {replica} @ {}",
-                    map.range(i).replica(*replica).addr()
-                ),
-                out_keys: g.partial.group_count(),
-                out_tuples: g.partial.group_count(),
-                index_kind: "wire".to_string(),
-                memory_bytes: 0,
-                micros: g.stats.total_micros,
-            });
-        }
-        let merge_started = Instant::now();
-        let parts: Vec<PartialAggregate> = gathered.into_iter().map(|(g, _)| g.partial).collect();
-        let merged = merge_partial_aggregates(parts)
-            .map_err(|e| RouterError::Query(e.to_string()))?
-            .expect("at least one range gathered");
-        let result = merged.into_result(order_by);
-        let merge_micros = elapsed_micros(merge_started);
-        if let Some(o) = obs {
-            o.record_merge(merge_micros);
-        }
-        if let Some(t) = trace {
-            t.add(t.root(), "merge", merge_micros);
-        }
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats, workers))
-    }
-
     /// Sends a single-line-response command (`INFO`, `CACHE STATS`) to
     /// one replica of every range (failing over as needed); returns the
     /// `OK` payloads plus the answering replica's ordinal, in range
@@ -1025,36 +903,57 @@ impl Router {
             Some(t) => format!("{line} {MODE_KEY}=partial {TRACE_KEY}={}", t.id()),
             None => format!("{line} {MODE_KEY}=partial"),
         };
-        let gathered = if controls.use_cache && self.shared.cache.enabled() {
-            self.scatter_cached(&forward, spec, opts, trace.as_mut())
-        } else {
-            self.scatter_partial_traced(&forward, &spec.order_by, trace.as_mut())
-        };
-        match gathered {
+        let cached = (controls.use_cache && self.shared.cache.enabled())
+            .then(|| fingerprint_query(spec, opts));
+        match self.scatter(&forward, &spec.order_by, cached, trace.as_mut()) {
             Err(e) => writeln!(w, "ERR {e}"),
             Ok((result, stats, workers)) => {
                 let outcome = router_outcome_of(&stats).to_string();
                 let spans = finish_trace(trace, stats.total_micros);
                 let out = write_run_response(&mut w, &result, &stats, workers, &spans);
-                self.slow_log(verb, line, &outcome, &spans, started);
+                if let Some(obs) = &self.obs {
+                    slow_log(
+                        obs.slow_threshold(),
+                        obs.slow_ring(),
+                        obs.slow_queries(),
+                        started,
+                        verb,
+                        line,
+                        &outcome,
+                        &spans,
+                    );
+                }
                 out
             }
         }
     }
 
-    /// The cached scatter (the routed hot path): establish a fresh-enough
-    /// per-range version vector (probed state within the staleness bound,
-    /// else an on-demand `INFO` probe), serve a merged-tier hit without
-    /// touching any shard, otherwise scatter **only the ranges whose
-    /// partial is not cached**, re-merge locally, and populate both tiers.
-    /// Any probe failure falls back to the plain uncached scatter — the
-    /// cache can make a query cheaper, never less available. Result bytes
-    /// are identical to the uncached path on every outcome.
-    fn scatter_cached(
+    /// **The** scatter/gather/merge: scatters `forward` (a `RUN`/`QUERY`
+    /// line already carrying `mode=partial`) to the ranges, gathers the
+    /// partials in range order (failing over inside each range as needed),
+    /// merges them, and applies `order_by` — byte-identical to a single
+    /// node running the same query, whichever replicas answered.
+    ///
+    /// With `cached = Some(query fingerprint)` the router cache fronts it
+    /// (the routed hot path): establish a fresh-enough per-range version
+    /// vector (probed state within the staleness bound, else an on-demand
+    /// `INFO` probe), serve a merged-tier hit without touching any shard,
+    /// otherwise scatter **only the ranges whose partial is not cached**,
+    /// re-merge locally, and populate both tiers. With `cached = None` —
+    /// `cache=off`, `--no-router-cache`, or any probe failure: the cache
+    /// can make a query cheaper, never less available — it is the same
+    /// loop with no range cached and nothing stored. Result bytes are
+    /// identical on every outcome.
+    ///
+    /// Tracing: the gather wall time becomes a `scatter` span, each
+    /// scattered range's own span tree (carried back on the partial
+    /// response) is grafted under it as `shard<i>`, and the merge gets its
+    /// own span; a merged-tier hit is one `router_cache` span.
+    fn scatter(
         &self,
         forward: &str,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
+        order_by: &[OrderKey],
+        cached: Option<u64>,
         mut trace: Option<&mut Trace>,
     ) -> Result<(QueryResult, ExecStats, usize), RouterError> {
         let cache = &self.shared.cache;
@@ -1063,44 +962,44 @@ impl Router {
         let map = self.shared.map.load();
         let generation = map.generation();
         let n = map.range_count();
-        let qfp = fingerprint_query(spec, opts);
 
-        let mut versions = cache.cached_versions(generation, n);
-        for (ri, slot) in versions.iter_mut().enumerate() {
-            if slot.is_none() {
-                match self.probe_versions(map, ri) {
-                    Some(vs) => {
-                        cache.record_versions(generation, n, ri, vs.clone());
-                        *slot = Some(vs);
-                    }
-                    // No version vector, no freshness proof — serve this
-                    // request uncached rather than fail or stale-serve.
-                    None => return self.scatter_partial_traced(forward, &spec.order_by, trace),
+        // The freshness proof: no version vector for some range means no
+        // proof — serve this request uncached rather than fail or
+        // stale-serve.
+        let keys: Option<(u64, Vec<Vec<u64>>)> = cached.and_then(|qfp| {
+            let mut versions = cache.cached_versions(generation, n);
+            for (ri, slot) in versions.iter_mut().enumerate() {
+                if slot.is_none() {
+                    let vs = self.probe_versions(map, ri)?;
+                    cache.record_versions(generation, n, ri, vs.clone());
+                    *slot = Some(vs);
                 }
             }
-        }
-        let versions: Vec<Vec<u64>> = versions.into_iter().flatten().collect();
+            Some((qfp, versions.into_iter().flatten().collect()))
+        });
 
-        if let Some(hit) = cache.get_merged(&FleetKey::merged(qfp, generation, &versions)) {
-            let mut stats = ExecStats::default();
-            stats.push(router_cache_op(
-                "router cache: result hit".to_string(),
-                hit.result.rows.len(),
-            ));
-            if let Some(t) = trace.as_deref_mut() {
-                t.add(t.root(), "router_cache", elapsed_micros(started));
+        let mut cached_parts: Vec<Option<Arc<CachedPartial>>> = vec![None; n];
+        if let Some((qfp, versions)) = &keys {
+            if let Some(hit) = cache.get_merged(&FleetKey::merged(*qfp, generation, versions)) {
+                let mut stats = ExecStats::default();
+                stats.push(router_cache_op(
+                    "router cache: result hit".to_string(),
+                    hit.result.rows.len(),
+                ));
+                if let Some(t) = trace {
+                    t.add(t.root(), "router_cache", elapsed_micros(started));
+                }
+                stats.total_micros = started.elapsed().as_micros();
+                return Ok((hit.result.clone(), stats, hit.workers));
             }
-            stats.total_micros = started.elapsed().as_micros();
-            return Ok((hit.result.clone(), stats, hit.workers));
+            for (ri, slot) in cached_parts.iter_mut().enumerate() {
+                *slot = cache.get_partial(&FleetKey::partial(*qfp, ri, n, &versions[ri]));
+            }
         }
 
-        let mut cached_parts: Vec<Option<Arc<CachedPartial>>> = (0..n)
-            .map(|ri| cache.get_partial(&FleetKey::partial(qfp, ri, n, &versions[ri])))
-            .collect();
-
-        // Scatter the missing ranges first (they execute concurrently),
-        // then gather in range order — the same discipline as the
-        // uncached path, restricted to the ranges that need a shard.
+        // Scatter first: every range that needs a shard has the request in
+        // flight before any response is read, so shards execute
+        // concurrently.
         let mut retry = RetryState {
             budget: self.retry_budget,
         };
@@ -1108,6 +1007,9 @@ impl Router {
             .filter(|&ri| cached_parts[ri].is_none())
             .map(|ri| (ri, self.send_to_range(map.range(ri), forward)))
             .collect();
+        // Gather in range order (the deterministic merge order). Every
+        // in-flight response is consumed even after an earlier range
+        // failed, so surviving pooled connections stay synchronized.
         let mut query_err: Option<String> = None;
         let mut unavailable: Option<(usize, String)> = None;
         let mut fresh: Vec<Option<(Gathered, usize)>> = (0..n).map(|_| None).collect();
@@ -1133,6 +1035,9 @@ impl Router {
                 }
             }
         }
+        // A query error is deterministic across the fleet (same spec, same
+        // replicated dims) — relay it even if some other range was also
+        // down; a partial gather is *never* served as a complete answer.
         if let Some(msg) = query_err {
             return Err(RouterError::Query(msg));
         }
@@ -1141,10 +1046,16 @@ impl Router {
         }
         if let Some(t) = trace.as_deref_mut() {
             if any_scatter {
+                // The scatter span's wall time covers every gather, so each
+                // grafted shard tree's root (the shard's request total,
+                // which excludes the network) stays ≤ its parent.
                 let scatter = t.add(t.root(), "scatter", elapsed_micros(started));
                 for (i, slot) in fresh.iter().enumerate() {
                     if let Some((g, _)) = slot {
                         if !g.stats.spans.is_empty() {
+                            // A malformed shard tree is dropped, never
+                            // fatal — tracing must not fail a query that
+                            // produced rows.
                             let _ = t.graft(scatter, &format!("shard{i}"), &g.stats.spans);
                         }
                     }
@@ -1173,13 +1084,15 @@ impl Router {
                     memory_bytes: 0,
                     micros: g.stats.total_micros,
                 });
-                cache.put_partial(
-                    &FleetKey::partial(qfp, ri, n, &versions[ri]),
-                    Arc::new(CachedPartial {
-                        partial: g.partial.clone(),
-                        workers: g.stats.workers,
-                    }),
-                );
+                if let Some((qfp, versions)) = &keys {
+                    cache.put_partial(
+                        &FleetKey::partial(*qfp, ri, n, &versions[ri]),
+                        Arc::new(CachedPartial {
+                            partial: g.partial.clone(),
+                            workers: g.stats.workers,
+                        }),
+                    );
+                }
                 parts.push(g.partial);
             } else {
                 let hit = cached_parts[ri].take().expect("range cached or gathered");
@@ -1196,7 +1109,7 @@ impl Router {
         let merged = merge_partial_aggregates(parts)
             .map_err(|e| RouterError::Query(e.to_string()))?
             .expect("at least one range");
-        let result = merged.into_result(&spec.order_by);
+        let result = merged.into_result(order_by);
         let merge_micros = elapsed_micros(merge_started);
         if let Some(o) = obs {
             o.record_merge(merge_micros);
@@ -1204,13 +1117,15 @@ impl Router {
         if let Some(t) = trace {
             t.add(t.root(), "merge", merge_micros);
         }
-        cache.put_merged(
-            &FleetKey::merged(qfp, generation, &versions),
-            Arc::new(CachedMerged {
-                result: result.clone(),
-                workers,
-            }),
-        );
+        if let Some((qfp, versions)) = &keys {
+            cache.put_merged(
+                &FleetKey::merged(*qfp, generation, versions),
+                Arc::new(CachedMerged {
+                    result: result.clone(),
+                    workers,
+                }),
+            );
+        }
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats, workers))
     }
@@ -1252,35 +1167,6 @@ impl Router {
         } else {
             TraceMode::Off
         }
-    }
-
-    /// Records a slow routed request in the ring served by the router's
-    /// `METRICS SLOW` (and counts it) when its wall time reached the
-    /// `--slow-query-micros` threshold.
-    fn slow_log(
-        &self,
-        verb: &'static str,
-        line: &str,
-        outcome: &str,
-        spans: &[SpanRec],
-        started: Instant,
-    ) {
-        let Some(obs) = &self.obs else { return };
-        let Some(threshold) = obs.slow_threshold() else {
-            return;
-        };
-        let micros = elapsed_micros(started);
-        if micros < threshold {
-            return;
-        }
-        obs.note_slow();
-        obs.slow_ring().push(SlowEntry {
-            verb: verb.to_string(),
-            line: line.to_string(),
-            outcome: outcome.to_string(),
-            micros,
-            spans: spans.to_vec(),
-        });
     }
 }
 
@@ -1398,10 +1284,6 @@ fn probe_replica(rep: &Replica) -> Result<ShardConn, String> {
     Ok(c)
 }
 
-/// Process-wide source of router-picked trace ids (`trace=on` from a
-/// client). Monotonic, never reused within a process.
-static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
-
 /// Process-wide source of failover-backoff jitter seeds — each request's
 /// schedule draws distinct jitter without consulting the wall clock.
 static BACKOFF_SEED: AtomicU64 = AtomicU64::new(0x9e3779b97f4a7c15);
@@ -1410,53 +1292,11 @@ fn next_backoff_seed() -> u64 {
     BACKOFF_SEED.fetch_add(0x9e3779b97f4a7c15, Ordering::Relaxed)
 }
 
-/// Creates the request [`Trace`] demanded by the client's `trace=` option
-/// (a client-pinned numeric id is honored verbatim, `on` draws a fresh
-/// router-unique id). Independent of `--no-obs` — tracing is
-/// request-scoped state, not registry state.
-fn make_trace(mode: TraceMode) -> Option<Trace> {
-    match mode {
-        TraceMode::Off => None,
-        TraceMode::On => Some(Trace::new(TRACE_SEQ.fetch_add(1, Ordering::Relaxed))),
-        TraceMode::Id(id) => Some(Trace::new(id)),
-    }
-}
-
-/// Closes out a request trace into its wire-ordered span list (empty when
-/// untraced).
-fn finish_trace(trace: Option<Trace>, total_micros: u128) -> Vec<SpanRec> {
-    match trace {
-        None => Vec::new(),
-        Some(t) => t.finish(u64::try_from(total_micros).unwrap_or(u64::MAX)),
-    }
-}
-
-/// Saturating `u64` micros since `started`.
-fn elapsed_micros(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The metrics label for a parsed request.
-fn verb_of(req: &Request) -> &'static str {
-    match req {
-        Request::Ping => "PING",
-        Request::Quit => "QUIT",
-        Request::Shutdown => "SHUTDOWN",
-        Request::Info => "INFO",
-        Request::Cache(_) => "CACHE",
-        Request::List => "LIST",
-        Request::Explain { .. } | Request::ExplainSpec { .. } => "EXPLAIN",
-        Request::Run { .. } => "RUN",
-        Request::Query { .. } => "QUERY",
-        Request::Metrics | Request::MetricsSlow => "METRICS",
-    }
-}
-
 impl LineService for Router {
     fn handle(&self, line: &str, w: &mut dyn Write) -> io::Result<Reply> {
         let started = Instant::now();
         let parsed = parse_request(line);
-        let verb = parsed.as_ref().ok().map(verb_of);
+        let verb = parsed.as_ref().ok().map(Request::verb);
         let reply = self.dispatch(parsed, line, w)?;
         if let (Some(obs), Some(verb)) = (&self.obs, verb) {
             obs.record_request(verb, elapsed_micros(started));

@@ -95,16 +95,31 @@ fn routed_trace_stitches_every_shard_under_the_router_tree() {
     assert_eq!(untraced.result, expected, "routed result matches oracle");
     assert!(untraced.stats.spans.is_empty(), "no trace ⇒ no spans");
 
-    let traced = client.run("q3.1", &[("trace", "on")]).expect("traced run");
-    assert_eq!(
-        traced.result, expected,
-        "tracing must not change routed bytes"
-    );
-    let spans = &traced.stats.spans;
-    validate_span_tree(spans).expect("stitched span tree validates");
+    // Twice: through the shard caches, then `cache=off` fleet-wide (the
+    // forwarded line carries it, so every shard bypasses its tiers). One
+    // pipeline on the shards, one scatter on the router: the stitched tree
+    // has the same shape both times.
+    for options in [
+        &[("trace", "on")][..],
+        &[("trace", "on"), ("cache", "off")][..],
+    ] {
+        let traced = client.run("q3.1", options).expect("traced run");
+        assert_eq!(
+            traced.result, expected,
+            "tracing must not change routed bytes"
+        );
+        assert_stitched(&traced.stats.spans);
+    }
 
-    // Shape: request root, scatter + merge under it, one shard<i> subtree
-    // per shard under scatter, each covering the shard's pipeline spans.
+    client.quit().expect("clean quit");
+    fleet.stop();
+}
+
+/// The stitched routed trace: request root, scatter + merge under it, one
+/// `shard<i>` subtree per shard under scatter, each covering the shard's
+/// pipeline spans.
+fn assert_stitched(spans: &[qppt_obs::SpanRec]) {
+    validate_span_tree(spans).expect("stitched span tree validates");
     let root = &spans[0];
     assert_eq!(root.name, "request");
     assert_eq!(root.parent, None);
@@ -126,8 +141,8 @@ fn routed_trace_stitches_every_shard_under_the_router_tree() {
             shard.micros,
             scatter.micros
         );
-        // The shard's own pipeline spans survived the graft: this was a
-        // cold cached run, so plan/σ/exec/decode all appear per shard.
+        // The shard's own pipeline spans survived the graft: no result
+        // tier in partial mode, so plan/σ/exec/decode all appear per shard.
         for want in ["plan", "sigma", "exec", "decode"] {
             assert!(
                 spans
@@ -137,9 +152,6 @@ fn routed_trace_stitches_every_shard_under_the_router_tree() {
             );
         }
     }
-
-    client.quit().expect("clean quit");
-    fleet.stop();
 }
 
 #[test]

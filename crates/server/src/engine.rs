@@ -35,8 +35,12 @@
 //!    the query-private fused stream are materialized, and all four tiers
 //!    are (re)populated.
 //!
-//! `cache=off` requests bypass **all** tiers, the dimension tier
-//! included: no lookups, no insertions, fully independent execution.
+//! There is exactly one pipeline — **plan → σ → exec → finish** — and it
+//! is one function: full and `mode=partial` requests differ only in
+//! *finish* (decode + result tier, or the undecoded aggregate), and
+//! `cache=off` requests run the very same code against a disabled cache,
+//! so they bypass **all** tiers, the dimension tier included: every lookup
+//! misses, every insert drops, execution is fully independent.
 //!
 //! Coherence: fingerprints embed per-table versions
 //! ([`Database::table_version`]), and the database sits behind an `Arc`
@@ -54,7 +58,8 @@ use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, QueryResult, QuerySpec};
 
-use crate::obs::ServeObs;
+use crate::obs::{elapsed_micros, ServeObs};
+use crate::protocol::RunControls;
 
 /// Static facts about the serving instance, reported by `INFO`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +73,7 @@ pub struct ServeInfo {
     /// Admission budget (max concurrently executing queries).
     pub admission: usize,
     /// Detected hardware parallelism (1 means intra-query speedups are
-    /// impossible on this host — the `par_scaling` caveat).
+    /// impossible on this host).
     pub cores: usize,
     /// Fact (`lineorder`) rows this instance holds — the shard's share in
     /// a sharded deployment, the whole table otherwise.
@@ -94,6 +99,8 @@ pub struct ServeEngine {
     defaults: PlanOptions,
     info: ServeInfo,
     cache: Arc<QueryCache>,
+    /// The disabled cache `cache=off` requests run the pipeline against.
+    bypass: QueryCache,
     started: Instant,
     obs: Option<Arc<ServeObs>>,
 }
@@ -229,6 +236,7 @@ impl ServeEngine {
             defaults,
             info,
             cache,
+            bypass: QueryCache::new(CacheConfig::disabled()),
             started: Instant::now(),
             obs: None,
         }
@@ -369,17 +377,17 @@ impl ServeEngine {
         self.run_spec(self.resolve(name)?, opts, priority, use_cache)
     }
 
-    /// **The** serving pipeline — named aliases and ad-hoc `QUERY` specs
-    /// both land here: validate → plan → cache tiers → execute on the
-    /// pool. Malformed user-supplied specs (unknown tables/columns, type
-    /// mismatches, bad group/order indices, predicates on columns the
-    /// startup index preparation never saw) fail with one typed
-    /// [`ServeError`] before any execution work happens — but validation
-    /// is folded into the *miss* paths, so cache hits pay nothing for it:
-    /// a hit's entry can only have been inserted by a previous validated
-    /// execution of the same `(instance, structure, options, versions)`
-    /// key, which makes re-validating it pure overhead (the frontend's
-    /// warm throughput would otherwise drop measurably; see
+    /// **The** serving pipeline in full mode — named aliases and ad-hoc
+    /// `QUERY` specs both land here: validate → plan → cache tiers →
+    /// execute on the pool → decode. Malformed user-supplied specs (unknown
+    /// tables/columns, type mismatches, bad group/order indices, predicates
+    /// on columns the startup index preparation never saw) fail with one
+    /// typed [`ServeError`] before any execution work happens — but
+    /// validation is folded into the *miss* paths, so cache hits pay
+    /// nothing for it: a hit's entry can only have been inserted by a
+    /// previous validated execution of the same `(instance, structure,
+    /// options, versions)` key, which makes re-validating it pure overhead
+    /// (the frontend's warm throughput would otherwise drop measurably; see
     /// `BENCH_QUERY_CACHE.json`).
     pub fn run_spec(
         &self,
@@ -388,99 +396,20 @@ impl ServeEngine {
         priority: i32,
         use_cache: bool,
     ) -> Result<(QueryResult, ExecStats), ServeError> {
-        self.run_spec_obs(spec, opts, priority, use_cache, None)
-    }
-
-    /// [`run_spec`](Self::run_spec) with request-scoped observability:
-    /// `verb` labels the slow-query log line, and a `trace` collects the
-    /// request's span tree (plan → sigma → exec → decode, under the root
-    /// `request` span the caller finishes). Result bytes are identical
-    /// with and without a trace — spans only ride as extra `#` lines.
-    pub fn run_spec_obs(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-        priority: i32,
-        use_cache: bool,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<(QueryResult, ExecStats), ServeError> {
-        let db = self.engine.db();
-        let started = Instant::now();
-        if !use_cache || !self.cache.enabled() {
-            // The bypass path plans and materializes from scratch — run
-            // the full pre-flight (catalog, then index availability).
-            qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-            let snap = db.snapshot();
-            let result = self
-                .engine
-                .run_at(spec, opts, snap, priority)
-                .map_err(ServeError::Engine)?;
-            if let Some(t) = trace.as_deref_mut() {
-                // Planning and materialization happen inside run_at; the
-                // bypass trace has a single exec span covering them all.
-                t.add(t.root(), "exec", elapsed_micros(started));
-            }
-            return Ok(result);
-        }
-
-        let fp = match QueryFingerprint::compute(db, spec, opts) {
-            Ok(fp) => fp,
-            // Fingerprinting fails only on catalog errors (unknown
-            // tables); prefer the validate pass's typed report.
-            Err(e) => {
-                qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-                return Err(ServeError::Engine(QpptError::Storage(e)));
-            }
+        let controls = RunControls {
+            priority,
+            use_cache,
+            ..RunControls::default()
         };
-
-        // Tier 3: full result — served without touching the pool.
-        if let Some(hit) = self.cache.get_result(&fp) {
-            let mut stats = hit.stats.clone();
-            stats.push(cache_op("cache: result hit", hit.result.rows.len()));
-            stats.total_micros = started.elapsed().as_micros();
-            if let Some(t) = trace.as_deref_mut() {
-                t.add(t.root(), "result_cache", elapsed_micros(started));
-            }
-            return Ok((hit.result.clone(), stats));
+        match self.serve(spec, opts, &controls, None)? {
+            (Answer::Full(result), stats) => Ok((result, stats)),
+            (Answer::Partial(_), _) => unreachable!("full mode finishes with a decoded result"),
         }
-
-        let (prepared, tier_label, assembly, phases) = self.assemble_prepared(&fp, spec, opts)?;
-
-        // run_prepared decomposed into its two halves (identical code
-        // path — see PooledEngine::run_prepared) so exec and decode get
-        // their own spans; total_micros is restamped below either way.
-        // The batch mode comes from the *request's* options: the cached
-        // plan may carry stale batch knobs (they are fingerprint-exempt).
-        let exec_started = Instant::now();
-        let (agg, mut stats) = self
-            .engine
-            .run_prepared_agg(&prepared, priority, opts.batch_mode())
-            .map_err(ServeError::Engine)?;
-        let exec_micros = elapsed_micros(exec_started);
-        let decode_started = Instant::now();
-        let result = qppt_core::exec::decode_result(db, &prepared.plan, &agg);
-        if let Some(t) = trace {
-            t.add(t.root(), "plan", phases.plan_micros);
-            t.add(t.root(), "sigma", phases.sigma_micros);
-            t.add(t.root(), "exec", exec_micros);
-            t.add(t.root(), "decode", elapsed_micros(decode_started));
-        }
-        self.cache.put_result(
-            &fp,
-            Arc::new(CachedResult {
-                result: result.clone(),
-                stats: stats.clone(),
-            }),
-        );
-        stats.push(cache_op(tier_label, result.rows.len()));
-        push_assembly_op(&mut stats, assembly);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats))
     }
 
-    /// The partial-mode serving pipeline (`mode=partial` — what shards run
-    /// for `qppt-router`): same validate → plan → cache → execute path as
-    /// [`run_spec`](Self::run_spec), but execution stops at the merged
+    /// The serving pipeline in partial mode (`mode=partial` — what shards
+    /// run for `qppt-router`): the same pipeline as
+    /// [`run_spec`](Self::run_spec), but *finish* stops at the merged
     /// aggregation index, serialized as a [`PartialAggregate`] for the
     /// router to merge and decode. The plan, dimension, and selection
     /// tiers all participate exactly as in full mode — a shard-local σ
@@ -495,126 +424,157 @@ impl ServeEngine {
         priority: i32,
         use_cache: bool,
     ) -> Result<(PartialAggregate, ExecStats), ServeError> {
-        self.run_spec_partial_obs(spec, opts, priority, use_cache, None)
+        let controls = RunControls {
+            priority,
+            use_cache,
+            partial: true,
+            ..RunControls::default()
+        };
+        match self.serve(spec, opts, &controls, None)? {
+            (Answer::Partial(partial), stats) => Ok((partial, stats)),
+            (Answer::Full(_), _) => unreachable!("partial mode finishes with the aggregate"),
+        }
     }
 
-    /// [`run_spec_partial`](Self::run_spec_partial) with request-scoped
-    /// observability — see [`run_spec_obs`](Self::run_spec_obs). The
-    /// decode span covers [`PartialAggregate::from_agg`] (the shard-side
-    /// group decoding).
-    pub fn run_spec_partial_obs(
+    /// The one pipeline behind [`run_spec`](Self::run_spec),
+    /// [`run_spec_partial`](Self::run_spec_partial) and the TCP dispatcher:
+    /// **plan → σ → exec → finish**, with the cache tiers consulted in
+    /// between. `controls.partial` picks the finish step and nothing else;
+    /// `controls.use_cache = false` (the per-request `cache=off`) runs the
+    /// same code against a disabled cache. `trace` (made by the caller
+    /// from `controls.trace`) collects the request's span tree —
+    /// `plan | sigma | exec | decode`, or `result_cache` on a result-tier
+    /// hit, under the root `request` span the caller finishes; result
+    /// bytes are identical with and without it — spans only ride as extra
+    /// `#` lines.
+    pub(crate) fn serve(
         &self,
         spec: &QuerySpec,
         opts: &PlanOptions,
-        priority: i32,
-        use_cache: bool,
+        controls: &RunControls,
         trace: Option<&mut Trace>,
-    ) -> Result<(PartialAggregate, ExecStats), ServeError> {
+    ) -> Result<(Answer, ExecStats), ServeError> {
         let db = self.engine.db();
+        let RunControls {
+            priority,
+            use_cache,
+            partial,
+            ..
+        } = *controls;
+        let cache = if use_cache {
+            &*self.cache
+        } else {
+            &self.bypass
+        };
         let started = Instant::now();
-        if !use_cache || !self.cache.enabled() {
-            qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-            let snap = db.snapshot();
-            let (plan, agg, stats) = self
-                .engine
-                .run_at_agg(spec, opts, snap, priority)
-                .map_err(ServeError::Engine)?;
-            let partial = PartialAggregate::from_agg(db, &plan, &agg);
-            if let Some(t) = trace {
-                t.add(t.root(), "exec", elapsed_micros(started));
-            }
-            return Ok((partial, stats));
-        }
-
         let fp = match QueryFingerprint::compute(db, spec, opts) {
             Ok(fp) => fp,
+            // Fingerprinting fails only on catalog errors (unknown
+            // tables); prefer the validate pass's typed report.
             Err(e) => {
                 qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
                 return Err(ServeError::Engine(QpptError::Storage(e)));
             }
         };
-        let (prepared, tier_label, assembly, phases) = self.assemble_prepared(&fp, spec, opts)?;
+
+        // Result tier (full mode only): served without touching the pool.
+        if let Some(hit) = (!partial).then(|| cache.get_result(&fp)).flatten() {
+            let mut stats = hit.stats.clone();
+            stats.push(cache_op("cache: result hit", hit.result.rows.len()));
+            stats.total_micros = started.elapsed().as_micros();
+            if let Some(t) = trace {
+                t.add(t.root(), "result_cache", elapsed_micros(started));
+            }
+            return Ok((Answer::Full(hit.result.clone()), stats));
+        }
+
+        // Selection tier: the composed PreparedQuery (a hit skips
+        // build_plan, the per-dimension cache walk, and the fused-selection
+        // scan — the PreparedQuery already owns its plan and σ handles, so
+        // the plan and dimension tiers are only consulted on a miss).
+        let plan_started = Instant::now();
+        let (prepared, tier_label, assembly, plan_micros, sigma_micros) = match cache
+            .get_selections(&fp)
+        {
+            Some(p) => {
+                let plan_micros = elapsed_micros(plan_started);
+                (p, "cache: selection hit", None, plan_micros, 0)
+            }
+            None => {
+                // Plan: a tier hit skips build_plan — and with it the
+                // whole validate pass: a cached plan at this
+                // fingerprint proves the spec and its indexes
+                // validated at these very table versions.
+                let (plan, label) = match cache.get_plan(&fp) {
+                    Some(p) => (p, "cache: plan hit"),
+                    None => {
+                        // Cold: build_plan runs the catalog validation
+                        // itself (typed errors first — an unknown
+                        // column beats a missing index on that
+                        // column); the index-availability check layers
+                        // on top before any materialization,
+                        // execution, or caching.
+                        let p = Arc::new(
+                            qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?,
+                        );
+                        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
+                        cache.put_plan(&fp, p.clone());
+                        (p, "cache: cold")
+                    }
+                };
+                let plan_micros = elapsed_micros(plan_started);
+                // σ: shared handles out of the dimension tier, the
+                // missing ones materialized (on the pool when several
+                // remain) and cached.
+                let sigma_started = Instant::now();
+                let (prepared, assembly) = cache
+                    .prepare_from_parts(&self.engine, plan, opts, db.snapshot(), priority)
+                    .map_err(ServeError::Engine)?;
+                let p = Arc::new(prepared);
+                cache.put_selections(&fp, p.clone());
+                let sigma_micros = elapsed_micros(sigma_started);
+                (p, label, Some(assembly), plan_micros, sigma_micros)
+            }
+        };
+
+        // Exec. The batch mode comes from the *request's* options: the
+        // cached plan may carry stale batch knobs (they are
+        // fingerprint-exempt).
         let exec_started = Instant::now();
         let (agg, mut stats) = self
             .engine
             .run_prepared_agg(&prepared, priority, opts.batch_mode())
             .map_err(ServeError::Engine)?;
         let exec_micros = elapsed_micros(exec_started);
+
+        // Finish — the only mode-dependent step.
         let decode_started = Instant::now();
-        let partial = PartialAggregate::from_agg(db, &prepared.plan, &agg);
+        let answer = if partial {
+            Answer::Partial(PartialAggregate::from_agg(db, &prepared.plan, &agg))
+        } else {
+            Answer::Full(qppt_core::exec::decode_result(db, &prepared.plan, &agg))
+        };
         if let Some(t) = trace {
-            t.add(t.root(), "plan", phases.plan_micros);
-            t.add(t.root(), "sigma", phases.sigma_micros);
+            t.add(t.root(), "plan", plan_micros);
+            t.add(t.root(), "sigma", sigma_micros);
             t.add(t.root(), "exec", exec_micros);
             t.add(t.root(), "decode", elapsed_micros(decode_started));
         }
-        stats.push(cache_op(tier_label, partial.rows.len()));
-        push_assembly_op(&mut stats, assembly);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((partial, stats))
-    }
-
-    /// Tiers 1–2 of the cached pipeline, shared by full and partial mode:
-    /// fetch or compose the [`PreparedQuery`](qppt_core::PreparedQuery)
-    /// through the selection, plan, and dimension tiers.
-    fn assemble_prepared(
-        &self,
-        fp: &QueryFingerprint,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<PreparedParts, ServeError> {
-        let db = self.engine.db();
-        let plan_started = Instant::now();
-        // Tier 2: the composed PreparedQuery (a hit skips build_plan, the
-        // per-dimension cache walk, and the fused-selection scan — the
-        // PreparedQuery already owns its plan and σ handles, so the plan
-        // and dimension tiers are only consulted on a selection miss).
-        match self.cache.get_selections(fp) {
-            Some(p) => {
-                let phases = AssemblyPhases {
-                    plan_micros: elapsed_micros(plan_started),
-                    sigma_micros: 0,
-                };
-                Ok((p, "cache: selection hit", None, phases))
+        if cache.enabled() {
+            if let Answer::Full(result) = &answer {
+                cache.put_result(
+                    &fp,
+                    Arc::new(CachedResult {
+                        result: result.clone(),
+                        stats: stats.clone(),
+                    }),
+                );
             }
-            None => {
-                // Tier 1: plan (skips build_plan on hit — and with it the
-                // whole validate pass: a cached plan at this fingerprint
-                // proves the spec and its indexes validated at these very
-                // table versions).
-                let (plan, label) = match self.cache.get_plan(fp) {
-                    Some(p) => (p, "cache: plan hit"),
-                    None => {
-                        // Cold: build_plan runs the catalog validation
-                        // itself (typed errors first — an unknown column
-                        // beats a missing index on that column); the
-                        // index-availability check layers on top before
-                        // any materialization, execution, or caching.
-                        let p = Arc::new(
-                            qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?,
-                        );
-                        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
-                        self.cache.put_plan(fp, p.clone());
-                        (p, "cache: cold")
-                    }
-                };
-                let plan_micros = elapsed_micros(plan_started);
-                // Assemble from parts: shared σ handles out of the
-                // dimension tier, missing ones materialized + cached.
-                let sigma_started = Instant::now();
-                let (prepared, assembly) = self
-                    .cache
-                    .prepare_from_parts(db, plan, opts, db.snapshot())
-                    .map_err(ServeError::Engine)?;
-                let p = Arc::new(prepared);
-                self.cache.put_selections(fp, p.clone());
-                let phases = AssemblyPhases {
-                    plan_micros,
-                    sigma_micros: elapsed_micros(sigma_started),
-                };
-                Ok((p, label, Some(assembly), phases))
-            }
+            stats.push(cache_op(tier_label, answer.rows()));
+            push_assembly_op(&mut stats, assembly);
         }
+        stats.total_micros = started.elapsed().as_micros();
+        Ok((answer, stats))
     }
 
     /// Renders the physical plan of a named query under the default
@@ -638,29 +598,22 @@ impl ServeEngine {
     }
 }
 
-/// The product of [`ServeEngine::assemble_prepared`]: the prepared query,
-/// the tier that produced it, (on the assemble-from-parts path) the
-/// dimension-tier share/build counts, and the phase wall times feeding
-/// the request's plan/sigma trace spans.
-type PreparedParts = (
-    Arc<qppt_core::PreparedQuery>,
-    &'static str,
-    Option<qppt_cache::DimAssembly>,
-    AssemblyPhases,
-);
-
-/// Wall micros of the two assembly phases (plan fetch/build, σ
-/// materialization), measured unconditionally — two `Instant` reads —
-/// and surfaced as spans when the request is traced.
-#[derive(Debug, Clone, Copy, Default)]
-struct AssemblyPhases {
-    plan_micros: u64,
-    sigma_micros: u64,
+/// What the pipeline's *finish* step produced: the decoded, ordered
+/// result (full mode) or the undecoded aggregate (`mode=partial`).
+#[derive(Debug)]
+pub(crate) enum Answer {
+    Full(QueryResult),
+    Partial(PartialAggregate),
 }
 
-/// Saturating `u64` micros since `started`.
-fn elapsed_micros(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+impl Answer {
+    /// Rows (full) or groups (partial) answered.
+    fn rows(&self) -> usize {
+        match self {
+            Answer::Full(r) => r.rows.len(),
+            Answer::Partial(p) => p.rows.len(),
+        }
+    }
 }
 
 /// Appends the dimension-assembly `# op` record, when σ work happened.

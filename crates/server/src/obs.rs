@@ -10,12 +10,15 @@
 //! what makes the two surfaces agree by definition rather than by
 //! double-entry bookkeeping.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_cache::{CacheStats, TierSnapshot};
-use qppt_obs::{Counter, Gauge, Histogram, Registry, SlowRing};
+use qppt_obs::{Counter, Gauge, Histogram, Registry, SlowEntry, SlowRing, SpanRec, Trace};
 use qppt_par::PoolMetrics;
+
+use crate::protocol::TraceMode;
 
 /// Wire verbs instrumented with request counters and latency histograms.
 pub const VERBS: [&str; 8] = [
@@ -116,9 +119,9 @@ impl ServeObs {
         self.slow_threshold
     }
 
-    /// Counts one slow query (the caller records the ring entry).
-    pub fn note_slow(&self) {
-        self.slow_queries.inc();
+    /// The slow-query counter ([`slow_log`] bumps it).
+    pub fn slow_queries(&self) -> &Counter {
+        &self.slow_queries
     }
 
     /// The slow-query ring buffer behind `METRICS SLOW`.
@@ -140,6 +143,68 @@ impl ServeObs {
         out.push_str(&render_cache_metrics(cache));
         out
     }
+}
+
+/// Process-wide source of locally picked trace ids (`trace=on` without a
+/// pinned id). Monotonic, never reused within a process.
+static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
+
+/// Creates the request [`Trace`] demanded by a `trace=` option: a pinned
+/// id is honored verbatim (so the router can stitch the shard's spans
+/// under its own tree), `on` draws a fresh process-unique id, `off` yields
+/// no trace. Tracing is independent of `--no-obs` — it is request-scoped
+/// state, not registry state.
+pub fn make_trace(mode: TraceMode) -> Option<Trace> {
+    match mode {
+        TraceMode::Off => None,
+        TraceMode::On => Some(Trace::new(TRACE_SEQ.fetch_add(1, Ordering::Relaxed))),
+        TraceMode::Id(id) => Some(Trace::new(id)),
+    }
+}
+
+/// Closes out a request trace: the root span absorbs the served
+/// `total_micros` and the flat wire-ordered span list comes back (empty
+/// when the request was untraced).
+pub fn finish_trace(trace: Option<Trace>, total_micros: u128) -> Vec<SpanRec> {
+    match trace {
+        None => Vec::new(),
+        Some(t) => t.finish(u64::try_from(total_micros).unwrap_or(u64::MAX)),
+    }
+}
+
+/// Saturating `u64` micros since `started`.
+pub fn elapsed_micros(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Records a slow `RUN`/`QUERY` in `ring` (and counts it) when its wall
+/// time since `started` reached the `--slow-query-micros` `threshold` —
+/// the one slow log behind both the server's and the router's
+/// `METRICS SLOW`.
+#[allow(clippy::too_many_arguments)]
+pub fn slow_log(
+    threshold: Option<u64>,
+    ring: &SlowRing,
+    counter: &Counter,
+    started: Instant,
+    verb: &str,
+    line: &str,
+    outcome: &str,
+    spans: &[SpanRec],
+) {
+    let Some(threshold) = threshold else { return };
+    let micros = elapsed_micros(started);
+    if micros < threshold {
+        return;
+    }
+    counter.inc();
+    ring.push(SlowEntry {
+        verb: verb.to_string(),
+        line: line.to_string(),
+        outcome: outcome.to_string(),
+        micros,
+        spans: spans.to_vec(),
+    });
 }
 
 /// Renders the cache tiers as Prometheus families with a `tier` label,
@@ -215,7 +280,7 @@ mod tests {
         obs.record_request("RUN", 250);
         obs.record_request("RUN", 90_000);
         obs.record_request("PING", 5);
-        obs.note_slow();
+        obs.slow_queries().inc();
         let stats = CacheStats::default();
         let text = obs.render(&stats);
         let expo = parse_exposition(&text).expect("exposition parses");

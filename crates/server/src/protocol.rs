@@ -27,8 +27,7 @@
 //!            | "group=…" | "order=…" | "id=…"  ; see qppt-query
 //! option     = key "=" value
 //! key        = "parallelism" | "morsel_bits" | "join_buffer"
-//!            | "select_join" | "par_selections" | "par_scans"
-//!            | "par_joins" | "batch_exec" | "batch_rows"
+//!            | "select_join" | "batch_exec" | "batch_rows"
 //!            | "priority" | "cache" | "mode" | "trace"
 //! ```
 //!
@@ -160,6 +159,26 @@ pub enum Request {
     /// Graceful server shutdown: in-flight queries finish, the acceptor
     /// stops, every connection closes.
     Shutdown,
+}
+
+impl Request {
+    /// The wire verb — the metrics label of the request
+    /// (`record_request` ignores verbs outside the instrumented set, e.g.
+    /// QUIT/SHUTDOWN).
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Request::Ping => "PING",
+            Request::Quit => "QUIT",
+            Request::Shutdown => "SHUTDOWN",
+            Request::Info => "INFO",
+            Request::Cache(_) => "CACHE",
+            Request::List => "LIST",
+            Request::Explain { .. } | Request::ExplainSpec { .. } => "EXPLAIN",
+            Request::Run { .. } => "RUN",
+            Request::Query { .. } => "QUERY",
+            Request::Metrics | Request::MetricsSlow => "METRICS",
+        }
+    }
 }
 
 /// Subcommands of the `CACHE` verb.
@@ -384,9 +403,6 @@ pub fn apply_overrides(
             "morsel_bits" => opts.morsel_bits = v.parse().map_err(|_| bad("1..=16"))?,
             "join_buffer" => opts.join_buffer = v.parse().map_err(|_| bad("positive integer"))?,
             "select_join" => opts.select_join = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "par_selections" => opts.par_selections = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "par_scans" => opts.par_scans = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "par_joins" => opts.par_joins = parse_bool(v).ok_or_else(|| bad("bool"))?,
             "batch_exec" => opts.batch_exec = parse_bool(v).ok_or_else(|| bad("bool"))?,
             "batch_rows" => opts.batch_rows = v.parse().map_err(|_| bad("positive integer"))?,
             PRIORITY_KEY => controls.priority = v.parse().map_err(|_| bad("integer"))?,
@@ -413,8 +429,7 @@ pub fn apply_overrides(
             other => {
                 return Err(format!(
                     "unknown option {other} (try parallelism, morsel_bits, join_buffer, \
-                     select_join, par_selections, par_scans, par_joins, batch_exec, batch_rows, \
-                     priority, cache, mode, trace)"
+                     select_join, batch_exec, batch_rows, priority, cache, mode, trace)"
                 ))
             }
         }

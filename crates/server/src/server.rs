@@ -39,18 +39,19 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use qppt_core::ExecStats;
-use qppt_obs::{SlowEntry, SpanRec, Trace};
+use qppt_storage::QuerySpec;
 
-use crate::engine::{render_cache_stats, ServeEngine};
+use crate::engine::{render_cache_stats, Answer, ServeEngine, ServeError};
+use crate::obs::{elapsed_micros, finish_trace, make_trace, slow_log};
 use crate::protocol::{
     apply_overrides, parse_request, write_partial_response, write_run_response,
-    write_slow_response, CacheCmd, Request, TraceMode,
+    write_slow_response, CacheCmd, Request,
 };
 
 /// Tunables of the TCP frontend.
@@ -356,53 +357,9 @@ fn handle_connection(
     }
 }
 
-/// Process-wide source of server-picked trace ids (`trace=on` without a
-/// router-pinned id). Monotonic, never reused within a process.
-static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Creates the request [`Trace`] demanded by `controls.trace`: a
-/// router-pinned id is honored verbatim (so the router can stitch the
-/// shard's spans under its own tree), `on` draws a fresh process-unique
-/// id, `off` yields no trace. Tracing is independent of `--no-obs` — it
-/// is request-scoped state, not registry state.
-fn make_trace(mode: TraceMode) -> Option<Trace> {
-    match mode {
-        TraceMode::Off => None,
-        TraceMode::On => Some(Trace::new(TRACE_SEQ.fetch_add(1, Ordering::Relaxed))),
-        TraceMode::Id(id) => Some(Trace::new(id)),
-    }
-}
-
-/// Closes out a request trace: the root span absorbs the served
-/// `total_micros` and the flat wire-ordered span list comes back (empty
-/// when the request was untraced).
-fn finish_trace(trace: Option<Trace>, total_micros: u128) -> Vec<qppt_obs::SpanRec> {
-    match trace {
-        None => Vec::new(),
-        Some(t) => t.finish(u64::try_from(total_micros).unwrap_or(u64::MAX)),
-    }
-}
-
 /// The qppt-server dispatcher: the full verb set over one [`ServeEngine`].
 struct EngineService {
     engine: Arc<ServeEngine>,
-}
-
-/// The metrics label for a parsed request (`record_request` ignores
-/// verbs outside the instrumented set, e.g. QUIT/SHUTDOWN).
-fn verb_of(req: &Request) -> &'static str {
-    match req {
-        Request::Ping => "PING",
-        Request::Quit => "QUIT",
-        Request::Shutdown => "SHUTDOWN",
-        Request::Info => "INFO",
-        Request::Cache(_) => "CACHE",
-        Request::List => "LIST",
-        Request::Explain { .. } | Request::ExplainSpec { .. } => "EXPLAIN",
-        Request::Run { .. } => "RUN",
-        Request::Query { .. } => "QUERY",
-        Request::Metrics | Request::MetricsSlow => "METRICS",
-    }
 }
 
 /// Where a served response came from, read back off its op list: the
@@ -422,43 +379,61 @@ impl LineService for EngineService {
     fn handle(&self, line: &str, w: &mut dyn Write) -> io::Result<Reply> {
         let started = Instant::now();
         let parsed = parse_request(line);
-        let verb = parsed.as_ref().ok().map(verb_of);
+        let verb = parsed.as_ref().ok().map(Request::verb);
         let reply = self.dispatch(parsed, line, w)?;
         if let (Some(obs), Some(verb)) = (self.engine.obs(), verb) {
-            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            obs.record_request(verb, micros);
+            obs.record_request(verb, elapsed_micros(started));
         }
         Ok(reply)
     }
 }
 
 impl EngineService {
-    /// Records a slow `RUN`/`QUERY` in the ring (and counts it) when its
-    /// request wall time reached the `--slow-query-micros` threshold.
-    fn slow_log(
+    /// `RUN` and `QUERY` — named aliases and ad-hoc specs, full and
+    /// `mode=partial` alike — converge here: overrides, then the engine's
+    /// single plan → σ → exec → finish pipeline, then the response the
+    /// finish step calls for.
+    fn run_query(
         &self,
         verb: &'static str,
         line: &str,
-        outcome: &str,
-        spans: &[SpanRec],
-        started: Instant,
-    ) {
-        let Some(obs) = self.engine.obs() else { return };
-        let Some(threshold) = obs.slow_threshold() else {
-            return;
+        spec: Result<&QuerySpec, ServeError>,
+        options: &[(String, String)],
+        mut w: &mut dyn Write,
+    ) -> io::Result<()> {
+        let engine = &*self.engine;
+        let started = Instant::now();
+        let (opts, controls) = match apply_overrides(engine.defaults(), options) {
+            Err(msg) => return writeln!(w, "ERR {msg}"),
+            Ok(applied) => applied,
         };
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if micros < threshold {
-            return;
+        let workers = opts.parallelism.min(engine.info().pool_threads).max(1);
+        let mut trace = make_trace(controls.trace);
+        let served = spec.and_then(|spec| engine.serve(spec, &opts, &controls, trace.as_mut()));
+        let (answer, stats) = match served {
+            Err(e) => return writeln!(w, "ERR {e}"),
+            Ok(served) => served,
+        };
+        let spans = finish_trace(trace, stats.total_micros);
+        match &answer {
+            Answer::Full(result) => write_run_response(&mut w, result, &stats, workers, &spans)?,
+            Answer::Partial(partial) => {
+                write_partial_response(&mut w, partial, &stats, workers, &spans)?
+            }
         }
-        obs.note_slow();
-        obs.slow_ring().push(SlowEntry {
-            verb: verb.to_string(),
-            line: line.to_string(),
-            outcome: outcome.to_string(),
-            micros,
-            spans: spans.to_vec(),
-        });
+        if let Some(obs) = engine.obs() {
+            slow_log(
+                obs.slow_threshold(),
+                obs.slow_ring(),
+                obs.slow_queries(),
+                started,
+                verb,
+                line,
+                outcome_of(&stats),
+                &spans,
+            );
+        }
+        Ok(())
     }
 
     fn dispatch(
@@ -468,7 +443,6 @@ impl EngineService {
         mut w: &mut dyn Write,
     ) -> io::Result<Reply> {
         let engine = &*self.engine;
-        let started = Instant::now();
         match parsed {
             Err(msg) => writeln!(w, "ERR {msg}")?,
             Ok(Request::Ping) => writeln!(w, "OK pong")?,
@@ -548,108 +522,10 @@ impl EngineService {
                 }
             }
             Ok(Request::Run { query, options }) => {
-                match apply_overrides(engine.defaults(), &options) {
-                    Err(msg) => writeln!(w, "ERR {msg}")?,
-                    Ok((opts, controls)) => {
-                        let workers = opts.parallelism.min(engine.info().pool_threads).max(1);
-                        let mut trace = make_trace(controls.trace);
-                        if controls.partial {
-                            // Shard-side scatter path: resolve the alias,
-                            // then return undecoded partials.
-                            match engine.resolve(&query).and_then(|spec| {
-                                engine.run_spec_partial_obs(
-                                    spec,
-                                    &opts,
-                                    controls.priority,
-                                    controls.use_cache,
-                                    trace.as_mut(),
-                                )
-                            }) {
-                                Err(e) => writeln!(w, "ERR {e}")?,
-                                Ok((partial, stats)) => {
-                                    let spans = finish_trace(trace, stats.total_micros);
-                                    write_partial_response(
-                                        &mut w, &partial, &stats, workers, &spans,
-                                    )?;
-                                    self.slow_log("RUN", line, outcome_of(&stats), &spans, started);
-                                }
-                            }
-                        } else {
-                            match engine.resolve(&query).and_then(|spec| {
-                                engine.run_spec_obs(
-                                    spec,
-                                    &opts,
-                                    controls.priority,
-                                    controls.use_cache,
-                                    trace.as_mut(),
-                                )
-                            }) {
-                                Err(e) => writeln!(w, "ERR {e}")?,
-                                Ok((result, stats)) => {
-                                    let spans = finish_trace(trace, stats.total_micros);
-                                    write_run_response(&mut w, &result, &stats, workers, &spans)?;
-                                    self.slow_log("RUN", line, outcome_of(&stats), &spans, started);
-                                }
-                            }
-                        }
-                    }
-                }
+                self.run_query("RUN", line, engine.resolve(&query), &options, w)?
             }
             Ok(Request::Query { spec, options }) => {
-                // The ad-hoc path: same overrides, same single
-                // validate→plan→cache→execute pipeline as named aliases.
-                match apply_overrides(engine.defaults(), &options) {
-                    Err(msg) => writeln!(w, "ERR {msg}")?,
-                    Ok((opts, controls)) => {
-                        let workers = opts.parallelism.min(engine.info().pool_threads).max(1);
-                        let mut trace = make_trace(controls.trace);
-                        if controls.partial {
-                            match engine.run_spec_partial_obs(
-                                &spec,
-                                &opts,
-                                controls.priority,
-                                controls.use_cache,
-                                trace.as_mut(),
-                            ) {
-                                Err(e) => writeln!(w, "ERR {e}")?,
-                                Ok((partial, stats)) => {
-                                    let spans = finish_trace(trace, stats.total_micros);
-                                    write_partial_response(
-                                        &mut w, &partial, &stats, workers, &spans,
-                                    )?;
-                                    self.slow_log(
-                                        "QUERY",
-                                        line,
-                                        outcome_of(&stats),
-                                        &spans,
-                                        started,
-                                    );
-                                }
-                            }
-                        } else {
-                            match engine.run_spec_obs(
-                                &spec,
-                                &opts,
-                                controls.priority,
-                                controls.use_cache,
-                                trace.as_mut(),
-                            ) {
-                                Err(e) => writeln!(w, "ERR {e}")?,
-                                Ok((result, stats)) => {
-                                    let spans = finish_trace(trace, stats.total_micros);
-                                    write_run_response(&mut w, &result, &stats, workers, &spans)?;
-                                    self.slow_log(
-                                        "QUERY",
-                                        line,
-                                        outcome_of(&stats),
-                                        &spans,
-                                        started,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
+                self.run_query("QUERY", line, Ok(&spec), &options, w)?
             }
         }
         Ok(Reply::Continue)

@@ -7,8 +7,11 @@
 //!   fixed query sequence — both render from the same snapshot;
 //! * `trace=on` returns a valid span tree (unique ids, parents first,
 //!   child micros ≤ parent micros) covering plan/σ/exec/decode on a cold
-//!   run and `result_cache` on a warm one, with result bytes identical to
-//!   the untraced run;
+//!   run — cached or `cache=off`, full or `mode=partial`: there is one
+//!   pipeline — and `result_cache` on a warm one, with result bytes
+//!   identical to the untraced run;
+//! * a `cache=off` run reports the same non-cache `# op` list as a cold
+//!   cached run, for all 13 queries;
 //! * `mem=` rides on every `# op` stats line;
 //! * serving without observability (`--no-obs`) answers `METRICS` with a
 //!   structured `ERR` while every other verb keeps working.
@@ -30,6 +33,41 @@ fn ssb_db() -> Arc<qppt_storage::Database> {
         qppt_core::prepare_indexes(&mut ssb.db, &q, &PlanOptions::default()).unwrap();
     }
     Arc::new(ssb.db)
+}
+
+/// The pipeline's four phase spans must all hang off the root, and —
+/// being disjoint sub-intervals of the request — sum to at most the root.
+fn assert_pipeline_spans(spans: &[qppt_obs::SpanRec], what: &str) {
+    validate_span_tree(spans).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let root = &spans[0];
+    assert_eq!(root.name, "request", "{what}: root span first");
+    let mut children = 0u64;
+    for want in ["plan", "sigma", "exec", "decode"] {
+        let span = spans
+            .iter()
+            .find(|s| s.name == want)
+            .unwrap_or_else(|| panic!("{what}: trace must contain {want}: {spans:?}"));
+        assert_eq!(span.parent, Some(root.id), "{what}: {want} hangs off root");
+        children += span.micros;
+    }
+    assert!(
+        children <= root.micros,
+        "{what}: phases sum to {children}µs > root {}µs",
+        root.micros
+    );
+}
+
+/// An `# op` line minus what legitimately varies run to run (timing, and
+/// the footprint of whichever worker's aggregate the merge started from):
+/// label, cardinalities, index kind.
+fn op_shape(line: &str) -> (String, Vec<String>) {
+    let (label, fields) = line.rsplit_once(" | ").expect("op line has fields");
+    let kept = fields
+        .split_whitespace()
+        .filter(|kv| !kv.starts_with("micros=") && !kv.starts_with("mem="))
+        .map(str::to_string)
+        .collect();
+    (label.to_string(), kept)
 }
 
 fn tier_field(kvs: &[(String, String)], key: &str) -> i64 {
@@ -212,15 +250,7 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
         cold.result, untraced.result,
         "tracing must not change bytes"
     );
-    validate_span_tree(&cold.stats.spans).expect("cold span tree validates");
-    let names: Vec<&str> = cold.stats.spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names[0], "request", "root span first");
-    for want in ["plan", "sigma", "exec", "decode"] {
-        assert!(
-            names.contains(&want),
-            "cold trace must contain {want}: {names:?}"
-        );
-    }
+    assert_pipeline_spans(&cold.stats.spans, "cold cached");
 
     // Warm traced run: served from the result tier.
     let warm = client.run("q3.2", &[("trace", "on")]).expect("warm traced");
@@ -231,19 +261,24 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
         "warm trace must mark the result-tier hit"
     );
 
-    // Traced bypass run: a single exec span under the root.
+    // Traced bypass run: the same pipeline, so the same four phases.
     let bypass = client
         .run("q3.2", &[("cache", "off"), ("trace", "12345")])
         .expect("traced bypass");
     assert_eq!(bypass.result, untraced.result);
-    validate_span_tree(&bypass.stats.spans).expect("bypass span tree validates");
-    assert!(bypass.stats.spans.iter().any(|s| s.name == "exec"));
+    assert_pipeline_spans(&bypass.stats.spans, "cache=off");
 
-    // Partial mode carries spans too (the shard side of a routed trace).
+    // Partial mode carries them too (the shard side of a routed trace),
+    // cached — a selection-tier hit by now — and bypassing alike.
     let partial = client
         .run_partial("q3.2", &[("trace", "on")])
         .expect("traced partial");
-    validate_span_tree(&partial.stats.spans).expect("partial span tree validates");
+    assert_pipeline_spans(&partial.stats.spans, "partial");
+    let partial_bypass = client
+        .run_partial("q3.2", &[("cache", "off"), ("trace", "on")])
+        .expect("traced partial bypass");
+    assert_pipeline_spans(&partial_bypass.stats.spans, "partial cache=off");
+    assert_eq!(partial_bypass.partial, partial.partial);
 
     // mem= rides on every # op line (satellite: memory_bytes was dropped).
     assert!(
@@ -252,6 +287,61 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
         cold.stats.op_lines
     );
 
+    client.quit().unwrap();
+    server.stop();
+    pool.shutdown();
+}
+
+/// One pipeline, one stats shape: a `cache=off` run reports exactly the
+/// operators a cold cached run does — same labels, cardinalities and index
+/// kinds, in the same order — minus the `cache:` bookkeeping lines.
+#[test]
+fn bypass_and_cold_runs_report_the_same_operators() {
+    let db = ssb_db();
+    let pool = WorkerPool::new(2, 8);
+    let engine = ServeEngine::over_db(db, pool.clone(), PlanOptions::default(), SF, SEED);
+    let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
+    let mut client = QpptClient::connect(server.addr()).unwrap();
+    let non_cache = |lines: &[String]| -> Vec<(String, Vec<String>)> {
+        lines
+            .iter()
+            .filter(|l| !l.contains("index=cache"))
+            .map(|l| op_shape(l))
+            .collect()
+    };
+    for q in queries::all_queries() {
+        let name = q.id.to_ascii_lowercase();
+        for parallelism in ["1", "2"] {
+            client.cache_clear().expect("CACHE CLEAR");
+            let bypass = client
+                .run(&name, &[("cache", "off"), ("parallelism", parallelism)])
+                .expect("bypass run");
+            let cold = client
+                .run(&name, &[("parallelism", parallelism)])
+                .expect("cold run");
+            assert_eq!(bypass.result, cold.result, "{name}");
+            assert!(
+                bypass
+                    .stats
+                    .op_lines
+                    .iter()
+                    .all(|l| !l.contains("index=cache")),
+                "{name}: cache=off reports no cache ops"
+            );
+            assert!(
+                cold.stats
+                    .op_lines
+                    .iter()
+                    .any(|l| l.starts_with("cache: cold")),
+                "{name}: cold run names its tier"
+            );
+            assert_eq!(
+                non_cache(&bypass.stats.op_lines),
+                non_cache(&cold.stats.op_lines),
+                "{name} @ parallelism={parallelism}"
+            );
+        }
+    }
     client.quit().unwrap();
     server.stop();
     pool.shutdown();

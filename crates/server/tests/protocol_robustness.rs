@@ -83,6 +83,24 @@ fn garbage_requests_error_but_connection_survives() {
         );
     }
 
+    // The removed per-operator-class switches are ordinary unknown
+    // options now — on RUN and QUERY alike, whatever the value.
+    for class in ["selections", "scans", "joins"] {
+        let key = format!("par_{class}");
+        for line in [
+            format!("RUN q1.1 {key}=off\n"),
+            format!("QUERY fact=lineorder agg=sum(lo_revenue):r {key}=true\n"),
+        ] {
+            stream.write_all(line.as_bytes()).expect("send");
+            stream.flush().unwrap();
+            let resp = read_line(&mut reader);
+            let suggested = resp
+                .strip_prefix(&format!("ERR unknown option {key} (try "))
+                .unwrap_or_else(|| panic!("{line:?} got: {resp}"));
+            assert!(!suggested.contains("par_"), "stale suggestion: {resp}");
+        }
+    }
+
     // Blank and whitespace-only lines are ignored, not fatal.
     stream.write_all(b"\n   \n\r\n").unwrap();
     // The connection still serves a correct result.

@@ -20,16 +20,18 @@
 //!   MVCC, base indexes, star-query specs).
 //! * [`ssb`] — the Star Schema Benchmark generator, the 13 SSB queries, and
 //!   a naive reference executor used as correctness oracle.
-//! * [`core`] — the QPPT engine itself (the paper's contribution).
+//! * [`core`] — the QPPT engine itself (the paper's contribution);
+//!   [`core::QpptEngine`] is the single-threaded model and the sequential
+//!   oracle every other path is tested against.
 //! * [`columnar`] — the column-at-a-time and vector-at-a-time comparison
 //!   engines of §5.
 //! * [`mem`] — arenas, segmented duplicate storage, prefetching, and the
 //!   deterministic PRNG underneath everything.
 //! * [`par`] — morsel-driven parallel execution over prefix-tree
-//!   partitions: [`par::ParEngine`] / [`par::RunParallel`] run the same
-//!   plans as [`core`] on a worker pool, byte-identical results;
-//!   [`par::PooledEngine`] runs them on a persistent shared
-//!   [`par::WorkerPool`] serving many concurrent queries.
+//!   partitions: [`par::PooledEngine`] — the one parallel engine — runs
+//!   the same plans as [`core`] on a persistent shared
+//!   [`par::WorkerPool`] serving many concurrent queries, byte-identical
+//!   results.
 //! * [`cache`] — the snapshot-keyed query cache: bounded sharded LRU
 //!   tiers for plans, materialized dimension selections, and full results,
 //!   invalidated exactly by per-table versions
