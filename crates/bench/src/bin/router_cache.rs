@@ -5,7 +5,8 @@
 //! with the routed cache on. Shard-side engine caches are **disabled**
 //! throughout, so every partial fetch is a real execute — the numbers
 //! isolate the router tiers rather than re-measuring the single-node
-//! cache (that's `cache_throughput`). Three phases:
+//! cache (that's `served_hit` / `served_adhoc` in `BENCHMARK.json`). Three
+//! phases:
 //!
 //! 1. **uncached** — `cache=off` requests bypass the router tiers: every
 //!    request scatters to all shards and re-merges (the pre-cache router).
@@ -84,9 +85,9 @@ fn main() {
     let pool = WorkerPool::new(threads, clients.max(4) * 2);
     let defaults = PlanOptions::default().with_parallelism(parallelism);
 
-    // Externally owned shard databases (the cache_throughput pattern) so
-    // the invalidation phase can land real writes: stop the listener,
-    // mutate the then-uniquely-owned database, re-serve on the same
+    // Externally owned shard databases so the invalidation phase can land
+    // real writes: stop the listener, mutate the then-uniquely-owned
+    // database, re-serve on the same
     // address. Engine caches disabled — see the module docs.
     eprintln!("building {shards} shard(s) with engine caches disabled …");
     let mut dbs: Vec<Arc<Database>> = (0..shards)

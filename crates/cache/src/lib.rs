@@ -38,7 +38,7 @@
 //! even after the dim tier drops them, so the selection budget must cover
 //! that retained memory (total resident selection bytes are bounded by
 //! `dim_budget + selection_budget`). Eviction pops from each shard's
-//! intrusive recency list (O(victims), see [`lru`]) and prefers victims
+//! intrusive recency list (O(victims), see `lru`) and prefers victims
 //! that are not pinned — an entry whose `Arc` is also held by an
 //! executing query or a composed prepared query frees nothing — but pins
 //! cannot break the bound: when only pinned entries remain, the coldest
@@ -227,7 +227,10 @@ impl<T: HeapSize> CacheValue for Arc<T> {
     }
 }
 
-/// Byte budgets and geometry of a [`QueryCache`].
+/// Shard count of every tier (no deployment has ever needed another).
+const SHARDS: usize = 8;
+
+/// Byte budgets and idle TTL of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Byte budget of the plan tier (plans are a few KiB of resolved
@@ -247,8 +250,6 @@ pub struct CacheConfig {
     /// Idle time-to-live: entries untouched for longer are reclaimed even
     /// when the byte budget has room. `None` = no age limit.
     pub ttl: Option<Duration>,
-    /// Shard count per tier (rounded up to a power of two).
-    pub shards: usize,
     /// `false` turns every lookup into a pass-through miss and every
     /// insert into a no-op.
     pub enabled: bool,
@@ -262,7 +263,6 @@ impl Default for CacheConfig {
             selection_budget: 64 << 20, // 64 MiB
             result_budget: 32 << 20,    // 32 MiB
             ttl: None,
-            shards: 8,
             enabled: true,
         }
     }
@@ -275,12 +275,6 @@ impl CacheConfig {
             enabled: false,
             ..Self::default()
         }
-    }
-
-    /// Sets the idle TTL on all tiers.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
     }
 }
 
@@ -322,13 +316,13 @@ impl Default for QueryCache {
 }
 
 impl QueryCache {
-    /// Creates a cache with the given budgets and geometry.
+    /// Creates a cache with the given budgets.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            plans: ShardedLru::new(config.plan_budget, config.shards, config.ttl),
-            dims: ShardedLru::new(config.dim_budget, config.shards, config.ttl),
-            selections: ShardedLru::new(config.selection_budget, config.shards, config.ttl),
-            results: ShardedLru::new(config.result_budget, config.shards, config.ttl),
+            plans: ShardedLru::new(config.plan_budget, SHARDS, config.ttl),
+            dims: ShardedLru::new(config.dim_budget, SHARDS, config.ttl),
+            selections: ShardedLru::new(config.selection_budget, SHARDS, config.ttl),
+            results: ShardedLru::new(config.result_budget, SHARDS, config.ttl),
             enabled: config.enabled,
         }
     }
@@ -597,10 +591,7 @@ mod tests {
         let opts = PlanOptions::default();
         let q = queries::q2_1();
         prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
-        let cache = QueryCache::new(CacheConfig {
-            shards: 2,
-            ..CacheConfig::default()
-        });
+        let cache = QueryCache::default();
         let fp = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
         assert!(cache.get_result(&fp).is_none());
 

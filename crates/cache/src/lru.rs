@@ -322,7 +322,7 @@ impl<V: CacheValue> ShardedLru<V> {
 
     /// Inserts (or replaces) the entry for `fp` at the MRU end, first
     /// expiring idle entries and evicting cold unpinned ones until the
-    /// shard fits its byte budget again (see [`Shard::reclaim`]).
+    /// shard fits its byte budget again (see `Shard::reclaim`).
     pub fn put<K: CacheKey>(&self, fp: &K, value: V) {
         let key = fp.key();
         let bytes = value.heap_bytes();

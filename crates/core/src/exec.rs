@@ -39,10 +39,10 @@ use crate::stats::{ExecStats, OpStats};
 use crate::QpptError;
 
 /// Inclusive key range restricting the stage-1 fact access — one *morsel*
-/// of the morsel-driven parallel executor. Keys are codes of the first
-/// dimension's fact column (the stage-1 join attribute); restricting the
-/// fact scan to `[lo, hi]` restricts every downstream stage to the tuples
-/// deriving from those fact rows.
+/// of the executor. Keys are codes of the first dimension's fact column (the
+/// stage-1 join attribute); restricting the fact scan to `[lo, hi]`
+/// restricts every downstream stage to the tuples deriving from those fact
+/// rows. Sequential execution is the one morsel [`KeyRange::full`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyRange {
     /// Inclusive lower bound.
@@ -172,15 +172,10 @@ impl FusedSelection {
     }
 
     /// The index range of keys within `[range.lo, range.hi]`.
-    fn slice(&self, range: Option<KeyRange>) -> std::ops::Range<usize> {
-        match range {
-            None => 0..self.keys.len(),
-            Some(r) => {
-                let lo = self.keys.partition_point(|&k| k < r.lo);
-                let hi = self.keys.partition_point(|&k| k <= r.hi);
-                lo..hi
-            }
-        }
+    fn slice(&self, range: KeyRange) -> std::ops::Range<usize> {
+        let lo = self.keys.partition_point(|&k| k < range.lo);
+        let hi = self.keys.partition_point(|&k| k <= range.hi);
+        lo..hi
     }
 }
 
@@ -239,10 +234,10 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// handles) — `Arc` handles shared read-only across partitions, executions,
 /// and (through the cache's dimension tier) entire queries.
 ///
-/// With `range = Some(r)`, the stage-1 fact access — synchronous base-index
-/// scan, fused select-probe, or fact selection — is restricted to join keys
-/// in `r`: this is one morsel of the parallel executor. `None` processes
-/// the whole domain (sequential execution).
+/// The stage-1 fact access — synchronous base-index scan, fused
+/// select-probe, or fact selection — is restricted to join keys in `range`:
+/// one morsel of the parallel executor, or [`KeyRange::full`] for the whole
+/// domain (sequential execution is the one-morsel case).
 ///
 /// `fused` optionally supplies a pre-materialized stage-1 selection stream
 /// (see [`FusedSelection`]); with `None`, a `SelectProbe` stage scans the
@@ -263,7 +258,7 @@ pub fn run_pipeline(
     snap: Snapshot,
     plan: &Plan,
     dim_tables: &[Option<Arc<DimSelection>>],
-    range: Option<KeyRange>,
+    range: KeyRange,
     fused: Option<&FusedSelection>,
     batch: BatchMode,
     agg: &mut AggTable,
@@ -332,10 +327,10 @@ pub fn run_pipeline(
                     flush(&mut cands);
                 }
             };
-            match range {
-                None => fact_base.data.index.for_each(&mut visit),
-                Some(r) => fact_base.data.index.range_each(r.lo, r.hi, &mut visit),
-            }
+            fact_base
+                .data
+                .index
+                .range_each(range.lo, range.hi, &mut visit);
             flush(&mut cands);
         } else {
             let mut visit = |key: u64, pid: u32| {
@@ -348,10 +343,10 @@ pub fn run_pipeline(
                     out.insert(key, &row);
                 }
             };
-            match range {
-                None => fact_base.data.index.for_each(&mut visit),
-                Some(r) => fact_base.data.index.range_each(r.lo, r.hi, &mut visit),
-            }
+            fact_base
+                .data
+                .index
+                .range_each(range.lo, range.hi, &mut visit);
         }
         stats.push(OpStats {
             label: format!("σ(fact residuals) → idx on {}", plan.dims[0].fact_col_name),
@@ -602,7 +597,7 @@ fn flush_group_run(
 /// (§3); [`QueryResult::apply_order`] then applies the query's ORDER BY on
 /// top, which is a stable sort, so the result is deterministic regardless
 /// of how many partitions fed `agg`. Under `batch_exec` the decode runs
-/// lane-wise in `batch_rows`-sized runs (see [`decode_groups`]) — the
+/// lane-wise in `batch_rows`-sized runs (see `decode_groups`) — the
 /// bytes are identical either way.
 pub fn decode_result(db: &Database, plan: &Plan, agg: &AggTable) -> QueryResult {
     let mut rows = Vec::with_capacity(agg.group_count());
@@ -662,7 +657,8 @@ pub fn execute_agg(
     // `PreparedQuery`, which threads the request's mode explicitly).
     let mut agg = new_agg_table(plan);
     let batch = plan.opts.batch_mode();
-    for op in run_pipeline(db, snap, plan, &dim_tables, None, None, batch, &mut agg)? {
+    let whole = KeyRange::full();
+    for op in run_pipeline(db, snap, plan, &dim_tables, whole, None, batch, &mut agg)? {
         stats.push(op);
     }
     stats.total_micros = started.elapsed().as_micros();
@@ -1049,14 +1045,14 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
     }
 
     /// Stage-1 synchronous scan: fact base index × main dim index (§4.2),
-    /// optionally restricted to one [`KeyRange`] morsel.
+    /// restricted to one [`KeyRange`] morsel.
     fn sync_scan_base(
         &mut self,
         fact_base: &BaseIndex,
         fact_mvt: &MvccTable,
         field_map: &[FieldSrc],
         dim_acc: &DimAccess<'_>,
-        range: Option<KeyRange>,
+        range: KeyRange,
     ) {
         if self.batch.enabled {
             return self.sync_scan_base_batched(fact_base, fact_mvt, field_map, dim_acc, range);
@@ -1098,12 +1094,8 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                     }
                 }
             };
-        match range {
-            None => sync_scan_indexes(&fact_base.data.index, dim_acc.index(), visit),
-            Some(r) => {
-                sync_scan_indexes_range(&fact_base.data.index, dim_acc.index(), r.lo, r.hi, visit)
-            }
-        }
+        let (fact, dim) = (&fact_base.data.index, dim_acc.index());
+        sync_scan_indexes_range(fact, dim, range.lo, range.hi, visit);
     }
 
     /// Vectorized stage-1 synchronous scan: the scan yields `(key, fid)`
@@ -1117,7 +1109,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
         fact_mvt: &MvccTable,
         field_map: &[FieldSrc],
         dim_acc: &DimAccess<'_>,
-        range: Option<KeyRange>,
+        range: KeyRange,
     ) {
         let input_width = self.stage.input_layout.width();
         let stride = self.main_fill_pos.len();
@@ -1175,12 +1167,8 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                     }
                 }
             };
-        match range {
-            None => sync_scan_indexes(&fact_base.data.index, dim_acc.index(), visit),
-            Some(r) => {
-                sync_scan_indexes_range(&fact_base.data.index, dim_acc.index(), r.lo, r.hi, visit)
-            }
-        }
+        let (fact, dim) = (&fact_base.data.index, dim_acc.index());
+        sync_scan_indexes_range(fact, dim, range.lo, range.hi, visit);
         self.flush_block(
             &mut rb,
             field_map,
@@ -1279,8 +1267,8 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
 
     /// Fused select-join (§4.3): stream the main dimension's selection and
     /// point-probe the fact base index with batched lookups through the
-    /// selection buffer. With a [`KeyRange`] morsel, only selection tuples
-    /// whose join key falls inside the range probe the fact index; a
+    /// selection buffer. Only selection tuples whose join key falls inside
+    /// the [`KeyRange`] morsel probe the fact index; a
     /// pre-materialized [`FusedSelection`] replaces the per-call selection
     /// scan so morsel workers do not re-evaluate the predicates.
     #[allow(clippy::too_many_arguments)]
@@ -1291,7 +1279,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
         fact_mvt: &MvccTable,
         field_map: &[FieldSrc],
         dim: &ResolvedDim,
-        range: Option<KeyRange>,
+        range: KeyRange,
         fused: Option<&FusedSelection>,
     ) -> Result<(), QpptError> {
         let input_width = self.stage.input_layout.width();
@@ -1316,10 +1304,8 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
             None => {
                 let opts = self.plan.opts;
                 scan_dim_selection(db, snap, &opts, dim, |key, c| {
-                    if let Some(r) = range {
-                        if !r.contains(key) {
-                            return;
-                        }
+                    if !range.contains(key) {
+                        return;
                     }
                     probe_keys.push(key);
                     probe_carried.extend_from_slice(c);

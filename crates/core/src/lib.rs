@@ -69,7 +69,7 @@ pub enum QpptError {
     /// Invalid [`PlanOptions`].
     InvalidOptions(String),
     /// A malformed user-supplied query, rejected by the
-    /// [`validate`](crate::validate) pass (unknown tables/columns, type
+    /// [`validate`](mod@crate::validate) pass (unknown tables/columns, type
     /// mismatches, bad group/order references, missing indexes).
     Plan(validate::PlanError),
     /// Catalog/type errors from the storage layer.

@@ -66,7 +66,7 @@ pub struct PlanOptions {
     /// scalar executions share cached σ materializations and results, so
     /// this knob is deliberately **excluded** from the cache fingerprints.
     pub batch_exec: bool,
-    /// Row capacity of each columnar batch when [`batch_exec`]
+    /// Row capacity of each columnar batch when [`batch_exec`](Self::batch_exec)
     /// (Self::batch_exec) is on. `1` is the degenerate row-at-a-time batch
     /// (useful for shaking out boundary bugs); must be `>= 1`. Like
     /// `batch_exec`, never part of the cache fingerprints.

@@ -12,7 +12,7 @@
 //! the same values everywhere, whatever fact rows a shard holds.
 //!
 //! A [`PartialAggregate`] is therefore the shard-side serialization of an
-//! [`AggTable`](crate::inter::AggTable): one row per group in ascending
+//! [`AggTable`]: one row per group in ascending
 //! packed-key order — exactly
 //! [`for_each_ordered`](crate::inter::AggTable::for_each_ordered) order —
 //! carrying the raw `u64` merge key, the decoded group values (identical on

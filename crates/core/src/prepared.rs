@@ -24,7 +24,7 @@ use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
 use crate::exec::{
     decode_result, materialize_dim_selection, materialize_fused_selection, new_agg_table,
-    run_pipeline, DimSelection, FusedSelection,
+    run_pipeline, DimSelection, FusedSelection, KeyRange,
 };
 use crate::options::PlanOptions;
 use crate::plan::{build_plan, Plan};
@@ -155,7 +155,7 @@ impl PreparedQuery {
             self.snap,
             &self.plan,
             &self.dims,
-            None,
+            KeyRange::full(),
             self.fused.as_ref().as_ref(),
             batch,
             &mut agg,

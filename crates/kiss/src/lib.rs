@@ -26,7 +26,11 @@
 //! multi-value keys via the segmented duplicate storage of §2.4, offers
 //! batched operations (§2.3), and participates in synchronous index scans
 //! whose root-level pass is bounded by `max(l.min, r.min) ..=
-//! min(l.max, r.max)` (§4.2).
+//! min(l.max, r.max)` (§4.2). There is one cursor shape: the scan kernel
+//! ([`kiss_sync_scan_range`]) and the ordered iterator ([`KissTree::range`])
+//! both take an inclusive key range — a parallel morsel passes its prefix
+//! range, and the full-domain forms ([`kiss_sync_scan`], [`KissTree::iter`])
+//! pass `[0, u32::MAX]`.
 
 mod batch;
 mod scan;

@@ -9,68 +9,30 @@
 use crate::tree::{KissTree, Values};
 
 /// Runs a synchronous index scan, invoking `f` for every key present in both
-/// trees, in ascending key order. Both trees must share the same geometry
-/// (`l1_bits`); the compression setting may differ.
+/// trees, in ascending key order: [`kiss_sync_scan_range`] over the whole
+/// 32-bit key domain.
 pub fn kiss_sync_scan<'l, 'r, VL, VR>(
     left: &'l KissTree<VL>,
     right: &'r KissTree<VR>,
-    mut f: impl FnMut(u32, Values<'l, VL>, Values<'r, VR>),
+    f: impl FnMut(u32, Values<'l, VL>, Values<'r, VR>),
 ) where
     VL: Copy + Default,
     VR: Copy + Default,
 {
-    assert_eq!(
-        left.config().l1_bits,
-        right.config().l1_bits,
-        "synchronous scan requires identical root geometry"
-    );
-    let (Some(lmin), Some(lmax)) = (left.min_key(), left.max_key()) else {
-        return;
-    };
-    let (Some(rmin), Some(rmax)) = (right.min_key(), right.max_key()) else {
-        return;
-    };
-    let lo = lmin.max(rmin);
-    let hi = lmax.min(rmax);
-    if lo > hi {
-        return;
-    }
-    let cfg = left.config();
-    let (root_lo, _) = cfg.split(lo);
-    let (root_hi, _) = cfg.split(hi);
-    let entries = cfg.node_entries();
-    for ri in root_lo..=root_hi {
-        let ln = left.root_slot(ri);
-        if ln == 0 {
-            continue;
-        }
-        let rn = right.root_slot(ri);
-        if rn == 0 {
-            continue;
-        }
-        for ei in 0..entries {
-            let le = left.node_entry(ln, ei);
-            if le == 0 {
-                continue;
-            }
-            let re = right.node_entry(rn, ei);
-            if re == 0 {
-                continue;
-            }
-            let key = cfg.join(ri, ei);
-            f(key, left.values_of(le - 1), right.values_of(re - 1));
-        }
-    }
+    kiss_sync_scan_range(left, right, 0, u32::MAX, f)
 }
 
-/// Range-restricted synchronous index scan: like [`kiss_sync_scan`], but
-/// visits only keys in `[lo, hi]`.
+/// The synchronous index scan kernel: invokes `f` for every key in
+/// `[lo, hi]` present in both trees, in ascending key order. Both trees
+/// must share the same geometry (`l1_bits`); the compression setting may
+/// differ.
 ///
-/// This is the KISS-Tree **partitioned cursor** of the parallel executor: a
-/// morsel is a contiguous root-directory range (a top-level prefix range of
-/// the 32-bit key domain), so the root-level pass touches only the slots of
-/// this partition; per-key range checks are needed only in the two boundary
-/// root slots.
+/// The range is the **cursor** of the executor: a morsel is a contiguous
+/// root-directory range (a top-level prefix range of the 32-bit key
+/// domain), so the root-level pass touches only the slots of this
+/// partition, further bounded by both trees' min/max keys; sequential
+/// execution is the one morsel covering the whole domain. Per-key range
+/// checks are needed only in the two boundary root slots.
 pub fn kiss_sync_scan_range<'l, 'r, VL, VR>(
     left: &'l KissTree<VL>,
     right: &'r KissTree<VR>,
@@ -86,9 +48,6 @@ pub fn kiss_sync_scan_range<'l, 'r, VL, VR>(
         right.config().l1_bits,
         "synchronous scan requires identical root geometry"
     );
-    if lo > hi {
-        return;
-    }
     let (Some(lmin), Some(lmax)) = (left.min_key(), left.max_key()) else {
         return;
     };
@@ -179,43 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_matches_filtered_full_scan() {
-        let mut rng = Xoshiro256StarStar::new(37);
-        let a: Vec<u32> = (0..2500).map(|_| (rng.below(1 << 15)) as u32).collect();
-        let b: Vec<u32> = (0..2500).map(|_| (rng.below(1 << 15)) as u32).collect();
-        let ta = tree_of(&a, false);
-        let tb = tree_of(&b, true);
-        let mut full = Vec::new();
-        kiss_sync_scan(&ta, &tb, |k, _, _| full.push(k));
-        for (lo, hi) in [
-            (0u32, u32::MAX),
-            (0, (1 << 14) - 1),
-            (1 << 14, (1 << 15) - 1),
-            (1000, 20_000),
-            (63, 64), // node boundary
-            (5, 5),
-            (1 << 16, 1 << 17), // beyond the populated domain
-        ] {
-            let expect: Vec<u32> = full
-                .iter()
-                .copied()
-                .filter(|&k| k >= lo && k <= hi)
-                .collect();
-            let mut got = Vec::new();
-            kiss_sync_scan_range(&ta, &tb, lo, hi, |k, _, _| got.push(k));
-            assert_eq!(got, expect, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn range_scan_partitions_tile_full_scan() {
         let mut rng = Xoshiro256StarStar::new(41);
         let a: Vec<u32> = (0..2000).map(|_| (rng.below(1 << 14)) as u32).collect();
         let b: Vec<u32> = (0..2000).map(|_| (rng.below(1 << 14)) as u32).collect();
         let ta = tree_of(&a, false);
         let tb = tree_of(&b, false);
-        let mut full = Vec::new();
-        kiss_sync_scan(&ta, &tb, |k, _, _| full.push(k));
+        let sa: BTreeSet<u32> = a.iter().copied().collect();
+        let sb: BTreeSet<u32> = b.iter().copied().collect();
+        let full: Vec<u32> = sa.intersection(&sb).copied().collect();
         let parts = 16u32;
         let span = (1u32 << 14) / parts;
         let mut tiled = Vec::new();

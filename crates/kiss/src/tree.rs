@@ -312,23 +312,20 @@ impl<V: Copy + Default> KissTree<V> {
         }
     }
 
-    /// Iterates `(key, values)` in ascending key order. The root pass is
-    /// bounded by the maintained min/max keys.
+    /// Iterates `(key, values)` in ascending key order.
     pub fn iter(&self) -> KissIter<'_, V> {
+        self.range(0, u32::MAX)
+    }
+
+    /// Iterates `(key, values)` with `lo <= key <= hi` in ascending order —
+    /// the tree's one cursor. The root pass is bounded by the maintained
+    /// min/max keys, so a range far wider than the population (the full
+    /// domain included) never walks empty stretches of the root directory.
+    pub fn range(&self, lo: u32, hi: u32) -> KissIter<'_, V> {
         let (lo, hi) = if self.is_empty() {
             (1, 0) // empty bounds
         } else {
-            (self.min_key, self.max_key)
-        };
-        self.range(lo, hi)
-    }
-
-    /// Iterates `(key, values)` with `lo <= key <= hi` in ascending order.
-    /// `hi` is clamped to the configured key domain.
-    pub fn range(&self, lo: u32, hi: u32) -> KissIter<'_, V> {
-        let hi = match self.cfg.key_limit() {
-            Some(limit) => hi.min(limit - 1),
-            None => hi,
+            (lo.max(self.min_key), hi.min(self.max_key))
         };
         let (root_lo, _) = self.cfg.split(lo);
         KissIter {
@@ -337,7 +334,7 @@ impl<V: Copy + Default> KissTree<V> {
             entry_idx: (lo as usize) & (self.cfg.node_entries() - 1),
             lo,
             hi,
-            exhausted: lo > hi || self.is_empty(),
+            exhausted: lo > hi,
         }
     }
 

@@ -1,0 +1,235 @@
+//! Seeded model tests: the KISS-Tree must behave exactly like a
+//! `BTreeMap<u32, Vec<u32>>` in both compression modes — and its range
+//! kernels (the tree's only cursors) like the model's `range`, whatever the
+//! bounds. Cases are drawn from `qppt_mem`'s PRNG, so a failure names the
+//! case that reproduces it.
+
+use qppt_kiss::{
+    kiss_intersect, kiss_sync_scan, kiss_sync_scan_range, KissConfig, KissTree, Values,
+};
+use qppt_mem::Xoshiro256StarStar;
+use std::collections::BTreeMap;
+
+const CASES: u64 = 48;
+
+type Model = BTreeMap<u32, Vec<u32>>;
+
+/// The small-root geometry (16-bit keys) in either compression mode, and
+/// every sixth case the paper geometry, whose domain is the full 32 bits.
+fn config(rng: &mut Xoshiro256StarStar, case: u64) -> KissConfig {
+    let compressed = rng.chance(1, 2);
+    if case % 6 == 5 {
+        KissConfig {
+            l1_bits: 26,
+            compressed,
+        }
+    } else {
+        KissConfig::small(compressed)
+    }
+}
+
+fn max_key(cfg: KissConfig) -> u32 {
+    cfg.key_limit().map_or(u32::MAX, |l| l - 1)
+}
+
+/// Keys from the top 16-bit window of the domain — the whole domain for the
+/// small geometry; for the paper geometry the window that exercises bounds
+/// at `u32::MAX` while keeping the min/max-bounded root pass short. Mixes a
+/// dense cluster (shared second-level nodes) with window-wide keys and the
+/// two window ends.
+fn key(rng: &mut Xoshiro256StarStar, max: u32) -> u32 {
+    let base = max - max.min(u16::MAX as u32);
+    base + match rng.below(8) {
+        0 => 0,
+        1 => max - base,
+        2..=4 => rng.below(1025) as u32,
+        _ => rng.below((max - base) as u64 + 1) as u32,
+    }
+}
+
+fn keys(rng: &mut Xoshiro256StarStar, max: u32, up_to: u64) -> Vec<u32> {
+    (0..rng.below(up_to + 1)).map(|_| key(rng, max)).collect()
+}
+
+fn build(cfg: KissConfig, keys: &[u32]) -> (KissTree<u32>, Model) {
+    let mut t = KissTree::new(cfg);
+    let mut m = Model::new();
+    for (i, &k) in keys.iter().enumerate() {
+        t.insert(k, i as u32);
+        m.entry(k).or_default().push(i as u32);
+    }
+    (t, m)
+}
+
+fn entries<'a>(it: impl Iterator<Item = (u32, Values<'a, u32>)>) -> Vec<(u32, Vec<u32>)> {
+    it.map(|(k, v)| (k, v.copied().collect())).collect()
+}
+
+/// The ranges every cursor is checked over: full domain, interior, single
+/// key (present and absent), second-level node boundaries, inverted, and
+/// bounds beyond the tree's key limit — plus random ones.
+fn ranges(rng: &mut Xoshiro256StarStar, max: u32, m: &Model) -> Vec<(u32, u32)> {
+    let some = m.keys().nth(m.len() / 2).copied().unwrap_or(7);
+    let next = some.saturating_add(1);
+    let mut out = vec![
+        (0, u32::MAX),
+        (0, max),
+        (max / 4, max / 2),
+        (some, some),
+        (next, next),
+        (63, 64),
+        (64, 127),
+        (max - 64, max),
+        (max, max),
+        (500, 100),
+        (max, 0),
+        (max.saturating_sub(10), max.saturating_add(10)),
+        (max.saturating_add(1), u32::MAX),
+        (u32::MAX, u32::MAX),
+    ];
+    for _ in 0..6 {
+        out.push((key(rng, max), key(rng, max)));
+    }
+    out
+}
+
+fn model_range(m: &Model, lo: u32, hi: u32) -> Vec<(u32, Vec<u32>)> {
+    if lo > hi {
+        return Vec::new();
+    }
+    m.range(lo..=hi).map(|(&k, v)| (k, v.clone())).collect()
+}
+
+#[test]
+fn lookup_and_iteration_match_model() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x1C155 + case);
+        let cfg = config(&mut rng, case);
+        let max = max_key(cfg);
+        let ks = keys(&mut rng, max, 300);
+        let (t, m) = build(cfg, &ks);
+        assert_eq!(t.len(), m.len(), "case {case}");
+        assert_eq!(t.total_values(), ks.len(), "case {case}");
+        for (&key, vals) in &m {
+            let got: Vec<u32> = t.get(key).unwrap().copied().collect();
+            assert_eq!(&got, vals, "case {case} key {key}");
+        }
+        for p in keys(&mut rng, max, 100) {
+            assert_eq!(t.contains_key(p), m.contains_key(&p), "case {case} {p}");
+        }
+        assert_eq!(
+            entries(t.iter()),
+            model_range(&m, 0, u32::MAX),
+            "case {case}"
+        );
+        assert_eq!(t.min_key(), m.keys().next().copied(), "case {case}");
+        assert_eq!(t.max_key(), m.keys().next_back().copied(), "case {case}");
+    }
+}
+
+#[test]
+fn range_cursor_matches_model() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x4A96E + case);
+        let cfg = config(&mut rng, case);
+        let max = max_key(cfg);
+        let (t, m) = build(cfg, &keys(&mut rng, max, 200));
+        for (lo, hi) in ranges(&mut rng, max, &m) {
+            assert_eq!(
+                entries(t.range(lo, hi)),
+                model_range(&m, lo, hi),
+                "case {case} {cfg:?} [{lo}, {hi}]"
+            );
+        }
+    }
+}
+
+#[test]
+fn sync_scan_range_matches_model() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x5CA9 + case);
+        // Same root geometry on both sides; compression may differ.
+        let ca = config(&mut rng, case);
+        let cb = KissConfig {
+            compressed: rng.chance(1, 2),
+            ..ca
+        };
+        let max = max_key(ca);
+        let a = keys(&mut rng, max, 200);
+        // Share a random half of `a` so the intersection is never trivial.
+        let mut b = keys(&mut rng, max, 200);
+        b.extend(a.iter().copied().filter(|_| rng.chance(1, 2)));
+        let ((ta, ma), (tb, mb)) = (build(ca, &a), build(cb, &b));
+        let both = |lo: u32, hi: u32| -> Vec<(u32, Vec<u32>, Vec<u32>)> {
+            model_range(&ma, lo, hi)
+                .into_iter()
+                .filter_map(|(k, lv)| mb.get(&k).map(|rv| (k, lv, rv.clone())))
+                .collect()
+        };
+        for (lo, hi) in ranges(&mut rng, max, &ma) {
+            let mut got = Vec::new();
+            kiss_sync_scan_range(&ta, &tb, lo, hi, |k, lv, rv| {
+                got.push((k, lv.copied().collect(), rv.copied().collect()));
+            });
+            assert_eq!(got, both(lo, hi), "case {case} {ca:?} [{lo}, {hi}]");
+        }
+
+        // The full-domain entry point and the set operator built on it.
+        let expect: Vec<u32> = both(0, u32::MAX).into_iter().map(|(k, _, _)| k).collect();
+        let mut got = Vec::new();
+        kiss_sync_scan(&ta, &tb, |k, _, _| got.push(k));
+        assert_eq!(got, expect, "case {case}");
+        let inter = kiss_intersect(&ta, &tb);
+        assert_eq!(inter.keys().collect::<Vec<_>>(), expect, "case {case}");
+    }
+}
+
+#[test]
+fn batched_equals_scalar() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0xBA7C4 + case);
+        let cfg = config(&mut rng, case);
+        let max = max_key(cfg);
+        let pairs: Vec<(u32, u32)> = keys(&mut rng, max, 200)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, i as u32))
+            .collect();
+        let mut scalar = KissTree::new(cfg);
+        for &(k, v) in &pairs {
+            scalar.insert(k, v);
+        }
+        let mut batched = KissTree::new(cfg);
+        batched.batch_insert(&pairs);
+        assert_eq!(
+            entries(scalar.iter()),
+            entries(batched.iter()),
+            "case {case}"
+        );
+
+        let probes = keys(&mut rng, max, 100);
+        let firsts = batched.batch_get_first(&probes);
+        let present = batched.batch_contains(&probes);
+        for (i, &p) in probes.iter().enumerate() {
+            assert_eq!(firsts[i], scalar.get_first(p), "case {case} probe {p}");
+            assert_eq!(present[i], scalar.contains_key(p), "case {case} {p}");
+        }
+    }
+}
+
+#[test]
+fn insert_merge_equals_fold() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0xF01D + case);
+        let cfg = config(&mut rng, case);
+        let mut t = KissTree::<i64>::new(cfg);
+        let mut m: BTreeMap<u32, i64> = BTreeMap::new();
+        for k in keys(&mut rng, max_key(cfg), 200) {
+            let v = rng.below(100) as i64 - 50;
+            t.insert_merge(k, v, |acc, v| *acc += v);
+            *m.entry(k).or_insert(0) += v;
+        }
+        let got: Vec<(u32, i64)> = t.iter().map(|(k, mut v)| (k, *v.next().unwrap())).collect();
+        assert_eq!(got, m.into_iter().collect::<Vec<_>>(), "case {case}");
+    }
+}

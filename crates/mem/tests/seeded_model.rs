@@ -1,0 +1,103 @@
+//! Seeded model tests of the memory substrate: duplicate arenas preserve
+//! content and order under arbitrary interleavings; key packing is
+//! order-preserving for arbitrary widths. Cases are drawn from the crate's
+//! own PRNG, so a failure names the case that reproduces it.
+
+use qppt_mem::{DupArena, KeyPacker, LinkedDupArena, Xoshiro256StarStar};
+
+const CASES: u64 = 128;
+
+/// Arbitrary interleaving of pushes across several lists: each list yields
+/// exactly its values, in insertion order, and both arena implementations
+/// agree.
+#[test]
+fn dup_arenas_preserve_order() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0xD0B + case);
+        let mut seg = DupArena::<u64>::new();
+        let mut lnk = LinkedDupArena::<u64>::new();
+        let mut seg_lists: Vec<_> = (0..8).map(|_| None).collect();
+        let mut lnk_lists: Vec<_> = (0..8).map(|_| None).collect();
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); 8];
+        // Skewed slot choice: a few long lists (many segments) and short ones.
+        for _ in 0..rng.range_inclusive(1, 3000) {
+            let slot = (rng.below(8) * rng.below(8) / 7) as usize;
+            let v = rng.next_u64();
+            model[slot].push(v);
+            match &mut seg_lists[slot] {
+                None => seg_lists[slot] = Some(seg.new_list(v)),
+                Some(l) => seg.push(l, v),
+            }
+            match &mut lnk_lists[slot] {
+                None => lnk_lists[slot] = Some(lnk.new_list(v)),
+                Some(l) => lnk.push(l, v),
+            }
+        }
+        for (slot, expect) in model.iter().enumerate() {
+            match &seg_lists[slot] {
+                None => assert!(expect.is_empty(), "case {case}"),
+                Some(l) => {
+                    assert_eq!(l.len(), expect.len(), "case {case}");
+                    let got: Vec<u64> = seg.iter(l).copied().collect();
+                    assert_eq!(&got, expect, "case {case} slot {slot}");
+                    // Segment scan concatenates to the same sequence.
+                    let mut segscan = Vec::new();
+                    seg.for_each_segment(l, |s| segscan.extend_from_slice(s));
+                    assert_eq!(&segscan, expect, "case {case} slot {slot}");
+                    // Segment capacities double up to the page limit.
+                    for w in seg.segment_caps(l).windows(2) {
+                        assert!(
+                            w[0] == 512 || w[0] == 2 * w[1] || w[0] == w[1],
+                            "case {case} caps {w:?}"
+                        );
+                    }
+                }
+            }
+            if let Some(l) = &lnk_lists[slot] {
+                let got: Vec<u64> = lnk.iter(l).copied().collect();
+                assert_eq!(&got, expect, "case {case} slot {slot}");
+            }
+        }
+    }
+}
+
+/// Packing is order-preserving: lexicographic part order == key order.
+#[test]
+fn key_packer_order() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x9AC4 + case);
+        let widths: Vec<u8> = (0..rng.range_inclusive(1, 3))
+            .map(|_| rng.range_inclusive(1, 15) as u8)
+            .collect();
+        let packer = KeyPacker::new(&widths).unwrap();
+        let parts = |rng: &mut Xoshiro256StarStar| -> Vec<u64> {
+            widths.iter().map(|&w| rng.below(1 << w)).collect()
+        };
+        for _ in 0..32 {
+            let (a, mut b) = (parts(&mut rng), parts(&mut rng));
+            // Half the pairs share a prefix, so later parts decide the order.
+            if rng.chance(1, 2) {
+                b[0] = a[0];
+            }
+            let ka = packer.pack(&a).unwrap();
+            let kb = packer.pack(&b).unwrap();
+            assert_eq!(a.cmp(&b), ka.cmp(&kb), "case {case} {a:?} vs {b:?}");
+            assert_eq!(packer.unpack(ka), a, "case {case}");
+            assert_eq!(packer.unpack(kb), b, "case {case}");
+        }
+    }
+}
+
+/// The PRNG's `below()` is exhaustive over small bounds.
+#[test]
+fn prng_below_covers_domain() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(case);
+        let bound = 1 + case % 15;
+        let mut seen = vec![false; bound as usize];
+        for _ in 0..(bound * 200) {
+            seen[rng.below(bound) as usize] = true;
+        }
+        assert!(seen.into_iter().all(|s| s), "seed {case} bound {bound}");
+    }
+}

@@ -7,6 +7,7 @@
 //! mutex is only taken at registration and render time. Families render
 //! in registration order so scrapes are stable and diffable.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::{Counter, Gauge, Histogram, LATENCY_BUCKETS_MICROS};
@@ -27,7 +28,7 @@ struct Series {
 }
 
 struct Family {
-    name: &'static str,
+    name: Cow<'static, str>,
     help: &'static str,
     kind: &'static str, // "counter" | "gauge" | "histogram"
     series: Vec<Series>,
@@ -45,23 +46,23 @@ impl Registry {
     }
 
     /// Registers (or retrieves) an unlabeled counter.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>, help: &'static str) -> Arc<Counter> {
         self.counter_with(name, help, Vec::new())
     }
 
     /// Registers (or retrieves) a counter with a label set.
     pub fn counter_with(
         &self,
-        name: &'static str,
+        name: impl Into<Cow<'static, str>>,
         help: &'static str,
         labels: Vec<Label>,
     ) -> Arc<Counter> {
         let mut families = self.families.lock().expect("registry poisoned");
-        let family = Self::family(&mut families, name, help, "counter");
+        let family = Self::family(&mut families, name.into(), help, "counter");
         if let Some(s) = family.series.iter().find(|s| s.labels == labels) {
             match &s.metric {
                 Metric::Counter(c) => return c.clone(),
-                _ => panic!("metric {name} registered with a different type"),
+                _ => panic!("metric {} registered with a different type", family.name),
             }
         }
         let c = Arc::new(Counter::new());
@@ -73,23 +74,23 @@ impl Registry {
     }
 
     /// Registers (or retrieves) an unlabeled gauge.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>, help: &'static str) -> Arc<Gauge> {
         self.gauge_with(name, help, Vec::new())
     }
 
     /// Registers (or retrieves) a gauge with a label set.
     pub fn gauge_with(
         &self,
-        name: &'static str,
+        name: impl Into<Cow<'static, str>>,
         help: &'static str,
         labels: Vec<Label>,
     ) -> Arc<Gauge> {
         let mut families = self.families.lock().expect("registry poisoned");
-        let family = Self::family(&mut families, name, help, "gauge");
+        let family = Self::family(&mut families, name.into(), help, "gauge");
         if let Some(s) = family.series.iter().find(|s| s.labels == labels) {
             match &s.metric {
                 Metric::Gauge(g) => return g.clone(),
-                _ => panic!("metric {name} registered with a different type"),
+                _ => panic!("metric {} registered with a different type", family.name),
             }
         }
         let g = Arc::new(Gauge::new());
@@ -101,23 +102,27 @@ impl Registry {
     }
 
     /// Registers (or retrieves) an unlabeled histogram.
-    pub fn histogram(&self, name: &'static str, help: &'static str) -> Arc<Histogram> {
+    pub fn histogram(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        help: &'static str,
+    ) -> Arc<Histogram> {
         self.histogram_with(name, help, Vec::new())
     }
 
     /// Registers (or retrieves) a histogram with a label set.
     pub fn histogram_with(
         &self,
-        name: &'static str,
+        name: impl Into<Cow<'static, str>>,
         help: &'static str,
         labels: Vec<Label>,
     ) -> Arc<Histogram> {
         let mut families = self.families.lock().expect("registry poisoned");
-        let family = Self::family(&mut families, name, help, "histogram");
+        let family = Self::family(&mut families, name.into(), help, "histogram");
         if let Some(s) = family.series.iter().find(|s| s.labels == labels) {
             match &s.metric {
                 Metric::Histogram(h) => return h.clone(),
-                _ => panic!("metric {name} registered with a different type"),
+                _ => panic!("metric {} registered with a different type", family.name),
             }
         }
         let h = Arc::new(Histogram::new());
@@ -130,7 +135,7 @@ impl Registry {
 
     fn family<'a>(
         families: &'a mut Vec<Family>,
-        name: &'static str,
+        name: Cow<'static, str>,
         help: &'static str,
         kind: &'static str,
     ) -> &'a mut Family {
@@ -163,13 +168,13 @@ impl Registry {
             for series in &family.series {
                 match &series.metric {
                     Metric::Counter(c) => out.push_str(&sample_line(
-                        family.name,
+                        &family.name,
                         &series.labels,
                         None,
                         c.get() as i64,
                     )),
                     Metric::Gauge(g) => {
-                        out.push_str(&sample_line(family.name, &series.labels, None, g.get()))
+                        out.push_str(&sample_line(&family.name, &series.labels, None, g.get()))
                     }
                     Metric::Histogram(h) => {
                         let counts = h.bucket_counts();
@@ -183,20 +188,20 @@ impl Registry {
                             let mut labels = series.labels.clone();
                             labels.push(("le", le));
                             out.push_str(&sample_line(
-                                family.name,
+                                &family.name,
                                 &labels,
                                 Some("_bucket"),
                                 cum as i64,
                             ));
                         }
                         out.push_str(&sample_line(
-                            family.name,
+                            &family.name,
                             &series.labels,
                             Some("_sum"),
                             h.sum() as i64,
                         ));
                         out.push_str(&sample_line(
-                            family.name,
+                            &family.name,
                             &series.labels,
                             Some("_count"),
                             h.count() as i64,

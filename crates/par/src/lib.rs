@@ -11,9 +11,10 @@
 //!    attribute is split on its top [`morsel_bits`](qppt_core::PlanOptions)
 //!    bits into prefix-aligned [`KeyRange`](qppt_core::KeyRange) *morsels*.
 //!    Because both index structures resolve the most significant bits
-//!    first, each morsel corresponds to whole subtrees, and the partitioned
-//!    cursors (`qppt_trie::sync_scan_range`,
-//!    `qppt_kiss::kiss_sync_scan_range`) walk only those subtrees.
+//!    first, each morsel corresponds to whole subtrees, and the scan
+//!    kernels (`qppt_trie::sync_scan_range`,
+//!    `qppt_kiss::kiss_sync_scan_range` — each structure has exactly one,
+//!    and it takes a key range) walk only those subtrees.
 //! 2. **Schedule** — workers pull morsel indexes from an atomic dispenser;
 //!    each worker runs the *entire* fact pipeline — synchronous index scan
 //!    or fused select-join, assisting probes, all later stages — restricted
@@ -33,7 +34,10 @@
 //! threads created once, priority + admission budget), so N concurrent
 //! queries share one fixed set of threads instead of spawning N×P. This is
 //! what `qppt-server` runs on, and what embedded callers use too (a pool is
-//! two lines to create). `parallelism = 1` never touches the pool.
+//! two lines to create). Sequential execution is the one-morsel case of the
+//! same job: at `parallelism = 1` the morsel list is
+//! `[KeyRange::full()]` and the calling thread drains it without touching
+//! the pool.
 //!
 //! Every query — embedded, served, cached or `cache=off` — runs the same
 //! four steps: **plan** ([`build_plan`](qppt_core::build_plan)), **σ**

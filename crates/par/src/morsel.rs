@@ -5,10 +5,13 @@
 //! join attribute. Because both the generalized prefix tree and the
 //! KISS-Tree resolve the **most significant** key bits first, a range whose
 //! bounds are aligned to the top `morsel_bits` bits corresponds to a set of
-//! whole subtrees — the partitioned cursors
-//! ([`qppt_trie::sync_scan_range`](https://docs.rs/qppt-trie),
-//! `qppt_kiss::kiss_sync_scan_range`) descend only into those subtrees, so
-//! per-morsel work is proportional to the morsel's population.
+//! whole subtrees — the range-restricted scan kernels
+//! ([`qppt_storage::sync_scan_indexes_range`] over
+//! `qppt_trie::sync_scan_range` / `qppt_kiss::kiss_sync_scan_range`, the
+//! only scan kernels there are) descend only into those subtrees, so
+//! per-morsel work is proportional to the morsel's population. A query
+//! allowed a single worker skips the partitioning: its one morsel is
+//! [`KeyRange::full`].
 
 use qppt_core::KeyRange;
 

@@ -9,11 +9,13 @@
 //! bounded by the pool size, not queries × parallelism — the property
 //! `qppt-server` is built on.
 //!
-//! Two latency paths matter for serving:
+//! There is one fact-pipeline path: a morsel job whose workers drain a
+//! list of [`KeyRange`] morsels. Two things keep its latency low:
 //!
-//! * **Inline fast path** — `parallelism = 1` queries never touch the pool:
-//!   they run the whole pipeline on the calling (connection) thread, so a
-//!   single-client workload pays zero cross-thread round-trips.
+//! * **Sequential is the one-morsel case** — a job allowed a single worker
+//!   (`parallelism = 1`) gets the one morsel [`KeyRange::full`] and is
+//!   worked on the calling (connection) thread without touching the pool,
+//!   so a single-client workload pays zero cross-thread round-trips.
 //! * **Caller participation** — parallel queries submit their jobs with
 //!   [`WorkerPool::run_participating`]: the calling thread counts as one
 //!   of the job's workers and starts pulling tasks immediately; free pool
@@ -34,8 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use qppt_core::exec::{
-    decode_result, materialize_dim_selection, new_agg_table, run_pipeline, DimSelection,
-    FusedSelection,
+    decode_result, materialize_dim_selection, new_agg_table, DimSelection, FusedSelection,
 };
 use qppt_core::inter::AggTable;
 use qppt_core::plan::DimHandleKind;
@@ -194,12 +195,6 @@ impl PooledEngine {
         priority: i32,
         batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
-        // Inline fast path: a sequential query runs the whole pipeline on
-        // the calling thread — no jobs, no handles, no pool wakeups.
-        if prepared.plan.opts.parallelism == 1 {
-            return prepared.execute_sequential_agg(&self.db, batch);
-        }
-
         let started = Instant::now();
         let mut stats = ExecStats {
             ops: prepared.dim_stats(),
@@ -219,15 +214,19 @@ impl PooledEngine {
         Ok((agg, stats))
     }
 
-    /// Workers the fact pipeline may use, caller included (the calling
-    /// thread participates in its own jobs, so the bound is pool + 1).
-    fn pipeline_participants(&self, plan: &Plan) -> usize {
-        plan.opts.parallelism.clamp(1, self.pool.size() + 1)
+    /// Workers the fact pipeline of a query at `parallelism` may use,
+    /// caller included (the calling thread participates in its own jobs,
+    /// so the bound is pool + 1) — what the serving layer reports as
+    /// `workers=`.
+    pub fn pipeline_participants(&self, parallelism: usize) -> usize {
+        parallelism.clamp(1, self.pool.size() + 1)
     }
 
-    /// Runs the fact pipeline — as a participating morsel job on the
-    /// shared pool when more than one worker is allowed, inline on the
-    /// calling thread otherwise.
+    /// Runs the fact pipeline as a morsel job. Allowed more than one
+    /// worker, the job partitions the stage-1 key domain and runs on the
+    /// shared pool with the caller participating; allowed one, it is the
+    /// one-morsel case, worked on the calling thread — no handles, no pool
+    /// wakeups.
     fn execute_pipeline(
         &self,
         snap: Snapshot,
@@ -237,56 +236,42 @@ impl PooledEngine {
         priority: i32,
         batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
-        let workers = self.pipeline_participants(plan);
+        let workers = self.pipeline_participants(plan.opts.parallelism);
+        let morsels = if workers > 1 {
+            partition_morsels(&self.db, plan)?
+        } else {
+            vec![KeyRange::full()]
+        };
+        let job = Arc::new(MorselJob {
+            db: self.db.clone(),
+            snap,
+            plan: plan.clone(),
+            dim_tables: dim_tables.clone(),
+            fused: fused.clone(),
+            max_workers: workers.min(morsels.len()),
+            morsels,
+            next: AtomicUsize::new(0),
+            participants: AtomicUsize::new(0),
+            partials: Mutex::new(Vec::new()),
+            error: Mutex::new(None),
+            aborted: AtomicBool::new(false),
+            batch,
+        });
         if workers > 1 {
-            let morsels = partition_morsels(&self.db, plan)?;
-            let max_workers = workers.min(morsels.len()).max(1);
-            let job = Arc::new(MorselJob {
-                db: self.db.clone(),
-                snap,
-                plan: plan.clone(),
-                dim_tables: dim_tables.clone(),
-                fused: fused.clone(),
-                morsels,
-                next: AtomicUsize::new(0),
-                participants: AtomicUsize::new(0),
-                partials: Mutex::new(Vec::new()),
-                error: Mutex::new(None),
-                aborted: AtomicBool::new(false),
-                max_workers,
-                batch,
-            });
             self.pool
                 .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
                 .map_err(|_| pool_down())?;
-            if let Some(e) = job.error.lock().expect("job lock").take() {
-                return Err(e);
-            }
-            let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
-            if partials.is_empty() {
-                Ok((new_agg_table(plan), ExecStats::default()))
-            } else {
-                Ok(merge_partials(partials))
-            }
         } else {
-            let mut agg = new_agg_table(plan);
-            let ops = run_pipeline(
-                &self.db,
-                snap,
-                plan,
-                dim_tables,
-                None,
-                fused.as_ref().as_ref(),
-                batch,
-                &mut agg,
-            )?;
-            Ok((
-                agg,
-                ExecStats {
-                    ops,
-                    total_micros: 0,
-                },
-            ))
+            job.work();
+        }
+        if let Some(e) = job.error.lock().expect("job lock").take() {
+            return Err(e);
+        }
+        let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
+        if partials.is_empty() {
+            Ok((new_agg_table(plan), ExecStats::default()))
+        } else {
+            Ok(merge_partials(partials))
         }
     }
 }

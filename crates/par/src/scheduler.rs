@@ -49,7 +49,7 @@ pub(crate) fn drain_morsels(
             break;
         };
         let acc = agg.get_or_insert_with(|| new_agg_table(plan));
-        let ops = run_pipeline(db, snap, plan, dim_tables, Some(morsel), fused, batch, acc)?;
+        let ops = run_pipeline(db, snap, plan, dim_tables, morsel, fused, batch, acc)?;
         stats.merge_partition(&ExecStats {
             ops,
             total_micros: 0,

@@ -3,7 +3,7 @@
 //! A compact, line-oriented surface syntax for [`QuerySpec`]: one query is
 //! one line of `key=value` clauses, designed to ride inside a single
 //! `QUERY` protocol line and to be writable by hand in `nc`. The parser
-//! ([`parse`]) and pretty-printer ([`print`]) round-trip `QuerySpec`
+//! ([`parse`]) and pretty-printer ([`print()`]) round-trip `QuerySpec`
 //! losslessly — `parse(&print(spec)) == spec` for every spec the language
 //! can express, which includes all 13 SSB queries.
 //!

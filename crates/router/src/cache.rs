@@ -157,6 +157,9 @@ struct VersionState {
     ranges: Vec<Option<ProbedVersions>>,
 }
 
+/// Shard count of both tiers (no deployment has ever needed another).
+const SHARDS: usize = 8;
+
 /// Budgets and probe tunables of the [`RouterCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterCacheConfig {
@@ -165,10 +168,6 @@ pub struct RouterCacheConfig {
     /// Byte budget of the partial-aggregate tier (one entry per range per
     /// query — keep it larger than the result tier).
     pub partial_budget: usize,
-    /// Shard count per tier (rounded up to a power of two).
-    pub shards: usize,
-    /// Idle TTL of both tiers (`None` = no age limit).
-    pub ttl: Option<Duration>,
     /// The staleness bound (`--cache-probe-interval-ms`): a probed
     /// version vector older than this is re-probed before any cached
     /// entry is served on it.
@@ -183,8 +182,6 @@ impl Default for RouterCacheConfig {
         Self {
             result_budget: 32 << 20,  // 32 MiB
             partial_budget: 64 << 20, // 64 MiB
-            shards: 8,
-            ttl: None,
             probe_interval: Duration::from_millis(500),
             enabled: true,
         }
@@ -236,8 +233,10 @@ impl RouterCache {
     /// Creates the cache with the given budgets and probe tunables.
     pub fn new(config: RouterCacheConfig) -> Self {
         Self {
-            results: ShardedLru::new(config.result_budget, config.shards, config.ttl),
-            partials: ShardedLru::new(config.partial_budget, config.shards, config.ttl),
+            // No idle TTL: freshness is version probes, and bytes are
+            // bounded by the budgets.
+            results: ShardedLru::new(config.result_budget, SHARDS, None),
+            partials: ShardedLru::new(config.partial_budget, SHARDS, None),
             state: Mutex::new(VersionState {
                 generation: 0,
                 ranges: Vec::new(),

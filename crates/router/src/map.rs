@@ -355,7 +355,7 @@ impl MapCell {
     }
 
     /// The current map. Lock-free; the borrow is valid for the cell's
-    /// lifetime even across a concurrent [`swap`](Self::swap).
+    /// lifetime even across a concurrent `swap`.
     pub fn load(&self) -> &ShardMap {
         // SAFETY: every pointer ever stored in `current` points into a
         // `Box<ShardMap>` held by `graveyard`, which only grows while the

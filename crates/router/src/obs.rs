@@ -6,35 +6,19 @@
 //! samples ([`qppt_obs::merge_exposition`]), and the router's own
 //! families — all under the `qppt_router_` prefix, so they can never
 //! collide with a shard family — are appended from the [`RouterObs`]
-//! registry rendered here.
+//! registry rendered here. The front-end families (per-verb requests and
+//! latency, uptime, slow-query log) are the shared [`FrontObs`] a shard
+//! keeps too; the scatter/failover families are the router's own.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use qppt_obs::{Counter, Gauge, Histogram, Registry, SlowRing};
+use qppt_obs::{Counter, Gauge, Histogram};
+use qppt_server::obs::FrontObs;
 
-/// Wire verbs the router instruments with request counters and latency
-/// histograms (same set as a shard, minus nothing — the router answers
-/// them all).
-pub const VERBS: [&str; 8] = [
-    "RUN", "QUERY", "EXPLAIN", "LIST", "INFO", "PING", "CACHE", "METRICS",
-];
-
-/// Per-verb handles: request count + end-to-end latency.
-struct VerbMetrics {
-    requests: Arc<Counter>,
-    micros: Arc<Histogram>,
-}
-
-/// Process-wide router observability state (see module docs).
+/// Process-wide router observability state (see module docs); the shared
+/// front-end metrics are reachable through `Deref`.
 pub struct RouterObs {
-    registry: Registry,
-    started: Instant,
-    uptime: Arc<Gauge>,
-    slow_threshold: Option<u64>,
-    slow_queries: Arc<Counter>,
-    slow_ring: SlowRing,
-    verbs: Vec<(&'static str, VerbMetrics)>,
+    front: FrontObs,
     retries: Arc<Counter>,
     reconnects: Arc<Counter>,
     failovers: Arc<Counter>,
@@ -44,11 +28,18 @@ pub struct RouterObs {
     shard_rtt: Vec<Arc<Histogram>>,
 }
 
+impl std::ops::Deref for RouterObs {
+    type Target = FrontObs;
+
+    fn deref(&self) -> &FrontObs {
+        &self.front
+    }
+}
+
 impl std::fmt::Debug for RouterObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterObs")
             .field("shards", &self.shard_rtt.len())
-            .field("slow_threshold", &self.slow_threshold)
             .finish()
     }
 }
@@ -59,36 +50,8 @@ impl RouterObs {
     /// queries at or above it are recorded in the slow-query ring served
     /// by `METRICS SLOW` (`None` disables).
     pub fn new(shards: usize, slow_threshold: Option<u64>) -> Arc<Self> {
-        let registry = Registry::new();
-        let uptime = registry.gauge(
-            "qppt_router_uptime_seconds",
-            "Seconds since this router started serving.",
-        );
-        let slow_queries = registry.counter(
-            "qppt_router_slow_queries_total",
-            "Routed queries that exceeded the --slow-query-micros threshold.",
-        );
-        let verbs = VERBS
-            .iter()
-            .map(|&verb| {
-                (
-                    verb,
-                    VerbMetrics {
-                        requests: registry.counter_with(
-                            "qppt_router_requests_total",
-                            "Client requests served by the router, by wire verb.",
-                            vec![("verb", verb.to_string())],
-                        ),
-                        micros: registry.histogram_with(
-                            "qppt_router_request_micros",
-                            "End-to-end client request latency at the router in \
-                             microseconds, by wire verb.",
-                            vec![("verb", verb.to_string())],
-                        ),
-                    },
-                )
-            })
-            .collect();
+        let front = FrontObs::new("qppt_router_", slow_threshold);
+        let registry = front.registry();
         let retries = registry.counter(
             "qppt_router_retries_total",
             "Shard exchanges that spent their one bounded retry.",
@@ -126,13 +89,6 @@ impl RouterObs {
             })
             .collect();
         Arc::new(Self {
-            registry,
-            started: Instant::now(),
-            uptime,
-            slow_threshold,
-            slow_queries,
-            slow_ring: SlowRing::default(),
-            verbs,
             retries,
             reconnects,
             failovers,
@@ -140,15 +96,8 @@ impl RouterObs {
             probe_recoveries,
             merge_micros,
             shard_rtt,
+            front,
         })
-    }
-
-    /// Records one served client request of `verb` taking `micros`.
-    pub fn record_request(&self, verb: &str, micros: u64) {
-        if let Some((_, m)) = self.verbs.iter().find(|(v, _)| *v == verb) {
-            m.requests.inc();
-            m.micros.record(micros);
-        }
     }
 
     /// Records the gather round-trip of `shard` (see the family help for
@@ -180,7 +129,8 @@ impl RouterObs {
     /// are registered get-or-create on first sight, so the family only
     /// carries replicas that actually answered.
     pub fn note_replica_request(&self, shard: usize, replica: usize) {
-        self.registry
+        self.front
+            .registry()
             .counter_with(
                 "qppt_router_replica_requests_total",
                 "Range exchanges answered, by shard and replica ordinal \
@@ -209,34 +159,6 @@ impl RouterObs {
     pub fn record_merge(&self, micros: u64) {
         self.merge_micros.record(micros);
     }
-
-    /// The slow-query threshold (µs), if the log is enabled.
-    pub fn slow_threshold(&self) -> Option<u64> {
-        self.slow_threshold
-    }
-
-    /// The slow-query counter ([`slow_log`](qppt_server::obs::slow_log)
-    /// bumps it).
-    pub fn slow_queries(&self) -> &Counter {
-        &self.slow_queries
-    }
-
-    /// The slow-query ring buffer behind the routed `METRICS SLOW`.
-    pub fn slow_ring(&self) -> &SlowRing {
-        &self.slow_ring
-    }
-
-    /// Seconds since this router started serving.
-    pub fn uptime_secs(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
-    /// Renders the router's own families (uptime refreshed at scrape
-    /// time) — appended after the merged shard exposition.
-    pub fn render(&self) -> String {
-        self.uptime.set(self.uptime_secs() as i64);
-        self.registry.render()
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +168,7 @@ mod tests {
 
     #[test]
     fn render_is_valid_exposition() {
-        let obs = RouterObs::new(2, Some(500));
+        let obs = RouterObs::new(2, Some(0)); // threshold 0µs: every logged request is "slow"
         obs.record_request("RUN", 1_200);
         obs.record_rtt(0, 800);
         obs.record_rtt(1, 950);
@@ -258,7 +180,7 @@ mod tests {
         obs.set_replicas_live(3);
         obs.note_probe_recovery();
         obs.record_merge(40);
-        obs.slow_queries().inc();
+        obs.slow_log(std::time::Instant::now(), "RUN", "RUN q1.1", "scatter", &[]);
         let expo = parse_exposition(&obs.render()).expect("exposition parses");
         assert_eq!(
             expo.value("qppt_router_requests_total", &[("verb", "RUN")]),

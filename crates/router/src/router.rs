@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use qppt_core::{fingerprint_query, ExecStats, OpStats, PartialAggregate, PlanOptions};
 use qppt_obs::{merge_exposition, Trace};
 use qppt_par::merge_partial_aggregates;
-use qppt_server::obs::{elapsed_micros, finish_trace, make_trace, slow_log};
+use qppt_server::obs::{elapsed_micros, finish_trace, make_trace};
 use qppt_server::protocol::{
     apply_overrides, parse_partial_status, parse_request, read_partial_body, read_text_body,
     write_run_response, write_slow_response, CacheCmd, ClientError, Request, ServedStats,
@@ -912,16 +912,7 @@ impl Router {
                 let spans = finish_trace(trace, stats.total_micros);
                 let out = write_run_response(&mut w, &result, &stats, workers, &spans);
                 if let Some(obs) = &self.obs {
-                    slow_log(
-                        obs.slow_threshold(),
-                        obs.slow_ring(),
-                        obs.slow_queries(),
-                        started,
-                        verb,
-                        line,
-                        &outcome,
-                        &spans,
-                    );
+                    obs.slow_log(started, verb, line, &outcome, &spans);
                 }
                 out
             }

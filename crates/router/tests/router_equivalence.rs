@@ -346,9 +346,9 @@ fn single_shard_write_invalidates_exactly_that_range() {
     let opts = PlanOptions::default();
     let defaults = PlanOptions::default().with_parallelism(2);
 
-    // Externally owned shard databases and caches (the cache_throughput
-    // pattern), so a write can land mid-test: stop the shard's listener,
-    // mutate the then-uniquely-owned database, re-serve on the *same*
+    // Externally owned shard databases and caches, so a write can land
+    // mid-test: stop the shard's listener, mutate the then-uniquely-owned
+    // database, re-serve on the *same*
     // address — the router's shard map never moves, so the only signal a
     // cached entry can go stale on is the probed version vector.
     let mut dbs: Vec<Arc<Database>> = (0..SHARDS)

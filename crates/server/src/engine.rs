@@ -179,7 +179,7 @@ impl ServeEngine {
     }
 
     /// [`over_db`](Self::over_db) with the cache built from an explicit
-    /// [`CacheConfig`] — byte budgets per tier, idle TTL, shard count, or
+    /// [`CacheConfig`] — byte budgets per tier, idle TTL, or
     /// [`CacheConfig::disabled`] to serve uncached.
     pub fn over_db_with_config(
         db: Arc<Database>,
@@ -388,7 +388,7 @@ impl ServeEngine {
     /// previous validated execution of the same `(instance, structure,
     /// options, versions)` key, which makes re-validating it pure overhead
     /// (the frontend's warm throughput would otherwise drop measurably; see
-    /// `BENCH_QUERY_CACHE.json`).
+    /// the `served_hit` workload of `BENCHMARK.json`).
     pub fn run_spec(
         &self,
         spec: &QuerySpec,

@@ -1,14 +1,18 @@
-//! Server-side observability state behind the `METRICS` verb and the
+//! Front-end observability state behind the `METRICS` verb and the
 //! slow-query log.
 //!
-//! One [`ServeObs`] per process: it owns the metric [`Registry`],
-//! pre-registers the per-verb request counters and latency histograms
-//! (so the hot path never takes the registry lock), and renders the full
-//! Prometheus exposition — registry families first, then the cache-tier
-//! families, which are produced *at scrape time from the same
-//! [`CacheStats`] snapshot `CACHE STATS` reads*. That construction is
-//! what makes the two surfaces agree by definition rather than by
-//! double-entry bookkeeping.
+//! Every line-protocol front end — a `qppt-server` shard and the
+//! `qppt-router` alike — embeds one [`FrontObs`]: the metric [`Registry`],
+//! the per-verb request counters and latency histograms (pre-registered,
+//! so the hot path never takes the registry lock), the uptime gauge and
+//! the slow-query log. The two differ only in their family-name prefix
+//! (`qppt_` vs `qppt_router_`, so a router family can never collide with a
+//! shard family in the merged fleet exposition).
+//!
+//! One [`ServeObs`] per server process adds the cache-tier families, which
+//! are produced *at scrape time from the same [`CacheStats`] snapshot
+//! `CACHE STATS` reads*. That construction is what makes the two surfaces
+//! agree by definition rather than by double-entry bookkeeping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,18 +25,18 @@ use qppt_par::PoolMetrics;
 use crate::protocol::TraceMode;
 
 /// Wire verbs instrumented with request counters and latency histograms.
-pub const VERBS: [&str; 8] = [
+const VERBS: [&str; 8] = [
     "RUN", "QUERY", "EXPLAIN", "LIST", "INFO", "PING", "CACHE", "METRICS",
 ];
 
 /// The per-verb handles: request count + end-to-end latency.
-pub struct VerbMetrics {
-    pub requests: Arc<Counter>,
-    pub micros: Arc<Histogram>,
+struct VerbMetrics {
+    requests: Arc<Counter>,
+    micros: Arc<Histogram>,
 }
 
-/// Process-wide observability state (see module docs).
-pub struct ServeObs {
+/// The metrics every line-protocol front end keeps (see module docs).
+pub struct FrontObs {
     registry: Registry,
     started: Instant,
     uptime: Arc<Gauge>,
@@ -42,26 +46,20 @@ pub struct ServeObs {
     verbs: Vec<(&'static str, VerbMetrics)>,
 }
 
-impl std::fmt::Debug for ServeObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeObs")
-            .field("slow_threshold", &self.slow_threshold)
-            .finish()
-    }
-}
-
-impl ServeObs {
-    /// Creates the observability state. `slow_threshold` is the
-    /// `--slow-query-micros` value: requests at or above it are recorded
-    /// in the slow-query ring served by `METRICS SLOW` (`None` disables).
-    pub fn new(slow_threshold: Option<u64>) -> Arc<Self> {
+impl FrontObs {
+    /// Registers the front-end families under `prefix` (`qppt_` for a
+    /// server, `qppt_router_` for the router). `slow_threshold` is the
+    /// `--slow-query-micros` value: `RUN`/`QUERY` requests at or above it
+    /// are recorded in the slow-query ring served by `METRICS SLOW`
+    /// (`None` disables).
+    pub fn new(prefix: &str, slow_threshold: Option<u64>) -> Self {
         let registry = Registry::new();
         let uptime = registry.gauge(
-            "qppt_uptime_seconds",
+            format!("{prefix}uptime_seconds"),
             "Seconds since this process started serving.",
         );
         let slow_queries = registry.counter(
-            "qppt_slow_queries_total",
+            format!("{prefix}slow_queries_total"),
             "Requests that exceeded the --slow-query-micros threshold.",
         );
         let verbs = VERBS
@@ -71,12 +69,12 @@ impl ServeObs {
                     verb,
                     VerbMetrics {
                         requests: registry.counter_with(
-                            "qppt_requests_total",
+                            format!("{prefix}requests_total"),
                             "Requests served, by wire verb.",
                             vec![("verb", verb.to_string())],
                         ),
                         micros: registry.histogram_with(
-                            "qppt_request_micros",
+                            format!("{prefix}request_micros"),
                             "End-to-end request latency in microseconds, by wire verb.",
                             vec![("verb", verb.to_string())],
                         ),
@@ -84,7 +82,7 @@ impl ServeObs {
                 )
             })
             .collect();
-        Arc::new(Self {
+        Self {
             registry,
             started: Instant::now(),
             uptime,
@@ -92,18 +90,13 @@ impl ServeObs {
             slow_queries,
             slow_ring: SlowRing::default(),
             verbs,
-        })
+        }
     }
 
     /// The underlying registry, for registering further families (pool,
-    /// router).
+    /// router scatter/failover).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Registers and returns the worker-pool metric handles.
-    pub fn pool_metrics(&self) -> PoolMetrics {
-        PoolMetrics::register(&self.registry)
     }
 
     /// Records one served request of `verb` taking `micros`.
@@ -114,14 +107,32 @@ impl ServeObs {
         }
     }
 
-    /// The slow-query threshold (µs), if the log is enabled.
-    pub fn slow_threshold(&self) -> Option<u64> {
-        self.slow_threshold
-    }
-
-    /// The slow-query counter ([`slow_log`] bumps it).
-    pub fn slow_queries(&self) -> &Counter {
-        &self.slow_queries
+    /// Records a slow `RUN`/`QUERY` in the ring (and counts it) when its
+    /// wall time since `started` reached the `--slow-query-micros`
+    /// threshold.
+    pub fn slow_log(
+        &self,
+        started: Instant,
+        verb: &str,
+        line: &str,
+        outcome: &str,
+        spans: &[SpanRec],
+    ) {
+        let Some(threshold) = self.slow_threshold else {
+            return;
+        };
+        let micros = elapsed_micros(started);
+        if micros < threshold {
+            return;
+        }
+        self.slow_queries.inc();
+        self.slow_ring.push(SlowEntry {
+            verb: verb.to_string(),
+            line: line.to_string(),
+            outcome: outcome.to_string(),
+            micros,
+            spans: spans.to_vec(),
+        });
     }
 
     /// The slow-query ring buffer behind `METRICS SLOW`.
@@ -129,17 +140,55 @@ impl ServeObs {
         &self.slow_ring
     }
 
-    /// Seconds since this process started serving.
-    pub fn uptime_secs(&self) -> u64 {
-        self.started.elapsed().as_secs()
+    /// Renders the registry's families, the uptime gauge refreshed at
+    /// scrape time.
+    pub fn render(&self) -> String {
+        self.uptime.set(self.started.elapsed().as_secs() as i64);
+        self.registry.render()
+    }
+}
+
+/// A server process's observability state: the shared front-end metrics
+/// (reachable through `Deref`) plus the cache-tier families.
+pub struct ServeObs {
+    front: FrontObs,
+}
+
+impl std::ops::Deref for ServeObs {
+    type Target = FrontObs;
+
+    fn deref(&self) -> &FrontObs {
+        &self.front
+    }
+}
+
+impl std::fmt::Debug for ServeObs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServeObs")
+            .field("slow_threshold", &self.front.slow_threshold)
+            .finish()
+    }
+}
+
+impl ServeObs {
+    /// Creates the observability state; see [`FrontObs::new`] for
+    /// `slow_threshold`.
+    pub fn new(slow_threshold: Option<u64>) -> Arc<Self> {
+        Arc::new(Self {
+            front: FrontObs::new("qppt_", slow_threshold),
+        })
     }
 
-    /// Renders the full exposition: registry families (uptime refreshed
-    /// at scrape time), then the cache-tier families derived from
-    /// `cache` — the very snapshot `CACHE STATS` renders.
+    /// Registers and returns the worker-pool metric handles.
+    pub fn pool_metrics(&self) -> PoolMetrics {
+        PoolMetrics::register(&self.front.registry)
+    }
+
+    /// Renders the full exposition: registry families, then the
+    /// cache-tier families derived from `cache` — the very snapshot
+    /// `CACHE STATS` renders.
     pub fn render(&self, cache: &CacheStats) -> String {
-        self.uptime.set(self.uptime_secs() as i64);
-        let mut out = self.registry.render();
+        let mut out = self.front.render();
         out.push_str(&render_cache_metrics(cache));
         out
     }
@@ -175,36 +224,6 @@ pub fn finish_trace(trace: Option<Trace>, total_micros: u128) -> Vec<SpanRec> {
 /// Saturating `u64` micros since `started`.
 pub fn elapsed_micros(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Records a slow `RUN`/`QUERY` in `ring` (and counts it) when its wall
-/// time since `started` reached the `--slow-query-micros` `threshold` —
-/// the one slow log behind both the server's and the router's
-/// `METRICS SLOW`.
-#[allow(clippy::too_many_arguments)]
-pub fn slow_log(
-    threshold: Option<u64>,
-    ring: &SlowRing,
-    counter: &Counter,
-    started: Instant,
-    verb: &str,
-    line: &str,
-    outcome: &str,
-    spans: &[SpanRec],
-) {
-    let Some(threshold) = threshold else { return };
-    let micros = elapsed_micros(started);
-    if micros < threshold {
-        return;
-    }
-    counter.inc();
-    ring.push(SlowEntry {
-        verb: verb.to_string(),
-        line: line.to_string(),
-        outcome: outcome.to_string(),
-        micros,
-        spans: spans.to_vec(),
-    });
 }
 
 /// Renders the cache tiers as Prometheus families with a `tier` label,
@@ -276,11 +295,12 @@ mod tests {
 
     #[test]
     fn render_is_valid_exposition_with_cache_families() {
-        let obs = ServeObs::new(Some(1000));
+        let obs = ServeObs::new(Some(0)); // threshold 0µs: every logged request is "slow"
         obs.record_request("RUN", 250);
         obs.record_request("RUN", 90_000);
         obs.record_request("PING", 5);
-        obs.slow_queries().inc();
+        obs.slow_log(Instant::now(), "RUN", "RUN q1.1", "bypass", &[]);
+        assert_eq!(obs.slow_ring().snapshot().len(), 1);
         let stats = CacheStats::default();
         let text = obs.render(&stats);
         let expo = parse_exposition(&text).expect("exposition parses");
@@ -312,6 +332,8 @@ mod tests {
         obs.record_request("BOGUS", 1);
         let text = obs.render(&CacheStats::default());
         assert!(!text.contains("BOGUS"));
-        assert_eq!(obs.slow_threshold(), None);
+        // No threshold: the slow log is off.
+        obs.slow_log(Instant::now(), "RUN", "RUN q1.1", "bypass", &[]);
+        assert!(obs.slow_ring().snapshot().is_empty());
     }
 }

@@ -452,7 +452,10 @@ fn parse_bool(v: &str) -> Option<bool> {
 pub struct ServedStats {
     /// End-to-end wall micros on the server (plan + execute + decode).
     pub total_micros: u128,
-    /// Workers the pipeline was allowed (`min(parallelism, pool size)`).
+    /// Workers the pipeline was allowed, caller included:
+    /// `clamp(parallelism, 1, pool size + 1)` — the connection thread
+    /// participates in its own morsel job
+    /// (`PooledEngine::pipeline_participants`).
     pub workers: usize,
     /// One rendered line per operator.
     pub op_lines: Vec<String>,

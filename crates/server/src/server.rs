@@ -48,7 +48,7 @@ use qppt_core::ExecStats;
 use qppt_storage::QuerySpec;
 
 use crate::engine::{render_cache_stats, Answer, ServeEngine, ServeError};
-use crate::obs::{elapsed_micros, finish_trace, make_trace, slow_log};
+use crate::obs::{elapsed_micros, finish_trace, make_trace};
 use crate::protocol::{
     apply_overrides, parse_request, write_partial_response, write_run_response,
     write_slow_response, CacheCmd, Request,
@@ -407,7 +407,7 @@ impl EngineService {
             Err(msg) => return writeln!(w, "ERR {msg}"),
             Ok(applied) => applied,
         };
-        let workers = opts.parallelism.min(engine.info().pool_threads).max(1);
+        let workers = engine.pooled().pipeline_participants(opts.parallelism);
         let mut trace = make_trace(controls.trace);
         let served = spec.and_then(|spec| engine.serve(spec, &opts, &controls, trace.as_mut()));
         let (answer, stats) = match served {
@@ -422,16 +422,7 @@ impl EngineService {
             }
         }
         if let Some(obs) = engine.obs() {
-            slow_log(
-                obs.slow_threshold(),
-                obs.slow_ring(),
-                obs.slow_queries(),
-                started,
-                verb,
-                line,
-                outcome_of(&stats),
-                &spans,
-            );
+            obs.slow_log(started, verb, line, outcome_of(&stats), &spans);
         }
         Ok(())
     }

@@ -247,6 +247,34 @@ fn split_lines_across_poll_ticks_parse_whole() {
 }
 
 #[test]
+fn stats_line_reports_the_participants_the_engine_admits() {
+    // parallelism=4 on the 2-thread pool runs 3 workers (the caller
+    // participates), and the wire says so.
+    let (engine, pool, server) = started_server();
+    assert_eq!(engine.pooled().pipeline_participants(4), 3);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(b"RUN q1.1 parallelism=4 cache=off\n")
+        .unwrap();
+    let mut stats_line = None;
+    loop {
+        let line = read_line(&mut reader);
+        if line == "END" {
+            break;
+        }
+        if line.starts_with("# total_micros=") {
+            stats_line = Some(line);
+        }
+    }
+    let stats_line = stats_line.expect("a stats line before END");
+    assert!(stats_line.ends_with(" workers=3"), "got: {stats_line}");
+
+    server.stop();
+    pool.shutdown();
+}
+
+#[test]
 fn cache_commands_roundtrip() {
     let (engine, pool, server) = started_server();
     let mut client = QpptClient::connect(server.addr()).expect("connect");

@@ -13,8 +13,8 @@
 //! row is `[rid, carried columns...]` for base indexes and
 //! `[carried columns...]` for intermediates.
 
-use qppt_kiss::{kiss_sync_scan, kiss_sync_scan_range, KissConfig, KissTree};
-use qppt_trie::{sync_scan, sync_scan_range, PrefixTree, TrieConfig};
+use qppt_kiss::{kiss_sync_scan_range, KissConfig, KissTree};
+use qppt_trie::{sync_scan_range, PrefixTree, TrieConfig};
 
 use crate::mvcc::MvccTable;
 use crate::types::StorageError;
@@ -88,22 +88,40 @@ impl TreeIndex {
         }
     }
 
+    /// Largest key the structure can hold. Together with
+    /// [`clamp`](Self::clamp) this is the one place the key domain of the
+    /// two structures is derived; every probe and cursor below goes through
+    /// it, so callers may pass any `u64`.
+    #[inline]
+    fn key_max(&self) -> u64 {
+        match self {
+            TreeIndex::Kiss(_) => u32::MAX as u64,
+            TreeIndex::Pt(t) => t.config().key_limit().map_or(u64::MAX, |l| l - 1),
+        }
+    }
+
+    /// `[lo, hi]` intersected with the key domain; `None` when empty.
+    #[inline]
+    fn clamp(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
+        let max = self.key_max();
+        (lo <= hi && lo <= max).then(|| (lo, hi.min(max)))
+    }
+
     /// Invokes `f` for every value stored under `key`.
     #[inline]
     pub fn get_each(&self, key: u64, mut f: impl FnMut(u32)) {
+        if key > self.key_max() {
+            return;
+        }
         match self {
             TreeIndex::Kiss(t) => {
-                if key <= u32::MAX as u64 {
-                    if let Some(vs) = t.get(key as u32) {
-                        vs.for_each(|v| f(*v));
-                    }
+                if let Some(vs) = t.get(key as u32) {
+                    vs.for_each(|v| f(*v));
                 }
             }
             TreeIndex::Pt(t) => {
-                if in_domain(t, key) {
-                    if let Some(vs) = t.get(key) {
-                        vs.for_each(|v| f(*v));
-                    }
+                if let Some(vs) = t.get(key) {
+                    vs.for_each(|v| f(*v));
                 }
             }
         }
@@ -111,77 +129,62 @@ impl TreeIndex {
 
     /// First value stored under `key`.
     pub fn get_first(&self, key: u64) -> Option<u32> {
+        if key > self.key_max() {
+            return None;
+        }
         match self {
-            TreeIndex::Kiss(t) => (key <= u32::MAX as u64).then(|| t.get_first(key as u32))?,
-            TreeIndex::Pt(t) => in_domain(t, key).then(|| t.get_first(key))?,
+            TreeIndex::Kiss(t) => t.get_first(key as u32),
+            TreeIndex::Pt(t) => t.get_first(key),
         }
     }
 
     /// `true` if `key` is present.
     pub fn contains(&self, key: u64) -> bool {
-        match self {
-            TreeIndex::Kiss(t) => key <= u32::MAX as u64 && t.contains_key(key as u32),
-            TreeIndex::Pt(t) => in_domain(t, key) && t.contains_key(key),
-        }
+        key <= self.key_max()
+            && match self {
+                TreeIndex::Kiss(t) => t.contains_key(key as u32),
+                TreeIndex::Pt(t) => t.contains_key(key),
+            }
     }
 
     /// Batched membership probe (join buffers, §2.3/§4.2).
     pub fn batch_contains(&self, keys: &[u64]) -> Vec<bool> {
-        match self {
+        // Out-of-domain keys can never be present: probe them as the
+        // domain's last key and mask the answer.
+        let max = self.key_max();
+        let mut out = match self {
             TreeIndex::Kiss(t) => {
-                // Out-of-domain keys can never be present; probe the rest.
-                let narrowed: Vec<u32> = keys
-                    .iter()
-                    .map(|&k| k.min(u32::MAX as u64) as u32)
-                    .collect();
-                let mut out = t.batch_contains(&narrowed);
-                for (i, &k) in keys.iter().enumerate() {
-                    if k > u32::MAX as u64 {
-                        out[i] = false;
-                    }
-                }
-                out
+                let narrowed: Vec<u32> = keys.iter().map(|&k| k.min(max) as u32).collect();
+                t.batch_contains(&narrowed)
             }
             TreeIndex::Pt(t) => {
-                let limit = t.config().key_limit().unwrap_or(u64::MAX);
-                let narrowed: Vec<u64> = keys
-                    .iter()
-                    .map(|&k| k.min(limit.saturating_sub(1)))
-                    .collect();
-                let mut out = t.batch_contains(&narrowed);
-                for (i, &k) in keys.iter().enumerate() {
-                    if k >= limit {
-                        out[i] = false;
-                    }
-                }
-                out
+                let narrowed: Vec<u64> = keys.iter().map(|&k| k.min(max)).collect();
+                t.batch_contains(&narrowed)
             }
+        };
+        for (present, &k) in out.iter_mut().zip(keys) {
+            *present &= k <= max;
         }
+        out
     }
 
     /// Batched multimap lookup: `f(job_index, value)` for every value of
     /// every present key.
     pub fn batch_get_each(&self, keys: &[u64], mut f: impl FnMut(usize, u32)) {
+        let max = self.key_max();
         match self {
             TreeIndex::Kiss(t) => {
-                let narrowed: Vec<u32> = keys
-                    .iter()
-                    .map(|&k| k.min(u32::MAX as u64) as u32)
-                    .collect();
+                let narrowed: Vec<u32> = keys.iter().map(|&k| k.min(max) as u32).collect();
                 t.batch_get(&narrowed, |i, vs| {
-                    if keys[i] <= u32::MAX as u64 {
+                    if keys[i] <= max {
                         vs.for_each(|v| f(i, *v));
                     }
                 });
             }
             TreeIndex::Pt(t) => {
-                let limit = t.config().key_limit().unwrap_or(u64::MAX);
-                let narrowed: Vec<u64> = keys
-                    .iter()
-                    .map(|&k| k.min(limit.saturating_sub(1)))
-                    .collect();
+                let narrowed: Vec<u64> = keys.iter().map(|&k| k.min(max)).collect();
                 t.batch_get(&narrowed, |i, vs| {
-                    if keys[i] < limit {
+                    if keys[i] <= max {
                         vs.for_each(|v| f(i, *v));
                     }
                 });
@@ -189,93 +192,49 @@ impl TreeIndex {
         }
     }
 
-    /// Ordered range scan (`lo..=hi` on encoded keys): `f(key, value)`.
+    /// Ordered scan of the keys in `[lo, hi]` (encoded keys):
+    /// `f(key, value)` for every pair — the index's one cursor shape (a
+    /// full scan is the range over the whole domain, a morsel passes its
+    /// prefix range).
     pub fn range_each(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u32)) {
+        let Some((lo, hi)) = self.clamp(lo, hi) else {
+            return;
+        };
         match self {
-            TreeIndex::Kiss(t) => {
-                if lo > u32::MAX as u64 {
-                    return;
-                }
-                t.range(lo as u32, hi.min(u32::MAX as u64) as u32)
-                    .for_each(|(k, vs)| vs.for_each(|v| f(k as u64, *v)));
-            }
-            TreeIndex::Pt(t) => {
-                let limit = t.config().key_limit().unwrap_or(u64::MAX);
-                if lo >= limit {
-                    return;
-                }
-                let hi = if limit == u64::MAX {
-                    hi
-                } else {
-                    hi.min(limit - 1)
-                };
-                t.range(lo, hi)
-                    .for_each(|(k, vs)| vs.for_each(|v| f(k, *v)));
-            }
+            TreeIndex::Kiss(t) => t
+                .range(lo as u32, hi as u32)
+                .for_each(|(k, vs)| vs.for_each(|v| f(k as u64, *v))),
+            TreeIndex::Pt(t) => t
+                .range(lo, hi)
+                .for_each(|(k, vs)| vs.for_each(|v| f(k, *v))),
         }
     }
 
     /// Ordered full scan: `f(key, value)` for every pair.
-    pub fn for_each(&self, mut f: impl FnMut(u64, u32)) {
-        match self {
-            TreeIndex::Kiss(t) => t
-                .iter()
-                .for_each(|(k, vs)| vs.for_each(|v| f(k as u64, *v))),
-            TreeIndex::Pt(t) => t.iter().for_each(|(k, vs)| vs.for_each(|v| f(k, *v))),
-        }
+    pub fn for_each(&self, f: impl FnMut(u64, u32)) {
+        self.range_each(0, u64::MAX, f);
     }
 
-    /// Ordered per-key scan: `f(key, values)`.
-    pub fn for_each_key(&self, mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>)) {
-        match self {
-            TreeIndex::Kiss(t) => t.iter().for_each(|(k, vs)| {
-                let mut it = vs.copied();
-                f(k as u64, &mut it);
-            }),
-            TreeIndex::Pt(t) => t.iter().for_each(|(k, vs)| {
-                let mut it = vs.copied();
-                f(k, &mut it);
-            }),
-        }
-    }
-
-    /// Ordered per-key scan restricted to keys in `[lo, hi]` — the
-    /// partitioned-cursor form of [`for_each_key`](Self::for_each_key).
+    /// Ordered per-key scan of the keys in `[lo, hi]`: `f(key, values)` —
+    /// [`range_each`](Self::range_each) with each key's values grouped.
     pub fn for_each_key_range(
         &self,
         lo: u64,
         hi: u64,
         mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>),
     ) {
-        if lo > hi {
+        let Some((lo, hi)) = self.clamp(lo, hi) else {
             return;
-        }
+        };
         match self {
-            TreeIndex::Kiss(t) => {
-                if lo > u32::MAX as u64 {
-                    return;
-                }
-                t.range(lo as u32, hi.min(u32::MAX as u64) as u32)
-                    .for_each(|(k, vs)| {
-                        let mut it = vs.copied();
-                        f(k as u64, &mut it);
-                    });
-            }
-            TreeIndex::Pt(t) => {
-                let limit = t.config().key_limit().unwrap_or(u64::MAX);
-                if lo >= limit {
-                    return;
-                }
-                let hi = if limit == u64::MAX {
-                    hi
-                } else {
-                    hi.min(limit - 1)
-                };
-                t.range(lo, hi).for_each(|(k, vs)| {
-                    let mut it = vs.copied();
-                    f(k, &mut it);
-                });
-            }
+            TreeIndex::Kiss(t) => t.range(lo as u32, hi as u32).for_each(|(k, vs)| {
+                let mut it = vs.copied();
+                f(k as u64, &mut it);
+            }),
+            TreeIndex::Pt(t) => t.range(lo, hi).for_each(|(k, vs)| {
+                let mut it = vs.copied();
+                f(k, &mut it);
+            }),
         }
     }
 
@@ -348,31 +307,46 @@ fn key_as_u32(key: u64) -> u32 {
     key as u32
 }
 
-#[inline]
-fn in_domain(t: &PrefixTree<u32>, key: u64) -> bool {
-    t.config().key_limit().is_none_or(|l| key < l)
-}
-
-/// Synchronous index scan over two [`TreeIndex`]es (§4.2).
-///
-/// Matching structures use the structural skip-scan kernels; mismatched
-/// structures (which the planner avoids, but the API permits) fall back to
-/// an ordered iterate-and-probe that yields the same key sequence.
+/// Synchronous index scan over two [`TreeIndex`]es (§4.2):
+/// [`sync_scan_indexes_range`] over the whole key domain.
 pub fn sync_scan_indexes(
     left: &TreeIndex,
     right: &TreeIndex,
+    f: impl FnMut(u64, &mut dyn Iterator<Item = u32>, &mut dyn Iterator<Item = u32>),
+) {
+    sync_scan_indexes_range(left, right, 0, u64::MAX, f)
+}
+
+/// The synchronous index scan over two [`TreeIndex`]es (§4.2), restricted
+/// to keys in `[lo, hi]` — the one cursor of the executor: each morsel
+/// co-walks only the subtrees whose key interval intersects its range, and
+/// a sequential scan is the one morsel covering the whole domain.
+///
+/// Matching structures use the structural skip-scan kernels
+/// ([`qppt_trie::sync_scan_range`], [`qppt_kiss::kiss_sync_scan_range`]);
+/// mismatched structures (which the planner avoids, but the API permits)
+/// fall back to an ordered range-iterate-and-probe that yields the same key
+/// sequence.
+pub fn sync_scan_indexes_range(
+    left: &TreeIndex,
+    right: &TreeIndex,
+    lo: u64,
+    hi: u64,
     mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>, &mut dyn Iterator<Item = u32>),
 ) {
+    let Some((lo, hi)) = left.clamp(lo, hi) else {
+        return;
+    };
     match (left, right) {
         (TreeIndex::Kiss(l), TreeIndex::Kiss(r)) => {
-            kiss_sync_scan(l, r, |k, lv, rv| {
+            kiss_sync_scan_range(l, r, lo as u32, hi as u32, |k, lv, rv| {
                 let mut li = lv.copied();
                 let mut ri = rv.copied();
                 f(k as u64, &mut li, &mut ri);
             });
         }
         (TreeIndex::Pt(l), TreeIndex::Pt(r)) if l.config() == r.config() => {
-            sync_scan(l, r, |k, lv, rv| {
+            sync_scan_range(l, r, lo, hi, |k, lv, rv| {
                 let mut li = lv.copied();
                 let mut ri = rv.copied();
                 f(k, &mut li, &mut ri);
@@ -381,72 +355,6 @@ pub fn sync_scan_indexes(
         _ => {
             // Mixed geometry: ordered iterate the left side, point-probe the
             // right side. Key order (and thus output) is identical.
-            let mut rbuf: Vec<u32> = Vec::new();
-            left.for_each_key(|k, lvals| {
-                rbuf.clear();
-                right.get_each(k, |v| rbuf.push(v));
-                if !rbuf.is_empty() {
-                    let mut ri = rbuf.iter().copied();
-                    f(k, lvals, &mut ri);
-                }
-            });
-        }
-    }
-}
-
-/// Range-restricted synchronous index scan over two [`TreeIndex`]es — the
-/// partitioned-cursor form of [`sync_scan_indexes`] used by the
-/// morsel-driven parallel executor: each morsel co-walks only the subtrees
-/// whose key interval intersects `[lo, hi]`.
-///
-/// Matching structures use the structure-specific range kernels
-/// ([`qppt_trie::sync_scan_range`], [`qppt_kiss::kiss_sync_scan_range`]);
-/// mismatched structures fall back to a range-iterate-and-probe with the
-/// same key sequence.
-pub fn sync_scan_indexes_range(
-    left: &TreeIndex,
-    right: &TreeIndex,
-    lo: u64,
-    hi: u64,
-    mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>, &mut dyn Iterator<Item = u32>),
-) {
-    if lo > hi {
-        return;
-    }
-    match (left, right) {
-        (TreeIndex::Kiss(l), TreeIndex::Kiss(r)) => {
-            if lo > u32::MAX as u64 {
-                return;
-            }
-            kiss_sync_scan_range(
-                l,
-                r,
-                lo as u32,
-                hi.min(u32::MAX as u64) as u32,
-                |k, lv, rv| {
-                    let mut li = lv.copied();
-                    let mut ri = rv.copied();
-                    f(k as u64, &mut li, &mut ri);
-                },
-            );
-        }
-        (TreeIndex::Pt(l), TreeIndex::Pt(r)) if l.config() == r.config() => {
-            let limit = l.config().key_limit().unwrap_or(u64::MAX);
-            if lo >= limit {
-                return;
-            }
-            let hi = if limit == u64::MAX {
-                hi
-            } else {
-                hi.min(limit - 1)
-            };
-            sync_scan_range(l, r, lo, hi, |k, lv, rv| {
-                let mut li = lv.copied();
-                let mut ri = rv.copied();
-                f(k, &mut li, &mut ri);
-            });
-        }
-        _ => {
             let mut rbuf: Vec<u32> = Vec::new();
             left.for_each_key_range(lo, hi, |k, lvals| {
                 rbuf.clear();
@@ -606,7 +514,7 @@ impl BaseIndex {
     /// (see `qppt-par`'s `prepare_indexes_pooled`) and only the final
     /// clustered insertion runs here. `order` must be every row version's
     /// rid exactly once, stably sorted by the key column (ties in rid
-    /// order), or the index will not be clustered the way [`build`] makes
+    /// order), or the index will not be clustered the way [`build`](Self::build) makes
     /// it.
     pub fn build_with_order(
         table_idx: usize,
@@ -989,62 +897,6 @@ mod tests {
                 hits.push(k);
             });
             assert_eq!(hits, vec![4, 8], "{} × {}", l.kind_name(), r.kind_name());
-        }
-    }
-
-    #[test]
-    fn sync_scan_range_matches_filtered_full_scan_all_variants() {
-        let build = |mut idx: TreeIndex, keys: &[u64]| {
-            for &k in keys {
-                idx.insert(k, k as u32);
-            }
-            idx
-        };
-        let lk: Vec<u64> = (0..400).map(|i| i * 3).collect();
-        let rk: Vec<u64> = (0..400).map(|i| i * 5).collect();
-        let cases = [
-            (
-                build(TreeIndex::new_kiss(), &lk),
-                build(TreeIndex::new_kiss(), &rk),
-            ),
-            (
-                build(TreeIndex::new_pt(KeyWidth::W32), &lk),
-                build(TreeIndex::new_pt(KeyWidth::W32), &rk),
-            ),
-            (
-                build(TreeIndex::new_pt(KeyWidth::W64), &lk),
-                build(TreeIndex::new_pt(KeyWidth::W64), &rk),
-            ),
-            (
-                build(TreeIndex::new_kiss(), &lk),
-                build(TreeIndex::new_pt(KeyWidth::W64), &rk),
-            ),
-        ];
-        for (l, r) in &cases {
-            let mut full = Vec::new();
-            sync_scan_indexes(l, r, |k, _, _| full.push(k));
-            for (lo, hi) in [
-                (0u64, u64::MAX),
-                (0, 599),
-                (600, 1199),
-                (45, 45),
-                (2000, 1000),
-            ] {
-                let expect: Vec<u64> = full
-                    .iter()
-                    .copied()
-                    .filter(|&k| k >= lo && k <= hi)
-                    .collect();
-                let mut got = Vec::new();
-                sync_scan_indexes_range(l, r, lo, hi, |k, _, _| got.push(k));
-                assert_eq!(
-                    got,
-                    expect,
-                    "{} × {} [{lo},{hi}]",
-                    l.kind_name(),
-                    r.kind_name()
-                );
-            }
         }
     }
 

@@ -3,8 +3,9 @@
 //! Because fragments are taken most-significant-first and buckets are
 //! visited in index order, a depth-first walk yields keys in ascending
 //! order — "the resulting index is physically a prefix tree, it is already
-//! sorted" (§3). Range scans prune subtrees whose key interval does not
-//! intersect the requested range.
+//! sorted" (§3). There is one cursor, [`RangeIter`]: it prunes subtrees whose
+//! key interval does not intersect the requested range, and a full iteration
+//! is the range `[0, u64::MAX]`, which prunes nothing.
 
 use crate::tree::{decode, PrefixTree, Slot, Values};
 
@@ -16,47 +17,8 @@ struct Frame {
     level: u32,
 }
 
-/// Ordered iterator over `(key, values)` pairs.
-pub struct Iter<'a, V> {
-    tree: &'a PrefixTree<V>,
-    stack: Vec<Frame>,
-}
-
-impl<'a, V: Copy + Default> Iterator for Iter<'a, V> {
-    type Item = (u64, Values<'a, V>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let fanout = self.tree.cfg.fanout();
-        loop {
-            let frame = self.stack.last_mut()?;
-            if frame.bucket == fanout {
-                self.stack.pop();
-                continue;
-            }
-            let si = self.tree.slot_index(frame.node, frame.bucket);
-            let bucket = frame.bucket;
-            frame.bucket += 1;
-            match decode(self.tree.slots[si]) {
-                Slot::Empty => continue,
-                Slot::Content(c) => {
-                    return Some((self.tree.key_of(c), self.tree.values_of(c)));
-                }
-                Slot::Node(n) => {
-                    let prefix = (frame.prefix << self.tree.cfg.kprime()) | bucket as u64;
-                    let level = frame.level + 1;
-                    self.stack.push(Frame {
-                        node: n,
-                        bucket: 0,
-                        prefix,
-                        level,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Ordered iterator over `(key, values)` pairs with keys in `[lo, hi]`.
+/// Ordered iterator over `(key, values)` pairs with keys in `[lo, hi]` — the
+/// tree's one cursor; a full iteration is the range over the whole domain.
 pub struct RangeIter<'a, V> {
     tree: &'a PrefixTree<V>,
     stack: Vec<Frame>,
@@ -114,16 +76,8 @@ impl<'a, V: Copy + Default> Iterator for RangeIter<'a, V> {
 
 impl<V: Copy + Default> PrefixTree<V> {
     /// Iterates all `(key, values)` pairs in ascending key order.
-    pub fn iter(&self) -> Iter<'_, V> {
-        Iter {
-            tree: self,
-            stack: vec![Frame {
-                node: 0,
-                bucket: 0,
-                prefix: 0,
-                level: 0,
-            }],
-        }
+    pub fn iter(&self) -> RangeIter<'_, V> {
+        self.range(0, u64::MAX)
     }
 
     /// Iterates `(key, values)` pairs with `lo <= key <= hi`, in ascending

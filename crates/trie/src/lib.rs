@@ -15,11 +15,14 @@
 //!   ([`qppt_mem::DupArena`]);
 //! * aggregating inserts ([`PrefixTree::insert_merge`]) — the mechanism that
 //!   makes grouping "a side effect" of output indexing (§3);
-//! * ordered iteration and range scans (the tree *is* the sort order);
+//! * ordered iteration (the tree *is* the sort order) through one cursor,
+//!   [`RangeIter`] — a full iteration is the range over the whole domain;
 //! * batch lookups and inserts with software prefetching (§2.3, Alg. 1);
-//! * the **synchronous index scan** (§4.2): a structural co-scan of two trees
-//!   that skips every subtree not populated on both sides — the join/set-op
-//!   kernel of QPPT;
+//! * the **synchronous index scan** (§4.2), [`sync_scan_range`]: a structural
+//!   co-scan of two trees that skips every subtree not populated on both
+//!   sides or outside the requested key range — the join/set-op kernel of
+//!   QPPT. It exists once: a parallel morsel passes its prefix range, a
+//!   sequential scan ([`sync_scan`]) passes `[0, u64::MAX]`;
 //! * set operators (intersect / distinct union) built on the synchronous
 //!   scan, used for multi-predicate selections (§4.1).
 
@@ -29,7 +32,7 @@ mod scan;
 mod stats;
 mod tree;
 
-pub use iter::{Iter, RangeIter};
+pub use iter::RangeIter;
 pub use scan::{intersect, sync_scan, sync_scan_range, sync_union_scan, union_distinct};
 pub use stats::TrieStats;
 pub use tree::{PrefixTree, Values};

@@ -10,84 +10,34 @@
 use crate::tree::{decode, PrefixTree, Slot, Values};
 
 /// Runs a synchronous index scan over two trees, invoking `f` for every key
-/// present in **both**, in ascending key order.
+/// present in **both**, in ascending key order: [`sync_scan_range`] over the
+/// whole key domain.
+pub fn sync_scan<'l, 'r, VL, VR>(
+    left: &'l PrefixTree<VL>,
+    right: &'r PrefixTree<VR>,
+    f: impl FnMut(u64, Values<'l, VL>, Values<'r, VR>),
+) where
+    VL: Copy + Default,
+    VR: Copy + Default,
+{
+    sync_scan_range(left, right, 0, u64::MAX, f)
+}
+
+/// The synchronous index scan kernel: invokes `f` for every key in
+/// `[lo, hi]` present in **both** trees, in ascending key order.
 ///
 /// Both trees must share the same [`TrieConfig`](crate::TrieConfig)
 /// geometry; this is enforced with a panic because the planner guarantees it
 /// (cooperative operators always build the output index in the geometry the
 /// consumer asks for).
-pub fn sync_scan<'l, 'r, VL, VR>(
-    left: &'l PrefixTree<VL>,
-    right: &'r PrefixTree<VR>,
-    mut f: impl FnMut(u64, Values<'l, VL>, Values<'r, VR>),
-) where
-    VL: Copy + Default,
-    VR: Copy + Default,
-{
-    assert_eq!(
-        left.config(),
-        right.config(),
-        "synchronous scan requires identical tree geometry"
-    );
-    if left.is_empty() || right.is_empty() {
-        return;
-    }
-    sync_rec(left, right, 0, 0, 0, &mut f);
-}
-
-fn sync_rec<'l, 'r, VL, VR>(
-    left: &'l PrefixTree<VL>,
-    right: &'r PrefixTree<VR>,
-    lnode: u32,
-    rnode: u32,
-    level: u32,
-    f: &mut impl FnMut(u64, Values<'l, VL>, Values<'r, VR>),
-) where
-    VL: Copy + Default,
-    VR: Copy + Default,
-{
-    let fanout = left.config().fanout();
-    for b in 0..fanout {
-        let ls = decode(left.slots[left.slot_index(lnode, b)]);
-        let rs = decode(right.slots[right.slot_index(rnode, b)]);
-        match (ls, rs) {
-            (Slot::Empty, _) | (_, Slot::Empty) => {}
-            (Slot::Node(ln), Slot::Node(rn)) => {
-                sync_rec(left, right, ln, rn, level + 1, f);
-            }
-            (Slot::Node(ln), Slot::Content(rc)) => {
-                // The scan suspends on the right content and resumes as a
-                // point descent into the left subtree.
-                let key = right.key_of(rc);
-                if let Some(lc) = left.find_content_from(ln, level + 1, key) {
-                    f(key, left.values_of(lc), right.values_of(rc));
-                }
-            }
-            (Slot::Content(lc), Slot::Node(rn)) => {
-                let key = left.key_of(lc);
-                if let Some(rc) = right.find_content_from(rn, level + 1, key) {
-                    f(key, left.values_of(lc), right.values_of(rc));
-                }
-            }
-            (Slot::Content(lc), Slot::Content(rc)) => {
-                let key = left.key_of(lc);
-                if key == right.key_of(rc) {
-                    f(key, left.values_of(lc), right.values_of(rc));
-                }
-            }
-        }
-    }
-}
-
-/// Range-restricted synchronous index scan: like [`sync_scan`], but visits
-/// only keys in `[lo, hi]`.
 ///
-/// This is the **partitioned cursor** of the parallel executor: a morsel is
-/// a top-level prefix range of the key domain, and each worker co-walks only
-/// the subtrees whose key interval intersects its morsel. Subtrees entirely
-/// outside `[lo, hi]` are pruned exactly like [`RangeIter`](crate::RangeIter)
-/// prunes them, so the per-partition work is proportional to the partition's
-/// population, not the whole tree.
+/// The range is the **cursor** of the executor: a morsel is a top-level
+/// prefix range of the key domain, and each worker co-walks only the
+/// subtrees whose key interval intersects its morsel; sequential execution
+/// is the one morsel covering the whole domain. Subtrees entirely outside
+/// `[lo, hi]` are pruned exactly like [`RangeIter`](crate::RangeIter)
+/// prunes them, so the work is proportional to the range's population, not
+/// the whole tree.
 pub fn sync_scan_range<'l, 'r, VL, VR>(
     left: &'l PrefixTree<VL>,
     right: &'r PrefixTree<VR>,
@@ -155,6 +105,8 @@ fn sync_rec_range<'l, 'r, VL, VR>(
                 );
             }
             (Slot::Node(ln), Slot::Content(rc)) => {
+                // The scan suspends on the right content and resumes as a
+                // point descent into the left subtree.
                 let key = right.key_of(rc);
                 if key >= lo && key <= hi {
                     if let Some(lc) = left.find_content_from(ln, level + 1, key) {
@@ -288,34 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_scan_range_matches_filtered_full_scan() {
-        let mut rng = Xoshiro256StarStar::new(11);
-        let a: Vec<u64> = (0..4000).map(|_| rng.below(1 << 20)).collect();
-        let b: Vec<u64> = (0..4000).map(|_| rng.below(1 << 20)).collect();
-        let ta = tree_of(&a);
-        let tb = tree_of(&b);
-        let mut full = Vec::new();
-        sync_scan(&ta, &tb, |k, _, _| full.push(k));
-        for (lo, hi) in [
-            (0u64, u32::MAX as u64),
-            (0, (1 << 19) - 1),
-            (1 << 19, (1 << 20) - 1),
-            (12_345, 678_901),
-            (7, 7),
-            (1 << 21, 1 << 22), // beyond the populated domain
-        ] {
-            let expect: Vec<u64> = full
-                .iter()
-                .copied()
-                .filter(|&k| k >= lo && k <= hi)
-                .collect();
-            let mut got = Vec::new();
-            sync_scan_range(&ta, &tb, lo, hi, |k, _, _| got.push(k));
-            assert_eq!(got, expect, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn sync_scan_range_partitions_cover_exactly_once() {
         // Disjoint top-level prefix ranges must tile the full scan: this is
         // the invariant the morsel-driven executor relies on.
@@ -324,8 +248,9 @@ mod tests {
         let b: Vec<u64> = (0..3000).map(|_| rng.below(1 << 16)).collect();
         let ta = tree_of(&a);
         let tb = tree_of(&b);
-        let mut full = Vec::new();
-        sync_scan(&ta, &tb, |k, _, _| full.push(k));
+        let sa: BTreeSet<u64> = a.iter().copied().collect();
+        let sb: BTreeSet<u64> = b.iter().copied().collect();
+        let full: Vec<u64> = sa.intersection(&sb).copied().collect();
         let parts = 8u64;
         let span = (1u64 << 16) / parts;
         let mut tiled = Vec::new();
