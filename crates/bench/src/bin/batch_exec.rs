@@ -20,11 +20,13 @@
 //! ```
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qppt_bench::{arg_f64, arg_str, arg_usize, ms, print_table, BenchDb};
 use qppt_core::plan::MainInput;
 use qppt_core::{Plan, PlanOptions, PreparedQuery};
+use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::queries;
 
 /// The stage-1 operator class whose inner loop dominates the warm miss.
@@ -55,8 +57,12 @@ fn main() {
     let cores = qppt_server::detected_cores();
 
     eprintln!("generating SSB at sf={sf} …");
-    let db = BenchDb::prepare(sf, 42);
-    let snap = db.ssb.db.snapshot();
+    // `parallelism = 1` runs the fact pipeline as one morsel on the calling
+    // thread, so the pool never sees a job.
+    let db = Arc::new(BenchDb::prepare(sf, 42).ssb.db);
+    let pool = WorkerPool::new(1, 1);
+    let engine = PooledEngine::new(db.clone(), pool.clone());
+    let snap = db.snapshot();
     let base = PlanOptions::default();
 
     // The 13 queries under the default (fused) plan, plus all 13
@@ -76,17 +82,15 @@ fn main() {
     let mut cases: Vec<Case> = Vec::new();
     for (id, opts) in &specs {
         let spec = by_id.iter().find(|q| &q.id == id).expect("known query");
-        let scalar = PreparedQuery::build(&db.ssb.db, spec, opts, snap).expect("scalar prepares");
+        let scalar = PreparedQuery::build(&db, spec, opts, snap).expect("scalar prepares");
         let batched_opts = opts.with_batch_exec(true).with_batch_rows(batch_rows);
         let batched =
-            PreparedQuery::build(&db.ssb.db, spec, &batched_opts, snap).expect("batched prepares");
+            PreparedQuery::build(&db, spec, &batched_opts, snap).expect("batched prepares");
 
         // Correctness anchor: the two modes must agree byte-for-byte
         // before either is worth timing.
-        let (s_result, _) = scalar.execute_sequential(&db.ssb.db).expect("scalar runs");
-        let (b_result, _) = batched
-            .execute_sequential(&db.ssb.db)
-            .expect("batched runs");
+        let (s_result, _) = engine.run_prepared(&scalar, 0).expect("scalar runs");
+        let (b_result, _) = engine.run_prepared(&batched, 0).expect("batched runs");
         assert_eq!(b_result, s_result, "{id}: batched diverged from scalar");
 
         // Interleaved best-of: scalar and batched alternate within every
@@ -96,12 +100,10 @@ fn main() {
         let mut t_batched = Duration::MAX;
         for _ in 0..reps {
             let t0 = Instant::now();
-            scalar.execute_sequential(&db.ssb.db).expect("scalar runs");
+            engine.run_prepared(&scalar, 0).expect("scalar runs");
             t_scalar = t_scalar.min(t0.elapsed());
             let t0 = Instant::now();
-            batched
-                .execute_sequential(&db.ssb.db)
-                .expect("batched runs");
+            engine.run_prepared(&batched, 0).expect("batched runs");
             t_batched = t_batched.min(t0.elapsed());
         }
         let label = if opts.select_join {

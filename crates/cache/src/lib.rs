@@ -575,7 +575,7 @@ mod tests {
         // Both compositions execute byte-identically to fresh runs.
         let oracle = QpptEngine::new(&db);
         for (p, q) in [(&p31, queries::q3_1()), (&p32, queries::q3_2())] {
-            let (got, _) = p.execute_sequential(&db).unwrap();
+            let (got, _) = engine.run_prepared(p, 0).unwrap();
             assert_eq!(got, oracle.run(&q, &opts).unwrap(), "{}", q.id);
         }
         let s = cache.stats();
@@ -670,7 +670,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.shared, 0);
         assert!(a.built > 0);
-        let (got, _) = p.execute_sequential(&db).unwrap();
+        let (got, _) = engine.run_prepared(&p, 0).unwrap();
         assert_eq!(got, QpptEngine::new(&db).run(&q, &opts).unwrap());
         let s = cache.stats();
         assert_eq!((s.dims.insertions, s.dims.hits, s.dims.misses), (0, 0, 0));

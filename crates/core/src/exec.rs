@@ -216,13 +216,8 @@ pub fn materialize_fused_selection(
 /// [`AggTable::merge_from`].
 pub fn new_agg_table(plan: &Plan) -> AggTable {
     let naggs = plan.aggs.len().max(1);
-    let agg_max_key = if plan.group_key.total_bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << plan.group_key.total_bits).saturating_sub(1)
-    };
     AggTable::new(
-        TreeIndex::for_domain(agg_max_key, plan.opts.prefer_kiss),
+        TreeIndex::for_domain(plan.group_key.packer.max_key(), plan.opts.prefer_kiss),
         naggs,
     )
 }
@@ -518,7 +513,7 @@ pub(crate) fn decode_groups(
     let batch = plan.opts.batch_mode();
     if !batch.enabled {
         agg.for_each_ordered(|key, accs| {
-            let codes = plan.group_key.unpack(key);
+            let codes = plan.group_key.packer.unpack(key);
             let values: Vec<Value> = codes
                 .iter()
                 .zip(sources.iter())
@@ -529,16 +524,7 @@ pub(crate) fn decode_groups(
         return;
     }
 
-    // Per-lane bit field of the packed key, precomputed once: `unpack`
-    // reads lane `j` as `(key >> shift[j]) & mask[j]`.
-    let mut lane_fields = Vec::with_capacity(plan.group_key.widths.len());
-    let mut used = 0u8;
-    for &w in &plan.group_key.widths {
-        used += w;
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        lane_fields.push((plan.group_key.total_bits - used, mask));
-    }
-
+    let packer = &plan.group_key.packer;
     let run = batch.rows;
     let mut keys: Vec<u64> = Vec::with_capacity(run);
     let mut accs_rows: Vec<Vec<i64>> = Vec::with_capacity(run);
@@ -546,10 +532,10 @@ pub(crate) fn decode_groups(
         keys.push(key);
         accs_rows.push(accs.to_vec());
         if keys.len() == run {
-            flush_group_run(&sources, &lane_fields, &mut keys, &mut accs_rows, &mut emit);
+            flush_group_run(&sources, packer, &mut keys, &mut accs_rows, &mut emit);
         }
     });
-    flush_group_run(&sources, &lane_fields, &mut keys, &mut accs_rows, &mut emit);
+    flush_group_run(&sources, packer, &mut keys, &mut accs_rows, &mut emit);
 }
 
 /// Decodes one staged run lane-wise and drains it through `emit`. Lanes
@@ -557,7 +543,7 @@ pub(crate) fn decode_groups(
 /// matches the scalar path exactly.
 fn flush_group_run(
     sources: &[(&qppt_storage::Table, usize)],
-    lane_fields: &[(u8, u64)],
+    packer: &qppt_mem::KeyPacker,
     keys: &mut Vec<u64>,
     accs_rows: &mut Vec<Vec<i64>>,
     emit: &mut impl FnMut(u64, Vec<Value>, Vec<i64>),
@@ -569,9 +555,8 @@ fn flush_group_run(
     let mut values: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(sources.len())).collect();
     let mut codes = vec![0u64; n];
     for (lane, &(t, c)) in sources.iter().enumerate() {
-        let (shift, mask) = lane_fields[lane];
         for (code, &key) in codes.iter_mut().zip(keys.iter()) {
-            *code = (key >> shift) & mask;
+            *code = packer.part(key, lane);
         }
         match t.schema().column(c).ty {
             qppt_storage::ColumnType::Int => {
@@ -692,7 +677,7 @@ pub(crate) fn decode_code(t: &qppt_storage::Table, col: usize, code: u64) -> Val
     }
 }
 
-/// Resolves a payload column on a base/composite index, failing with the
+/// Resolves a payload column on a base index, failing with the
 /// typed [`PlanError`](crate::validate::PlanError) the validate pass uses —
 /// reachable only when a caller skipped
 /// [`validate_indexes`](crate::validate::validate_indexes) against an
@@ -1400,12 +1385,16 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
     }
 }
 
-/// Streams a dimension selection: scans the base index on the first
-/// predicate's column, applies residual predicates from the carried
-/// payload, checks MVCC visibility, and yields `(join key, carried values)`
-/// per qualifying tuple. With `selection_via_set_ops`, multi-predicate
-/// selections instead run one rid-set selection per predicate and intersect
-/// them with the synchronous scan (§4.1).
+/// Streams a dimension selection: scans a base index, applies the
+/// predicates its key does not answer from the carried payload, checks MVCC
+/// visibility, and yields `(join key, carried values)` per qualifying tuple.
+/// The index is the one keyed on the first predicate's column — or, for a
+/// `multidim` selection, on all predicate columns, so the whole conjunction
+/// is one key range and no residual predicates remain (§4.1); a dimension
+/// without predicates scans the index on its join column whole. With
+/// `selection_via_set_ops`, multi-predicate selections instead run one
+/// rid-set selection per predicate and intersect them with the synchronous
+/// scan (§4.1).
 pub fn scan_dim_selection(
     db: &Database,
     snap: Snapshot,
@@ -1413,109 +1402,70 @@ pub fn scan_dim_selection(
     dim: &ResolvedDim,
     mut f: impl FnMut(u64, &[u64]),
 ) -> Result<(), QpptError> {
-    let mvt = db.table(&dim.table)?;
-    let check_vis = !mvt.fully_visible(snap);
-    if dim.preds.is_empty() {
-        // Pure scan of the base index on the join column.
-        let bi = db.find_index(&dim.table, &dim.join_col_name)?;
-        let carried_pos: Vec<usize> = dim
-            .carried_names
-            .iter()
-            .map(|c| payload_pos(bi.payload_pos_by_name(c), &dim.table, &dim.join_col_name, c))
-            .collect::<Result<_, _>>()?;
-        let mut carried = vec![0u64; carried_pos.len()];
-        bi.data.index.for_each(|key, pid| {
-            let row = bi.data.payload.row(pid);
-            if check_vis && !mvt.visible(row[0] as u32, snap) {
-                return;
-            }
-            for (i, &p) in carried_pos.iter().enumerate() {
-                carried[i] = row[p];
-            }
-            f(key, &carried);
-        });
-        return Ok(());
-    }
-
-    if let Some(md) = &dim.multidim {
-        // §4.1: the whole conjunction is one contiguous range over the
-        // multidimensional index — no residual predicates remain.
-        let keys: Vec<&str> = md.key_names.iter().map(String::as_str).collect();
-        let ci = db.find_composite_index(&dim.table, &keys)?;
-        let (lo, hi) = ci.pack_range(&md.bounds);
-        let ckey = md.key_names.join("+");
-        let join_pos = payload_pos(
-            ci.payload_pos_by_name(&dim.join_col_name),
-            &dim.table,
-            &ckey,
-            &dim.join_col_name,
-        )?;
-        let carried_pos: Vec<usize> = dim
-            .carried_names
-            .iter()
-            .map(|c| payload_pos(ci.payload_pos_by_name(c), &dim.table, &ckey, c))
-            .collect::<Result<_, _>>()?;
-        let mut carried = vec![0u64; carried_pos.len()];
-        ci.data.index.range_each(lo, hi, |_, pid| {
-            let row = ci.data.payload.row(pid);
-            if check_vis && !mvt.visible(row[0] as u32, snap) {
-                return;
-            }
-            for (i, &p) in carried_pos.iter().enumerate() {
-                carried[i] = row[p];
-            }
-            f(row[join_pos], &carried);
-        });
-        return Ok(());
-    }
-
-    if opts.selection_via_set_ops && dim.preds.len() >= 2 {
+    if opts.selection_via_set_ops && dim.preds.len() >= 2 && !dim.multidim {
         return scan_dim_selection_set_ops(db, snap, dim, f);
     }
-
-    let bi = db.find_index(&dim.table, &dim.pred_cols[0])?;
-    let key = dim.pred_cols[0].as_str();
-    let join_pos = payload_pos(
-        bi.payload_pos_by_name(&dim.join_col_name),
-        &dim.table,
-        key,
-        &dim.join_col_name,
-    )?;
-    let residual_pos: Vec<usize> = dim.pred_cols[1..]
+    let mvt = db.table(&dim.table)?;
+    let check_vis = !mvt.fully_visible(snap);
+    // The index's key columns, and how many leading predicates they answer.
+    let (key_names, keyed) = match dim.pred_cols.len() {
+        0 => (std::slice::from_ref(&dim.join_col_name), 0),
+        n if dim.multidim => (&dim.pred_cols[..], n),
+        _ => (&dim.pred_cols[..1], 1),
+    };
+    let bi = db.find_index_on(&dim.table, key_names)?;
+    let key_name = key_names.join("+");
+    let pos = |c: &String| payload_pos(bi.payload_pos_by_name(c), &dim.table, &key_name, c);
+    // Without predicates the index key *is* the join key.
+    let join_pos = match keyed {
+        0 => None,
+        _ => Some(pos(&dim.join_col_name)?),
+    };
+    let residual_pos: Vec<usize> = dim.pred_cols[keyed..]
         .iter()
-        .map(|c| payload_pos(bi.payload_pos_by_name(c), &dim.table, key, c))
+        .map(pos)
         .collect::<Result<_, _>>()?;
     let carried_pos: Vec<usize> = dim
         .carried_names
         .iter()
-        .map(|c| payload_pos(bi.payload_pos_by_name(c), &dim.table, key, c))
+        .map(pos)
         .collect::<Result<_, _>>()?;
+    let (key_preds, residuals) = dim.preds.split_at(keyed);
     let mut carried = vec![0u64; carried_pos.len()];
-    let mut visit = |pid: u32| {
+    let mut visit = |key: u64, pid: u32| {
         let row = bi.data.payload.row(pid);
         if check_vis && !mvt.visible(row[0] as u32, snap) {
             return;
         }
-        for (k, p) in dim.preds[1..].iter().enumerate() {
-            if !pred_matches_value(p, row[residual_pos[k]]) {
+        for (p, &at) in residuals.iter().zip(&residual_pos) {
+            if !pred_matches_value(p, row[at]) {
                 return;
             }
         }
         for (i, &p) in carried_pos.iter().enumerate() {
             carried[i] = row[p];
         }
-        f(row[join_pos], &carried);
+        f(join_pos.map_or(key, |p| row[p]), &carried);
     };
-    match &dim.preds[0] {
-        CompiledPred::Range { lo, hi, .. } => {
-            bi.data.index.range_each(*lo, *hi, |_, pid| visit(pid));
-        }
-        CompiledPred::InSet { codes, .. } => {
-            for &code in codes {
-                bi.data.index.get_each(code, &mut visit);
+    // The index's own packer turns predicate constants into its keys: a
+    // constant no key part can hold matches nothing.
+    if let [CompiledPred::InSet { codes, .. }] = key_preds {
+        for &code in codes {
+            if let Ok(key) = bi.packer().pack([code]) {
+                bi.data.index.get_each(key, |pid| visit(key, pid));
             }
         }
-        CompiledPred::Never => {}
+        return Ok(());
+    }
+    let bounds: Option<Vec<(u64, u64)>> = key_preds
+        .iter()
+        .map(|p| match p {
+            CompiledPred::Range { lo, hi, .. } => Some((*lo, *hi)),
+            _ => None,
+        })
+        .collect();
+    if let Some((lo, hi)) = bounds.and_then(|b| bi.packer().pack_range(&b)) {
+        bi.data.index.range_each(lo, hi, visit);
     }
     Ok(())
 }

@@ -161,13 +161,14 @@ pub fn fingerprint_spec(spec: &QuerySpec) -> u64 {
     h.finish()
 }
 
-/// Fingerprints plan options — every knob *except* the vectorized batch
-/// pair. Parallelism knobs never change result *bytes* (the engines'
-/// equivalence contract), but they do change plans and statistics, so cache
-/// entries are kept distinct per option set. `batch_exec`/`batch_rows`
-/// change neither bytes nor the plan — only how the inner loops walk it —
-/// so they are deliberately **excluded**: a batched execution shares cached
-/// plans, σ materializations, and results with scalar ones byte-for-byte.
+/// Fingerprints plan options — every knob that shapes a plan. Parallelism
+/// knobs never change result *bytes* (the engines' equivalence contract),
+/// but they do change plans and statistics, so cache entries are kept
+/// distinct per option set. `batch_exec`/`batch_rows` change neither bytes
+/// nor the plan — only how the inner loops walk it — and `par_index_build`
+/// only how index builds sort (the indexes are bit-identical either way),
+/// so the three are deliberately **excluded**: such executions share cached
+/// plans, σ materializations, and results byte-for-byte.
 pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(opts.select_join as u64)
@@ -177,8 +178,7 @@ pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
         .write_u64(opts.selection_via_set_ops as u64)
         .write_u64(opts.multidim_selections as u64)
         .write_u64(opts.parallelism as u64)
-        .write_u64(opts.morsel_bits as u64)
-        .write_u64(opts.par_index_build as u64);
+        .write_u64(opts.morsel_bits as u64);
     h.finish()
 }
 
@@ -241,20 +241,7 @@ pub fn fingerprint_dim(dim: &ResolvedDim, opts: &PlanOptions) -> u64 {
     for c in &dim.carried_names {
         h.write_str(c);
     }
-    match &dim.multidim {
-        None => {
-            h.write_u64(0);
-        }
-        Some(md) => {
-            h.write_u64(1).write_u64(md.key_names.len() as u64);
-            for k in &md.key_names {
-                h.write_str(k);
-            }
-            for &(lo, hi) in &md.bounds {
-                h.write_u64(lo).write_u64(hi);
-            }
-        }
-    }
+    h.write_u64(dim.multidim as u64);
     h.write_u64(opts.prefer_kiss as u64)
         .write_u64(opts.selection_via_set_ops as u64)
         .write_u64(opts.multidim_selections as u64);
@@ -308,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn opts_fingerprint_covers_every_knob() {
+    fn opts_fingerprint_covers_every_plan_shaping_knob() {
         let base = PlanOptions::default();
         let variants = [
             base.with_select_join(false),
@@ -319,33 +306,34 @@ mod tests {
             base.with_multidim(true),
             base.with_parallelism(4),
             base.with_morsel_bits(9),
-            base.with_par_index_build(true),
         ];
         let fp0 = fingerprint_opts(&base);
+        // The combined query key separates spec and opts changes.
+        let q0 = fingerprint_query(&spec(), &base);
         for v in &variants {
             assert_ne!(fp0, fingerprint_opts(v), "knob not hashed: {v:?}");
+            assert_ne!(q0, fingerprint_query(&spec(), v), "knob not hashed: {v:?}");
         }
-        // And the combined query key separates spec and opts changes.
-        let q0 = fingerprint_query(&spec(), &base);
-        assert_ne!(q0, fingerprint_query(&spec(), &variants[0]));
     }
 
     #[test]
-    fn batch_knobs_never_touch_the_fingerprints() {
+    fn knobs_that_shape_no_plan_never_touch_the_fingerprints() {
         // Byte-identity is the batch contract: a batched execution must
         // share cached plans, σ, and results with a scalar one, so neither
-        // batch knob may perturb any fingerprint.
+        // batch knob may perturb any fingerprint. Nor may the index-build
+        // sort strategy, which no plan or result depends on.
         let base = PlanOptions::default();
         let batched = [
             base.with_batch_exec(true),
             base.with_batch_rows(64),
             base.with_batch_exec(true).with_batch_rows(1),
+            base.with_par_index_build(true),
         ];
         for v in &batched {
             assert_eq!(
                 fingerprint_opts(&base),
                 fingerprint_opts(v),
-                "batch knob leaked into fingerprint_opts: {v:?}"
+                "knob leaked into fingerprint_opts: {v:?}"
             );
             assert_eq!(
                 fingerprint_query(&spec(), &base),

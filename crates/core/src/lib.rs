@@ -58,7 +58,7 @@ pub use fingerprint::{
 };
 pub use options::{BatchMode, PlanOptions};
 pub use partial::{PartialAggregate, PartialRow};
-pub use plan::{build_plan, planned_indexes, prepare_indexes, Plan, PlannedIndexes};
+pub use plan::{build_plan, planned_indexes, prepare_indexes, prepare_indexes_with, Plan};
 pub use prepared::PreparedQuery;
 pub use stats::{ExecStats, OpStats};
 pub use validate::{validate, validate_indexes, validate_spec, PlanError};

@@ -31,7 +31,7 @@ pub struct PlanOptions {
     /// selections combined with set operators (§4.1's intersect path)
     /// instead of index-scan + residual filtering.
     pub selection_via_set_ops: bool,
-    /// Use multidimensional (composite-key) base indexes for eligible
+    /// Use multidimensional (multi-column) base indexes for eligible
     /// conjunctive selections (§4.1: "the selection operator prefers to
     /// operate on a multidimensional index as input"). Eligible = equality
     /// predicates on all leading columns, at most a range on the last.
@@ -49,12 +49,13 @@ pub struct PlanOptions {
     /// scheduling overhead. Must be in `1..=16`; the default of 6 yields up
     /// to 64 morsels.
     pub morsel_bits: u8,
-    /// Build base/composite indexes with partitioned parallel sorts on a
+    /// Build base indexes with partitioned parallel sorts on a
     /// shared worker pool (`qppt_par::prepare_indexes_pooled`): row ids are
     /// bucketed on the top [`morsel_bits`](Self::morsel_bits) of the key
     /// domain — the same prefix partitioning scans use — and each bucket
     /// sorts as one pool task. Off by default (sequential builds); the
-    /// resulting indexes are bit-identical either way, and
+    /// resulting indexes are bit-identical either way (so the knob is
+    /// **excluded** from the cache fingerprints), and
     /// [`prepare_indexes`](crate::plan::prepare_indexes) ignores the switch
     /// entirely (it has no pool).
     pub par_index_build: bool,

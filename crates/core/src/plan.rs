@@ -15,8 +15,10 @@
 //!   at most `max_join_ways` tables each (Fig. 9's 2/3/4/5-way sweep); the
 //!   last stage aggregates directly into its output index (join-group).
 
+use qppt_mem::{key_bits, KeyPackError, KeyPacker};
 use qppt_storage::{
-    compile_predicate, ColumnType, CompiledPred, Database, IndexDef, QuerySpec, StorageError,
+    compile_predicate, stable_key_order, ColumnType, CompiledPred, Database, IndexDef, QuerySpec,
+    StorageError,
 };
 
 use crate::layout::{Layout, Src};
@@ -32,16 +34,6 @@ pub enum DimHandleKind {
     Materialized,
     /// Fused into the first join stage (select-join): the selection streams.
     Fused,
-}
-
-/// An eligible multidimensional selection (§4.1): the dimension's whole
-/// conjunction collapses into one contiguous range over a composite index.
-#[derive(Debug, Clone)]
-pub struct MultidimScan {
-    /// Composite key columns, in predicate order.
-    pub key_names: Vec<String>,
-    /// Per-part inclusive `[lo, hi]` bounds (all but the last are points).
-    pub bounds: Vec<(u64, u64)>,
 }
 
 /// A dimension resolved against the catalog.
@@ -61,8 +53,10 @@ pub struct ResolvedDim {
     pub handle: DimHandleKind,
     /// Largest join-key code (drives the §2.2 index-structure choice).
     pub join_key_max: u64,
-    /// Set when the selection runs over a multidimensional index (§4.1).
-    pub multidim: Option<MultidimScan>,
+    /// Set when the selection runs over the multidimensional index keyed on
+    /// all of `pred_cols` (§4.1): the whole conjunction is one contiguous
+    /// key range there, with no residual predicates.
+    pub multidim: bool,
 }
 
 /// Main input mode of a join stage.
@@ -136,38 +130,18 @@ pub struct GroupKey {
     /// Work-layout positions of the group columns (in `group_by` order)
     /// within the **final stage's** work layout.
     pub positions: Vec<usize>,
-    /// Bit width per part (most significant first).
-    pub widths: Vec<u8>,
-    /// Total packed width.
-    pub total_bits: u8,
+    /// The key format: one part per group column, most significant first.
+    pub packer: KeyPacker,
     /// For decoding: (dim spec idx, carried col name) per part.
     pub sources: Vec<(usize, String)>,
 }
 
 impl GroupKey {
-    /// Packs the group columns of a work row into a composite key.
+    /// Packs the group columns of a work row into the aggregation key.
     #[inline]
     pub fn pack(&self, row: &[u64]) -> u64 {
-        let mut key = 0u64;
-        let mut used = 0u8;
-        for (i, &pos) in self.positions.iter().enumerate() {
-            let w = self.widths[i];
-            used += w;
-            key |= row[pos] << (self.total_bits - used);
-        }
-        key
-    }
-
-    /// Unpacks a composite key back into group-column codes.
-    pub fn unpack(&self, key: u64) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.widths.len());
-        let mut used = 0u8;
-        for &w in &self.widths {
-            used += w;
-            let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-            out.push((key >> (self.total_bits - used)) & mask);
-        }
-        out
+        self.packer
+            .pack_fitting(self.positions.iter().map(|&pos| row[pos]))
     }
 }
 
@@ -244,7 +218,7 @@ impl Plan {
                 DimHandleKind::Materialized => format!(
                     "σ({}){} → intermediate index on {}.{} carrying {:?}",
                     d.pred_cols.join(","),
-                    if d.multidim.is_some() {
+                    if d.multidim {
                         " via multidim index"
                     } else {
                         ""
@@ -303,37 +277,19 @@ impl Plan {
     }
 }
 
-/// A multidimensional index a plan needs (see
-/// [`Database::create_composite_index`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompositeDef {
-    pub table: String,
-    /// Key columns, most significant first.
-    pub keys: Vec<String>,
-    pub carried: Vec<String>,
-}
-
-/// The full index set a query needs, as declarative definitions — computed
-/// once so sequential ([`prepare_indexes`]) and pool-parallel
-/// (`qppt_par::prepare_indexes_pooled`) builders create exactly the same
-/// indexes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlannedIndexes {
-    pub base: Vec<IndexDef>,
-    pub composite: Vec<CompositeDef>,
-}
-
-/// Computes every base/composite index definition the query needs under
-/// the given options (fact index on the first FK carrying the stream
-/// columns, one selection index per dimension, per-predicate rid-set
-/// indexes for `selection_via_set_ops`, composite indexes for eligible
-/// `multidim_selections` conjunctions).
+/// Every index definition the query needs under the given options, computed
+/// once so every builder ([`prepare_indexes`], `qppt_par`'s pooled one) and
+/// the serving-time validation agree on the set: the fact index on the first
+/// FK carrying the stream columns, one selection index per dimension,
+/// per-predicate rid-set indexes for `selection_via_set_ops`, and
+/// multidimensional indexes over the predicate columns of
+/// `multidim_selections` conjunctions of the right shape.
 pub fn planned_indexes(
     db: &Database,
     spec: &QuerySpec,
     opts: &PlanOptions,
-) -> Result<PlannedIndexes, QpptError> {
-    let mut planned = PlannedIndexes::default();
+) -> Result<Vec<IndexDef>, QpptError> {
+    let mut planned = Vec::new();
     // Fact index on the first dimension's FK, carrying everything the
     // stream needs (partially clustered, §3).
     let first = spec
@@ -346,25 +302,21 @@ pub fn planned_indexes(
         .filter(|c| **c != first.fact_col)
         .map(String::as_str)
         .collect();
-    planned
-        .base
-        .push(IndexDef::new(&spec.fact, &first.fact_col, &carried));
+    planned.push(IndexDef::new(&spec.fact, &first.fact_col, &carried));
 
     for d in &spec.dims {
         let carried: Vec<String> = dim_index_carried(d);
         let carried_refs: Vec<&str> = carried.iter().map(String::as_str).collect();
         if let Some(p) = d.predicates.first() {
-            planned
-                .base
-                .push(IndexDef::new(&d.table, p.column(), &carried_refs));
+            planned.push(IndexDef::new(&d.table, p.column(), &carried_refs));
         } else {
             // No predicates: join through the base index on the join column.
             let c: Vec<&str> = d.carried.iter().map(String::as_str).collect();
-            planned.base.push(IndexDef::new(&d.table, &d.join_col, &c));
+            planned.push(IndexDef::new(&d.table, &d.join_col, &c));
         }
         if opts.selection_via_set_ops && d.predicates.len() >= 2 {
             for p in &d.predicates {
-                planned.base.push(IndexDef::new(&d.table, p.column(), &[]));
+                planned.push(IndexDef::new(&d.table, p.column(), &[]));
             }
         }
         if opts.multidim_selections && d.predicates.len() >= 2 {
@@ -374,17 +326,12 @@ pub fn planned_indexes(
                 .iter()
                 .map(|p| compile_predicate(t, p))
                 .collect::<Result<_, StorageError>>()?;
-            if eligible_multidim(t, &preds, d).is_some() {
-                let keys: Vec<String> = d
-                    .predicates
-                    .iter()
-                    .map(|p| p.column().to_string())
-                    .collect();
+            if multidim_shape(&preds) {
                 let mut carried: Vec<String> = vec![d.join_col.clone()];
                 carried.extend(d.carried.iter().cloned());
-                planned.composite.push(CompositeDef {
+                planned.push(IndexDef {
                     table: d.table.clone(),
-                    keys,
+                    keys: d.predicates.iter().map(|p| p.column().into()).collect(),
                     carried,
                 });
             }
@@ -400,15 +347,20 @@ pub fn prepare_indexes(
     spec: &QuerySpec,
     opts: &PlanOptions,
 ) -> Result<(), QpptError> {
+    prepare_indexes_with(db, spec, opts, &stable_key_order)
+}
+
+/// [`prepare_indexes`] with the sort of each index build supplied by the
+/// caller (see [`Database::create_index_with`]).
+pub fn prepare_indexes_with(
+    db: &mut Database,
+    spec: &QuerySpec,
+    opts: &PlanOptions,
+    sort: &dyn Fn(&[u64]) -> Vec<u32>,
+) -> Result<(), QpptError> {
     db.prefer_kiss = opts.prefer_kiss;
-    let planned = planned_indexes(db, spec, opts)?;
-    for def in &planned.base {
-        db.create_index(def)?;
-    }
-    for c in &planned.composite {
-        let keys: Vec<&str> = c.keys.iter().map(String::as_str).collect();
-        let carried: Vec<&str> = c.carried.iter().map(String::as_str).collect();
-        db.create_composite_index(&c.table, &keys, &carried)?;
+    for def in &planned_indexes(db, spec, opts)? {
+        db.create_index_with(def, sort)?;
     }
     Ok(())
 }
@@ -466,11 +418,7 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
             DimHandleKind::Materialized
         };
         let stats = t.stats(join_col);
-        let multidim = if opts.multidim_selections {
-            eligible_multidim(t, &preds, d)
-        } else {
-            None
-        };
+        let multidim = opts.multidim_selections && multidim_shape(&preds);
         dims.push(ResolvedDim {
             spec_idx: i,
             table: d.table.clone(),
@@ -632,7 +580,6 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
                 }
             }
         };
-        let bits = (64 - max_code.leading_zeros()).max(1) as u8;
         let pos = final_work.find(Src::Dim(di), &g.column).ok_or_else(|| {
             crate::validate::PlanError::GroupColumnNotCarried {
                 table: g.table.clone(),
@@ -640,17 +587,16 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
             }
         })?;
         positions.push(pos);
-        widths.push(bits);
+        widths.push(key_bits(max_code));
         sources.push((di, g.column.clone()));
     }
-    let total_bits: u32 = widths.iter().map(|&w| w as u32).sum();
-    if total_bits > 64 {
-        return Err(QpptError::GroupKeyTooWide { bits: total_bits });
-    }
+    let packer = KeyPacker::new(&widths).map_err(|e| match e {
+        KeyPackError::TooWide { total_bits } => QpptError::GroupKeyTooWide { bits: total_bits },
+        other => QpptError::Internal(other.to_string()),
+    })?;
     let group_key = GroupKey {
         positions,
-        widths,
-        total_bits: total_bits as u8,
+        packer,
         sources,
     };
 
@@ -684,47 +630,19 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
     })
 }
 
-/// Checks the composite-prefix rule: ≥2 predicates, every one a `Range`,
-/// all but the last a point (`lo == hi`). Returns the per-part bounds,
-/// clamped to the column widths the composite index will use.
-fn eligible_multidim(
-    t: &qppt_storage::Table,
-    preds: &[CompiledPred],
-    d: &qppt_storage::DimSpec,
-) -> Option<MultidimScan> {
-    if preds.len() < 2 {
-        return None;
-    }
-    let mut bounds = Vec::with_capacity(preds.len());
-    for (i, p) in preds.iter().enumerate() {
-        match p {
-            CompiledPred::Range { col, lo, hi } => {
-                let last = i == preds.len() - 1;
-                if !last && lo != hi {
-                    return None;
-                }
-                // Clamp to the width the composite index derives from the
-                // column's max code (predicate constants may exceed it).
-                let s = t.stats(*col);
-                let max = if s.min > s.max { 0 } else { s.max };
-                let w = (64 - max.leading_zeros()).max(1);
-                let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-                if *lo > mask {
-                    return None; // cannot match anything in-domain
-                }
-                bounds.push((*lo, (*hi).min(mask)));
-            }
-            _ => return None,
-        }
-    }
-    Some(MultidimScan {
-        key_names: d
-            .predicates
+/// The predicate *shape* a multidimensional index answers as one key range
+/// (the composite-prefix rule): ≥2 predicates, every one a `Range`, all but
+/// the last a point (`lo == hi`). Whether the constants fit the index's key
+/// parts is the index's own business at scan time.
+fn multidim_shape(preds: &[CompiledPred]) -> bool {
+    let Some((last, leading)) = preds.split_last() else {
+        return false;
+    };
+    !leading.is_empty()
+        && matches!(last, CompiledPred::Range { .. })
+        && leading
             .iter()
-            .map(|p| p.column().to_string())
-            .collect(),
-        bounds,
-    })
+            .all(|p| matches!(p, CompiledPred::Range { lo, hi, .. } if lo == hi))
 }
 
 /// `true` if `col` feeds an aggregate (such fact columns survive key
@@ -751,30 +669,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn group_key_pack_unpack_roundtrip() {
+    fn group_key_packs_its_positions_in_order() {
         let gk = GroupKey {
-            positions: vec![0, 1],
-            widths: vec![11, 10],
-            total_bits: 21,
+            positions: vec![2, 0],
+            packer: KeyPacker::new(&[11, 10]).unwrap(),
             sources: vec![(0, "a".into()), (1, "b".into())],
         };
-        let row = vec![1997u64, 513];
-        let key = gk.pack(&row);
-        assert_eq!(gk.unpack(key), vec![1997, 513]);
+        let key = gk.pack(&[513, 7, 1997]);
+        assert_eq!(gk.packer.unpack(key), vec![1997, 513]);
+        assert!(gk.pack(&[200, 0, 1]) < gk.pack(&[0, 0, 2]));
     }
 
     #[test]
-    fn group_key_order_matches_lexicographic() {
-        let gk = GroupKey {
-            positions: vec![0, 1],
-            widths: vec![8, 8],
-            total_bits: 16,
-            sources: vec![(0, "a".into()), (1, "b".into())],
+    fn multidim_shape_is_points_then_one_range() {
+        let r = |lo, hi| CompiledPred::Range { col: 0, lo, hi };
+        assert!(multidim_shape(&[r(6, 6), r(1994, 1994)]));
+        assert!(multidim_shape(&[r(6, 6), r(3, 3), r(0, u64::MAX)]));
+        assert!(!multidim_shape(&[r(6, 6)]));
+        assert!(!multidim_shape(&[r(1, 6), r(1994, 1994)]));
+        assert!(!multidim_shape(&[r(6, 6), CompiledPred::Never]));
+        let set = CompiledPred::InSet {
+            col: 0,
+            codes: vec![1, 2],
         };
-        let k1 = gk.pack(&[1, 200]);
-        let k2 = gk.pack(&[2, 0]);
-        let k3 = gk.pack(&[2, 1]);
-        assert!(k1 < k2 && k2 < k3);
+        assert!(!multidim_shape(&[set.clone(), r(1, 2)]));
+        assert!(!multidim_shape(&[r(6, 6), set]));
     }
 
     #[test]

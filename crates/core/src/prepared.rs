@@ -18,17 +18,15 @@
 //! materializing from scratch.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
+use qppt_storage::{Database, QuerySpec, Snapshot};
 
 use crate::exec::{
-    decode_result, materialize_dim_selection, materialize_fused_selection, new_agg_table,
-    run_pipeline, DimSelection, FusedSelection, KeyRange,
+    materialize_dim_selection, materialize_fused_selection, DimSelection, FusedSelection,
 };
 use crate::options::PlanOptions;
 use crate::plan::{build_plan, Plan};
-use crate::stats::{ExecStats, OpStats};
+use crate::stats::OpStats;
 use crate::QpptError;
 
 /// Reusable per-query execution state (see module docs). Everything is
@@ -111,59 +109,5 @@ impl PreparedQuery {
             + self.plan.memory_bytes()
             + self.fused.as_ref().as_ref().map_or(0, |f| f.memory_bytes())
             + self.dims.len() * std::mem::size_of::<Option<Arc<DimSelection>>>()
-    }
-
-    /// Runs the fact pipeline sequentially on the calling thread from the
-    /// prepared state — no planning, no dimension materialization, no
-    /// selection-predicate evaluation (the fused stream replays). Results
-    /// are byte-identical to [`QpptEngine::run`](crate::QpptEngine::run)
-    /// under the coherence contract (module docs).
-    ///
-    /// The batch mode is derived from the plan's own options — correct
-    /// when the prepared query was built for this request. Serving paths
-    /// that reuse *cached* prepared queries (whose plan may carry stale
-    /// batch knobs, since batch knobs are excluded from the fingerprints)
-    /// call [`execute_sequential_agg`](Self::execute_sequential_agg) with
-    /// the request's mode instead.
-    pub fn execute_sequential(&self, db: &Database) -> Result<(QueryResult, ExecStats), QpptError> {
-        let started = Instant::now();
-        let (agg, mut stats) = self.execute_sequential_agg(db, self.plan.opts.batch_mode())?;
-        let result = decode_result(db, &self.plan, &agg);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats))
-    }
-
-    /// Like [`execute_sequential`](Self::execute_sequential), but stops at
-    /// the merged aggregation index — the shard-side entry point for
-    /// partial-aggregate serving, where decode happens at the router.
-    /// `batch` is the *request's* execution mode (see
-    /// [`run_pipeline`]'s contract on cached plans); scalar and batched
-    /// runs produce byte-identical aggregates.
-    pub fn execute_sequential_agg(
-        &self,
-        db: &Database,
-        batch: crate::options::BatchMode,
-    ) -> Result<(crate::inter::AggTable, ExecStats), QpptError> {
-        let started = Instant::now();
-        let mut stats = ExecStats {
-            ops: self.dim_stats(),
-            total_micros: 0,
-        };
-        let mut agg = new_agg_table(&self.plan);
-        let ops = run_pipeline(
-            db,
-            self.snap,
-            &self.plan,
-            &self.dims,
-            KeyRange::full(),
-            self.fused.as_ref().as_ref(),
-            batch,
-            &mut agg,
-        )?;
-        for op in ops {
-            stats.push(op);
-        }
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((agg, stats))
     }
 }

@@ -16,7 +16,7 @@
 //!   [`build_plan`](crate::plan::build_plan) runs this first, so the
 //!   planner itself can no longer be driven into a panic by a malformed
 //!   spec, whichever path a spec arrives through.
-//! * [`validate_indexes`] — serving-time check that every base/composite
+//! * [`validate_indexes`] — serving-time check that every base
 //!   index the plan will read exists and carries the needed payload
 //!   columns. The server prepares indexes at startup (`Database` is behind
 //!   an `Arc` while serving), so an ad-hoc query needing an absent index
@@ -24,10 +24,10 @@
 //! * [`validate`] — both, in order: the full pre-flight of the serving
 //!   path's validate→plan→cache→execute pipeline.
 
-use qppt_storage::{ColumnType, Database, IndexDef, Predicate, QuerySpec, Value};
+use qppt_storage::{ColumnType, Database, Predicate, QuerySpec, Value};
 
 use crate::options::PlanOptions;
-use crate::plan::{planned_indexes, CompositeDef};
+use crate::plan::planned_indexes;
 use crate::QpptError;
 
 /// A structured validation error (surfaced to protocol clients as one
@@ -275,8 +275,8 @@ fn validate_predicate(
     }
 }
 
-/// Checks that every base/composite index the plan will read exists and
-/// carries the payload columns the executor fetches — the exact set
+/// Checks that every base index the plan will read exists and carries the
+/// payload columns the executor fetches — the exact set
 /// [`planned_indexes`] would create. On the serving path this turns every
 /// `find_index`/payload unwrap an unprepared ad-hoc query could hit into a
 /// [`PlanError::MissingIndex`] / [`PlanError::IndexMissingColumn`] before
@@ -286,50 +286,24 @@ pub fn validate_indexes(
     spec: &QuerySpec,
     opts: &PlanOptions,
 ) -> Result<(), QpptError> {
-    let planned = planned_indexes(db, spec, opts)?;
-    for def in &planned.base {
-        check_base(db, def)?;
-    }
-    for c in &planned.composite {
-        check_composite(db, c)?;
-    }
-    Ok(())
-}
-
-fn check_base(db: &Database, def: &IndexDef) -> Result<(), PlanError> {
-    let bi = db
-        .find_index(&def.table, &def.key)
-        .map_err(|_| PlanError::MissingIndex {
-            table: def.table.clone(),
-            key: def.key.clone(),
-        })?;
-    for c in &def.carried {
-        if bi.payload_pos_by_name(c).is_none() {
+    for def in &planned_indexes(db, spec, opts)? {
+        let bi = db
+            .find_index_on(&def.table, &def.keys)
+            .map_err(|_| PlanError::MissingIndex {
+                table: def.table.clone(),
+                key: def.key_name(),
+            })?;
+        if let Some(c) = def
+            .carried
+            .iter()
+            .find(|c| bi.payload_pos_by_name(c).is_none())
+        {
             return Err(PlanError::IndexMissingColumn {
                 table: def.table.clone(),
-                key: def.key.clone(),
+                key: def.key_name(),
                 column: c.clone(),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn check_composite(db: &Database, c: &CompositeDef) -> Result<(), PlanError> {
-    let keys: Vec<&str> = c.keys.iter().map(String::as_str).collect();
-    let ci = db
-        .find_composite_index(&c.table, &keys)
-        .map_err(|_| PlanError::MissingIndex {
-            table: c.table.clone(),
-            key: c.keys.join("+"),
-        })?;
-    for col in &c.carried {
-        if ci.payload_pos_by_name(col).is_none() {
-            return Err(PlanError::IndexMissingColumn {
-                table: c.table.clone(),
-                key: c.keys.join("+"),
-                column: col.clone(),
-            });
+            }
+            .into());
         }
     }
     Ok(())

@@ -4,7 +4,10 @@
 //! repeated executions from one `PreparedQuery` keep returning the same
 //! bytes.
 
+use std::sync::Arc;
+
 use qppt_core::{prepare_indexes, PlanOptions, PreparedQuery, QpptEngine};
+use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
 
 #[test]
@@ -20,14 +23,17 @@ fn prepared_execution_matches_fresh_execution_all_queries() {
             prepare_indexes(&mut ssb.db, &q, opts).unwrap();
         }
     }
-    let engine = QpptEngine::new(&ssb.db);
-    let snap = ssb.db.snapshot();
+    let db = Arc::new(ssb.db);
+    let pool = WorkerPool::new(1, 1);
+    let pooled = PooledEngine::new(db.clone(), pool.clone());
+    let engine = QpptEngine::new(&db);
+    let snap = db.snapshot();
     for opts in &variants {
         for q in queries::all_queries() {
             let fresh = engine.run(&q, opts).unwrap();
-            let prepared = PreparedQuery::build(&ssb.db, &q, opts, snap).unwrap();
-            let (first, stats) = prepared.execute_sequential(&ssb.db).unwrap();
-            let (second, _) = prepared.execute_sequential(&ssb.db).unwrap();
+            let prepared = PreparedQuery::build(&db, &q, opts, snap).unwrap();
+            let (first, stats) = pooled.run_prepared(&prepared, 0).unwrap();
+            let (second, _) = pooled.run_prepared(&prepared, 0).unwrap();
             assert_eq!(first, fresh, "{} diverged from fresh run ({opts:?})", q.id);
             assert_eq!(second, fresh, "{} not repeatable ({opts:?})", q.id);
             assert!(
@@ -37,6 +43,7 @@ fn prepared_execution_matches_fresh_execution_all_queries() {
             );
         }
     }
+    pool.shutdown();
 }
 
 #[test]
@@ -55,6 +62,9 @@ fn prepared_snapshot_pins_visibility() {
     // Terminate a fact row version after preparation.
     ssb.db.delete_row("lineorder", 0).unwrap();
 
-    let (got, _) = prepared.execute_sequential(&ssb.db).unwrap();
+    let pool = WorkerPool::new(1, 1);
+    let pooled = PooledEngine::new(Arc::new(ssb.db), pool.clone());
+    let (got, _) = pooled.run_prepared(&prepared, 0).unwrap();
     assert_eq!(got, before, "prepared execution drifted off its snapshot");
+    pool.shutdown();
 }

@@ -226,6 +226,112 @@ fn multidim_with_trailing_range_predicate() {
     assert!(!oracle.rows.is_empty());
 }
 
+/// Appends a copy of row 0 of `table` with the given Int columns replaced.
+fn insert_copy(ssb: &mut SsbDb, table: &str, set: &[(&str, i64)]) {
+    let t = ssb.db.table(table).unwrap().table();
+    let mut row: Vec<qppt_storage::Value> =
+        (0..t.schema().width()).map(|c| t.value(0, c)).collect();
+    for &(col, v) in set {
+        row[t.schema().col(col).unwrap()] = qppt_storage::Value::Int(v);
+    }
+    ssb.db.insert_row(table, &row).unwrap();
+}
+
+#[test]
+fn insert_outgrowing_a_multidim_key_part_is_found_not_aliased() {
+    // d_year tops out at 1998 (11 bits); a 2050 date needs 12. Index
+    // maintenance must not file the row under 2050 & 2047 = 2: a multidim
+    // selection runs no residual predicates that would catch the alias.
+    // Year is the trailing key part in the first shape (no spare bits →
+    // the index is rebuilt) and the leading one in the second.
+    let shapes = |year: i64| {
+        let mut by_week = queries::q1_3();
+        by_week.fact_predicates.clear();
+        by_week.dims[0].predicates = vec![
+            qppt_storage::Predicate::eq("d_weeknuminyear", 6i64),
+            qppt_storage::Predicate::eq("d_year", year),
+        ];
+        let mut by_year = by_week.clone();
+        by_year.dims[0].predicates = vec![
+            qppt_storage::Predicate::eq("d_year", year),
+            qppt_storage::Predicate::between("d_weeknuminyear", 4i64, 9i64),
+        ];
+        [by_week, by_year]
+    };
+    let plain = PlanOptions::default();
+    let multidim = PlanOptions::default().with_multidim(true);
+    let mut ssb = SsbDb::generate(0.01, 31);
+    // The indexes exist (built for in-domain constants) before the insert.
+    for q in &shapes(1994) {
+        prepare_indexes(&mut ssb.db, q, &plain).unwrap();
+        prepare_indexes(&mut ssb.db, q, &multidim).unwrap();
+    }
+    let new_date = [
+        ("d_datekey", 20500207),
+        ("d_year", 2050),
+        ("d_weeknuminyear", 6),
+    ];
+    insert_copy(&mut ssb, "date", &new_date);
+    insert_copy(&mut ssb, "lineorder", &[("lo_orderdate", 20500207)]);
+    let snap = ssb.db.snapshot();
+    let engine = QpptEngine::new(&ssb.db);
+    for q in &shapes(2050) {
+        let oracle = run_reference(&ssb.db, q, snap).unwrap();
+        assert!(
+            oracle.rows[0].agg_values[0] > 0,
+            "the inserted order is selected"
+        );
+        for opts in [plain, multidim, multidim.with_select_join(false)] {
+            assert_same(
+                &engine.run(q, &opts).unwrap(),
+                &oracle,
+                &format!("{opts:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn insert_beyond_32_bits_is_found_not_truncated() {
+    // A KISS-Tree holds 32-bit keys: a key one bit wider must move the
+    // index to a 64-bit prefix tree, not truncate (release) or abort
+    // (debug; and the 32-bit prefix tree in either profile). Both the
+    // dimension's selection index (d_year) and the fact index
+    // (lo_orderdate) outgrow their structure here.
+    let (year, datekey) = ((1i64 << 32) + 1993, (1i64 << 32) + 7);
+    let mut q = queries::q1_1();
+    q.fact_predicates.clear();
+    q.dims[0].predicates = vec![qppt_storage::Predicate::eq("d_year", year)];
+    for opts in [
+        PlanOptions::default(),
+        PlanOptions::default().with_prefer_kiss(false),
+        PlanOptions::default().with_select_join(false),
+    ] {
+        let mut ssb = SsbDb::generate(0.01, 32);
+        prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+        let fact_index = |ssb: &SsbDb| {
+            let idx = ssb.db.find_index("lineorder", "lo_orderdate").unwrap();
+            idx.data.index.kind_name()
+        };
+        assert_ne!(fact_index(&ssb), "PrefixTree<64>");
+        insert_copy(
+            &mut ssb,
+            "date",
+            &[("d_datekey", datekey), ("d_year", year)],
+        );
+        insert_copy(&mut ssb, "lineorder", &[("lo_orderdate", datekey)]);
+        assert_eq!(fact_index(&ssb), "PrefixTree<64>");
+        let snap = ssb.db.snapshot();
+        let oracle = run_reference(&ssb.db, &q, snap).unwrap();
+        assert!(
+            oracle.rows[0].agg_values[0] > 0,
+            "the inserted order is selected"
+        );
+        let got = QpptEngine::new(&ssb.db).run(&q, &opts).unwrap();
+        assert_same(&got, &oracle, &format!("{opts:?}"));
+    }
+}
+
 #[test]
 fn results_are_ordered_as_specified() {
     let opts = PlanOptions::default();

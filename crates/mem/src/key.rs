@@ -67,12 +67,20 @@ impl core::fmt::Display for KeyPackError {
 
 impl std::error::Error for KeyPackError {}
 
+/// Bit width of a key part whose largest value is `max` (at least one bit).
+#[inline]
+pub fn key_bits(max: u64) -> u8 {
+    (64 - max.leading_zeros()).max(1) as u8
+}
+
 /// Bit-packs a fixed sequence of parts into a `u64`, order-preserving with
-/// respect to lexicographic part order. Used for composed group-by keys.
+/// respect to lexicographic part order — the one key format of multi-column
+/// base indexes (§4.1) and composed group-by keys (§3). A one-part packer is
+/// the identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPacker {
-    widths: Vec<u8>,
-    shifts: Vec<u8>,
+    /// `(shift, mask)` per part, most significant part first.
+    fields: Vec<(u8, u64)>,
     total_bits: u8,
 }
 
@@ -89,22 +97,23 @@ impl KeyPacker {
             widths.iter().all(|&w| w > 0),
             "zero-width key parts are meaningless"
         );
-        let mut shifts = Vec::with_capacity(widths.len());
         let mut used = 0u8;
-        for &w in widths {
-            used += w;
-            shifts.push(total as u8 - used);
-        }
+        let fields = widths
+            .iter()
+            .map(|&w| {
+                used += w;
+                (total as u8 - used, u64::MAX >> (64 - w))
+            })
+            .collect();
         Ok(Self {
-            widths: widths.to_vec(),
-            shifts,
+            fields,
             total_bits: total as u8,
         })
     }
 
     /// Number of parts.
     pub fn arity(&self) -> usize {
-        self.widths.len()
+        self.fields.len()
     }
 
     /// Total key width in bits; keys fit in `total_bits()` low bits.
@@ -112,43 +121,90 @@ impl KeyPacker {
         self.total_bits
     }
 
-    /// Packs `parts` into a key.
-    pub fn pack(&self, parts: &[u64]) -> Result<u64, KeyPackError> {
-        if parts.len() != self.widths.len() {
-            return Err(KeyPackError::ArityMismatch {
-                expected: self.widths.len(),
-                got: parts.len(),
-            });
-        }
+    /// Largest key the packer can produce (every part at its maximum).
+    pub fn max_key(&self) -> u64 {
+        u64::MAX
+            .checked_shr(64 - self.total_bits as u32)
+            .unwrap_or(0)
+    }
+
+    /// Packs `parts` into a key, checking the part count and that every
+    /// part fits its width (allocation-free: index maintenance runs this
+    /// per inserted row).
+    pub fn pack(&self, parts: impl IntoIterator<Item = u64>) -> Result<u64, KeyPackError> {
+        let mut parts = parts.into_iter();
         let mut key = 0u64;
-        for (i, (&v, (&w, &s))) in parts
-            .iter()
-            .zip(self.widths.iter().zip(self.shifts.iter()))
-            .enumerate()
-        {
-            let max = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-            if v > max {
+        for (i, &(shift, mask)) in self.fields.iter().enumerate() {
+            let Some(v) = parts.next() else {
+                return Err(KeyPackError::ArityMismatch {
+                    expected: self.arity(),
+                    got: i,
+                });
+            };
+            if v > mask {
                 return Err(KeyPackError::PartOverflow {
                     part: i,
                     value: v,
-                    bits: w,
+                    bits: mask.count_ones() as u8,
                 });
             }
-            key |= v << s;
+            key |= v << shift;
         }
-        Ok(key)
+        match parts.count() {
+            0 => Ok(key),
+            extra => Err(KeyPackError::ArityMismatch {
+                expected: self.arity(),
+                got: self.arity() + extra,
+            }),
+        }
+    }
+
+    /// [`pack`](Self::pack) without the checks, for parts the caller knows
+    /// to fit (the join-group inner loop: the widths were derived from the
+    /// very columns the parts are read from). An oversize part would bleed
+    /// into its more significant neighbours.
+    #[inline]
+    pub fn pack_fitting(&self, parts: impl IntoIterator<Item = u64>) -> u64 {
+        self.fields
+            .iter()
+            .zip(parts)
+            .fold(0, |key, (&(shift, mask), v)| {
+                debug_assert!(v <= mask, "part {v} exceeds mask {mask:#x}");
+                key | v << shift
+            })
+    }
+
+    /// The key range covered by inclusive per-part `[lo, hi]` bounds on a
+    /// *prefix* of the parts; the remaining parts span their whole width
+    /// (no bounds at all = every key). The range is exactly the conjunction
+    /// when every bound but the last is a point (`lo == hi`) — the
+    /// composite-prefix rule, which callers enforce. Bounds are clamped to
+    /// their part's width; `None` means nothing storable can match (an
+    /// empty bound, or one that starts beyond its part's width).
+    pub fn pack_range(&self, bounds: &[(u64, u64)]) -> Option<(u64, u64)> {
+        assert!(bounds.len() <= self.arity(), "more bounds than key parts");
+        let (mut lo_key, mut hi_key) = (0u64, self.max_key());
+        for (&(lo, hi), &(shift, mask)) in bounds.iter().zip(&self.fields) {
+            if lo > hi || lo > mask {
+                return None;
+            }
+            lo_key |= lo << shift;
+            // Lower this part of `hi_key` from all-ones to `hi`.
+            hi_key -= (mask - hi.min(mask)) << shift;
+        }
+        Some((lo_key, hi_key))
+    }
+
+    /// Part `i` of a packed key.
+    #[inline]
+    pub fn part(&self, key: u64, i: usize) -> u64 {
+        let (shift, mask) = self.fields[i];
+        (key >> shift) & mask
     }
 
     /// Unpacks a key into its parts.
     pub fn unpack(&self, key: u64) -> Vec<u64> {
-        self.widths
-            .iter()
-            .zip(self.shifts.iter())
-            .map(|(&w, &s)| {
-                let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-                (key >> s) & mask
-            })
-            .collect()
+        (0..self.arity()).map(|i| self.part(key, i)).collect()
     }
 }
 
@@ -178,7 +234,7 @@ mod tests {
     #[test]
     fn packer_roundtrip() {
         let p = KeyPacker::new(&[16, 16, 16]).unwrap();
-        let key = p.pack(&[1997, 24, 3]).unwrap();
+        let key = p.pack([1997, 24, 3]).unwrap();
         assert_eq!(p.unpack(key), vec![1997, 24, 3]);
         assert_eq!(p.total_bits(), 48);
     }
@@ -190,7 +246,7 @@ mod tests {
         let mut tuples = Vec::new();
         for a in [0u64, 1, 5, 255] {
             for b in [0u64, 3, 255] {
-                keys.push(p.pack(&[a, b]).unwrap());
+                keys.push(p.pack([a, b]).unwrap());
                 tuples.push((a, b));
             }
         }
@@ -205,11 +261,11 @@ mod tests {
     fn packer_rejects_overflow_and_bad_arity() {
         let p = KeyPacker::new(&[4, 4]).unwrap();
         assert!(matches!(
-            p.pack(&[16, 0]),
+            p.pack([16, 0]),
             Err(KeyPackError::PartOverflow { part: 0, .. })
         ));
         assert!(matches!(
-            p.pack(&[1]),
+            p.pack([1]),
             Err(KeyPackError::ArityMismatch { .. })
         ));
     }
@@ -223,9 +279,52 @@ mod tests {
     }
 
     #[test]
+    fn pack_fitting_equals_pack_and_one_part_is_identity() {
+        let p = KeyPacker::new(&[11, 5, 7]).unwrap();
+        assert_eq!(
+            p.pack_fitting([1997, 24, 3]),
+            p.pack([1997, 24, 3]).unwrap()
+        );
+        assert_eq!(p.part(p.pack_fitting([1997, 24, 3]), 1), 24);
+        let one = KeyPacker::new(&[32]).unwrap();
+        assert_eq!(one.pack([0xdead_beef]).unwrap(), 0xdead_beef);
+        assert_eq!(one.max_key(), u32::MAX as u64);
+        // No parts (a scalar aggregate's group key): the one key is 0.
+        let none = KeyPacker::new(&[]).unwrap();
+        assert_eq!((none.pack_fitting([]), none.max_key()), (0, 0));
+    }
+
+    #[test]
+    fn pack_range_prefix_clamp_and_empty() {
+        let p = KeyPacker::new(&[4, 4, 4]).unwrap();
+        // Equality prefix + trailing range.
+        assert_eq!(
+            p.pack_range(&[(3, 3), (5, 5), (2, 9)]),
+            Some((0x352, 0x359))
+        );
+        // A shorter prefix leaves the remaining parts unconstrained.
+        assert_eq!(p.pack_range(&[(3, 3), (2, 9)]), Some((0x320, 0x39f)));
+        assert_eq!(p.pack_range(&[]), Some((0, 0xfff)));
+        // Upper bounds clamp to the part width ...
+        assert_eq!(p.pack_range(&[(3, 3), (2, 900)]), Some((0x320, 0x3ff)));
+        // ... and a bound that is empty or starts beyond it matches nothing.
+        assert_eq!(p.pack_range(&[(16, 16)]), None);
+        assert_eq!(p.pack_range(&[(3, 3), (9, 2)]), None);
+    }
+
+    #[test]
+    fn key_bits_of_maxima() {
+        assert_eq!(key_bits(0), 1);
+        assert_eq!(key_bits(1), 1);
+        assert_eq!(key_bits(1998), 11);
+        assert_eq!(key_bits(u32::MAX as u64), 32);
+        assert_eq!(key_bits(u64::MAX), 64);
+    }
+
+    #[test]
     fn packer_full_64_bits() {
         let p = KeyPacker::new(&[64]).unwrap();
-        assert_eq!(p.pack(&[u64::MAX]).unwrap(), u64::MAX);
+        assert_eq!(p.pack([u64::MAX]).unwrap(), u64::MAX);
         assert_eq!(p.unpack(u64::MAX), vec![u64::MAX]);
     }
 }

@@ -9,7 +9,9 @@
 //!   friendly memory. A deliberately naive linked-list arena is included as
 //!   the strawman the paper argues against (used by the ablation bench).
 //! * [`key`] — order-preserving normalisation of attribute values to `u64`
-//!   keys and bit-packed composite keys (for composed group-by keys).
+//!   keys, and [`KeyPacker`]: the one bit-packed multi-part key format, held by
+//!   every base index (`qppt-storage`) and every composed group-by key
+//!   (`qppt-core`).
 //! * [`prefetch`] — a thin software-prefetch shim used by the batch processing
 //!   scheme of §2.3 (Algorithm 1).
 //! * [`prng`] — deterministic pseudo-random number generation (splitmix64 and
@@ -22,5 +24,5 @@ pub mod prefetch;
 pub mod prng;
 
 pub use dup::{DupArena, DupList, LinkedDupArena, LinkedList};
-pub use key::{compose2, decode_i64, encode_i64, split2, KeyPacker};
+pub use key::{compose2, decode_i64, encode_i64, key_bits, split2, KeyPackError, KeyPacker};
 pub use prng::{SplitMix64, Xoshiro256StarStar};

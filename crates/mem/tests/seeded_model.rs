@@ -61,9 +61,12 @@ fn dup_arenas_preserve_order() {
     }
 }
 
-/// Packing is order-preserving: lexicographic part order == key order.
+/// Packing is order-preserving: lexicographic part order == key order. The
+/// unchecked form agrees with the checked one, and `pack_range` brackets
+/// exactly the tuples a part-wise filter selects — for an equality prefix
+/// plus a trailing range, including constants wider than their part.
 #[test]
-fn key_packer_order() {
+fn key_packer_order_and_ranges() {
     for case in 0..CASES {
         let mut rng = Xoshiro256StarStar::new(0x9AC4 + case);
         let widths: Vec<u8> = (0..rng.range_inclusive(1, 3))
@@ -73,17 +76,47 @@ fn key_packer_order() {
         let parts = |rng: &mut Xoshiro256StarStar| -> Vec<u64> {
             widths.iter().map(|&w| rng.below(1 << w)).collect()
         };
+        let mut tuples: Vec<Vec<u64>> = Vec::new();
         for _ in 0..32 {
             let (a, mut b) = (parts(&mut rng), parts(&mut rng));
             // Half the pairs share a prefix, so later parts decide the order.
             if rng.chance(1, 2) {
                 b[0] = a[0];
             }
-            let ka = packer.pack(&a).unwrap();
-            let kb = packer.pack(&b).unwrap();
+            let ka = packer.pack(a.iter().copied()).unwrap();
+            let kb = packer.pack(b.iter().copied()).unwrap();
             assert_eq!(a.cmp(&b), ka.cmp(&kb), "case {case} {a:?} vs {b:?}");
+            assert_eq!(packer.pack_fitting(a.iter().copied()), ka, "case {case}");
             assert_eq!(packer.unpack(ka), a, "case {case}");
             assert_eq!(packer.unpack(kb), b, "case {case}");
+            tuples.extend([a, b]);
+        }
+        for _ in 0..16 {
+            // Points on the first `k` parts (taken from a stored tuple, so
+            // ranges hit), then a range on part `k` whose constants may
+            // exceed the part's width; parts past `k` are unconstrained.
+            let k = rng.below(widths.len() as u64) as usize;
+            let anchor = &tuples[rng.below(tuples.len() as u64) as usize];
+            let mut bounds: Vec<(u64, u64)> = anchor[..k].iter().map(|&v| (v, v)).collect();
+            let wide = 2u64 << widths[k];
+            bounds.push((rng.below(wide), rng.below(wide)));
+            let expect: Vec<&Vec<u64>> = tuples
+                .iter()
+                .filter(|t| {
+                    t.iter()
+                        .zip(&bounds)
+                        .all(|(&v, &(lo, hi))| lo <= v && v <= hi)
+                })
+                .collect();
+            let range = packer.pack_range(&bounds);
+            let got: Vec<&Vec<u64>> = tuples
+                .iter()
+                .filter(|t| {
+                    let key = packer.pack_fitting(t.iter().copied());
+                    range.is_some_and(|(lo, hi)| lo <= key && key <= hi)
+                })
+                .collect();
+            assert_eq!(got, expect, "case {case} bounds {bounds:?} → {range:?}");
         }
     }
 }

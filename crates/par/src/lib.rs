@@ -46,7 +46,7 @@
 //! starts — as one participating pool job when two or more remain — and
 //! shared read-only by all workers), **exec**
 //! ([`PooledEngine::run_prepared_agg`]) and **finish** (decode, or ship the
-//! undecoded aggregate). Base and composite index *builds* can also ride
+//! undecoded aggregate). Base index *builds* can also ride
 //! the shared pool — see [`prepare_indexes_pooled`]
 //! ([`par_index_build`](qppt_core::PlanOptions::par_index_build)).
 //!

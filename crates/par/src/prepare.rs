@@ -1,7 +1,7 @@
 //! Parallel index build on the shared worker pool.
 //!
-//! `prepare_indexes` dominates cold start: every base/composite index sorts
-//! all row versions by key before the clustered insertion. The sort
+//! `prepare_indexes` dominates cold start: every base index sorts all row
+//! versions by (packed) key before the clustered insertion. The sort
 //! partitions the same way the scans do — rids are bucketed on the top
 //! [`morsel_bits`](qppt_core::PlanOptions::morsel_bits) bits of the key
 //! domain (prefix-aligned, so buckets are key-disjoint and ordered), each
@@ -18,8 +18,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use qppt_core::{planned_indexes, PlanOptions, QpptError};
-use qppt_storage::{CompositeIndex, Database, QuerySpec};
+use qppt_core::{PlanOptions, QpptError};
+use qppt_storage::{Database, QuerySpec};
 
 use crate::morsel::Partitioner;
 use crate::pool::{PoolJob, WorkerPool};
@@ -37,31 +37,15 @@ pub fn prepare_indexes_pooled(
     if !opts.par_index_build || pool.size() <= 1 {
         return qppt_core::prepare_indexes(db, spec, opts);
     }
-    db.prefer_kiss = opts.prefer_kiss;
-    let planned = planned_indexes(db, spec, opts)?;
-    for def in &planned.base {
-        db.create_index_with(def, |table, key_col| {
-            let keys: Vec<u64> = (0..table.version_count() as u32)
-                .map(|rid| table.table().get(rid, key_col))
-                .collect();
-            par_sorted_order(pool, keys, opts.morsel_bits)
-        })?;
-    }
-    for c in &planned.composite {
-        let keys: Vec<&str> = c.keys.iter().map(String::as_str).collect();
-        let carried: Vec<&str> = c.carried.iter().map(String::as_str).collect();
-        db.create_composite_index_with(&c.table, &keys, &carried, |table, key_cols| {
-            let packed = CompositeIndex::packed_keys(table, key_cols)?;
-            Ok(par_sorted_order(pool, packed, opts.morsel_bits))
-        })?;
-    }
-    Ok(())
+    qppt_core::prepare_indexes_with(db, spec, opts, &|keys| {
+        par_sorted_order(pool, keys, opts.morsel_bits)
+    })
 }
 
 /// Stable key-sorted rid order (`rid → keys[rid]`), computed by prefix
 /// partitioning + per-bucket parallel sorts on the pool. Equals
-/// `qppt_storage::key_sorted_rids` output for the same keys.
-fn par_sorted_order(pool: &WorkerPool, keys: Vec<u64>, morsel_bits: u8) -> Vec<u32> {
+/// [`qppt_storage::stable_key_order`]'s output for the same keys.
+fn par_sorted_order(pool: &WorkerPool, keys: &[u64], morsel_bits: u8) -> Vec<u32> {
     if keys.is_empty() {
         return Vec::new();
     }
@@ -79,7 +63,7 @@ fn par_sorted_order(pool: &WorkerPool, keys: Vec<u64>, morsel_bits: u8) -> Vec<u
         buckets[b].push(rid as u32);
     }
     let job = Arc::new(SortJob {
-        keys,
+        keys: keys.to_vec(),
         buckets: buckets.into_iter().map(Mutex::new).collect(),
         next: AtomicUsize::new(0),
         max_workers: pool.size(),

@@ -226,7 +226,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// The pool-parallel index build must produce bit-identical indexes: same
-/// clustered insertion order, same query answers — including composite
+/// clustered insertion order, same query answers — including multi-column
 /// (multidim) and per-predicate (set-ops) indexes.
 #[test]
 fn parallel_index_build_bit_identical() {
@@ -250,7 +250,8 @@ fn parallel_index_build_bit_identical() {
     assert_eq!(seq.db.indexes().len(), par.db.indexes().len());
     for (a, b) in seq.db.indexes().iter().zip(par.db.indexes()) {
         assert_eq!(a.table_idx, b.table_idx);
-        assert_eq!(a.key_col, b.key_col);
+        assert_eq!(a.key_cols, b.key_cols);
+        assert_eq!(a.packer(), b.packer());
         assert_eq!(a.carried, b.carried);
         assert_eq!(a.data.tuple_count(), b.data.tuple_count());
         let dump = |bi: &qppt_storage::BaseIndex| {
@@ -258,8 +259,14 @@ fn parallel_index_build_bit_identical() {
             bi.data.for_each_row(|k, row| v.push((k, row.to_vec())));
             v
         };
-        assert_eq!(dump(a), dump(b), "index on col {} diverged", a.key_col);
+        assert_eq!(dump(a), dump(b), "index on {:?} diverged", a.key_cols);
     }
+    let multi_column =
+        |db: &qppt_storage::Database| db.indexes().iter().filter(|i| i.key_cols.len() > 1).count();
+    assert!(
+        multi_column(&par.db) > 0,
+        "the dump covered no multidim index"
+    );
 
     // And the answers agree on every query, for both engines.
     let seq_engine = QpptEngine::new(&seq.db);

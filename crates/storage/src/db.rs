@@ -3,12 +3,12 @@
 //!
 //! "These indexes are either already present or are created once and remain
 //! in the data pool for future queries" (§3) — [`Database`] is that data
-//! pool. Base indexes are looked up by `(table, key column)`; the planner
+//! pool. Base indexes are looked up by `(table, key columns)`; the planner
 //! asks for the index matching an operator's selection or join attribute.
 
 use std::collections::HashMap;
 
-use crate::index::{BaseIndex, CompositeIndex};
+use crate::index::{key_packer, resolve_columns, stable_key_order, BaseIndex};
 use crate::mvcc::{MvccTable, Snapshot, TxnManager};
 use crate::table::Table;
 use crate::types::{StorageError, Value};
@@ -17,20 +17,31 @@ use crate::types::{StorageError, Value};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     pub table: String,
-    /// Key column name.
-    pub key: String,
+    /// Key column names, most significant first: one for the ordinary base
+    /// index, several for a multidimensional index (§4.1).
+    pub keys: Vec<String>,
     /// Carried columns (partially clustered payload); empty = secondary.
     pub carried: Vec<String>,
 }
 
 impl IndexDef {
-    /// Shorthand constructor.
+    /// A one-column index.
     pub fn new(table: &str, key: &str, carried: &[&str]) -> Self {
+        Self::on(table, &[key], carried)
+    }
+
+    /// An index over the concatenation of `keys`.
+    pub fn on(table: &str, keys: &[&str], carried: &[&str]) -> Self {
         Self {
             table: table.to_string(),
-            key: key.to_string(),
+            keys: keys.iter().map(|s| s.to_string()).collect(),
             carried: carried.iter().map(|s| s.to_string()).collect(),
         }
+    }
+
+    /// The key as messages show it: the column names joined by `+`.
+    pub fn key_name(&self) -> String {
+        self.keys.join("+")
     }
 }
 
@@ -50,11 +61,8 @@ pub struct Database {
     instance_id: u64,
     by_name: HashMap<String, usize>,
     indexes: Vec<BaseIndex>,
-    /// (table idx, key col idx) → index position, for planner lookups.
-    index_lookup: HashMap<(usize, usize), usize>,
-    /// Multidimensional indexes (§4.1), looked up by (table, key col list).
-    composite_indexes: Vec<CompositeIndex>,
-    composite_lookup: HashMap<(usize, Vec<usize>), usize>,
+    /// (table idx, key col idxs) → index position, for planner lookups.
+    index_lookup: HashMap<(usize, Vec<usize>), usize>,
     txn: TxnManager,
     /// Whether newly created indexes prefer the KISS-Tree for 32-bit key
     /// domains (true, per §2.2) or always use prefix trees.
@@ -78,8 +86,6 @@ impl Database {
             by_name: HashMap::new(),
             indexes: Vec::new(),
             index_lookup: HashMap::new(),
-            composite_indexes: Vec::new(),
-            composite_lookup: HashMap::new(),
             txn: TxnManager::new(),
             prefer_kiss: true,
         }
@@ -143,187 +149,89 @@ impl Database {
         self.tables.iter().map(|t| t.table().name())
     }
 
-    /// Creates a base index (no-op if an index on the same key column
-    /// already exists and carries at least the requested columns).
+    /// Creates a base index: a no-op if an index on the same key columns
+    /// (in the same order) already carries at least the requested columns,
+    /// a rebuild with the union of carried columns if it carries fewer.
     pub fn create_index(&mut self, def: &IndexDef) -> Result<usize, StorageError> {
-        self.create_index_with(def, crate::index::key_sorted_rids)
+        self.create_index_with(def, &stable_key_order)
     }
 
-    /// Like [`create_index`](Self::create_index), with the clustered
-    /// insertion order supplied by `order` — the hook for parallel index
-    /// builds. `order(table, key_col)` must return exactly the stable
-    /// key-sorted rid order of
-    /// [`key_sorted_rids`](crate::index::key_sorted_rids) (however it was
-    /// computed), so the resulting index is bit-identical to a sequential
-    /// build. Idempotency and carried-set widening behave as in
-    /// `create_index`.
+    /// Like [`create_index`](Self::create_index), with the sort behind the
+    /// clustered insertion order supplied by `sort` — the hook for parallel
+    /// index builds; see [`BaseIndex::build`] for its contract, under which
+    /// the resulting index is bit-identical to a sequential build.
     pub fn create_index_with(
         &mut self,
         def: &IndexDef,
-        order: impl Fn(&MvccTable, usize) -> Vec<u32>,
+        sort: &dyn Fn(&[u64]) -> Vec<u32>,
     ) -> Result<usize, StorageError> {
+        assert!(!def.keys.is_empty(), "an index needs a key column");
         let t_idx = self.table_idx(&def.table)?;
         let schema = self.tables[t_idx].table().schema();
-        let key_col = schema.col(&def.key)?;
-        let carried: Result<Vec<usize>, _> = def.carried.iter().map(|c| schema.col(c)).collect();
-        let carried = carried?;
-        if let Some(&existing) = self.index_lookup.get(&(t_idx, key_col)) {
-            let have = &self.indexes[existing];
+        let key_cols = resolve_columns(schema, &def.keys)?;
+        let mut carried = resolve_columns(schema, &def.carried)?;
+        let lookup_key = (t_idx, key_cols);
+        let existing = self.index_lookup.get(&lookup_key).copied();
+        if let Some(pos) = existing {
+            let have = &self.indexes[pos];
             if carried.iter().all(|c| have.carries(*c)) {
-                return Ok(existing);
+                return Ok(pos);
             }
             // Rebuild with the union of carried columns.
-            let mut union: Vec<usize> = have.carried.clone();
+            let mut union = have.carried.clone();
             for c in carried {
                 if !union.contains(&c) {
                     union.push(c);
                 }
             }
-            let rids = order(&self.tables[t_idx], key_col);
-            let rebuilt = BaseIndex::build_with_order(
-                t_idx,
-                &self.tables[t_idx],
-                key_col,
-                union,
-                self.prefer_kiss,
-                &rids,
-            );
-            self.indexes[existing] = rebuilt;
-            self.bump_version(t_idx);
-            return Ok(existing);
+            carried = union;
         }
-        let rids = order(&self.tables[t_idx], key_col);
-        let built = BaseIndex::build_with_order(
+        let built = BaseIndex::build(
             t_idx,
             &self.tables[t_idx],
-            key_col,
+            lookup_key.1.clone(),
             carried,
             self.prefer_kiss,
-            &rids,
-        );
-        let pos = self.indexes.len();
-        self.indexes.push(built);
-        self.index_lookup.insert((t_idx, key_col), pos);
+            sort,
+        )?;
+        let pos = existing.unwrap_or(self.indexes.len());
+        if existing.is_some() {
+            self.indexes[pos] = built;
+        } else {
+            self.indexes.push(built);
+            self.index_lookup.insert(lookup_key, pos);
+        }
         self.bump_version(t_idx);
         Ok(pos)
     }
 
     /// The base index on `table.key_col`, if one exists.
     pub fn find_index(&self, table: &str, key_col: &str) -> Result<&BaseIndex, StorageError> {
+        self.find_index_on(table, &[key_col])
+    }
+
+    /// The base index keyed on exactly these columns in this order, if one
+    /// exists.
+    pub fn find_index_on(
+        &self,
+        table: &str,
+        keys: &[impl AsRef<str>],
+    ) -> Result<&BaseIndex, StorageError> {
         let t_idx = self.table_idx(table)?;
         let schema = self.tables[t_idx].table().schema();
-        let col = schema.col(key_col)?;
+        let key_cols = resolve_columns(schema, keys)?;
         self.index_lookup
-            .get(&(t_idx, col))
+            .get(&(t_idx, key_cols))
             .map(|&i| &self.indexes[i])
             .ok_or_else(|| StorageError::UnknownIndex {
                 table: table.to_string(),
-                key: key_col.to_string(),
+                key: keys.iter().map(AsRef::as_ref).collect::<Vec<_>>().join("+"),
             })
     }
 
     /// All base indexes.
     pub fn indexes(&self) -> &[BaseIndex] {
         &self.indexes
-    }
-
-    /// Creates a multidimensional base index over `keys` (most significant
-    /// first), carrying `carried` (§4.1). Idempotent for identical key
-    /// lists; rebuilds with the widened carried union otherwise.
-    pub fn create_composite_index(
-        &mut self,
-        table: &str,
-        keys: &[&str],
-        carried: &[&str],
-    ) -> Result<usize, StorageError> {
-        self.create_composite_index_with(table, keys, carried, |t, key_cols| {
-            let packed = CompositeIndex::packed_keys(t, key_cols)?;
-            let mut order: Vec<u32> = (0..t.version_count() as u32).collect();
-            order.sort_by_key(|&rid| packed[rid as usize]);
-            Ok(order)
-        })
-    }
-
-    /// Like [`create_composite_index`](Self::create_composite_index), with
-    /// the packed-key-sorted rid order supplied by `order` (see
-    /// [`create_index_with`](Self::create_index_with) for the contract).
-    pub fn create_composite_index_with(
-        &mut self,
-        table: &str,
-        keys: &[&str],
-        carried: &[&str],
-        order: impl Fn(&MvccTable, &[usize]) -> Result<Vec<u32>, StorageError>,
-    ) -> Result<usize, StorageError> {
-        let t_idx = self.table_idx(table)?;
-        let schema = self.tables[t_idx].table().schema();
-        let key_cols: Vec<usize> = keys
-            .iter()
-            .map(|k| schema.col(k))
-            .collect::<Result<_, _>>()?;
-        let carried_cols: Vec<usize> = carried
-            .iter()
-            .map(|c| schema.col(c))
-            .collect::<Result<_, _>>()?;
-        let lookup_key = (t_idx, key_cols.clone());
-        if let Some(&existing) = self.composite_lookup.get(&lookup_key) {
-            let have = &self.composite_indexes[existing];
-            if carried_cols.iter().all(|c| have.carried.contains(c)) {
-                return Ok(existing);
-            }
-            let mut union = have.carried.clone();
-            for c in carried_cols {
-                if !union.contains(&c) {
-                    union.push(c);
-                }
-            }
-            let rids = order(&self.tables[t_idx], &key_cols)?;
-            let rebuilt = CompositeIndex::build_with_order(
-                t_idx,
-                &self.tables[t_idx],
-                key_cols,
-                union,
-                self.prefer_kiss,
-                &rids,
-            )?;
-            self.composite_indexes[existing] = rebuilt;
-            self.bump_version(t_idx);
-            return Ok(existing);
-        }
-        let rids = order(&self.tables[t_idx], &key_cols)?;
-        let built = CompositeIndex::build_with_order(
-            t_idx,
-            &self.tables[t_idx],
-            key_cols.clone(),
-            carried_cols,
-            self.prefer_kiss,
-            &rids,
-        )?;
-        let pos = self.composite_indexes.len();
-        self.composite_indexes.push(built);
-        self.composite_lookup.insert(lookup_key, pos);
-        self.bump_version(t_idx);
-        Ok(pos)
-    }
-
-    /// The multidimensional index on exactly these key columns, if any.
-    pub fn find_composite_index(
-        &self,
-        table: &str,
-        keys: &[&str],
-    ) -> Result<&CompositeIndex, StorageError> {
-        let t_idx = self.table_idx(table)?;
-        let schema = self.tables[t_idx].table().schema();
-        let key_cols: Vec<usize> = keys
-            .iter()
-            .map(|k| schema.col(k))
-            .collect::<Result<_, _>>()?;
-        self.composite_lookup
-            .get(&(t_idx, key_cols))
-            .map(|&i| &self.composite_indexes[i])
-            .ok_or_else(|| StorageError::UnknownIndex {
-                table: table.to_string(),
-                key: keys.join("+"),
-            })
     }
 
     /// A snapshot seeing everything committed so far.
@@ -333,23 +241,38 @@ impl Database {
 
     /// Inserts a row transactionally: appends the version and maintains
     /// every index on the table. Returns `(rid, commit timestamp)`.
+    ///
+    /// An index whose frozen key widths the row outgrows is rebuilt, as
+    /// when [`create_index`](Self::create_index) widens a carried set. Only
+    /// if even the re-derived widths cannot pack into 64 bits is the row
+    /// rejected ([`StorageError::KeyTooWide`]) — before anything changes.
     pub fn insert_row(
         &mut self,
         table: &str,
         values: &[Value],
     ) -> Result<(u32, u64), StorageError> {
         let t_idx = self.table_idx(table)?;
-        let ts = self.txn.next_commit_ts();
-        let rid = self.tables[t_idx].insert(ts, values)?;
-        for index in self.indexes.iter_mut().filter(|i| i.table_idx == t_idx) {
-            index.on_insert(&self.tables[t_idx], rid);
+        let row = self.tables[t_idx].table().encode_row(values)?;
+        for index in self.indexes.iter().filter(|i| i.table_idx == t_idx) {
+            if index.key_of_row(&row).is_none() {
+                key_packer(self.tables[t_idx].table(), &index.key_cols, Some(&row))?;
+            }
         }
-        for index in self
-            .composite_indexes
-            .iter_mut()
-            .filter(|i| i.table_idx == t_idx)
-        {
-            index.on_insert(&self.tables[t_idx], rid);
+        let ts = self.txn.next_commit_ts();
+        let rid = self.tables[t_idx].insert_encoded(ts, &row);
+        let table = &self.tables[t_idx];
+        for index in self.indexes.iter_mut().filter(|i| i.table_idx == t_idx) {
+            if !index.on_insert(rid, &row) {
+                *index = BaseIndex::build(
+                    t_idx,
+                    table,
+                    index.key_cols.clone(),
+                    index.carried.clone(),
+                    self.prefer_kiss,
+                    &stable_key_order,
+                )
+                .expect("the grown key was checked to pack before the append");
+            }
         }
         self.bump_version(t_idx);
         Ok((rid, ts))
@@ -496,58 +419,128 @@ mod tests {
     }
 
     #[test]
-    fn composite_index_roundtrip() {
+    fn multi_column_index_roundtrip() {
         let mut db = db_with_table();
-        db.create_composite_index("part", &["brand", "size"], &["partkey"])
+        db.create_index(&IndexDef::on("part", &["brand", "size"], &["partkey"]))
             .unwrap();
-        let ci = db.find_composite_index("part", &["brand", "size"]).unwrap();
+        let ci = db.find_index_on("part", &["brand", "size"]).unwrap();
         assert_eq!(ci.data.tuple_count(), 3);
         // Point range over (brand = "B#1", size ∈ [10, 30]).
         let t = db.table("part").unwrap().table();
         let b1 = t.encode_value(1, &Value::str("B#1")).unwrap().unwrap();
-        let (lo, hi) = ci.pack_range(&[(b1, b1), (10, 30)]);
+        let (lo, hi) = ci.packer().pack_range(&[(b1, b1), (10, 30)]).unwrap();
         let mut partkeys = Vec::new();
         ci.data.index.range_each(lo, hi, |_, pid| {
             partkeys.push(ci.data.payload.row(pid)[1]);
         });
         partkeys.sort_unstable();
         assert_eq!(partkeys, vec![1, 3]);
-        // Key order of the composite equals lexicographic (brand, size).
+        // Key order of the packed key equals lexicographic (brand, size).
         let mut keys = Vec::new();
         ci.data.index.for_each(|k, _| keys.push(k));
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
-    fn composite_index_is_idempotent_and_widens() {
+    fn multi_column_index_is_idempotent_and_widens() {
         let mut db = db_with_table();
-        let a = db
-            .create_composite_index("part", &["brand", "size"], &["partkey"])
-            .unwrap();
-        let b = db
-            .create_composite_index("part", &["brand", "size"], &["partkey"])
-            .unwrap();
+        let def = IndexDef::on("part", &["brand", "size"], &["partkey"]);
+        let a = db.create_index(&def).unwrap();
+        let b = db.create_index(&def).unwrap();
         assert_eq!(a, b);
         let c = db
-            .create_composite_index("part", &["brand", "size"], &["size"])
+            .create_index(&IndexDef::on("part", &["brand", "size"], &["size"]))
             .unwrap();
         assert_eq!(a, c);
-        let ci = db.find_composite_index("part", &["brand", "size"]).unwrap();
+        let ci = db.find_index_on("part", &["brand", "size"]).unwrap();
         assert!(ci.payload_pos_by_name("partkey").is_some());
         assert!(ci.payload_pos_by_name("size").is_some());
-        // Different key order = a different index.
-        assert!(db.find_composite_index("part", &["size", "brand"]).is_err());
+        // Different key order = a different index; so is a key prefix.
+        assert!(db.find_index_on("part", &["size", "brand"]).is_err());
+        assert!(db.find_index("part", "brand").is_err());
+    }
+
+    /// Every (key, rid) pair of an index, in index order.
+    fn entries(idx: &BaseIndex) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        idx.data
+            .for_each_row(|key, payload| out.push((key, payload[0])));
+        out
     }
 
     #[test]
-    fn composite_index_maintained_on_insert() {
+    fn insert_that_outgrows_a_key_part_rebuilds_the_index() {
         let mut db = db_with_table();
-        db.create_composite_index("part", &["brand", "size"], &["partkey"])
+        db.create_index(&IndexDef::on("part", &["brand", "size"], &["partkey"]))
             .unwrap();
+        db.create_index(&IndexDef::new("part", "size", &[]))
+            .unwrap();
+        // In-domain insert: maintained in place, filed under its own key.
         db.insert_row("part", &[Value::Int(9), Value::str("B#1"), Value::Int(15)])
             .unwrap();
-        let ci = db.find_composite_index("part", &["brand", "size"]).unwrap();
+        let ci = db.find_index_on("part", &["brand", "size"]).unwrap();
         assert_eq!(ci.data.tuple_count(), 4);
+        let pack = |idx: &BaseIndex, parts: &[u64]| idx.packer().pack(parts.iter().copied());
+        assert!(entries(ci).contains(&(pack(ci, &[0, 15]).unwrap(), 3)));
+        // `size` was 5 bits wide (max 30); 40 needs 6. The trailing part has
+        // no slack, so the two-column index is rebuilt — never aliased onto
+        // 40 & 31 = 8 — while the one-column index just takes the key.
+        assert!(pack(ci, &[1, 40]).is_err());
+        db.insert_row("part", &[Value::Int(10), Value::str("B#2"), Value::Int(40)])
+            .unwrap();
+        let ci = db.find_index_on("part", &["brand", "size"]).unwrap();
+        assert_eq!(ci.data.tuple_count(), 5);
+        assert!(entries(ci).contains(&(pack(ci, &[1, 40]).unwrap(), 4)));
+        assert!(entries(ci).windows(2).all(|w| w[0] <= w[1]), "reclustered");
+        assert!(entries(db.find_index("part", "size").unwrap()).contains(&(40, 4)));
+        // A key beyond the KISS-Tree's 32 bits moves the one-column index to
+        // a 64-bit prefix tree instead of truncating the key.
+        let big = (1i64 << 32) + 8;
+        assert!(db.find_index("part", "size").unwrap().data.index.is_kiss());
+        db.insert_row(
+            "part",
+            &[Value::Int(11), Value::str("B#1"), Value::Int(big)],
+        )
+        .unwrap();
+        let idx = db.find_index("part", "size").unwrap();
+        assert_eq!(idx.data.index.kind_name(), "PrefixTree<64>");
+        assert!(entries(idx).contains(&(big as u64, 5)));
+        assert!(!idx.data.index.contains(8));
+    }
+
+    #[test]
+    fn insert_no_index_can_hold_is_rejected_before_anything_changes() {
+        let mut db = db_with_table();
+        db.create_index(&IndexDef::on("part", &["size", "partkey"], &[]))
+            .unwrap();
+        let v = db.table_version("part").unwrap();
+        let wide = i64::MAX; // 63 bits + 63 bits > 64
+        let err = db
+            .insert_row(
+                "part",
+                &[Value::Int(wide), Value::str("B#1"), Value::Int(wide)],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, StorageError::KeyTooWide { bits: 126, .. }),
+            "{err}"
+        );
+        assert_eq!(db.table("part").unwrap().version_count(), 3);
+        assert_eq!(db.table_version("part").unwrap(), v);
+        // ... and so is creating such an index in the first place.
+        let mut db = db_with_table();
+        db.insert_row(
+            "part",
+            &[Value::Int(wide), Value::str("B#1"), Value::Int(wide)],
+        )
+        .unwrap();
+        let v = db.table_version("part").unwrap();
+        assert!(matches!(
+            db.create_index(&IndexDef::on("part", &["size", "partkey"], &[])),
+            Err(StorageError::KeyTooWide { .. })
+        ));
+        assert!(db.indexes().is_empty());
+        assert_eq!(db.table_version("part").unwrap(), v);
     }
 
     #[test]
@@ -579,8 +572,8 @@ mod tests {
         let v4 = db.table_version("part").unwrap();
         assert!(v4 > v3);
 
-        // Composite index builds bump too; versions are per table.
-        db.create_composite_index("part", &["brand", "size"], &["partkey"])
+        // Multi-column index builds bump too; versions are per table.
+        db.create_index(&IndexDef::on("part", &["brand", "size"], &["partkey"]))
             .unwrap();
         assert!(db.table_version("part").unwrap() > v4);
         assert_eq!(db.table_version_at(0), db.table_version("part").unwrap());

@@ -14,9 +14,11 @@
 //! `[carried columns...]` for intermediates.
 
 use qppt_kiss::{kiss_sync_scan_range, KissConfig, KissTree};
+use qppt_mem::{key_bits, KeyPacker};
 use qppt_trie::{sync_scan_range, PrefixTree, TrieConfig};
 
 use crate::mvcc::MvccTable;
+use crate::table::Table;
 use crate::types::StorageError;
 
 /// Key width of an index (which structure can hold it).
@@ -469,100 +471,126 @@ impl IndexedTable {
     }
 }
 
-/// A base index over one table column (§3): either a pure *secondary* index
-/// (payload = rid only) or a *partially clustered* index that additionally
-/// stores carried column values so operators never touch the row store
-/// during processing.
+/// A base index (§3) keyed on one or more table columns: either a pure
+/// *secondary* index (payload = rid only) or a *partially clustered* index
+/// that additionally stores carried column values so operators never touch
+/// the row store during processing.
+///
+/// The key is the bit-packed concatenation of the key columns, most
+/// significant first. With several columns this is the multidimensional
+/// index of §4.1 — "to process conjunctive combinations of predicates, the
+/// selection operator prefers to operate on a multidimensional index as
+/// input": equality predicates on the leading columns and at most a range
+/// on the last constrained one become a single contiguous key-range scan
+/// ([`KeyPacker::pack_range`]). The ordinary base index is the one-column
+/// case, whose packed key is the column value itself.
 #[derive(Debug)]
 pub struct BaseIndex {
     /// Table this index belongs to (catalog position).
     pub table_idx: usize,
-    /// Key column index.
-    pub key_col: usize,
+    /// Key column indexes, most significant first.
+    pub key_cols: Vec<usize>,
     /// Carried column indexes (empty = secondary index).
     pub carried: Vec<usize>,
     /// Carried column names (parallel to `carried`).
     pub carried_names: Vec<String>,
-    /// Payload layout: `[rid, carried...]`.
+    /// Payload layout: `[rid, carried...]`; keyed on the packed key.
     pub data: IndexedTable,
+    /// The key format, one part per key column, frozen at build time.
+    packer: KeyPacker,
 }
 
 impl BaseIndex {
     /// Builds a base index over every row version of `table`.
     /// Snapshot visibility is applied at scan time, not build time, so the
     /// index serves all snapshots (§3: base indexes care for isolation).
+    /// Fails if the packed key would exceed 64 bits.
     ///
     /// Rows are inserted in **key order**, so the payload rows of one key
     /// are contiguous in memory — this is what makes the index *clustered*:
     /// reading all tuples of a key is a sequential scan, not one cache miss
     /// per tuple. (Rows appended later by MVCC maintenance land at the
     /// unclustered tail, as in any clustered index with updates.)
+    ///
+    /// `sort` receives every row version's packed key, indexed by rid, and
+    /// must return the rids stably sorted by it (ties in rid order), exactly as
+    /// [`stable_key_order`] does — the hook that lets `qppt-par` run the
+    /// sort partitioned on its worker pool while the clustered insertion,
+    /// and therefore every bit of the index, stays the same.
     pub fn build(
         table_idx: usize,
         table: &MvccTable,
-        key_col: usize,
+        key_cols: Vec<usize>,
         carried: Vec<usize>,
         prefer_kiss: bool,
-    ) -> Self {
-        let order = key_sorted_rids(table, key_col);
-        Self::build_with_order(table_idx, table, key_col, carried, prefer_kiss, &order)
-    }
-
-    /// Like [`build`](Self::build), but with the key-sorted rid order
-    /// supplied by the caller — the hook the parallel index builder uses:
-    /// it produces the identical order with partitioned parallel sorts
-    /// (see `qppt-par`'s `prepare_indexes_pooled`) and only the final
-    /// clustered insertion runs here. `order` must be every row version's
-    /// rid exactly once, stably sorted by the key column (ties in rid
-    /// order), or the index will not be clustered the way [`build`](Self::build) makes
-    /// it.
-    pub fn build_with_order(
-        table_idx: usize,
-        table: &MvccTable,
-        key_col: usize,
-        carried: Vec<usize>,
-        prefer_kiss: bool,
-        order: &[u32],
-    ) -> Self {
-        debug_assert_eq!(order.len(), table.version_count());
+        sort: &dyn Fn(&[u64]) -> Vec<u32>,
+    ) -> Result<Self, StorageError> {
+        let t = table.table();
+        let packer = key_packer(t, &key_cols, None)?;
+        // The widths cover the table's statistics, so every row fits.
+        let keys: Vec<u64> = (0..table.version_count() as u32)
+            .map(|rid| {
+                let src = t.row(rid);
+                packer.pack_fitting(key_cols.iter().map(|&c| src[c]))
+            })
+            .collect();
+        let order = sort(&keys);
+        debug_assert_eq!(order.len(), keys.len());
         debug_assert!(order
             .windows(2)
-            .all(|w| table.table().get(w[0], key_col) <= table.table().get(w[1], key_col)));
-        let stats = table.table().stats(key_col);
-        let max_key = if stats.min > stats.max { 0 } else { stats.max };
-        let index = TreeIndex::for_domain(max_key, prefer_kiss);
+            .all(|w| keys[w[0] as usize] <= keys[w[1] as usize]));
         let carried_names: Vec<String> = carried
             .iter()
-            .map(|&c| table.table().schema().column(c).name.clone())
+            .map(|&c| t.schema().column(c).name.clone())
             .collect();
-        let mut data = IndexedTable::new(index, 1 + carried.len());
+        let mut data = IndexedTable::new(
+            TreeIndex::for_domain(packer.max_key(), prefer_kiss),
+            1 + carried.len(),
+        );
         let mut row = vec![0u64; 1 + carried.len()];
-        for &rid in order {
-            let key = table.table().get(rid, key_col);
+        for &rid in &order {
+            let src = t.row(rid);
             row[0] = rid as u64;
             for (i, &c) in carried.iter().enumerate() {
-                row[1 + i] = table.table().get(rid, c);
+                row[1 + i] = src[c];
             }
-            data.insert_row(key, &row);
+            data.insert_row(keys[rid as usize], &row);
         }
-        Self {
+        Ok(Self {
             table_idx,
-            key_col,
+            key_cols,
             carried,
             carried_names,
             data,
-        }
+            packer,
+        })
     }
 
-    /// Index maintenance hook: a new row version was appended.
-    pub fn on_insert(&mut self, table: &MvccTable, rid: u32) {
-        let key = table.table().get(rid, self.key_col);
-        let mut row = Vec::with_capacity(1 + self.carried.len());
-        row.push(rid as u64);
-        for &c in &self.carried {
-            row.push(table.table().get(rid, c));
-        }
-        self.data.insert_row(key, &row);
+    /// The key format: packs per-column codes (`pack`) or per-column
+    /// predicate bounds (`pack_range`) into this index's keys.
+    pub fn packer(&self) -> &KeyPacker {
+        &self.packer
+    }
+
+    /// The packed key of an encoded table row, or `None` if a key part has
+    /// outgrown the width frozen at build time.
+    pub fn key_of_row(&self, row: &[u64]) -> Option<u64> {
+        self.packer.pack(self.key_cols.iter().map(|&c| row[c])).ok()
+    }
+
+    /// Index maintenance hook: row version `rid` with the encoded fields
+    /// `row` was appended. Returns `false`, having inserted nothing, when
+    /// the row's key no longer fits ([`key_of_row`](Self::key_of_row)) — the
+    /// index must then be rebuilt, which re-derives widths and structure.
+    pub fn on_insert(&mut self, rid: u32, row: &[u64]) -> bool {
+        let Some(key) = self.key_of_row(row) else {
+            return false;
+        };
+        let mut payload = Vec::with_capacity(1 + self.carried.len());
+        payload.push(rid as u64);
+        payload.extend(self.carried.iter().map(|&c| row[c]));
+        self.data.insert_row(key, &payload);
+        true
     }
 
     /// `true` if this index carries the given column in its payload.
@@ -570,11 +598,6 @@ impl BaseIndex {
         self.carried.contains(&col)
     }
 
-    /// Position of `col` in the payload row (rid is position 0).
-    pub fn payload_pos(&self, col: usize) -> Option<usize> {
-        self.carried.iter().position(|&c| c == col).map(|p| p + 1)
-    }
-
     /// Position of a carried column, by name (rid is position 0).
     pub fn payload_pos_by_name(&self, name: &str) -> Option<usize> {
         self.carried_names
@@ -584,212 +607,55 @@ impl BaseIndex {
     }
 }
 
-/// A multidimensional base index (§4.1): one index over the *composite* of
-/// several columns, bit-packed most-significant-first. "To process
-/// conjunctive combinations of predicates, the selection operator prefers
-/// to operate on a multidimensional index as input" — a conjunction with
-/// equality predicates on the leading columns and at most a range on the
-/// last constrained column becomes a single contiguous key-range scan.
-#[derive(Debug)]
-pub struct CompositeIndex {
-    pub table_idx: usize,
-    /// Key columns, most significant first.
-    pub key_cols: Vec<usize>,
-    /// Key column names (parallel to `key_cols`).
-    pub key_names: Vec<String>,
-    /// Bit width per key part.
-    pub widths: Vec<u8>,
-    /// Carried column indexes.
-    pub carried: Vec<usize>,
-    /// Carried column names.
-    pub carried_names: Vec<String>,
-    /// Payload layout: `[rid, carried...]`; keyed on the packed composite.
-    pub data: IndexedTable,
-}
-
-impl CompositeIndex {
-    /// Builds a composite index over every row version, clustered by the
-    /// packed key (see [`BaseIndex::build`] for why clustering matters).
-    /// Fails if the packed key would exceed 64 bits.
-    pub fn build(
-        table_idx: usize,
-        table: &MvccTable,
-        key_cols: Vec<usize>,
-        carried: Vec<usize>,
-        prefer_kiss: bool,
-    ) -> Result<Self, StorageError> {
-        let packed = Self::packed_keys(table, &key_cols)?;
-        let mut order: Vec<u32> = (0..table.version_count() as u32).collect();
-        order.sort_by_key(|&rid| packed[rid as usize]);
-        Self::build_with_order(table_idx, table, key_cols, carried, prefer_kiss, &order)
-    }
-
-    /// The packed composite key of every row version, in rid order — what
-    /// the parallel index builder sorts by (partitioned) before calling
-    /// [`build_with_order`](Self::build_with_order).
-    pub fn packed_keys(table: &MvccTable, key_cols: &[usize]) -> Result<Vec<u64>, StorageError> {
-        let t = table.table();
-        let (widths, total) = Self::key_widths(table, key_cols)?;
-        Ok((0..table.version_count() as u32)
-            .map(|rid| {
-                let mut key = 0u64;
-                let mut used = 0u8;
-                for (i, &c) in key_cols.iter().enumerate() {
-                    used += widths[i];
-                    key |= t.get(rid, c) << (total - used);
-                }
-                key
-            })
-            .collect())
-    }
-
-    /// Like [`build`](Self::build) with a caller-supplied packed-key-sorted
-    /// rid order (see [`BaseIndex::build_with_order`] for the contract).
-    pub fn build_with_order(
-        table_idx: usize,
-        table: &MvccTable,
-        key_cols: Vec<usize>,
-        carried: Vec<usize>,
-        prefer_kiss: bool,
-        order: &[u32],
-    ) -> Result<Self, StorageError> {
-        debug_assert_eq!(order.len(), table.version_count());
-        let t = table.table();
-        let (widths, total) = Self::key_widths(table, &key_cols)?;
-        let max_key = if total >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << total) - 1
-        };
-        let key_names: Vec<String> = key_cols
-            .iter()
-            .map(|&c| t.schema().column(c).name.clone())
-            .collect();
-        let carried_names: Vec<String> = carried
-            .iter()
-            .map(|&c| t.schema().column(c).name.clone())
-            .collect();
-        let mut data = IndexedTable::new(
-            TreeIndex::for_domain(max_key, prefer_kiss),
-            1 + carried.len(),
-        );
-        let pack = |rid: u32| -> u64 {
-            let mut key = 0u64;
-            let mut used = 0u8;
-            for (i, &c) in key_cols.iter().enumerate() {
-                used += widths[i];
-                key |= t.get(rid, c) << (total - used);
-            }
-            key
-        };
-        let mut row = vec![0u64; 1 + carried.len()];
-        for &rid in order {
-            row[0] = rid as u64;
-            for (i, &c) in carried.iter().enumerate() {
-                row[1 + i] = t.get(rid, c);
-            }
-            data.insert_row(pack(rid), &row);
-        }
-        Ok(Self {
-            table_idx,
-            key_cols,
-            key_names,
-            widths,
-            carried,
-            carried_names,
-            data,
+/// The key format of an index over `key_cols`: one part per column, as wide
+/// as the column's largest code — per the table statistics and, when an
+/// insert is checked ahead of its append, the `incoming` encoded row. The
+/// total selects the 32- or 64-bit tree ([`TreeIndex::for_domain`]); what
+/// that leaves unused goes to the leading part, which moves no other part
+/// (so no key changes) and lets the leading column — the only column of an
+/// ordinary base index — grow up to the tree's width without a rebuild.
+pub(crate) fn key_packer(
+    table: &Table,
+    key_cols: &[usize],
+    incoming: Option<&[u64]>,
+) -> Result<KeyPacker, StorageError> {
+    let mut widths: Vec<u8> = key_cols
+        .iter()
+        .map(|&c| {
+            let s = table.stats(c);
+            let max = if s.min > s.max { 0 } else { s.max };
+            key_bits(incoming.map_or(max, |row| max.max(row[c])))
         })
+        .collect();
+    let total: u32 = widths.iter().map(|&w| w as u32).sum();
+    if total > 64 {
+        return Err(StorageError::KeyTooWide {
+            columns: key_cols
+                .iter()
+                .map(|&c| table.schema().column(c).name.clone())
+                .collect(),
+            bits: total,
+        });
     }
-
-    /// Per-part bit widths and total width of the packed composite key.
-    fn key_widths(table: &MvccTable, key_cols: &[usize]) -> Result<(Vec<u8>, u8), StorageError> {
-        let t = table.table();
-        let widths: Vec<u8> = key_cols
-            .iter()
-            .map(|&c| {
-                let s = t.stats(c);
-                let max = if s.min > s.max { 0 } else { s.max };
-                ((64 - max.leading_zeros()).max(1)) as u8
-            })
-            .collect();
-        let total: u32 = widths.iter().map(|&w| w as u32).sum();
-        if total > 64 {
-            return Err(StorageError::UnknownColumn(format!(
-                "composite key over {:?} needs {total} bits (max 64)",
-                key_cols
-            )));
-        }
-        Ok((widths, total as u8))
-    }
-
-    /// Packs per-part `[lo, hi]` bounds into the composite key range that
-    /// covers exactly the conjunction. Valid only when every part before the
-    /// last constrained one is an equality (lo == hi) — the classic
-    /// composite-prefix rule; callers enforce it.
-    pub fn pack_range(&self, bounds: &[(u64, u64)]) -> (u64, u64) {
-        debug_assert_eq!(bounds.len(), self.widths.len());
-        let total: u8 = self.widths.iter().sum();
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        let mut used = 0u8;
-        for (i, &w) in self.widths.iter().enumerate() {
-            used += w;
-            lo |= bounds[i].0 << (total - used);
-            hi |= bounds[i].1 << (total - used);
-        }
-        (lo, hi)
-    }
-
-    /// Position of a carried column, by name (rid is position 0).
-    pub fn payload_pos_by_name(&self, name: &str) -> Option<usize> {
-        self.carried_names
-            .iter()
-            .position(|c| c == name)
-            .map(|p| p + 1)
-    }
-
-    /// Index maintenance hook for a newly appended row version.
-    pub fn on_insert(&mut self, table: &MvccTable, rid: u32) {
-        let t = table.table();
-        let total: u8 = self.widths.iter().sum();
-        let mut key = 0u64;
-        let mut used = 0u8;
-        for (i, &c) in self.key_cols.iter().enumerate() {
-            used += self.widths[i];
-            // New codes may exceed the planned width; clamp defensively (a
-            // rebuild would re-derive widths — acceptable for this hook).
-            let mask = if self.widths[i] == 64 {
-                u64::MAX
-            } else {
-                (1u64 << self.widths[i]) - 1
-            };
-            key |= (t.get(rid, c) & mask) << (total - used);
-        }
-        let mut row = Vec::with_capacity(1 + self.carried.len());
-        row.push(rid as u64);
-        for &c in &self.carried {
-            row.push(t.get(rid, c));
-        }
-        self.data.insert_row(key, &row);
-    }
+    widths[0] += (if total <= 32 { 32 } else { 64 } - total) as u8;
+    Ok(KeyPacker::new(&widths).expect("widths sum to the tree's key width"))
 }
 
-/// Every row version's rid, stably sorted by the key column (ties keep rid
-/// order) — the clustered insertion order of [`BaseIndex::build`]. Exposed
-/// so alternative builders (the parallel, partitioned sort of `qppt-par`)
-/// can reproduce it exactly.
-pub fn key_sorted_rids(table: &MvccTable, key_col: usize) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..table.version_count() as u32).collect();
-    order.sort_by_key(|&rid| table.table().get(rid, key_col));
+/// The rids `0..keys.len()` stably sorted by `keys[rid]` (ties keep rid
+/// order) — the clustered insertion order of a sequential
+/// [`BaseIndex::build`], and the contract of every alternative sorter.
+pub fn stable_key_order(keys: &[u64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    order.sort_by_key(|&rid| keys[rid as usize]);
     order
 }
 
-/// Validation helper shared by catalog code.
-pub fn resolve_columns(
+/// Column names → column positions, for catalog code.
+pub(crate) fn resolve_columns(
     schema: &crate::types::Schema,
-    names: &[String],
+    names: &[impl AsRef<str>],
 ) -> Result<Vec<usize>, StorageError> {
-    names.iter().map(|n| schema.col(n)).collect()
+    names.iter().map(|n| schema.col(n.as_ref())).collect()
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@ pub mod types;
 pub use db::{Database, IndexDef};
 pub use dict::Dictionary;
 pub use index::{
-    key_sorted_rids, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompositeIndex,
-    IndexedTable, KeyWidth, PayloadBuf, TreeIndex,
+    stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,
+    KeyWidth, PayloadBuf, TreeIndex,
 };
 pub use mvcc::{MvccTable, Snapshot, TxnManager};
 pub use query::{

@@ -129,13 +129,19 @@ impl MvccTable {
     /// Inserts a new row committed at `ts`; returns its rid.
     pub fn insert(&mut self, ts: Ts, values: &[Value]) -> Result<u32, StorageError> {
         let row = self.table.encode_row(values)?;
-        let rid = self.table.push_encoded(&row);
+        Ok(self.insert_encoded(ts, &row))
+    }
+
+    /// [`insert`](Self::insert) of a row [`Table::encode_row`] has already
+    /// encoded.
+    pub(crate) fn insert_encoded(&mut self, ts: Ts, row: &[u64]) -> u32 {
+        let rid = self.table.push_encoded(row);
         self.versions.push(VersionMeta {
             begin: ts,
             end: LIVE,
         });
         self.max_begin = self.max_begin.max(ts);
-        Ok(rid)
+        rid
     }
 
     /// Deletes (terminates) a visible row version at `ts`.

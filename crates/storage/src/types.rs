@@ -170,6 +170,11 @@ pub enum StorageError {
         column: String,
         value: String,
     },
+    /// The packed key of an index over `columns` would exceed 64 bits.
+    KeyTooWide {
+        columns: Vec<String>,
+        bits: u32,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -201,6 +206,13 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "value {value:?} is not in the dictionary of column {column:?}"
+                )
+            }
+            StorageError::KeyTooWide { columns, bits } => {
+                write!(
+                    f,
+                    "index key over {} needs {bits} bits (max 64)",
+                    columns.join("+")
                 )
             }
         }

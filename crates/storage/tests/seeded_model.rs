@@ -5,9 +5,18 @@
 //! place). Matched structure pairs take the skip-scan kernels, mismatched
 //! ones the iterate-and-probe fallback; both must yield the model's
 //! intersection.
+//!
+//! One level up, a [`BaseIndex`](qppt_storage::BaseIndex) over 1–3 key
+//! columns must behave like a `BTreeMap<Vec<u64>, Vec<rid>>` keyed on the
+//! column tuple: clustered build order, key-range scans for an equality
+//! prefix plus a trailing range, and maintenance under inserts — including
+//! rows that outgrow the part widths frozen at build time.
 
 use qppt_mem::Xoshiro256StarStar;
-use qppt_storage::{sync_scan_indexes, sync_scan_indexes_range, KeyWidth, TreeIndex};
+use qppt_storage::{
+    sync_scan_indexes, sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Schema,
+    StorageError, TableBuilder, TreeIndex, Value,
+};
 use std::collections::BTreeMap;
 
 /// Largest key a structure (`None` = KISS-Tree) can hold.
@@ -183,5 +192,128 @@ fn batched_probes_match_btreemap_model() {
             assert_eq!(idx.contains(k), p);
             assert_eq!(idx.get_first(k), m.get(&k).map(|vs| vs[0]));
         }
+    }
+}
+
+const COLS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// Checks the index on `keys` against the model: one ordered scan must
+/// yield the model's `(packed tuple, rid)` sequence, and seeded
+/// prefix-equality + trailing-range bounds must select the model's rids.
+fn check_base_index(
+    db: &Database,
+    keys: &[&str],
+    model: &BTreeMap<Vec<u64>, Vec<u32>>,
+    rng: &mut Xoshiro256StarStar,
+    ctx: &str,
+) {
+    let idx = db.find_index_on("t", keys).unwrap();
+    let pack = |t: &[u64]| idx.packer().pack(t.iter().copied()).unwrap();
+    let expect: Vec<(u64, u64)> = model
+        .iter()
+        .flat_map(|(t, rids)| rids.iter().map(move |&r| (pack(t), r as u64)))
+        .collect();
+    let mut got = Vec::new();
+    idx.data.for_each_row(|k, row| {
+        // The carried column rides in the payload.
+        assert_eq!(row[1], db.table("t").unwrap().table().get(row[0] as u32, 3));
+        got.push((k, row[0]));
+    });
+    assert_eq!(got, expect, "{ctx}: ordered scan");
+    let tuples: Vec<&Vec<u64>> = model.keys().collect();
+    for _ in 0..24 {
+        let k = rng.below(keys.len() as u64) as usize;
+        let anchor = *rng.choose(&tuples);
+        let mut bounds: Vec<(u64, u64)> = anchor[..k].iter().map(|&v| (v, v)).collect();
+        // Trailing range around the anchor, sometimes (far) wider than
+        // the part, sometimes empty or entirely out of domain.
+        let (below, above) = (rng.below(8), rng.below(8) << rng.below(40));
+        bounds.push(match rng.below(8) {
+            0 => (anchor[k] + 1, anchor[k]),
+            1 => (u64::MAX - above, u64::MAX),
+            _ => (
+                anchor[k].saturating_sub(below),
+                anchor[k].saturating_add(above),
+            ),
+        });
+        let expect: Vec<u32> = model
+            .iter()
+            .filter(|(t, _)| {
+                t.iter()
+                    .zip(&bounds)
+                    .all(|(&v, &(lo, hi))| lo <= v && v <= hi)
+            })
+            .flat_map(|(_, rids)| rids.iter().copied())
+            .collect();
+        let mut got = Vec::new();
+        if let Some((lo, hi)) = idx.packer().pack_range(&bounds) {
+            idx.data.index.range_each(lo, hi, |_, pid| {
+                got.push(idx.data.payload.row(pid)[0] as u32)
+            });
+        }
+        assert_eq!(got, expect, "{ctx}: bounds {bounds:?}");
+    }
+}
+
+#[test]
+fn base_index_matches_btreemap_tuple_model() {
+    for case in 0..24u64 {
+        let mut rng = Xoshiro256StarStar::new(0xBA5E + case);
+        let arity = 1 + (case % 3) as usize;
+        // Key columns in a seeded order; "d" is the carried column.
+        let mut order = [0usize, 1, 2];
+        rng.shuffle(&mut order);
+        let key_cols = &order[..arity];
+        let keys: Vec<&str> = key_cols.iter().map(|&c| COLS[c]).collect();
+        let domains: Vec<u64> = (0..4).map(|_| 1 << rng.range_inclusive(1, 9)).collect();
+
+        let mut b = TableBuilder::new("t", Schema::of(&COLS.map(|c| (c, ColumnType::Int))));
+        let mut model: BTreeMap<Vec<u64>, Vec<u32>> = BTreeMap::new();
+        let add = |model: &mut BTreeMap<Vec<u64>, Vec<u32>>, row: &[u64], rid: u32| {
+            let tuple = key_cols.iter().map(|&c| row[c]).collect();
+            model.entry(tuple).or_default().push(rid);
+        };
+        let values = |row: &[u64]| row.iter().map(|&v| Value::Int(v as i64)).collect();
+        for rid in 0..150u32 {
+            let row: Vec<u64> = domains.iter().map(|&d| rng.below(d)).collect();
+            add(&mut model, &row, rid);
+            b.push_row(values(&row)).unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table(b.finish());
+        db.prefer_kiss = case % 2 == 0;
+        db.create_index(&IndexDef::on("t", &keys, &["d"])).unwrap();
+        let ctx = format!("case {case} keys {keys:?}");
+        // A fresh build is clustered: payload rows lie in key order.
+        let mut pids = Vec::new();
+        let idx = db.find_index_on("t", &keys).unwrap();
+        idx.data.index.for_each(|_, pid| pids.push(pid));
+        assert_eq!(pids, (0..150).collect::<Vec<u32>>(), "{ctx}: clustered");
+        check_base_index(&db, &keys, &model, &mut rng, &ctx);
+
+        // Inserts: mostly in-domain, some a few bits past a part's width,
+        // a few past the 32-bit structures altogether. A row whose tuple
+        // cannot pack into 64 bits at all is rejected and changes nothing.
+        for _ in 0..50 {
+            let mut row: Vec<u64> = domains.iter().map(|&d| rng.below(d)).collect();
+            if rng.chance(1, 4) {
+                let c = *rng.choose(key_cols);
+                row[c] = match rng.below(4) {
+                    0 => (1 << 32) + rng.below(4),
+                    _ => domains[c] << rng.below(3),
+                };
+            }
+            match db.insert_row("t", &values(&row)) {
+                Ok((rid, _)) => add(&mut model, &row, rid),
+                Err(e) => assert!(matches!(e, StorageError::KeyTooWide { .. }), "{e}"),
+            }
+        }
+        check_base_index(
+            &db,
+            &keys,
+            &model,
+            &mut rng,
+            &format!("{ctx} after inserts"),
+        );
     }
 }
