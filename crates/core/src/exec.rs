@@ -4,37 +4,59 @@
 //! consumes whole indexes and produces exactly one output index, so the
 //! number of inter-operator calls is "exactly one" per edge (§1). The join
 //! kernels are the synchronous index scan (§4.2) and the batched
-//! select-probe of the fused select-join (§4.3); assisting dimensions are
-//! probed through the join buffer with batched lookups (§2.3).
+//! select-probe of the fused select-join (§4.3).
 //!
 //! Execution is split into three phases so the morsel-driven parallel
 //! subsystem (`qppt-par`) can re-compose them:
 //!
 //! 1. [`materialize_dim`] — dimension selections (σ), independent of each
 //!    other and of the fact stream; parallelizable one task per dimension.
-//! 2. [`run_pipeline`] — the fact-side pipeline (optional fact selection,
-//!    then all composed join stages into the aggregating index). The
-//!    stage-1 fact access can be restricted to a [`KeyRange`] morsel, which
-//!    partitions the whole pipeline by the first join key.
+//! 2. [`Pipeline`] — the fact-side pipeline (optional fact selection, then
+//!    all composed join stages into the aggregating index).
+//!    [`Pipeline::new`] resolves, once per participant, everything no
+//!    morsel changes; [`Pipeline::run`] restricts the stage-1 fact access
+//!    to a [`KeyRange`] morsel, which partitions the whole pipeline by the
+//!    first join key.
 //! 3. [`decode_result`] — decoding the (merged) aggregation index into the
 //!    shared result format.
 //!
 //! [`execute`] composes the three sequentially (one morsel covering the
 //! whole key domain), which is the paper's single-threaded execution model.
+//!
+//! # The join-group
+//!
+//! A composed join stage streams the candidates of its main join — the
+//! cross product of a key's fact tuples and dimension tuples — into the
+//! flat **join buffer** and, every `join_buffer` rows, flushes it through
+//! the stage's *assisting* dimensions into its sink (§2.3, §4.2). The
+//! flush is a selection-vector pipeline with one body for every plan and
+//! execution mode: a vector of surviving row ordinals starts as the whole
+//! block; each assisting dimension, in plan order, is probed only by the
+//! survivors of the previous one, writes its carried values into their
+//! buffer rows in place and compacts the vector; the sink then walks what
+//! is left, in buffer order — inserting into the next stage's input
+//! index, or upserting run-length into the aggregating index, one descent
+//! per run of equal group keys. Per fact tuple the work is one probe of
+//! the first assist plus one of each later assist *the tuple reaches*,
+//! not one per assist. The buffer, the vector and every other scratch of
+//! the flush live in the [`Pipeline`] and are reused across flushes,
+//! stages and morsels.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
     sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, MvccTable,
-    PayloadBuf, QueryResult, ResultRow, Snapshot, StorageError, TreeIndex, Value,
+    PayloadBuf, ProbeScratch, QueryResult, ResultRow, Snapshot, StorageError, TreeIndex, Value,
 };
 
 use crate::batch::RowBatch;
 use crate::inter::{AggTable, InterTable};
 use crate::layout::{Layout, Src};
 use crate::options::{BatchMode, PlanOptions};
-use crate::plan::{DimHandleKind, JoinStage, MainInput, Plan, ResolvedDim, StageOutput};
+use crate::plan::{
+    DimHandleKind, FactSelect, JoinStage, MainInput, Plan, ResolvedDim, StageOutput,
+};
 use crate::stats::{ExecStats, OpStats};
 use crate::QpptError;
 
@@ -222,61 +244,278 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
     )
 }
 
-/// Runs the fact-side pipeline: the optional materialized fact selection
-/// (Fig. 8's non-fused plan) followed by every composed join stage,
-/// aggregating into `agg`. `dim_tables` holds the materialized dimension
-/// selections, one slot per plan dimension (`None` for base/fused
-/// handles) — `Arc` handles shared read-only across partitions, executions,
-/// and (through the cache's dimension tier) entire queries.
+/// The fact-side pipeline of one participant: the optional materialized
+/// fact selection (Fig. 8's non-fused plan) followed by every composed join
+/// stage, aggregating into the caller's [`AggTable`].
 ///
-/// The stage-1 fact access — synchronous base-index scan, fused
-/// select-probe, or fact selection — is restricted to join keys in `range`:
-/// one morsel of the parallel executor, or [`KeyRange::full`] for the whole
-/// domain (sequential execution is the one-morsel case).
+/// [`new`](Self::new) resolves everything that does not depend on the
+/// morsel — the stage-1 fact index and its field map, every dimension's
+/// runtime access and fill positions, the operator labels — and owns the
+/// join buffer and probe scratch; [`run`](Self::run) then executes one
+/// [`KeyRange`] morsel over that state. A worker builds one `Pipeline` and
+/// runs every morsel it claims through it; sequential execution is the one
+/// morsel [`KeyRange::full`].
 ///
-/// `fused` optionally supplies a pre-materialized stage-1 selection stream
-/// (see [`FusedSelection`]); with `None`, a `SelectProbe` stage scans the
-/// selection itself.
+/// `dim_tables` holds the materialized dimension selections, one slot per
+/// plan dimension (`None` for base/fused handles) — `Arc` handles shared
+/// read-only across participants, executions, and (through the cache's
+/// dimension tier) entire queries. `fused` optionally supplies a
+/// pre-materialized stage-1 selection stream (see [`FusedSelection`]); with
+/// `None`, a `SelectProbe` stage scans the selection itself.
 ///
-/// `batch` selects between the scalar row-at-a-time inner loops and the
-/// columnar [`RowBatch`] paths. It is an **execution** parameter, not a
+/// `batch` selects between the scalar row-at-a-time and the columnar
+/// [`RowBatch`] *scan* loops that feed the join buffer (the buffer's flush
+/// is the same code either way). It is an **execution** parameter, not a
 /// plan property: batch knobs are excluded from the cache fingerprints, so
 /// a cached plan may carry stale `batch_*` options — callers derive the
 /// mode from the *request's* options. Both modes visit the same tuples in
 /// the same order and produce byte-identical aggregates.
-///
-/// Returns the per-operator statistics of this partition, in operator order
-/// (fact selection first if present, then one entry per stage).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline(
-    db: &Database,
+pub struct Pipeline<'a> {
+    db: &'a Database,
     snap: Snapshot,
-    plan: &Plan,
-    dim_tables: &[Option<Arc<DimSelection>>],
-    range: KeyRange,
-    fused: Option<&FusedSelection>,
+    plan: &'a Plan,
+    fused: Option<&'a FusedSelection>,
     batch: BatchMode,
-    agg: &mut AggTable,
-) -> Result<Vec<OpStats>, QpptError> {
-    let mut stats: Vec<OpStats> = Vec::new();
-    let fact_mvt = db.table(&plan.spec.fact)?;
+    fact_mvt: &'a MvccTable,
+    /// The fact base index on the stage-1 join column.
+    fact_base: &'a BaseIndex,
+    fact_field_map: Vec<FieldSrc>,
+    /// Key domain of the fact-selection index (stage-1 join column).
+    fact_key_max: u64,
+    /// One entry per `plan.stages`.
+    stages: Vec<StageCtx<'a>>,
+    scratch: JoinScratch,
+    /// One record per operator (fact selection first if present, then one
+    /// per stage), accumulated over every morsel run.
+    ops: Vec<OpStats>,
+}
 
-    // Optional separate fact selection (the non-fused plan of Fig. 8).
-    let fact_base = db.find_index(&plan.spec.fact, &plan.dims[0].fact_col_name)?;
-    let fact_field_map = base_field_map(
-        fact_base,
-        &plan.spec.fact,
-        &plan.fact_layout,
-        &plan.dims[0].fact_col_name,
-    )?;
-    let mut stream: Option<InterTable> = None;
-    if let Some(fs) = &plan.fact_select {
-        let t0 = Instant::now();
-        let fact_t = fact_mvt.table();
-        let key_col = fact_t.schema().col(&plan.dims[0].fact_col_name)?;
-        let cs = fact_t.stats(key_col);
-        let max_key = if cs.min > cs.max { 0 } else { cs.max };
-        let index = TreeIndex::for_domain(max_key, plan.opts.prefer_kiss);
+/// What a join stage needs at run time that no morsel changes.
+struct StageCtx<'a> {
+    assists: Vec<AssistRt<'a>>,
+    main_fill_pos: Vec<usize>,
+    /// The main dimension's index (`SyncScan` stages; a `SelectProbe`
+    /// stage streams its dimension instead).
+    main_access: Option<DimAccess<'a>>,
+    /// Key domain of an `Inter` output (the next join's fact column).
+    out_key_max: u64,
+}
+
+/// Folds one morsel's run of an operator, started at `t0`, into the
+/// operator's per-participant record — what [`OpStats::absorb_partition`]
+/// does to one record per morsel.
+fn absorb_run(op: &mut OpStats, keys: usize, tuples: usize, kind: &str, bytes: usize, t0: Instant) {
+    op.out_keys += keys;
+    op.out_tuples += tuples;
+    op.memory_bytes += bytes;
+    op.micros += t0.elapsed().as_micros();
+    if op.index_kind.is_empty() {
+        op.index_kind.push_str(kind);
+    }
+}
+
+/// [`absorb_run`] of an operator whose output is the intermediate `out`.
+fn absorb_inter(op: &mut OpStats, out: &InterTable, t0: Instant) {
+    let kind = out.data.index.kind_name();
+    absorb_run(
+        op,
+        out.key_count(),
+        out.tuple_count(),
+        kind,
+        out.memory_bytes(),
+        t0,
+    );
+}
+
+/// Largest code of a fact column — the key domain of an index keyed on it.
+fn fact_col_max(fact_mvt: &MvccTable, col_name: &str) -> Result<u64, QpptError> {
+    let t = fact_mvt.table();
+    let s = t.stats(t.schema().col(col_name)?);
+    Ok(if s.min > s.max { 0 } else { s.max })
+}
+
+impl<'a> Pipeline<'a> {
+    /// Resolves the morsel-independent state of `plan`'s fact pipeline.
+    pub fn new(
+        db: &'a Database,
+        snap: Snapshot,
+        plan: &'a Plan,
+        dim_tables: &'a [Option<Arc<DimSelection>>],
+        fused: Option<&'a FusedSelection>,
+        batch: BatchMode,
+    ) -> Result<Self, QpptError> {
+        let fact_mvt = db.table(&plan.spec.fact)?;
+        let fact_key = &plan.dims[0].fact_col_name;
+        let fact_base = db.find_index(&plan.spec.fact, fact_key)?;
+        let fact_field_map =
+            base_field_map(fact_base, &plan.spec.fact, &plan.fact_layout, fact_key)?;
+        let op = |label: String| OpStats {
+            label,
+            out_keys: 0,
+            out_tuples: 0,
+            index_kind: String::new(),
+            memory_bytes: 0,
+            micros: 0,
+        };
+        let mut ops = Vec::with_capacity(plan.stages.len() + 1);
+        if plan.fact_select.is_some() {
+            ops.push(op(format!("σ(fact residuals) → idx on {fact_key}")));
+        }
+        let mut stages = Vec::with_capacity(plan.stages.len());
+        for stage in &plan.stages {
+            let fill_pos = |d: usize| -> Vec<usize> {
+                plan.dims[d]
+                    .carried_names
+                    .iter()
+                    .map(|c| stage.work_layout.expect(Src::Dim(d), c))
+                    .collect()
+            };
+            let mut assists = Vec::with_capacity(stage.assisting.len());
+            for &a in &stage.assisting {
+                assists.push(AssistRt {
+                    access: dim_access(db, snap, &plan.dims[a], dim_tables)?,
+                    probe_pos: stage
+                        .work_layout
+                        .expect(Src::Fact, &plan.dims[a].fact_col_name),
+                    fill_pos: fill_pos(a),
+                });
+            }
+            let (main, main_access) = match stage.main {
+                MainInput::SyncScan { main } => (
+                    main,
+                    Some(dim_access(db, snap, &plan.dims[main], dim_tables)?),
+                ),
+                MainInput::SelectProbe { main } => (main, None),
+            };
+            let out_key_max = match &stage.output {
+                StageOutput::Agg => {
+                    ops.push(op(format!("{}-way star join-group", stage.ways)));
+                    0
+                }
+                StageOutput::Inter { next } => {
+                    let key_name = &plan.dims[*next].fact_col_name;
+                    ops.push(op(format!(
+                        "{}-way star join → idx on {key_name}",
+                        stage.ways
+                    )));
+                    fact_col_max(fact_mvt, key_name)?
+                }
+            };
+            stages.push(StageCtx {
+                assists,
+                main_fill_pos: fill_pos(main),
+                main_access,
+                out_key_max,
+            });
+        }
+        Ok(Self {
+            db,
+            snap,
+            plan,
+            fused,
+            batch,
+            fact_mvt,
+            fact_base,
+            fact_field_map,
+            fact_key_max: fact_col_max(fact_mvt, fact_key)?,
+            stages,
+            scratch: JoinScratch::default(),
+            ops,
+        })
+    }
+
+    /// Runs the pipeline over one morsel, aggregating into `agg`: the
+    /// stage-1 fact access — synchronous base-index scan, fused
+    /// select-probe, or fact selection — is restricted to join keys in
+    /// `range`, which restricts every downstream stage to the tuples
+    /// deriving from those fact rows.
+    pub fn run(&mut self, range: KeyRange, agg: &mut AggTable) -> Result<(), QpptError> {
+        let (plan, snap, batch) = (self.plan, self.snap, self.batch);
+        let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
+        // The stages' records follow the fact selection's, if there is one.
+        let stage_ops = self.ops.len() - plan.stages.len();
+
+        // Optional separate fact selection (the non-fused plan of Fig. 8).
+        let mut stream: Option<InterTable> = None;
+        if let Some(fs) = &plan.fact_select {
+            let t0 = Instant::now();
+            let out = self.select_fact(fs, range);
+            absorb_inter(&mut self.ops[0], &out, t0);
+            stream = Some(out);
+        }
+
+        // Join stages.
+        for (si, (stage, ctx)) in plan.stages.iter().zip(&self.stages).enumerate() {
+            let t0 = Instant::now();
+            let sink = match &stage.output {
+                StageOutput::Agg => StageSink::Agg(&mut *agg),
+                StageOutput::Inter { next } => StageSink::Inter(InterTable::new(
+                    &plan.dims[*next].fact_col_name,
+                    stage.output_layout.clone(),
+                    TreeIndex::for_domain(ctx.out_key_max, plan.opts.prefer_kiss),
+                )),
+            };
+            let input = stream.take();
+            let mut run = StageRun {
+                plan,
+                stage,
+                ctx,
+                snap,
+                sink,
+                s: &mut self.scratch,
+                width: stage.work_layout.width(),
+                cap: plan.opts.join_buffer,
+                batch,
+            };
+            match stage.main {
+                MainInput::SyncScan { .. } => {
+                    let dim_acc = ctx.main_access.as_ref().expect("sync scans have an index");
+                    match &input {
+                        None => {
+                            debug_assert_eq!(si, 0, "only stage 1 reads the fact base index");
+                            let map = &self.fact_field_map;
+                            run.sync_scan_base(fact_base, fact_mvt, map, dim_acc, range);
+                        }
+                        Some(it) => run.sync_scan_inter(it, dim_acc),
+                    }
+                }
+                MainInput::SelectProbe { main } => {
+                    debug_assert!(si == 0 && input.is_none());
+                    run.select_probe(
+                        self.db,
+                        fact_base,
+                        fact_mvt,
+                        &self.fact_field_map,
+                        &plan.dims[main],
+                        range,
+                        self.fused,
+                    )?;
+                }
+            }
+            run.flush();
+            let op = &mut self.ops[stage_ops + si];
+            match run.sink {
+                StageSink::Agg(a) => {
+                    let (groups, bytes) = (a.group_count(), a.memory_bytes());
+                    absorb_run(op, groups, groups, a.index_kind(), bytes, t0);
+                }
+                StageSink::Inter(out) => {
+                    absorb_inter(op, &out, t0);
+                    stream = Some(out);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Materializes the fact selection of the non-fused plan over one
+    /// morsel: the fact rows of `range` that pass `fs`, indexed on the
+    /// stage-1 join column.
+    fn select_fact(&self, fs: &FactSelect, range: KeyRange) -> InterTable {
+        let (plan, snap, batch) = (self.plan, self.snap, self.batch);
+        let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
+        let fact_field_map = &self.fact_field_map[..];
+        let index = TreeIndex::for_domain(self.fact_key_max, plan.opts.prefer_kiss);
         let mut out = InterTable::new(&plan.dims[0].fact_col_name, plan.fact_layout.clone(), index);
         let width = plan.fact_layout.width();
         let mut row = vec![0u64; width];
@@ -297,7 +536,7 @@ pub fn run_pipeline(
                 if cands.is_empty() {
                     return;
                 }
-                gather_pred_block(&mut rb, &fact_field_map, cands, payload, &cols);
+                gather_pred_block(&mut rb, fact_field_map, cands, payload, &cols);
                 if check_vis {
                     rb.filter(|r| fact_mvt.visible(payload.row(cands[r].pid)[0] as u32, snap));
                 }
@@ -306,7 +545,7 @@ pub fn run_pipeline(
                 }
                 for i in 0..rb.sel().len() {
                     let c = cands[rb.sel()[i] as usize];
-                    fill_from_base(&fact_field_map, c.key, payload.row(c.pid), &mut row);
+                    fill_from_base(fact_field_map, c.key, payload.row(c.pid), &mut row);
                     out.insert(c.key, &row);
                 }
                 cands.clear();
@@ -333,7 +572,7 @@ pub fn run_pipeline(
                 if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
                     return;
                 }
-                fill_from_base(&fact_field_map, key, payload, &mut row);
+                fill_from_base(fact_field_map, key, payload, &mut row);
                 if fs.preds.iter().all(|p| p.matches(|c| row[c])) {
                     out.insert(key, &row);
                 }
@@ -343,128 +582,16 @@ pub fn run_pipeline(
                 .index
                 .range_each(range.lo, range.hi, &mut visit);
         }
-        stats.push(OpStats {
-            label: format!("σ(fact residuals) → idx on {}", plan.dims[0].fact_col_name),
-            out_keys: out.key_count(),
-            out_tuples: out.tuple_count(),
-            index_kind: out.data.index.kind_name().to_string(),
-            memory_bytes: out.memory_bytes(),
-            micros: t0.elapsed().as_micros(),
-        });
-        stream = Some(out);
+        out
     }
 
-    // Join stages.
-    for (si, stage) in plan.stages.iter().enumerate() {
-        let t0 = Instant::now();
-        let mut assists = Vec::with_capacity(stage.assisting.len());
-        for &a in &stage.assisting {
-            let access = dim_access(db, snap, &plan.dims[a], dim_tables)?;
-            let probe_pos = stage
-                .work_layout
-                .expect(Src::Fact, &plan.dims[a].fact_col_name);
-            let fill_pos: Vec<usize> = plan.dims[a]
-                .carried_names
-                .iter()
-                .map(|c| stage.work_layout.expect(Src::Dim(a), c))
-                .collect();
-            assists.push(AssistRt {
-                access,
-                probe_pos,
-                fill_pos,
-            });
-        }
-        let main_idx = match stage.main {
-            MainInput::SyncScan { main } | MainInput::SelectProbe { main } => main,
-        };
-        let main_fill_pos: Vec<usize> = plan.dims[main_idx]
-            .carried_names
-            .iter()
-            .map(|c| stage.work_layout.expect(Src::Dim(main_idx), c))
-            .collect();
-
-        let sink = match &stage.output {
-            StageOutput::Agg => StageSink::Agg(&mut *agg),
-            StageOutput::Inter { next } => {
-                let key_name = &plan.dims[*next].fact_col_name;
-                let fact_t = fact_mvt.table();
-                let key_col = fact_t.schema().col(key_name)?;
-                let s = fact_t.stats(key_col);
-                let max_key = if s.min > s.max { 0 } else { s.max };
-                StageSink::Inter(InterTable::new(
-                    key_name,
-                    stage.output_layout.clone(),
-                    TreeIndex::for_domain(max_key, plan.opts.prefer_kiss),
-                ))
-            }
-        };
-
-        let input = stream.take();
-        let width = stage.work_layout.width();
-        let mut run = StageRun {
-            plan,
-            stage,
-            snap,
-            assists,
-            main_fill_pos,
-            sink,
-            buffer: Vec::with_capacity(plan.opts.join_buffer * width.max(1)),
-            rows: 0,
-            width,
-            cap: plan.opts.join_buffer,
-            batch,
-        };
-        match stage.main {
-            MainInput::SyncScan { main } => {
-                let dim_acc = dim_access(db, snap, &plan.dims[main], dim_tables)?;
-                match &input {
-                    None => {
-                        debug_assert_eq!(si, 0, "only stage 1 reads the fact base index");
-                        run.sync_scan_base(fact_base, fact_mvt, &fact_field_map, &dim_acc, range);
-                    }
-                    Some(it) => run.sync_scan_inter(it, &dim_acc),
-                }
-            }
-            MainInput::SelectProbe { main } => {
-                debug_assert!(si == 0 && input.is_none());
-                run.select_probe(
-                    db,
-                    fact_base,
-                    fact_mvt,
-                    &fact_field_map,
-                    &plan.dims[main],
-                    range,
-                    fused,
-                )?;
-            }
-        }
-        run.flush();
-        match run.sink {
-            StageSink::Agg(a) => {
-                stats.push(OpStats {
-                    label: format!("{}-way star join-group", stage.ways),
-                    out_keys: a.group_count(),
-                    out_tuples: a.group_count(),
-                    index_kind: a.index_kind().to_string(),
-                    memory_bytes: a.memory_bytes(),
-                    micros: t0.elapsed().as_micros(),
-                });
-            }
-            StageSink::Inter(out) => {
-                stats.push(OpStats {
-                    label: format!("{}-way star join → idx on {}", stage.ways, out.key_name),
-                    out_keys: out.key_count(),
-                    out_tuples: out.tuple_count(),
-                    index_kind: out.data.index.kind_name().to_string(),
-                    memory_bytes: out.memory_bytes(),
-                    micros: t0.elapsed().as_micros(),
-                });
-                stream = Some(out);
-            }
-        }
+    /// The per-operator statistics of every morsel run so far, in operator
+    /// order (fact selection first if present, then one entry per stage):
+    /// output sizes, memory and time are sums over the morsels, as
+    /// [`OpStats::absorb_partition`] would fold one record per morsel.
+    pub fn into_stats(self) -> Vec<OpStats> {
+        self.ops
     }
-
-    Ok(stats)
 }
 
 /// Per-part decode source for the packed group key — the dimension table
@@ -642,10 +769,9 @@ pub fn execute_agg(
     // `PreparedQuery`, which threads the request's mode explicitly).
     let mut agg = new_agg_table(plan);
     let batch = plan.opts.batch_mode();
-    let whole = KeyRange::full();
-    for op in run_pipeline(db, snap, plan, &dim_tables, whole, None, batch, &mut agg)? {
-        stats.push(op);
-    }
+    let mut pipeline = Pipeline::new(db, snap, plan, &dim_tables, None, batch)?;
+    pipeline.run(KeyRange::full(), &mut agg)?;
+    stats.ops.extend(pipeline.into_stats());
     stats.total_micros = started.elapsed().as_micros();
     Ok((agg, stats))
 }
@@ -884,149 +1010,162 @@ enum StageSink<'g> {
     Agg(&'g mut AggTable),
 }
 
-struct StageRun<'a, 'p, 'g> {
-    plan: &'p Plan,
-    stage: &'p JoinStage,
-    snap: Snapshot,
-    assists: Vec<AssistRt<'a>>,
-    main_fill_pos: Vec<usize>,
-    sink: StageSink<'g>,
-    /// Flat candidate buffer: `rows` work rows of `width` fields each.
-    /// Flat storage keeps the join buffer allocation-free on the hot path.
+/// The reusable buffers of the join-group: the join buffer itself and the
+/// scratch of its flush. One per [`Pipeline`], so nothing here is
+/// allocated per flush, per stage or per morsel once it has grown; every
+/// vector is sized by the rows actually buffered, never by an option.
+#[derive(Default)]
+struct JoinScratch {
+    /// Flat join buffer: `rows` work rows of `width` fields each.
     buffer: Vec<u64>,
     rows: usize,
+    /// The flush's selection vector: ordinals of the buffer rows every
+    /// assisting dimension probed so far has kept, ascending.
+    alive: Vec<u32>,
+    /// Carried values of the dimension tuple just fetched.
+    carried: Vec<u64>,
+    out_row: Vec<u64>,
+    deltas: Vec<i64>,
+    /// Scratch of the batched fact-index probes of a select-probe stage.
+    probe: ProbeScratch,
+    /// Assisting-index probes issued (one per surviving row per assist).
+    #[cfg(test)]
+    probes: usize,
+}
+
+struct StageRun<'r, 'a, 'g> {
+    plan: &'r Plan,
+    stage: &'r JoinStage,
+    ctx: &'r StageCtx<'a>,
+    snap: Snapshot,
+    sink: StageSink<'g>,
+    s: &'r mut JoinScratch,
     width: usize,
     cap: usize,
     batch: BatchMode,
 }
 
-impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
+impl StageRun<'_, '_, '_> {
     /// Builds candidates for one fact input row × the main dim's tuples
     /// (cross product, §4.2), appending directly into the flat join buffer.
     /// `carried` holds `count` tuples of `stride` carried values each.
     #[inline]
     fn emit_cross(&mut self, input: &[u64], carried: &[u64], stride: usize, count: usize) {
         for t in 0..count {
-            let base = self.buffer.len();
-            self.buffer.extend_from_slice(input);
-            self.buffer.resize(base + self.width, 0);
-            for (k, &pos) in self.main_fill_pos.iter().enumerate() {
-                self.buffer[base + pos] = carried[t * stride + k];
+            let buffer = &mut self.s.buffer;
+            let base = buffer.len();
+            buffer.extend_from_slice(input);
+            buffer.resize(base + self.width, 0);
+            for (k, &pos) in self.ctx.main_fill_pos.iter().enumerate() {
+                buffer[base + pos] = carried[t * stride + k];
             }
-            self.rows += 1;
-            if self.rows >= self.cap {
+            self.s.rows += 1;
+            if self.s.rows >= self.cap {
                 self.flush();
             }
         }
     }
 
-    /// Probes every assisting index (batched, §2.3) and emits survivors.
+    /// Drains the join buffer through the assisting dimensions into the
+    /// sink — a selection-vector pipeline (§2.3, §4.2).
+    ///
+    /// `alive` starts as every buffered row. Each assisting dimension, in
+    /// plan order, is probed **only by the rows the previous one kept**: a
+    /// survivor whose key has a visible tuple gets that tuple's carried
+    /// values written into its buffer row and stays; the rest drop out, so
+    /// a selective dimension spares every later one its probes, and a
+    /// block nothing survives touches no further index. Join keys are
+    /// unique per visible snapshot, so the first visible version of a key
+    /// is the tuple. Compaction keeps `alive` ascending: the sink sees the
+    /// survivors in buffer (= scan) order.
+    ///
+    /// The probe is the scalar [`TreeIndex::get_each`]: the dimension side
+    /// of a star join — a σ table or a dimension's base index — stays
+    /// cache-resident, where the level-synchronous batched descent only
+    /// adds its rounds (measured on the repo benchmark at sf 0.2; the
+    /// numbers are in CHANGES.md under "survivors-only join-group").
+    ///
+    /// An `Inter` sink inserts the projected survivors in order. The `Agg`
+    /// sink merges run-length: consecutive survivors of one group — scans
+    /// emit sorted keys, so runs are the common case — sum their deltas
+    /// and descend the aggregation index once. Sums are commutative, so
+    /// the aggregate is byte-identical to merging row by row.
     fn flush(&mut self) {
-        if self.rows == 0 {
+        let n = self.s.rows;
+        if n == 0 {
             return;
         }
-        let width = self.width;
-        let n = self.rows;
-        let snap = self.snap;
-        let mut matched: Vec<bool> = vec![true; n];
-        let mut keys: Vec<u64> = Vec::with_capacity(n);
-        let mut scratch: Vec<u64> = Vec::new();
-        for assist in &self.assists {
-            keys.clear();
-            for r in 0..n {
-                keys.push(self.buffer[r * width + assist.probe_pos]);
+        let (width, snap) = (self.width, self.snap);
+        let s = &mut *self.s;
+        debug_assert_eq!(s.buffer.len(), n * width);
+        s.alive.clear();
+        s.alive.extend(0..n as u32);
+        for assist in &self.ctx.assists {
+            #[cfg(test)]
+            {
+                s.probes += s.alive.len();
             }
-            let mut found: Vec<bool> = vec![false; n];
-            // Disjoint field borrows: the probe writes carried values
-            // straight into the flat buffer rows.
-            let buffer = &mut self.buffer;
-            assist.access.index().batch_get_each(&keys, |job, pid| {
-                if found[job] || !matched[job] {
-                    return; // join keys are unique per visible snapshot
-                }
-                scratch.clear();
-                if assist.access.fetch(pid, snap, &mut scratch) {
-                    found[job] = true;
-                    let base = job * width;
-                    for (k, &pos) in assist.fill_pos.iter().enumerate() {
-                        buffer[base + pos] = scratch[k];
+            let index = assist.access.index();
+            let mut kept = 0;
+            for i in 0..s.alive.len() {
+                let r = s.alive[i];
+                let base = r as usize * width;
+                let mut hit = false;
+                index.get_each(s.buffer[base + assist.probe_pos], |pid| {
+                    if !hit {
+                        s.carried.clear();
+                        hit = assist.access.fetch(pid, snap, &mut s.carried);
                     }
-                }
-            });
-            for (m, f) in matched.iter_mut().zip(found.iter()) {
-                *m &= *f;
-            }
-        }
-        if self.batch.enabled && matches!(self.sink, StageSink::Agg(_)) {
-            // Batch-grouped aggregate update: pack the group key and
-            // evaluate the aggregate deltas for the whole surviving block
-            // first, then accumulate run-length-wise — range scans emit
-            // sorted keys, so consecutive survivors usually share a group
-            // and collapse into a single index probe. Sums are commutative,
-            // so the aggregate is byte-identical to per-row merging.
-            let naggs = self.plan.aggs.len().max(1);
-            let mut packed: Vec<u64> = Vec::with_capacity(n);
-            let mut block: Vec<i64> = Vec::with_capacity(n * naggs);
-            for (r, &keep) in matched.iter().enumerate() {
-                if !keep {
-                    continue;
-                }
-                let row = &self.buffer[r * width..(r + 1) * width];
-                packed.push(self.plan.group_key.pack(row));
-                for a in &self.plan.aggs {
-                    block.push(a.eval(row));
-                }
-                if self.plan.aggs.is_empty() {
-                    block.push(0);
-                }
-            }
-            let StageSink::Agg(agg) = &mut self.sink else {
-                unreachable!("checked above");
-            };
-            let mut acc = vec![0i64; naggs];
-            let mut i = 0usize;
-            while i < packed.len() {
-                let key = packed[i];
-                acc.copy_from_slice(&block[i * naggs..(i + 1) * naggs]);
-                let mut j = i + 1;
-                while j < packed.len() && packed[j] == key {
-                    for (a, d) in acc.iter_mut().zip(&block[j * naggs..(j + 1) * naggs]) {
-                        *a += *d;
+                });
+                if hit {
+                    for (&pos, &v) in assist.fill_pos.iter().zip(&s.carried) {
+                        s.buffer[base + pos] = v;
                     }
-                    j += 1;
+                    s.alive[kept] = r;
+                    kept += 1;
                 }
-                agg.merge(key, &acc);
-                i = j;
             }
-            self.buffer.clear();
-            self.rows = 0;
-            return;
+            s.alive.truncate(kept);
         }
-        let mut out_row: Vec<u64> = Vec::with_capacity(self.stage.output_projection.len());
-        let mut deltas: Vec<i64> = vec![0i64; self.plan.aggs.len().max(1)];
-        for (r, &keep) in matched.iter().enumerate() {
-            if !keep {
-                continue;
-            }
-            let row = &self.buffer[r * width..(r + 1) * width];
-            match &mut self.sink {
-                StageSink::Inter(out) => {
-                    let key = row[self.stage.output_key_pos];
-                    out_row.clear();
-                    out_row.extend(self.stage.output_projection.iter().map(|&p| row[p]));
-                    out.insert(key, &out_row);
+        debug_assert!(s.alive.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(s.alive.last().is_none_or(|&r| (r as usize) < n));
+        let rows = s
+            .alive
+            .iter()
+            .map(|&r| &s.buffer[r as usize * width..][..width]);
+        match &mut self.sink {
+            StageSink::Inter(out) => {
+                for row in rows {
+                    s.out_row.clear();
+                    s.out_row
+                        .extend(self.stage.output_projection.iter().map(|&p| row[p]));
+                    out.insert(row[self.stage.output_key_pos], &s.out_row);
                 }
-                StageSink::Agg(agg) => {
+            }
+            StageSink::Agg(agg) => {
+                let aggs = &self.plan.aggs;
+                s.deltas.clear();
+                s.deltas.resize(aggs.len().max(1), 0);
+                let mut run: Option<u64> = None;
+                for row in rows {
                     let key = self.plan.group_key.pack(row);
-                    for (ai, a) in self.plan.aggs.iter().enumerate() {
-                        deltas[ai] = a.eval(row);
+                    if run != Some(key) {
+                        if let Some(done) = run.replace(key) {
+                            agg.merge(done, &s.deltas);
+                            s.deltas.fill(0);
+                        }
                     }
-                    agg.merge(key, &deltas);
+                    for (d, a) in s.deltas.iter_mut().zip(aggs) {
+                        *d += a.eval(row);
+                    }
+                }
+                if let Some(done) = run {
+                    agg.merge(done, &s.deltas);
                 }
             }
         }
-        self.buffer.clear();
-        self.rows = 0;
+        s.buffer.clear();
+        s.rows = 0;
     }
 
     /// Stage-1 synchronous scan: fact base index × main dim index (§4.2),
@@ -1043,7 +1182,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
             return self.sync_scan_base_batched(fact_base, fact_mvt, field_map, dim_acc, range);
         }
         let input_width = self.stage.input_layout.width();
-        let stride = self.main_fill_pos.len();
+        let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
         let check_vis = !fact_mvt.fully_visible(snap);
         let mut dim_buf: Vec<u64> = Vec::new();
@@ -1097,7 +1236,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
         range: KeyRange,
     ) {
         let input_width = self.stage.input_layout.width();
-        let stride = self.main_fill_pos.len();
+        let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
         let check_vis = !fact_mvt.fully_visible(snap);
         let rows = self.batch.rows;
@@ -1226,7 +1365,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
 
     /// Stage-k synchronous scan: previous intermediate × main dim index.
     fn sync_scan_inter(&mut self, input: &InterTable, dim_acc: &DimAccess<'_>) {
-        let stride = self.main_fill_pos.len();
+        let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
         let mut dim_buf: Vec<u64> = Vec::new();
         let mut fid_buf: Vec<u32> = Vec::new();
@@ -1271,33 +1410,39 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
         let cap = self.cap;
         let snap = self.snap;
         let stride = dim.carried_names.len();
-        let mut probe_keys: Vec<u64> = Vec::with_capacity(cap);
-        let mut probe_carried: Vec<u64> = Vec::with_capacity(cap * stride.max(1));
 
-        // The selection stream is drained through a bounded buffer; each
-        // chunk performs one batched probe into the fact index (§2.3).
-        match fused {
+        // The selection tuples of this morsel: a binary-searched slice of
+        // the shared pre-materialized stream (work proportional to the
+        // morsel's population, not the whole selection), or the
+        // selection scanned here.
+        let (mut scanned_keys, mut scanned_carried) = (Vec::new(), Vec::new());
+        let (probe_keys, probe_carried): (&[u64], &[u64]) = match fused {
             Some(fs) => {
                 debug_assert_eq!(fs.stride, stride);
-                // Binary-searched slice: work is proportional to the
-                // morsel's population, not the whole selection.
                 let span = fs.slice(range);
-                probe_keys.extend_from_slice(&fs.keys[span.clone()]);
-                probe_carried
-                    .extend_from_slice(&fs.carried[span.start * stride..span.end * stride]);
+                (
+                    &fs.keys[span.clone()],
+                    &fs.carried[span.start * stride..span.end * stride],
+                )
             }
             None => {
                 let opts = self.plan.opts;
                 scan_dim_selection(db, snap, &opts, dim, |key, c| {
-                    if !range.contains(key) {
-                        return;
+                    if range.contains(key) {
+                        scanned_keys.push(key);
+                        scanned_carried.extend_from_slice(c);
                     }
-                    probe_keys.push(key);
-                    probe_carried.extend_from_slice(c);
                 })?;
+                (&scanned_keys, &scanned_carried)
             }
-        }
+        };
         let check_vis = !fact_mvt.fully_visible(snap);
+        let index = &fact_base.data.index;
+        // The probe scratch is taken out of `self` for the probe loop: the
+        // hit callbacks need `self` whole (they emit into the join buffer).
+        let mut probe = std::mem::take(&mut self.s.probe);
+        // The stream is drained in chunks of the join-buffer size; each
+        // chunk is one batched probe into the fact index (§2.3).
         if self.batch.enabled {
             // Vectorized probe: the batched fact-index lookups yield
             // (selection ordinal, fact pid) hits that are buffered up to
@@ -1309,11 +1454,9 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
             let mut cands: Vec<Cand> = Vec::with_capacity(rows);
             let cols = pred_cols(&self.stage.residuals);
             let mut scratch = vec![0u64; input_width];
-            let mut start = 0usize;
-            while start < probe_keys.len() {
-                let end = (start + cap).min(probe_keys.len());
-                let keys = &probe_keys[start..end];
-                fact_base.data.index.batch_get_each(keys, |job, pid| {
+            for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
+                let start = chunk * cap;
+                index.batch_get_each_with(keys, &mut probe, |job, pid| {
                     cands.push(Cand {
                         key: keys[job],
                         pid,
@@ -1325,7 +1468,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                             &mut rb,
                             field_map,
                             &mut cands,
-                            &probe_carried,
+                            probe_carried,
                             &fact_base.data.payload,
                             fact_mvt,
                             check_vis,
@@ -1335,13 +1478,12 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                         );
                     }
                 });
-                start = end;
             }
             self.flush_block(
                 &mut rb,
                 field_map,
                 &mut cands,
-                &probe_carried,
+                probe_carried,
                 &fact_base.data.payload,
                 fact_mvt,
                 check_vis,
@@ -1349,38 +1491,34 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                 &cols,
                 &mut scratch,
             );
-            return Ok(());
+        } else {
+            let mut input_row: Vec<u64> = vec![0u64; input_width];
+            for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
+                let start = chunk * cap;
+                index.batch_get_each_with(keys, &mut probe, |job, pid| {
+                    let payload = fact_base.data.payload.row(pid);
+                    if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
+                        return;
+                    }
+                    fill_from_base(field_map, keys[job], payload, &mut input_row);
+                    if self
+                        .stage
+                        .residuals
+                        .iter()
+                        .all(|p| p.matches(|c| input_row[c]))
+                    {
+                        let g = start + job;
+                        self.emit_cross(
+                            &input_row,
+                            &probe_carried[g * stride..(g + 1) * stride],
+                            stride,
+                            1,
+                        );
+                    }
+                });
+            }
         }
-        let mut input_row: Vec<u64> = vec![0u64; input_width];
-        let mut start = 0usize;
-        while start < probe_keys.len() {
-            let end = (start + cap).min(probe_keys.len());
-            let keys = &probe_keys[start..end];
-            fact_base.data.index.batch_get_each(keys, |job, pid| {
-                let payload = fact_base.data.payload.row(pid);
-                if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                    return;
-                }
-                input_row.clear();
-                input_row.resize(input_width, 0);
-                fill_from_base(field_map, keys[job], payload, &mut input_row);
-                if self
-                    .stage
-                    .residuals
-                    .iter()
-                    .all(|p| p.matches(|c| input_row[c]))
-                {
-                    let g = start + job;
-                    self.emit_cross(
-                        &input_row,
-                        &probe_carried[g * stride..(g + 1) * stride],
-                        stride,
-                        1,
-                    );
-                }
-            });
-            start = end;
-        }
+        self.s.probe = probe;
         Ok(())
     }
 }
@@ -1537,5 +1675,105 @@ fn pred_matches_value(p: &CompiledPred, value: u64) -> bool {
         CompiledPred::Range { lo, hi, .. } => *lo <= value && value <= *hi,
         CompiledPred::InSet { codes, .. } => codes.binary_search(&value).is_ok(),
         CompiledPred::Never => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{build_plan, prepare_indexes};
+    use qppt_storage::{
+        AggExpr, ColRef, ColumnType, DimSpec, Expr, Predicate, QuerySpec, Schema, TableBuilder,
+    };
+
+    /// `fact(fa, fb, fc, m)`: ten rows `i = 0..10` with `fa = 1 + i % 2`,
+    /// `fb = 1 + i % 5`, `fc = 1 + i` and `m = 1 << i`, so a sum names
+    /// its rows; dimensions `a(ka, xa)`, `b(kb, xb)`, `c(kc, xc)` with
+    /// 2, 5 and 10 keys and `x = k`.
+    fn db() -> Database {
+        let int = |names: &[&str]| {
+            let cols: Vec<(&str, ColumnType)> =
+                names.iter().map(|&n| (n, ColumnType::Int)).collect();
+            Schema::of(&cols)
+        };
+        let mut db = Database::new();
+        let mut fact = TableBuilder::new("fact", int(&["fa", "fb", "fc", "m"]));
+        for i in 0..10i64 {
+            let row = [1 + i % 2, 1 + i % 5, 1 + i, 1 << i];
+            fact.push_row(row.map(Value::Int).to_vec()).unwrap();
+        }
+        db.add_table(fact.finish());
+        for (name, keys) in [("a", 2i64), ("b", 5), ("c", 10)] {
+            let cols = [format!("k{name}"), format!("x{name}")];
+            let mut dim = TableBuilder::new(name, int(&[&cols[0], &cols[1]]));
+            for k in 1..=keys {
+                dim.push_row(vec![Value::Int(k), Value::Int(k)]).unwrap();
+            }
+            db.add_table(dim.finish());
+        }
+        db
+    }
+
+    /// `fact ⋈ a ⋈ σ(b) ⋈ σ(c)` grouped by `xa`, summing `m`: `a` is the
+    /// main dimension, `b` then `c` assist.
+    fn spec(b: (i64, i64), c: (i64, i64)) -> QuerySpec {
+        let dim = |t: &str, preds: Vec<Predicate>, carried: &[&str]| DimSpec {
+            table: t.into(),
+            join_col: format!("k{t}"),
+            fact_col: format!("f{t}"),
+            predicates: preds,
+            carried: carried.iter().map(|c| c.to_string()).collect(),
+        };
+        QuerySpec {
+            id: "t".into(),
+            fact: "fact".into(),
+            dims: vec![
+                dim("a", vec![], &["xa"]),
+                dim("b", vec![Predicate::between("xb", b.0, b.1)], &[]),
+                dim("c", vec![Predicate::between("xc", c.0, c.1)], &[]),
+            ],
+            fact_predicates: vec![],
+            group_by: vec![ColRef::new("a", "xa")],
+            aggregates: vec![AggExpr::sum(Expr::Col("m".into()), "s")],
+            order_by: vec![],
+        }
+    }
+
+    /// Runs `spec` through one [`Pipeline`] with a 4-row join buffer (three
+    /// flushes for the ten fact rows); returns `(xa, sum)` per group and
+    /// the number of assisting-index probes issued.
+    fn run(spec: &QuerySpec) -> (Vec<(u64, i64)>, usize) {
+        let opts = PlanOptions::default().with_join_buffer(4);
+        let mut db = db();
+        prepare_indexes(&mut db, spec, &opts).unwrap();
+        let snap = db.snapshot();
+        let plan = build_plan(&db, spec, &opts).unwrap();
+        let dims: Vec<_> = (0..plan.dims.len())
+            .map(|di| materialize_dim_selection(&db, snap, &plan, di).unwrap())
+            .collect();
+        let mut agg = new_agg_table(&plan);
+        let mut pipeline = Pipeline::new(&db, snap, &plan, &dims, None, BatchMode::SCALAR).unwrap();
+        pipeline.run(KeyRange::full(), &mut agg).unwrap();
+        let mut groups = Vec::new();
+        agg.for_each_ordered(|key, accs| groups.push((key, accs[0])));
+        (groups, pipeline.scratch.probes)
+    }
+
+    #[test]
+    fn an_assist_is_probed_only_by_the_previous_assists_survivors() {
+        // b keeps fb ∈ {1, 2} = rows {0, 1, 5, 6}; of those c keeps
+        // fc ≤ 6 = rows {0, 1, 5}: ten probes of b, four of c.
+        let (groups, probes) = run(&spec((1, 2), (1, 6)));
+        assert_eq!(groups, vec![(1, 1 << 0), (2, (1 << 1) + (1 << 5))]);
+        assert_eq!(probes, 10 + 4);
+    }
+
+    #[test]
+    fn a_block_nothing_survives_probes_no_further_index() {
+        // b rejects every row of every flush block: c, which would keep
+        // all ten, is never probed.
+        let (groups, probes) = run(&spec((100, 200), (1, 10)));
+        assert!(groups.is_empty());
+        assert_eq!(probes, 10);
     }
 }

@@ -85,21 +85,22 @@ impl AggTable {
     /// This is the §3 upsert: "If the insertion of such a composed key
     /// detects that the key is already present in the index, it only applies
     /// the aggregation function on the existing value and the new one."
+    ///
+    /// One index descent either way: the upsert hands back the group's
+    /// accumulator slot, which is the next free one exactly when the group
+    /// is new — so slots are assigned in first-touch order.
     #[inline]
     pub fn merge(&mut self, key: u64, deltas: &[i64]) {
         debug_assert_eq!(deltas.len(), self.naggs);
-        match self.index.get_first(key) {
-            Some(slot) => {
-                let base = slot as usize * self.naggs;
-                for (i, d) in deltas.iter().enumerate() {
-                    self.accs[base + i] += d;
-                }
-            }
-            None => {
-                let slot = (self.accs.len() / self.naggs) as u32;
-                self.accs.extend_from_slice(deltas);
-                self.index.insert(key, slot);
-                self.groups += 1;
+        let next = self.groups as u32;
+        let slot = self.index.get_or_insert(key, next);
+        if slot == next {
+            self.accs.extend_from_slice(deltas);
+            self.groups += 1;
+        } else {
+            let base = slot as usize * self.naggs;
+            for (acc, d) in self.accs[base..base + self.naggs].iter_mut().zip(deltas) {
+                *acc += d;
             }
         }
     }

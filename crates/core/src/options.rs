@@ -19,7 +19,8 @@ pub struct PlanOptions {
     /// selection materializes an intermediate indexed table first.
     pub select_join: bool,
     /// Join/selection buffer size in tuples; enables the batched index
-    /// lookups and inserts of §2.3. `1` disables buffering.
+    /// lookups and inserts of §2.3. `1` disables buffering; at most
+    /// [`MAX_BUFFER_ROWS`](Self::MAX_BUFFER_ROWS).
     pub join_buffer: usize,
     /// Maximum number of tables one composed join operator may touch
     /// (2 = traditional binary joins, 5 = SSB's widest star join).
@@ -69,7 +70,8 @@ pub struct PlanOptions {
     pub batch_exec: bool,
     /// Row capacity of each columnar batch when [`batch_exec`](Self::batch_exec)
     /// (Self::batch_exec) is on. `1` is the degenerate row-at-a-time batch
-    /// (useful for shaking out boundary bugs); must be `>= 1`. Like
+    /// (useful for shaking out boundary bugs); must be in
+    /// `1..=`[`MAX_BUFFER_ROWS`](Self::MAX_BUFFER_ROWS). Like
     /// `batch_exec`, never part of the cache fingerprints.
     pub batch_rows: usize,
 }
@@ -126,12 +128,20 @@ impl PlanOptions {
     /// The demonstrator's buffer-size choices.
     pub const JOIN_BUFFER_CHOICES: [usize; 4] = [1, 64, 512, 2048];
 
+    /// Upper bound of [`join_buffer`](Self::join_buffer) and
+    /// [`batch_rows`](Self::batch_rows), in rows. Both size per-worker
+    /// buffers and both arrive from the wire, so the bound is what keeps a
+    /// request's memory finite; it is 512× the largest buffer the paper
+    /// measures.
+    pub const MAX_BUFFER_ROWS: usize = 1 << 20;
+
     /// Validates option invariants.
     pub fn validate(&self) -> Result<(), crate::QpptError> {
-        if self.join_buffer == 0 {
-            return Err(crate::QpptError::InvalidOptions(
-                "join_buffer must be >= 1".into(),
-            ));
+        if self.join_buffer == 0 || self.join_buffer > Self::MAX_BUFFER_ROWS {
+            return Err(crate::QpptError::InvalidOptions(format!(
+                "join_buffer must be in 1..={}",
+                Self::MAX_BUFFER_ROWS
+            )));
         }
         if self.max_join_ways < 2 {
             return Err(crate::QpptError::InvalidOptions(
@@ -148,10 +158,11 @@ impl PlanOptions {
                 "morsel_bits must be in 1..=16".into(),
             ));
         }
-        if self.batch_rows == 0 {
-            return Err(crate::QpptError::InvalidOptions(
-                "batch_rows must be >= 1".into(),
-            ));
+        if self.batch_rows == 0 || self.batch_rows > Self::MAX_BUFFER_ROWS {
+            return Err(crate::QpptError::InvalidOptions(format!(
+                "batch_rows must be in 1..={}",
+                Self::MAX_BUFFER_ROWS
+            )));
         }
         Ok(())
     }
@@ -284,6 +295,23 @@ mod tests {
             .with_batch_rows(0)
             .validate()
             .is_err());
+        // Both buffer sizes are bounded above: they size allocations.
+        let max = PlanOptions::MAX_BUFFER_ROWS;
+        for rows in [max + 1, 1 << 40, usize::MAX] {
+            assert!(PlanOptions::default()
+                .with_join_buffer(rows)
+                .validate()
+                .is_err());
+            assert!(PlanOptions::default()
+                .with_batch_rows(rows)
+                .validate()
+                .is_err());
+        }
+        assert!(PlanOptions::default()
+            .with_join_buffer(max)
+            .with_batch_rows(max)
+            .validate()
+            .is_ok());
         assert!(PlanOptions::default()
             .with_parallelism(8)
             .with_morsel_bits(16)

@@ -10,13 +10,37 @@ use qppt_mem::prefetch::prefetch_read;
 
 use crate::tree::{KissTree, Values};
 
+/// Caller-owned scratch of [`KissTree::batch_get_with`]: the per-job node
+/// and content ids of the three rounds, kept between calls so a probe loop
+/// allocates once.
+#[derive(Debug, Default)]
+pub struct BatchScratch {
+    node_of: Vec<u32>,
+    content_of: Vec<u32>,
+}
+
 impl<V: Copy + Default> KissTree<V> {
     /// Batched lookup: invokes `out(job_index, values)` for every present
     /// key. Equivalent to per-key [`get`](Self::get), with the memory
     /// latency of the two dependent dereferences overlapped across jobs.
-    pub fn batch_get<'a>(&'a self, keys: &[u32], mut out: impl FnMut(usize, Values<'a, V>)) {
+    pub fn batch_get<'a>(&'a self, keys: &[u32], out: impl FnMut(usize, Values<'a, V>)) {
+        self.batch_get_with(keys, &mut BatchScratch::default(), out);
+    }
+
+    /// [`batch_get`](Self::batch_get) over caller-owned scratch: no
+    /// allocation once `scratch` has grown to the largest batch.
+    pub fn batch_get_with<'a>(
+        &'a self,
+        keys: &[u32],
+        scratch: &mut BatchScratch,
+        mut out: impl FnMut(usize, Values<'a, V>),
+    ) {
+        let BatchScratch {
+            node_of,
+            content_of,
+        } = scratch;
         // Round 1: root slots → node ids (prefetch node headers).
-        let mut node_of: Vec<u32> = Vec::with_capacity(keys.len());
+        node_of.clear();
         for &key in keys {
             let (ri, _) = self.config().split(key);
             let n = self.root_slot(ri);
@@ -26,7 +50,7 @@ impl<V: Copy + Default> KissTree<V> {
             node_of.push(n);
         }
         // Round 2: node entries → content ids (prefetch contents).
-        let mut content_of: Vec<u32> = Vec::with_capacity(keys.len());
+        content_of.clear();
         for (i, &key) in keys.iter().enumerate() {
             let n = node_of[i];
             if n == 0 {

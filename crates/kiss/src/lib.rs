@@ -36,6 +36,7 @@ mod batch;
 mod scan;
 mod tree;
 
+pub use batch::BatchScratch;
 pub use scan::{kiss_intersect, kiss_sync_scan, kiss_sync_scan_range};
 pub use tree::{KissIter, KissStats, KissTree, Values};
 

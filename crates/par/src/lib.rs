@@ -19,7 +19,13 @@
 //!    each worker runs the *entire* fact pipeline — synchronous index scan
 //!    or fused select-join, assisting probes, all later stages — restricted
 //!    to its morsel, into a **private** aggregation index. Work-pulling
-//!    self-balances skewed subtrees; nothing is shared mutably.
+//!    self-balances skewed subtrees; nothing is shared mutably. A
+//!    participant builds its execution context — one
+//!    [`Pipeline`](qppt_core::exec::Pipeline): resolved indexes and field
+//!    maps, the dimensions' runtime access, the join buffer and its probe
+//!    scratch, the operator records — on the first morsel it claims and
+//!    runs every later morsel through it, so a morsel costs its scan and
+//!    nothing else (a plan split on `lo_custkey` has 47 of them).
 //! 3. **Merge** — per-worker aggregation tables are folded with
 //!    [`AggTable::merge_from`](qppt_core::inter::AggTable::merge_from) and
 //!    per-worker [`OpStats`](qppt_core::OpStats) with

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use qppt_core::exec::{new_agg_table, run_pipeline, DimSelection, FusedSelection};
+use qppt_core::exec::{new_agg_table, DimSelection, FusedSelection, Pipeline};
 use qppt_core::inter::AggTable;
 use qppt_core::stats::ExecStats;
 use qppt_core::{BatchMode, KeyRange, Plan, QpptError};
@@ -27,6 +27,13 @@ use qppt_storage::{Database, Snapshot};
 /// One worker's morsel loop: pull unclaimed morsel indexes from `next` and
 /// run the fact pipeline over each, accumulating into a private aggregation
 /// table. Returns `None` if no morsel was claimed (late-arriving worker).
+///
+/// Everything the pipeline needs that no morsel changes — resolved indexes
+/// and field maps, the dimensions' runtime access, the join buffer and its
+/// scratch, the operator records — lives in one [`Pipeline`] per
+/// participant, built on the first claimed morsel and reused for every
+/// later one: a morsel costs its scan, not a setup.
+///
 /// `batch` is the request's execution mode (scalar vs. columnar inner
 /// loops) — an execution parameter, not a plan property, because cached
 /// plans may carry stale batch knobs.
@@ -41,21 +48,28 @@ pub(crate) fn drain_morsels(
     next: &AtomicUsize,
     batch: BatchMode,
 ) -> Result<Option<(AggTable, ExecStats)>, QpptError> {
-    let mut agg: Option<AggTable> = None;
-    let mut stats = ExecStats::default();
+    let mut state: Option<(Pipeline<'_>, AggTable)> = None;
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(&morsel) = morsels.get(i) else {
             break;
         };
-        let acc = agg.get_or_insert_with(|| new_agg_table(plan));
-        let ops = run_pipeline(db, snap, plan, dim_tables, morsel, fused, batch, acc)?;
-        stats.merge_partition(&ExecStats {
-            ops,
-            total_micros: 0,
-        });
+        let (pipeline, agg) = match &mut state {
+            Some(built) => built,
+            None => {
+                let pipeline = Pipeline::new(db, snap, plan, dim_tables, fused, batch)?;
+                state.insert((pipeline, new_agg_table(plan)))
+            }
+        };
+        pipeline.run(morsel, agg)?;
     }
-    Ok(agg.map(|a| (a, stats)))
+    Ok(state.map(|(pipeline, agg)| {
+        let stats = ExecStats {
+            ops: pipeline.into_stats(),
+            total_micros: 0,
+        };
+        (agg, stats)
+    }))
 }
 
 /// Merges per-worker partials, in ascending participant order, into the

@@ -49,6 +49,11 @@ fn garbage_requests_error_but_connection_survives() {
         b"RUN q1.1 batch_rows=0\n",     // batch block size must be >= 1
         b"RUN q1.1 batch_rows=lots\n",  // bad batch_rows value
         b"RUN q1.1 batch_exec=maybe\n", // bad batch_exec value
+        // Buffer sizes are bounded: these two used to abort the process
+        // (a 56 TiB allocation) and panic a worker (capacity overflow).
+        b"RUN q3.1 join_buffer=1099511627776\n",
+        b"RUN q3.1 join_buffer=4611686018427387904\n",
+        b"RUN q3.1 batch_exec=on batch_rows=1099511627776\n",
         b"RUN q9.9\n",                  // unknown query
         b"RUN q1.1 cache=maybe\n",      // bad cache value
         b"CACHE\n",                     // missing subcommand
@@ -115,6 +120,15 @@ fn garbage_requests_error_but_connection_survives() {
         .run(&queries::q1_1(), &PlanOptions::default())
         .unwrap();
     assert_eq!(served.result, oracle);
+    // The largest admitted buffer sizes cost what the rows need, not what
+    // the options say.
+    let max = PlanOptions::MAX_BUFFER_ROWS.to_string();
+    let opts = [
+        ("join_buffer", max.as_str()),
+        ("batch_rows", max.as_str()),
+        ("cache", "off"),
+    ];
+    assert_eq!(client.run("q1.1", &opts).expect("admitted").result, oracle);
 
     server.stop();
     pool.shutdown();

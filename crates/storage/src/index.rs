@@ -129,17 +129,6 @@ impl TreeIndex {
         }
     }
 
-    /// First value stored under `key`.
-    pub fn get_first(&self, key: u64) -> Option<u32> {
-        if key > self.key_max() {
-            return None;
-        }
-        match self {
-            TreeIndex::Kiss(t) => t.get_first(key as u32),
-            TreeIndex::Pt(t) => t.get_first(key),
-        }
-    }
-
     /// `true` if `key` is present.
     pub fn contains(&self, key: u64) -> bool {
         key <= self.key_max()
@@ -172,26 +161,58 @@ impl TreeIndex {
 
     /// Batched multimap lookup: `f(job_index, value)` for every value of
     /// every present key.
-    pub fn batch_get_each(&self, keys: &[u64], mut f: impl FnMut(usize, u32)) {
+    pub fn batch_get_each(&self, keys: &[u64], f: impl FnMut(usize, u32)) {
+        self.batch_get_each_with(keys, &mut ProbeScratch::default(), f);
+    }
+
+    /// [`batch_get_each`](Self::batch_get_each) over caller-owned scratch:
+    /// a probe loop that keeps one [`ProbeScratch`] allocates nothing once
+    /// it has grown to the largest batch.
+    pub fn batch_get_each_with(
+        &self,
+        keys: &[u64],
+        scratch: &mut ProbeScratch,
+        mut f: impl FnMut(usize, u32),
+    ) {
+        // Out-of-domain keys can never be present: probe them as the
+        // domain's last key and drop the answer.
         let max = self.key_max();
         match self {
             TreeIndex::Kiss(t) => {
-                let narrowed: Vec<u32> = keys.iter().map(|&k| k.min(max) as u32).collect();
-                t.batch_get(&narrowed, |i, vs| {
+                let narrowed = &mut scratch.keys32;
+                narrowed.clear();
+                narrowed.extend(keys.iter().map(|&k| k.min(max) as u32));
+                t.batch_get_with(narrowed, &mut scratch.kiss, |i, vs| {
                     if keys[i] <= max {
                         vs.for_each(|v| f(i, *v));
                     }
                 });
             }
             TreeIndex::Pt(t) => {
-                let narrowed: Vec<u64> = keys.iter().map(|&k| k.min(max)).collect();
-                t.batch_get(&narrowed, |i, vs| {
+                let narrowed = &mut scratch.keys64;
+                narrowed.clear();
+                narrowed.extend(keys.iter().map(|&k| k.min(max)));
+                t.batch_get_with(narrowed, &mut scratch.pt, |i, vs| {
                     if keys[i] <= max {
                         vs.for_each(|v| f(i, *v));
                     }
                 });
             }
         }
+    }
+
+    /// The value stored under `key`, storing `value` first if the key is
+    /// absent — one descent (the trees' aggregating upsert). For indexes
+    /// that keep one value per key, such as the group → accumulator-slot
+    /// index of a join-group.
+    #[inline]
+    pub fn get_or_insert(&mut self, key: u64, value: u32) -> u32 {
+        let mut stored = value;
+        match self {
+            TreeIndex::Kiss(t) => t.insert_merge(key_as_u32(key), value, |old, _| stored = *old),
+            TreeIndex::Pt(t) => t.insert_merge(key, value, |old, _| stored = *old),
+        }
+        stored
     }
 
     /// Ordered scan of the keys in `[lo, hi]` (encoded keys):
@@ -298,6 +319,17 @@ impl TreeIndex {
             }
         }
     }
+}
+
+/// Caller-owned scratch of [`TreeIndex::batch_get_each_with`]: the keys
+/// narrowed to the structure's width and the structure's own per-job
+/// descent state.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    keys32: Vec<u32>,
+    keys64: Vec<u64>,
+    kiss: qppt_kiss::BatchScratch,
+    pt: qppt_trie::BatchScratch,
 }
 
 #[inline]
@@ -686,8 +718,6 @@ mod tests {
             let mut vals = Vec::new();
             idx.get_each(10, |v| vals.push(v));
             assert_eq!(vals, vec![1, 2], "{}", idx.kind_name());
-            assert_eq!(idx.get_first(20), Some(3));
-            assert_eq!(idx.get_first(30), None);
             assert_eq!(idx.len(), 2);
             assert_eq!(idx.total_values(), 3);
             assert!(idx.contains(20));
@@ -700,7 +730,6 @@ mod tests {
         let mut idx = TreeIndex::new_kiss();
         idx.insert(5, 1);
         assert!(!idx.contains(1 << 40));
-        assert_eq!(idx.get_first(1 << 40), None);
         assert_eq!(idx.batch_contains(&[5, 1 << 40]), vec![true, false]);
         let mut idx32 = TreeIndex::new_pt(KeyWidth::W32);
         idx32.insert(5, 1);
@@ -785,20 +814,47 @@ mod tests {
 
     #[test]
     fn batch_get_each_matches_scalar() {
-        let mut idx = TreeIndex::new_kiss();
-        for k in 0..100u64 {
-            idx.insert(k % 10, k as u32);
+        // One scratch across structures and batch sizes: a reused scratch
+        // never leaks state from the previous call.
+        let mut scratch = ProbeScratch::default();
+        for mut idx in [
+            TreeIndex::new_kiss(),
+            TreeIndex::new_pt(KeyWidth::W32),
+            TreeIndex::new_pt(KeyWidth::W64),
+        ] {
+            for k in 0..100u64 {
+                idx.insert(k % 10, k as u32);
+            }
+            for keys in [&[0u64, 3, 42, 7, 1 << 40][..], &[9, 9][..], &[]] {
+                let mut scalar: Vec<(usize, u32)> = Vec::new();
+                for (i, &k) in keys.iter().enumerate() {
+                    idx.get_each(k, |v| scalar.push((i, v)));
+                }
+                let mut batched: Vec<(usize, u32)> = Vec::new();
+                idx.batch_get_each(keys, |i, v| batched.push((i, v)));
+                let mut reused: Vec<(usize, u32)> = Vec::new();
+                idx.batch_get_each_with(keys, &mut scratch, |i, v| reused.push((i, v)));
+                assert_eq!(batched, reused, "{}", idx.kind_name());
+                batched.sort_unstable();
+                scalar.sort_unstable();
+                assert_eq!(batched, scalar, "{}", idx.kind_name());
+            }
         }
-        let keys = [0u64, 3, 42, 7];
-        let mut batched: Vec<(usize, u32)> = Vec::new();
-        idx.batch_get_each(&keys, |i, v| batched.push((i, v)));
-        let mut scalar: Vec<(usize, u32)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            idx.get_each(k, |v| scalar.push((i, v)));
+    }
+
+    #[test]
+    fn get_or_insert_keeps_the_first_value() {
+        for mut idx in [
+            TreeIndex::new_kiss(),
+            TreeIndex::new_pt(KeyWidth::W32),
+            TreeIndex::new_pt(KeyWidth::W64),
+        ] {
+            assert_eq!(idx.get_or_insert(7, 0), 0);
+            assert_eq!(idx.get_or_insert(3, 1), 1);
+            assert_eq!(idx.get_or_insert(7, 2), 0);
+            assert_eq!(idx.get_or_insert(3, 9), 1);
+            assert_eq!((idx.len(), idx.total_values()), (2, 2));
         }
-        batched.sort_unstable();
-        scalar.sort_unstable();
-        assert_eq!(batched, scalar);
     }
 
     #[test]

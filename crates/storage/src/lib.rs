@@ -36,7 +36,7 @@ pub use db::{Database, IndexDef};
 pub use dict::Dictionary;
 pub use index::{
     stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,
-    KeyWidth, PayloadBuf, TreeIndex,
+    KeyWidth, PayloadBuf, ProbeScratch, TreeIndex,
 };
 pub use mvcc::{MvccTable, Snapshot, TxnManager};
 pub use query::{

@@ -190,7 +190,6 @@ fn batched_probes_match_btreemap_model() {
         assert_eq!(got, expect, "{}", idx.kind_name());
         for (&k, &p) in probes.iter().zip(&present) {
             assert_eq!(idx.contains(k), p);
-            assert_eq!(idx.get_first(k), m.get(&k).map(|vs| vs[0]));
         }
     }
 }

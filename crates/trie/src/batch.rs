@@ -22,6 +22,13 @@ enum JobState {
     Done(Option<u32>),
 }
 
+/// Caller-owned scratch of [`PrefixTree::batch_get_with`]: the per-job
+/// descent states, kept between calls so a probe loop allocates once.
+#[derive(Debug, Default)]
+pub struct BatchScratch {
+    states: Vec<JobState>,
+}
+
 /// Outcome counters of a [`PrefixTree::batch_insert`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchInsertStats {
@@ -38,11 +45,24 @@ impl<V: Copy + Default> PrefixTree<V> {
     ///
     /// Equivalent to calling [`get`](Self::get) per key, but hides memory
     /// latency for batches larger than a handful of jobs.
-    pub fn batch_get<'a>(&'a self, keys: &[u64], mut out: impl FnMut(usize, Values<'a, V>)) {
+    pub fn batch_get<'a>(&'a self, keys: &[u64], out: impl FnMut(usize, Values<'a, V>)) {
+        self.batch_get_with(keys, &mut BatchScratch::default(), out);
+    }
+
+    /// [`batch_get`](Self::batch_get) over caller-owned scratch: no
+    /// allocation once `scratch` has grown to the largest batch.
+    pub fn batch_get_with<'a>(
+        &'a self,
+        keys: &[u64],
+        scratch: &mut BatchScratch,
+        mut out: impl FnMut(usize, Values<'a, V>),
+    ) {
         for &k in keys {
             self.check_key(k);
         }
-        let mut states: Vec<JobState> = vec![JobState::AtNode(0); keys.len()];
+        let states = &mut scratch.states;
+        states.clear();
+        states.resize(keys.len(), JobState::AtNode(0));
         let mut level: u32 = 0;
         let mut open = keys.len();
         while open > 0 {

@@ -32,6 +32,7 @@ mod scan;
 mod stats;
 mod tree;
 
+pub use batch::BatchScratch;
 pub use iter::RangeIter;
 pub use scan::{intersect, sync_scan, sync_scan_range, sync_union_scan, union_distinct};
 pub use stats::TrieStats;
