@@ -29,31 +29,38 @@
 //! cross product of a key's fact tuples and dimension tuples — into the
 //! flat **join buffer** and, every `join_buffer` rows, flushes it through
 //! the stage's *assisting* dimensions into its sink (§2.3, §4.2). The
-//! flush is a selection-vector pipeline with one body for every plan and
-//! execution mode: a vector of surviving row ordinals starts as the whole
-//! block; each assisting dimension, in plan order, is probed only by the
-//! survivors of the previous one, writes its carried values into their
-//! buffer rows in place and compacts the vector; the sink then walks what
-//! is left, in buffer order — inserting into the next stage's input
-//! index, or upserting run-length into the aggregating index, one descent
-//! per run of equal group keys. Per fact tuple the work is one probe of
-//! the first assist plus one of each later assist *the tuple reaches*,
-//! not one per assist. The buffer, the vector and every other scratch of
-//! the flush live in the [`Pipeline`] and are reused across flushes,
-//! stages and morsels.
+//! flush is a selection-vector pipeline with one body for every plan: a
+//! vector of surviving row ordinals starts as the whole block; each
+//! assisting dimension, in plan order, is probed only by the survivors of
+//! the previous one, writes its carried values into their buffer rows in
+//! place and compacts the vector; the sink then walks what is left, in
+//! buffer order — inserting into the next stage's input index, or
+//! upserting run-length into the aggregating index, one descent per run of
+//! equal group keys. Per fact tuple the work is one probe of the first
+//! assist plus one of each later assist *the tuple reaches*, not one per
+//! assist. The buffer, the vector and every other scratch of the flush
+//! live in the [`Pipeline`] and are reused across flushes, stages and
+//! morsels.
+//!
+//! # One scan loop
+//!
+//! The loops that feed the join buffer — the fact selection, the
+//! synchronous base-index scan and the select-probe of stage 1, the
+//! synchronous scan of a later stage — each have one body that takes one
+//! tuple at a time. The batching of §2.3 is the join buffer itself and the
+//! select-probe's batched lookups into the fact index.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
     sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, MvccTable,
-    PayloadBuf, ProbeScratch, QueryResult, ResultRow, Snapshot, StorageError, TreeIndex, Value,
+    ProbeScratch, QueryResult, ResultRow, Snapshot, StorageError, TreeIndex, Value,
 };
 
-use crate::batch::RowBatch;
 use crate::inter::{AggTable, InterTable};
 use crate::layout::{Layout, Src};
-use crate::options::{BatchMode, PlanOptions};
+use crate::options::PlanOptions;
 use crate::plan::{
     DimHandleKind, FactSelect, JoinStage, MainInput, Plan, ResolvedDim, StageOutput,
 };
@@ -262,20 +269,11 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// dimension tier) entire queries. `fused` optionally supplies a
 /// pre-materialized stage-1 selection stream (see [`FusedSelection`]); with
 /// `None`, a `SelectProbe` stage scans the selection itself.
-///
-/// `batch` selects between the scalar row-at-a-time and the columnar
-/// [`RowBatch`] *scan* loops that feed the join buffer (the buffer's flush
-/// is the same code either way). It is an **execution** parameter, not a
-/// plan property: batch knobs are excluded from the cache fingerprints, so
-/// a cached plan may carry stale `batch_*` options — callers derive the
-/// mode from the *request's* options. Both modes visit the same tuples in
-/// the same order and produce byte-identical aggregates.
 pub struct Pipeline<'a> {
     db: &'a Database,
     snap: Snapshot,
     plan: &'a Plan,
     fused: Option<&'a FusedSelection>,
-    batch: BatchMode,
     fact_mvt: &'a MvccTable,
     /// The fact base index on the stage-1 join column.
     fact_base: &'a BaseIndex,
@@ -342,7 +340,6 @@ impl<'a> Pipeline<'a> {
         plan: &'a Plan,
         dim_tables: &'a [Option<Arc<DimSelection>>],
         fused: Option<&'a FusedSelection>,
-        batch: BatchMode,
     ) -> Result<Self, QpptError> {
         let fact_mvt = db.table(&plan.spec.fact)?;
         let fact_key = &plan.dims[0].fact_col_name;
@@ -413,7 +410,6 @@ impl<'a> Pipeline<'a> {
             snap,
             plan,
             fused,
-            batch,
             fact_mvt,
             fact_base,
             fact_field_map,
@@ -430,7 +426,7 @@ impl<'a> Pipeline<'a> {
     /// `range`, which restricts every downstream stage to the tuples
     /// deriving from those fact rows.
     pub fn run(&mut self, range: KeyRange, agg: &mut AggTable) -> Result<(), QpptError> {
-        let (plan, snap, batch) = (self.plan, self.snap, self.batch);
+        let (plan, snap) = (self.plan, self.snap);
         let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
         // The stages' records follow the fact selection's, if there is one.
         let stage_ops = self.ops.len() - plan.stages.len();
@@ -465,7 +461,6 @@ impl<'a> Pipeline<'a> {
                 s: &mut self.scratch,
                 width: stage.work_layout.width(),
                 cap: plan.opts.join_buffer,
-                batch,
             };
             match stage.main {
                 MainInput::SyncScan { .. } => {
@@ -512,76 +507,24 @@ impl<'a> Pipeline<'a> {
     /// morsel: the fact rows of `range` that pass `fs`, indexed on the
     /// stage-1 join column.
     fn select_fact(&self, fs: &FactSelect, range: KeyRange) -> InterTable {
-        let (plan, snap, batch) = (self.plan, self.snap, self.batch);
+        let (plan, snap) = (self.plan, self.snap);
         let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
         let fact_field_map = &self.fact_field_map[..];
         let index = TreeIndex::for_domain(self.fact_key_max, plan.opts.prefer_kiss);
         let mut out = InterTable::new(&plan.dims[0].fact_col_name, plan.fact_layout.clone(), index);
-        let width = plan.fact_layout.width();
-        let mut row = vec![0u64; width];
+        let mut row = vec![0u64; plan.fact_layout.width()];
         let check_vis = !fact_mvt.fully_visible(snap);
-        if batch.enabled {
-            // Vectorized fact selection: buffer a block of (key, pid)
-            // pairs from the range scan, gather the predicate lanes
-            // row-major, then run visibility and every predicate over the
-            // selection vector instead of branching per row. Survivors
-            // late-materialize — they re-read their payload row and are
-            // inserted in scan order, so the output index is
-            // byte-identical to the scalar loop's.
-            let payload = &fact_base.data.payload;
-            let cols = pred_cols(&fs.preds);
-            let mut rb = RowBatch::new(width, batch.rows);
-            let mut cands: Vec<Cand> = Vec::with_capacity(batch.rows);
-            let mut flush = |cands: &mut Vec<Cand>| {
-                if cands.is_empty() {
-                    return;
-                }
-                gather_pred_block(&mut rb, fact_field_map, cands, payload, &cols);
-                if check_vis {
-                    rb.filter(|r| fact_mvt.visible(payload.row(cands[r].pid)[0] as u32, snap));
-                }
-                for p in &fs.preds {
-                    rb.filter_pred(p);
-                }
-                for i in 0..rb.sel().len() {
-                    let c = cands[rb.sel()[i] as usize];
-                    fill_from_base(fact_field_map, c.key, payload.row(c.pid), &mut row);
-                    out.insert(c.key, &row);
-                }
-                cands.clear();
-            };
-            let mut visit = |key: u64, pid: u32| {
-                cands.push(Cand {
-                    key,
-                    pid,
-                    group: 0,
-                    count: 0,
-                });
-                if cands.len() >= batch.rows {
-                    flush(&mut cands);
-                }
-            };
-            fact_base
-                .data
-                .index
-                .range_each(range.lo, range.hi, &mut visit);
-            flush(&mut cands);
-        } else {
-            let mut visit = |key: u64, pid: u32| {
-                let payload = fact_base.data.payload.row(pid);
-                if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                    return;
-                }
-                fill_from_base(fact_field_map, key, payload, &mut row);
-                if fs.preds.iter().all(|p| p.matches(|c| row[c])) {
-                    out.insert(key, &row);
-                }
-            };
-            fact_base
-                .data
-                .index
-                .range_each(range.lo, range.hi, &mut visit);
-        }
+        let visit = |key: u64, pid: u32| {
+            let payload = fact_base.data.payload.row(pid);
+            if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
+                return;
+            }
+            fill_from_base(fact_field_map, key, payload, &mut row);
+            if fs.preds.iter().all(|p| p.matches(|c| row[c])) {
+                out.insert(key, &row);
+            }
+        };
+        fact_base.data.index.range_each(range.lo, range.hi, visit);
         out
     }
 
@@ -620,16 +563,8 @@ fn group_decode_sources<'a>(
 }
 
 /// Streams the aggregation index through `emit` in index (ascending
-/// packed-key) order, decoding group values either row at a time (scalar
-/// mode) or lane-wise in `batch_rows`-sized runs (batched mode): a run
-/// stages packed keys and accumulator snapshots, then each group-key lane
-/// extracts and decodes its whole run against one hoisted
-/// (table, column, dictionary) triple. Per-code decoding is pure, so the
-/// run size changes only how often dictionary state is re-established —
-/// never the emitted bytes. Like [`execute_agg`], this reads the batch
-/// knobs off `plan.opts`: decode sits outside the cached-plan reuse path
-/// that forces execution entry points to thread [`BatchMode`] explicitly,
-/// and byte-identity makes a stale knob harmless regardless.
+/// packed-key) order, decoding each group's packed key into its group
+/// values.
 pub(crate) fn decode_groups(
     db: &Database,
     plan: &Plan,
@@ -637,80 +572,22 @@ pub(crate) fn decode_groups(
     mut emit: impl FnMut(u64, Vec<Value>, Vec<i64>),
 ) {
     let sources = group_decode_sources(db, plan);
-    let batch = plan.opts.batch_mode();
-    if !batch.enabled {
-        agg.for_each_ordered(|key, accs| {
-            let codes = plan.group_key.packer.unpack(key);
-            let values: Vec<Value> = codes
-                .iter()
-                .zip(sources.iter())
-                .map(|(&code, &(t, c))| decode_code(t, c, code))
-                .collect();
-            emit(key, values, accs.to_vec());
-        });
-        return;
-    }
-
-    let packer = &plan.group_key.packer;
-    let run = batch.rows;
-    let mut keys: Vec<u64> = Vec::with_capacity(run);
-    let mut accs_rows: Vec<Vec<i64>> = Vec::with_capacity(run);
     agg.for_each_ordered(|key, accs| {
-        keys.push(key);
-        accs_rows.push(accs.to_vec());
-        if keys.len() == run {
-            flush_group_run(&sources, packer, &mut keys, &mut accs_rows, &mut emit);
-        }
+        let codes = plan.group_key.packer.unpack(key);
+        let values: Vec<Value> = codes
+            .iter()
+            .zip(sources.iter())
+            .map(|(&code, &(t, c))| decode_code(t, c, code))
+            .collect();
+        emit(key, values, accs.to_vec());
     });
-    flush_group_run(&sources, packer, &mut keys, &mut accs_rows, &mut emit);
-}
-
-/// Decodes one staged run lane-wise and drains it through `emit`. Lanes
-/// fill each row's value vector in lane order, so per-row value order
-/// matches the scalar path exactly.
-fn flush_group_run(
-    sources: &[(&qppt_storage::Table, usize)],
-    packer: &qppt_mem::KeyPacker,
-    keys: &mut Vec<u64>,
-    accs_rows: &mut Vec<Vec<i64>>,
-    emit: &mut impl FnMut(u64, Vec<Value>, Vec<i64>),
-) {
-    let n = keys.len();
-    if n == 0 {
-        return;
-    }
-    let mut values: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(sources.len())).collect();
-    let mut codes = vec![0u64; n];
-    for (lane, &(t, c)) in sources.iter().enumerate() {
-        for (code, &key) in codes.iter_mut().zip(keys.iter()) {
-            *code = packer.part(key, lane);
-        }
-        match t.schema().column(c).ty {
-            qppt_storage::ColumnType::Int => {
-                for (row, &code) in values.iter_mut().zip(codes.iter()) {
-                    row.push(Value::Int(code as i64));
-                }
-            }
-            qppt_storage::ColumnType::Str => {
-                let dict = t.dict(c).expect("str column has dictionary");
-                for (row, &code) in values.iter_mut().zip(codes.iter()) {
-                    row.push(Value::Str(dict.decode(code as u32).to_string()));
-                }
-            }
-        }
-    }
-    for ((key, vals), accs) in keys.drain(..).zip(values).zip(accs_rows.drain(..)) {
-        emit(key, vals, accs);
-    }
 }
 
 /// Decodes the (possibly merged) aggregation index into the shared result
 /// format. The index iterates in key order, i.e. already grouped and sorted
 /// (§3); [`QueryResult::apply_order`] then applies the query's ORDER BY on
 /// top, which is a stable sort, so the result is deterministic regardless
-/// of how many partitions fed `agg`. Under `batch_exec` the decode runs
-/// lane-wise in `batch_rows`-sized runs (see `decode_groups`) — the
-/// bytes are identical either way.
+/// of how many partitions fed `agg`.
 pub fn decode_result(db: &Database, plan: &Plan, agg: &AggTable) -> QueryResult {
     let mut rows = Vec::with_capacity(agg.group_count());
     decode_groups(db, plan, agg, |_key, key_values, agg_values| {
@@ -764,12 +641,8 @@ pub fn execute_agg(
     }
 
     // 2–3. Fact selection + join stages into the aggregating index.
-    // Fresh plans carry the request's batch knobs, so deriving the batch
-    // mode from the plan is correct here (cached plans go through
-    // `PreparedQuery`, which threads the request's mode explicitly).
     let mut agg = new_agg_table(plan);
-    let batch = plan.opts.batch_mode();
-    let mut pipeline = Pipeline::new(db, snap, plan, &dim_tables, None, batch)?;
+    let mut pipeline = Pipeline::new(db, snap, plan, &dim_tables, None)?;
     pipeline.run(KeyRange::full(), &mut agg)?;
     stats.ops.extend(pipeline.into_stats());
     stats.total_micros = started.elapsed().as_micros();
@@ -856,65 +729,6 @@ fn fill_from_base(map: &[FieldSrc], key: u64, payload: &[u64], out: &mut [u64]) 
             FieldSrc::Payload(p) => payload[*p],
         };
     }
-}
-
-/// One buffered candidate of a batched scan or probe, awaiting a block
-/// flush: the join key, the fact payload row to gather, and the tuple
-/// group of carried dim values it crosses with (`group` is the first
-/// tuple's ordinal in the carried buffer, `count` the number of tuples —
-/// a probe hit always crosses with exactly the selection tuple that
-/// probed it, `count = 1`).
-#[derive(Clone, Copy)]
-struct Cand {
-    key: u64,
-    pid: u32,
-    group: u32,
-    count: u32,
-}
-
-/// The distinct layout columns a predicate set reads — the only lanes a
-/// late-materializing gather has to fill before the block is filtered.
-fn pred_cols(preds: &[CompiledPred]) -> Vec<usize> {
-    let mut cols: Vec<usize> = preds
-        .iter()
-        .filter_map(|p| match p {
-            CompiledPred::Range { col, .. } | CompiledPred::InSet { col, .. } => Some(*col),
-            CompiledPred::Never => None,
-        })
-        .collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
-}
-
-/// The late-materializing gather: fills only the lanes in `cols` (the
-/// columns the block's predicates read), leaving the rest zeroed. The walk
-/// is **row-major** — the source payload is row-major and (for probes) the
-/// pids land randomly in a fact table far bigger than cache, so touching
-/// each source row exactly once costs one random access per row; a
-/// lane-at-a-time gather would re-fetch every row once per lane. Survivors
-/// re-read their payload row when they are emitted, so lanes no predicate
-/// looks at are never worth gathering block-wide.
-fn gather_pred_block(
-    batch: &mut RowBatch,
-    map: &[FieldSrc],
-    cands: &[Cand],
-    payload: &PayloadBuf,
-    cols: &[usize],
-) {
-    batch.reset();
-    let n = cands.len();
-    let lanes = batch.lanes_filled(n, cols);
-    for (r, c) in cands.iter().enumerate() {
-        let row = payload.row(c.pid);
-        for &i in cols {
-            lanes[i][r] = match map[i] {
-                FieldSrc::Key => c.key,
-                FieldSrc::Payload(p) => row[p],
-            };
-        }
-    }
-    batch.seal(n);
 }
 
 /// Runtime access to a dimension's tuples during a join.
@@ -1042,7 +856,6 @@ struct StageRun<'r, 'a, 'g> {
     s: &'r mut JoinScratch,
     width: usize,
     cap: usize,
-    batch: BatchMode,
 }
 
 impl StageRun<'_, '_, '_> {
@@ -1178,9 +991,6 @@ impl StageRun<'_, '_, '_> {
         dim_acc: &DimAccess<'_>,
         range: KeyRange,
     ) {
-        if self.batch.enabled {
-            return self.sync_scan_base_batched(fact_base, fact_mvt, field_map, dim_acc, range);
-        }
         let input_width = self.stage.input_layout.width();
         let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
@@ -1220,147 +1030,6 @@ impl StageRun<'_, '_, '_> {
             };
         let (fact, dim) = (&fact_base.data.index, dim_acc.index());
         sync_scan_indexes_range(fact, dim, range.lo, range.hi, visit);
-    }
-
-    /// Vectorized stage-1 synchronous scan: the scan yields `(key, fid)`
-    /// candidates that are buffered up to `batch.rows`, then gathered
-    /// lane-wise, filtered (visibility + residual predicates) over the
-    /// selection vector, and cross-joined with their dimension tuple groups
-    /// in scan order — the same tuple sequence as the scalar loop.
-    fn sync_scan_base_batched(
-        &mut self,
-        fact_base: &BaseIndex,
-        fact_mvt: &MvccTable,
-        field_map: &[FieldSrc],
-        dim_acc: &DimAccess<'_>,
-        range: KeyRange,
-    ) {
-        let input_width = self.stage.input_layout.width();
-        let stride = self.ctx.main_fill_pos.len();
-        let snap = self.snap;
-        let check_vis = !fact_mvt.fully_visible(snap);
-        let rows = self.batch.rows;
-        let mut rb = RowBatch::new(input_width, rows);
-        // Per candidate: its dim-tuple group as (first tuple ordinal, tuple
-        // count) into `dim_arena`. Groups stay valid across a flush (fact
-        // rows of one key can straddle batch boundaries), so the arena is
-        // only recycled between keys when no candidate references it.
-        let mut cands: Vec<Cand> = Vec::with_capacity(rows);
-        let mut dim_arena: Vec<u64> = Vec::new();
-        let mut tuples: u32 = 0;
-        let cols = pred_cols(&self.stage.residuals);
-        let mut scratch = vec![0u64; input_width];
-        let visit =
-            |key: u64, fids: &mut dyn Iterator<Item = u32>, dids: &mut dyn Iterator<Item = u32>| {
-                if cands.is_empty() {
-                    dim_arena.clear();
-                    tuples = 0;
-                }
-                let gstart = tuples;
-                let mut count = 0u32;
-                for did in dids {
-                    if dim_acc.fetch(did, snap, &mut dim_arena) {
-                        count += 1;
-                    }
-                }
-                if count == 0 {
-                    dim_arena.truncate(gstart as usize * stride);
-                    return;
-                }
-                tuples += count;
-                for fid in fids {
-                    cands.push(Cand {
-                        key,
-                        pid: fid,
-                        group: gstart,
-                        count,
-                    });
-                    if cands.len() >= rows {
-                        self.flush_block(
-                            &mut rb,
-                            field_map,
-                            &mut cands,
-                            &dim_arena,
-                            &fact_base.data.payload,
-                            fact_mvt,
-                            check_vis,
-                            stride,
-                            &cols,
-                            &mut scratch,
-                        );
-                    }
-                }
-            };
-        let (fact, dim) = (&fact_base.data.index, dim_acc.index());
-        sync_scan_indexes_range(fact, dim, range.lo, range.hi, visit);
-        self.flush_block(
-            &mut rb,
-            field_map,
-            &mut cands,
-            &dim_arena,
-            &fact_base.data.payload,
-            fact_mvt,
-            check_vis,
-            stride,
-            &cols,
-            &mut scratch,
-        );
-    }
-
-    /// Flushes one block of buffered scan or probe candidates: a row-major
-    /// gather of the predicate lanes, selection-vector filtering, then
-    /// `emit_cross` of each late-materialized survivor with its group of
-    /// carried dim tuples (`carried` is the buffer the candidates'
-    /// `group`/`count` fields index into).
-    ///
-    /// A block nothing filters — no residual predicates, fully visible
-    /// snapshot — skips the batch entirely and emits every candidate
-    /// directly: there is no selection to vectorize, and the batched win
-    /// downstream (the run-length grouped aggregate merge in
-    /// [`flush`](Self::flush)) applies either way.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_block(
-        &mut self,
-        rb: &mut RowBatch,
-        field_map: &[FieldSrc],
-        cands: &mut Vec<Cand>,
-        carried: &[u64],
-        payload: &PayloadBuf,
-        fact_mvt: &MvccTable,
-        check_vis: bool,
-        stride: usize,
-        cols: &[usize],
-        scratch: &mut [u64],
-    ) {
-        if cands.is_empty() {
-            return;
-        }
-        if self.stage.residuals.is_empty() && !check_vis {
-            for &c in cands.iter() {
-                fill_from_base(field_map, c.key, payload.row(c.pid), scratch);
-                let s = c.group as usize * stride;
-                let e = s + c.count as usize * stride;
-                self.emit_cross(scratch, &carried[s..e], stride, c.count as usize);
-            }
-            cands.clear();
-            return;
-        }
-        gather_pred_block(rb, field_map, cands, payload, cols);
-        if check_vis {
-            let snap = self.snap;
-            rb.filter(|r| fact_mvt.visible(payload.row(cands[r].pid)[0] as u32, snap));
-        }
-        for p in &self.stage.residuals {
-            rb.filter_pred(p);
-        }
-        for i in 0..rb.sel().len() {
-            let c = cands[rb.sel()[i] as usize];
-            fill_from_base(field_map, c.key, payload.row(c.pid), scratch);
-            let s = c.group as usize * stride;
-            let e = s + c.count as usize * stride;
-            self.emit_cross(scratch, &carried[s..e], stride, c.count as usize);
-        }
-        cands.clear();
     }
 
     /// Stage-k synchronous scan: previous intermediate × main dim index.
@@ -1443,80 +1112,30 @@ impl StageRun<'_, '_, '_> {
         let mut probe = std::mem::take(&mut self.s.probe);
         // The stream is drained in chunks of the join-buffer size; each
         // chunk is one batched probe into the fact index (§2.3).
-        if self.batch.enabled {
-            // Vectorized probe: the batched fact-index lookups yield
-            // (selection ordinal, fact pid) hits that are buffered up to
-            // `batch.rows`, gathered row-major, filtered over the selection
-            // vector, and emitted with their carried dim values in hit
-            // order — the same order the scalar callback processes them.
-            let rows = self.batch.rows;
-            let mut rb = RowBatch::new(input_width, rows);
-            let mut cands: Vec<Cand> = Vec::with_capacity(rows);
-            let cols = pred_cols(&self.stage.residuals);
-            let mut scratch = vec![0u64; input_width];
-            for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
-                let start = chunk * cap;
-                index.batch_get_each_with(keys, &mut probe, |job, pid| {
-                    cands.push(Cand {
-                        key: keys[job],
-                        pid,
-                        group: (start + job) as u32,
-                        count: 1,
-                    });
-                    if cands.len() >= rows {
-                        self.flush_block(
-                            &mut rb,
-                            field_map,
-                            &mut cands,
-                            probe_carried,
-                            &fact_base.data.payload,
-                            fact_mvt,
-                            check_vis,
-                            stride,
-                            &cols,
-                            &mut scratch,
-                        );
-                    }
-                });
-            }
-            self.flush_block(
-                &mut rb,
-                field_map,
-                &mut cands,
-                probe_carried,
-                &fact_base.data.payload,
-                fact_mvt,
-                check_vis,
-                stride,
-                &cols,
-                &mut scratch,
-            );
-        } else {
-            let mut input_row: Vec<u64> = vec![0u64; input_width];
-            for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
-                let start = chunk * cap;
-                index.batch_get_each_with(keys, &mut probe, |job, pid| {
-                    let payload = fact_base.data.payload.row(pid);
-                    if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                        return;
-                    }
-                    fill_from_base(field_map, keys[job], payload, &mut input_row);
-                    if self
-                        .stage
-                        .residuals
-                        .iter()
-                        .all(|p| p.matches(|c| input_row[c]))
-                    {
-                        let g = start + job;
-                        self.emit_cross(
-                            &input_row,
-                            &probe_carried[g * stride..(g + 1) * stride],
-                            stride,
-                            1,
-                        );
-                    }
-                });
-            }
+        let mut input_row: Vec<u64> = vec![0u64; input_width];
+        for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
+            let start = chunk * cap;
+            index.batch_get_each_with(keys, &mut probe, |job, pid| {
+                let payload = fact_base.data.payload.row(pid);
+                if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
+                    return;
+                }
+                fill_from_base(field_map, keys[job], payload, &mut input_row);
+                if self
+                    .stage
+                    .residuals
+                    .iter()
+                    .all(|p| p.matches(|c| input_row[c]))
+                {
+                    let g = start + job;
+                    self.emit_cross(
+                        &input_row,
+                        &probe_carried[g * stride..(g + 1) * stride],
+                        stride,
+                        1,
+                    );
+                }
+            });
         }
         self.s.probe = probe;
         Ok(())
@@ -1752,7 +1371,7 @@ mod tests {
             .map(|di| materialize_dim_selection(&db, snap, &plan, di).unwrap())
             .collect();
         let mut agg = new_agg_table(&plan);
-        let mut pipeline = Pipeline::new(&db, snap, &plan, &dims, None, BatchMode::SCALAR).unwrap();
+        let mut pipeline = Pipeline::new(&db, snap, &plan, &dims, None).unwrap();
         pipeline.run(KeyRange::full(), &mut agg).unwrap();
         let mut groups = Vec::new();
         agg.for_each_ordered(|key, accs| groups.push((key, accs[0])));

@@ -37,7 +37,6 @@
 //! assert!(stats.ops.len() >= 2); // selections + composed joins
 //! ```
 
-pub mod batch;
 pub mod engine;
 pub mod exec;
 pub mod fingerprint;
@@ -50,7 +49,6 @@ pub mod prepared;
 pub mod stats;
 pub mod validate;
 
-pub use batch::RowBatch;
 pub use engine::QpptEngine;
 pub use exec::{DimSelection, KeyRange};
 pub use fingerprint::{

@@ -60,51 +60,14 @@ pub struct PlanOptions {
     /// [`prepare_indexes`](crate::plan::prepare_indexes) ignores the switch
     /// entirely (it has no pool).
     pub par_index_build: bool,
-    /// Vectorized batch execution: run the stage-1/stage-N inner loops of
-    /// the pipeline over columnar [`RowBatch`](crate::batch::RowBatch)es
-    /// (lane-wise payload gathers, selection-vector predicate filtering,
-    /// run-length-grouped aggregate merges) instead of one row at a time.
-    /// Off by default. Results are byte-identical either way — batched and
-    /// scalar executions share cached σ materializations and results, so
-    /// this knob is deliberately **excluded** from the cache fingerprints.
-    pub batch_exec: bool,
-    /// Row capacity of each columnar batch when [`batch_exec`](Self::batch_exec)
-    /// (Self::batch_exec) is on. `1` is the degenerate row-at-a-time batch
-    /// (useful for shaking out boundary bugs); must be in
-    /// `1..=`[`MAX_BUFFER_ROWS`](Self::MAX_BUFFER_ROWS). Like
-    /// `batch_exec`, never part of the cache fingerprints.
-    pub batch_rows: usize,
 }
 
-/// The execution-time batch switch derived from [`PlanOptions`] via
-/// [`PlanOptions::batch_mode`].
-///
-/// Batch knobs are excluded from the cache fingerprints (byte-identity lets
-/// scalar and batched executions share cached plans, σ, and results), so a
-/// cached `Plan`'s embedded `opts` may carry a *stale* batch setting — the
-/// one the cold request used. Execution entry points therefore take the
-/// request's `BatchMode` explicitly instead of reading `plan.opts`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchMode {
-    /// Whether the vectorized batch paths run.
-    pub enabled: bool,
-    /// Batch capacity in rows (`>= 1`; meaningless when disabled).
-    pub rows: usize,
-}
-
-impl BatchMode {
-    /// Scalar row-at-a-time execution (the default).
-    pub const SCALAR: BatchMode = BatchMode {
-        enabled: false,
-        rows: 1,
-    };
-}
-
-impl Default for BatchMode {
-    fn default() -> Self {
-        Self::SCALAR
-    }
-}
+/// Has no behaviour: kept only so the frozen benchmark's `layers.rs`
+/// builds (it passes [`PlanOptions::batch_mode`] to
+/// `PooledEngine::run_prepared_agg`). Delete it, with that call, as soon as
+/// the benchmark may be edited.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchMode;
 
 impl Default for PlanOptions {
     fn default() -> Self {
@@ -118,8 +81,6 @@ impl Default for PlanOptions {
             parallelism: 1,
             morsel_bits: 6,
             par_index_build: false,
-            batch_exec: false,
-            batch_rows: 1024,
         }
     }
 }
@@ -128,11 +89,10 @@ impl PlanOptions {
     /// The demonstrator's buffer-size choices.
     pub const JOIN_BUFFER_CHOICES: [usize; 4] = [1, 64, 512, 2048];
 
-    /// Upper bound of [`join_buffer`](Self::join_buffer) and
-    /// [`batch_rows`](Self::batch_rows), in rows. Both size per-worker
-    /// buffers and both arrive from the wire, so the bound is what keeps a
-    /// request's memory finite; it is 512× the largest buffer the paper
-    /// measures.
+    /// Upper bound of [`join_buffer`](Self::join_buffer), in rows. The join
+    /// buffer is sized per worker and the size arrives from the wire, so
+    /// the bound is what keeps a request's memory finite; it is 512× the
+    /// largest buffer the paper measures.
     pub const MAX_BUFFER_ROWS: usize = 1 << 20;
 
     /// Validates option invariants.
@@ -158,23 +118,13 @@ impl PlanOptions {
                 "morsel_bits must be in 1..=16".into(),
             ));
         }
-        if self.batch_rows == 0 || self.batch_rows > Self::MAX_BUFFER_ROWS {
-            return Err(crate::QpptError::InvalidOptions(format!(
-                "batch_rows must be in 1..={}",
-                Self::MAX_BUFFER_ROWS
-            )));
-        }
         Ok(())
     }
 
-    /// The execution-time [`BatchMode`] these options request. See the
-    /// `BatchMode` docs for why executions thread this explicitly instead
-    /// of reading a (possibly cached, possibly stale) `plan.opts`.
+    /// Has no behaviour: kept only so the frozen benchmark's `layers.rs`
+    /// builds; to be deleted with [`BatchMode`].
     pub fn batch_mode(&self) -> BatchMode {
-        BatchMode {
-            enabled: self.batch_exec,
-            rows: self.batch_rows.max(1),
-        }
+        BatchMode
     }
 
     /// Builder-style setter.
@@ -230,18 +180,6 @@ impl PlanOptions {
         self.par_index_build = on;
         self
     }
-
-    /// Builder-style setter for vectorized batch execution.
-    pub fn with_batch_exec(mut self, on: bool) -> Self {
-        self.batch_exec = on;
-        self
-    }
-
-    /// Builder-style setter for the batch row capacity.
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = rows;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -260,12 +198,6 @@ mod tests {
         assert_eq!(o.parallelism, 1);
         assert_eq!(o.morsel_bits, 6);
         assert!(!o.par_index_build);
-        assert!(!o.batch_exec);
-        assert_eq!(o.batch_rows, 1024);
-        let mode = o.batch_mode();
-        assert!(!mode.enabled);
-        assert_eq!(mode.rows, 1024);
-        assert_eq!(BatchMode::default(), BatchMode::SCALAR);
         assert!(o.validate().is_ok());
     }
 
@@ -291,35 +223,21 @@ mod tests {
             .with_morsel_bits(17)
             .validate()
             .is_err());
-        assert!(PlanOptions::default()
-            .with_batch_rows(0)
-            .validate()
-            .is_err());
-        // Both buffer sizes are bounded above: they size allocations.
+        // The buffer size is bounded above: it sizes allocations.
         let max = PlanOptions::MAX_BUFFER_ROWS;
         for rows in [max + 1, 1 << 40, usize::MAX] {
             assert!(PlanOptions::default()
                 .with_join_buffer(rows)
                 .validate()
                 .is_err());
-            assert!(PlanOptions::default()
-                .with_batch_rows(rows)
-                .validate()
-                .is_err());
         }
         assert!(PlanOptions::default()
             .with_join_buffer(max)
-            .with_batch_rows(max)
             .validate()
             .is_ok());
         assert!(PlanOptions::default()
             .with_parallelism(8)
             .with_morsel_bits(16)
-            .validate()
-            .is_ok());
-        assert!(PlanOptions::default()
-            .with_batch_exec(true)
-            .with_batch_rows(1)
             .validate()
             .is_ok());
     }
@@ -335,15 +253,8 @@ mod tests {
             .with_multidim(true)
             .with_parallelism(4)
             .with_morsel_bits(8)
-            .with_par_index_build(true)
-            .with_batch_exec(true)
-            .with_batch_rows(64);
+            .with_par_index_build(true);
         assert!(o.par_index_build);
-        assert!(o.batch_exec);
-        assert_eq!(o.batch_rows, 64);
-        let mode = o.batch_mode();
-        assert!(mode.enabled);
-        assert_eq!(mode.rows, 64);
         assert!(!o.select_join);
         assert!(o.multidim_selections);
         assert_eq!(o.join_buffer, 64);

@@ -57,10 +57,8 @@ pub struct PartialAggregate {
 impl PartialAggregate {
     /// Serializes an aggregation index into partial-aggregate rows. Group
     /// values are decoded through the same dictionary path as
-    /// [`decode_result`](crate::exec::decode_result) — including its
-    /// lane-wise batched runs under `batch_exec`, which never change the
-    /// emitted bytes; no ordering beyond the index's own ascending key
-    /// iteration is applied.
+    /// [`decode_result`](crate::exec::decode_result); no ordering beyond
+    /// the index's own ascending key iteration is applied.
     pub fn from_agg(db: &Database, plan: &Plan, agg: &AggTable) -> Self {
         let mut rows = Vec::with_capacity(agg.group_count());
         decode_groups(db, plan, agg, |key, group_values, accs| {

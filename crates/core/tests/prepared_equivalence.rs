@@ -2,11 +2,12 @@
 //! cached dimension selections, replayed fused stream — is byte-identical
 //! to planning + materializing from scratch, for every SSB query, and
 //! repeated executions from one `PreparedQuery` keep returning the same
-//! bytes.
+//! bytes. The shard-side decode of an aggregation index — the partial
+//! aggregate a router merges — renders the same bytes as the direct one.
 
 use std::sync::Arc;
 
-use qppt_core::{prepare_indexes, PlanOptions, PreparedQuery, QpptEngine};
+use qppt_core::{prepare_indexes, PartialAggregate, PlanOptions, PreparedQuery, QpptEngine};
 use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
 
@@ -67,4 +68,24 @@ fn prepared_snapshot_pins_visibility() {
     let (got, _) = pooled.run_prepared(&prepared, 0).unwrap();
     assert_eq!(got, before, "prepared execution drifted off its snapshot");
     pool.shutdown();
+}
+
+/// `PartialAggregate::from_agg` (the shard-side rows routed merges are
+/// built from), rendered with the query's ORDER BY, is byte-identical to
+/// the direct decode a single node answers with.
+#[test]
+fn partial_decode_matches_decode_result_all_queries() {
+    let opts = PlanOptions::default();
+    let mut ssb = SsbDb::generate(0.01, 42);
+    for q in queries::all_queries() {
+        prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+    }
+    let engine = QpptEngine::new(&ssb.db);
+    for q in queries::all_queries() {
+        let direct = engine.run(&q, &opts).unwrap();
+        let plan = engine.plan(&q, &opts).unwrap();
+        let (agg, _) = qppt_core::exec::execute_agg(&ssb.db, ssb.db.snapshot(), &plan).unwrap();
+        let partial = PartialAggregate::from_agg(&ssb.db, &plan, &agg);
+        assert_eq!(partial.into_result(&q.order_by), direct, "{}", q.id);
+    }
 }

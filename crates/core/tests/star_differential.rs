@@ -1,7 +1,7 @@
 //! Seeded differential test of the join-group: random 2–5-way star specs
 //! over the SSB catalog, with the dimensions in **every** order, under
-//! every join-buffer size × scalar/batched execution × sequential/parallel
-//! × one-stage/multi-stage combination, against the reference hash-join
+//! every join-buffer size × fused/non-fused plan × sequential/parallel ×
+//! one-stage/multi-stage combination, against the reference hash-join
 //! executor.
 //!
 //! What it pins about the flush (each assisting dimension is probed only by
@@ -14,6 +14,9 @@
 //! * a dimension that rejects every row of every block (`dead_supplier`);
 //! * `max_join_ways = 2`: one dimension per stage, so every stage but the
 //!   last sinks its survivors into an intermediate table;
+//! * `select_join` off: stage 1 is a synchronous scan instead of the fused
+//!   select-probe — over the fact base index or, when the spec has a fact
+//!   predicate, over the materialized fact selection;
 //! * "first *visible* version wins": the database carries a `date` key
 //!   whose first version is deleted and re-inserted, and one whose second
 //!   version is deleted, and `date` joins through its base index whenever
@@ -225,7 +228,10 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
 
     let mut ssb = SsbDb::generate(0.01, 18);
     for q in shapes.iter().flat_map(dim_orders) {
-        prepare_indexes(&mut ssb.db, &q, &PlanOptions::default()).unwrap();
+        for select_join in [true, false] {
+            let opts = PlanOptions::default().with_select_join(select_join);
+            prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+        }
     }
     // After the builds, so index maintenance files the new versions behind
     // the old ones.
@@ -246,13 +252,12 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
             // One stage per dimension (`max_join_ways = 2`) rides on one
             // buffer size; the rest of the grid is the one-stage plan.
             for (join_buffer, max_join_ways) in [(1, 5), (64, 5), (64, 2), (512, 5)] {
-                for batch_exec in [false, true] {
+                for select_join in [true, false] {
                     for parallelism in [1, 3] {
                         let opts = PlanOptions::default()
                             .with_join_buffer(join_buffer)
                             .with_max_join_ways(max_join_ways)
-                            .with_batch_exec(batch_exec)
-                            .with_batch_rows(48)
+                            .with_select_join(select_join)
                             .with_parallelism(parallelism);
                         let got = engine.run(&q, &opts).unwrap().canonicalized();
                         assert_eq!(got, expect, "{} as {order:?} under {opts:?}", q.id);
@@ -262,7 +267,8 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
             }
         }
     }
-    // 1 + 2 + 6 + 6 + 24 orders of the random shapes, 6 + 6 of the others.
+    // 1 + 2 + 6 + 6 + 24 orders of the random shapes, 6 + 6 of the
+    // others; 4 buffer/width settings × fused/non-fused × 2 parallelisms.
     assert_eq!(runs, (39 + 12) * 16);
     pool.shutdown();
 }

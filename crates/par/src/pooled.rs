@@ -175,8 +175,7 @@ impl PooledEngine {
         priority: i32,
     ) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let batch = prepared.plan.opts.batch_mode();
-        let (agg, mut stats) = self.run_prepared_agg(prepared, priority, batch)?;
+        let (agg, mut stats) = self.run_prepared_agg(prepared, priority, BatchMode)?;
         let result = decode_result(&self.db, &prepared.plan, &agg);
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
@@ -184,16 +183,15 @@ impl PooledEngine {
 
     /// Like [`run_prepared`](Self::run_prepared), but stops at the merged
     /// aggregation index — the cached shard-side entry point for
-    /// partial-aggregate serving. `batch` is the *request's* execution
-    /// mode: batch knobs are excluded from the cache fingerprints, so a
-    /// cached prepared query's plan may carry stale knobs — scalar and
-    /// batched requests share the same entry and produce byte-identical
-    /// aggregates.
+    /// partial-aggregate serving.
+    ///
+    /// The third parameter has no behaviour: it is kept only so the frozen
+    /// benchmark's `layers.rs` builds, and goes with [`BatchMode`].
     pub fn run_prepared_agg(
         &self,
         prepared: &PreparedQuery,
         priority: i32,
-        batch: BatchMode,
+        _: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
         let started = Instant::now();
         let mut stats = ExecStats {
@@ -206,7 +204,6 @@ impl PooledEngine {
             &prepared.dims,
             &prepared.fused,
             priority,
-            batch,
         )?;
         stats.ops.extend(pipeline_stats.ops);
         crate::fix_merged_agg_stats(&prepared.plan, &agg, &mut stats);
@@ -234,7 +231,6 @@ impl PooledEngine {
         dim_tables: &Arc<Vec<Option<Arc<DimSelection>>>>,
         fused: &Arc<Option<FusedSelection>>,
         priority: i32,
-        batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
         let workers = self.pipeline_participants(plan.opts.parallelism);
         let morsels = if workers > 1 {
@@ -255,7 +251,6 @@ impl PooledEngine {
             partials: Mutex::new(Vec::new()),
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
-            batch,
         });
         if workers > 1 {
             self.pool
@@ -296,8 +291,6 @@ struct MorselJob {
     error: Mutex<Option<QpptError>>,
     aborted: AtomicBool,
     max_workers: usize,
-    /// The request's execution mode (scalar vs. columnar inner loops).
-    batch: BatchMode,
 }
 
 impl PoolJob for MorselJob {
@@ -320,7 +313,6 @@ impl PoolJob for MorselJob {
             self.fused.as_ref().as_ref(),
             &self.morsels,
             &self.next,
-            self.batch,
         ) {
             Ok(Some((agg, stats))) => {
                 self.partials

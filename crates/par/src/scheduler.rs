@@ -21,7 +21,7 @@ use std::sync::Arc;
 use qppt_core::exec::{new_agg_table, DimSelection, FusedSelection, Pipeline};
 use qppt_core::inter::AggTable;
 use qppt_core::stats::ExecStats;
-use qppt_core::{BatchMode, KeyRange, Plan, QpptError};
+use qppt_core::{KeyRange, Plan, QpptError};
 use qppt_storage::{Database, Snapshot};
 
 /// One worker's morsel loop: pull unclaimed morsel indexes from `next` and
@@ -33,11 +33,6 @@ use qppt_storage::{Database, Snapshot};
 /// scratch, the operator records — lives in one [`Pipeline`] per
 /// participant, built on the first claimed morsel and reused for every
 /// later one: a morsel costs its scan, not a setup.
-///
-/// `batch` is the request's execution mode (scalar vs. columnar inner
-/// loops) — an execution parameter, not a plan property, because cached
-/// plans may carry stale batch knobs.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_morsels(
     db: &Database,
     snap: Snapshot,
@@ -46,7 +41,6 @@ pub(crate) fn drain_morsels(
     fused: Option<&FusedSelection>,
     morsels: &[KeyRange],
     next: &AtomicUsize,
-    batch: BatchMode,
 ) -> Result<Option<(AggTable, ExecStats)>, QpptError> {
     let mut state: Option<(Pipeline<'_>, AggTable)> = None;
     loop {
@@ -57,7 +51,7 @@ pub(crate) fn drain_morsels(
         let (pipeline, agg) = match &mut state {
             Some(built) => built,
             None => {
-                let pipeline = Pipeline::new(db, snap, plan, dim_tables, fused, batch)?;
+                let pipeline = Pipeline::new(db, snap, plan, dim_tables, fused)?;
                 state.insert((pipeline, new_agg_table(plan)))
             }
         };

@@ -30,9 +30,9 @@
 //! tiers run, lifted to fleet scope.
 //!
 //! Correctness rests on the invariants the router already relies on:
-//! results are byte-identical across parallelism and batch mode (so a
-//! router-side options fingerprint over the *normalized* client options is
-//! sound even when shard defaults differ), and any server addressed as
+//! results are byte-identical across parallelism (so a router-side options
+//! fingerprint over the *normalized* client options is sound even when
+//! shard defaults differ), and any server addressed as
 //! range `i` of `n` serves the canonical shard `i/n` of the same dataset.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -52,7 +52,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_cache::{CacheConfig, CacheStats, CachedResult, QueryCache, QueryFingerprint};
-use qppt_core::{ExecStats, OpStats, PartialAggregate, PlanOptions, QpptEngine, QpptError};
+use qppt_core::{
+    BatchMode, ExecStats, OpStats, PartialAggregate, PlanOptions, QpptEngine, QpptError,
+};
 use qppt_obs::Trace;
 use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
@@ -537,13 +539,11 @@ impl ServeEngine {
             }
         };
 
-        // Exec. The batch mode comes from the *request's* options: the
-        // cached plan may carry stale batch knobs (they are
-        // fingerprint-exempt).
+        // Exec.
         let exec_started = Instant::now();
         let (agg, mut stats) = self
             .engine
-            .run_prepared_agg(&prepared, priority, opts.batch_mode())
+            .run_prepared_agg(&prepared, priority, BatchMode)
             .map_err(ServeError::Engine)?;
         let exec_micros = elapsed_micros(exec_started);
 

@@ -27,8 +27,7 @@
 //!            | "group=…" | "order=…" | "id=…"  ; see qppt-query
 //! option     = key "=" value
 //! key        = "parallelism" | "morsel_bits" | "join_buffer"
-//!            | "select_join" | "batch_exec" | "batch_rows"
-//!            | "priority" | "cache" | "mode" | "trace"
+//!            | "select_join" | "priority" | "cache" | "mode" | "trace"
 //! ```
 //!
 //! `METRICS` answers `OK metrics`, the server's full Prometheus text
@@ -403,8 +402,6 @@ pub fn apply_overrides(
             "morsel_bits" => opts.morsel_bits = v.parse().map_err(|_| bad("1..=16"))?,
             "join_buffer" => opts.join_buffer = v.parse().map_err(|_| bad("positive integer"))?,
             "select_join" => opts.select_join = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "batch_exec" => opts.batch_exec = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "batch_rows" => opts.batch_rows = v.parse().map_err(|_| bad("positive integer"))?,
             PRIORITY_KEY => controls.priority = v.parse().map_err(|_| bad("integer"))?,
             CACHE_KEY => controls.use_cache = parse_bool(v).ok_or_else(|| bad("bool"))?,
             MODE_KEY => {
@@ -429,7 +426,7 @@ pub fn apply_overrides(
             other => {
                 return Err(format!(
                     "unknown option {other} (try parallelism, morsel_bits, join_buffer, \
-                     select_join, batch_exec, batch_rows, priority, cache, mode, trace)"
+                     select_join, priority, cache, mode, trace)"
                 ))
             }
         }
@@ -968,21 +965,6 @@ mod tests {
         // Values are validated, not just parsed.
         assert!(apply_overrides(base, &[("morsel_bits".into(), "40".into())]).is_err());
         assert!(apply_overrides(base, &[("parallelism".into(), "0".into())]).is_err());
-
-        // Batch knobs parse and validate like the other exec knobs.
-        let (opts, _) = apply_overrides(
-            base,
-            &[
-                ("batch_exec".into(), "on".into()),
-                ("batch_rows".into(), "64".into()),
-            ],
-        )
-        .unwrap();
-        assert!(opts.batch_exec);
-        assert_eq!(opts.batch_rows, 64);
-        assert!(apply_overrides(base, &[("batch_exec".into(), "sideways".into())]).is_err());
-        assert!(apply_overrides(base, &[("batch_rows".into(), "0".into())]).is_err());
-        assert!(apply_overrides(base, &[("batch_rows".into(), "many".into())]).is_err());
     }
 
     #[test]

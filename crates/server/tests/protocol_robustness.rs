@@ -46,15 +46,15 @@ fn garbage_requests_error_but_connection_survives() {
         b"RUN q1.1 nonsense\n",         // malformed option
         b"RUN q1.1 parallelism=zero\n", // bad option value
         b"RUN q1.1 morsel_bits=99\n",   // validated, not just parsed
-        b"RUN q1.1 batch_rows=0\n",     // batch block size must be >= 1
-        b"RUN q1.1 batch_rows=lots\n",  // bad batch_rows value
-        b"RUN q1.1 batch_exec=maybe\n", // bad batch_exec value
+        b"RUN q1.1 batch_rows=0\n",     // removed option: unknown
+        b"RUN q1.1 batch_rows=lots\n",  // removed option: unknown
+        b"RUN q1.1 batch_exec=maybe\n", // removed option: unknown
         // Buffer sizes are bounded: these two used to abort the process
         // (a 56 TiB allocation) and panic a worker (capacity overflow).
         b"RUN q3.1 join_buffer=1099511627776\n",
         b"RUN q3.1 join_buffer=4611686018427387904\n",
-        b"RUN q3.1 batch_exec=on batch_rows=1099511627776\n",
-        b"RUN q9.9\n",                  // unknown query
+        b"RUN q3.1 batch_exec=on batch_rows=1099511627776\n", // removed options
+        b"RUN q9.9\n",                // unknown query
         b"RUN q1.1 cache=maybe\n",      // bad cache value
         b"CACHE\n",                     // missing subcommand
         b"CACHE FLUSH\n",               // unknown subcommand
@@ -88,10 +88,15 @@ fn garbage_requests_error_but_connection_survives() {
         );
     }
 
-    // The removed per-operator-class switches are ordinary unknown
-    // options now — on RUN and QUERY alike, whatever the value.
-    for class in ["selections", "scans", "joins"] {
-        let key = format!("par_{class}");
+    // The removed per-operator-class switches and batch knobs are ordinary
+    // unknown options now — on RUN and QUERY alike, whatever the value.
+    for key in [
+        "par_selections",
+        "par_scans",
+        "par_joins",
+        "batch_exec",
+        "batch_rows",
+    ] {
         for line in [
             format!("RUN q1.1 {key}=off\n"),
             format!("QUERY fact=lineorder agg=sum(lo_revenue):r {key}=true\n"),
@@ -102,7 +107,9 @@ fn garbage_requests_error_but_connection_survives() {
             let suggested = resp
                 .strip_prefix(&format!("ERR unknown option {key} (try "))
                 .unwrap_or_else(|| panic!("{line:?} got: {resp}"));
-            assert!(!suggested.contains("par_"), "stale suggestion: {resp}");
+            for stale in ["par_", "batch_"] {
+                assert!(!suggested.contains(stale), "stale suggestion: {resp}");
+            }
         }
     }
 
@@ -120,14 +127,10 @@ fn garbage_requests_error_but_connection_survives() {
         .run(&queries::q1_1(), &PlanOptions::default())
         .unwrap();
     assert_eq!(served.result, oracle);
-    // The largest admitted buffer sizes cost what the rows need, not what
-    // the options say.
+    // The largest admitted buffer size costs what the rows need, not what
+    // the option says.
     let max = PlanOptions::MAX_BUFFER_ROWS.to_string();
-    let opts = [
-        ("join_buffer", max.as_str()),
-        ("batch_rows", max.as_str()),
-        ("cache", "off"),
-    ];
+    let opts = [("join_buffer", max.as_str()), ("cache", "off")];
     assert_eq!(client.run("q1.1", &opts).expect("admitted").result, oracle);
 
     server.stop();
