@@ -22,8 +22,10 @@
 //!    dimension handles plus the query-private fused stream; a hit
 //!    additionally skips the per-dimension cache walk and the
 //!    fused-selection scan.
-//! 4. **Result tier** — `Arc<CachedResult>`: a hit returns the decoded
-//!    rows without touching the worker pool at all.
+//! 4. **Result tier** — `Arc<CachedResult>`: the decoded rows and, beside
+//!    them, the rendered response (head and operator lines) the entry's
+//!    maker stored as opaque bytes. A hit touches neither the worker pool
+//!    nor a formatter: the server writes the stored bytes.
 //!
 //! ## Byte budgets, pinning, TTL
 //!
@@ -152,11 +154,20 @@ impl QueryFingerprint {
 }
 
 /// A cached full result: decoded rows plus the statistics of the execution
-/// that produced them.
+/// that produced them, and beside them the response a hit answers, rendered
+/// once when the entry is made. At an unchanged snapshot those bytes are a
+/// pure function of the fingerprint, so a hit writes them as they are. The
+/// two byte fields are opaque here: whoever makes the entry renders them,
+/// this crate only stores and bills them.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     pub result: QueryResult,
     pub stats: ExecStats,
+    /// The rendered response head (status, columns, rows).
+    pub head: Box<[u8]>,
+    /// The rendered operator lines a hit answers: the producing
+    /// execution's operators plus the result-hit marker.
+    pub hit_ops: Box<[u8]>,
 }
 
 /// Heap footprint for the cache's byte budgets. Implemented down through
@@ -200,8 +211,14 @@ impl HeapSize for PreparedQuery {
 }
 
 impl HeapSize for CachedResult {
+    /// Decoded rows, operator records and both rendered byte strings: the
+    /// rendered response is resident beside the rows, so the result budget
+    /// bounds both.
     fn heap_bytes(&self) -> usize {
-        self.result.memory_bytes() + self.stats.ops.len() * 96
+        self.result.memory_bytes()
+            + self.stats.ops.len() * 96
+            + self.head.len()
+            + self.hit_ops.len()
     }
 }
 
@@ -244,8 +261,8 @@ pub struct CacheConfig {
     /// tables it pins — so this budget bounds the selection memory cached
     /// composers keep alive (shared σ count once per composer).
     pub selection_budget: usize,
-    /// Byte budget of the result tier (decoded rows; SSB results are ≤ a
-    /// few hundred rows).
+    /// Byte budget of the result tier (decoded rows plus their rendered
+    /// response; SSB results are ≤ a few hundred rows).
     pub result_budget: usize,
     /// Idle time-to-live: entries untouched for longer are reclaimed even
     /// when the byte budget has room. `None` = no age limit.
@@ -470,6 +487,77 @@ mod tests {
     use qppt_par::WorkerPool;
     use qppt_ssb::{queries, SsbDb};
 
+    fn entry(result: QueryResult, stats: ExecStats, head: &[u8], hit_ops: &[u8]) -> CachedResult {
+        CachedResult {
+            result,
+            stats,
+            head: head.into(),
+            hit_ops: hit_ops.into(),
+        }
+    }
+
+    fn empty_result() -> QueryResult {
+        QueryResult {
+            group_cols: vec![],
+            agg_cols: vec![],
+            rows: vec![],
+        }
+    }
+
+    #[test]
+    fn result_entry_bills_its_rendered_bytes() {
+        // The rendered response is resident beside the rows, so the result
+        // budget must see every byte of it: heap_bytes grows by exactly the
+        // head and op-line lengths, and the tier's byte count follows.
+        let bare = entry(empty_result(), ExecStats::default(), b"", b"");
+        let head = b"OK 0\nCOLS - revenue\n";
+        let ops = b"# op cache: result hit | micros=0 keys=0 tuples=0 index=cache mem=0\n";
+        let rendered = entry(empty_result(), ExecStats::default(), head, ops);
+        assert_eq!(
+            rendered.heap_bytes(),
+            bare.heap_bytes() + head.len() + ops.len()
+        );
+
+        let mut ssb = SsbDb::generate(0.005, 42);
+        let opts = PlanOptions::default();
+        let q = queries::q1_1();
+        prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+        let fp = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
+        let cache = QueryCache::default();
+        let value = Arc::new(rendered);
+        let billed = CacheValue::heap_bytes(&value);
+        assert_eq!(
+            billed,
+            std::mem::size_of::<CachedResult>() + bare.heap_bytes() + head.len() + ops.len()
+        );
+        cache.put_result(&fp, value);
+        assert_eq!(cache.stats().results.bytes, billed);
+
+        // A shard budget that holds two bare entries but not two rendered
+        // ones: the rendered bytes alone decide the eviction.
+        let bare_billed = CacheValue::heap_bytes(&Arc::new(bare));
+        let per_shard = 2 * bare_billed + head.len() + ops.len();
+        let same_shard = QueryFingerprint {
+            key: fp.key.wrapping_add(SHARDS as u64),
+            versions: fp.versions.clone(),
+        };
+        for (h, o, evictions) in [(&b""[..], &b""[..], 0), (&head[..], &ops[..], 1)] {
+            let cache = QueryCache::new(CacheConfig {
+                result_budget: per_shard * SHARDS,
+                ..CacheConfig::default()
+            });
+            for key in [&fp, &same_shard] {
+                cache.put_result(
+                    key,
+                    Arc::new(entry(empty_result(), ExecStats::default(), h, o)),
+                );
+            }
+            let s = cache.stats().results;
+            assert_eq!(s.evictions, evictions, "{s:?}");
+            assert!(s.bytes <= per_shard, "{s:?}");
+        }
+    }
+
     #[test]
     fn fingerprint_tracks_only_involved_tables() {
         let mut ssb = SsbDb::generate(0.005, 42);
@@ -597,7 +685,7 @@ mod tests {
 
         let engine = QpptEngine::new(&ssb.db);
         let (result, stats) = engine.run_with_stats(&q, &opts).unwrap();
-        cache.put_result(&fp, Arc::new(CachedResult { result, stats }));
+        cache.put_result(&fp, Arc::new(entry(result, stats, b"", b"")));
         cache.put_plan(&fp, Arc::new(engine.plan(&q, &opts).unwrap()));
         assert!(cache.get_result(&fp).is_some());
         assert!(cache.get_plan(&fp).is_some());
@@ -647,14 +735,7 @@ mod tests {
         let fp = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
         cache.put_result(
             &fp,
-            Arc::new(CachedResult {
-                result: QueryResult {
-                    group_cols: vec![],
-                    agg_cols: vec![],
-                    rows: vec![],
-                },
-                stats: ExecStats::default(),
-            }),
+            Arc::new(entry(empty_result(), ExecStats::default(), b"", b"")),
         );
         assert!(cache.get_result(&fp).is_none());
         assert_eq!(cache.stats().results.insertions, 0);

@@ -23,7 +23,14 @@
 //! The hot path consults the snapshot-keyed
 //! [`QueryCache`](qppt_cache::QueryCache) tiers in order:
 //!
-//! 1. **result hit** — return the cached rows without touching the pool;
+//! 1. **result hit** — return the cached entry without touching the pool.
+//!    The entry carries the response rendered once when it was made (the
+//!    `OK`/`COLS`/`ROW` head and the `# op` lines a hit answers), so the
+//!    dispatcher writes those bytes as they are and formats only
+//!    `# total_micros=…`; the rows are cloned only for in-process callers
+//!    of [`run_spec`](ServeEngine::run_spec). A full-mode miss renders the
+//!    entry at insertion and writes the same head bytes, so it still
+//!    serializes once;
 //! 2. **selection hit** — execute from the cached
 //!    [`PreparedQuery`](qppt_core::PreparedQuery) (skips `build_plan` and
 //!    every `materialize_dim`);
@@ -61,7 +68,7 @@ use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, QueryResult, QuerySpec};
 
 use crate::obs::{elapsed_micros, ServeObs};
-use crate::protocol::RunControls;
+use crate::protocol::{write_op_lines, write_run_head, RunControls};
 
 /// Static facts about the serving instance, reported by `INFO`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -404,8 +411,15 @@ impl ServeEngine {
             ..RunControls::default()
         };
         match self.serve(spec, opts, &controls, None)? {
-            (Answer::Full(result), stats) => Ok((result, stats)),
-            (Answer::Partial(_), _) => unreachable!("full mode finishes with a decoded result"),
+            (Answer::Cached(entry), stats, Outcome::ResultHit) => {
+                let mut hit = entry.stats.clone();
+                hit.push(result_hit_op(&entry.result));
+                hit.total_micros = stats.total_micros;
+                Ok((entry.result.clone(), hit))
+            }
+            (Answer::Cached(entry), stats, _) => Ok((entry.result.clone(), stats)),
+            (Answer::Full(result), stats, _) => Ok((result, stats)),
+            (Answer::Partial(_), ..) => unreachable!("full mode finishes with a decoded result"),
         }
     }
 
@@ -433,8 +447,8 @@ impl ServeEngine {
             ..RunControls::default()
         };
         match self.serve(spec, opts, &controls, None)? {
-            (Answer::Partial(partial), stats) => Ok((partial, stats)),
-            (Answer::Full(_), _) => unreachable!("partial mode finishes with the aggregate"),
+            (Answer::Partial(partial), stats, _) => Ok((partial, stats)),
+            _ => unreachable!("partial mode finishes with the aggregate"),
         }
     }
 
@@ -449,13 +463,19 @@ impl ServeEngine {
     /// hit, under the root `request` span the caller finishes; result
     /// bytes are identical with and without it — spans only ride as extra
     /// `#` lines.
+    ///
+    /// Full mode with the cache on answers [`Answer::Cached`]: the entry a
+    /// hit found, or the one a miss just rendered and inserted. On a hit
+    /// the returned stats carry only `total_micros` — the entry's rendered
+    /// op lines are the hit's operator list. The [`Outcome`] names where
+    /// the answer came from.
     pub(crate) fn serve(
         &self,
         spec: &QuerySpec,
         opts: &PlanOptions,
         controls: &RunControls,
         trace: Option<&mut Trace>,
-    ) -> Result<(Answer, ExecStats), ServeError> {
+    ) -> Result<(Answer, ExecStats, Outcome), ServeError> {
         let db = self.engine.db();
         let RunControls {
             priority,
@@ -481,13 +501,14 @@ impl ServeEngine {
 
         // Result tier (full mode only): served without touching the pool.
         if let Some(hit) = (!partial).then(|| cache.get_result(&fp)).flatten() {
-            let mut stats = hit.stats.clone();
-            stats.push(cache_op("cache: result hit", hit.result.rows.len()));
-            stats.total_micros = started.elapsed().as_micros();
+            let stats = ExecStats {
+                ops: Vec::new(),
+                total_micros: started.elapsed().as_micros(),
+            };
             if let Some(t) = trace {
                 t.add(t.root(), "result_cache", elapsed_micros(started));
             }
-            return Ok((Answer::Full(hit.result.clone()), stats));
+            return Ok((Answer::Cached(hit), stats, Outcome::ResultHit));
         }
 
         // Selection tier: the composed PreparedQuery (a hit skips
@@ -495,20 +516,19 @@ impl ServeEngine {
         // scan — the PreparedQuery already owns its plan and σ handles, so
         // the plan and dimension tiers are only consulted on a miss).
         let plan_started = Instant::now();
-        let (prepared, tier_label, assembly, plan_micros, sigma_micros) = match cache
-            .get_selections(&fp)
+        let (prepared, tier, assembly, plan_micros, sigma_micros) = match cache.get_selections(&fp)
         {
             Some(p) => {
                 let plan_micros = elapsed_micros(plan_started);
-                (p, "cache: selection hit", None, plan_micros, 0)
+                (p, Outcome::SelectionHit, None, plan_micros, 0)
             }
             None => {
                 // Plan: a tier hit skips build_plan — and with it the
                 // whole validate pass: a cached plan at this
                 // fingerprint proves the spec and its indexes
                 // validated at these very table versions.
-                let (plan, label) = match cache.get_plan(&fp) {
-                    Some(p) => (p, "cache: plan hit"),
+                let (plan, tier) = match cache.get_plan(&fp) {
+                    Some(p) => (p, Outcome::PlanHit),
                     None => {
                         // Cold: build_plan runs the catalog validation
                         // itself (typed errors first — an unknown
@@ -521,7 +541,7 @@ impl ServeEngine {
                         );
                         qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
                         cache.put_plan(&fp, p.clone());
-                        (p, "cache: cold")
+                        (p, Outcome::Cold)
                     }
                 };
                 let plan_micros = elapsed_micros(plan_started);
@@ -535,7 +555,7 @@ impl ServeEngine {
                 let p = Arc::new(prepared);
                 cache.put_selections(&fp, p.clone());
                 let sigma_micros = elapsed_micros(sigma_started);
-                (p, label, Some(assembly), plan_micros, sigma_micros)
+                (p, tier, Some(assembly), plan_micros, sigma_micros)
             }
         };
 
@@ -560,21 +580,22 @@ impl ServeEngine {
             t.add(t.root(), "exec", exec_micros);
             t.add(t.root(), "decode", elapsed_micros(decode_started));
         }
-        if cache.enabled() {
-            if let Answer::Full(result) = &answer {
-                cache.put_result(
-                    &fp,
-                    Arc::new(CachedResult {
-                        result: result.clone(),
-                        stats: stats.clone(),
-                    }),
-                );
-            }
-            stats.push(cache_op(tier_label, answer.rows()));
-            push_assembly_op(&mut stats, assembly);
+        if !cache.enabled() {
+            stats.total_micros = started.elapsed().as_micros();
+            return Ok((answer, stats, Outcome::Bypass));
         }
+        let answer = match answer {
+            Answer::Full(result) => {
+                let entry = Arc::new(cache_entry(result, &stats));
+                cache.put_result(&fp, entry.clone());
+                Answer::Cached(entry)
+            }
+            other => other,
+        };
+        stats.push(cache_op(tier.label(), answer.rows()));
+        push_assembly_op(&mut stats, assembly);
         stats.total_micros = started.elapsed().as_micros();
-        Ok((answer, stats))
+        Ok((answer, stats, tier))
     }
 
     /// Renders the physical plan of a named query under the default
@@ -602,6 +623,10 @@ impl ServeEngine {
 /// result (full mode) or the undecoded aggregate (`mode=partial`).
 #[derive(Debug)]
 pub(crate) enum Answer {
+    /// Full mode with the cache on: the result-tier entry, whose rendered
+    /// head is the response head.
+    Cached(Arc<CachedResult>),
+    /// Full mode under `cache=off`.
     Full(QueryResult),
     Partial(PartialAggregate),
 }
@@ -610,9 +635,59 @@ impl Answer {
     /// Rows (full) or groups (partial) answered.
     fn rows(&self) -> usize {
         match self {
+            Answer::Cached(e) => e.result.rows.len(),
             Answer::Full(r) => r.rows.len(),
             Answer::Partial(p) => p.rows.len(),
         }
+    }
+}
+
+/// Where a served answer came from: the cache tier that answered it, or
+/// `Bypass` when the request ran against a disabled cache. The
+/// `# op cache: …` line and the `METRICS SLOW` outcome are both its
+/// [`label`](Outcome::label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    ResultHit,
+    SelectionHit,
+    PlanHit,
+    Cold,
+    Bypass,
+}
+
+impl Outcome {
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Outcome::ResultHit => "cache: result hit",
+            Outcome::SelectionHit => "cache: selection hit",
+            Outcome::PlanHit => "cache: plan hit",
+            Outcome::Cold => "cache: cold",
+            Outcome::Bypass => "bypass",
+        }
+    }
+}
+
+/// The `# op` record a result-tier hit appends to the cached execution's
+/// operators.
+fn result_hit_op(result: &QueryResult) -> OpStats {
+    cache_op(Outcome::ResultHit.label(), result.rows.len())
+}
+
+/// The result-tier entry of a full answer: the rows and the stats of the
+/// execution that produced them, plus the bytes a hit writes — the
+/// response head and the op lines (those operators, then the result-hit
+/// record) — rendered here, once, by the protocol's own writers.
+fn cache_entry(result: QueryResult, stats: &ExecStats) -> CachedResult {
+    let (mut head, mut hit_ops) = (Vec::new(), Vec::new());
+    write_run_head(&mut head, &result)
+        .and_then(|()| write_op_lines(&mut hit_ops, &stats.ops))
+        .and_then(|()| write_op_lines(&mut hit_ops, &[result_hit_op(&result)]))
+        .expect("writing to a Vec cannot fail");
+    CachedResult {
+        result,
+        stats: stats.clone(),
+        head: head.into(),
+        hit_ops: hit_ops.into(),
     }
 }
 

@@ -82,6 +82,13 @@
 //! this is a demonstrator protocol, not an escaping showcase.) `#` lines
 //! carry execution statistics and are informational.
 //!
+//! A result-tier hit answers the same shape from bytes rendered once per
+//! cache entry: the head (`OK`, `COLS`, `ROW` lines) and the `# op` lines
+//! (the cached execution's operators, then `cache: result hit`) are
+//! written as stored, rendered by the same head and op-line writers that
+//! [`write_run_response`] is built from. Only `# total_micros=… workers=…`
+//! (and the `# span` lines of a traced request) are formatted per request.
+//!
 //! ## PARTIAL response (`mode=partial`)
 //!
 //! A `RUN`/`QUERY` with the option `mode=partial` — what `qppt-router`
@@ -113,7 +120,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use qppt_core::{ExecStats, PartialAggregate, PartialRow, PlanOptions};
+use qppt_core::{ExecStats, OpStats, PartialAggregate, PartialRow, PlanOptions};
 use qppt_obs::{SlowEntry, SpanRec};
 use qppt_storage::{QueryResult, QuerySpec, ResultRow, Value};
 
@@ -470,6 +477,16 @@ pub fn write_run_response(
     workers: usize,
     spans: &[SpanRec],
 ) -> io::Result<()> {
+    write_run_head(w, result)?;
+    write_stats_lines(w, stats, workers, spans)?;
+    writeln!(w, "END")
+}
+
+/// Writes the head of a `RUN` response: the `OK <n>` status, the `COLS`
+/// line and one `ROW` line per row — everything before the stats lines.
+/// It depends on the result alone, which is why the result tier stores it
+/// rendered.
+pub(crate) fn write_run_head(w: &mut impl Write, result: &QueryResult) -> io::Result<()> {
     writeln!(w, "OK {}", result.rows.len())?;
     let groups = if result.group_cols.is_empty() {
         "-".to_string()
@@ -490,8 +507,37 @@ pub fn write_run_response(
         }
         writeln!(w)?;
     }
-    write_stats_lines(w, stats, workers, spans)?;
-    writeln!(w, "END")
+    Ok(())
+}
+
+/// Writes the `# total_micros=… workers=…` line — the one stats line that
+/// differs on every request.
+pub(crate) fn write_total_line(
+    w: &mut impl Write,
+    total_micros: u128,
+    workers: usize,
+) -> io::Result<()> {
+    writeln!(w, "# total_micros={total_micros} workers={workers}")
+}
+
+/// Writes one `# op` line per operator.
+pub(crate) fn write_op_lines(w: &mut impl Write, ops: &[OpStats]) -> io::Result<()> {
+    for op in ops {
+        writeln!(
+            w,
+            "# op {} | micros={} keys={} tuples={} index={} mem={}",
+            op.label, op.micros, op.out_keys, op.out_tuples, op.index_kind, op.memory_bytes
+        )?;
+    }
+    Ok(())
+}
+
+/// Writes one `# span` line per span of a finished request trace.
+pub(crate) fn write_span_lines(w: &mut impl Write, spans: &[SpanRec]) -> io::Result<()> {
+    for span in spans {
+        writeln!(w, "# span {}", span.wire())?;
+    }
+    Ok(())
 }
 
 fn write_stats_lines(
@@ -500,22 +546,9 @@ fn write_stats_lines(
     workers: usize,
     spans: &[SpanRec],
 ) -> io::Result<()> {
-    writeln!(
-        w,
-        "# total_micros={} workers={}",
-        stats.total_micros, workers
-    )?;
-    for op in &stats.ops {
-        writeln!(
-            w,
-            "# op {} | micros={} keys={} tuples={} index={} mem={}",
-            op.label, op.micros, op.out_keys, op.out_tuples, op.index_kind, op.memory_bytes
-        )?;
-    }
-    for span in spans {
-        writeln!(w, "# span {}", span.wire())?;
-    }
-    Ok(())
+    write_total_line(w, stats.total_micros, workers)?;
+    write_op_lines(w, &stats.ops)?;
+    write_span_lines(w, spans)
 }
 
 /// Writes a full `PARTIAL` response (status, columns, `P` rows, stats,

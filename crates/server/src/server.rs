@@ -44,14 +44,13 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use qppt_core::ExecStats;
 use qppt_storage::QuerySpec;
 
-use crate::engine::{render_cache_stats, Answer, ServeEngine, ServeError};
+use crate::engine::{render_cache_stats, Answer, Outcome, ServeEngine, ServeError};
 use crate::obs::{elapsed_micros, finish_trace, make_trace};
 use crate::protocol::{
-    apply_overrides, parse_request, write_partial_response, write_run_response,
-    write_slow_response, CacheCmd, Request,
+    apply_overrides, parse_request, write_op_lines, write_partial_response, write_run_response,
+    write_slow_response, write_span_lines, write_total_line, CacheCmd, Request,
 };
 
 /// Tunables of the TCP frontend.
@@ -362,19 +361,6 @@ struct EngineService {
     engine: Arc<ServeEngine>,
 }
 
-/// Where a served response came from, read back off its op list: the
-/// last cache-tier op (skipping the dimension-assembly line) names the
-/// tier, and a run with no cache ops bypassed the cache entirely.
-fn outcome_of(stats: &ExecStats) -> &str {
-    stats
-        .ops
-        .iter()
-        .rev()
-        .find(|op| op.index_kind == "cache" && !op.label.starts_with("cache: dims"))
-        .map(|op| op.label.as_str())
-        .unwrap_or("bypass")
-}
-
 impl LineService for EngineService {
     fn handle(&self, line: &str, w: &mut dyn Write) -> io::Result<Reply> {
         let started = Instant::now();
@@ -392,7 +378,10 @@ impl EngineService {
     /// `RUN` and `QUERY` — named aliases and ad-hoc specs, full and
     /// `mode=partial` alike — converge here: overrides, then the engine's
     /// single plan → σ → exec → finish pipeline, then the response the
-    /// finish step calls for.
+    /// finish step calls for. A cached full answer is written from the
+    /// entry's rendered bytes: its head, this request's total line, its
+    /// hit op lines (or, on the miss that made it, the miss's own), the
+    /// spans, `END`.
     fn run_query(
         &self,
         verb: &'static str,
@@ -410,19 +399,30 @@ impl EngineService {
         let workers = engine.pooled().pipeline_participants(opts.parallelism);
         let mut trace = make_trace(controls.trace);
         let served = spec.and_then(|spec| engine.serve(spec, &opts, &controls, trace.as_mut()));
-        let (answer, stats) = match served {
+        let (answer, stats, outcome) = match served {
             Err(e) => return writeln!(w, "ERR {e}"),
             Ok(served) => served,
         };
         let spans = finish_trace(trace, stats.total_micros);
         match &answer {
+            Answer::Cached(entry) => {
+                w.write_all(&entry.head)?;
+                write_total_line(&mut w, stats.total_micros, workers)?;
+                if outcome == Outcome::ResultHit {
+                    w.write_all(&entry.hit_ops)?;
+                } else {
+                    write_op_lines(&mut w, &stats.ops)?;
+                }
+                write_span_lines(&mut w, &spans)?;
+                writeln!(w, "END")?;
+            }
             Answer::Full(result) => write_run_response(&mut w, result, &stats, workers, &spans)?,
             Answer::Partial(partial) => {
                 write_partial_response(&mut w, partial, &stats, workers, &spans)?
             }
         }
         if let Some(obs) = engine.obs() {
-            obs.slow_log(started, verb, line, outcome_of(&stats), &spans);
+            obs.slow_log(started, verb, line, outcome.label(), &spans);
         }
         Ok(())
     }

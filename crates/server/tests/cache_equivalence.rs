@@ -14,13 +14,20 @@
 //!   `CACHE CLEAR dims` drops exactly that tier;
 //! * 10 concurrent TCP connections sharing one cache still match the
 //!   sequential engine, with exact counters, and byte-pressure eviction
-//!   churn never corrupts results.
+//!   churn never corrupts results;
+//! * on the wire, a result-tier hit — `RUN`, `QUERY` of the same spec, or
+//!   traced — answers the very bytes of the cold miss that filled it, and
+//!   the bytes an in-process hit renders, up to `# total_micros=`, the
+//!   tier's `# op cache: …` lines and `# span` lines.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use qppt_cache::{CacheConfig, QueryCache};
 use qppt_core::{ExecStats, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
+use qppt_server::protocol::write_run_response;
 use qppt_server::{serve, QpptClient, ServeEngine};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, Value};
@@ -516,5 +523,121 @@ fn eviction_churn_under_tiny_budgets_stays_correct() {
     // resident per shard — 8 shards, 13 distinct queries: the put-path
     // reclaim evicted everything unpinned first.
     assert!(s.results.entries <= 8, "result tier runaway: {s:?}");
+    pool.shutdown();
+}
+
+/// Sends one request line over a raw connection and returns the response
+/// exactly as written, up to and including `END`.
+fn raw_request(reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    let stream = reader.get_mut();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    stream.flush().unwrap();
+    let mut response = String::new();
+    loop {
+        let mut l = String::new();
+        assert!(
+            reader.read_line(&mut l).unwrap() > 0,
+            "{line}: connection closed"
+        );
+        response.push_str(&l);
+        if l == "END\n" {
+            return response;
+        }
+        assert!(!l.starts_with("ERR"), "{line}: {l}");
+    }
+}
+
+/// The bytes with the per-request `# total_micros=` value masked.
+fn mask_total(response: &str) -> String {
+    response
+        .lines()
+        .map(|l| match l.strip_prefix("# total_micros=") {
+            Some(rest) => format!("# total_micros=* {}", rest.split_once(' ').unwrap().1),
+            None => l.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// [`mask_total`] minus what legitimately differs between the ways one
+/// answer is reached: the tier's `# op cache: …` lines and `# span` lines.
+fn mask_tier(response: &str) -> String {
+    mask_total(response)
+        .lines()
+        .filter(|l| !l.starts_with("# op cache: ") && !l.starts_with("# span "))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn result_hits_answer_the_cold_miss_bytes_over_the_wire() {
+    let db = ssb_db(0.01);
+    let pool = WorkerPool::new(2, 8);
+    let defaults = PlanOptions::default();
+    let engine = Arc::new(ServeEngine::over_db(db, pool.clone(), defaults, 0.01, 42));
+    let server = serve(engine.clone(), "127.0.0.1:0").expect("bind loopback");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream);
+    let workers = engine.pooled().pipeline_participants(defaults.parallelism);
+
+    for q in queries::all_queries() {
+        let name = q.id.to_ascii_lowercase();
+        let spec = engine.query(&name).expect("registered").clone();
+        let cold = raw_request(&mut reader, &format!("RUN {name}"));
+        let hit = raw_request(&mut reader, &format!("RUN {name}"));
+        let query_hit = raw_request(&mut reader, &format!("QUERY {}", qppt_query::print(&spec)));
+        let traced_hit = raw_request(&mut reader, &format!("RUN {name} trace=on"));
+
+        assert!(cold.contains("\n# op cache: cold |"), "{name}: {cold}");
+        for (what, response) in [
+            ("RUN", &hit),
+            ("QUERY", &query_hit),
+            ("traced", &traced_hit),
+        ] {
+            assert!(
+                response.contains("\n# op cache: result hit |"),
+                "{name} {what} is a result hit: {response}"
+            );
+            assert_eq!(
+                mask_tier(response),
+                mask_tier(&cold),
+                "{name}: {what} hit vs cold miss"
+            );
+        }
+        assert_eq!(
+            mask_total(&query_hit),
+            mask_total(&hit),
+            "{name}: QUERY vs RUN hit"
+        );
+        assert!(traced_hit.contains("\n# span "), "{name}: {traced_hit}");
+        let untraced: String = traced_hit
+            .lines()
+            .filter(|l| !l.starts_with("# span "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            mask_total(&untraced),
+            mask_total(&hit),
+            "{name}: traced hit"
+        );
+
+        // The in-process hit, rendered by the protocol's writer, is the
+        // wire hit byte for byte.
+        let (result, stats) = engine.run_spec(&spec, &defaults, 0, true).unwrap();
+        assert!(stats.ops.iter().any(|op| op.label == "cache: result hit"));
+        let mut rendered = Vec::new();
+        write_run_response(&mut rendered, &result, &stats, workers, &[]).unwrap();
+        let rendered = String::from_utf8(rendered).unwrap();
+        assert_eq!(
+            mask_total(&rendered),
+            mask_total(&hit),
+            "{name}: in-process hit"
+        );
+    }
+    let s = engine.cache_stats();
+    assert_eq!((s.results.misses, s.results.hits), (13, 13 * 4));
+
+    drop(reader);
+    server.stop();
     pool.shutdown();
 }

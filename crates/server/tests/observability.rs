@@ -179,29 +179,35 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
 /// replacement for the old stderr slow log. Each entry must carry the
 /// verb, the raw request line as received, the cache outcome the request
 /// resolved through, and (for traced requests) the same span tree the
-/// stats channel returned. Threshold 1µs makes every executed query slow;
-/// only the entries that must exist are asserted (a warm hit may round
-/// to 0µs and legitimately miss the ring).
+/// stats channel returned. Threshold 0µs puts every `RUN` in the ring,
+/// result-tier hits included — a hit answers from rendered bytes and
+/// carries no operator records of its own, so its outcome must come from
+/// the serve path, not from reading its `# op` lines back.
 #[test]
 fn metrics_slow_returns_ring_entries_with_outcomes_and_spans() {
     let db = ssb_db();
     let pool = WorkerPool::new(2, 8);
     let engine = ServeEngine::over_db(db, pool.clone(), PlanOptions::default(), SF, SEED)
-        .with_obs(ServeObs::new(Some(1)));
+        .with_obs(ServeObs::new(Some(0)));
     let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
     let mut client = QpptClient::connect(server.addr()).unwrap();
 
     let ring0 = client.metrics_slow().expect("METRICS SLOW answers");
     assert!(ring0.is_empty(), "nothing served yet ⇒ empty ring");
 
-    // A cold traced run, then an untraced cache bypass.
+    // A cold traced run, an untraced cache bypass, then two result-tier
+    // hits: untraced and traced.
     let traced = client
         .run("q2.3", &[("trace", "on")])
         .expect("cold traced run");
     client.run("q2.3", &[("cache", "off")]).expect("bypass run");
+    client.run("q2.3", &[]).expect("warm run");
+    let traced_hit = client
+        .run("q2.3", &[("trace", "on")])
+        .expect("warm traced run");
 
     let ring = client.metrics_slow().expect("ring reads back");
-    assert_eq!(ring.len(), 2, "both executed runs crossed 1µs");
+    assert_eq!(ring.len(), 4, "threshold 0 logs every RUN");
 
     // Oldest first: the cold run, with its full span tree reattached.
     let cold = &ring[0];
@@ -220,6 +226,25 @@ fn metrics_slow_returns_ring_entries_with_outcomes_and_spans() {
     assert_eq!(bypass.outcome, "bypass");
     assert_eq!(bypass.line, "RUN q2.3 cache=off");
     assert!(bypass.spans.is_empty(), "untraced ⇒ no spans");
+
+    // The hits: outcome from the serve path, spans only when traced.
+    let hit = &ring[2];
+    assert_eq!(hit.outcome, "cache: result hit");
+    assert_eq!(hit.line, "RUN q2.3");
+    assert!(hit.spans.is_empty(), "untraced ⇒ no spans");
+    let traced_hit_entry = &ring[3];
+    assert_eq!(traced_hit_entry.outcome, "cache: result hit");
+    assert_eq!(traced_hit_entry.line, "RUN q2.3 trace=on");
+    validate_span_tree(&traced_hit_entry.spans).expect("hit span tree validates");
+    assert!(
+        traced_hit_entry
+            .spans
+            .iter()
+            .any(|s| s.name == "result_cache"),
+        "a traced hit carries its result_cache span: {:?}",
+        traced_hit_entry.spans
+    );
+    assert_eq!(traced_hit_entry.spans, traced_hit.stats.spans);
 
     // Reading the ring does not consume it (and is never itself slow —
     // METRICS is outside the RUN/QUERY slow path).
