@@ -263,6 +263,13 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// runs every morsel it claims through it; sequential execution is the one
 /// morsel [`KeyRange::full`].
 ///
+/// A morsel costs its scan: what a run adds to the operator records is
+/// bounded by the subtrees it visits, never by the key domain. An
+/// intermediate stage's record folds in its output's sizes, which are
+/// O(1) to read for both tree structures; the join-group's record takes
+/// only the run's time — its sizes are written once per query, from the
+/// final aggregation index, by [`record_join_group`].
+///
 /// `dim_tables` holds the materialized dimension selections, one slot per
 /// plan dimension (`None` for base/fused handles) — `Arc` handles shared
 /// read-only across participants, executions, and (through the cache's
@@ -284,7 +291,8 @@ pub struct Pipeline<'a> {
     stages: Vec<StageCtx<'a>>,
     scratch: JoinScratch,
     /// One record per operator (fact selection first if present, then one
-    /// per stage), accumulated over every morsel run.
+    /// per stage), accumulated over every morsel run; the join-group's
+    /// accumulates time only.
     ops: Vec<OpStats>,
 }
 
@@ -299,30 +307,40 @@ struct StageCtx<'a> {
     out_key_max: u64,
 }
 
-/// Folds one morsel's run of an operator, started at `t0`, into the
-/// operator's per-participant record — what [`OpStats::absorb_partition`]
-/// does to one record per morsel.
-fn absorb_run(op: &mut OpStats, keys: usize, tuples: usize, kind: &str, bytes: usize, t0: Instant) {
-    op.out_keys += keys;
-    op.out_tuples += tuples;
-    op.memory_bytes += bytes;
+/// Folds one morsel's run of an operator whose output is the intermediate
+/// `out`, started at `t0`, into the operator's per-participant record —
+/// what [`OpStats::absorb_partition`] does to one record per morsel.
+fn absorb_inter(op: &mut OpStats, out: &InterTable, t0: Instant) {
+    op.out_keys += out.key_count();
+    op.out_tuples += out.tuple_count();
+    op.memory_bytes += out.memory_bytes();
     op.micros += t0.elapsed().as_micros();
     if op.index_kind.is_empty() {
-        op.index_kind.push_str(kind);
+        op.index_kind.push_str(out.data.index.kind_name());
     }
 }
 
-/// [`absorb_run`] of an operator whose output is the intermediate `out`.
-fn absorb_inter(op: &mut OpStats, out: &InterTable, t0: Instant) {
-    let kind = out.data.index.kind_name();
-    absorb_run(
-        op,
-        out.key_count(),
-        out.tuple_count(),
-        kind,
-        out.memory_bytes(),
-        t0,
-    );
+/// Writes the join-group record's output sizes from the query's final
+/// aggregation index: `out_keys` = `out_tuples` = its group count,
+/// `memory_bytes` its footprint, `index_kind` its structure. Called once
+/// per query — after the only morsel of a sequential run, after the merge
+/// of a parallel one — and the only writer of those fields: a morsel run
+/// adds only its time to the record, since the group counts of a
+/// participant's table are cumulative and a group recurs across morsels.
+///
+/// The join-group is the last stage by plan construction, so its record is
+/// the last one in `stats`.
+pub fn record_join_group(plan: &Plan, agg: &AggTable, stats: &mut ExecStats) {
+    debug_assert!(matches!(
+        plan.stages.last().map(|s| &s.output),
+        Some(StageOutput::Agg)
+    ));
+    if let Some(op) = stats.ops.last_mut() {
+        op.out_keys = agg.group_count();
+        op.out_tuples = agg.group_count();
+        op.memory_bytes = agg.memory_bytes();
+        op.index_kind = agg.index_kind().to_string();
+    }
 }
 
 /// Largest code of a fact column — the key domain of an index keyed on it.
@@ -490,10 +508,8 @@ impl<'a> Pipeline<'a> {
             run.flush();
             let op = &mut self.ops[stage_ops + si];
             match run.sink {
-                StageSink::Agg(a) => {
-                    let (groups, bytes) = (a.group_count(), a.memory_bytes());
-                    absorb_run(op, groups, groups, a.index_kind(), bytes, t0);
-                }
+                // Sizes are written once per query: `record_join_group`.
+                StageSink::Agg(_) => op.micros += t0.elapsed().as_micros(),
                 StageSink::Inter(out) => {
                     absorb_inter(op, &out, t0);
                     stream = Some(out);
@@ -531,7 +547,9 @@ impl<'a> Pipeline<'a> {
     /// The per-operator statistics of every morsel run so far, in operator
     /// order (fact selection first if present, then one entry per stage):
     /// output sizes, memory and time are sums over the morsels, as
-    /// [`OpStats::absorb_partition`] would fold one record per morsel.
+    /// [`OpStats::absorb_partition`] would fold one record per morsel. The
+    /// join-group record (last) carries only time until
+    /// [`record_join_group`] fills in its sizes.
     pub fn into_stats(self) -> Vec<OpStats> {
         self.ops
     }
@@ -645,6 +663,7 @@ pub fn execute_agg(
     let mut pipeline = Pipeline::new(db, snap, plan, &dim_tables, None)?;
     pipeline.run(KeyRange::full(), &mut agg)?;
     stats.ops.extend(pipeline.into_stats());
+    record_join_group(plan, &agg, &mut stats);
     stats.total_micros = started.elapsed().as_micros();
     Ok((agg, stats))
 }

@@ -32,9 +32,10 @@ impl OpStats {
     /// appears in. Partitions are disjoint in the stage-1 join key, but an
     /// operator keyed on a *different* attribute (later-stage intermediates,
     /// the final join-group) can see the same key in several partitions, so
-    /// its summed `out_keys` is an upper bound on distinct keys. The
-    /// parallel engine re-reports the final join-group from the merged
-    /// index, where the exact count is available.
+    /// its summed `out_keys` is an upper bound on distinct keys. The final
+    /// join-group's partition records carry time only: its sizes are
+    /// written once, from the final (merged) index, by
+    /// [`record_join_group`](crate::exec::record_join_group).
     pub fn absorb_partition(&mut self, other: &OpStats) {
         debug_assert_eq!(self.label, other.label, "partition stats must align");
         self.out_keys += other.out_keys;

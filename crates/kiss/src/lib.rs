@@ -12,6 +12,9 @@
 //!   behaviour with a zeroed allocation (`vec![0u32; 1 << 26]`): large
 //!   zeroed allocations are served by anonymous `mmap`, whose pages are
 //!   faulted in lazily at 4 KB granularity (see DESIGN.md, substitutions).
+//!   Accounting follows the same rule: [`KissTree::stats`] reports the
+//!   touched root pages from a page bitmap kept on insert, so reading a
+//!   tree's footprint never walks the directory, however wide its key span.
 //! * Second-level nodes hold 64 entries. The original KISS-Tree compresses
 //!   them with a 64-bit occupancy bitmask plus a compact entry array, which
 //!   saves memory but forces a copy-on-update (the RCU overhead the paper

@@ -7,6 +7,10 @@ use crate::KissConfig;
 /// Root and node entry encoding: `0` = empty, otherwise index + 1.
 const EMPTY: u32 = 0;
 
+/// OS page size the root directory is mapped at, and its slots per page.
+const ROOT_PAGE_BYTES: usize = 4096;
+const ROOT_PAGE_SLOTS: usize = ROOT_PAGE_BYTES / core::mem::size_of::<u32>();
+
 /// Second-level node. The compressed variant is the original KISS-Tree's
 /// bitmask node: entry `e` exists iff bit `e` is set, and its slot is the
 /// popcount of the lower bits. Updating a compressed node requires copying
@@ -35,8 +39,14 @@ enum Payload<V> {
 pub struct KissTree<V> {
     cfg: KissConfig,
     /// Root directory; 256 MB virtual for the paper geometry, physically
-    /// mapped on demand by the OS at 4 KB granularity.
+    /// mapped on demand by the OS at 4 KB granularity. A slot goes from
+    /// empty to non-empty only in `write_entry`.
     root: Vec<u32>,
+    /// One bit per 4 KB root page: set where a slot of the page first
+    /// becomes non-empty (8 KiB for the paper geometry). Root slots never
+    /// return to empty, so `touched_pages` — its population — is exact.
+    root_pages: Vec<u64>,
+    touched_pages: usize,
     nodes: Vec<L2Node>,
     /// Slot arena backing uncompressed second-level nodes.
     udata: Vec<u32>,
@@ -59,6 +69,8 @@ impl<V: Copy + Default> KissTree<V> {
         Self {
             cfg,
             root: vec![EMPTY; cfg.root_slots()],
+            root_pages: vec![0; cfg.root_slots().div_ceil(ROOT_PAGE_SLOTS).div_ceil(64)],
+            touched_pages: 0,
             nodes: Vec::new(),
             udata: Vec::new(),
             contents: Vec::new(),
@@ -286,6 +298,12 @@ impl<V: Copy + Default> KissTree<V> {
             };
             self.nodes.push(node);
             self.root[slot.root_idx] = self.nodes.len() as u32;
+            let page = slot.root_idx / ROOT_PAGE_SLOTS;
+            let (word, bit) = (&mut self.root_pages[page / 64], 1u64 << (page % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                self.touched_pages += 1;
+            }
             return;
         }
         let node = &mut self.nodes[(n - 1) as usize];
@@ -343,43 +361,26 @@ impl<V: Copy + Default> KissTree<V> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Memory statistics. `root_virtual_bytes` is the directory's full
-    /// (virtual) size; `root_touched_bytes` estimates the physically mapped
-    /// portion as the number of distinct 4 KB root pages containing at least
-    /// one non-empty slot.
+    /// Memory statistics, O(1) in the key span: no figure walks the root
+    /// directory or the nodes. `root_virtual_bytes` is the directory's
+    /// full (virtual) size; `root_touched_bytes` estimates the physically
+    /// mapped portion as the number of distinct 4 KB root pages containing
+    /// at least one non-empty slot, counted where a slot first becomes
+    /// non-empty.
     pub fn stats(&self) -> KissStats {
-        const PAGE: usize = 4096;
-        let slots_per_page = PAGE / core::mem::size_of::<u32>();
-        let mut touched_pages = 0usize;
-        let mut page = usize::MAX;
-        if !self.is_empty() {
-            let (lo, _) = self.cfg.split(self.min_key);
-            let (hi, _) = self.cfg.split(self.max_key);
-            for ri in lo..=hi {
-                if self.root[ri] != EMPTY {
-                    let p = ri / slots_per_page;
-                    if p != page {
-                        touched_pages += 1;
-                        page = p;
-                    }
-                }
-            }
-        }
-        let node_bytes: usize = self.udata.len() * 4
-            + self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    L2Node::Uncompressed(_) => 4,
-                    L2Node::Compressed { entries, .. } => 8 + entries.len() * 4,
-                })
-                .sum::<usize>();
+        // Every entry of a compressed node is one distinct key; an
+        // uncompressed node is its 4-byte arena offset plus its arena slots.
+        let node_bytes = if self.cfg.compressed {
+            self.nodes.len() * 8 + self.distinct * 4
+        } else {
+            self.nodes.len() * 4 + self.udata.len() * 4
+        };
         KissStats {
             distinct_keys: self.distinct,
             total_values: self.total_values,
             nodes: self.nodes.len(),
             root_virtual_bytes: self.root.len() * 4,
-            root_touched_bytes: touched_pages * PAGE,
+            root_touched_bytes: self.touched_pages * ROOT_PAGE_BYTES,
             node_bytes,
             content_bytes: self.contents.len() * core::mem::size_of::<Payload<V>>(),
             dup_bytes: self.dups.allocated_bytes(),
@@ -405,6 +406,9 @@ pub struct KissStats {
     pub total_values: usize,
     pub nodes: usize,
     pub root_virtual_bytes: usize,
+    /// 4 KB for every root page holding a non-empty slot — the page
+    /// population is kept by a bitmap set on insert, not walked, so reading
+    /// it costs nothing whatever the tree's key span.
     pub root_touched_bytes: usize,
     pub node_bytes: usize,
     pub content_bytes: usize,
@@ -414,7 +418,8 @@ pub struct KissStats {
 
 impl KissStats {
     /// Physically meaningful footprint (touched root pages + nodes +
-    /// contents + duplicates).
+    /// contents + duplicates). Like [`KissTree::stats`], it visits no root
+    /// slot: a tree's cost follows the keys stored, not the key domain.
     pub fn resident_bytes(&self) -> usize {
         self.root_touched_bytes + self.node_bytes + self.content_bytes + self.dup_bytes
     }

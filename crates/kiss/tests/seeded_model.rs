@@ -5,10 +5,11 @@
 //! case that reproduces it.
 
 use qppt_kiss::{
-    kiss_intersect, kiss_sync_scan, kiss_sync_scan_range, KissConfig, KissTree, Values,
+    kiss_intersect, kiss_sync_scan, kiss_sync_scan_range, KissConfig, KissStats, KissTree, Values,
 };
+use qppt_mem::dup::{DupArena, DupList};
 use qppt_mem::Xoshiro256StarStar;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 48;
 
@@ -214,6 +215,155 @@ fn batched_equals_scalar() {
             assert_eq!(firsts[i], scalar.get_first(p), "case {case} probe {p}");
             assert_eq!(present[i], scalar.contains_key(p), "case {case} {p}");
         }
+    }
+}
+
+/// A key's values as the tree stores them: the first inline, the rest in a
+/// duplicate list of the oracle's own arena, created and grown by the same
+/// operations in the same order as the tree's.
+enum Stored {
+    One(u32),
+    Many(DupList),
+}
+
+/// `stats()` recomputed from public data: the keys the tree iterates, its
+/// geometry, and an arena replaying its duplicate lists. Every root page
+/// (1024 slots of 4 bytes) holding a key's root slot is touched; every
+/// populated root slot is one second-level node.
+struct StatsOracle {
+    stored: BTreeMap<u32, Stored>,
+    dups: DupArena<u32>,
+    total_values: usize,
+    /// Content bytes per distinct key, measured on a one-key tree.
+    content_bytes_per_key: usize,
+}
+
+impl StatsOracle {
+    fn new() -> Self {
+        let mut one = KissTree::<u32>::new(KissConfig::small(false));
+        one.insert(0, 0);
+        Self {
+            stored: BTreeMap::new(),
+            dups: DupArena::new(),
+            total_values: 0,
+            content_bytes_per_key: one.stats().content_bytes,
+        }
+    }
+
+    fn insert(&mut self, key: u32, value: u32) {
+        self.total_values += 1;
+        let Some(s) = self.stored.get_mut(&key) else {
+            self.stored.insert(key, Stored::One(value));
+            return;
+        };
+        match s {
+            Stored::One(first) => {
+                let mut list = self.dups.new_list(*first);
+                self.dups.push(&mut list, value);
+                *s = Stored::Many(list);
+            }
+            Stored::Many(list) => self.dups.push(list, value),
+        }
+    }
+
+    fn expect(&self, t: &KissTree<u32>) -> KissStats {
+        let cfg = t.config();
+        let keys: Vec<u32> = t.keys().collect();
+        assert_eq!(keys, self.stored.keys().copied().collect::<Vec<_>>());
+        let slots: BTreeSet<usize> = keys.iter().map(|&k| cfg.split(k).0).collect();
+        let pages: BTreeSet<usize> = slots.iter().map(|s| s / 1024).collect();
+        let (nodes, distinct) = (slots.len(), keys.len());
+        KissStats {
+            distinct_keys: distinct,
+            total_values: self.total_values,
+            nodes,
+            root_virtual_bytes: cfg.root_slots() * 4,
+            root_touched_bytes: pages.len() * 4096,
+            node_bytes: if cfg.compressed {
+                nodes * 8 + distinct * 4
+            } else {
+                nodes * (4 + cfg.node_entries() * 4)
+            },
+            content_bytes: distinct * self.content_bytes_per_key,
+            dup_bytes: self.dups.allocated_bytes(),
+            // A compressed node is copied for every key after its first.
+            copy_updates: if cfg.compressed { distinct - nodes } else { 0 },
+        }
+    }
+}
+
+/// The first and last key of a random root page: the page's first and last
+/// root slot, at entries 0 and 63.
+fn page_edges(rng: &mut Xoshiro256StarStar, cfg: KissConfig) -> [u32; 2] {
+    let page_keys = 1024u64 * 64;
+    let domain = cfg.root_slots() as u64 * 64;
+    let first = rng.below(domain.div_ceil(page_keys)) * page_keys;
+    [first as u32, (first + page_keys).min(domain) as u32 - 1]
+}
+
+/// Memory statistics are maintained on insert, not walked — and equal what
+/// a walk of the keys would count, after every insert batch, in the paper
+/// and compressed geometries and small roots (down to one partial page),
+/// with keys on root-page boundaries and duplicate lists.
+#[test]
+fn stats_equal_an_oracle_over_the_keys() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x57A75 + case);
+        let compressed = rng.chance(1, 2);
+        let cfg = match case % 3 {
+            0 => KissConfig {
+                l1_bits: 26,
+                compressed,
+            },
+            _ => KissConfig {
+                l1_bits: 6 + rng.below(9) as u8,
+                compressed,
+            },
+        };
+        let max = max_key(cfg);
+        let mut t = KissTree::new(cfg);
+        let mut oracle = StatsOracle::new();
+        assert_eq!(t.stats(), oracle.expect(&t), "case {case} empty");
+        for batch in 0..4 {
+            let mut ks = keys(&mut rng, max, 120);
+            ks.extend(page_edges(&mut rng, cfg));
+            // Duplicates: re-insert some keys already stored.
+            let again: Vec<u32> = oracle.stored.keys().copied().take(8).collect();
+            ks.extend(again);
+            let pairs: Vec<(u32, u32)> = ks.iter().map(|&k| (k, rng.next_u32())).collect();
+            if batch % 2 == 0 {
+                for &(k, v) in &pairs {
+                    t.insert(k, v);
+                }
+            } else {
+                t.batch_insert(&pairs);
+            }
+            for &(k, v) in &pairs {
+                oracle.insert(k, v);
+            }
+            assert_eq!(
+                t.stats(),
+                oracle.expect(&t),
+                "case {case} {cfg:?} batch {batch}"
+            );
+        }
+    }
+}
+
+/// The widest span the paper geometry has: two keys, two touched root
+/// pages, whatever the 2²⁶ − 2 slots between them.
+#[test]
+fn widest_key_span_touches_two_pages() {
+    for cfg in [KissConfig::paper(), KissConfig::paper_compressed()] {
+        let mut t = KissTree::new(cfg);
+        let mut oracle = StatsOracle::new();
+        for k in [0, u32::MAX] {
+            t.insert(k, k);
+            oracle.insert(k, k);
+        }
+        let s = t.stats();
+        assert_eq!(s.root_touched_bytes, 2 * 4096, "{cfg:?}");
+        assert_eq!(s, oracle.expect(&t), "{cfg:?}");
     }
 }
 

@@ -25,13 +25,20 @@
 //!    maps, the dimensions' runtime access, the join buffer and its probe
 //!    scratch, the operator records — on the first morsel it claims and
 //!    runs every later morsel through it, so a morsel costs its scan and
-//!    nothing else (a plan split on `lo_custkey` has 47 of them).
+//!    nothing else (a plan split on `lo_custkey` has 47 of them). That
+//!    includes its bookkeeping: an intermediate's size is O(1) to read in
+//!    both trees (the KISS-Tree counts its touched root pages on insert
+//!    instead of walking its 2²⁶-slot directory), and the join-group's
+//!    record takes only the morsel's time.
 //! 3. **Merge** — per-worker aggregation tables are folded with
 //!    [`AggTable::merge_from`](qppt_core::inter::AggTable::merge_from) and
 //!    per-worker [`OpStats`](qppt_core::OpStats) with
 //!    [`ExecStats::merge_partition`](qppt_core::ExecStats::merge_partition),
-//!    in participant order. Accumulators are sums, so the merged index —
-//!    and therefore the decoded, ordered
+//!    in participant order; the join-group's sizes are then written once,
+//!    from the merged index, by
+//!    [`record_join_group`](qppt_core::exec::record_join_group) — the same
+//!    call that finishes a sequential run. Accumulators are sums, so the
+//!    merged index — and therefore the decoded, ordered
 //!    [`QueryResult`](qppt_storage::QueryResult) — is byte-identical to a
 //!    sequential run, whatever the thread timing.
 //!
@@ -92,7 +99,7 @@ pub use pooled::PooledEngine;
 pub use prepare::prepare_indexes_pooled;
 
 use qppt_core::inter::AggTable;
-use qppt_core::{ExecStats, Plan, QpptError};
+use qppt_core::{Plan, QpptError};
 use qppt_storage::Database;
 
 /// Morsels over the populated key interval of the stage-1 fact index.
@@ -112,28 +119,6 @@ pub(crate) fn partition_morsels(
     Ok(Partitioner::new(min, max, plan.opts.morsel_bits)
         .morsels()
         .to_vec())
-}
-
-/// Post-merge statistics fixup of a partitioned pipeline run.
-///
-/// Merged `out_keys`/`out_tuples`/`memory_bytes` are per-partition sums.
-/// For the final join-group operator the same group key can appear in many
-/// partitions, so the sum overcounts — overwrite it with the merged index's
-/// true numbers. The last stage is always the aggregating one by plan
-/// construction, and its record is always the last operator pushed.
-/// Intermediate-stage records keep the summed semantics (their `out_keys`
-/// is an upper bound on distinct keys when a stage-2+ join key spans
-/// partitions); see `OpStats::absorb_partition`.
-pub(crate) fn fix_merged_agg_stats(plan: &Plan, agg: &AggTable, stats: &mut ExecStats) {
-    debug_assert!(matches!(
-        plan.stages.last().map(|s| &s.output),
-        Some(qppt_core::plan::StageOutput::Agg)
-    ));
-    if let Some(last) = stats.ops.last_mut() {
-        last.out_keys = agg.group_count();
-        last.out_tuples = agg.group_count();
-        last.memory_bytes = agg.memory_bytes();
-    }
 }
 
 /// Merges per-shard partial aggregates into one, in participant (shard)

@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use qppt_core::exec::{
-    decode_result, materialize_dim_selection, new_agg_table, DimSelection, FusedSelection,
+    decode_result, materialize_dim_selection, new_agg_table, record_join_group, DimSelection,
+    FusedSelection,
 };
 use qppt_core::inter::AggTable;
 use qppt_core::plan::DimHandleKind;
@@ -206,7 +207,7 @@ impl PooledEngine {
             priority,
         )?;
         stats.ops.extend(pipeline_stats.ops);
-        crate::fix_merged_agg_stats(&prepared.plan, &agg, &mut stats);
+        record_join_group(&prepared.plan, &agg, &mut stats);
         stats.total_micros = started.elapsed().as_micros();
         Ok((agg, stats))
     }

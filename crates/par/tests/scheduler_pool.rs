@@ -78,6 +78,60 @@ fn run_prepared_matches_sequential_for_all_queries() {
     pool.shutdown();
 }
 
+/// Operator records do not depend on how the fact pipeline was cut: at
+/// every parallelism and morsel granularity the join-group record reports
+/// the final aggregation index — its group count and footprint, written
+/// once per query — and every σ record is the sequential run's.
+#[test]
+fn op_records_do_not_depend_on_morsel_count() {
+    use qppt_core::exec::{decode_result, execute_agg};
+    use qppt_core::{BatchMode, OpStats, PreparedQuery};
+    let ssb = prepared_db(0.02, 11);
+    let db = Arc::new(ssb.db);
+    let snap = db.snapshot();
+    let pool = WorkerPool::new(2, 8);
+    let pooled = PooledEngine::new(db.clone(), pool.clone());
+    // The σ records up to their time.
+    let sigma = |stats: &qppt_core::ExecStats| -> Vec<OpStats> {
+        stats
+            .ops
+            .iter()
+            .filter(|o| o.label.starts_with('σ'))
+            .map(|o| OpStats {
+                micros: 0,
+                ..o.clone()
+            })
+            .collect()
+    };
+    for q in queries::all_queries() {
+        let base = PlanOptions::default();
+        let (sequential, seq_stats) = QpptEngine::new(&db).run_with_stats(&q, &base).unwrap();
+        let plan = qppt_core::build_plan(&db, &q, &base).unwrap();
+        let (seq_agg, _) = execute_agg(&db, snap, &plan).unwrap();
+        let seq_group = seq_stats.ops.last().unwrap();
+        assert_eq!(seq_group.out_keys, sequential.rows.len(), "{}", q.id);
+        assert_eq!(seq_group.memory_bytes, seq_agg.memory_bytes(), "{}", q.id);
+        for workers in [1usize, 2, 3] {
+            for bits in [1u8, 6, 8] {
+                let at = format!("{} @ parallelism={workers} morsel_bits={bits}", q.id);
+                let opts = base.with_parallelism(workers).with_morsel_bits(bits);
+                let prepared = PreparedQuery::build(&db, &q, &opts, snap).unwrap();
+                let (agg, stats) = pooled.run_prepared_agg(&prepared, 0, BatchMode).unwrap();
+                let result = decode_result(&db, &prepared.plan, &agg);
+                assert_eq!(result, sequential, "{at}");
+                let group = stats.ops.last().unwrap();
+                assert!(group.label.ends_with("join-group"), "{at}");
+                assert_eq!(group.out_keys, result.rows.len(), "{at}");
+                assert_eq!(group.out_tuples, result.rows.len(), "{at}");
+                assert_eq!(group.memory_bytes, agg.memory_bytes(), "{at}");
+                assert_eq!(group.index_kind, seq_group.index_kind, "{at}");
+                assert_eq!(sigma(&stats), sigma(&seq_stats), "{at}");
+            }
+        }
+    }
+    pool.shutdown();
+}
+
 #[test]
 fn work_pulling_under_contention() {
     // Many concurrent queries × fine-grained morsels (up to 4096 per

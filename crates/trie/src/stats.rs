@@ -34,10 +34,12 @@ impl TrieStats {
 }
 
 impl<V: Copy + Default> PrefixTree<V> {
-    /// Computes structural statistics (walks the tree for the depth profile).
+    /// Computes structural statistics. Only the depth profile walks the
+    /// tree; the byte figures are [`memory_bytes`](Self::memory_bytes)'s.
     pub fn stats(&self) -> TrieStats {
         let fanout = self.cfg.fanout();
         let nodes = self.slots.len() / fanout;
+        let (node_bytes, content_bytes, dup_bytes) = self.byte_parts();
         let mut max_depth = 0u32;
         // Iterative DFS over (node, level).
         let mut stack = vec![(0u32, 0u32)];
@@ -54,16 +56,29 @@ impl<V: Copy + Default> PrefixTree<V> {
             nodes,
             distinct_keys: self.len(),
             total_values: self.total_values(),
-            node_bytes: self.slots.len() * core::mem::size_of::<u32>(),
-            content_bytes: self.contents.len() * core::mem::size_of::<crate::tree::Content<V>>(),
-            dup_bytes: self.dups.allocated_bytes(),
+            node_bytes,
+            content_bytes,
+            dup_bytes,
             max_depth,
         }
     }
 
-    /// Bytes of memory attributable to this tree (nodes + contents + dups).
+    /// Bytes of memory attributable to this tree (nodes + contents + dups)
+    /// — equal to `stats().total_bytes()`, but read off the arena lengths,
+    /// without the depth walk.
     pub fn memory_bytes(&self) -> usize {
-        self.stats().total_bytes()
+        let (nodes, contents, dups) = self.byte_parts();
+        nodes + contents + dups
+    }
+
+    /// Bytes of the node bucket arrays, the content entries and the
+    /// duplicate segments.
+    fn byte_parts(&self) -> (usize, usize, usize) {
+        (
+            self.slots.len() * core::mem::size_of::<u32>(),
+            self.contents.len() * core::mem::size_of::<crate::tree::Content<V>>(),
+            self.dups.allocated_bytes(),
+        )
     }
 }
 

@@ -231,6 +231,34 @@ fn batched_equals_unbatched() {
     }
 }
 
+/// `memory_bytes()` — read off the arenas, no walk — is the byte total of
+/// the walking `stats()`, after every insert batch, for the two geometries
+/// the engine builds (PT-32 and PT-64), with duplicates and upserts.
+#[test]
+fn memory_bytes_equals_walked_total() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x3E3B + case);
+        let cfg = if case % 2 == 0 {
+            TrieConfig::pt4_32()
+        } else {
+            TrieConfig::pt4_64()
+        };
+        let max = max_key(cfg);
+        let mut multi = PrefixTree::<u32>::new(cfg);
+        let mut merged = PrefixTree::<i64>::new(cfg);
+        for batch in 0..4 {
+            for k in keys(&mut rng, max, 200) {
+                let v = rng.next_u32();
+                multi.insert(k, v);
+                merged.insert_merge(k, v as i64, |acc, v| *acc += v);
+            }
+            let at = format!("case {case} batch {batch}");
+            assert_eq!(multi.memory_bytes(), multi.stats().total_bytes(), "{at}");
+            assert_eq!(merged.memory_bytes(), merged.stats().total_bytes(), "{at}");
+        }
+    }
+}
+
 #[test]
 fn insert_merge_equals_fold() {
     for case in 0..CASES {
