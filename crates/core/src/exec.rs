@@ -49,13 +49,25 @@
 //! synchronous scan of a later stage — each have one body that takes one
 //! tuple at a time. The batching of §2.3 is the join buffer itself and the
 //! select-probe's batched lookups into the fact index.
+//!
+//! # Reading payload rows
+//!
+//! Those loops read the payload rows their index hands out ids for. Each
+//! matches the payload's lane width once ([`Lanes`]) and runs a body
+//! instantiated for it, so no field read branches on the width. They walk
+//! a key's ids segment by segment through [`Rows::for_each_row_of`], which
+//! prefetches the row a few ids ahead (§2.3's software prefetching, applied
+//! to payload rows): a base index's rows appended after its build, like an
+//! intermediate's rows, are not in key order, and each would otherwise be
+//! a cache miss.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
-    sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, MvccTable,
-    ProbeScratch, QueryResult, ResultRow, Snapshot, StorageError, TreeIndex, Value,
+    sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, Lane, Lanes,
+    MvccTable, ProbeScratch, QueryResult, ResultRow, Row, Rows, Snapshot, StorageError, TreeIndex,
+    Value, Values,
 };
 
 use crate::inter::{AggTable, InterTable};
@@ -66,6 +78,17 @@ use crate::plan::{
 };
 use crate::stats::{ExecStats, OpStats};
 use crate::QpptError;
+
+/// Runs `$body` with `$rows` bound to the [`Rows`] of a payload buffer at
+/// its current lane width: one instantiation of the body per width.
+macro_rules! with_lanes {
+    ($payload:expr, $rows:ident => $body:expr) => {
+        match $payload.lanes() {
+            Lanes::U32($rows) => $body,
+            Lanes::U64($rows) => $body,
+        }
+    };
+}
 
 /// Inclusive key range restricting the stage-1 fact access — one *morsel*
 /// of the executor. Keys are codes of the first dimension's fact column (the
@@ -445,7 +468,7 @@ impl<'a> Pipeline<'a> {
     /// deriving from those fact rows.
     pub fn run(&mut self, range: KeyRange, agg: &mut AggTable) -> Result<(), QpptError> {
         let (plan, snap) = (self.plan, self.snap);
-        let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
+        let fact_base = self.fact_base;
         // The stages' records follow the fact selection's, if there is one.
         let stage_ops = self.ops.len() - plan.stages.len();
 
@@ -459,6 +482,7 @@ impl<'a> Pipeline<'a> {
         }
 
         // Join stages.
+        let fact = FactSide::new(fact_base, self.fact_mvt, &self.fact_field_map, snap);
         for (si, (stage, ctx)) in plan.stages.iter().zip(&self.stages).enumerate() {
             let t0 = Instant::now();
             let sink = match &stage.output {
@@ -486,23 +510,21 @@ impl<'a> Pipeline<'a> {
                     match &input {
                         None => {
                             debug_assert_eq!(si, 0, "only stage 1 reads the fact base index");
-                            let map = &self.fact_field_map;
-                            run.sync_scan_base(fact_base, fact_mvt, map, dim_acc, range);
+                            with_lanes!(fact_base.data.payload, rows => {
+                                run.sync_scan_base(&fact, rows, dim_acc, range)
+                            });
                         }
-                        Some(it) => run.sync_scan_inter(it, dim_acc),
+                        Some(it) => with_lanes!(it.data.payload, rows => {
+                            run.sync_scan_inter(it, rows, dim_acc)
+                        }),
                     }
                 }
                 MainInput::SelectProbe { main } => {
                     debug_assert!(si == 0 && input.is_none());
-                    run.select_probe(
-                        self.db,
-                        fact_base,
-                        fact_mvt,
-                        &self.fact_field_map,
-                        &plan.dims[main],
-                        range,
-                        self.fused,
-                    )?;
+                    let dim = &plan.dims[main];
+                    with_lanes!(fact_base.data.payload, rows => {
+                        run.select_probe(self.db, &fact, rows, dim, range, self.fused)
+                    })?;
                 }
             }
             run.flush();
@@ -523,24 +545,40 @@ impl<'a> Pipeline<'a> {
     /// morsel: the fact rows of `range` that pass `fs`, indexed on the
     /// stage-1 join column.
     fn select_fact(&self, fs: &FactSelect, range: KeyRange) -> InterTable {
+        let fact = FactSide::new(
+            self.fact_base,
+            self.fact_mvt,
+            &self.fact_field_map,
+            self.snap,
+        );
+        with_lanes!(self.fact_base.data.payload, rows => {
+            self.select_fact_in(&fact, rows, fs, range)
+        })
+    }
+
+    /// [`select_fact`](Self::select_fact) over the fact rows at one lane
+    /// width.
+    fn select_fact_in<L: Lane>(
+        &self,
+        fact: &FactSide<'_>,
+        rows: Rows<'_, L>,
+        fs: &FactSelect,
+        range: KeyRange,
+    ) -> InterTable {
         let (plan, snap) = (self.plan, self.snap);
-        let (fact_base, fact_mvt) = (self.fact_base, self.fact_mvt);
-        let fact_field_map = &self.fact_field_map[..];
         let index = TreeIndex::for_domain(self.fact_key_max, plan.opts.prefer_kiss);
         let mut out = InterTable::new(&plan.dims[0].fact_col_name, plan.fact_layout.clone(), index);
         let mut row = vec![0u64; plan.fact_layout.width()];
-        let check_vis = !fact_mvt.fully_visible(snap);
-        let visit = |key: u64, pid: u32| {
-            let payload = fact_base.data.payload.row(pid);
-            if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                return;
-            }
-            fill_from_base(fact_field_map, key, payload, &mut row);
-            if fs.preds.iter().all(|p| p.matches(|c| row[c])) {
-                out.insert(key, &row);
-            }
-        };
-        fact_base.data.index.range_each(range.lo, range.hi, visit);
+        fact.index
+            .for_each_key_range(range.lo, range.hi, |key, pids| {
+                rows.for_each_row_of(pids, |payload| {
+                    if fact.fill(key, payload, snap, &mut row)
+                        && fs.preds.iter().all(|p| p.matches(|c| row[c]))
+                    {
+                        out.insert(key, &row);
+                    }
+                });
+            });
         out
     }
 
@@ -740,14 +778,55 @@ fn base_field_map(
         .collect()
 }
 
-#[inline]
-fn fill_from_base(map: &[FieldSrc], key: u64, payload: &[u64], out: &mut [u64]) {
-    for (i, src) in map.iter().enumerate() {
-        out[i] = match src {
-            FieldSrc::Key => key,
-            FieldSrc::Payload(p) => payload[*p],
-        };
+/// The stage-1 fact base index, as its readers need it: the index, the
+/// table behind it for visibility, and the field map from its payload rows
+/// to the stage's input layout.
+struct FactSide<'a> {
+    index: &'a TreeIndex,
+    mvt: &'a MvccTable,
+    /// `false` when the snapshot sees every version (no checks needed).
+    check_vis: bool,
+    field_map: &'a [FieldSrc],
+}
+
+impl<'a> FactSide<'a> {
+    fn new(
+        bi: &'a BaseIndex,
+        mvt: &'a MvccTable,
+        field_map: &'a [FieldSrc],
+        snap: Snapshot,
+    ) -> Self {
+        Self {
+            index: &bi.data.index,
+            mvt,
+            check_vis: !mvt.fully_visible(snap),
+            field_map,
+        }
     }
+
+    /// Fills `out` (the input layout) from the payload row of a fact tuple
+    /// under `key`; `false`, leaving `out` as it was, when the tuple is
+    /// invisible at `snap`.
+    #[inline]
+    fn fill<L: Lane>(&self, key: u64, payload: &[L], snap: Snapshot, out: &mut [u64]) -> bool {
+        if self.check_vis && !self.mvt.visible(payload_rid(payload), snap) {
+            return false;
+        }
+        for (o, src) in out.iter_mut().zip(self.field_map) {
+            *o = match src {
+                FieldSrc::Key => key,
+                FieldSrc::Payload(p) => payload[*p].into(),
+            };
+        }
+        true
+    }
+}
+
+/// The rid of a base-index payload row (its first field).
+#[inline]
+fn payload_rid<L: Lane>(row: &[L]) -> u32 {
+    let rid: u64 = row[0].into();
+    rid as u32
 }
 
 /// Runtime access to a dimension's tuples during a join.
@@ -765,7 +844,7 @@ enum DimAccess<'a> {
 }
 
 impl<'a> DimAccess<'a> {
-    fn index(&self) -> &TreeIndex {
+    fn index(&self) -> &'a TreeIndex {
         match self {
             DimAccess::Base { bi, .. } => &bi.data.index,
             DimAccess::Inter { it } => &it.data.index,
@@ -773,7 +852,9 @@ impl<'a> DimAccess<'a> {
     }
 
     /// Appends the carried values of `payload_id` to `out`; returns `false`
-    /// (appending nothing) if the version is invisible at `snap`.
+    /// (appending nothing) if the version is invisible at `snap`. The
+    /// dimension side stays cache-resident, so its rows are read one at a
+    /// time, with one lane-width match per row.
     #[inline]
     fn fetch(&self, payload_id: u32, snap: Snapshot, out: &mut Vec<u64>) -> bool {
         match self {
@@ -784,14 +865,20 @@ impl<'a> DimAccess<'a> {
                 check_visibility,
             } => {
                 let row = bi.data.payload.row(payload_id);
-                if *check_visibility && !mvt.visible(row[0] as u32, snap) {
+                if *check_visibility && !mvt.visible(row.get(0) as u32, snap) {
                     return false;
                 }
-                out.extend(carried_pos.iter().map(|&p| row[p]));
+                match row {
+                    Row::U32(r) => out.extend(carried_pos.iter().map(|&p| u64::from(r[p]))),
+                    Row::U64(r) => out.extend(carried_pos.iter().map(|&p| r[p])),
+                }
                 true
             }
             DimAccess::Inter { it } => {
-                out.extend_from_slice(it.data.payload.row(payload_id));
+                match it.data.payload.row(payload_id) {
+                    Row::U32(r) => out.extend(r.iter().map(|&v| u64::from(v))),
+                    Row::U64(r) => out.extend_from_slice(r),
+                }
                 true
             }
         }
@@ -827,6 +914,26 @@ fn dim_access<'a>(
             })
         }
     }
+}
+
+/// Appends the carried values of every visible dimension tuple of `dids`
+/// to `out` (cleared first); returns how many there are, or `None` for
+/// none.
+#[inline]
+fn fetch_all(
+    dim_acc: &DimAccess<'_>,
+    dids: Values<'_, u32>,
+    snap: Snapshot,
+    out: &mut Vec<u64>,
+) -> Option<usize> {
+    out.clear();
+    let mut count = 0;
+    for &did in dids {
+        if dim_acc.fetch(did, snap, out) {
+            count += 1;
+        }
+    }
+    (count > 0).then_some(count)
 }
 
 struct AssistRt<'a> {
@@ -882,11 +989,11 @@ impl StageRun<'_, '_, '_> {
     /// (cross product, §4.2), appending directly into the flat join buffer.
     /// `carried` holds `count` tuples of `stride` carried values each.
     #[inline]
-    fn emit_cross(&mut self, input: &[u64], carried: &[u64], stride: usize, count: usize) {
+    fn emit_cross<L: Lane>(&mut self, input: &[L], carried: &[u64], stride: usize, count: usize) {
         for t in 0..count {
             let buffer = &mut self.s.buffer;
             let base = buffer.len();
-            buffer.extend_from_slice(input);
+            buffer.extend(input.iter().map(|&v| v.into()));
             buffer.resize(base + self.width, 0);
             for (k, &pos) in self.ctx.main_fill_pos.iter().enumerate() {
                 buffer[base + pos] = carried[t * stride + k];
@@ -1001,79 +1108,57 @@ impl StageRun<'_, '_, '_> {
     }
 
     /// Stage-1 synchronous scan: fact base index × main dim index (§4.2),
-    /// restricted to one [`KeyRange`] morsel.
-    fn sync_scan_base(
+    /// restricted to one [`KeyRange`] morsel, over the fact rows at one
+    /// lane width.
+    fn sync_scan_base<L: Lane>(
         &mut self,
-        fact_base: &BaseIndex,
-        fact_mvt: &MvccTable,
-        field_map: &[FieldSrc],
+        fact: &FactSide<'_>,
+        rows: Rows<'_, L>,
         dim_acc: &DimAccess<'_>,
         range: KeyRange,
     ) {
         let input_width = self.stage.input_layout.width();
         let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
-        let check_vis = !fact_mvt.fully_visible(snap);
         let mut dim_buf: Vec<u64> = Vec::new();
-        let mut input_row: Vec<u64> = Vec::with_capacity(input_width);
-        let visit =
-            |key: u64, fids: &mut dyn Iterator<Item = u32>, dids: &mut dyn Iterator<Item = u32>| {
-                dim_buf.clear();
-                let mut count = 0usize;
-                for did in dids {
-                    if dim_acc.fetch(did, snap, &mut dim_buf) {
-                        count += 1;
-                    }
-                }
-                if count == 0 {
-                    return;
-                }
-                // Cross product of fact tuples × dim tuples (§4.2).
-                for fid in fids {
-                    let payload = fact_base.data.payload.row(fid);
-                    if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                        continue;
-                    }
-                    input_row.clear();
-                    input_row.resize(input_width, 0);
-                    fill_from_base(field_map, key, payload, &mut input_row);
-                    if self
+        let mut input_row: Vec<u64> = vec![0; input_width];
+        let visit = |key, fids, dids| {
+            let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
+                return;
+            };
+            // Cross product of fact tuples × dim tuples (§4.2).
+            rows.for_each_row_of(fids, |payload| {
+                if fact.fill(key, payload, snap, &mut input_row)
+                    && self
                         .stage
                         .residuals
                         .iter()
                         .all(|p| p.matches(|c| input_row[c]))
-                    {
-                        self.emit_cross(&input_row, &dim_buf, stride, count);
-                    }
+                {
+                    self.emit_cross(&input_row, &dim_buf, stride, count);
                 }
-            };
-        let (fact, dim) = (&fact_base.data.index, dim_acc.index());
-        sync_scan_indexes_range(fact, dim, range.lo, range.hi, visit);
+            });
+        };
+        sync_scan_indexes_range(fact.index, dim_acc.index(), range.lo, range.hi, visit);
     }
 
-    /// Stage-k synchronous scan: previous intermediate × main dim index.
-    fn sync_scan_inter(&mut self, input: &InterTable, dim_acc: &DimAccess<'_>) {
+    /// Stage-k synchronous scan: previous intermediate × main dim index,
+    /// over the intermediate's rows at one lane width.
+    fn sync_scan_inter<L: Lane>(
+        &mut self,
+        input: &InterTable,
+        rows: Rows<'_, L>,
+        dim_acc: &DimAccess<'_>,
+    ) {
         let stride = self.ctx.main_fill_pos.len();
         let snap = self.snap;
         let mut dim_buf: Vec<u64> = Vec::new();
-        let mut fid_buf: Vec<u32> = Vec::new();
         sync_scan_indexes(&input.data.index, dim_acc.index(), |_key, fids, dids| {
-            dim_buf.clear();
-            let mut count = 0usize;
-            for did in dids {
-                if dim_acc.fetch(did, snap, &mut dim_buf) {
-                    count += 1;
-                }
-            }
-            if count == 0 {
+            let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
                 return;
-            }
-            fid_buf.clear();
-            fid_buf.extend(fids);
-            for &fid in &fid_buf {
-                // Payload rows ARE the input layout for inter-table streams.
-                self.emit_cross(input.data.payload.row(fid), &dim_buf, stride, count);
-            }
+            };
+            // Payload rows ARE the input layout for inter-table streams.
+            rows.for_each_row_of(fids, |row| self.emit_cross(row, &dim_buf, stride, count));
         });
     }
 
@@ -1083,13 +1168,11 @@ impl StageRun<'_, '_, '_> {
     /// the [`KeyRange`] morsel probe the fact index; a
     /// pre-materialized [`FusedSelection`] replaces the per-call selection
     /// scan so morsel workers do not re-evaluate the predicates.
-    #[allow(clippy::too_many_arguments)]
-    fn select_probe(
+    fn select_probe<L: Lane>(
         &mut self,
         db: &Database,
-        fact_base: &BaseIndex,
-        fact_mvt: &MvccTable,
-        field_map: &[FieldSrc],
+        fact: &FactSide<'_>,
+        rows: Rows<'_, L>,
         dim: &ResolvedDim,
         range: KeyRange,
         fused: Option<&FusedSelection>,
@@ -1124,36 +1207,29 @@ impl StageRun<'_, '_, '_> {
                 (&scanned_keys, &scanned_carried)
             }
         };
-        let check_vis = !fact_mvt.fully_visible(snap);
-        let index = &fact_base.data.index;
         // The probe scratch is taken out of `self` for the probe loop: the
         // hit callbacks need `self` whole (they emit into the join buffer).
         let mut probe = std::mem::take(&mut self.s.probe);
         // The stream is drained in chunks of the join-buffer size; each
-        // chunk is one batched probe into the fact index (§2.3).
+        // chunk is one batched probe into the fact index (§2.3), whose hits
+        // arrive key by key, each key's rows walked with prefetching.
         let mut input_row: Vec<u64> = vec![0u64; input_width];
         for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
             let start = chunk * cap;
-            index.batch_get_each_with(keys, &mut probe, |job, pid| {
-                let payload = fact_base.data.payload.row(pid);
-                if check_vis && !fact_mvt.visible(payload[0] as u32, snap) {
-                    return;
-                }
-                fill_from_base(field_map, keys[job], payload, &mut input_row);
-                if self
-                    .stage
-                    .residuals
-                    .iter()
-                    .all(|p| p.matches(|c| input_row[c]))
-                {
-                    let g = start + job;
-                    self.emit_cross(
-                        &input_row,
-                        &probe_carried[g * stride..(g + 1) * stride],
-                        stride,
-                        1,
-                    );
-                }
+            fact.index.batch_get_with(keys, &mut probe, |job, pids| {
+                let g = start + job;
+                let carried = &probe_carried[g * stride..(g + 1) * stride];
+                rows.for_each_row_of(pids, |payload| {
+                    if fact.fill(keys[job], payload, snap, &mut input_row)
+                        && self
+                            .stage
+                            .residuals
+                            .iter()
+                            .all(|p| p.matches(|c| input_row[c]))
+                    {
+                        self.emit_cross(&input_row, carried, stride, 1);
+                    }
+                });
             });
         }
         self.s.probe = probe;
@@ -1210,18 +1286,18 @@ pub fn scan_dim_selection(
     let mut carried = vec![0u64; carried_pos.len()];
     let mut visit = |key: u64, pid: u32| {
         let row = bi.data.payload.row(pid);
-        if check_vis && !mvt.visible(row[0] as u32, snap) {
+        if check_vis && !mvt.visible(row.get(0) as u32, snap) {
             return;
         }
         for (p, &at) in residuals.iter().zip(&residual_pos) {
-            if !pred_matches_value(p, row[at]) {
+            if !pred_matches_value(p, row.get(at)) {
                 return;
             }
         }
         for (i, &p) in carried_pos.iter().enumerate() {
-            carried[i] = row[p];
+            carried[i] = row.get(p);
         }
-        f(join_pos.map_or(key, |p| row[p]), &carried);
+        f(join_pos.map_or(key, |p| row.get(p)), &carried);
     };
     // The index's own packer turns predicate constants into its keys: a
     // constant no key part can hold matches nothing.
@@ -1261,7 +1337,7 @@ fn scan_dim_selection_set_ops(
         let bi = db.find_index(&dim.table, &dim.pred_cols[k])?;
         let mut set = TreeIndex::new_kiss();
         let mut add = |pid: u32| {
-            let rid = bi.data.payload.row(pid)[0];
+            let rid = bi.data.payload.row(pid).get(0);
             set.insert(rid, 0);
         };
         match pred {

@@ -42,7 +42,7 @@ impl InterTable {
     /// Inserts one tuple.
     #[inline]
     pub fn insert(&mut self, key: u64, row: &[u64]) {
-        self.data.insert_row(key, row);
+        self.data.insert_row(key, row.iter().copied());
     }
 
     /// Number of stored tuples.

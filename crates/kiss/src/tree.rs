@@ -1,6 +1,7 @@
 //! KISS-Tree core structure: root directory, second-level nodes, contents.
 
-use qppt_mem::dup::{DupArena, DupIter, DupList};
+pub use qppt_mem::dup::Values;
+use qppt_mem::dup::{DupArena, DupList};
 
 use crate::KissConfig;
 
@@ -247,14 +248,8 @@ impl<V: Copy + Default> KissTree<V> {
 
     pub(crate) fn values_of(&self, content: u32) -> Values<'_, V> {
         match &self.contents[content as usize] {
-            Payload::One(v) => Values {
-                len: 1,
-                inner: ValuesInner::One(Some(v)),
-            },
-            Payload::Many(list) => Values {
-                len: list.len(),
-                inner: ValuesInner::Many(self.dups.iter(list)),
-            },
+            Payload::One(v) => self.dups.one(v),
+            Payload::Many(list) => self.dups.iter(list),
         }
     }
 
@@ -424,38 +419,6 @@ impl KissStats {
         self.root_touched_bytes + self.node_bytes + self.content_bytes + self.dup_bytes
     }
 }
-
-/// Iterator over the values of one key (mirror of the trie's `Values`).
-pub struct Values<'a, V> {
-    len: usize,
-    inner: ValuesInner<'a, V>,
-}
-
-enum ValuesInner<'a, V> {
-    One(Option<&'a V>),
-    Many(DupIter<'a, V>),
-}
-
-impl<'a, V: Copy + Default> Iterator for Values<'a, V> {
-    type Item = &'a V;
-
-    fn next(&mut self) -> Option<&'a V> {
-        let out = match &mut self.inner {
-            ValuesInner::One(v) => v.take(),
-            ValuesInner::Many(it) => it.next(),
-        };
-        if out.is_some() {
-            self.len -= 1;
-        }
-        out
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.len, Some(self.len))
-    }
-}
-
-impl<'a, V: Copy + Default> ExactSizeIterator for Values<'a, V> {}
 
 /// Ordered `(key, values)` iterator over a key range.
 pub struct KissIter<'a, V> {

@@ -5,9 +5,15 @@
 //! key in *contiguous segments*: the first segment holds 64 bytes worth of
 //! values, and each further segment doubles in size until it reaches the
 //! 4 KB page size, because hardware prefetchers do not cross page boundaries
-//! anyway. New segments are put *in front* of the list (so appends never
-//! traverse it); segments never straddle a slab, so every segment is a single
+//! anyway. Segments never straddle a slab, so every segment is a single
 //! contiguous run of memory.
+//!
+//! The paper puts new segments *in front* of the list so that appends never
+//! traverse it. Here each segment links to the next newer one and the
+//! list's first segment remembers the newest, which keeps appends O(1) and
+//! lets a reader walk the list oldest-first — insertion order — without
+//! collecting the chain: [`Values`] yields a list segment by segment
+//! ([`Values::next_slice`]) or value by value, and allocates nothing.
 //!
 //! [`DupArena`] implements that scheme. [`LinkedDupArena`] implements the
 //! naive one-node-per-value linked list the paper argues against; it exists
@@ -31,8 +37,11 @@ struct Seg {
     len: u32,
     /// Element capacity of this segment.
     cap: u32,
-    /// Next (older) segment, or `NONE`.
+    /// Next (newer) segment, or `NONE`.
     next: u32,
+    /// The list's newest segment — maintained in the list's first segment
+    /// only, where appends look it up.
+    last: u32,
 }
 
 /// Handle to one key's duplicate list inside a [`DupArena`].
@@ -42,6 +51,7 @@ struct Seg {
 /// where the first value lives with the key and the list holds the overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DupList {
+    /// The list's first (oldest) segment.
     head: u32,
     len: u32,
 }
@@ -99,52 +109,54 @@ impl<V: Copy + Default> DupArena<V> {
 
     /// Starts a new list holding `first` as its only value.
     pub fn new_list(&mut self, first: V) -> DupList {
-        let seg = self.alloc_seg(self.min_seg_elems, NONE);
+        let seg = self.alloc_seg(self.min_seg_elems);
         self.write(seg, 0, first);
         self.segs[seg as usize].len = 1;
         DupList { head: seg, len: 1 }
     }
 
-    /// Appends a value to an existing list, growing it with a doubled,
-    /// front-inserted segment when the head segment is full.
+    /// Appends a value to an existing list, growing it with a doubled
+    /// segment linked behind the newest one when that is full.
     pub fn push(&mut self, list: &mut DupList, value: V) {
-        let head = list.head;
-        let (len, cap) = {
-            let s = &self.segs[head as usize];
-            (s.len, s.cap)
-        };
+        let last = self.segs[list.head as usize].last;
+        let Seg { len, cap, .. } = self.segs[last as usize];
         if len < cap {
-            self.write(head, len, value);
-            self.segs[head as usize].len = len + 1;
+            self.write(last, len, value);
+            self.segs[last as usize].len = len + 1;
         } else {
-            // Grow: double up to the page limit, prepend the new segment.
+            // Grow: double up to the page limit, link the new segment last.
             let next_cap = (cap as usize * 2)
                 .min(self.elems_per_page)
                 .max(self.min_seg_elems);
-            let seg = self.alloc_seg(next_cap, head);
+            let seg = self.alloc_seg(next_cap);
             self.write(seg, 0, value);
             self.segs[seg as usize].len = 1;
-            list.head = seg;
+            self.segs[last as usize].next = seg;
+            self.segs[list.head as usize].last = seg;
         }
         list.len += 1;
     }
 
-    /// Iterates the values of `list` in insertion order.
-    pub fn iter<'a>(&'a self, list: &DupList) -> DupIter<'a, V> {
-        // Segments are linked newest-first; collect the (short) chain and
-        // replay it oldest-first. Chain length is O(log n + n/page).
-        let mut chain = Vec::new();
-        let mut cur = list.head;
-        while cur != NONE {
-            chain.push(cur);
-            cur = self.segs[cur as usize].next;
-        }
-        chain.reverse();
-        DupIter {
+    /// The values of `list` in insertion order.
+    #[inline]
+    pub fn iter<'a>(&'a self, list: &DupList) -> Values<'a, V> {
+        Values {
             arena: self,
-            chain,
-            seg_idx: 0,
-            elem_idx: 0,
+            cur: self.segment(list.head),
+            next: self.segs[list.head as usize].next,
+            len: list.len(),
+        }
+    }
+
+    /// A lone value as [`Values`] — how a tree hands out a key that stores
+    /// its only value inline, so single values and lists read alike.
+    #[inline]
+    pub fn one<'a>(&'a self, value: &'a V) -> Values<'a, V> {
+        Values {
+            arena: self,
+            cur: core::slice::from_ref(value),
+            next: NONE,
+            len: 1,
         }
     }
 
@@ -156,19 +168,12 @@ impl<V: Copy + Default> DupArena<V> {
         }
     }
 
-    /// Calls `f` for each contiguous segment slice, oldest first. This is the
-    /// scan entry point used by operators: each slice is sequential memory.
+    /// Calls `f` for each contiguous segment slice, oldest first. Each
+    /// slice is sequential memory.
     pub fn for_each_segment<F: FnMut(&[V])>(&self, list: &DupList, mut f: F) {
-        let mut chain = Vec::new();
-        let mut cur = list.head;
-        while cur != NONE {
-            chain.push(cur);
-            cur = self.segs[cur as usize].next;
-        }
-        for &seg in chain.iter().rev() {
-            let s = &self.segs[seg as usize];
-            let slab = &self.slabs[s.slab as usize];
-            f(&slab[s.off as usize..s.off as usize + s.len as usize]);
+        let mut vs = self.iter(list);
+        while let Some(seg) = vs.next_slice() {
+            f(seg);
         }
     }
 
@@ -183,7 +188,7 @@ impl<V: Copy + Default> DupArena<V> {
         n
     }
 
-    /// Capacity (in values) of each segment of a list, newest first.
+    /// Capacity (in values) of each segment of a list, oldest first.
     pub fn segment_caps(&self, list: &DupList) -> Vec<usize> {
         let mut caps = Vec::new();
         let mut cur = list.head;
@@ -202,13 +207,22 @@ impl<V: Copy + Default> DupArena<V> {
             .sum()
     }
 
+    /// The stored values of segment `seg`.
+    #[inline]
+    fn segment(&self, seg: u32) -> &[V] {
+        let s = &self.segs[seg as usize];
+        &self.slabs[s.slab as usize][s.off as usize..(s.off + s.len) as usize]
+    }
+
     #[inline]
     fn write(&mut self, seg: u32, idx: u32, value: V) {
         let s = self.segs[seg as usize];
         self.slabs[s.slab as usize][(s.off + idx) as usize] = value;
     }
 
-    fn alloc_seg(&mut self, cap: usize, next: u32) -> u32 {
+    /// A fresh segment of `cap` values, linked to nothing; it is its own
+    /// list's newest segment until another is linked behind it.
+    fn alloc_seg(&mut self, cap: usize) -> u32 {
         debug_assert!(cap <= self.slab_elems);
         if self.tail_free < cap {
             // Fresh slab; any leftover tail in the previous slab is wasted,
@@ -225,38 +239,80 @@ impl<V: Copy + Default> DupArena<V> {
             off,
             len: 0,
             cap: cap as u32,
-            next,
+            next: NONE,
+            last: id,
         });
         id
     }
 }
 
-/// Insertion-order iterator over a [`DupList`].
-pub struct DupIter<'a, V> {
+/// The values stored under one key, in insertion order — a lone value
+/// ([`DupArena::one`]) or a duplicate list ([`DupArena::iter`]).
+///
+/// It walks the list's segment links oldest-first and allocates nothing.
+/// Besides the value-at-a-time [`Iterator`], [`next_slice`](Self::next_slice)
+/// hands out what is left of the current segment as one slice, so a reader
+/// can look ahead inside contiguous memory — to prefetch what the values
+/// point at, say — without staging them.
+pub struct Values<'a, V> {
     arena: &'a DupArena<V>,
-    chain: Vec<u32>,
-    seg_idx: usize,
-    elem_idx: u32,
+    /// The current segment's values not yet yielded.
+    cur: &'a [V],
+    /// The segment after the current one, or `NONE`.
+    next: u32,
+    /// Values not yet yielded.
+    len: usize,
 }
 
-impl<'a, V: Copy + Default> Iterator for DupIter<'a, V> {
-    type Item = &'a V;
-
-    fn next(&mut self) -> Option<&'a V> {
-        loop {
-            let seg = *self.chain.get(self.seg_idx)?;
-            let s = &self.arena.segs[seg as usize];
-            if self.elem_idx < s.len {
-                let slab = &self.arena.slabs[s.slab as usize];
-                let v = &slab[(s.off + self.elem_idx) as usize];
-                self.elem_idx += 1;
-                return Some(v);
-            }
-            self.seg_idx += 1;
-            self.elem_idx = 0;
+impl<'a, V: Copy + Default> Values<'a, V> {
+    /// The not yet yielded values of the current segment, or of the next
+    /// one when the current is used up; `None` at the end. Slices are never
+    /// empty, and concatenated they are exactly what the iterator would
+    /// yield.
+    #[inline]
+    pub fn next_slice(&mut self) -> Option<&'a [V]> {
+        if !self.refill() {
+            return None;
         }
+        self.len -= self.cur.len();
+        Some(core::mem::take(&mut self.cur))
+    }
+
+    /// Steps to the next segment once the current one is used up; `false`
+    /// at the end. Segments are never empty.
+    #[inline]
+    fn refill(&mut self) -> bool {
+        if self.cur.is_empty() {
+            if self.next == NONE {
+                return false;
+            }
+            self.cur = self.arena.segment(self.next);
+            self.next = self.arena.segs[self.next as usize].next;
+        }
+        true
     }
 }
+
+impl<'a, V: Copy + Default> Iterator for Values<'a, V> {
+    type Item = &'a V;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a V> {
+        if !self.refill() {
+            return None;
+        }
+        let (v, rest) = self.cur.split_first()?;
+        self.cur = rest;
+        self.len -= 1;
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl<V: Copy + Default> ExactSizeIterator for Values<'_, V> {}
 
 /// Handle to a list inside [`LinkedDupArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,8 +451,7 @@ mod tests {
         for i in 1..5000u64 {
             a.push(&mut l, i);
         }
-        let mut caps = a.segment_caps(&l);
-        caps.reverse(); // oldest first
+        let caps = a.segment_caps(&l);
         assert_eq!(&caps[..8], &[8, 16, 32, 64, 128, 256, 512, 512]);
         assert!(caps.iter().all(|&c| c <= 512));
     }

@@ -23,6 +23,6 @@ pub mod key;
 pub mod prefetch;
 pub mod prng;
 
-pub use dup::{DupArena, DupList, LinkedDupArena, LinkedList};
+pub use dup::{DupArena, DupList, LinkedDupArena, LinkedList, Values};
 pub use key::{compose2, decode_i64, encode_i64, key_bits, split2, KeyPackError, KeyPacker};
 pub use prng::{SplitMix64, Xoshiro256StarStar};

@@ -44,10 +44,24 @@ fn dup_arenas_preserve_order() {
                     let mut segscan = Vec::new();
                     seg.for_each_segment(l, |s| segscan.extend_from_slice(s));
                     assert_eq!(&segscan, expect, "case {case} slot {slot}");
+                    // Any interleaving of value and slice steps yields the
+                    // same sequence, and `len` counts what is left.
+                    let mut vs = seg.iter(l);
+                    let mut mixed = Vec::new();
+                    while vs.len() > 0 {
+                        assert_eq!(vs.len(), expect.len() - mixed.len(), "case {case}");
+                        if rng.chance(1, 2) {
+                            mixed.extend_from_slice(vs.next_slice().expect("values left"));
+                        } else {
+                            mixed.push(*vs.next().expect("values left"));
+                        }
+                    }
+                    assert!(vs.next().is_none() && vs.next_slice().is_none());
+                    assert_eq!(&mixed, expect, "case {case} slot {slot}");
                     // Segment capacities double up to the page limit.
                     for w in seg.segment_caps(l).windows(2) {
                         assert!(
-                            w[0] == 512 || w[0] == 2 * w[1] || w[0] == w[1],
+                            w[1] == 512 || w[1] == 2 * w[0] || w[1] == w[0],
                             "case {case} caps {w:?}"
                         );
                     }

@@ -337,7 +337,7 @@ mod tests {
             .unwrap()
             .unwrap();
         let mut partkeys = Vec::new();
-        idx.data.rows_for_key(code, |row| partkeys.push(row[1]));
+        idx.data.rows_for_key(code, |row| partkeys.push(row.get(1)));
         assert_eq!(partkeys, vec![1, 3]);
     }
 
@@ -391,7 +391,8 @@ mod tests {
             .unwrap();
         let idx = db.find_index("part", "brand").unwrap();
         let mut rids = Vec::new();
-        idx.data.rows_for_key(code, |row| rids.push(row[0] as u32));
+        idx.data
+            .rows_for_key(code, |row| rids.push(row.get(0) as u32));
         assert!(rids.contains(&rid));
         let visible_now: Vec<u32> = rids
             .iter()
@@ -431,7 +432,7 @@ mod tests {
         let (lo, hi) = ci.packer().pack_range(&[(b1, b1), (10, 30)]).unwrap();
         let mut partkeys = Vec::new();
         ci.data.index.range_each(lo, hi, |_, pid| {
-            partkeys.push(ci.data.payload.row(pid)[1]);
+            partkeys.push(ci.data.payload.row(pid).get(1));
         });
         partkeys.sort_unstable();
         assert_eq!(partkeys, vec![1, 3]);
@@ -464,7 +465,7 @@ mod tests {
     fn entries(idx: &BaseIndex) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         idx.data
-            .for_each_row(|key, payload| out.push((key, payload[0])));
+            .for_each_row(|key, payload| out.push((key, payload.get(0))));
         out
     }
 

@@ -1,4 +1,4 @@
-//! Unified tree-index handles, payload buffers, and base indexes.
+//! Unified tree-index handles, indexed tables, and base indexes.
 //!
 //! "QPPT decides at query compile time which index structure should be used
 //! for storing the intermediate result" (§2.2): the KISS-Tree for keys that
@@ -8,16 +8,17 @@
 //! synchronous scan that dispatches to the structure-specific kernels.
 //!
 //! [`IndexedTable`] couples a [`TreeIndex`] with a fixed-width payload
-//! buffer — the representation of both *base indexes* and *intermediate
-//! indexed tables* (§3): the index maps a key to payload-row ids; a payload
-//! row is `[rid, carried columns...]` for base indexes and
+//! buffer ([`PayloadBuf`]) — the representation of both *base indexes* and
+//! *intermediate indexed tables* (§3): the index maps a key to payload-row
+//! ids; a payload row is `[rid, carried columns...]` for base indexes and
 //! `[carried columns...]` for intermediates.
 
 use qppt_kiss::{kiss_sync_scan_range, KissConfig, KissTree};
-use qppt_mem::{key_bits, KeyPacker};
+use qppt_mem::{key_bits, KeyPacker, Values};
 use qppt_trie::{sync_scan_range, PrefixTree, TrieConfig};
 
 use crate::mvcc::MvccTable;
+use crate::payload::{PayloadBuf, Row};
 use crate::table::Table;
 use crate::types::StorageError;
 
@@ -109,23 +110,23 @@ impl TreeIndex {
         (lo <= hi && lo <= max).then(|| (lo, hi.min(max)))
     }
 
+    /// The values stored under `key`, if any.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<Values<'_, u32>> {
+        if key > self.key_max() {
+            return None;
+        }
+        match self {
+            TreeIndex::Kiss(t) => t.get(key as u32),
+            TreeIndex::Pt(t) => t.get(key),
+        }
+    }
+
     /// Invokes `f` for every value stored under `key`.
     #[inline]
     pub fn get_each(&self, key: u64, mut f: impl FnMut(u32)) {
-        if key > self.key_max() {
-            return;
-        }
-        match self {
-            TreeIndex::Kiss(t) => {
-                if let Some(vs) = t.get(key as u32) {
-                    vs.for_each(|v| f(*v));
-                }
-            }
-            TreeIndex::Pt(t) => {
-                if let Some(vs) = t.get(key) {
-                    vs.for_each(|v| f(*v));
-                }
-            }
+        if let Some(vs) = self.get(key) {
+            vs.for_each(|v| f(*v));
         }
     }
 
@@ -161,18 +162,21 @@ impl TreeIndex {
 
     /// Batched multimap lookup: `f(job_index, value)` for every value of
     /// every present key.
-    pub fn batch_get_each(&self, keys: &[u64], f: impl FnMut(usize, u32)) {
-        self.batch_get_each_with(keys, &mut ProbeScratch::default(), f);
+    pub fn batch_get_each(&self, keys: &[u64], mut f: impl FnMut(usize, u32)) {
+        self.batch_get_with(keys, &mut ProbeScratch::default(), |i, vs| {
+            vs.for_each(|v| f(i, *v))
+        });
     }
 
-    /// [`batch_get_each`](Self::batch_get_each) over caller-owned scratch:
-    /// a probe loop that keeps one [`ProbeScratch`] allocates nothing once
-    /// it has grown to the largest batch.
-    pub fn batch_get_each_with(
-        &self,
+    /// Batched multimap lookup over caller-owned scratch: `f(job_index,
+    /// values)` for every present key, in job order. A probe loop that
+    /// keeps one [`ProbeScratch`] allocates nothing once it has grown to
+    /// the largest batch.
+    pub fn batch_get_with<'a>(
+        &'a self,
         keys: &[u64],
         scratch: &mut ProbeScratch,
-        mut f: impl FnMut(usize, u32),
+        mut f: impl FnMut(usize, Values<'a, u32>),
     ) {
         // Out-of-domain keys can never be present: probe them as the
         // domain's last key and drop the answer.
@@ -184,7 +188,7 @@ impl TreeIndex {
                 narrowed.extend(keys.iter().map(|&k| k.min(max) as u32));
                 t.batch_get_with(narrowed, &mut scratch.kiss, |i, vs| {
                     if keys[i] <= max {
-                        vs.for_each(|v| f(i, *v));
+                        f(i, vs);
                     }
                 });
             }
@@ -194,7 +198,7 @@ impl TreeIndex {
                 narrowed.extend(keys.iter().map(|&k| k.min(max)));
                 t.batch_get_with(narrowed, &mut scratch.pt, |i, vs| {
                     if keys[i] <= max {
-                        vs.for_each(|v| f(i, *v));
+                        f(i, vs);
                     }
                 });
             }
@@ -240,24 +244,20 @@ impl TreeIndex {
 
     /// Ordered per-key scan of the keys in `[lo, hi]`: `f(key, values)` —
     /// [`range_each`](Self::range_each) with each key's values grouped.
-    pub fn for_each_key_range(
-        &self,
+    pub fn for_each_key_range<'a>(
+        &'a self,
         lo: u64,
         hi: u64,
-        mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>),
+        mut f: impl FnMut(u64, Values<'a, u32>),
     ) {
         let Some((lo, hi)) = self.clamp(lo, hi) else {
             return;
         };
         match self {
-            TreeIndex::Kiss(t) => t.range(lo as u32, hi as u32).for_each(|(k, vs)| {
-                let mut it = vs.copied();
-                f(k as u64, &mut it);
-            }),
-            TreeIndex::Pt(t) => t.range(lo, hi).for_each(|(k, vs)| {
-                let mut it = vs.copied();
-                f(k, &mut it);
-            }),
+            TreeIndex::Kiss(t) => t
+                .range(lo as u32, hi as u32)
+                .for_each(|(k, vs)| f(k as u64, vs)),
+            TreeIndex::Pt(t) => t.range(lo, hi).for_each(|(k, vs)| f(k, vs)),
         }
     }
 
@@ -321,7 +321,7 @@ impl TreeIndex {
     }
 }
 
-/// Caller-owned scratch of [`TreeIndex::batch_get_each_with`]: the keys
+/// Caller-owned scratch of [`TreeIndex::batch_get_with`]: the keys
 /// narrowed to the structure's width and the structure's own per-job
 /// descent state.
 #[derive(Debug, Default)]
@@ -343,10 +343,10 @@ fn key_as_u32(key: u64) -> u32 {
 
 /// Synchronous index scan over two [`TreeIndex`]es (§4.2):
 /// [`sync_scan_indexes_range`] over the whole key domain.
-pub fn sync_scan_indexes(
-    left: &TreeIndex,
-    right: &TreeIndex,
-    f: impl FnMut(u64, &mut dyn Iterator<Item = u32>, &mut dyn Iterator<Item = u32>),
+pub fn sync_scan_indexes<'l, 'r>(
+    left: &'l TreeIndex,
+    right: &'r TreeIndex,
+    f: impl FnMut(u64, Values<'l, u32>, Values<'r, u32>),
 ) {
     sync_scan_indexes_range(left, right, 0, u64::MAX, f)
 }
@@ -361,100 +361,32 @@ pub fn sync_scan_indexes(
 /// mismatched structures (which the planner avoids, but the API permits)
 /// fall back to an ordered range-iterate-and-probe that yields the same key
 /// sequence.
-pub fn sync_scan_indexes_range(
-    left: &TreeIndex,
-    right: &TreeIndex,
+pub fn sync_scan_indexes_range<'l, 'r>(
+    left: &'l TreeIndex,
+    right: &'r TreeIndex,
     lo: u64,
     hi: u64,
-    mut f: impl FnMut(u64, &mut dyn Iterator<Item = u32>, &mut dyn Iterator<Item = u32>),
+    mut f: impl FnMut(u64, Values<'l, u32>, Values<'r, u32>),
 ) {
     let Some((lo, hi)) = left.clamp(lo, hi) else {
         return;
     };
     match (left, right) {
         (TreeIndex::Kiss(l), TreeIndex::Kiss(r)) => {
-            kiss_sync_scan_range(l, r, lo as u32, hi as u32, |k, lv, rv| {
-                let mut li = lv.copied();
-                let mut ri = rv.copied();
-                f(k as u64, &mut li, &mut ri);
-            });
+            kiss_sync_scan_range(l, r, lo as u32, hi as u32, |k, lv, rv| f(k as u64, lv, rv));
         }
         (TreeIndex::Pt(l), TreeIndex::Pt(r)) if l.config() == r.config() => {
-            sync_scan_range(l, r, lo, hi, |k, lv, rv| {
-                let mut li = lv.copied();
-                let mut ri = rv.copied();
-                f(k, &mut li, &mut ri);
-            });
+            sync_scan_range(l, r, lo, hi, f);
         }
         _ => {
             // Mixed geometry: ordered iterate the left side, point-probe the
             // right side. Key order (and thus output) is identical.
-            let mut rbuf: Vec<u32> = Vec::new();
             left.for_each_key_range(lo, hi, |k, lvals| {
-                rbuf.clear();
-                right.get_each(k, |v| rbuf.push(v));
-                if !rbuf.is_empty() {
-                    let mut ri = rbuf.iter().copied();
-                    f(k, lvals, &mut ri);
+                if let Some(rvals) = right.get(k) {
+                    f(k, lvals, rvals);
                 }
             });
         }
-    }
-}
-
-/// Fixed-width payload storage for indexed tables.
-#[derive(Debug, Clone)]
-pub struct PayloadBuf {
-    width: usize,
-    data: Vec<u64>,
-    rows: usize,
-}
-
-impl PayloadBuf {
-    /// Creates a buffer of `width` fields per row (0 is allowed — pure key
-    /// indexes store no payload).
-    pub fn new(width: usize) -> Self {
-        Self {
-            width,
-            data: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Fields per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// `true` if no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Appends a row; returns its id.
-    #[inline]
-    pub fn push(&mut self, row: &[u64]) -> u32 {
-        debug_assert_eq!(row.len(), self.width);
-        let id = self.rows as u32;
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-        id
-    }
-
-    /// The row slice for `id`.
-    #[inline]
-    pub fn row(&self, id: u32) -> &[u64] {
-        &self.data[id as usize * self.width..(id as usize + 1) * self.width]
-    }
-
-    /// Heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.capacity() * 8
     }
 }
 
@@ -469,26 +401,31 @@ pub struct IndexedTable {
 impl IndexedTable {
     /// Creates an indexed table.
     pub fn new(index: TreeIndex, payload_width: usize) -> Self {
+        Self::with_capacity(index, payload_width, 0)
+    }
+
+    /// An empty indexed table with room for exactly `rows` payload rows.
+    pub fn with_capacity(index: TreeIndex, payload_width: usize, rows: usize) -> Self {
         Self {
             index,
-            payload: PayloadBuf::new(payload_width),
+            payload: PayloadBuf::with_capacity(payload_width, rows),
         }
     }
 
-    /// Inserts a `(key, payload row)` pair.
+    /// Inserts a `(key, payload row)` pair, the row given field by field.
     #[inline]
-    pub fn insert_row(&mut self, key: u64, row: &[u64]) {
+    pub fn insert_row(&mut self, key: u64, row: impl IntoIterator<Item = u64>) {
         let id = self.payload.push(row);
         self.index.insert(key, id);
     }
 
     /// Invokes `f` with the payload row of every tuple under `key`.
-    pub fn rows_for_key(&self, key: u64, mut f: impl FnMut(&[u64])) {
+    pub fn rows_for_key(&self, key: u64, mut f: impl FnMut(Row<'_>)) {
         self.index.get_each(key, |id| f(self.payload.row(id)));
     }
 
     /// Ordered scan over all `(key, payload row)` pairs.
-    pub fn for_each_row(&self, mut f: impl FnMut(u64, &[u64])) {
+    pub fn for_each_row(&self, mut f: impl FnMut(u64, Row<'_>)) {
         self.index.for_each(|k, id| f(k, self.payload.row(id)));
     }
 
@@ -541,8 +478,14 @@ impl BaseIndex {
     /// Rows are inserted in **key order**, so the payload rows of one key
     /// are contiguous in memory — this is what makes the index *clustered*:
     /// reading all tuples of a key is a sequential scan, not one cache miss
-    /// per tuple. (Rows appended later by MVCC maintenance land at the
-    /// unclustered tail, as in any clustered index with updates.)
+    /// per tuple. Rows appended later by MVCC maintenance
+    /// ([`on_insert`](Self::on_insert)) land at the unclustered tail, as in
+    /// any clustered index with updates; the executor's fact-side readers
+    /// prefetch them ahead of use ([`crate::Rows::for_each_row_of`]), so a
+    /// read after writes does not pay a DRAM miss per appended row.
+    ///
+    /// The payload is reserved for exactly the table's row versions, in
+    /// 32-bit lanes while every carried value fits ([`PayloadBuf`]).
     ///
     /// `sort` receives every row version's packed key, indexed by rid, and
     /// must return the rids stably sorted by it (ties in rid order), exactly as
@@ -575,18 +518,18 @@ impl BaseIndex {
             .iter()
             .map(|&c| t.schema().column(c).name.clone())
             .collect();
-        let mut data = IndexedTable::new(
+        let mut data = IndexedTable::with_capacity(
             TreeIndex::for_domain(packer.max_key(), prefer_kiss),
             1 + carried.len(),
+            order.len(),
         );
-        let mut row = vec![0u64; 1 + carried.len()];
         for &rid in &order {
             let src = t.row(rid);
-            row[0] = rid as u64;
-            for (i, &c) in carried.iter().enumerate() {
-                row[1 + i] = src[c];
-            }
-            data.insert_row(keys[rid as usize], &row);
+            let fields = carried.iter().map(|&c| src[c]);
+            data.insert_row(
+                keys[rid as usize],
+                std::iter::once(rid as u64).chain(fields),
+            );
         }
         Ok(Self {
             table_idx,
@@ -618,10 +561,9 @@ impl BaseIndex {
         let Some(key) = self.key_of_row(row) else {
             return false;
         };
-        let mut payload = Vec::with_capacity(1 + self.carried.len());
-        payload.push(rid as u64);
-        payload.extend(self.carried.iter().map(|&c| row[c]));
-        self.data.insert_row(key, &payload);
+        let fields = self.carried.iter().map(|&c| row[c]);
+        self.data
+            .insert_row(key, std::iter::once(rid as u64).chain(fields));
         true
     }
 
@@ -833,7 +775,9 @@ mod tests {
                 let mut batched: Vec<(usize, u32)> = Vec::new();
                 idx.batch_get_each(keys, |i, v| batched.push((i, v)));
                 let mut reused: Vec<(usize, u32)> = Vec::new();
-                idx.batch_get_each_with(keys, &mut scratch, |i, v| reused.push((i, v)));
+                idx.batch_get_with(keys, &mut scratch, |i, vs| {
+                    reused.extend(vs.map(|&v| (i, v)))
+                });
                 assert_eq!(batched, reused, "{}", idx.kind_name());
                 batched.sort_unstable();
                 scalar.sort_unstable();
@@ -860,35 +804,35 @@ mod tests {
     #[test]
     fn payload_buf_roundtrip() {
         let mut p = PayloadBuf::new(3);
-        let a = p.push(&[1, 2, 3]);
-        let b = p.push(&[4, 5, 6]);
-        assert_eq!(p.row(a), &[1, 2, 3]);
-        assert_eq!(p.row(b), &[4, 5, 6]);
+        let a = p.push([1, 2, 3]);
+        let b = p.push([4, 5, 6]);
+        assert_eq!(p.row(a).to_vec(), [1, 2, 3]);
+        assert_eq!(p.row(b).to_vec(), [4, 5, 6]);
         assert_eq!(p.len(), 2);
     }
 
     #[test]
     fn zero_width_payload() {
         let mut p = PayloadBuf::new(0);
-        let a = p.push(&[]);
-        let b = p.push(&[]);
+        let a = p.push([]);
+        let b = p.push([]);
         assert_eq!((a, b), (0, 1));
-        assert_eq!(p.row(1), &[] as &[u64]);
-        assert_eq!(p.len(), 2);
+        assert!(p.row(1).is_empty());
+        assert_eq!((p.len(), p.memory_bytes()), (2, 0));
     }
 
     #[test]
     fn indexed_table_rows() {
         let mut it = IndexedTable::new(TreeIndex::new_kiss(), 2);
-        it.insert_row(7, &[70, 700]);
-        it.insert_row(7, &[71, 710]);
-        it.insert_row(9, &[90, 900]);
+        it.insert_row(7, [70, 700]);
+        it.insert_row(7, [71, 710]);
+        it.insert_row(9, [90, 900]);
         let mut rows = Vec::new();
         it.rows_for_key(7, |r| rows.push(r.to_vec()));
         assert_eq!(rows, vec![vec![70, 700], vec![71, 710]]);
         assert_eq!(it.tuple_count(), 3);
         let mut scan = Vec::new();
-        it.for_each_row(|k, r| scan.push((k, r[0])));
+        it.for_each_row(|k, r| scan.push((k, r.get(0))));
         assert_eq!(scan, vec![(7, 70), (7, 71), (9, 90)]);
     }
 }

@@ -16,8 +16,10 @@
 //!   indexes do not have to, because they are private for the query" — §3);
 //! * [`index`] — the unified tree-index handle ([`index::TreeIndex`]:
 //!   KISS-Tree for 32-bit key domains, prefix tree otherwise, chosen at plan
-//!   time exactly as §2.2 describes), payload buffers, and base indexes
-//!   (secondary or partially clustered, §3);
+//!   time exactly as §2.2 describes) and base indexes (secondary or
+//!   partially clustered, §3);
+//! * [`payload`] — the fixed-width payload rows behind every index, in
+//!   32-bit lanes until a value needs 64;
 //! * [`db`] — the catalog: tables plus their base indexes, with index
 //!   maintenance on writes;
 //! * [`query`] — the declarative star-query description ([`query::QuerySpec`])
@@ -28,6 +30,7 @@ pub mod db;
 pub mod dict;
 pub mod index;
 pub mod mvcc;
+pub mod payload;
 pub mod query;
 pub mod table;
 pub mod types;
@@ -36,9 +39,11 @@ pub use db::{Database, IndexDef};
 pub use dict::Dictionary;
 pub use index::{
     stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,
-    KeyWidth, PayloadBuf, ProbeScratch, TreeIndex,
+    KeyWidth, ProbeScratch, TreeIndex,
 };
 pub use mvcc::{MvccTable, Snapshot, TxnManager};
+pub use payload::{Lane, Lanes, PayloadBuf, Row, Rows};
+pub use qppt_mem::Values;
 pub use query::{
     compile_predicate, AggExpr, AggOp, ColRef, CompiledPred, DimSpec, Expr, OrderKey, OrderTerm,
     Predicate, QueryResult, QuerySpec, ResultRow,

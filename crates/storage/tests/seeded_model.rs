@@ -11,11 +11,16 @@
 //! column tuple: clustered build order, key-range scans for an equality
 //! prefix plus a trailing range, and maintenance under inserts — including
 //! rows that outgrow the part widths frozen at build time.
+//!
+//! Under both, a [`PayloadBuf`] must read back every row it was given,
+//! before and after a value wider than 32 bits moves it from 32- to 64-bit
+//! lanes, and hold exactly the bytes its rows need when it was reserved
+//! exactly.
 
 use qppt_mem::Xoshiro256StarStar;
 use qppt_storage::{
-    sync_scan_indexes, sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Schema,
-    StorageError, TableBuilder, TreeIndex, Value,
+    sync_scan_indexes, sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Lanes,
+    PayloadBuf, Schema, StorageError, TableBuilder, TreeIndex, Value,
 };
 use std::collections::BTreeMap;
 
@@ -103,7 +108,7 @@ fn cursors_match_btreemap_model() {
                 Vec::new()
             };
             let mut keyed = Vec::new();
-            idx.for_each_key_range(lo, hi, |k, vs| keyed.push((k, vs.collect::<Vec<_>>())));
+            idx.for_each_key_range(lo, hi, |k, vs| keyed.push((k, vs.copied().collect())));
             assert_eq!(keyed, expect, "{} keyed [{lo},{hi}]", idx.kind_name());
             let flat: Vec<(u64, u32)> = expect
                 .iter()
@@ -149,7 +154,7 @@ fn sync_scan_range_matches_btreemap_model_all_variants() {
                 };
                 let mut got = Vec::new();
                 sync_scan_indexes_range(&l, &r, lo, hi, |k, lv, rv| {
-                    got.push((k, lv.collect::<Vec<_>>(), rv.collect::<Vec<_>>()));
+                    got.push((k, lv.copied().collect(), rv.copied().collect()));
                 });
                 assert_eq!(got, expect, "{label} [{lo},{hi}]");
             }
@@ -215,8 +220,12 @@ fn check_base_index(
     let mut got = Vec::new();
     idx.data.for_each_row(|k, row| {
         // The carried column rides in the payload.
-        assert_eq!(row[1], db.table("t").unwrap().table().get(row[0] as u32, 3));
-        got.push((k, row[0]));
+        let rid = row.get(0);
+        assert_eq!(
+            row.get(1),
+            db.table("t").unwrap().table().get(rid as u32, 3)
+        );
+        got.push((k, rid));
     });
     assert_eq!(got, expect, "{ctx}: ordered scan");
     let tuples: Vec<&Vec<u64>> = model.keys().collect();
@@ -247,7 +256,7 @@ fn check_base_index(
         let mut got = Vec::new();
         if let Some((lo, hi)) = idx.packer().pack_range(&bounds) {
             idx.data.index.range_each(lo, hi, |_, pid| {
-                got.push(idx.data.payload.row(pid)[0] as u32)
+                got.push(idx.data.payload.row(pid).get(0) as u32)
             });
         }
         assert_eq!(got, expect, "{ctx}: bounds {bounds:?}");
@@ -314,5 +323,133 @@ fn base_index_matches_btreemap_tuple_model() {
             &mut rng,
             &format!("{ctx} after inserts"),
         );
+    }
+}
+
+/// Every row of `p` reads back as `model` through both views: the per-row
+/// [`PayloadBuf::row`] and the typed rows of [`PayloadBuf::lanes`].
+fn check_payload(p: &PayloadBuf, model: &[Vec<u64>], ctx: &str) {
+    assert_eq!(p.len(), model.len(), "{ctx}");
+    for (id, expect) in model.iter().enumerate() {
+        let id = id as u32;
+        assert_eq!(&p.row(id).to_vec(), expect, "{ctx}: row {id}");
+        let typed: Vec<u64> = match p.lanes() {
+            Lanes::U32(rows) => rows.row(id).iter().map(|&v| v.into()).collect(),
+            Lanes::U64(rows) => rows.row(id).to_vec(),
+        };
+        assert_eq!(&typed, expect, "{ctx}: typed row {id}");
+    }
+}
+
+#[test]
+fn payload_rows_survive_widening() {
+    for case in 0..32u64 {
+        let mut rng = Xoshiro256StarStar::new(0x1A4E + case);
+        let width = 1 + rng.below(5) as usize;
+        let n = 1 + rng.below(400) as usize;
+        // The row, and the field of it, that first needs 64 bits.
+        let (wide_row, wide_field) = (
+            rng.below(n as u64) as usize,
+            rng.below(width as u64) as usize,
+        );
+        let ctx = format!("case {case}: {n} rows × {width}, wide at {wide_row}.{wide_field}");
+        let mut p = PayloadBuf::with_capacity(width, n);
+        let mut model: Vec<Vec<u64>> = Vec::new();
+        for r in 0..n {
+            // Values up to u32::MAX inclusive still fit a 32-bit lane.
+            let mut row: Vec<u64> = (0..width).map(|_| rng.below(1 << 32)).collect();
+            if r == wide_row {
+                assert_eq!(p.lane_bytes(), 4, "{ctx}");
+                check_payload(&p, &model, &format!("{ctx}, before widening"));
+                row[wide_field] = u32::MAX as u64 + 1 + rng.below(1 << 40);
+            }
+            assert_eq!(p.push(row.iter().copied()), r as u32, "{ctx}");
+            model.push(row);
+        }
+        assert_eq!(p.lane_bytes(), 8, "{ctx}");
+        check_payload(&p, &model, &format!("{ctx}, after widening"));
+        assert_eq!(p.memory_bytes(), n * width * 8, "{ctx}");
+
+        // Without a wide value the same rows take half the bytes.
+        let mut narrow = PayloadBuf::with_capacity(width, n);
+        for row in &mut model {
+            row[wide_field] &= u32::MAX as u64;
+            narrow.push(row.iter().copied());
+        }
+        assert_eq!(narrow.lane_bytes(), 4, "{ctx}");
+        check_payload(&narrow, &model, &format!("{ctx}, narrow"));
+        assert_eq!(narrow.memory_bytes(), n * width * 4, "{ctx}");
+    }
+}
+
+#[test]
+fn base_index_payload_survives_widening() {
+    for case in 0..8u64 {
+        let mut rng = Xoshiro256StarStar::new(0xB1DE + case);
+        let schema = Schema::of(&[("k", ColumnType::Int), ("c", ColumnType::Int)]);
+        let mut b = TableBuilder::new("t", schema);
+        // rid → (k, c), the payload's model: rid, then the carried c.
+        let mut model: Vec<Vec<u64>> = Vec::new();
+        let n = 1 + rng.below(300) as usize;
+        for _ in 0..n {
+            let (k, c) = (rng.below(64), rng.below(1 << 32));
+            b.push_row(vec![Value::Int(k as i64), Value::Int(c as i64)])
+                .unwrap();
+            model.push(vec![k, c]);
+        }
+        let mut db = Database::new();
+        db.add_table(b.finish());
+        db.prefer_kiss = case % 2 == 0;
+        db.create_index(&IndexDef::new("t", "k", &["c"])).unwrap();
+        let ctx = format!("case {case}");
+        let check = |db: &Database, model: &[Vec<u64>], ctx: &str| {
+            let idx = db.find_index("t", "k").unwrap();
+            let mut seen = 0;
+            idx.data.for_each_row(|k, row| {
+                let rid = row.get(0) as usize;
+                assert_eq!(vec![k, row.get(1)], model[rid], "{ctx}: rid {rid}");
+                seen += 1;
+            });
+            assert_eq!(seen, model.len(), "{ctx}");
+        };
+        let payload = |db: &Database| {
+            let p = &db.find_index("t", "k").unwrap().data.payload;
+            (p.lane_bytes(), p.memory_bytes())
+        };
+        // The build reserves exactly its rows, in 32-bit lanes.
+        assert_eq!(payload(&db), (4, n * 2 * 4), "{ctx}");
+        check(&db, &model, &ctx);
+
+        // Appends, one of them carrying a value past 32 bits: the buffer
+        // widens in place (the key is in-domain, so nothing is rebuilt).
+        let appends = 1 + rng.below(40) as usize;
+        // Case 0 widens on the first append, straight after the build.
+        let wide_at = if case == 0 {
+            0
+        } else {
+            rng.below(appends as u64) as usize
+        };
+        for a in 0..appends {
+            let k = rng.below(64);
+            let c = match a == wide_at {
+                true => u32::MAX as u64 + 1 + rng.below(1 << 40),
+                false => rng.below(1 << 32),
+            };
+            let (_, bytes_before) = payload(&db);
+            let (rid, _) = db
+                .insert_row("t", &[Value::Int(k as i64), Value::Int(c as i64)])
+                .unwrap();
+            assert_eq!(rid as usize, model.len(), "{ctx}");
+            model.push(vec![k, c]);
+            let lane = if a < wide_at { 4 } else { 8 };
+            assert_eq!(payload(&db).0, lane, "{ctx}: append {a}");
+            if a == wide_at {
+                // Widening keeps the reserved fields, grown to end the row
+                // it pushes: right after an exact build, still exact.
+                let fields = (bytes_before / 4).max(model.len() * 2);
+                assert_eq!(payload(&db).1, fields * 8, "{ctx}");
+            }
+            check(&db, &model, &format!("{ctx}: append {a}"));
+        }
     }
 }

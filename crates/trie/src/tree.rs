@@ -1,6 +1,7 @@
 //! Core prefix-tree structure: slot arena, contents, insert paths, lookups.
 
-use qppt_mem::dup::{DupArena, DupIter, DupList};
+pub use qppt_mem::dup::Values;
+use qppt_mem::dup::{DupArena, DupList};
 
 use crate::TrieConfig;
 
@@ -332,14 +333,8 @@ impl<V: Copy + Default> PrefixTree<V> {
 
     pub(crate) fn values_of(&self, content: u32) -> Values<'_, V> {
         match &self.contents[content as usize].payload {
-            Payload::One(v) => Values {
-                len: 1,
-                inner: ValuesInner::One(Some(v)),
-            },
-            Payload::Many(list) => Values {
-                len: list.len(),
-                inner: ValuesInner::Many(self.dups.iter(list)),
-            },
+            Payload::One(v) => self.dups.one(v),
+            Payload::Many(list) => self.dups.iter(list),
         }
     }
 
@@ -362,38 +357,6 @@ impl<V: Copy + Default> PrefixTree<V> {
         }
     }
 }
-
-/// Iterator over the values stored under one key.
-pub struct Values<'a, V> {
-    len: usize,
-    inner: ValuesInner<'a, V>,
-}
-
-enum ValuesInner<'a, V> {
-    One(Option<&'a V>),
-    Many(DupIter<'a, V>),
-}
-
-impl<'a, V: Copy + Default> Iterator for Values<'a, V> {
-    type Item = &'a V;
-
-    fn next(&mut self) -> Option<&'a V> {
-        let out = match &mut self.inner {
-            ValuesInner::One(v) => v.take(),
-            ValuesInner::Many(it) => it.next(),
-        };
-        if out.is_some() {
-            self.len -= 1;
-        }
-        out
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.len, Some(self.len))
-    }
-}
-
-impl<'a, V: Copy + Default> ExactSizeIterator for Values<'a, V> {}
 
 #[cfg(test)]
 mod tests {
