@@ -17,8 +17,9 @@
 //!    morsel changes; [`Pipeline::run`] restricts the stage-1 fact access
 //!    to a [`KeyRange`] morsel, which partitions the whole pipeline by the
 //!    first join key.
-//! 3. [`decode_result`] — decoding the (merged) aggregation index into the
-//!    shared result format.
+//! 3. [`decode_result`] — decoding the query's finished aggregation, a
+//!    [`GroupRun`] (a participant's table, or the merge of several), into
+//!    the shared result format.
 //!
 //! [`execute`] composes the three sequentially (one morsel covering the
 //! whole key domain), which is the paper's single-threaded execution model.
@@ -66,18 +67,18 @@ use std::time::Instant;
 
 use qppt_storage::{
     sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, Lane, Lanes,
-    MvccTable, ProbeScratch, QueryResult, ResultRow, Row, Rows, Snapshot, StorageError, TreeIndex,
-    Value, Values,
+    MvccTable, ProbeScratch, QueryResult, Row, Rows, Snapshot, StorageError, TreeIndex, Value,
+    Values,
 };
 
-use crate::inter::{AggTable, InterTable};
+use crate::inter::{AggTable, GroupRun, InterTable};
 use crate::layout::{Layout, Src};
 use crate::options::PlanOptions;
 use crate::plan::{
     DimHandleKind, FactSelect, JoinStage, MainInput, Plan, ResolvedDim, StageOutput,
 };
 use crate::stats::{ExecStats, OpStats};
-use crate::QpptError;
+use crate::{PartialAggregate, QpptError};
 
 /// Runs `$body` with `$rows` bound to the [`Rows`] of a payload buffer at
 /// its current lane width: one instantiation of the body per width.
@@ -264,8 +265,8 @@ pub fn materialize_fused_selection(
 }
 
 /// Creates the empty aggregating output index (join-group sink) for a plan.
-/// The parallel executor gives each worker its own and merges them with
-/// [`AggTable::merge_from`].
+/// The parallel executor gives each worker its own and merges their runs
+/// with [`GroupRun::merge`].
 pub fn new_agg_table(plan: &Plan) -> AggTable {
     let naggs = plan.aggs.len().max(1);
     AggTable::new(
@@ -290,8 +291,8 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// bounded by the subtrees it visits, never by the key domain. An
 /// intermediate stage's record folds in its output's sizes, which are
 /// O(1) to read for both tree structures; the join-group's record takes
-/// only the run's time — its sizes are written once per query, from the
-/// final aggregation index, by [`record_join_group`].
+/// only the run's time and its sink's structure — its sizes are written
+/// once per query, from the finished aggregation, by [`record_join_group`].
 ///
 /// `dim_tables` holds the materialized dimension selections, one slot per
 /// plan dimension (`None` for base/fused handles) — `Arc` handles shared
@@ -343,26 +344,24 @@ fn absorb_inter(op: &mut OpStats, out: &InterTable, t0: Instant) {
     }
 }
 
-/// Writes the join-group record's output sizes from the query's final
-/// aggregation index: `out_keys` = `out_tuples` = its group count,
-/// `memory_bytes` its footprint, `index_kind` its structure. Called once
-/// per query — after the only morsel of a sequential run, after the merge
-/// of a parallel one — and the only writer of those fields: a morsel run
-/// adds only its time to the record, since the group counts of a
-/// participant's table are cumulative and a group recurs across morsels.
+/// Writes the join-group record's output sizes from the query's finished
+/// aggregation: `out_keys` = `out_tuples` = its group count, `memory_bytes`
+/// its [`GroupRun::memory_bytes`]. Called once per query — after the only
+/// morsel of a sequential run, after the merge of a parallel one — and the
+/// only writer of those fields: a morsel run adds only its time (and its
+/// sink's `index_kind`), since a group recurs across morsels.
 ///
 /// The join-group is the last stage by plan construction, so its record is
 /// the last one in `stats`.
-pub fn record_join_group(plan: &Plan, agg: &AggTable, stats: &mut ExecStats) {
+pub fn record_join_group(plan: &Plan, run: &GroupRun, stats: &mut ExecStats) {
     debug_assert!(matches!(
         plan.stages.last().map(|s| &s.output),
         Some(StageOutput::Agg)
     ));
     if let Some(op) = stats.ops.last_mut() {
-        op.out_keys = agg.group_count();
-        op.out_tuples = agg.group_count();
-        op.memory_bytes = agg.memory_bytes();
-        op.index_kind = agg.index_kind().to_string();
+        op.out_keys = run.len();
+        op.out_tuples = run.len();
+        op.memory_bytes = run.memory_bytes();
     }
 }
 
@@ -531,7 +530,12 @@ impl<'a> Pipeline<'a> {
             let op = &mut self.ops[stage_ops + si];
             match run.sink {
                 // Sizes are written once per query: `record_join_group`.
-                StageSink::Agg(_) => op.micros += t0.elapsed().as_micros(),
+                StageSink::Agg(agg) => {
+                    op.micros += t0.elapsed().as_micros();
+                    if op.index_kind.is_empty() {
+                        op.index_kind.push_str(agg.index_kind());
+                    }
+                }
                 StageSink::Inter(out) => {
                     absorb_inter(op, &out, t0);
                     stream = Some(out);
@@ -597,7 +601,7 @@ impl<'a> Pipeline<'a> {
 /// and column position behind each `group_key.sources` entry — resolved
 /// **once per decode** instead of once per output row (the name/schema
 /// lookups are pure, so hoisting them never changes bytes).
-fn group_decode_sources<'a>(
+pub(crate) fn group_decode_sources<'a>(
     db: &'a Database,
     plan: &Plan,
 ) -> Vec<(&'a qppt_storage::Table, usize)> {
@@ -618,69 +622,26 @@ fn group_decode_sources<'a>(
         .collect()
 }
 
-/// Streams the aggregation index through `emit` in index (ascending
-/// packed-key) order, decoding each group's packed key into its group
-/// values.
-pub(crate) fn decode_groups(
-    db: &Database,
-    plan: &Plan,
-    agg: &AggTable,
-    mut emit: impl FnMut(u64, Vec<Value>, Vec<i64>),
-) {
-    let sources = group_decode_sources(db, plan);
-    agg.for_each_ordered(|key, accs| {
-        let codes = plan.group_key.packer.unpack(key);
-        let values: Vec<Value> = codes
-            .iter()
-            .zip(sources.iter())
-            .map(|(&code, &(t, c))| decode_code(t, c, code))
-            .collect();
-        emit(key, values, accs.to_vec());
-    });
+/// Decodes the query's finished aggregation into the shared result format:
+/// the shard-side serialization, [`PartialAggregate::from_agg`], rendered
+/// by [`PartialAggregate::into_result`]. The run is in key order, i.e.
+/// already grouped and sorted (§3); the query's ORDER BY is a stable sort
+/// on top, so the result is deterministic regardless of how many
+/// partitions fed `run`.
+pub fn decode_result(db: &Database, plan: &Plan, run: &GroupRun) -> QueryResult {
+    PartialAggregate::from_agg(db, plan, run).into_result(&plan.spec.order_by)
 }
 
-/// Decodes the (possibly merged) aggregation index into the shared result
-/// format. The index iterates in key order, i.e. already grouped and sorted
-/// (§3); [`QueryResult::apply_order`] then applies the query's ORDER BY on
-/// top, which is a stable sort, so the result is deterministic regardless
-/// of how many partitions fed `agg`.
-pub fn decode_result(db: &Database, plan: &Plan, agg: &AggTable) -> QueryResult {
-    let mut rows = Vec::with_capacity(agg.group_count());
-    decode_groups(db, plan, agg, |_key, key_values, agg_values| {
-        rows.push(ResultRow {
-            key_values,
-            agg_values,
-        });
-    });
-    let mut result = QueryResult {
-        group_cols: plan
-            .spec
-            .group_by
-            .iter()
-            .map(|g| g.column.clone())
-            .collect(),
-        agg_cols: plan
-            .spec
-            .aggregates
-            .iter()
-            .map(|a| a.label.clone())
-            .collect(),
-        rows,
-    };
-    result.apply_order(&plan.spec.order_by);
-    result
-}
-
-/// Runs a plan sequentially up to (and including) the aggregating index,
-/// without decoding it: materialize every dimension selection, run the fact
-/// pipeline over the whole key domain. The undecoded [`AggTable`] is what a
+/// Runs a plan sequentially up to (and including) the aggregation, without
+/// decoding it: materialize every dimension selection, run the fact
+/// pipeline over the whole key domain. The undecoded [`GroupRun`] is what a
 /// shard ships to the router as a partial aggregate; `total_micros` covers
 /// the work done here (decode time, when it happens, is the caller's).
 pub fn execute_agg(
     db: &Database,
     snap: Snapshot,
     plan: &Plan,
-) -> Result<(AggTable, ExecStats), QpptError> {
+) -> Result<(GroupRun, ExecStats), QpptError> {
     let started = Instant::now();
     let mut stats = ExecStats::default();
 
@@ -701,9 +662,10 @@ pub fn execute_agg(
     let mut pipeline = Pipeline::new(db, snap, plan, &dim_tables, None)?;
     pipeline.run(KeyRange::full(), &mut agg)?;
     stats.ops.extend(pipeline.into_stats());
-    record_join_group(plan, &agg, &mut stats);
+    let run = agg.into_run();
+    record_join_group(plan, &run, &mut stats);
     stats.total_micros = started.elapsed().as_micros();
-    Ok((agg, stats))
+    Ok((run, stats))
 }
 
 /// Runs a plan sequentially, returning the result and per-operator
@@ -715,8 +677,8 @@ pub fn execute(
     plan: &Plan,
 ) -> Result<(QueryResult, ExecStats), QpptError> {
     let started = Instant::now();
-    let (agg, mut stats) = execute_agg(db, snap, plan)?;
-    let result = decode_result(db, plan, &agg);
+    let (run, mut stats) = execute_agg(db, snap, plan)?;
+    let result = decode_result(db, plan, &run);
     stats.total_micros = started.elapsed().as_micros();
     Ok((result, stats))
 }
@@ -1468,8 +1430,11 @@ mod tests {
         let mut agg = new_agg_table(&plan);
         let mut pipeline = Pipeline::new(&db, snap, &plan, &dims, None).unwrap();
         pipeline.run(KeyRange::full(), &mut agg).unwrap();
-        let mut groups = Vec::new();
-        agg.for_each_ordered(|key, accs| groups.push((key, accs[0])));
+        let groups = agg
+            .into_run()
+            .iter()
+            .map(|(key, (), accs)| (key, accs[0]))
+            .collect();
         (groups, pipeline.scratch.probes)
     }
 

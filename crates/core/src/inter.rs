@@ -8,14 +8,17 @@
 //! described by a [`Layout`]. Intermediate tables are query-private: no
 //! MVCC, no latching (§3).
 //!
-//! An [`AggTable`] is the output of a join-group operator: the index maps a
+//! An [`AggTable`] is the sink of a join-group operator: the index maps a
 //! (possibly composite) group key to accumulator slots, and inserting an
 //! existing key merges instead of appending — "the grouping happens
-//! automatically as a side effect" (§3).
+//! automatically as a side effect" (§3). Its ordered walk is a
+//! [`GroupRun`]; participants' runs, and shards' runs on the router, fold
+//! with the one ordered merge, [`GroupRun::merge`].
 
 use qppt_storage::{IndexedTable, TreeIndex};
 
 use crate::layout::Layout;
+use crate::QpptError;
 
 /// An intermediate indexed table (see module docs).
 #[derive(Debug)]
@@ -105,9 +108,64 @@ impl AggTable {
         }
     }
 
+    /// Index structure name (for statistics).
+    pub fn index_kind(&self) -> &'static str {
+        self.index.kind_name()
+    }
+
+    /// The table's groups as an ascending run, in one ordered walk — the
+    /// result "is already sorted" because it is physically a prefix tree
+    /// (§3).
+    pub fn into_run(self) -> GroupRun {
+        let mut run = GroupRun::with_capacity(self.naggs, self.groups);
+        self.index.for_each(|key, slot| {
+            let base = slot as usize * self.naggs;
+            run.push(key, (), &self.accs[base..base + self.naggs]);
+        });
+        run
+    }
+}
+
+/// A finished aggregation: groups in strictly ascending packed-key order,
+/// each with `naggs` accumulators and a payload `P` — nothing on a worker,
+/// the decoded group values in a [`PartialAggregate`](crate::PartialAggregate).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupRun<P = ()> {
+    naggs: usize,
+    keys: Vec<u64>,
+    payloads: Vec<P>,
+    accs: Vec<i64>,
+}
+
+impl<P> GroupRun<P> {
+    /// An empty run with room for `groups` groups of `naggs` accumulators.
+    pub fn with_capacity(naggs: usize, groups: usize) -> Self {
+        let naggs = naggs.max(1);
+        Self {
+            naggs,
+            keys: Vec::with_capacity(groups),
+            payloads: Vec::with_capacity(groups),
+            accs: Vec::with_capacity(groups * naggs),
+        }
+    }
+
+    /// Appends a group whose key is above every key held so far.
+    pub fn push(&mut self, key: u64, payload: P, accs: &[i64]) {
+        debug_assert!(self.keys.last().is_none_or(|&k| k < key), "runs ascend");
+        debug_assert_eq!(accs.len(), self.naggs);
+        self.keys.push(key);
+        self.payloads.push(payload);
+        self.accs.extend_from_slice(accs);
+    }
+
     /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` if the run holds no group.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
     }
 
     /// Accumulators per group.
@@ -115,34 +173,84 @@ impl AggTable {
         self.naggs
     }
 
-    /// Folds another aggregation table into this one — the parallel
-    /// executor's partition merge. Group keys present in both tables have
-    /// their accumulators added; keys only in `other` are created. Because
-    /// the accumulators are sums, the merged table is independent of the
-    /// merge order, and ordered iteration afterwards is byte-identical to a
-    /// sequential execution over the union of the partitions.
-    pub fn merge_from(&mut self, other: &AggTable) {
-        debug_assert_eq!(self.naggs, other.naggs);
-        other.for_each_ordered(|key, accs| self.merge(key, accs));
+    /// The packed keys, ascending.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
     }
 
-    /// Iterates `(key, accumulators)` in ascending key order — the result
-    /// "is already sorted" because it is physically a prefix tree (§3).
-    pub fn for_each_ordered(&self, mut f: impl FnMut(u64, &[i64])) {
-        self.index.for_each(|key, slot| {
-            let base = slot as usize * self.naggs;
-            f(key, &self.accs[base..base + self.naggs]);
-        });
+    /// Iterates `(key, payload, accumulators)` in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &P, &[i64])> {
+        self.keys
+            .iter()
+            .zip(&self.payloads)
+            .zip(self.accs.chunks_exact(self.naggs))
+            .map(|((&key, payload), accs)| (key, payload, accs))
     }
 
-    /// Resident memory estimate in bytes.
+    /// Consumes the run into `(key, payload, accumulators)` in ascending
+    /// key order.
+    pub fn into_groups(self) -> impl Iterator<Item = (u64, P, Vec<i64>)> {
+        let (naggs, accs) = (self.naggs, self.accs);
+        self.keys
+            .into_iter()
+            .zip(self.payloads)
+            .enumerate()
+            .map(move |(i, (key, payload))| (key, payload, accs[i * naggs..][..naggs].to_vec()))
+    }
+
+    /// Bytes of the groups held, counted by group, not by capacity, so a
+    /// run reports the same footprint however it was assembled.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.accs.capacity() * 8
+        use std::mem::size_of;
+        self.len() * (size_of::<u64>() + size_of::<P>() + self.naggs * size_of::<i64>())
     }
+}
 
-    /// Index structure name (for statistics).
-    pub fn index_kind(&self) -> &'static str {
-        self.index.kind_name()
+impl<P: Clone> GroupRun<P> {
+    /// **The** ordered merge, one pass over the runs' heads: a key held by
+    /// several runs sums their accumulators and takes its payload from the
+    /// lowest-index one, so the output depends on the runs' order, never on
+    /// which worker or shard finished first. Allocates the output and one
+    /// cursor per run. `None` for no runs; `Err` if the runs disagree on
+    /// the accumulator count.
+    pub fn merge(runs: &[&Self]) -> Result<Option<Self>, QpptError> {
+        let Some(first) = runs.first() else {
+            return Ok(None);
+        };
+        let naggs = first.naggs;
+        if let Some(r) = runs.iter().find(|r| r.naggs != naggs) {
+            return Err(QpptError::Internal(format!(
+                "group runs disagree on accumulators: {} vs {naggs}",
+                r.naggs
+            )));
+        }
+        let mut out = Self::with_capacity(naggs, runs.iter().map(|r| r.len()).sum());
+        let mut at = vec![0usize; runs.len()];
+        let head = |at: &[usize]| {
+            runs.iter()
+                .zip(at)
+                .filter_map(|(r, &i)| r.keys.get(i))
+                .min()
+                .copied()
+        };
+        while let Some(key) = head(&at) {
+            for (r, i) in runs.iter().zip(at.iter_mut()) {
+                if r.keys.get(*i) != Some(&key) {
+                    continue;
+                }
+                let accs = &r.accs[*i * naggs..(*i + 1) * naggs];
+                if out.keys.last() == Some(&key) {
+                    let last = out.accs.len() - naggs;
+                    for (acc, d) in out.accs[last..].iter_mut().zip(accs) {
+                        *acc += d;
+                    }
+                } else {
+                    out.push(key, r.payloads[*i].clone(), accs);
+                }
+                *i += 1;
+            }
+        }
+        Ok(Some(out))
     }
 }
 
@@ -175,9 +283,11 @@ mod tests {
         a.merge(5, &[10, 1]);
         a.merge(3, &[7, 1]);
         a.merge(5, &[32, 1]);
-        assert_eq!(a.group_count(), 2);
-        let mut got = Vec::new();
-        a.for_each_ordered(|k, accs| got.push((k, accs.to_vec())));
+        let got: Vec<_> = a
+            .into_run()
+            .iter()
+            .map(|(k, (), accs)| (k, accs.to_vec()))
+            .collect();
         assert_eq!(got, vec![(3, vec![7, 1]), (5, vec![42, 2])]);
     }
 
@@ -188,16 +298,14 @@ mod tests {
         for v in [5i64, 10, -3] {
             a.merge(0, &[v]);
         }
-        assert_eq!(a.group_count(), 1);
-        let mut sums = Vec::new();
-        a.for_each_ordered(|_, accs| sums.push(accs[0]));
+        let sums: Vec<i64> = a.into_run().iter().map(|(_, (), accs)| accs[0]).collect();
         assert_eq!(sums, vec![12]);
     }
 
     #[test]
-    fn agg_table_merge_from_partitions() {
+    fn agg_table_partitions_merge_as_runs() {
         // Three "partitions" with overlapping group keys must merge into
-        // exactly the table a sequential run would have built.
+        // exactly the run a sequential table would have produced.
         let mut seq = AggTable::new(TreeIndex::new_kiss(), 2);
         let mut parts: Vec<AggTable> = (0..3)
             .map(|_| AggTable::new(TreeIndex::new_kiss(), 2))
@@ -216,18 +324,13 @@ mod tests {
             seq.merge(key, &[a, b]);
             parts[i % 3].merge(key, &[a, b]);
         }
-        let mut merged = parts.remove(0);
-        for p in &parts {
-            merged.merge_from(p);
-        }
-        assert_eq!(merged.group_count(), seq.group_count());
+        let runs: Vec<GroupRun> = parts.into_iter().map(AggTable::into_run).collect();
+        let merged = GroupRun::merge(&runs.iter().collect::<Vec<_>>())
+            .unwrap()
+            .unwrap();
         assert_eq!(merged.agg_width(), 2);
-        let collect = |t: &AggTable| {
-            let mut v = Vec::new();
-            t.for_each_ordered(|k, accs| v.push((k, accs.to_vec())));
-            v
-        };
-        assert_eq!(collect(&merged), collect(&seq));
+        assert_eq!(merged, seq.into_run());
+        assert_eq!(merged.memory_bytes(), merged.len() * (8 + 2 * 8));
     }
 
     #[test]
@@ -235,8 +338,11 @@ mod tests {
         let mut a = AggTable::new(TreeIndex::new_kiss(), 1);
         a.merge(1, &[-100]);
         a.merge(1, &[30]);
-        let mut got = Vec::new();
-        a.for_each_ordered(|k, accs| got.push((k, accs[0])));
+        let got: Vec<_> = a
+            .into_run()
+            .iter()
+            .map(|(k, (), accs)| (k, accs[0]))
+            .collect();
         assert_eq!(got, vec![(1, -70)]);
     }
 }

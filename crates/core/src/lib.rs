@@ -54,8 +54,9 @@ pub use exec::{DimSelection, KeyRange};
 pub use fingerprint::{
     fingerprint_dim, fingerprint_opts, fingerprint_query, fingerprint_spec, Fnv64,
 };
+pub use inter::GroupRun;
 pub use options::{BatchMode, PlanOptions};
-pub use partial::{PartialAggregate, PartialRow};
+pub use partial::PartialAggregate;
 pub use plan::{build_plan, planned_indexes, prepare_indexes, prepare_indexes_with, Plan};
 pub use prepared::PreparedQuery;
 pub use stats::{ExecStats, OpStats};

@@ -1,48 +1,29 @@
 //! Partial aggregates — the undecoded group→sum pairs a shard ships to the
 //! router in distributed serving.
 //!
-//! QPPT's aggregation output is an index keyed on the packed composite
-//! group key ([`GroupKey`](crate::plan::GroupKey)); merging partitions is
-//! an ordered fold of commutative sums
-//! ([`AggTable::merge_from`](crate::inter::AggTable::merge_from)). That
-//! merge works **across processes** too, because the packed key and the
-//! decoded group values depend only on the *dimension* tables (dictionary
-//! sizes and dimension column stats), which sharded deployments replicate
-//! on every shard: the same group packs to the same `u64` and decodes to
-//! the same values everywhere, whatever fact rows a shard holds.
+//! A query's finished aggregation is a [`GroupRun`] keyed on the packed
+//! composite group key ([`GroupKey`](crate::plan::GroupKey)), and merging
+//! partitions is the one ordered merge of runs ([`GroupRun::merge`]). That
+//! merge works **across processes** too: the packed key and the decoded
+//! group values depend only on the *dimension* tables, which sharded
+//! deployments replicate, so the same group packs to the same `u64` and
+//! decodes to the same values on every shard.
 //!
-//! A [`PartialAggregate`] is therefore the shard-side serialization of an
-//! [`AggTable`]: one row per group in ascending
-//! packed-key order — exactly
-//! [`for_each_ordered`](crate::inter::AggTable::for_each_ordered) order —
-//! carrying the raw `u64` merge key, the decoded group values (identical on
-//! every shard, so the router never needs a database), and the `i64`
-//! accumulator sums. The router merges rows by key, sums accumulators, and
-//! applies the query's ORDER BY with
+//! A [`PartialAggregate`] is the shard-side serialization of that run: its
+//! payload is each group's decoded values (so the router never needs a
+//! database), plus the output schema. The router folds the shards' runs
+//! with [`PartialAggregate::merge`] and applies the query's ORDER BY with
 //! [`QueryResult::apply_order`] — byte-identical to a single-node run by
-//! construction (see `qppt_par::merge_partial_aggregates`).
+//! construction.
 
-use qppt_storage::{OrderKey, QueryResult, ResultRow, Value};
+use qppt_storage::{Database, OrderKey, QueryResult, ResultRow, Value};
 
-use crate::exec::decode_groups;
-use crate::inter::AggTable;
+use crate::exec::{decode_code, group_decode_sources};
+use crate::inter::GroupRun;
 use crate::plan::Plan;
-use qppt_storage::Database;
+use crate::QpptError;
 
-/// One group of a partial aggregate: the packed group key (the merge key),
-/// its decoded group-by values, and the accumulator sums so far.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialRow {
-    /// Packed composite group key — identical across shards for the same
-    /// group (widths derive from replicated dimension tables).
-    pub key: u64,
-    /// Decoded group-by values, in `group_cols` order.
-    pub group_values: Vec<Value>,
-    /// Accumulator sums, in `agg_cols` order.
-    pub accs: Vec<i64>,
-}
-
-/// An undecoded per-shard aggregation result: rows in ascending `key`
+/// An undecoded per-shard aggregation result: groups in ascending key
 /// order, plus the output schema needed to render the merged result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialAggregate {
@@ -50,59 +31,74 @@ pub struct PartialAggregate {
     pub group_cols: Vec<String>,
     /// Aggregate labels, as in [`QueryResult::agg_cols`].
     pub agg_cols: Vec<String>,
-    /// One row per group, ascending by `key`.
-    pub rows: Vec<PartialRow>,
+    /// One group per packed key, ascending; its payload is the decoded
+    /// group-by values, in `group_cols` order, and its accumulators are in
+    /// `agg_cols` order.
+    pub groups: GroupRun<Vec<Value>>,
 }
 
 impl PartialAggregate {
-    /// Serializes an aggregation index into partial-aggregate rows. Group
-    /// values are decoded through the same dictionary path as
-    /// [`decode_result`](crate::exec::decode_result); no ordering beyond
-    /// the index's own ascending key iteration is applied.
-    pub fn from_agg(db: &Database, plan: &Plan, agg: &AggTable) -> Self {
-        let mut rows = Vec::with_capacity(agg.group_count());
-        decode_groups(db, plan, agg, |key, group_values, accs| {
-            rows.push(PartialRow {
-                key,
-                group_values,
-                accs,
-            });
-        });
+    /// Serializes a finished aggregation: each group's packed key decoded
+    /// into its group values through the dictionaries — the decode every
+    /// answer takes ([`decode_result`](crate::exec::decode_result) renders
+    /// this). No ordering beyond the run's own ascending key order is
+    /// applied.
+    pub fn from_agg(db: &Database, plan: &Plan, run: &GroupRun) -> Self {
+        let sources = group_decode_sources(db, plan);
+        let mut groups = GroupRun::with_capacity(run.agg_width(), run.len());
+        for (key, (), accs) in run.iter() {
+            let codes = plan.group_key.packer.unpack(key);
+            let values = codes.iter().zip(&sources);
+            let values = values.map(|(&code, &(t, c))| decode_code(t, c, code));
+            groups.push(key, values.collect(), accs);
+        }
+        let spec = &plan.spec;
         Self {
-            group_cols: plan
-                .spec
-                .group_by
-                .iter()
-                .map(|g| g.column.clone())
-                .collect(),
-            agg_cols: plan
-                .spec
-                .aggregates
-                .iter()
-                .map(|a| a.label.clone())
-                .collect(),
-            rows,
+            group_cols: spec.group_by.iter().map(|g| g.column.clone()).collect(),
+            agg_cols: spec.aggregates.iter().map(|a| a.label.clone()).collect(),
+            groups,
         }
     }
 
-    /// Total groups held.
-    pub fn group_count(&self) -> usize {
-        self.rows.len()
+    /// Merges per-shard partial aggregates, in shard order, with
+    /// [`GroupRun::merge`]: a group's sums add up across shards and its
+    /// values come from the first shard that reports it (they are
+    /// identical on every shard). `None` for no parts; `Err` if the parts
+    /// disagree on the output schema (different queries) or on the
+    /// accumulator count.
+    pub fn merge(parts: &[&Self]) -> Result<Option<Self>, QpptError> {
+        let Some(first) = parts.first() else {
+            return Ok(None);
+        };
+        if let Some(p) = parts
+            .iter()
+            .find(|p| p.group_cols != first.group_cols || p.agg_cols != first.agg_cols)
+        {
+            return Err(QpptError::Internal(format!(
+                "partial aggregates disagree on output schema: {:?}/{:?} vs {:?}/{:?}",
+                first.group_cols, first.agg_cols, p.group_cols, p.agg_cols
+            )));
+        }
+        let runs: Vec<&GroupRun<Vec<Value>>> = parts.iter().map(|p| &p.groups).collect();
+        Ok(GroupRun::merge(&runs)?.map(|groups| Self {
+            group_cols: first.group_cols.clone(),
+            agg_cols: first.agg_cols.clone(),
+            groups,
+        }))
     }
 
-    /// Rough resident bytes of the undecoded rows (labels, group values,
+    /// Rough resident bytes of the undecoded groups (labels, group values,
     /// accumulators) — mirrors [`QueryResult::memory_bytes`] so the
     /// router's partial-aggregate cache tier can run the same byte
     /// budgeting as the engine-side tiers.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut b = size_of::<Self>();
+        let mut b = size_of::<Self>() + self.groups.memory_bytes();
         for s in self.group_cols.iter().chain(&self.agg_cols) {
             b += size_of::<String>() + s.len();
         }
-        for row in &self.rows {
-            b += size_of::<PartialRow>() + row.accs.len() * size_of::<i64>();
-            for v in &row.group_values {
+        for (_, values, _) in self.groups.iter() {
+            for v in values {
                 b += size_of::<Value>()
                     + match v {
                         Value::Str(s) => s.len(),
@@ -121,11 +117,11 @@ impl PartialAggregate {
             group_cols: self.group_cols,
             agg_cols: self.agg_cols,
             rows: self
-                .rows
-                .into_iter()
-                .map(|r| ResultRow {
-                    key_values: r.group_values,
-                    agg_values: r.accs,
+                .groups
+                .into_groups()
+                .map(|(_, key_values, agg_values)| ResultRow {
+                    key_values,
+                    agg_values,
                 })
                 .collect(),
         };

@@ -34,7 +34,7 @@ impl OpStats {
     /// the final join-group) can see the same key in several partitions, so
     /// its summed `out_keys` is an upper bound on distinct keys. The final
     /// join-group's partition records carry time only: its sizes are
-    /// written once, from the final (merged) index, by
+    /// written once, from the finished (merged) run, by
     /// [`record_join_group`](crate::exec::record_join_group).
     pub fn absorb_partition(&mut self, other: &OpStats) {
         debug_assert_eq!(self.label, other.label, "partition stats must align");

@@ -120,7 +120,7 @@ fn pooled_stats_cover_all_operators() {
     for (p, s) in par_stats.ops.iter().zip(seq_stats.ops.iter()) {
         assert_eq!(p.label, s.label);
     }
-    // The final join-group record reports the merged index: identical group
+    // The final join-group record reports the merged run: identical group
     // counts to the sequential run.
     let (p_last, s_last) = (par_stats.ops.last().unwrap(), seq_stats.ops.last().unwrap());
     assert_eq!(p_last.out_keys, s_last.out_keys);

@@ -30,15 +30,19 @@
 //!    both trees (the KISS-Tree counts its touched root pages on insert
 //!    instead of walking its 2²⁶-slot directory), and the join-group's
 //!    record takes only the morsel's time.
-//! 3. **Merge** — per-worker aggregation tables are folded with
-//!    [`AggTable::merge_from`](qppt_core::inter::AggTable::merge_from) and
-//!    per-worker [`OpStats`](qppt_core::OpStats) with
+//! 3. **Merge** — each worker's aggregation table is walked once, in key
+//!    order, into a [`GroupRun`](qppt_core::GroupRun); the runs are folded
+//!    by the one linear ordered merge,
+//!    [`GroupRun::merge`](qppt_core::GroupRun::merge) — the same function
+//!    the router folds shards' partials with — and per-worker
+//!    [`OpStats`](qppt_core::OpStats) with
 //!    [`ExecStats::merge_partition`](qppt_core::ExecStats::merge_partition),
-//!    in participant order; the join-group's sizes are then written once,
-//!    from the merged index, by
+//!    in participant order. The join-group's sizes are then written once,
+//!    from the merged run, by
 //!    [`record_join_group`](qppt_core::exec::record_join_group) — the same
-//!    call that finishes a sequential run. Accumulators are sums, so the
-//!    merged index — and therefore the decoded, ordered
+//!    call that finishes a sequential run, so its record is the sequential
+//!    run's at every parallelism. Accumulators are sums, so the merged run
+//!    — and therefore the decoded, ordered
 //!    [`QueryResult`](qppt_storage::QueryResult) — is byte-identical to a
 //!    sequential run, whatever the thread timing.
 //!
@@ -98,7 +102,6 @@ pub use pool::{JobAborted, JobHandle, PoolJob, PoolMetrics, WorkerPool};
 pub use pooled::PooledEngine;
 pub use prepare::prepare_indexes_pooled;
 
-use qppt_core::inter::AggTable;
 use qppt_core::{Plan, QpptError};
 use qppt_storage::Database;
 
@@ -119,78 +122,4 @@ pub(crate) fn partition_morsels(
     Ok(Partitioner::new(min, max, plan.opts.morsel_bits)
         .morsels()
         .to_vec())
-}
-
-/// Merges per-shard partial aggregates into one, in participant (shard)
-/// order — the distributed counterpart of the per-worker
-/// [`AggTable::merge_from`] fold the morsel scheduler performs.
-///
-/// The merge literally reuses [`AggTable::merge`]: every shard row is an
-/// upsert of commutative sums keyed on the packed `u64` group key, so the
-/// merged index — iterated in ascending key order — reproduces exactly the
-/// aggregation index a single node would have built over the union of the
-/// shards' fact rows. Group values ride along from the first shard that
-/// reports a group (they are identical on every shard: group-key widths and
-/// dictionary codes derive only from the replicated dimension tables).
-///
-/// Returns `None` when `parts` is empty. Callers feed shards in index
-/// order; mismatched output schemas (different queries) are a caller bug
-/// and yield an `Err`.
-pub fn merge_partial_aggregates(
-    parts: Vec<qppt_core::PartialAggregate>,
-) -> Result<Option<qppt_core::PartialAggregate>, QpptError> {
-    use std::collections::BTreeMap;
-
-    let mut iter = parts.into_iter();
-    let Some(first) = iter.next() else {
-        return Ok(None);
-    };
-    let naggs = first.agg_cols.len().max(1);
-    let max_key = |p: &qppt_core::PartialAggregate| p.rows.last().map_or(0, |r| r.key);
-    let mut domain = max_key(&first);
-    let rest: Vec<qppt_core::PartialAggregate> = iter.collect();
-    for p in &rest {
-        if p.group_cols != first.group_cols || p.agg_cols != first.agg_cols {
-            return Err(QpptError::Internal(format!(
-                "partial aggregates disagree on output schema: {:?}/{:?} vs {:?}/{:?}",
-                first.group_cols, first.agg_cols, p.group_cols, p.agg_cols
-            )));
-        }
-        domain = domain.max(max_key(p));
-    }
-
-    let group_cols = first.group_cols.clone();
-    let agg_cols = first.agg_cols.clone();
-    let mut agg = AggTable::new(qppt_storage::TreeIndex::for_domain(domain, true), naggs);
-    let mut group_values: BTreeMap<u64, Vec<qppt_storage::Value>> = BTreeMap::new();
-    for part in std::iter::once(first).chain(rest) {
-        for row in part.rows {
-            if row.accs.len() != naggs {
-                return Err(QpptError::Internal(format!(
-                    "partial row has {} accumulators, expected {naggs}",
-                    row.accs.len()
-                )));
-            }
-            agg.merge(row.key, &row.accs);
-            group_values.entry(row.key).or_insert(row.group_values);
-        }
-    }
-
-    let mut rows = Vec::with_capacity(agg.group_count());
-    agg.for_each_ordered(|key, accs| {
-        let values = group_values
-            .get(&key)
-            .cloned()
-            .expect("every merged key was inserted with group values");
-        rows.push(qppt_core::PartialRow {
-            key,
-            group_values: values,
-            accs: accs.to_vec(),
-        });
-    });
-    Ok(Some(qppt_core::PartialAggregate {
-        group_cols,
-        agg_cols,
-        rows,
-    }))
 }

@@ -36,10 +36,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use qppt_core::exec::{
-    decode_result, materialize_dim_selection, new_agg_table, record_join_group, DimSelection,
-    FusedSelection,
+    decode_result, materialize_dim_selection, record_join_group, DimSelection, FusedSelection,
 };
-use qppt_core::inter::AggTable;
+use qppt_core::inter::{AggTable, GroupRun};
 use qppt_core::plan::DimHandleKind;
 use qppt_core::{
     build_plan, BatchMode, ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError,
@@ -176,15 +175,15 @@ impl PooledEngine {
         priority: i32,
     ) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let (agg, mut stats) = self.run_prepared_agg(prepared, priority, BatchMode)?;
-        let result = decode_result(&self.db, &prepared.plan, &agg);
+        let (run, mut stats) = self.run_prepared_agg(prepared, priority, BatchMode)?;
+        let result = decode_result(&self.db, &prepared.plan, &run);
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
     }
 
-    /// Like [`run_prepared`](Self::run_prepared), but stops at the merged
-    /// aggregation index — the cached shard-side entry point for
-    /// partial-aggregate serving.
+    /// Like [`run_prepared`](Self::run_prepared), but stops at the
+    /// finished aggregation — the participants' runs, merged — which is the
+    /// cached shard-side entry point for partial-aggregate serving.
     ///
     /// The third parameter has no behaviour: it is kept only so the frozen
     /// benchmark's `layers.rs` builds, and goes with [`BatchMode`].
@@ -193,13 +192,13 @@ impl PooledEngine {
         prepared: &PreparedQuery,
         priority: i32,
         _: BatchMode,
-    ) -> Result<(AggTable, ExecStats), QpptError> {
+    ) -> Result<(GroupRun, ExecStats), QpptError> {
         let started = Instant::now();
         let mut stats = ExecStats {
             ops: prepared.dim_stats(),
             total_micros: 0,
         };
-        let (agg, pipeline_stats) = self.execute_pipeline(
+        let (run, pipeline_stats) = self.execute_pipeline(
             prepared.snap,
             &prepared.plan,
             &prepared.dims,
@@ -207,9 +206,9 @@ impl PooledEngine {
             priority,
         )?;
         stats.ops.extend(pipeline_stats.ops);
-        record_join_group(&prepared.plan, &agg, &mut stats);
+        record_join_group(&prepared.plan, &run, &mut stats);
         stats.total_micros = started.elapsed().as_micros();
-        Ok((agg, stats))
+        Ok((run, stats))
     }
 
     /// Workers the fact pipeline of a query at `parallelism` may use,
@@ -232,7 +231,7 @@ impl PooledEngine {
         dim_tables: &Arc<Vec<Option<Arc<DimSelection>>>>,
         fused: &Arc<Option<FusedSelection>>,
         priority: i32,
-    ) -> Result<(AggTable, ExecStats), QpptError> {
+    ) -> Result<(GroupRun, ExecStats), QpptError> {
         let workers = self.pipeline_participants(plan.opts.parallelism);
         let morsels = if workers > 1 {
             partition_morsels(&self.db, plan)?
@@ -264,11 +263,7 @@ impl PooledEngine {
             return Err(e);
         }
         let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
-        if partials.is_empty() {
-            Ok((new_agg_table(plan), ExecStats::default()))
-        } else {
-            Ok(merge_partials(partials))
-        }
+        merge_partials(plan, partials)
     }
 }
 

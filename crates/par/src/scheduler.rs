@@ -6,9 +6,10 @@
 //! partitions self-balance — a worker stuck in a dense subtree simply claims
 //! fewer morsels. Each worker accumulates into a **private** aggregation
 //! table and operator statistics; nothing is shared mutably, so there are no
-//! locks on the hot path. After all workers finish, partials are merged in
-//! worker-index order, which (with commutative accumulator sums) makes the
-//! merged result independent of thread timing.
+//! locks on the hot path. After all workers finish, each table's ordered
+//! run is folded by the one ordered merge, in worker-index order, which
+//! (with commutative accumulator sums) makes the merged result independent
+//! of thread timing.
 //!
 //! The persistent [`WorkerPool`](crate::WorkerPool) decides *which* threads
 //! run [`drain_morsels`] (through [`PooledEngine`](crate::PooledEngine)'s
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qppt_core::exec::{new_agg_table, DimSelection, FusedSelection, Pipeline};
-use qppt_core::inter::AggTable;
+use qppt_core::inter::{AggTable, GroupRun};
 use qppt_core::stats::ExecStats;
 use qppt_core::{KeyRange, Plan, QpptError};
 use qppt_storage::{Database, Snapshot};
@@ -67,20 +68,25 @@ pub(crate) fn drain_morsels(
 }
 
 /// Merges per-worker partials, in ascending participant order, into the
-/// final aggregation table and statistics. `partials` entries are
-/// `(participant id, agg, stats)`; at least one entry is required.
+/// query's finished aggregation and statistics: each table's ordered run
+/// ([`AggTable::into_run`]) goes through [`GroupRun::merge`]. `partials`
+/// entries are `(participant id, agg, stats)`; with none, the aggregation
+/// is an empty run of the plan's accumulators.
 pub(crate) fn merge_partials(
+    plan: &Plan,
     mut partials: Vec<(usize, AggTable, ExecStats)>,
-) -> (AggTable, ExecStats) {
+) -> Result<(GroupRun, ExecStats), QpptError> {
     // Deterministic merge: participant order, not completion order. (The
     // accumulators are commutative sums, so this is belt-and-braces — but
     // it keeps statistics ordering reproducible too.)
     partials.sort_by_key(|(pid, _, _)| *pid);
-    let mut iter = partials.into_iter();
-    let (_, mut agg, mut stats) = iter.next().expect("at least one partial");
-    for (_, part_agg, part_stats) in iter {
-        agg.merge_from(&part_agg);
+    let mut stats = ExecStats::default();
+    let mut runs = Vec::with_capacity(partials.len());
+    for (_, agg, part_stats) in partials {
+        runs.push(agg.into_run());
         stats.merge_partition(&part_stats);
     }
-    (agg, stats)
+    let run = GroupRun::merge(&runs.iter().collect::<Vec<_>>())?
+        .unwrap_or_else(|| GroupRun::with_capacity(plan.aggs.len(), 0));
+    Ok((run, stats))
 }

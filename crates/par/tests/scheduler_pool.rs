@@ -5,11 +5,10 @@
 
 use std::sync::Arc;
 
-use qppt_core::inter::AggTable;
-use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
+use qppt_core::{prepare_indexes, GroupRun, PlanOptions, QpptEngine};
 use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
-use qppt_storage::{ColumnType, Database, Schema, TableBuilder, TreeIndex, Value};
+use qppt_storage::{ColumnType, Database, Schema, TableBuilder, Value};
 
 fn prepared_db(sf: f64, seed: u64) -> SsbDb {
     let mut ssb = SsbDb::generate(sf, seed);
@@ -79,9 +78,9 @@ fn run_prepared_matches_sequential_for_all_queries() {
 }
 
 /// Operator records do not depend on how the fact pipeline was cut: at
-/// every parallelism and morsel granularity the join-group record reports
-/// the final aggregation index — its group count and footprint, written
-/// once per query — and every σ record is the sequential run's.
+/// every parallelism and morsel granularity the join-group record — its
+/// group count and the merged run's footprint, written once per query, and
+/// its sink's structure — and every σ record are the sequential run's.
 #[test]
 fn op_records_do_not_depend_on_morsel_count() {
     use qppt_core::exec::{decode_result, execute_agg};
@@ -111,6 +110,12 @@ fn op_records_do_not_depend_on_morsel_count() {
         let seq_group = seq_stats.ops.last().unwrap();
         assert_eq!(seq_group.out_keys, sequential.rows.len(), "{}", q.id);
         assert_eq!(seq_group.memory_bytes, seq_agg.memory_bytes(), "{}", q.id);
+        assert!(!seq_group.index_kind.is_empty(), "{}", q.id);
+        // The join-group record up to its time.
+        let group_record = |op: &OpStats| OpStats {
+            micros: 0,
+            ..op.clone()
+        };
         for workers in [1usize, 2, 3] {
             for bits in [1u8, 6, 8] {
                 let at = format!("{} @ parallelism={workers} morsel_bits={bits}", q.id);
@@ -122,9 +127,9 @@ fn op_records_do_not_depend_on_morsel_count() {
                 let group = stats.ops.last().unwrap();
                 assert!(group.label.ends_with("join-group"), "{at}");
                 assert_eq!(group.out_keys, result.rows.len(), "{at}");
-                assert_eq!(group.out_tuples, result.rows.len(), "{at}");
                 assert_eq!(group.memory_bytes, agg.memory_bytes(), "{at}");
-                assert_eq!(group.index_kind, seq_group.index_kind, "{at}");
+                assert_eq!(agg, seq_agg, "{at}");
+                assert_eq!(group_record(group), group_record(seq_group), "{at}");
                 assert_eq!(sigma(&stats), sigma(&seq_stats), "{at}");
             }
         }
@@ -214,21 +219,18 @@ fn empty_fact_partitions_handled() {
     pool.shutdown();
 }
 
-/// `AggTable::merge_from` must give the same table for **every** worker
+/// [`GroupRun::merge`] must give the same run for **every** worker
 /// completion order, not just the sorted one the scheduler happens to use.
 #[test]
-fn merge_from_deterministic_across_worker_orders() {
+fn group_run_merge_deterministic_across_worker_orders() {
     let partial = |entries: &[(u64, i64, i64)]| {
-        let mut t = AggTable::new(TreeIndex::new_kiss(), 2);
-        for &(k, a, b) in entries {
-            t.merge(k, &[a, b]);
+        let mut sorted = entries.to_vec();
+        sorted.sort_unstable();
+        let mut run = GroupRun::with_capacity(2, sorted.len());
+        for (k, a, b) in sorted {
+            run.push(k, (), &[a, b]);
         }
-        t
-    };
-    let collect = |t: &AggTable| {
-        let mut v = Vec::new();
-        t.for_each_ordered(|k, accs| v.push((k, accs.to_vec())));
-        v
+        run
     };
     // Overlapping group keys across "workers", including negatives.
     let parts = [
@@ -237,21 +239,23 @@ fn merge_from_deterministic_across_worker_orders() {
         partial(&[(12, -100, 3), (1, 9, 9)]),
         partial(&[]),
     ];
-    let mut reference: Option<Vec<(u64, Vec<i64>)>> = None;
+    let mut reference: Option<GroupRun> = None;
     // All 24 permutations of 4 partials.
     let perms = permutations(&[0, 1, 2, 3]);
+    assert_eq!(perms.len(), 24);
     for perm in perms {
-        let mut merged = AggTable::new(TreeIndex::new_kiss(), 2);
-        for &i in &perm {
-            merged.merge_from(&parts[i]);
-        }
-        let got = collect(&merged);
+        let runs: Vec<&GroupRun> = perm.iter().map(|&i| &parts[i]).collect();
+        let got = GroupRun::merge(&runs).unwrap().unwrap();
         match &reference {
             None => reference = Some(got),
             Some(r) => assert_eq!(&got, r, "merge order {perm:?} diverged"),
         }
     }
-    let r = reference.unwrap();
+    let r: Vec<(u64, Vec<i64>)> = reference
+        .unwrap()
+        .iter()
+        .map(|(k, (), accs)| (k, accs.to_vec()))
+        .collect();
     assert_eq!(
         r,
         vec![

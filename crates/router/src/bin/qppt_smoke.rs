@@ -376,9 +376,11 @@ fn metrics_probe(client: &mut QpptClient, shards: Option<usize>) -> usize {
     failed
 }
 
-/// The shared probe set: three named aliases, one ad-hoc `QUERY`, one
+/// The shared probe set: four named aliases, one ad-hoc `QUERY`, one
 /// deliberately malformed `QUERY` — all checked against the sequential
-/// oracle. Returns the number of failures.
+/// oracle. `q3.2` has the widest group set, with string group values that
+/// every shard reports, so routed it is the largest merge. Returns the
+/// number of failures.
 fn run_probes(
     client: &mut QpptClient,
     engine: &QpptEngine,
@@ -389,6 +391,7 @@ fn run_probes(
     for (name, spec) in [
         ("q1.1", queries::q1_1()),
         ("q2.3", queries::q2_3()),
+        ("q3.2", queries::q3_2()),
         ("q4.1", queries::q4_1()),
     ] {
         let expected = engine.run(&spec, opts).expect("sequential oracle runs");

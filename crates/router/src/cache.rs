@@ -464,20 +464,18 @@ pub fn parse_versions_field(status: &str) -> Option<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qppt_core::PartialRow;
+    use qppt_core::GroupRun;
 
     fn partial(rows: usize) -> CachedPartial {
+        let mut groups = GroupRun::with_capacity(1, rows);
+        for k in 0..rows as u64 {
+            groups.push(k, vec![qppt_storage::Value::Int(k as i64)], &[1]);
+        }
         CachedPartial {
             partial: PartialAggregate {
                 group_cols: vec!["g".to_string()],
                 agg_cols: vec!["a".to_string()],
-                rows: (0..rows as u64)
-                    .map(|k| PartialRow {
-                        key: k,
-                        group_values: vec![qppt_storage::Value::Int(k as i64)],
-                        accs: vec![1],
-                    })
-                    .collect(),
+                groups,
             },
             workers: 2,
         }

@@ -14,15 +14,16 @@
 //! appended, over pooled persistent connections — all shards execute
 //! concurrently. Each answers a `PARTIAL` response: its aggregation index
 //! serialized as (packed group key, decoded group values, accumulator
-//! sums) in ascending key order, *without* ORDER BY. The router merges
-//! the partials by raw key in the same deterministic order
-//! [`AggTable::merge_from`](qppt_core::inter::AggTable::merge_from)
-//! guarantees for intra-node parallelism (see
-//! [`qppt_par::merge_partial_aggregates`]), then applies the query's
-//! ORDER BY — producing output **byte-identical** to a single unsharded
-//! server, at any shard count and any per-shard parallelism
-//! (`router_equivalence` pins this down for all 13 SSB queries × {1, 2,
-//! 4} shards).
+//! sums) in ascending key order, *without* ORDER BY. The router folds the
+//! sorted partials, in range order, with
+//! [`PartialAggregate::merge`](qppt_core::PartialAggregate::merge) — one
+//! linear pass over the runs' heads, calling the same
+//! [`GroupRun::merge`](qppt_core::GroupRun::merge) a node's morsel workers
+//! fold their aggregations with, and building no tree or map — then
+//! applies the query's ORDER BY, producing output **byte-identical** to a
+//! single unsharded server, at any shard count and any per-shard
+//! parallelism (`router_equivalence` pins this down for all 13 SSB
+//! queries × {1, 2, 4} shards).
 //!
 //! This works because the packed group keys and their decoded values
 //! derive only from the *dimension* tables, which every shard replicates

@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use qppt_core::{fingerprint_query, ExecStats, OpStats, PartialAggregate, PlanOptions};
 use qppt_obs::{merge_exposition, Trace};
-use qppt_par::merge_partial_aggregates;
 use qppt_server::obs::{elapsed_micros, finish_trace, make_trace};
 use qppt_server::protocol::{
     apply_overrides, parse_partial_status, parse_request, read_partial_body, read_text_body,
@@ -138,6 +137,26 @@ impl std::error::Error for RouterError {}
 struct Gathered {
     partial: PartialAggregate,
     stats: ServedStats,
+}
+
+/// How [`Router::scatter`] answered: its label is the `METRICS SLOW`
+/// outcome and, for a cache hit, the `index=cache` op's label.
+#[derive(Clone, Copy)]
+enum Answered {
+    ResultHit,
+    /// The last range that came from the partial tier.
+    PartialHit(usize),
+    Routed,
+}
+
+impl Answered {
+    fn label(self) -> String {
+        match self {
+            Self::ResultHit => "router cache: result hit".to_string(),
+            Self::PartialHit(shard) => format!("router cache: partial hit (shard {shard})"),
+            Self::Routed => "routed".to_string(),
+        }
+    }
 }
 
 /// Per-range failure before it is attributed to a range index.
@@ -907,12 +926,11 @@ impl Router {
             .then(|| fingerprint_query(spec, opts));
         match self.scatter(&forward, &spec.order_by, cached, trace.as_mut()) {
             Err(e) => writeln!(w, "ERR {e}"),
-            Ok((result, stats, workers)) => {
-                let outcome = router_outcome_of(&stats).to_string();
+            Ok((result, stats, workers, answered)) => {
                 let spans = finish_trace(trace, stats.total_micros);
                 let out = write_run_response(&mut w, &result, &stats, workers, &spans);
                 if let Some(obs) = &self.obs {
-                    obs.slow_log(started, verb, line, &outcome, &spans);
+                    obs.slow_log(started, verb, line, &answered.label(), &spans);
                 }
                 out
             }
@@ -922,8 +940,10 @@ impl Router {
     /// **The** scatter/gather/merge: scatters `forward` (a `RUN`/`QUERY`
     /// line already carrying `mode=partial`) to the ranges, gathers the
     /// partials in range order (failing over inside each range as needed),
-    /// merges them, and applies `order_by` — byte-identical to a single
-    /// node running the same query, whichever replicas answered.
+    /// merges them with [`PartialAggregate::merge`] — borrowed, never
+    /// cloned — and applies `order_by`: byte-identical to a single node
+    /// running the same query, whichever replicas answered. Also returns
+    /// the worker count for the response head and how it [`Answered`].
     ///
     /// With `cached = Some(query fingerprint)` the router cache fronts it
     /// (the routed hot path): establish a fresh-enough per-range version
@@ -946,7 +966,7 @@ impl Router {
         order_by: &[OrderKey],
         cached: Option<u64>,
         mut trace: Option<&mut Trace>,
-    ) -> Result<(QueryResult, ExecStats, usize), RouterError> {
+    ) -> Result<(QueryResult, ExecStats, usize, Answered), RouterError> {
         let cache = &self.shared.cache;
         let started = Instant::now();
         let obs = self.obs.as_deref();
@@ -974,14 +994,14 @@ impl Router {
             if let Some(hit) = cache.get_merged(&FleetKey::merged(*qfp, generation, versions)) {
                 let mut stats = ExecStats::default();
                 stats.push(router_cache_op(
-                    "router cache: result hit".to_string(),
+                    Answered::ResultHit.label(),
                     hit.result.rows.len(),
                 ));
                 if let Some(t) = trace {
                     t.add(t.root(), "router_cache", elapsed_micros(started));
                 }
                 stats.total_micros = started.elapsed().as_micros();
-                return Ok((hit.result.clone(), stats, hit.workers));
+                return Ok((hit.result.clone(), stats, hit.workers, Answered::ResultHit));
             }
             for (ri, slot) in cached_parts.iter_mut().enumerate() {
                 *slot = cache.get_partial(&FleetKey::partial(*qfp, ri, n, &versions[ri]));
@@ -1057,47 +1077,45 @@ impl Router {
         // Assemble in range order: fresh gathers are cached under the
         // versions this request *probed* (possibly already superseded —
         // the next probe invalidates them, keeping staleness inside the
-        // probe bound), cached partials are cloned in place.
+        // probe bound), cached partials are held in place.
         let mut stats = ExecStats::default();
-        let mut parts: Vec<PartialAggregate> = Vec::with_capacity(n);
+        let mut held: Vec<Arc<CachedPartial>> = Vec::with_capacity(n);
         let mut workers = 1usize;
+        let mut answered = Answered::Routed;
         for ri in 0..n {
-            if let Some((g, replica)) = fresh[ri].take() {
-                workers = workers.max(g.stats.workers);
+            let part = if let Some((g, replica)) = fresh[ri].take() {
                 stats.push(OpStats {
                     label: format!(
                         "gather: shard {ri} replica {replica} @ {}",
                         map.range(ri).replica(replica).addr()
                     ),
-                    out_keys: g.partial.group_count(),
-                    out_tuples: g.partial.group_count(),
+                    out_keys: g.partial.groups.len(),
+                    out_tuples: g.partial.groups.len(),
                     index_kind: "wire".to_string(),
                     memory_bytes: 0,
                     micros: g.stats.total_micros,
                 });
+                let part = Arc::new(CachedPartial {
+                    partial: g.partial,
+                    workers: g.stats.workers,
+                });
                 if let Some((qfp, versions)) = &keys {
-                    cache.put_partial(
-                        &FleetKey::partial(*qfp, ri, n, &versions[ri]),
-                        Arc::new(CachedPartial {
-                            partial: g.partial.clone(),
-                            workers: g.stats.workers,
-                        }),
-                    );
+                    cache.put_partial(&FleetKey::partial(*qfp, ri, n, &versions[ri]), part.clone());
                 }
-                parts.push(g.partial);
+                part
             } else {
                 let hit = cached_parts[ri].take().expect("range cached or gathered");
-                workers = workers.max(hit.workers);
-                stats.push(router_cache_op(
-                    format!("router cache: partial hit (shard {ri})"),
-                    hit.partial.group_count(),
-                ));
-                parts.push(hit.partial.clone());
-            }
+                answered = Answered::PartialHit(ri);
+                stats.push(router_cache_op(answered.label(), hit.partial.groups.len()));
+                hit
+            };
+            workers = workers.max(part.workers);
+            held.push(part);
         }
 
         let merge_started = Instant::now();
-        let merged = merge_partial_aggregates(parts)
+        let parts: Vec<&PartialAggregate> = held.iter().map(|p| &p.partial).collect();
+        let merged = PartialAggregate::merge(&parts)
             .map_err(|e| RouterError::Query(e.to_string()))?
             .expect("at least one range");
         let result = merged.into_result(order_by);
@@ -1118,7 +1136,7 @@ impl Router {
             );
         }
         stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats, workers))
+        Ok((result, stats, workers, answered))
     }
 
     /// On-demand version probe: one `INFO` round-trip to range `ri`
@@ -1159,19 +1177,6 @@ impl Router {
             TraceMode::Off
         }
     }
-}
-
-/// Where a routed response came from, read back off its op list: the last
-/// router-cache op names the tier outcome; a response with none was a
-/// plain scatter/merge.
-fn router_outcome_of(stats: &ExecStats) -> &str {
-    stats
-        .ops
-        .iter()
-        .rev()
-        .find(|op| op.index_kind == "cache")
-        .map(|op| op.label.as_str())
-        .unwrap_or("routed")
 }
 
 /// An [`OpStats`] line marking a router-cache outcome on the response —

@@ -425,9 +425,9 @@ impl ServeEngine {
 
     /// The serving pipeline in partial mode (`mode=partial` — what shards
     /// run for `qppt-router`): the same pipeline as
-    /// [`run_spec`](Self::run_spec), but *finish* stops at the merged
-    /// aggregation index, serialized as a [`PartialAggregate`] for the
-    /// router to merge and decode. The plan, dimension, and selection
+    /// [`run_spec`](Self::run_spec), but *finish* stops at the finished
+    /// aggregation run, serialized as a [`PartialAggregate`] for the
+    /// router to merge and order. The plan, dimension, and selection
     /// tiers all participate exactly as in full mode — a shard-local σ
     /// family warmed by one routed query is shared with the next — only
     /// the *result* tier is skipped (it stores decoded, ordered results;
@@ -561,7 +561,7 @@ impl ServeEngine {
 
         // Exec.
         let exec_started = Instant::now();
-        let (agg, mut stats) = self
+        let (run, mut stats) = self
             .engine
             .run_prepared_agg(&prepared, priority, BatchMode)
             .map_err(ServeError::Engine)?;
@@ -570,9 +570,9 @@ impl ServeEngine {
         // Finish — the only mode-dependent step.
         let decode_started = Instant::now();
         let answer = if partial {
-            Answer::Partial(PartialAggregate::from_agg(db, &prepared.plan, &agg))
+            Answer::Partial(PartialAggregate::from_agg(db, &prepared.plan, &run))
         } else {
-            Answer::Full(qppt_core::exec::decode_result(db, &prepared.plan, &agg))
+            Answer::Full(qppt_core::exec::decode_result(db, &prepared.plan, &run))
         };
         if let Some(t) = trace {
             t.add(t.root(), "plan", plan_micros);
@@ -637,7 +637,7 @@ impl Answer {
         match self {
             Answer::Cached(e) => e.result.rows.len(),
             Answer::Full(r) => r.rows.len(),
-            Answer::Partial(p) => p.rows.len(),
+            Answer::Partial(p) => p.groups.len(),
         }
     }
 }

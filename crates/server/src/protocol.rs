@@ -120,7 +120,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use qppt_core::{ExecStats, OpStats, PartialAggregate, PartialRow, PlanOptions};
+use qppt_core::{ExecStats, GroupRun, OpStats, PartialAggregate, PlanOptions};
 use qppt_obs::{SlowEntry, SpanRec};
 use qppt_storage::{QueryResult, QuerySpec, ResultRow, Value};
 
@@ -561,22 +561,22 @@ pub fn write_partial_response(
     workers: usize,
     spans: &[SpanRec],
 ) -> io::Result<()> {
-    writeln!(w, "OK partial {}", partial.rows.len())?;
+    writeln!(w, "OK partial {}", partial.groups.len())?;
     let groups = if partial.group_cols.is_empty() {
         "-".to_string()
     } else {
         partial.group_cols.join(",")
     };
     writeln!(w, "COLS {} {}", groups, partial.agg_cols.join(","))?;
-    for row in &partial.rows {
-        write!(w, "P\t{}", row.key)?;
-        for v in &row.group_values {
+    for (key, group_values, accs) in partial.groups.iter() {
+        write!(w, "P\t{key}")?;
+        for v in group_values {
             match v {
                 Value::Int(i) => write!(w, "\ti:{i}")?,
                 Value::Str(s) => write!(w, "\ts:{s}")?,
             }
         }
-        for a in &row.accs {
+        for a in accs {
             write!(w, "\t{a}")?;
         }
         writeln!(w)?;
@@ -607,7 +607,9 @@ pub fn parse_partial_status(status: &str) -> Option<usize> {
 
 /// Reads the body of a `PARTIAL` response (everything after the status
 /// line), reconstructing the [`PartialAggregate`] exactly as the shard
-/// serialized it — `P` rows arrive, and stay, in ascending key order.
+/// serialized it — `P` rows arrive, and stay, in ascending key order, each
+/// with one group value per group column and one accumulator per aggregate
+/// of its `COLS` line.
 pub fn read_partial_body(
     r: &mut impl BufRead,
     row_count: usize,
@@ -626,7 +628,7 @@ pub fn read_partial_body(
     };
     let agg_cols: Vec<String> = aggs.split(',').map(str::to_string).collect();
 
-    let mut rows: Vec<PartialRow> = Vec::with_capacity(row_count);
+    let mut groups = GroupRun::with_capacity(agg_cols.len(), row_count);
     let mut stats = ServedStats::default();
     loop {
         let line = read_line(r)?;
@@ -656,16 +658,19 @@ pub fn read_partial_body(
                     })?);
                 }
             }
-            if rows.last().is_some_and(|prev: &PartialRow| prev.key >= key) {
+            if group_values.len() != group_cols.len() || accs.len() != agg_cols.len() {
+                return Err(ClientError::Protocol(format!(
+                    "P row does not match COLS ({} group values, {} accumulators): {line}",
+                    group_cols.len(),
+                    agg_cols.len()
+                )));
+            }
+            if groups.keys().last().is_some_and(|&prev| prev >= key) {
                 return Err(ClientError::Protocol(format!(
                     "P rows out of ascending key order at key {key}"
                 )));
             }
-            rows.push(PartialRow {
-                key,
-                group_values,
-                accs,
-            });
+            groups.push(key, group_values, &accs);
         } else if let Some(meta) = line.strip_prefix("# ") {
             if let Some(op) = meta.strip_prefix("op ") {
                 stats.op_lines.push(op.to_string());
@@ -691,17 +696,17 @@ pub fn read_partial_body(
             )));
         }
     }
-    if rows.len() != row_count {
+    if groups.len() != row_count {
         return Err(ClientError::Protocol(format!(
             "group count mismatch: status said {row_count}, body had {}",
-            rows.len()
+            groups.len()
         )));
     }
     Ok((
         PartialAggregate {
             group_cols,
             agg_cols,
-            rows,
+            groups,
         },
         stats,
     ))
@@ -1074,24 +1079,28 @@ mod tests {
         qppt_obs::validate_span_tree(&served.spans).expect("served spans form a valid tree");
     }
 
+    /// A partial aggregate over `group_cols` and one `revenue` aggregate.
+    fn partial_of(group_cols: &[&str], groups: &[(u64, Vec<Value>, i64)]) -> PartialAggregate {
+        let mut run = GroupRun::with_capacity(1, groups.len());
+        for (key, values, acc) in groups {
+            run.push(*key, values.clone(), &[*acc]);
+        }
+        PartialAggregate {
+            group_cols: group_cols.iter().map(|c| c.to_string()).collect(),
+            agg_cols: vec!["revenue".into()],
+            groups: run,
+        }
+    }
+
     #[test]
     fn partial_response_roundtrip() {
-        let partial = PartialAggregate {
-            group_cols: vec!["d_year".into(), "p_brand1".into()],
-            agg_cols: vec!["revenue".into()],
-            rows: vec![
-                PartialRow {
-                    key: 3,
-                    group_values: vec![Value::Int(1997), Value::str("MFGR#12 X")],
-                    accs: vec![1234567],
-                },
-                PartialRow {
-                    key: 77,
-                    group_values: vec![Value::Int(1998), Value::str("MFGR#45")],
-                    accs: vec![-42],
-                },
+        let partial = partial_of(
+            &["d_year", "p_brand1"],
+            &[
+                (3, vec![Value::Int(1997), Value::str("MFGR#12 X")], 1234567),
+                (77, vec![Value::Int(1998), Value::str("MFGR#45")], -42),
             ],
-        };
+        );
         let stats = ExecStats {
             ops: Vec::new(),
             total_micros: 321,
@@ -1112,21 +1121,41 @@ mod tests {
         );
 
         // Scalar partial: no group columns, key 0.
-        let scalar = PartialAggregate {
-            group_cols: Vec::new(),
-            agg_cols: vec!["revenue".into()],
-            rows: vec![PartialRow {
-                key: 0,
-                group_values: Vec::new(),
-                accs: vec![99],
-            }],
-        };
+        let scalar = partial_of(&[], &[(0, Vec::new(), 99)]);
         let mut buf = Vec::new();
         write_partial_response(&mut buf, &scalar, &ExecStats::default(), 1, &[]).unwrap();
         let mut r = BufReader::new(&buf[..]);
         let n = parse_partial_status(&read_status(&mut r).unwrap()).unwrap();
         let (parsed, _) = read_partial_body(&mut r, n).unwrap();
         assert_eq!(parsed, scalar);
+    }
+
+    /// A `P` row must carry one group value per group column and one
+    /// accumulator per aggregate of its `COLS` line: a short or long row is
+    /// a protocol error (the router fails the replica over), never a row
+    /// served with a column missing.
+    #[test]
+    fn partial_rows_must_match_their_cols_line() {
+        for row in [
+            "P\t5\t10",              // no group value
+            "P\t5\ti:1997\ti:3\t10", // one group value too many
+            "P\t5\ti:1997",          // no accumulator
+            "P\t5\ti:1997\t10\t20",  // one accumulator too many
+        ] {
+            let body = format!("COLS d_year revenue\n{row}\nEND\n");
+            match read_partial_body(&mut BufReader::new(body.as_bytes()), 1) {
+                Err(ClientError::Protocol(msg)) => {
+                    assert!(msg.contains("does not match COLS"), "{row}: {msg}")
+                }
+                other => panic!("{row} must be a protocol error, got {other:?}"),
+            }
+        }
+        let body = "COLS d_year revenue\nP\t5\ti:1997\t10\nEND\n";
+        let (parsed, _) = read_partial_body(&mut BufReader::new(body.as_bytes()), 1).unwrap();
+        assert_eq!(
+            parsed,
+            partial_of(&["d_year"], &[(5, vec![Value::Int(1997)], 10)])
+        );
     }
 
     #[test]
