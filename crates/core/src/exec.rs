@@ -28,39 +28,54 @@
 //!
 //! A composed join stage streams the candidates of its main join — the
 //! cross product of a key's fact tuples and dimension tuples — into the
-//! flat **join buffer** and, every `join_buffer` rows, flushes it through
-//! the stage's *assisting* dimensions into its sink (§2.3, §4.2). The
-//! flush is a selection-vector pipeline with one body for every plan: a
-//! vector of surviving row ordinals starts as the whole block; each
-//! assisting dimension, in plan order, is probed only by the survivors of
-//! the previous one, writes its carried values into their buffer rows in
-//! place and compacts the vector; the sink then walks what is left, in
-//! buffer order — inserting into the next stage's input index, or
-//! upserting run-length into the aggregating index, one descent per run of
-//! equal group keys. Per fact tuple the work is one probe of the first
-//! assist plus one of each later assist *the tuple reaches*, not one per
-//! assist. The buffer, the vector and every other scratch of the flush
-//! live in the [`Pipeline`] and are reused across flushes, stages and
-//! morsels.
+//! **join buffer** and, every `join_buffer` candidates, flushes it through
+//! the stage's *assisting* dimensions into its sink (§2.3, §4.2).
+//!
+//! A buffered candidate is a reference, not a copy: the id of its source
+//! row in the stage's input payload — the fact base index's for stage 1,
+//! the input intermediate's for a later stage — plus a work row holding
+//! only what no source row holds: the stage key in its slot and the main
+//! dimension's carried values. The first assist rejects most candidates
+//! (Q4.1's supplier σ keeps 1 in 5), so copying each whole would be
+//! wasted on them.
+//!
+//! The flush is a selection-vector pipeline with one body for every plan
+//! and every stage input: a vector of surviving row ordinals starts as the
+//! whole block; each assisting dimension, in plan order, is probed only by
+//! the survivors of the previous one — reading its probe column from the
+//! source row — writes its carried values into their work rows in place
+//! and compacts the vector. Only the survivors then get their input fields
+//! copied from their source rows, and the sink walks them in buffer order
+//! — inserting into the next stage's input index, or upserting run-length
+//! into the aggregating index, one descent per run of equal group keys.
+//! Per fact tuple the work is one probe of the first assist plus one of
+//! each later assist *the tuple reaches*, not one per assist. The buffer,
+//! the vector and every other scratch of the flush live in the
+//! [`Pipeline`] and are reused across flushes, stages and morsels.
 //!
 //! # One scan loop
 //!
 //! The loops that feed the join buffer — the fact selection, the
-//! synchronous base-index scan and the select-probe of stage 1, the
-//! synchronous scan of a later stage — each have one body that takes one
-//! tuple at a time. The batching of §2.3 is the join buffer itself and the
+//! synchronous scan of stage 1's fact base index or of a later stage's
+//! intermediate, and the select-probe of stage 1 — each have one body that
+//! takes one tuple at a time. It checks visibility and each residual
+//! straight off the payload row, through the stage's field map, and
+//! buffers the row's id; the fact selection inserts only the rows that
+//! pass. The batching of §2.3 is the join buffer itself and the
 //! select-probe's batched lookups into the fact index.
 //!
 //! # Reading payload rows
 //!
-//! Those loops read the payload rows their index hands out ids for. Each
-//! matches the payload's lane width once ([`Lanes`]) and runs a body
-//! instantiated for it, so no field read branches on the width. They walk
-//! a key's ids segment by segment through [`Rows::for_each_row_of`], which
-//! prefetches the row a few ids ahead (§2.3's software prefetching, applied
-//! to payload rows): a base index's rows appended after its build, like an
-//! intermediate's rows, are not in key order, and each would otherwise be
-//! a cache miss.
+//! Those loops read the payload rows their index hands out ids for. A
+//! stage matches its input's lane width once ([`Lanes`]), and its scan and
+//! every flush run a body instantiated for it, so no field read branches
+//! on the width. The scans walk a key's ids segment by segment through
+//! [`Rows::for_each_row_of`], which prefetches the row a few ids ahead
+//! (§2.3's software prefetching, applied to payload rows): a base index's
+//! rows appended after its build, like an intermediate's rows, are not in
+//! key order, and each would otherwise be a cache miss. The flush reads
+//! the same rows again by id, at most `join_buffer` candidates later, while
+//! they are still in cache.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,7 +160,7 @@ pub fn materialize_dim(
     let index = TreeIndex::for_domain(dim.join_key_max, plan.opts.prefer_kiss);
     let mut out = InterTable::new(&dim.join_col_name, layout, index);
     scan_dim_selection(db, snap, &plan.opts, dim, |key, carried| {
-        out.insert(key, carried);
+        out.insert(key, carried.iter().copied());
     })?;
     let stats = OpStats {
         label: format!("σ({}) → idx on {}", dim.table, dim.join_col_name),
@@ -244,22 +259,23 @@ pub fn materialize_fused_selection(
     };
     let dim = &plan.dims[main];
     let stride = dim.carried_names.len();
-    let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
+    let (mut scanned_keys, mut scanned_carried) = (Vec::new(), Vec::new());
     scan_dim_selection(db, snap, &plan.opts, dim, |key, c| {
-        entries.push((key, c.to_vec()));
+        scanned_keys.push(key);
+        scanned_carried.extend_from_slice(c);
     })?;
-    // Stable sort: duplicate join keys keep their scan order, so a
-    // single-morsel run probes in the same relative order as sequential.
-    entries.sort_by_key(|(key, _)| *key);
-    let mut keys = Vec::with_capacity(entries.len());
-    let mut carried = Vec::with_capacity(entries.len() * stride);
-    for (key, c) in entries {
-        keys.push(key);
-        carried.extend_from_slice(&c);
-    }
+    // Stable sort of a permutation: duplicate join keys keep their scan
+    // order, so a single-morsel run probes in the same relative order as
+    // sequential.
+    let mut order: Vec<usize> = (0..scanned_keys.len()).collect();
+    order.sort_by_key(|&i| scanned_keys[i]);
     Ok(Some(FusedSelection {
-        keys,
-        carried,
+        keys: order.iter().map(|&i| scanned_keys[i]).collect(),
+        carried: order
+            .iter()
+            .flat_map(|&i| &scanned_carried[i * stride..(i + 1) * stride])
+            .copied()
+            .collect(),
         stride,
     }))
 }
@@ -280,9 +296,11 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// stage, aggregating into the caller's [`AggTable`].
 ///
 /// [`new`](Self::new) resolves everything that does not depend on the
-/// morsel — the stage-1 fact index and its field map, every dimension's
-/// runtime access and fill positions, the operator labels — and owns the
-/// join buffer and probe scratch; [`run`](Self::run) then executes one
+/// morsel — the stage-1 fact index and its field map, each later stage's
+/// identity field map, every dimension's runtime access and fill
+/// positions, the operator labels — and owns the join buffer (row ids and
+/// partial work rows, see the module docs) and probe scratch;
+/// [`run`](Self::run) then executes one
 /// [`KeyRange`] morsel over that state. A worker builds one `Pipeline` and
 /// runs every morsel it claims through it; sequential execution is the one
 /// morsel [`KeyRange::full`].
@@ -305,10 +323,12 @@ pub struct Pipeline<'a> {
     snap: Snapshot,
     plan: &'a Plan,
     fused: Option<&'a FusedSelection>,
-    fact_mvt: &'a MvccTable,
     /// The fact base index on the stage-1 join column.
     fact_base: &'a BaseIndex,
+    /// How each stage-1 input field is read from a fact payload row.
     fact_field_map: Vec<FieldSrc>,
+    /// The fact table, when `snap` hides some of its versions.
+    fact_vis: Option<&'a MvccTable>,
     /// Key domain of the fact-selection index (stage-1 join column).
     fact_key_max: u64,
     /// One entry per `plan.stages`.
@@ -327,6 +347,9 @@ struct StageCtx<'a> {
     /// The main dimension's index (`SyncScan` stages; a `SelectProbe`
     /// stage streams its dimension instead).
     main_access: Option<DimAccess<'a>>,
+    /// The field map of an intermediate input: its payload rows are the
+    /// stage's input layout.
+    identity: Vec<FieldSrc>,
     /// Key domain of an `Inter` output (the next join's fact column).
     out_key_max: u64,
 }
@@ -442,6 +465,9 @@ impl<'a> Pipeline<'a> {
                 assists,
                 main_fill_pos: fill_pos(main),
                 main_access,
+                identity: (0..stage.input_layout.width())
+                    .map(FieldSrc::Payload)
+                    .collect(),
                 out_key_max,
             });
         }
@@ -450,9 +476,9 @@ impl<'a> Pipeline<'a> {
             snap,
             plan,
             fused,
-            fact_mvt,
             fact_base,
             fact_field_map,
+            fact_vis: (!fact_mvt.fully_visible(snap)).then_some(fact_mvt),
             fact_key_max: fact_col_max(fact_mvt, fact_key)?,
             stages,
             scratch: JoinScratch::default(),
@@ -481,7 +507,6 @@ impl<'a> Pipeline<'a> {
         }
 
         // Join stages.
-        let fact = FactSide::new(fact_base, self.fact_mvt, &self.fact_field_map, snap);
         for (si, (stage, ctx)) in plan.stages.iter().zip(&self.stages).enumerate() {
             let t0 = Instant::now();
             let sink = match &stage.output {
@@ -493,42 +518,44 @@ impl<'a> Pipeline<'a> {
                 )),
             };
             let input = stream.take();
-            let mut run = StageRun {
-                plan,
-                stage,
-                ctx,
-                snap,
-                sink,
-                s: &mut self.scratch,
-                width: stage.work_layout.width(),
-                cap: plan.opts.join_buffer,
+            debug_assert!(
+                input.is_some() || si == 0,
+                "only stage 1 reads the fact base index"
+            );
+            debug_assert!(
+                matches!(stage.main, MainInput::SyncScan { .. }) || input.is_none(),
+                "a select-probe probes the fact base index"
+            );
+            // Stage 1 scans the fact base index inside the morsel; a later
+            // stage, or stage 1 after a fact selection, the intermediate
+            // the previous operator built for this morsel, whole.
+            let (index, payload, fields, vis, scan) = match &input {
+                None => (
+                    &fact_base.data.index,
+                    &fact_base.data.payload,
+                    &self.fact_field_map[..],
+                    self.fact_vis,
+                    range,
+                ),
+                Some(it) => (
+                    &it.data.index,
+                    &it.data.payload,
+                    &ctx.identity[..],
+                    None,
+                    KeyRange::full(),
+                ),
             };
-            match stage.main {
-                MainInput::SyncScan { .. } => {
-                    let dim_acc = ctx.main_access.as_ref().expect("sync scans have an index");
-                    match &input {
-                        None => {
-                            debug_assert_eq!(si, 0, "only stage 1 reads the fact base index");
-                            with_lanes!(fact_base.data.payload, rows => {
-                                run.sync_scan_base(&fact, rows, dim_acc, range)
-                            });
-                        }
-                        Some(it) => with_lanes!(it.data.payload, rows => {
-                            run.sync_scan_inter(it, rows, dim_acc)
-                        }),
-                    }
-                }
-                MainInput::SelectProbe { main } => {
-                    debug_assert!(si == 0 && input.is_none());
-                    let dim = &plan.dims[main];
-                    with_lanes!(fact_base.data.payload, rows => {
-                        run.select_probe(self.db, &fact, rows, dim, range, self.fused)
-                    })?;
-                }
-            }
-            run.flush();
+            let width = stage.work_layout.width();
+            let key_slot = fields.iter().position(|f| matches!(f, FieldSrc::Key));
+            let (db, fused, s) = (self.db, self.fused, &mut self.scratch);
+            let sink = with_lanes!(payload, rows => {
+                let input = StageInput { index, rows, fields, vis };
+                let cap = plan.opts.join_buffer;
+                let run = StageRun { plan, stage, ctx, snap, input, key_slot, sink, s, width, cap };
+                run.run(db, scan, fused)
+            })?;
             let op = &mut self.ops[stage_ops + si];
-            match run.sink {
+            match sink {
                 // Sizes are written once per query: `record_join_group`.
                 StageSink::Agg(agg) => {
                     op.micros += t0.elapsed().as_micros();
@@ -547,16 +574,12 @@ impl<'a> Pipeline<'a> {
 
     /// Materializes the fact selection of the non-fused plan over one
     /// morsel: the fact rows of `range` that pass `fs`, indexed on the
-    /// stage-1 join column.
+    /// stage-1 join column. Only the rows that pass are copied.
     fn select_fact(&self, fs: &FactSelect, range: KeyRange) -> InterTable {
-        let fact = FactSide::new(
-            self.fact_base,
-            self.fact_mvt,
-            &self.fact_field_map,
-            self.snap,
-        );
-        with_lanes!(self.fact_base.data.payload, rows => {
-            self.select_fact_in(&fact, rows, fs, range)
+        let base = self.fact_base;
+        let (index, fields, vis) = (&base.data.index, &self.fact_field_map[..], self.fact_vis);
+        with_lanes!(base.data.payload, rows => {
+            self.select_fact_in(StageInput { index, rows, fields, vis }, fs, range)
         })
     }
 
@@ -564,22 +587,18 @@ impl<'a> Pipeline<'a> {
     /// width.
     fn select_fact_in<L: Lane>(
         &self,
-        fact: &FactSide<'_>,
-        rows: Rows<'_, L>,
+        fact: StageInput<'_, L>,
         fs: &FactSelect,
         range: KeyRange,
     ) -> InterTable {
         let (plan, snap) = (self.plan, self.snap);
         let index = TreeIndex::for_domain(self.fact_key_max, plan.opts.prefer_kiss);
         let mut out = InterTable::new(&plan.dims[0].fact_col_name, plan.fact_layout.clone(), index);
-        let mut row = vec![0u64; plan.fact_layout.width()];
         fact.index
             .for_each_key_range(range.lo, range.hi, |key, pids| {
-                rows.for_each_row_of(pids, |payload| {
-                    if fact.fill(key, payload, snap, &mut row)
-                        && fs.preds.iter().all(|p| p.matches(|c| row[c]))
-                    {
-                        out.insert(key, &row);
+                fact.rows.for_each_row_of(pids, |_, row| {
+                    if fact.passes(key, row, &fs.preds, snap) {
+                        out.insert(key, fact.fields.iter().map(|f| f.read(key, row)));
                     }
                 });
             });
@@ -710,13 +729,27 @@ fn payload_pos(pos: Option<usize>, table: &str, key: &str, col: &str) -> Result<
     })
 }
 
-/// How each layout column of a base-index stream is obtained.
+/// How a stage's input field is read from the source row under a key: a
+/// field map is one per input-layout column. Stage 1's over the fact base
+/// index reads its join column from the key; every other field, and every
+/// field of an intermediate (whose map is the identity), from the payload.
 #[derive(Debug, Clone, Copy)]
 enum FieldSrc {
     /// The index key itself.
     Key,
-    /// Base-index payload position (0 = rid).
+    /// Payload position (0 = rid in a base index).
     Payload(usize),
+}
+
+impl FieldSrc {
+    /// The field of the source `row` filed under `key`.
+    #[inline]
+    fn read<L: Lane>(self, key: u64, row: &[L]) -> u64 {
+        match self {
+            FieldSrc::Key => key,
+            FieldSrc::Payload(p) => row[p].into(),
+        }
+    }
 }
 
 fn base_field_map(
@@ -740,47 +773,34 @@ fn base_field_map(
         .collect()
 }
 
-/// The stage-1 fact base index, as its readers need it: the index, the
-/// table behind it for visibility, and the field map from its payload rows
-/// to the stage's input layout.
-struct FactSide<'a> {
-    index: &'a TreeIndex,
-    mvt: &'a MvccTable,
-    /// `false` when the snapshot sees every version (no checks needed).
-    check_vis: bool,
-    field_map: &'a [FieldSrc],
+/// A stage's input as its readers see it, at one lane width: the index the
+/// main join scans or probes, its payload rows, the field map from a
+/// payload row to the stage's input layout and — for the fact base index,
+/// when the snapshot hides some versions — the table whose versions the
+/// rows' rids name. Stage 1 reads the fact base index; a later stage, and
+/// stage 1 after a fact selection, an intermediate.
+#[derive(Clone, Copy)]
+struct StageInput<'i, L> {
+    index: &'i TreeIndex,
+    rows: Rows<'i, L>,
+    fields: &'i [FieldSrc],
+    vis: Option<&'i MvccTable>,
 }
 
-impl<'a> FactSide<'a> {
-    fn new(
-        bi: &'a BaseIndex,
-        mvt: &'a MvccTable,
-        field_map: &'a [FieldSrc],
-        snap: Snapshot,
-    ) -> Self {
-        Self {
-            index: &bi.data.index,
-            mvt,
-            check_vis: !mvt.fully_visible(snap),
-            field_map,
-        }
-    }
-
-    /// Fills `out` (the input layout) from the payload row of a fact tuple
-    /// under `key`; `false`, leaving `out` as it was, when the tuple is
-    /// invisible at `snap`.
+impl<L: Lane> StageInput<'_, L> {
+    /// `true` if the source `row` under `key` is visible at `snap` and
+    /// passes every predicate of `preds` (over input-layout positions),
+    /// each read straight off the row.
     #[inline]
-    fn fill<L: Lane>(&self, key: u64, payload: &[L], snap: Snapshot, out: &mut [u64]) -> bool {
-        if self.check_vis && !self.mvt.visible(payload_rid(payload), snap) {
-            return false;
+    fn passes(&self, key: u64, row: &[L], preds: &[CompiledPred], snap: Snapshot) -> bool {
+        if let Some(mvt) = self.vis {
+            if !mvt.visible(payload_rid(row), snap) {
+                return false;
+            }
         }
-        for (o, src) in out.iter_mut().zip(self.field_map) {
-            *o = match src {
-                FieldSrc::Key => key,
-                FieldSrc::Payload(p) => payload[*p].into(),
-            };
-        }
-        true
+        preds
+            .iter()
+            .all(|p| p.matches(|c| self.fields[c].read(key, row)))
     }
 }
 
@@ -813,12 +833,13 @@ impl<'a> DimAccess<'a> {
         }
     }
 
-    /// Appends the carried values of `payload_id` to `out`; returns `false`
-    /// (appending nothing) if the version is invisible at `snap`. The
+    /// Hands the carried values of `payload_id` to `put` as `(k, value)`,
+    /// `k` counting the dimension's carried columns; returns `false`
+    /// (handing out nothing) if the version is invisible at `snap`. The
     /// dimension side stays cache-resident, so its rows are read one at a
     /// time, with one lane-width match per row.
     #[inline]
-    fn fetch(&self, payload_id: u32, snap: Snapshot, out: &mut Vec<u64>) -> bool {
+    fn fetch(&self, payload_id: u32, snap: Snapshot, mut put: impl FnMut(usize, u64)) -> bool {
         match self {
             DimAccess::Base {
                 bi,
@@ -831,15 +852,31 @@ impl<'a> DimAccess<'a> {
                     return false;
                 }
                 match row {
-                    Row::U32(r) => out.extend(carried_pos.iter().map(|&p| u64::from(r[p]))),
-                    Row::U64(r) => out.extend(carried_pos.iter().map(|&p| r[p])),
+                    Row::U32(r) => {
+                        for (k, &p) in carried_pos.iter().enumerate() {
+                            put(k, r[p].into());
+                        }
+                    }
+                    Row::U64(r) => {
+                        for (k, &p) in carried_pos.iter().enumerate() {
+                            put(k, r[p]);
+                        }
+                    }
                 }
                 true
             }
             DimAccess::Inter { it } => {
                 match it.data.payload.row(payload_id) {
-                    Row::U32(r) => out.extend(r.iter().map(|&v| u64::from(v))),
-                    Row::U64(r) => out.extend_from_slice(r),
+                    Row::U32(r) => {
+                        for (k, &v) in r.iter().enumerate() {
+                            put(k, v.into());
+                        }
+                    }
+                    Row::U64(r) => {
+                        for (k, &v) in r.iter().enumerate() {
+                            put(k, v);
+                        }
+                    }
                 }
                 true
             }
@@ -891,7 +928,7 @@ fn fetch_all(
     out.clear();
     let mut count = 0;
     for &did in dids {
-        if dim_acc.fetch(did, snap, out) {
+        if dim_acc.fetch(did, snap, |_, v| out.push(v)) {
             count += 1;
         }
     }
@@ -918,52 +955,89 @@ enum StageSink<'g> {
 /// vector is sized by the rows actually buffered, never by an option.
 #[derive(Default)]
 struct JoinScratch {
-    /// Flat join buffer: `rows` work rows of `width` fields each.
+    /// The join buffer's candidates: their source-row ids in the stage's
+    /// input payload, in scan order.
+    ids: Vec<u32>,
+    /// One work row of `width` fields per candidate, parallel to `ids`
+    /// and reused across flushes, so a field is only what was last written
+    /// to it. The scan writes the stage key into its slot and the main
+    /// dimension's carried values; the flush writes each assist's carried
+    /// values and, for the survivors only, the input fields.
     buffer: Vec<u64>,
-    rows: usize,
     /// The flush's selection vector: ordinals of the buffer rows every
     /// assisting dimension probed so far has kept, ascending.
     alive: Vec<u32>,
-    /// Carried values of the dimension tuple just fetched.
-    carried: Vec<u64>,
-    out_row: Vec<u64>,
     deltas: Vec<i64>,
     /// Scratch of the batched fact-index probes of a select-probe stage.
     probe: ProbeScratch,
     /// Assisting-index probes issued (one per surviving row per assist).
     #[cfg(test)]
     probes: usize,
+    /// Buffered rows whose input fields were copied (the survivors).
+    #[cfg(test)]
+    materialized: usize,
 }
 
-struct StageRun<'r, 'a, 'g> {
+/// One join stage over one morsel, at its input's lane width `L`.
+struct StageRun<'r, 'a, 'g, L> {
     plan: &'r Plan,
     stage: &'r JoinStage,
     ctx: &'r StageCtx<'a>,
     snap: Snapshot,
+    input: StageInput<'r, L>,
+    /// The input-layout slot read from the index key (stage 1 over the
+    /// fact base index), if any: the scan writes the key there.
+    key_slot: Option<usize>,
     sink: StageSink<'g>,
     s: &'r mut JoinScratch,
     width: usize,
     cap: usize,
 }
 
-impl StageRun<'_, '_, '_> {
-    /// Builds candidates for one fact input row × the main dim's tuples
-    /// (cross product, §4.2), appending directly into the flat join buffer.
-    /// `carried` holds `count` tuples of `stride` carried values each.
+impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
+    /// Runs the stage's main join into the join buffer, flushes what is
+    /// left, and hands the sink back. A synchronous scan is restricted to
+    /// `range`; a select-probe streams `fused` if there is one.
+    fn run(
+        mut self,
+        db: &Database,
+        range: KeyRange,
+        fused: Option<&FusedSelection>,
+    ) -> Result<StageSink<'g>, QpptError> {
+        let (plan, ctx) = (self.plan, self.ctx);
+        match self.stage.main {
+            MainInput::SyncScan { .. } => {
+                let dim_acc = ctx.main_access.as_ref().expect("sync scans have an index");
+                self.sync_scan(dim_acc, range);
+            }
+            MainInput::SelectProbe { main } => {
+                self.select_probe(db, &plan.dims[main], range, fused)?;
+            }
+        }
+        self.flush();
+        Ok(self.sink)
+    }
+
+    /// Buffers the candidate of source row `id` under `key` joined with
+    /// one main-dimension tuple, whose carried values are `carried` (§4.2):
+    /// the row id, the key in its slot, the carried values in theirs.
     #[inline]
-    fn emit_cross<L: Lane>(&mut self, input: &[L], carried: &[u64], stride: usize, count: usize) {
-        for t in 0..count {
-            let buffer = &mut self.s.buffer;
-            let base = buffer.len();
-            buffer.extend(input.iter().map(|&v| v.into()));
-            buffer.resize(base + self.width, 0);
-            for (k, &pos) in self.ctx.main_fill_pos.iter().enumerate() {
-                buffer[base + pos] = carried[t * stride + k];
-            }
-            self.s.rows += 1;
-            if self.s.rows >= self.cap {
-                self.flush();
-            }
+    fn emit(&mut self, id: u32, key: u64, carried: &[u64]) {
+        let s = &mut *self.s;
+        let end = (s.ids.len() + 1) * self.width;
+        if s.buffer.len() < end {
+            s.buffer.resize(end, 0);
+        }
+        let row = &mut s.buffer[end - self.width..end];
+        if let Some(slot) = self.key_slot {
+            row[slot] = key;
+        }
+        for (&pos, &v) in self.ctx.main_fill_pos.iter().zip(carried) {
+            row[pos] = v;
+        }
+        s.ids.push(id);
+        if s.ids.len() >= self.cap {
+            self.flush();
         }
     }
 
@@ -971,14 +1045,17 @@ impl StageRun<'_, '_, '_> {
     /// sink — a selection-vector pipeline (§2.3, §4.2).
     ///
     /// `alive` starts as every buffered row. Each assisting dimension, in
-    /// plan order, is probed **only by the rows the previous one kept**: a
-    /// survivor whose key has a visible tuple gets that tuple's carried
-    /// values written into its buffer row and stays; the rest drop out, so
-    /// a selective dimension spares every later one its probes, and a
-    /// block nothing survives touches no further index. Join keys are
-    /// unique per visible snapshot, so the first visible version of a key
-    /// is the tuple. Compaction keeps `alive` ascending: the sink sees the
-    /// survivors in buffer (= scan) order.
+    /// plan order, is probed **only by the rows the previous one kept**,
+    /// with the probe column read from the row's source row (or, for the
+    /// stage key, from its slot): a survivor whose key has a visible tuple
+    /// gets that tuple's carried values written into its work row and
+    /// stays; the rest drop out, so a selective dimension spares every
+    /// later one its probes, and a block nothing survives touches no
+    /// further index. Join keys are unique per visible snapshot, so the
+    /// first visible version of a key is the tuple. Compaction keeps
+    /// `alive` ascending: the sink sees the survivors in buffer (= scan)
+    /// order. Only then are the survivors' input fields copied from their
+    /// source rows, so a rejected candidate is never copied at all.
     ///
     /// The probe is the scalar [`TreeIndex::get_each`]: the dimension side
     /// of a star join — a σ table or a dimension's base index — stays
@@ -992,13 +1069,13 @@ impl StageRun<'_, '_, '_> {
     /// and descend the aggregation index once. Sums are commutative, so
     /// the aggregate is byte-identical to merging row by row.
     fn flush(&mut self) {
-        let n = self.s.rows;
+        let n = self.s.ids.len();
         if n == 0 {
             return;
         }
-        let (width, snap) = (self.width, self.snap);
+        let (width, snap, input) = (self.width, self.snap, self.input);
         let s = &mut *self.s;
-        debug_assert_eq!(s.buffer.len(), n * width);
+        debug_assert!(s.buffer.len() >= n * width);
         s.alive.clear();
         s.alive.extend(0..n as u32);
         for assist in &self.ctx.assists {
@@ -1007,22 +1084,25 @@ impl StageRun<'_, '_, '_> {
                 s.probes += s.alive.len();
             }
             let index = assist.access.index();
+            let probe = input.fields[assist.probe_pos];
             let mut kept = 0;
             for i in 0..s.alive.len() {
-                let r = s.alive[i];
-                let base = r as usize * width;
+                let r = s.alive[i] as usize;
+                let row = &mut s.buffer[r * width..(r + 1) * width];
+                let key = match probe {
+                    FieldSrc::Key => row[assist.probe_pos],
+                    FieldSrc::Payload(p) => input.rows.row(s.ids[r])[p].into(),
+                };
                 let mut hit = false;
-                index.get_each(s.buffer[base + assist.probe_pos], |pid| {
+                index.get_each(key, |pid| {
                     if !hit {
-                        s.carried.clear();
-                        hit = assist.access.fetch(pid, snap, &mut s.carried);
+                        hit = assist
+                            .access
+                            .fetch(pid, snap, |k, v| row[assist.fill_pos[k]] = v);
                     }
                 });
                 if hit {
-                    for (&pos, &v) in assist.fill_pos.iter().zip(&s.carried) {
-                        s.buffer[base + pos] = v;
-                    }
-                    s.alive[kept] = r;
+                    s.alive[kept] = r as u32;
                     kept += 1;
                 }
             }
@@ -1030,17 +1110,32 @@ impl StageRun<'_, '_, '_> {
         }
         debug_assert!(s.alive.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(s.alive.last().is_none_or(|&r| (r as usize) < n));
+        // Late materialization: only the survivors' input fields are
+        // copied; the key slot already holds the key.
+        for &r in &s.alive {
+            let r = r as usize;
+            let src = input.rows.row(s.ids[r]);
+            let row = &mut s.buffer[r * width..(r + 1) * width];
+            for (o, field) in row.iter_mut().zip(input.fields) {
+                if let FieldSrc::Payload(p) = *field {
+                    *o = src[p].into();
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            s.materialized += s.alive.len();
+        }
         let rows = s
             .alive
             .iter()
             .map(|&r| &s.buffer[r as usize * width..][..width]);
         match &mut self.sink {
             StageSink::Inter(out) => {
+                let stage = self.stage;
                 for row in rows {
-                    s.out_row.clear();
-                    s.out_row
-                        .extend(self.stage.output_projection.iter().map(|&p| row[p]));
-                    out.insert(row[self.stage.output_key_pos], &s.out_row);
+                    let fields = stage.output_projection.iter().map(|&p| row[p]);
+                    out.insert(row[stage.output_key_pos], fields);
                 }
             }
             StageSink::Agg(agg) => {
@@ -1065,63 +1160,31 @@ impl StageRun<'_, '_, '_> {
                 }
             }
         }
-        s.buffer.clear();
-        s.rows = 0;
+        s.ids.clear();
     }
 
-    /// Stage-1 synchronous scan: fact base index × main dim index (§4.2),
-    /// restricted to one [`KeyRange`] morsel, over the fact rows at one
-    /// lane width.
-    fn sync_scan_base<L: Lane>(
-        &mut self,
-        fact: &FactSide<'_>,
-        rows: Rows<'_, L>,
-        dim_acc: &DimAccess<'_>,
-        range: KeyRange,
-    ) {
-        let input_width = self.stage.input_layout.width();
+    /// Synchronous scan (§4.2): the stage's input index × the main
+    /// dimension's index, restricted to one [`KeyRange`] — the morsel for
+    /// stage 1 over the fact base index, the whole domain for an
+    /// intermediate.
+    fn sync_scan(&mut self, dim_acc: &DimAccess<'_>, range: KeyRange) {
+        let (input, snap, stage) = (self.input, self.snap, self.stage);
         let stride = self.ctx.main_fill_pos.len();
-        let snap = self.snap;
         let mut dim_buf: Vec<u64> = Vec::new();
-        let mut input_row: Vec<u64> = vec![0; input_width];
         let visit = |key, fids, dids| {
             let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
                 return;
             };
             // Cross product of fact tuples × dim tuples (§4.2).
-            rows.for_each_row_of(fids, |payload| {
-                if fact.fill(key, payload, snap, &mut input_row)
-                    && self
-                        .stage
-                        .residuals
-                        .iter()
-                        .all(|p| p.matches(|c| input_row[c]))
-                {
-                    self.emit_cross(&input_row, &dim_buf, stride, count);
+            input.rows.for_each_row_of(fids, |id, row| {
+                if input.passes(key, row, &stage.residuals, snap) {
+                    for t in 0..count {
+                        self.emit(id, key, &dim_buf[t * stride..(t + 1) * stride]);
+                    }
                 }
             });
         };
-        sync_scan_indexes_range(fact.index, dim_acc.index(), range.lo, range.hi, visit);
-    }
-
-    /// Stage-k synchronous scan: previous intermediate × main dim index,
-    /// over the intermediate's rows at one lane width.
-    fn sync_scan_inter<L: Lane>(
-        &mut self,
-        input: &InterTable,
-        rows: Rows<'_, L>,
-        dim_acc: &DimAccess<'_>,
-    ) {
-        let stride = self.ctx.main_fill_pos.len();
-        let snap = self.snap;
-        let mut dim_buf: Vec<u64> = Vec::new();
-        sync_scan_indexes(&input.data.index, dim_acc.index(), |_key, fids, dids| {
-            let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
-                return;
-            };
-            // Payload rows ARE the input layout for inter-table streams.
-            rows.for_each_row_of(fids, |row| self.emit_cross(row, &dim_buf, stride, count));
-        });
+        sync_scan_indexes_range(input.index, dim_acc.index(), range.lo, range.hi, visit);
     }
 
     /// Fused select-join (§4.3): stream the main dimension's selection and
@@ -1130,18 +1193,14 @@ impl StageRun<'_, '_, '_> {
     /// the [`KeyRange`] morsel probe the fact index; a
     /// pre-materialized [`FusedSelection`] replaces the per-call selection
     /// scan so morsel workers do not re-evaluate the predicates.
-    fn select_probe<L: Lane>(
+    fn select_probe(
         &mut self,
         db: &Database,
-        fact: &FactSide<'_>,
-        rows: Rows<'_, L>,
         dim: &ResolvedDim,
         range: KeyRange,
         fused: Option<&FusedSelection>,
     ) -> Result<(), QpptError> {
-        let input_width = self.stage.input_layout.width();
-        let cap = self.cap;
-        let snap = self.snap;
+        let (input, snap, stage, cap) = (self.input, self.snap, self.stage, self.cap);
         let stride = dim.carried_names.len();
 
         // The selection tuples of this morsel: a binary-searched slice of
@@ -1175,21 +1234,14 @@ impl StageRun<'_, '_, '_> {
         // The stream is drained in chunks of the join-buffer size; each
         // chunk is one batched probe into the fact index (§2.3), whose hits
         // arrive key by key, each key's rows walked with prefetching.
-        let mut input_row: Vec<u64> = vec![0u64; input_width];
         for (chunk, keys) in probe_keys.chunks(cap).enumerate() {
             let start = chunk * cap;
-            fact.index.batch_get_with(keys, &mut probe, |job, pids| {
-                let g = start + job;
+            input.index.batch_get_with(keys, &mut probe, |job, pids| {
+                let (g, key) = (start + job, keys[job]);
                 let carried = &probe_carried[g * stride..(g + 1) * stride];
-                rows.for_each_row_of(pids, |payload| {
-                    if fact.fill(keys[job], payload, snap, &mut input_row)
-                        && self
-                            .stage
-                            .residuals
-                            .iter()
-                            .all(|p| p.matches(|c| input_row[c]))
-                    {
-                        self.emit_cross(&input_row, carried, stride, 1);
+                input.rows.for_each_row_of(pids, |id, row| {
+                    if input.passes(key, row, &stage.residuals, snap) {
+                        self.emit(id, key, carried);
                     }
                 });
             });
@@ -1416,9 +1468,10 @@ mod tests {
     }
 
     /// Runs `spec` through one [`Pipeline`] with a 4-row join buffer (three
-    /// flushes for the ten fact rows); returns `(xa, sum)` per group and
-    /// the number of assisting-index probes issued.
-    fn run(spec: &QuerySpec) -> (Vec<(u64, i64)>, usize) {
+    /// flushes for the ten fact rows); returns `(xa, sum)` per group, the
+    /// number of assisting-index probes issued and the number of buffered
+    /// rows whose input fields were copied.
+    fn run(spec: &QuerySpec) -> (Vec<(u64, i64)>, usize, usize) {
         let opts = PlanOptions::default().with_join_buffer(4);
         let mut db = db();
         prepare_indexes(&mut db, spec, &opts).unwrap();
@@ -1435,24 +1488,86 @@ mod tests {
             .iter()
             .map(|(key, (), accs)| (key, accs[0]))
             .collect();
-        (groups, pipeline.scratch.probes)
+        let s = &pipeline.scratch;
+        (groups, s.probes, s.materialized)
     }
 
     #[test]
     fn an_assist_is_probed_only_by_the_previous_assists_survivors() {
         // b keeps fb ∈ {1, 2} = rows {0, 1, 5, 6}; of those c keeps
-        // fc ≤ 6 = rows {0, 1, 5}: ten probes of b, four of c.
-        let (groups, probes) = run(&spec((1, 2), (1, 6)));
+        // fc ≤ 6 = rows {0, 1, 5}: ten probes of b, four of c, and only
+        // those three survivors are copied out of their source rows.
+        let (groups, probes, materialized) = run(&spec((1, 2), (1, 6)));
         assert_eq!(groups, vec![(1, 1 << 0), (2, (1 << 1) + (1 << 5))]);
         assert_eq!(probes, 10 + 4);
+        assert_eq!(materialized, 3);
     }
 
     #[test]
     fn a_block_nothing_survives_probes_no_further_index() {
         // b rejects every row of every flush block: c, which would keep
-        // all ten, is never probed.
-        let (groups, probes) = run(&spec((100, 200), (1, 10)));
+        // all ten, is never probed, and no row is copied.
+        let (groups, probes, materialized) = run(&spec((100, 200), (1, 10)));
         assert!(groups.is_empty());
         assert_eq!(probes, 10);
+        assert_eq!(materialized, 0);
+    }
+
+    #[test]
+    fn a_fused_selection_sorts_by_key_and_keeps_scan_order_among_duplicates() {
+        // `d(kd, xd)` repeats join keys; the σ on `xd` scans the index on
+        // `xd`, so it yields `kd` = 3, 1, 3, 2, 1 carrying xd = 10..=14.
+        let int = |names: &[&str]| {
+            let cols: Vec<(&str, ColumnType)> =
+                names.iter().map(|&n| (n, ColumnType::Int)).collect();
+            Schema::of(&cols)
+        };
+        let mut db = Database::new();
+        let mut fact = TableBuilder::new("fact", int(&["fd", "m"]));
+        fact.push_row(vec![Value::Int(1), Value::Int(1)]).unwrap();
+        db.add_table(fact.finish());
+        let mut dim = TableBuilder::new("d", int(&["kd", "xd"]));
+        for (k, x) in [(3, 10), (1, 11), (3, 12), (2, 13), (1, 14)] {
+            dim.push_row(vec![Value::Int(k), Value::Int(x)]).unwrap();
+        }
+        db.add_table(dim.finish());
+        let spec = QuerySpec {
+            id: "fused".into(),
+            fact: "fact".into(),
+            dims: vec![DimSpec {
+                table: "d".into(),
+                join_col: "kd".into(),
+                fact_col: "fd".into(),
+                predicates: vec![Predicate::between("xd", 10, 14)],
+                carried: vec!["xd".into()],
+            }],
+            fact_predicates: vec![],
+            group_by: vec![ColRef::new("d", "xd")],
+            aggregates: vec![AggExpr::sum(Expr::Col("m".into()), "s")],
+            order_by: vec![],
+        };
+        let opts = PlanOptions::default().with_select_join(true);
+        prepare_indexes(&mut db, &spec, &opts).unwrap();
+        let snap = db.snapshot();
+        let plan = build_plan(&db, &spec, &opts).unwrap();
+        let fs = materialize_fused_selection(&db, snap, &plan)
+            .unwrap()
+            .expect("stage 1 is a select-probe");
+
+        // The construction it replaces: one `(key, carried)` pair per
+        // tuple, stably sorted by key.
+        let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
+        scan_dim_selection(&db, snap, &plan.opts, &plan.dims[0], |key, c| {
+            entries.push((key, c.to_vec()));
+        })
+        .unwrap();
+        entries.sort_by_key(|(key, _)| *key);
+        let keys: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
+        let carried: Vec<u64> = entries.iter().flat_map(|(_, c)| c.clone()).collect();
+
+        assert_eq!((fs.keys.clone(), fs.carried.clone()), (keys, carried));
+        assert_eq!(fs.keys, vec![1, 1, 2, 3, 3]);
+        assert_eq!(fs.carried, vec![11, 14, 13, 10, 12]);
+        assert_eq!(fs.stride, 1);
     }
 }

@@ -42,10 +42,10 @@ impl InterTable {
         }
     }
 
-    /// Inserts one tuple.
+    /// Inserts one tuple, its fields in layout order.
     #[inline]
-    pub fn insert(&mut self, key: u64, row: &[u64]) {
-        self.data.insert_row(key, row.iter().copied());
+    pub fn insert(&mut self, key: u64, row: impl IntoIterator<Item = u64>) {
+        self.data.insert_row(key, row);
     }
 
     /// Number of stored tuples.
@@ -266,9 +266,9 @@ mod tests {
         layout.add(Src::Fact, "lo_revenue");
         layout.add(Src::Dim(0), "d_year");
         let mut t = InterTable::new("lo_orderdate", layout, TreeIndex::new_kiss());
-        t.insert(19930101, &[100, 1993]);
-        t.insert(19930101, &[200, 1993]);
-        t.insert(19940101, &[300, 1994]);
+        t.insert(19930101, [100, 1993]);
+        t.insert(19930101, [200, 1993]);
+        t.insert(19940101, [300, 1994]);
         assert_eq!(t.tuple_count(), 3);
         assert_eq!(t.key_count(), 2);
         let mut rows = Vec::new();

@@ -17,6 +17,10 @@
 //! * `select_join` off: stage 1 is a synchronous scan instead of the fused
 //!   select-probe — over the fact base index or, when the spec has a fact
 //!   predicate, over the materialized fact selection;
+//! * a fact predicate on a dimension's FK column ([`fk_range`]): in the
+//!   orders where that dimension is stage 1's main one, the predicate —
+//!   evaluated in the scan, or by the fact selection — reads the key of
+//!   the fact base index, which no payload row holds;
 //! * "first *visible* version wins": the database carries a `date` key
 //!   whose first version is deleted and re-inserted, and one whose second
 //!   version is deleted, and `date` joins through its base index whenever
@@ -108,6 +112,23 @@ fn random_dim(rng: &mut Rng, table: usize) -> DimSpec {
     }
 }
 
+/// A range on the fact's foreign key `fk` that keeps part of its keys (the
+/// bounds are sized for sf 0.01). In every order where `fk`'s dimension is
+/// the main one of stage 1, the predicate reads the stage key itself, not
+/// a payload field.
+fn fk_range(rng: &mut Rng, fk: &str) -> Predicate {
+    let (lo, hi) = match fk {
+        "lo_custkey" => (1, 50 + rng.below(200) as i64),
+        "lo_suppkey" => (1 + rng.below(5) as i64, 10 + rng.below(10) as i64),
+        "lo_partkey" => (1, 300 + rng.below(1500) as i64),
+        _ => {
+            let year = 1992 + rng.below(5) as i64;
+            (year * 10_000 + 101, (year + 2) * 10_000 + 1231)
+        }
+    };
+    Predicate::between(fk, lo, hi)
+}
+
 /// A random star query over `ndims` distinct dimensions, grouped by every
 /// carried column.
 fn random_spec(rng: &mut Rng, id: usize, ndims: usize) -> QuerySpec {
@@ -131,9 +152,13 @@ fn random_spec(rng: &mut Rng, id: usize, ndims: usize) -> QuerySpec {
         let gross = Expr::Mul(col("lo_extendedprice"), col("lo_discount"));
         aggregates.push(AggExpr::sum(gross, "gross"));
     }
-    let fact_predicates = match rng.below(3) {
+    let fact_predicates = match rng.below(4) {
         0 => vec![Predicate::between("lo_discount", 1i64, 3i64)],
         1 => vec![Predicate::lt("lo_quantity", 10 + rng.below(40) as i64)],
+        2 => {
+            let fk = dims[rng.below(ndims as u64) as usize].fact_col.clone();
+            vec![fk_range(rng, &fk)]
+        }
         _ => vec![],
     };
     QuerySpec {
@@ -225,6 +250,12 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
     for (id, ndims) in [1, 2, 3, 3, 4].into_iter().enumerate() {
         shapes.push(random_spec(&mut rng, id, ndims));
     }
+    // The FK arm for sure: a random 3-way star filtered on one of its own
+    // dimensions' FK column.
+    let mut fk_residual = random_spec(&mut rng, 5, 3);
+    let fk = fk_residual.dims[rng.below(3) as usize].fact_col.clone();
+    fk_residual.fact_predicates = vec![fk_range(&mut rng, &fk)];
+    shapes.push(fk_residual);
 
     let mut ssb = SsbDb::generate(0.01, 18);
     for q in shapes.iter().flat_map(dim_orders) {
@@ -267,8 +298,8 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
             }
         }
     }
-    // 1 + 2 + 6 + 6 + 24 orders of the random shapes, 6 + 6 of the
+    // 1 + 2 + 6 + 6 + 24 + 6 orders of the random shapes, 6 + 6 of the
     // others; 4 buffer/width settings × fused/non-fused × 2 parallelisms.
-    assert_eq!(runs, (39 + 12) * 16);
+    assert_eq!(runs, (45 + 12) * 16);
     pool.shutdown();
 }

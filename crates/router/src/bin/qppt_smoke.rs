@@ -376,11 +376,13 @@ fn metrics_probe(client: &mut QpptClient, shards: Option<usize>) -> usize {
     failed
 }
 
-/// The shared probe set: four named aliases, one ad-hoc `QUERY`, one
+/// The shared probe set: five named aliases, one ad-hoc `QUERY`, one
 /// deliberately malformed `QUERY` — all checked against the sequential
 /// oracle. `q3.2` has the widest group set, with string group values that
-/// every shard reports, so routed it is the largest merge. Returns the
-/// number of failures.
+/// every shard reports, so routed it is the largest merge. `q4.2` is the
+/// one SSB query whose three assists (supplier, part, date) each carry a
+/// group column, so every assist writes into the join buffer's rows.
+/// Returns the number of failures.
 fn run_probes(
     client: &mut QpptClient,
     engine: &QpptEngine,
@@ -393,6 +395,7 @@ fn run_probes(
         ("q2.3", queries::q2_3()),
         ("q3.2", queries::q3_2()),
         ("q4.1", queries::q4_1()),
+        ("q4.2", queries::q4_2()),
     ] {
         let expected = engine.run(&spec, opts).expect("sequential oracle runs");
         let mut options = vec![("parallelism", "2")];

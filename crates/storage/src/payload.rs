@@ -18,9 +18,9 @@
 //!   tests.
 //!
 //! Rows are stored back to back, so a row is `width` lanes at
-//! `id × width`. [`Rows::for_each_row_of`] reads the rows of the ids a
-//! tree hands out for one key, hinting each row into cache a few ids
-//! before it is read.
+//! `id × width`. [`Rows::for_each_row_of`] hands out each id a tree holds
+//! for one key together with its row, hinting each row into cache a few
+//! ids before it is read.
 
 use qppt_mem::prefetch::prefetch_read;
 use qppt_mem::Values;
@@ -59,7 +59,7 @@ impl<'a, L: Lane> Rows<'a, L> {
         prefetch_read(self.data.as_ptr().wrapping_add(id as usize * self.width));
     }
 
-    /// Calls `f` with the row of every id in `ids`, in order. The ids are
+    /// Calls `f` with every id in `ids` and its row, in order. The ids are
     /// walked segment by segment, and while one row is handed out the row
     /// 8 ids further on in the same segment is prefetched.
     ///
@@ -67,8 +67,10 @@ impl<'a, L: Lane> Rows<'a, L> {
     /// memory, which the hardware prefetcher streams anyway. Rows appended
     /// after the build sit at the buffer's tail, interleaved with every
     /// other key's appends, and without the hint each one is a DRAM miss.
+    /// A reader that keeps the id to read the row again soon — a join
+    /// buffer holding row ids, not copies — finds it still in cache.
     #[inline]
-    pub fn for_each_row_of(&self, mut ids: Values<'_, u32>, mut f: impl FnMut(&'a [L])) {
+    pub fn for_each_row_of(&self, mut ids: Values<'_, u32>, mut f: impl FnMut(u32, &'a [L])) {
         while let Some(seg) = ids.next_slice() {
             for &id in seg.iter().take(PREFETCH_DISTANCE) {
                 self.prefetch(id);
@@ -77,7 +79,7 @@ impl<'a, L: Lane> Rows<'a, L> {
                 if let Some(&ahead) = seg.get(i + PREFETCH_DISTANCE) {
                     self.prefetch(ahead);
                 }
-                f(self.row(id));
+                f(id, self.row(id));
             }
         }
     }
@@ -304,11 +306,13 @@ mod tests {
             let mut got = Vec::new();
             match p.lanes() {
                 Lanes::U32(r) => {
-                    r.for_each_row_of(arena.iter(&list), |row| got.push(row[0].into()))
+                    r.for_each_row_of(arena.iter(&list), |id, row| got.push((id, row[0].into())))
                 }
-                Lanes::U64(r) => r.for_each_row_of(arena.iter(&list), |row| got.push(row[0])),
+                Lanes::U64(r) => {
+                    r.for_each_row_of(arena.iter(&list), |id, row| got.push((id, row[0])))
+                }
             }
-            let expect: Vec<u64> = (0..100u64).rev().map(|v| v * top).collect();
+            let expect: Vec<(u32, u64)> = (0..100u32).rev().map(|v| (v, v as u64 * top)).collect();
             assert_eq!(got, expect);
         }
     }
