@@ -44,7 +44,12 @@
 //! whole block; each assisting dimension, in plan order, is probed only by
 //! the survivors of the previous one — reading its probe column from the
 //! source row — writes its carried values into their work rows in place
-//! and compacts the vector. Only the survivors then get their input fields
+//! and compacts the vector. An assist's probe is batched over the whole
+//! vector and branch-free: gather the keys, look them up as content
+//! handles ([`TreeIndex::get_handles`]; two dependent loads per key in a
+//! KISS-Tree), keep the hits, and only for those find the visible
+//! version. On a cache-resident dimension that beats both the scalar and
+//! the prefetching lookup. Only the survivors then get their input fields
 //! copied from their source rows, and the sink walks them in buffer order
 //! — inserting into the next stage's input index, or upserting run-length
 //! into the aggregating index, one descent per run of equal group keys.
@@ -61,8 +66,10 @@
 //! takes one tuple at a time. It checks visibility and each residual
 //! straight off the payload row, through the stage's field map, and
 //! buffers the row's id; the fact selection inserts only the rows that
-//! pass. The batching of §2.3 is the join buffer itself and the
-//! select-probe's batched lookups into the fact index.
+//! pass. The batching of §2.3 is the join buffer itself, the flush's
+//! handle lookups into the assisting dimensions, and the select-probe's
+//! prefetching batched lookups into the fact index — which is larger than
+//! the caches, so its prefetch rounds still pay there.
 //!
 //! # Reading payload rows
 //!
@@ -967,6 +974,9 @@ struct JoinScratch {
     /// The flush's selection vector: ordinals of the buffer rows every
     /// assisting dimension probed so far has kept, ascending.
     alive: Vec<u32>,
+    /// An assist's probe keys and content handles, parallel to `alive`.
+    keys: Vec<u64>,
+    handles: Vec<u32>,
     deltas: Vec<i64>,
     /// Scratch of the batched fact-index probes of a select-probe stage.
     probe: ProbeScratch,
@@ -1057,11 +1067,18 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     /// order. Only then are the survivors' input fields copied from their
     /// source rows, so a rejected candidate is never copied at all.
     ///
-    /// The probe is the scalar [`TreeIndex::get_each`]: the dimension side
-    /// of a star join — a σ table or a dimension's base index — stays
-    /// cache-resident, where the level-synchronous batched descent only
-    /// adds its rounds (measured on the repo benchmark at sf 0.2; the
-    /// numbers are in CHANGES.md under "survivors-only join-group").
+    /// An assist is three passes over `alive`, one body for every index
+    /// structure: gather the probe keys; look them all up at once
+    /// ([`TreeIndex::get_handles`]) and compact to the hits without a
+    /// branch; then, for the hits only, walk the key's versions until one
+    /// is visible ([`DimAccess::fetch`]) and compact again. The dimension
+    /// side of a star join — a σ table or a dimension's base index — stays
+    /// cache-resident, and there a KISS lookup of two loads and no branch
+    /// on the data beats both the scalar lookup, which branches on every
+    /// empty slot, and the prefetching batch of
+    /// [`TreeIndex::batch_get_with`], whose rounds only add work (measured
+    /// on the 13 SSB queries at sf 0.2; the numbers are in CHANGES.md under
+    /// "branch-free assist probe").
     ///
     /// An `Inter` sink inserts the projected survivors in order. The `Agg`
     /// sink merges run-length: consecutive survivors of one group — scans
@@ -1084,27 +1101,37 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
                 s.probes += s.alive.len();
             }
             let index = assist.access.index();
+            // Pass 1: gather the survivors' probe keys.
             let probe = input.fields[assist.probe_pos];
-            let mut kept = 0;
+            s.keys.clear();
+            s.keys.extend(s.alive.iter().map(|&r| match probe {
+                FieldSrc::Key => s.buffer[r as usize * width + assist.probe_pos],
+                FieldSrc::Payload(p) => input.rows.row(s.ids[r as usize])[p].into(),
+            }));
+            // Pass 2: look every key up, then keep the rows whose key the
+            // tree holds, in place and without a branch.
+            index.get_handles(&s.keys, &mut s.handles);
+            let mut hits = 0;
             for i in 0..s.alive.len() {
+                let h = s.handles[i];
+                s.alive[hits] = s.alive[i];
+                s.handles[hits] = h;
+                hits += (h != 0) as usize;
+            }
+            // Pass 3: for the hits only, the first version of the key
+            // visible at `snap` is the tuple; its carried values go into
+            // the row, and a key with none drops the row.
+            let mut kept = 0;
+            for i in 0..hits {
                 let r = s.alive[i] as usize;
                 let row = &mut s.buffer[r * width..(r + 1) * width];
-                let key = match probe {
-                    FieldSrc::Key => row[assist.probe_pos],
-                    FieldSrc::Payload(p) => input.rows.row(s.ids[r])[p].into(),
-                };
-                let mut hit = false;
-                index.get_each(key, |pid| {
-                    if !hit {
-                        hit = assist
-                            .access
-                            .fetch(pid, snap, |k, v| row[assist.fill_pos[k]] = v);
-                    }
+                let visible = index.handle_values(s.handles[i]).any(|&pid| {
+                    assist
+                        .access
+                        .fetch(pid, snap, |k, v| row[assist.fill_pos[k]] = v)
                 });
-                if hit {
-                    s.alive[kept] = r as u32;
-                    kept += 1;
-                }
+                s.alive[kept] = r as u32;
+                kept += visible as usize;
             }
             s.alive.truncate(kept);
         }

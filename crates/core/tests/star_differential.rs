@@ -217,11 +217,12 @@ fn dim_orders(spec: &QuerySpec) -> Vec<QuerySpec> {
         .collect()
 }
 
-/// Gives two `date` keys a version history: `first_dead`'s only visible
+/// Gives three `date` keys a version history: `first_dead`'s only visible
 /// version is its second (the original is deleted, a copy with another
 /// `d_year` re-inserted); `second_dead`'s is its first (a copy is inserted
-/// and deleted again).
-fn age_date_keys(db: &mut Database, first_dead: i64, second_dead: i64) {
+/// and deleted again); `all_dead` has none (its one version is deleted), so
+/// its fact rows must drop out although the index still holds the key.
+fn age_date_keys(db: &mut Database, first_dead: i64, second_dead: i64, all_dead: i64) {
     let copy_of = |db: &Database, key: i64, year: i64| -> (u32, Vec<Value>) {
         let t = db.table("date").unwrap().table();
         let (k, y) = (
@@ -241,6 +242,8 @@ fn age_date_keys(db: &mut Database, first_dead: i64, second_dead: i64) {
     let (_, ghost) = copy_of(db, second_dead, 1998);
     let (ghost_rid, _) = db.insert_row("date", &ghost).unwrap();
     db.delete_row("date", ghost_rid).unwrap();
+    let (gone, _) = copy_of(db, all_dead, 1992);
+    db.delete_row("date", gone).unwrap();
 }
 
 #[test]
@@ -266,7 +269,7 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
     }
     // After the builds, so index maintenance files the new versions behind
     // the old ones.
-    age_date_keys(&mut ssb.db, 19940315, 19950720);
+    age_date_keys(&mut ssb.db, 19940315, 19950720, 19970610);
     let db = Arc::new(ssb.db);
     let snap = db.snapshot();
     let pool = WorkerPool::new(2, 8);

@@ -5,6 +5,12 @@
 //! then read it. The paper highlights that batching benefits the KISS-Tree
 //! most in the memory-bound regime, where its non-batched lookups otherwise
 //! degrade towards hash-table performance (Fig. 3(b)).
+//!
+//! A cache-resident tree is the other regime: there the rounds and their
+//! prefetches are pure overhead, and [`KissTree::get_handles`] — one tight
+//! loop of two dependent loads per key, with no branch on the data — is the
+//! faster batched lookup. Both read a node through the one `node_entry`, an
+//! empty root slot through the sentinel node.
 
 use qppt_mem::prefetch::prefetch_read;
 
@@ -39,24 +45,17 @@ impl<V: Copy + Default> KissTree<V> {
             node_of,
             content_of,
         } = scratch;
-        // Round 1: root slots → node ids (prefetch node headers).
+        // Round 1: root slots → node numbers (prefetch the nodes; an empty
+        // slot names the sentinel, which every lookup keeps in cache).
         node_of.clear();
         for &key in keys {
-            let (ri, _) = self.config().split(key);
-            let n = self.root_slot(ri);
-            if n != 0 {
-                self.prefetch_node(n);
-            }
+            let n = self.root_node(key as u64);
+            self.prefetch_node(n);
             node_of.push(n);
         }
         // Round 2: node entries → content ids (prefetch contents).
         content_of.clear();
-        for (i, &key) in keys.iter().enumerate() {
-            let n = node_of[i];
-            if n == 0 {
-                content_of.push(0);
-                continue;
-            }
+        for (&n, &key) in node_of.iter().zip(keys) {
             let (_, ei) = self.config().split(key);
             let e = self.node_entry(n, ei);
             if e != 0 {
@@ -111,8 +110,8 @@ impl<V: Copy + Default> KissTree<V> {
     }
 
     #[inline]
-    fn prefetch_node(&self, node_plus_one: u32) {
-        prefetch_read(self.node_addr(node_plus_one));
+    fn prefetch_node(&self, n: u32) {
+        prefetch_read(self.node_addr(n));
     }
 
     #[inline]

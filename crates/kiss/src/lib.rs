@@ -2,8 +2,8 @@
 //!
 //! The KISS-Tree is a prefix-tree-based index specialised for **32-bit
 //! keys**: the key is split into exactly two fragments — 26 bits for the
-//! first level and 6 bits for the second — so a lookup needs at most three
-//! memory accesses (root slot, second-level node, content) instead of the up
+//! first level and 6 bits for the second — so a lookup needs three memory
+//! accesses (root slot, second-level node entry, content) instead of the up
 //! to 9 of a `k′ = 4` prefix tree.
 //!
 //! * The root is a directory of 2²⁶ compact 32-bit pointers. Allocating it
@@ -15,6 +15,15 @@
 //!   Accounting follows the same rule: [`KissTree::stats`] reports the
 //!   touched root pages from a page bitmap kept on insert, so reading a
 //!   tree's footprint never walks the directory, however wide its key span.
+//! * A root slot holds its node's number, and an uncompressed node `n` is
+//!   the 64 slots at `n * 64` of one slot arena, so a lookup is the three
+//!   accesses the paper counts: root slot, node entry, content. Node 0 is
+//!   a permanent all-empty **sentinel** and an empty root slot reads `0`,
+//!   so an absent key costs the same two loads as a present one, with no
+//!   branch on the data: [`KissTree::handle`], batched as
+//!   [`KissTree::get_handles`]. A key beyond the domain reads the sentinel
+//!   too. A compressed tree keeps an empty bitmask node as its sentinel.
+//!   [`KissStats::node_bytes`] counts the sentinel: 256 B uncompressed.
 //! * Second-level nodes hold 64 entries. The original KISS-Tree compresses
 //!   them with a 64-bit occupancy bitmask plus a compact entry array, which
 //!   saves memory but forces a copy-on-update (the RCU overhead the paper

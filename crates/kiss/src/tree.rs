@@ -5,27 +5,32 @@ use qppt_mem::dup::{DupArena, DupList};
 
 use crate::KissConfig;
 
-/// Root and node entry encoding: `0` = empty, otherwise index + 1.
+/// Node entry encoding: `0` = empty, otherwise content index + 1 — the
+/// content handle [`KissTree::handle`] returns. A root slot holds a node
+/// number, `0` naming the sentinel node.
 const EMPTY: u32 = 0;
+
+/// Entries of a second-level node (fixed by the KISS design).
+const NODE_ENTRIES: usize = 64;
+
+/// Position of entry `entry` of uncompressed node `n` in the slot arena.
+#[inline]
+fn arena_slot(n: u32, entry: usize) -> usize {
+    n as usize * NODE_ENTRIES + entry
+}
 
 /// OS page size the root directory is mapped at, and its slots per page.
 const ROOT_PAGE_BYTES: usize = 4096;
 const ROOT_PAGE_SLOTS: usize = ROOT_PAGE_BYTES / core::mem::size_of::<u32>();
 
-/// Second-level node. The compressed variant is the original KISS-Tree's
-/// bitmask node: entry `e` exists iff bit `e` is set, and its slot is the
-/// popcount of the lower bits. Updating a compressed node requires copying
-/// the compact array (the paper's RCU copy overhead); the uncompressed
-/// variant updates in place. Uncompressed node slots live in one shared
-/// arena (`KissTree::udata`): allocating a node is a bump, not a malloc.
-#[derive(Debug)]
-enum L2Node {
-    /// Start offset of this node's 64 slots in the arena.
-    Uncompressed(u32),
-    Compressed {
-        bitmap: u64,
-        entries: Box<[u32]>,
-    },
+/// Compressed second-level node: the original KISS-Tree's bitmask node.
+/// Entry `e` exists iff bit `e` is set, and its slot is the popcount of the
+/// lower bits. Updating it requires copying the compact array (the paper's
+/// RCU copy overhead); the uncompressed layout updates in place.
+#[derive(Debug, Default)]
+struct CompressedNode {
+    bitmap: u64,
+    entries: Box<[u32]>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -36,20 +41,31 @@ enum Payload<V> {
 
 /// Prefix-tree-based index for 32-bit keys with a two-level layout
 /// (see the crate docs). Multimap semantics like `qppt_trie::PrefixTree`.
+///
+/// A root slot holds the number `n` of its second-level node. Node 0 is a
+/// permanent all-empty **sentinel**, and an empty root slot is `0`, so a
+/// lookup reads an empty slot's entry like any other — EMPTY — without
+/// branching on it. Uncompressed node `n` is the 64 slots
+/// `udata[n * 64..n * 64 + 64]`, compressed node `n` is `nodes[n]`.
 #[derive(Debug)]
 pub struct KissTree<V> {
     cfg: KissConfig,
     /// Root directory; 256 MB virtual for the paper geometry, physically
     /// mapped on demand by the OS at 4 KB granularity. A slot goes from
-    /// empty to non-empty only in `write_entry`.
+    /// empty to non-empty only in `write_entry`. One slot past the key
+    /// domain stays empty forever: a key beyond the domain is clamped to
+    /// it and so reads the sentinel.
     root: Vec<u32>,
     /// One bit per 4 KB root page: set where a slot of the page first
     /// becomes non-empty (8 KiB for the paper geometry). Root slots never
     /// return to empty, so `touched_pages` — its population — is exact.
     root_pages: Vec<u64>,
     touched_pages: usize,
-    nodes: Vec<L2Node>,
-    /// Slot arena backing uncompressed second-level nodes.
+    /// Compressed nodes, the sentinel first (compressed trees only).
+    nodes: Vec<CompressedNode>,
+    /// Uncompressed nodes' slots, 64 per node, the sentinel's first
+    /// (uncompressed trees only): allocating a node is a bump, not a
+    /// malloc.
     udata: Vec<u32>,
     contents: Vec<Payload<V>>,
     dups: DupArena<V>,
@@ -63,17 +79,23 @@ pub struct KissTree<V> {
 }
 
 impl<V: Copy + Default> KissTree<V> {
-    /// Creates an empty tree. The root directory is allocated zeroed — i.e.
-    /// virtually; physical pages appear as slots are written.
+    /// Creates an empty tree: the sentinel node and the root directory,
+    /// allocated zeroed — i.e. virtually; physical pages appear as slots
+    /// are written.
     pub fn new(cfg: KissConfig) -> Self {
         cfg.validate();
+        let (nodes, udata) = if cfg.compressed {
+            (vec![CompressedNode::default()], Vec::new())
+        } else {
+            (Vec::new(), vec![EMPTY; NODE_ENTRIES])
+        };
         Self {
             cfg,
-            root: vec![EMPTY; cfg.root_slots()],
+            root: vec![EMPTY; cfg.root_slots() + 1],
             root_pages: vec![0; cfg.root_slots().div_ceil(ROOT_PAGE_SLOTS).div_ceil(64)],
             touched_pages: 0,
-            nodes: Vec::new(),
-            udata: Vec::new(),
+            nodes,
+            udata,
             contents: Vec::new(),
             dups: DupArena::new(),
             distinct: 0,
@@ -136,19 +158,31 @@ impl<V: Copy + Default> KissTree<V> {
         self.root[idx]
     }
 
+    /// The root slot of `key` — the node number its second-level node has,
+    /// `0` (the sentinel) when the slot is empty or the key lies beyond the
+    /// domain, wider than 32 bits included: such a key is clamped to the
+    /// directory's last slot, which stays empty.
     #[inline]
-    pub(crate) fn node_entry(&self, node_plus_one: u32, entry: usize) -> u32 {
-        match &self.nodes[(node_plus_one - 1) as usize] {
-            L2Node::Uncompressed(a) => self.udata[*a as usize + entry],
-            L2Node::Compressed { bitmap, entries } => {
-                let bit = 1u64 << entry;
-                if bitmap & bit == 0 {
-                    EMPTY
-                } else {
-                    let pos = (bitmap & (bit - 1)).count_ones() as usize;
-                    entries[pos]
-                }
+    pub(crate) fn root_node(&self, key: u64) -> u32 {
+        let last = self.root.len() - 1;
+        self.root[((key >> 6) as usize).min(last)]
+    }
+
+    /// Entry `entry` of node `n` — the tree's one way into a node: `EMPTY`
+    /// or a content handle. Uncompressed, it is one load at an address
+    /// computed from `n`, and the sentinel `n = 0` reads EMPTY.
+    #[inline]
+    pub(crate) fn node_entry(&self, n: u32, entry: usize) -> u32 {
+        if self.cfg.compressed {
+            let CompressedNode { bitmap, entries } = &self.nodes[n as usize];
+            let bit = 1u64 << entry;
+            if bitmap & bit == 0 {
+                EMPTY
+            } else {
+                entries[(bitmap & (bit - 1)).count_ones() as usize]
             }
+        } else {
+            self.udata[arena_slot(n, entry)]
         }
     }
 
@@ -157,10 +191,11 @@ impl<V: Copy + Default> KissTree<V> {
         &self.root[idx]
     }
 
-    pub(crate) fn node_addr(&self, node_plus_one: u32) -> *const u8 {
-        match &self.nodes[(node_plus_one - 1) as usize] {
-            L2Node::Uncompressed(a) => (&self.udata[*a as usize]) as *const u32 as *const u8,
-            n @ L2Node::Compressed { .. } => n as *const L2Node as *const u8,
+    pub(crate) fn node_addr(&self, n: u32) -> *const u8 {
+        if self.cfg.compressed {
+            (&self.nodes[n as usize]) as *const CompressedNode as *const u8
+        } else {
+            (&self.udata[arena_slot(n, 0)]) as *const u32 as *const u8
         }
     }
 
@@ -219,16 +254,32 @@ impl<V: Copy + Default> KissTree<V> {
     /// Looks up a key.
     pub fn get(&self, key: u32) -> Option<Values<'_, V>> {
         self.cfg.check_key(key);
-        let (ri, ei) = self.cfg.split(key);
-        let n = self.root[ri];
-        if n == EMPTY {
-            return None;
-        }
-        let e = self.node_entry(n, ei);
-        if e == EMPTY {
-            return None;
-        }
-        Some(self.values_of(e - 1))
+        let h = self.handle(key as u64);
+        (h != EMPTY).then(|| self.handle_values(h))
+    }
+
+    /// The content handle of `key`: `0` when absent, else a value for
+    /// [`handle_values`](Self::handle_values). Any `u64` may be asked: a
+    /// key beyond the domain reads the sentinel node and is absent. Two
+    /// dependent loads — root slot, node entry — and no branch on the data.
+    #[inline]
+    pub fn handle(&self, key: u64) -> u32 {
+        self.node_entry(self.root_node(key), (key & 63) as usize)
+    }
+
+    /// [`handle`](Self::handle) of every key, in order, into `handles`
+    /// (cleared first): the batched lookup. Unlike
+    /// [`batch_get_with`](Self::batch_get_with) it prefetches nothing and
+    /// takes no branch per key, which wins when the tree is cache-resident.
+    pub fn get_handles(&self, keys: &[u64], handles: &mut Vec<u32>) {
+        handles.clear();
+        handles.extend(keys.iter().map(|&k| self.handle(k)));
+    }
+
+    /// The values of a non-zero content handle.
+    #[inline]
+    pub fn handle_values(&self, handle: u32) -> Values<'_, V> {
+        self.values_of(handle - 1)
     }
 
     /// First value for a key (for unique indexes).
@@ -256,14 +307,7 @@ impl<V: Copy + Default> KissTree<V> {
     /// Finds (or prepares) the entry slot for `key`.
     fn slot_for(&mut self, key: u32) -> SlotState {
         let (ri, ei) = self.cfg.split(key);
-        let n = self.root[ri];
-        if n == EMPTY {
-            return SlotState::New(EntrySlot {
-                root_idx: ri,
-                entry_idx: ei,
-            });
-        }
-        let e = self.node_entry(n, ei);
+        let e = self.node_entry(self.root[ri], ei);
         if e == EMPTY {
             SlotState::New(EntrySlot {
                 root_idx: ri,
@@ -280,19 +324,19 @@ impl<V: Copy + Default> KissTree<V> {
         let n = self.root[slot.root_idx];
         if n == EMPTY {
             // Allocate a fresh node holding just this entry.
-            let node = if self.cfg.compressed {
-                L2Node::Compressed {
+            let n = if self.cfg.compressed {
+                self.nodes.push(CompressedNode {
                     bitmap: 1u64 << slot.entry_idx,
                     entries: vec![value].into_boxed_slice(),
-                }
+                });
+                self.nodes.len() as u32 - 1
             } else {
-                let a = self.udata.len();
-                self.udata.resize(a + self.cfg.node_entries(), EMPTY);
-                self.udata[a + slot.entry_idx] = value;
-                L2Node::Uncompressed(a as u32)
+                let n = (self.udata.len() / NODE_ENTRIES) as u32;
+                self.udata.resize(self.udata.len() + NODE_ENTRIES, EMPTY);
+                self.udata[arena_slot(n, slot.entry_idx)] = value;
+                n
             };
-            self.nodes.push(node);
-            self.root[slot.root_idx] = self.nodes.len() as u32;
+            self.root[slot.root_idx] = n;
             let page = slot.root_idx / ROOT_PAGE_SLOTS;
             let (word, bit) = (&mut self.root_pages[page / 64], 1u64 << (page % 64));
             if *word & bit == 0 {
@@ -301,27 +345,24 @@ impl<V: Copy + Default> KissTree<V> {
             }
             return;
         }
-        let node = &mut self.nodes[(n - 1) as usize];
-        match node {
-            L2Node::Uncompressed(a) => {
-                let idx = *a as usize + slot.entry_idx;
-                debug_assert_eq!(self.udata[idx], EMPTY);
-                self.udata[idx] = value;
-            }
-            L2Node::Compressed { bitmap, entries } => {
-                // Copy-on-update: build the widened compact array, then swap
-                // it in (the single-threaded analogue of the RCU publish).
-                let bit = 1u64 << slot.entry_idx;
-                debug_assert_eq!(*bitmap & bit, 0);
-                let pos = (*bitmap & (bit - 1)).count_ones() as usize;
-                let mut new_entries = Vec::with_capacity(entries.len() + 1);
-                new_entries.extend_from_slice(&entries[..pos]);
-                new_entries.push(value);
-                new_entries.extend_from_slice(&entries[pos..]);
-                *bitmap |= bit;
-                *entries = new_entries.into_boxed_slice();
-                self.copy_updates += 1;
-            }
+        if self.cfg.compressed {
+            // Copy-on-update: build the widened compact array, then swap it
+            // in (the single-threaded analogue of the RCU publish).
+            let CompressedNode { bitmap, entries } = &mut self.nodes[n as usize];
+            let bit = 1u64 << slot.entry_idx;
+            debug_assert_eq!(*bitmap & bit, 0);
+            let pos = (*bitmap & (bit - 1)).count_ones() as usize;
+            let mut new_entries = Vec::with_capacity(entries.len() + 1);
+            new_entries.extend_from_slice(&entries[..pos]);
+            new_entries.push(value);
+            new_entries.extend_from_slice(&entries[pos..]);
+            *bitmap |= bit;
+            *entries = new_entries.into_boxed_slice();
+            self.copy_updates += 1;
+        } else {
+            let idx = arena_slot(n, slot.entry_idx);
+            debug_assert_eq!(self.udata[idx], EMPTY);
+            self.udata[idx] = value;
         }
     }
 
@@ -361,20 +402,22 @@ impl<V: Copy + Default> KissTree<V> {
     /// full (virtual) size; `root_touched_bytes` estimates the physically
     /// mapped portion as the number of distinct 4 KB root pages containing
     /// at least one non-empty slot, counted where a slot first becomes
-    /// non-empty.
+    /// non-empty. `nodes` counts the populated root slots; `node_bytes`
+    /// counts the sentinel node too, which every tree holds.
     pub fn stats(&self) -> KissStats {
-        // Every entry of a compressed node is one distinct key; an
-        // uncompressed node is its 4-byte arena offset plus its arena slots.
-        let node_bytes = if self.cfg.compressed {
-            self.nodes.len() * 8 + self.distinct * 4
+        // Every entry of a compressed node is one distinct key, its bitmap
+        // 8 bytes; an uncompressed node is its 64 arena slots.
+        let (nodes, node_bytes) = if self.cfg.compressed {
+            let nodes = self.nodes.len() - 1;
+            (nodes, (nodes + 1) * 8 + self.distinct * 4)
         } else {
-            self.nodes.len() * 4 + self.udata.len() * 4
+            (self.udata.len() / NODE_ENTRIES - 1, self.udata.len() * 4)
         };
         KissStats {
             distinct_keys: self.distinct,
             total_values: self.total_values,
-            nodes: self.nodes.len(),
-            root_virtual_bytes: self.root.len() * 4,
+            nodes,
+            root_virtual_bytes: self.cfg.root_slots() * 4,
             root_touched_bytes: self.touched_pages * ROOT_PAGE_BYTES,
             node_bytes,
             content_bytes: self.contents.len() * core::mem::size_of::<Payload<V>>(),
@@ -399,12 +442,18 @@ struct EntrySlot {
 pub struct KissStats {
     pub distinct_keys: usize,
     pub total_values: usize,
+    /// Second-level nodes: the populated root slots (the sentinel is not
+    /// one).
     pub nodes: usize,
+    /// The key domain's root slots × 4 B.
     pub root_virtual_bytes: usize,
     /// 4 KB for every root page holding a non-empty slot — the page
     /// population is kept by a bitmap set on insert, not walked, so reading
     /// it costs nothing whatever the tree's key span.
     pub root_touched_bytes: usize,
+    /// Every node's bytes, the sentinel's included: 256 B per uncompressed
+    /// node; a compressed one's 8 B bitmap and 4 B per entry. No per-node
+    /// record: a root slot addresses its node directly.
     pub node_bytes: usize,
     pub content_bytes: usize,
     pub dup_bytes: usize,
@@ -489,6 +538,26 @@ mod tests {
             assert!(t.get(0).is_none());
             assert_eq!(t.min_key(), None);
             assert_eq!(t.iter().count(), 0);
+        }
+    }
+
+    #[test]
+    fn empty_slots_and_foreign_keys_read_the_sentinel() {
+        for cfg in cfgs() {
+            let mut t = KissTree::<u32>::new(cfg);
+            let s = t.stats();
+            assert_eq!(
+                (s.nodes, s.node_bytes),
+                (0, if cfg.compressed { 8 } else { 256 })
+            );
+            t.insert(70, 7);
+            let beyond = [1 << 16, u32::MAX as u64, 1 << 40, u64::MAX];
+            for key in [0, 69, 71, 1000, (1 << 16) - 1].into_iter().chain(beyond) {
+                assert_eq!(t.handle(key), EMPTY, "{cfg:?} {key}");
+            }
+            let h = t.handle(70);
+            assert_eq!(t.handle_values(h).copied().collect::<Vec<_>>(), [7]);
+            assert_eq!(t.stats().nodes, 1);
         }
     }
 

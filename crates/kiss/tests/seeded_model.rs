@@ -218,6 +218,61 @@ fn batched_equals_scalar() {
     }
 }
 
+/// The batched handle lookup equals `get` on every root geometry, in both
+/// compression modes: on the empty tree, then after each insert batch —
+/// for stored keys (duplicate lists among them), absent ones, the first and
+/// last key of root pages and their neighbours, and keys beyond the domain,
+/// which `get` refuses but a handle lookup must answer absent.
+#[test]
+fn handles_equal_get() {
+    for l1_bits in 6..=26u8 {
+        for compressed in [false, true] {
+            let cfg = KissConfig {
+                l1_bits,
+                compressed,
+            };
+            let mut rng =
+                Xoshiro256StarStar::new(0x4A4D1E + l1_bits as u64 * 2 + compressed as u64);
+            let max = max_key(cfg);
+            let mut t = KissTree::new(cfg);
+            let beyond = [max as u64 + 1, u32::MAX as u64, 1 << 32, 1 << 40, u64::MAX];
+            let (mut handles, mut stored) = (Vec::new(), Vec::new());
+            for batch in 0..3 {
+                let mut probes: Vec<u32> = keys(&mut rng, max, 60);
+                for edge in page_edges(&mut rng, cfg) {
+                    probes.extend([
+                        edge,
+                        edge.saturating_sub(1),
+                        edge.saturating_add(1).min(max),
+                    ]);
+                }
+                probes.extend(stored.iter().rev().take(20));
+                let mut wide: Vec<u64> = probes.iter().map(|&k| k as u64).collect();
+                wide.extend(beyond);
+                t.get_handles(&wide, &mut handles);
+                assert_eq!(handles.len(), wide.len());
+                for (&k, &h) in wide.iter().zip(&handles) {
+                    assert_eq!(h, t.handle(k), "{cfg:?} batch {batch} key {k}");
+                    let expect: Option<Vec<u32>> = (k <= max as u64)
+                        .then(|| t.get(k as u32).map(|vs| vs.copied().collect()))
+                        .flatten();
+                    let got = (h != 0).then(|| t.handle_values(h).copied().collect());
+                    assert_eq!(got, expect, "{cfg:?} batch {batch} key {k}");
+                }
+                // Insert the probes, some twice: the next batch sees
+                // duplicate lists and keys on page edges.
+                for &k in &probes {
+                    stored.push(k);
+                    t.insert(k, rng.next_u32());
+                    if rng.chance(1, 4) {
+                        t.insert(k, rng.next_u32());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A key's values as the tree stores them: the first inline, the rest in a
 /// duplicate list of the oracle's own arena, created and grown by the same
 /// operations in the same order as the tree's.
@@ -229,7 +284,8 @@ enum Stored {
 /// `stats()` recomputed from public data: the keys the tree iterates, its
 /// geometry, and an arena replaying its duplicate lists. Every root page
 /// (1024 slots of 4 bytes) holding a key's root slot is touched; every
-/// populated root slot is one second-level node.
+/// populated root slot is one second-level node, and the sentinel node is
+/// one more.
 struct StatsOracle {
     stored: BTreeMap<u32, Stored>,
     dups: DupArena<u32>,
@@ -280,9 +336,9 @@ impl StatsOracle {
             root_virtual_bytes: cfg.root_slots() * 4,
             root_touched_bytes: pages.len() * 4096,
             node_bytes: if cfg.compressed {
-                nodes * 8 + distinct * 4
+                (nodes + 1) * 8 + distinct * 4
             } else {
-                nodes * (4 + cfg.node_entries() * 4)
+                (nodes + 1) * cfg.node_entries() * 4
             },
             content_bytes: distinct * self.content_bytes_per_key,
             dup_bytes: self.dups.allocated_bytes(),

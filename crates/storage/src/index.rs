@@ -91,14 +91,17 @@ impl TreeIndex {
         }
     }
 
-    /// Largest key the structure can hold. Together with
-    /// [`clamp`](Self::clamp) this is the one place the key domain of the
-    /// two structures is derived; every probe and cursor below goes through
-    /// it, so callers may pass any `u64`.
+    /// Largest key the structure can hold — its configuration's domain, so
+    /// a KISS-Tree with a small root holds fewer keys than 32 bits do.
+    /// Together with [`clamp`](Self::clamp) this is the one place the key
+    /// domain of the two structures is derived; every probe and cursor
+    /// below goes through it, so callers may pass any `u64`. The handle
+    /// lookup ([`get_handles`](Self::get_handles)) is the exception: both
+    /// structures answer a key beyond their domain absent themselves.
     #[inline]
     fn key_max(&self) -> u64 {
         match self {
-            TreeIndex::Kiss(_) => u32::MAX as u64,
+            TreeIndex::Kiss(t) => t.config().key_limit().map_or(u32::MAX, |l| l - 1) as u64,
             TreeIndex::Pt(t) => t.config().key_limit().map_or(u64::MAX, |l| l - 1),
         }
     }
@@ -202,6 +205,32 @@ impl TreeIndex {
                     }
                 });
             }
+        }
+    }
+
+    /// Batched lookup into content handles: `handles` (cleared first) gets
+    /// one per key, in order — `0` for an absent key, else a value for
+    /// [`handle_values`](Self::handle_values). A KISS-Tree answers each key
+    /// with two dependent loads and no branch on the data; a prefix tree
+    /// descends per key. Without prefetch rounds this is the faster batch
+    /// on a cache-resident index; [`batch_get_with`](Self::batch_get_with)
+    /// is the one for an index larger than the caches.
+    pub fn get_handles(&self, keys: &[u64], handles: &mut Vec<u32>) {
+        match self {
+            TreeIndex::Kiss(t) => t.get_handles(keys, handles),
+            TreeIndex::Pt(t) => {
+                handles.clear();
+                handles.extend(keys.iter().map(|&k| t.handle(k)));
+            }
+        }
+    }
+
+    /// The values under a non-zero handle of [`get_handles`](Self::get_handles).
+    #[inline]
+    pub fn handle_values(&self, handle: u32) -> Values<'_, u32> {
+        match self {
+            TreeIndex::Kiss(t) => t.handle_values(handle),
+            TreeIndex::Pt(t) => t.handle_values(handle),
         }
     }
 
@@ -677,6 +706,43 @@ mod tests {
         idx32.insert(5, 1);
         assert!(!idx32.contains(1 << 40));
         assert_eq!(idx32.batch_contains(&[5, 1 << 40]), vec![true, false]);
+    }
+
+    /// A KISS-Tree with a small root holds `2^(l1_bits + 6)` keys: every
+    /// probe misses above that, where its 32 bits would still reach.
+    #[test]
+    fn small_root_kiss_probes_miss_beyond_its_domain() {
+        let mut idx = TreeIndex::Kiss(KissTree::new(KissConfig::small(false)));
+        idx.insert(5, 1);
+        idx.insert((1 << 16) - 1, 2);
+        let beyond = [1u64 << 16, u32::MAX as u64, 1 << 40];
+        for k in beyond {
+            assert!(idx.get(k).is_none(), "{k}");
+            assert!(!idx.contains(k), "{k}");
+            idx.get_each(k, |v| panic!("{k} hit {v}"));
+        }
+        let mut keys = vec![5, (1 << 16) - 1];
+        keys.extend(beyond);
+        let mut hits = Vec::new();
+        idx.batch_get_with(&keys, &mut ProbeScratch::default(), |i, vs| {
+            hits.extend(vs.map(|&v| (i, v)))
+        });
+        assert_eq!(hits, vec![(0, 1), (1, 2)]);
+        assert_eq!(
+            idx.batch_contains(&keys),
+            vec![true, true, false, false, false]
+        );
+        let mut handles = Vec::new();
+        idx.get_handles(&keys, &mut handles);
+        assert_eq!(&handles[2..], &[0, 0, 0]);
+        let firsts: Vec<u32> = handles[..2]
+            .iter()
+            .map(|&h| *idx.handle_values(h).next().unwrap())
+            .collect();
+        assert_eq!(firsts, vec![1, 2]);
+        let mut scanned = Vec::new();
+        idx.range_each(0, u64::MAX, |k, v| scanned.push((k, v)));
+        assert_eq!(scanned, vec![(5, 1), ((1 << 16) - 1, 2)]);
     }
 
     #[test]

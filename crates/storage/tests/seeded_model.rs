@@ -1,6 +1,6 @@
-//! Seeded model tests: every [`TreeIndex`] cursor and batched probe — for
-//! the KISS-Tree, PT-32 and PT-64 alike — must behave exactly like a
-//! `BTreeMap<u64, Vec<u32>>`, whatever `u64` bounds or keys the caller
+//! Seeded model tests: every [`TreeIndex`] cursor, batched probe and handle
+//! lookup — for the KISS-Tree, PT-32 and PT-64 alike — must behave exactly
+//! like a `BTreeMap<u64, Vec<u32>>`, whatever `u64` bounds or keys the caller
 //! passes (the index clamps them to the structure's key domain in one
 //! place). Matched structure pairs take the skip-scan kernels, mismatched
 //! ones the iterate-and-probe fallback; both must yield the model's
@@ -195,6 +195,42 @@ fn batched_probes_match_btreemap_model() {
         assert_eq!(got, expect, "{}", idx.kind_name());
         for (&k, &p) in probes.iter().zip(&present) {
             assert_eq!(idx.contains(k), p);
+        }
+    }
+}
+
+/// The handle lookup equals `get` and the model for every structure, on
+/// the empty index and a populated one: stored keys (duplicate lists among
+/// them), their absent neighbours, and keys above `u32::MAX` and above
+/// PT-32's domain, which must read absent.
+#[test]
+fn handle_lookup_matches_get_and_model() {
+    let mut handles = Vec::new();
+    for (si, &width) in STRUCTURES.iter().enumerate() {
+        let m = model_keys(width, 300 + si as u64);
+        let mut probes: Vec<u64> = m.keys().copied().step_by(2).collect();
+        probes.extend(m.keys().map(|&k| k ^ 1).step_by(5));
+        probes.extend([
+            0,
+            u32::MAX as u64 - 1,
+            u32::MAX as u64,
+            1 << 32,
+            (1 << 32) + 5,
+            u32::MAX as u64 + 300,
+            1 << 40,
+            u64::MAX,
+        ]);
+        for idx in [index_of(width, &BTreeMap::new()), index_of(width, &m)] {
+            idx.get_handles(&probes, &mut handles);
+            assert_eq!(handles.len(), probes.len(), "{}", idx.kind_name());
+            for (&k, &h) in probes.iter().zip(&handles) {
+                let got: Option<Vec<u32>> =
+                    (h != 0).then(|| idx.handle_values(h).copied().collect());
+                let via_get: Option<Vec<u32>> = idx.get(k).map(|vs| vs.copied().collect());
+                assert_eq!(got, via_get, "{} key {k}", idx.kind_name());
+                let expect = (!idx.is_empty()).then(|| m.get(&k).cloned()).flatten();
+                assert_eq!(got, expect, "{} key {k}", idx.kind_name());
+            }
         }
     }
 }

@@ -313,6 +313,24 @@ impl<V: Copy + Default> PrefixTree<V> {
         self.find_content(key).map(|c| self.values_of(c))
     }
 
+    /// The content handle of `key`: `0` when absent — a key beyond the
+    /// domain included — else a value for
+    /// [`handle_values`](Self::handle_values). The one-word form of
+    /// [`get`](Self::get), for lookups that keep a result per key.
+    #[inline]
+    pub fn handle(&self, key: u64) -> u32 {
+        if self.cfg.key_limit().is_some_and(|limit| key >= limit) {
+            return 0;
+        }
+        self.find_content(key).map_or(0, |c| c + 1)
+    }
+
+    /// The values of a non-zero content handle.
+    #[inline]
+    pub fn handle_values(&self, handle: u32) -> Values<'_, V> {
+        self.values_of(handle - 1)
+    }
+
     /// Looks up a key, returning its first value (insertion order). For
     /// unique indexes this is *the* value.
     pub fn get_first(&self, key: u64) -> Option<V> {
