@@ -31,31 +31,45 @@
 //! **join buffer** and, every `join_buffer` candidates, flushes it through
 //! the stage's *assisting* dimensions into its sink (§2.3, §4.2).
 //!
+//! The assisting dimensions come in two groups, split once per stage by
+//! [`Pipeline::new`]:
+//! - **filters**: dimension selections σ built as §2.1's one-level tree, a
+//!   [`DenseIndex`] ([`materialize_dim`] builds every σ whose join keys are
+//!   unique and compact that way). Testing a key is one load, so the
+//!   stage's scan tests every filter before it buffers a row (see below),
+//!   and a row a filter rejects never enters the join buffer. Q4.1's
+//!   supplier σ rejects 4 in 5 of the rows its customer σ lets through.
+//! - **tree assists**: base indexes and sparse σs, which the flush probes.
+//!
 //! A buffered candidate is a reference, not a copy: the id of its source
 //! row in the stage's input payload — the fact base index's for stage 1,
 //! the input intermediate's for a later stage — plus a work row holding
 //! only what no source row holds: the stage key in its slot and the main
-//! dimension's carried values. The first assist rejects most candidates
-//! (Q4.1's supplier σ keeps 1 in 5), so copying each whole would be
-//! wasted on them.
+//! dimension's carried values. A tree assist may still reject most
+//! candidates, so copying each whole would be wasted on them.
 //!
 //! The flush is a selection-vector pipeline with one body for every plan
 //! and every stage input: a vector of surviving row ordinals starts as the
-//! whole block; each assisting dimension, in plan order, is probed only by
-//! the survivors of the previous one — reading its probe column from the
+//! whole block; each tree assist, in plan order, is probed only by the
+//! survivors of the previous one — reading its probe column from the
 //! source row — writes its carried values into their work rows in place
-//! and compacts the vector. An assist's probe is batched over the whole
-//! vector and branch-free: gather the keys, look them up as content
+//! and compacts the vector. A tree assist's probe is batched over the
+//! whole vector and branch-free: gather the keys, look them up as content
 //! handles ([`TreeIndex::get_handles`]; two dependent loads per key in a
 //! KISS-Tree), keep the hits, and only for those find the visible
 //! version. On a cache-resident dimension that beats both the scalar and
-//! the prefetching lookup. Only the survivors then get their input fields
-//! copied from their source rows, and the sink walks them in buffer order
-//! — inserting into the next stage's input index, or upserting run-length
-//! into the aggregating index, one descent per run of equal group keys.
-//! Per fact tuple the work is one probe of the first assist plus one of
-//! each later assist *the tuple reaches*, not one per assist. The buffer,
-//! the vector and every other scratch of the flush live in the
+//! the prefetching lookup. Then each filter that carries values fills them
+//! into the survivors' work rows: one load for the key's σ row, and a
+//! copy of it; a filter with no carried columns costs the flush nothing.
+//! Only the survivors then get their input fields copied from their
+//! source rows, and the sink walks them in buffer order — inserting into
+//! the next stage's input index, or upserting run-length into the
+//! aggregating index, one descent per run of equal group keys. Per fact
+//! tuple the work is one test of the first filter plus one of each later
+//! filter and tree assist *the tuple reaches*, not one per assist. A row
+//! survives iff every assisting dimension holds its key, and each
+//! dimension writes its own slots, so the split changes no result. The
+//! buffer, the vector and every other scratch of the flush live in the
 //! [`Pipeline`] and are reused across flushes, stages and morsels.
 //!
 //! # One scan loop
@@ -63,13 +77,15 @@
 //! The loops that feed the join buffer — the fact selection, the
 //! synchronous scan of stage 1's fact base index or of a later stage's
 //! intermediate, and the select-probe of stage 1 — each have one body that
-//! takes one tuple at a time. It checks visibility and each residual
-//! straight off the payload row, through the stage's field map, and
-//! buffers the row's id; the fact selection inserts only the rows that
-//! pass. The batching of §2.3 is the join buffer itself, the flush's
-//! handle lookups into the assisting dimensions, and the select-probe's
-//! prefetching batched lookups into the fact index — which is larger than
-//! the caches, so its prefetch rounds still pay there.
+//! takes one tuple at a time. It checks visibility, each residual and then
+//! each of the stage's filters in plan order straight off the payload row,
+//! through the stage's field map — one check, `StageInput::passes` —
+//! and buffers the row's id; the fact selection, which has no filters,
+//! inserts only the rows that pass. The batching of §2.3 is the join
+//! buffer itself, the flush's handle lookups into the tree assists, and
+//! the select-probe's prefetching batched lookups into the fact index —
+//! which is larger than the caches, so its prefetch rounds still pay
+//! there.
 //!
 //! # Reading payload rows
 //!
@@ -88,9 +104,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
-    sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, Lane, Lanes,
-    MvccTable, ProbeScratch, QueryResult, Row, Rows, Snapshot, StorageError, TreeIndex, Value,
-    Values,
+    sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, DenseIndex,
+    IndexedTable, Lane, Lanes, MvccTable, PayloadBuf, ProbeScratch, QueryResult, Row, Rows,
+    Snapshot, StorageError, TreeIndex, Value, Values,
 };
 
 use crate::inter::{AggTable, GroupRun, InterTable};
@@ -111,6 +127,42 @@ macro_rules! with_lanes {
             Lanes::U64($rows) => $body,
         }
     };
+}
+
+/// Adds `$n` to the unit tests' exact-work counter `$counter` ([`work`]);
+/// compiles to nothing outside the tests.
+macro_rules! count {
+    ($counter:ident, $n:expr) => {
+        #[cfg(test)]
+        work::add(&work::$counter, $n);
+    };
+}
+
+/// The unit tests' exact-work counters, per thread (a pipeline runs on
+/// its caller's thread).
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        /// Assist probes: a filter test in the scan, or a surviving row's
+        /// lookup in a tree assist in the flush.
+        pub(super) static PROBES: Cell<usize> = const { Cell::new(0) };
+        /// Rows that entered the join buffer.
+        pub(super) static BUFFERED: Cell<usize> = const { Cell::new(0) };
+        /// Buffered rows whose input fields were copied (the survivors).
+        pub(super) static MATERIALIZED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn add(counter: &'static LocalKey<Cell<usize>>, n: usize) {
+        counter.with(|c| c.set(c.get() + n));
+    }
+
+    /// Reads and zeroes a counter.
+    pub(super) fn take(counter: &'static LocalKey<Cell<usize>>) -> usize {
+        counter.with(|c| c.replace(0))
+    }
 }
 
 /// Inclusive key range restricting the stage-1 fact access — one *morsel*
@@ -147,6 +199,13 @@ impl KeyRange {
 /// for dimensions that are not [`DimHandleKind::Materialized`] (base-index
 /// and fused handles have no materialization step).
 ///
+/// The selection's tuples are staged and sorted by join key first, so the
+/// payload rows lie in key order and the index is chosen knowing every key
+/// ([`TreeIndex::for_selection`]): unique keys of a compact range — every
+/// σ of the 13 SSB queries — become a one-level dense index, which the
+/// join stages test in their scans (see the module docs); any other key
+/// set becomes the tree [`TreeIndex::for_domain`] picks.
+///
 /// Dimension selections read only base indexes and are independent of each
 /// other, so the parallel executor runs one such task per dimension.
 pub fn materialize_dim(
@@ -164,11 +223,18 @@ pub fn materialize_dim(
     for c in &dim.carried_names {
         layout.add(Src::Dim(dim.spec_idx), c);
     }
-    let index = TreeIndex::for_domain(dim.join_key_max, plan.opts.prefer_kiss);
-    let mut out = InterTable::new(&dim.join_col_name, layout, index);
-    scan_dim_selection(db, snap, &plan.opts, dim, |key, carried| {
-        out.insert(key, carried.iter().copied());
-    })?;
+    let (keys, carried) = staged_selection(db, snap, &plan.opts, dim)?;
+    let stride = dim.carried_names.len();
+    let mut payload = PayloadBuf::with_capacity(stride, keys.len());
+    for i in 0..keys.len() {
+        payload.push(carried[i * stride..(i + 1) * stride].iter().copied());
+    }
+    let index = TreeIndex::for_selection(&keys, dim.join_key_max, plan.opts.prefer_kiss);
+    let out = InterTable {
+        key_name: dim.join_col_name.clone(),
+        layout,
+        data: IndexedTable { index, payload },
+    };
     let stats = OpStats {
         label: format!("σ({}) → idx on {}", dim.table, dim.join_col_name),
         out_keys: out.key_count(),
@@ -265,26 +331,40 @@ pub fn materialize_fused_selection(
         return Ok(None);
     };
     let dim = &plan.dims[main];
+    let (keys, carried) = staged_selection(db, snap, &plan.opts, dim)?;
+    Ok(Some(FusedSelection {
+        keys,
+        carried,
+        stride: dim.carried_names.len(),
+    }))
+}
+
+/// The `(join key, carried values)` tuples of a dimension selection,
+/// sorted by join key: the keys ascending and, parallel to them, each
+/// key's carried values. The sort is stable, so duplicate join keys keep
+/// their scan order — a single-morsel run probes in the same relative
+/// order as sequential.
+fn staged_selection(
+    db: &Database,
+    snap: Snapshot,
+    opts: &PlanOptions,
+    dim: &ResolvedDim,
+) -> Result<(Vec<u64>, Vec<u64>), QpptError> {
     let stride = dim.carried_names.len();
     let (mut scanned_keys, mut scanned_carried) = (Vec::new(), Vec::new());
-    scan_dim_selection(db, snap, &plan.opts, dim, |key, c| {
+    scan_dim_selection(db, snap, opts, dim, |key, c| {
         scanned_keys.push(key);
         scanned_carried.extend_from_slice(c);
     })?;
-    // Stable sort of a permutation: duplicate join keys keep their scan
-    // order, so a single-morsel run probes in the same relative order as
-    // sequential.
     let mut order: Vec<usize> = (0..scanned_keys.len()).collect();
     order.sort_by_key(|&i| scanned_keys[i]);
-    Ok(Some(FusedSelection {
-        keys: order.iter().map(|&i| scanned_keys[i]).collect(),
-        carried: order
-            .iter()
-            .flat_map(|&i| &scanned_carried[i * stride..(i + 1) * stride])
-            .copied()
-            .collect(),
-        stride,
-    }))
+    let keys = order.iter().map(|&i| scanned_keys[i]).collect();
+    let carried = order
+        .iter()
+        .flat_map(|&i| &scanned_carried[i * stride..(i + 1) * stride])
+        .copied()
+        .collect();
+    Ok((keys, carried))
 }
 
 /// Creates the empty aggregating output index (join-group sink) for a plan.
@@ -349,7 +429,12 @@ pub struct Pipeline<'a> {
 
 /// What a join stage needs at run time that no morsel changes.
 struct StageCtx<'a> {
+    /// The tree-indexed assisting dimensions — base indexes and sparse σs —
+    /// in plan order, probed by the flush.
     assists: Vec<AssistRt<'a>>,
+    /// The dense σs among the assisting dimensions, in plan order, tested
+    /// by the scan.
+    filters: Vec<Filter<'a>>,
     main_fill_pos: Vec<usize>,
     /// The main dimension's index (`SyncScan` stages; a `SelectProbe`
     /// stage streams its dimension instead).
@@ -437,15 +522,38 @@ impl<'a> Pipeline<'a> {
                     .map(|c| stage.work_layout.expect(Src::Dim(d), c))
                     .collect()
             };
-            let mut assists = Vec::with_capacity(stage.assisting.len());
+            let (mut assists, mut filters) = (Vec::new(), Vec::new());
             for &a in &stage.assisting {
-                assists.push(AssistRt {
-                    access: dim_access(db, snap, &plan.dims[a], dim_tables)?,
-                    probe_pos: stage
-                        .work_layout
-                        .expect(Src::Fact, &plan.dims[a].fact_col_name),
-                    fill_pos: fill_pos(a),
-                });
+                let access = dim_access(db, snap, &plan.dims[a], dim_tables)?;
+                let probe_pos = stage
+                    .work_layout
+                    .expect(Src::Fact, &plan.dims[a].fact_col_name);
+                let fill_pos = fill_pos(a);
+                if let DimAccess::Inter {
+                    it:
+                        InterTable {
+                            data:
+                                IndexedTable {
+                                    index: TreeIndex::Dense(dense),
+                                    payload,
+                                },
+                            ..
+                        },
+                } = access
+                {
+                    filters.push(Filter {
+                        dense,
+                        rows: payload,
+                        probe_pos,
+                        fill_pos,
+                    });
+                } else {
+                    assists.push(AssistRt {
+                        access,
+                        probe_pos,
+                        fill_pos,
+                    });
+                }
             }
             let (main, main_access) = match stage.main {
                 MainInput::SyncScan { main } => (
@@ -470,6 +578,7 @@ impl<'a> Pipeline<'a> {
             };
             stages.push(StageCtx {
                 assists,
+                filters,
                 main_fill_pos: fill_pos(main),
                 main_access,
                 identity: (0..stage.input_layout.width())
@@ -604,7 +713,7 @@ impl<'a> Pipeline<'a> {
         fact.index
             .for_each_key_range(range.lo, range.hi, |key, pids| {
                 fact.rows.for_each_row_of(pids, |_, row| {
-                    if fact.passes(key, row, &fs.preds, snap) {
+                    if fact.passes(key, row, &fs.preds, &[], snap) {
                         out.insert(key, fact.fields.iter().map(|f| f.read(key, row)));
                     }
                 });
@@ -795,11 +904,19 @@ struct StageInput<'i, L> {
 }
 
 impl<L: Lane> StageInput<'_, L> {
-    /// `true` if the source `row` under `key` is visible at `snap` and
-    /// passes every predicate of `preds` (over input-layout positions),
-    /// each read straight off the row.
+    /// `true` if the source `row` under `key` is visible at `snap`, passes
+    /// every predicate of `preds` (over input-layout positions) and has
+    /// its key in every dense σ of `filters`, in that order — each field
+    /// read straight off the row, each filter one load.
     #[inline]
-    fn passes(&self, key: u64, row: &[L], preds: &[CompiledPred], snap: Snapshot) -> bool {
+    fn passes(
+        &self,
+        key: u64,
+        row: &[L],
+        preds: &[CompiledPred],
+        filters: &[Filter<'_>],
+        snap: Snapshot,
+    ) -> bool {
         if let Some(mvt) = self.vis {
             if !mvt.visible(payload_rid(row), snap) {
                 return false;
@@ -808,6 +925,10 @@ impl<L: Lane> StageInput<'_, L> {
         preds
             .iter()
             .all(|p| p.matches(|c| self.fields[c].read(key, row)))
+            && filters.iter().all(|f| {
+                count!(PROBES, 1);
+                f.dense.handle(self.fields[f.probe_pos].read(key, row)) != 0
+            })
     }
 }
 
@@ -948,6 +1069,48 @@ struct AssistRt<'a> {
     fill_pos: Vec<usize>,
 }
 
+/// An assisting dimension whose σ is a [`DenseIndex`]: the stage's scan
+/// tests a row's key in it with one load and drops a row that misses, and
+/// the flush copies the σ row of each survivor's key into its work row.
+/// The value a dense σ holds under a key is the key's σ row.
+struct Filter<'a> {
+    dense: &'a DenseIndex,
+    /// The σ's payload rows: its carried values.
+    rows: &'a PayloadBuf,
+    /// The input-layout position of the fact column the σ joins on.
+    probe_pos: usize,
+    /// Where the σ's carried values go in the work row.
+    fill_pos: Vec<usize>,
+}
+
+impl Filter<'_> {
+    /// Writes the carried values of every surviving row's key — the σ rows
+    /// `sigma`, at the σ's lane width — into the row's work row.
+    fn fill<L: Lane, M: Lane>(
+        &self,
+        sigma: Rows<'_, M>,
+        input: StageInput<'_, L>,
+        s: &mut JoinScratch,
+        width: usize,
+    ) {
+        let probe = input.fields[self.probe_pos];
+        for &r in &s.alive {
+            let r = r as usize;
+            let key = match probe {
+                FieldSrc::Key => s.buffer[r * width + self.probe_pos],
+                FieldSrc::Payload(p) => input.rows.row(s.ids[r])[p].into(),
+            };
+            let h = self.dense.handle(key);
+            debug_assert_ne!(h, 0, "the scan tested the key");
+            let src = sigma.row(self.dense.value(h));
+            let row = &mut s.buffer[r * width..(r + 1) * width];
+            for (&pos, &v) in self.fill_pos.iter().zip(src) {
+                row[pos] = v.into();
+            }
+        }
+    }
+}
+
 // One StageSink exists per join stage; the size skew vs. the Agg variant is
 // irrelevant and boxing would cost an indirection on the hot insert path.
 #[allow(clippy::large_enum_variant)]
@@ -980,12 +1143,6 @@ struct JoinScratch {
     deltas: Vec<i64>,
     /// Scratch of the batched fact-index probes of a select-probe stage.
     probe: ProbeScratch,
-    /// Assisting-index probes issued (one per surviving row per assist).
-    #[cfg(test)]
-    probes: usize,
-    /// Buffered rows whose input fields were copied (the survivors).
-    #[cfg(test)]
-    materialized: usize,
 }
 
 /// One join stage over one morsel, at its input's lane width `L`.
@@ -1045,6 +1202,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
         for (&pos, &v) in self.ctx.main_fill_pos.iter().zip(carried) {
             row[pos] = v;
         }
+        count!(BUFFERED, 1);
         s.ids.push(id);
         if s.ids.len() >= self.cap {
             self.flush();
@@ -1054,7 +1212,8 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     /// Drains the join buffer through the assisting dimensions into the
     /// sink — a selection-vector pipeline (§2.3, §4.2).
     ///
-    /// `alive` starts as every buffered row. Each assisting dimension, in
+    /// Every buffered row has passed the stage's filters in the scan
+    /// already. `alive` starts as every buffered row. Each tree assist, in
     /// plan order, is probed **only by the rows the previous one kept**,
     /// with the probe column read from the row's source row (or, for the
     /// stage key, from its slot): a survivor whose key has a visible tuple
@@ -1064,10 +1223,13 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     /// further index. Join keys are unique per visible snapshot, so the
     /// first visible version of a key is the tuple. Compaction keeps
     /// `alive` ascending: the sink sees the survivors in buffer (= scan)
-    /// order. Only then are the survivors' input fields copied from their
-    /// source rows, so a rejected candidate is never copied at all.
+    /// order. Each filter that carries values then writes them into the
+    /// survivors' work rows: the key's handle in the dense σ — one load,
+    /// never absent, since the scan tested it — names the σ row to copy.
+    /// Only then are the survivors' input fields copied from their source
+    /// rows, so a rejected candidate is never copied at all.
     ///
-    /// An assist is three passes over `alive`, one body for every index
+    /// A tree assist is three passes over `alive`, one body for every index
     /// structure: gather the probe keys; look them all up at once
     /// ([`TreeIndex::get_handles`]) and compact to the hits without a
     /// branch; then, for the hits only, walk the key's versions until one
@@ -1096,10 +1258,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
         s.alive.clear();
         s.alive.extend(0..n as u32);
         for assist in &self.ctx.assists {
-            #[cfg(test)]
-            {
-                s.probes += s.alive.len();
-            }
+            count!(PROBES, s.alive.len());
             let index = assist.access.index();
             // Pass 1: gather the survivors' probe keys.
             let probe = input.fields[assist.probe_pos];
@@ -1135,6 +1294,11 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
             }
             s.alive.truncate(kept);
         }
+        // The scan tested every filter: only the ones that carry values
+        // are read again, one load and a row copy per survivor.
+        for f in self.ctx.filters.iter().filter(|f| !f.fill_pos.is_empty()) {
+            with_lanes!(f.rows, sigma => f.fill(sigma, input, s, width));
+        }
         debug_assert!(s.alive.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(s.alive.last().is_none_or(|&r| (r as usize) < n));
         // Late materialization: only the survivors' input fields are
@@ -1149,10 +1313,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
                 }
             }
         }
-        #[cfg(test)]
-        {
-            s.materialized += s.alive.len();
-        }
+        count!(MATERIALIZED, s.alive.len());
         let rows = s
             .alive
             .iter()
@@ -1196,7 +1357,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     /// intermediate.
     fn sync_scan(&mut self, dim_acc: &DimAccess<'_>, range: KeyRange) {
         let (input, snap, stage) = (self.input, self.snap, self.stage);
-        let stride = self.ctx.main_fill_pos.len();
+        let (stride, filters) = (self.ctx.main_fill_pos.len(), &self.ctx.filters[..]);
         let mut dim_buf: Vec<u64> = Vec::new();
         let visit = |key, fids, dids| {
             let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
@@ -1204,7 +1365,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
             };
             // Cross product of fact tuples × dim tuples (§4.2).
             input.rows.for_each_row_of(fids, |id, row| {
-                if input.passes(key, row, &stage.residuals, snap) {
+                if input.passes(key, row, &stage.residuals, filters, snap) {
                     for t in 0..count {
                         self.emit(id, key, &dim_buf[t * stride..(t + 1) * stride]);
                     }
@@ -1228,7 +1389,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
         fused: Option<&FusedSelection>,
     ) -> Result<(), QpptError> {
         let (input, snap, stage, cap) = (self.input, self.snap, self.stage, self.cap);
-        let stride = dim.carried_names.len();
+        let (stride, filters) = (dim.carried_names.len(), &self.ctx.filters[..]);
 
         // The selection tuples of this morsel: a binary-searched slice of
         // the shared pre-materialized stream (work proportional to the
@@ -1267,7 +1428,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
                 let (g, key) = (start + job, keys[job]);
                 let carried = &probe_carried[g * stride..(g + 1) * stride];
                 input.rows.for_each_row_of(pids, |id, row| {
-                    if input.passes(key, row, &stage.residuals, snap) {
+                    if input.passes(key, row, &stage.residuals, filters, snap) {
                         self.emit(id, key, carried);
                     }
                 });
@@ -1469,36 +1630,59 @@ mod tests {
         db
     }
 
-    /// `fact ⋈ a ⋈ σ(b) ⋈ σ(c)` grouped by `xa`, summing `m`: `a` is the
-    /// main dimension, `b` then `c` assist.
-    fn spec(b: (i64, i64), c: (i64, i64)) -> QuerySpec {
-        let dim = |t: &str, preds: Vec<Predicate>, carried: &[&str]| DimSpec {
+    fn dim(t: &str, preds: Vec<Predicate>, carried: &[&str]) -> DimSpec {
+        DimSpec {
             table: t.into(),
             join_col: format!("k{t}"),
             fact_col: format!("f{t}"),
             predicates: preds,
             carried: carried.iter().map(|c| c.to_string()).collect(),
-        };
+        }
+    }
+
+    /// A star over `dims` grouped by `group_by` (`(table, column)`),
+    /// summing `m`.
+    fn star(dims: Vec<DimSpec>, group_by: &[(&str, &str)]) -> QuerySpec {
         QuerySpec {
             id: "t".into(),
             fact: "fact".into(),
-            dims: vec![
-                dim("a", vec![], &["xa"]),
-                dim("b", vec![Predicate::between("xb", b.0, b.1)], &[]),
-                dim("c", vec![Predicate::between("xc", c.0, c.1)], &[]),
-            ],
+            dims,
             fact_predicates: vec![],
-            group_by: vec![ColRef::new("a", "xa")],
+            group_by: group_by.iter().map(|&(t, c)| ColRef::new(t, c)).collect(),
             aggregates: vec![AggExpr::sum(Expr::Col("m".into()), "s")],
             order_by: vec![],
         }
     }
 
+    /// `fact ⋈ a ⋈ σ(b) ⋈ σ(c)` grouped by `xa`, summing `m`: `a` is the
+    /// main dimension, `b` then `c` assist.
+    fn spec(b: (i64, i64), c: (i64, i64)) -> QuerySpec {
+        star(
+            vec![
+                dim("a", vec![], &["xa"]),
+                dim("b", vec![Predicate::between("xb", b.0, b.1)], &[]),
+                dim("c", vec![Predicate::between("xc", c.0, c.1)], &[]),
+            ],
+            &[("a", "xa")],
+        )
+    }
+
+    /// What one pipeline run did, counted exactly.
+    #[derive(Debug, PartialEq)]
+    struct Work {
+        /// Assist probes: filter tests in the scan plus tree-assist
+        /// lookups in the flush.
+        probes: usize,
+        /// Rows that entered the join buffer.
+        buffered: usize,
+        /// Buffered rows whose input fields were copied (the survivors).
+        materialized: usize,
+    }
+
     /// Runs `spec` through one [`Pipeline`] with a 4-row join buffer (three
-    /// flushes for the ten fact rows); returns `(xa, sum)` per group, the
-    /// number of assisting-index probes issued and the number of buffered
-    /// rows whose input fields were copied.
-    fn run(spec: &QuerySpec) -> (Vec<(u64, i64)>, usize, usize) {
+    /// flushes for the ten fact rows); returns the group values and sum of
+    /// every group, in key order, and the work it took.
+    fn run(spec: &QuerySpec) -> (Vec<(Vec<Value>, i64)>, Work) {
         let opts = PlanOptions::default().with_join_buffer(4);
         let mut db = db();
         prepare_indexes(&mut db, spec, &opts).unwrap();
@@ -1507,37 +1691,89 @@ mod tests {
         let dims: Vec<_> = (0..plan.dims.len())
             .map(|di| materialize_dim_selection(&db, snap, &plan, di).unwrap())
             .collect();
+        for counter in [&work::PROBES, &work::BUFFERED, &work::MATERIALIZED] {
+            work::take(counter);
+        }
         let mut agg = new_agg_table(&plan);
         let mut pipeline = Pipeline::new(&db, snap, &plan, &dims, None).unwrap();
         pipeline.run(KeyRange::full(), &mut agg).unwrap();
-        let groups = agg
-            .into_run()
-            .iter()
-            .map(|(key, (), accs)| (key, accs[0]))
+        let groups = decode_result(&db, &plan, &agg.into_run())
+            .rows
+            .into_iter()
+            .map(|r| (r.key_values, r.agg_values[0]))
             .collect();
-        let s = &pipeline.scratch;
-        (groups, s.probes, s.materialized)
+        let work = Work {
+            probes: work::take(&work::PROBES),
+            buffered: work::take(&work::BUFFERED),
+            materialized: work::take(&work::MATERIALIZED),
+        };
+        (groups, work)
+    }
+
+    fn ints(values: &[i64]) -> Vec<Value> {
+        values.iter().map(|&v| Value::Int(v)).collect()
     }
 
     #[test]
     fn an_assist_is_probed_only_by_the_previous_assists_survivors() {
         // b keeps fb ∈ {1, 2} = rows {0, 1, 5, 6}; of those c keeps
         // fc ≤ 6 = rows {0, 1, 5}: ten probes of b, four of c, and only
-        // those three survivors are copied out of their source rows.
-        let (groups, probes, materialized) = run(&spec((1, 2), (1, 6)));
-        assert_eq!(groups, vec![(1, 1 << 0), (2, (1 << 1) + (1 << 5))]);
-        assert_eq!(probes, 10 + 4);
-        assert_eq!(materialized, 3);
+        // those three survivors enter the join buffer and are copied out
+        // of their source rows. Both σs are dense, so the scan tests them
+        // and the rows they reject are never buffered.
+        let (groups, work) = run(&spec((1, 2), (1, 6)));
+        assert_eq!(
+            groups,
+            vec![(ints(&[1]), 1 << 0), (ints(&[2]), (1 << 1) + (1 << 5))]
+        );
+        let (probes, buffered, materialized) = (10 + 4, 3, 3);
+        assert_eq!(
+            work,
+            Work {
+                probes,
+                buffered,
+                materialized
+            }
+        );
     }
 
     #[test]
     fn a_block_nothing_survives_probes_no_further_index() {
-        // b rejects every row of every flush block: c, which would keep
-        // all ten, is never probed, and no row is copied.
-        let (groups, probes, materialized) = run(&spec((100, 200), (1, 10)));
+        // b rejects every row: c, which would keep all ten, is never
+        // probed, and no row is buffered or copied.
+        let (groups, work) = run(&spec((100, 200), (1, 10)));
         assert!(groups.is_empty());
-        assert_eq!(probes, 10);
-        assert_eq!(materialized, 0);
+        assert_eq!(work.probes, 10);
+        assert_eq!((work.buffered, work.materialized), (0, 0));
+    }
+
+    #[test]
+    fn a_dense_selection_filters_before_the_base_index_assist_it_follows() {
+        // b joins through its base index and precedes σ(c) in plan order,
+        // both carrying what the query groups by. c keeps fc ≤ 6 = rows
+        // 0..6: the scan tests c on all ten rows and buffers six, and the
+        // flush probes b for those six only — in either order of the two.
+        let b = dim("b", vec![], &["xb"]);
+        let c = dim("c", vec![Predicate::between("xc", 1, 6)], &["xc"]);
+        let a = dim("a", vec![], &["xa"]);
+        let group_by = [("a", "xa"), ("b", "xb"), ("c", "xc")];
+        let (groups, work) = run(&star(vec![a.clone(), b.clone(), c.clone()], &group_by));
+        let mut expect: Vec<([i64; 3], i64)> = (0..6)
+            .map(|i| ([1 + i % 2, 1 + i % 5, 1 + i], 1 << i))
+            .collect();
+        expect.sort_unstable();
+        let expect: Vec<(Vec<Value>, i64)> = expect.iter().map(|(g, m)| (ints(g), *m)).collect();
+        assert_eq!(groups, expect);
+        let (probes, buffered, materialized) = (10 + 6, 6, 6);
+        assert_eq!(
+            work,
+            Work {
+                probes,
+                buffered,
+                materialized
+            }
+        );
+        assert_eq!(run(&star(vec![a, c, b], &group_by)), (groups, work));
     }
 
     #[test]

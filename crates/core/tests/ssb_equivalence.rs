@@ -43,6 +43,31 @@ fn all_queries_match_reference_default_options() {
     }
 }
 
+/// Every dimension selection σ of the 13 named queries at sf 0.01 is built
+/// as the one-level dense index: its unique keys span a compact range (Q3.3's
+/// and Q3.4's supplier σs are empty at this scale, which is dense too). This
+/// pins the choice rule: a regression in it would change no answer, only
+/// cost the join stages their σ filters.
+#[test]
+fn every_selection_of_the_named_queries_is_dense() {
+    let opts = PlanOptions::default();
+    let ssb = prepared_db(0.01, 42, &opts);
+    let engine = QpptEngine::new(&ssb.db);
+    let mut sigmas = 0;
+    for q in queries::all_queries() {
+        let (_, stats) = engine.run_with_stats(&q, &opts).unwrap();
+        let dims = stats
+            .ops
+            .iter()
+            .filter(|op| op.label.starts_with("σ(") && !op.label.starts_with("σ(fact"));
+        for op in dims {
+            assert_eq!(op.index_kind, "Dense", "{}: {}", q.id, op.label);
+            sigmas += 1;
+        }
+    }
+    assert_eq!(sigmas, 19, "σs of the 13 queries");
+}
+
 #[test]
 fn city_in_lists_match_reference_with_rows() {
     // A Q3.3 variant over all ten cities of two nations, so the InSet × InSet

@@ -12,6 +12,9 @@
 //!   sits before and after an unselective one;
 //! * flush boundaries: `join_buffer` 1 (every row its own block), 64, 512;
 //! * a dimension that rejects every row of every block (`dead_supplier`);
+//! * dense and sparse σs: every σ of the named queries is a dense index the
+//!   scan tests, while [`sparse_date`]'s date σ spans too wide a key range
+//!   and stays a tree the flush probes;
 //! * `max_join_ways = 2`: one dimension per stage, so every stage but the
 //!   last sinks its survivors into an intermediate table;
 //! * `select_join` off: stage 1 is a synchronous scan instead of the fused
@@ -28,7 +31,7 @@
 
 use std::sync::Arc;
 
-use qppt_core::{prepare_indexes, PlanOptions};
+use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
 use qppt_mem::Xoshiro256StarStar;
 use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::{run_reference, SsbDb};
@@ -184,6 +187,19 @@ fn dead_supplier() -> QuerySpec {
     q
 }
 
+/// Q3.1 with a date selection of two years six apart, `d_year IN (1992,
+/// 1998)`: 731 keys over a span of 61 131 `d_datekey`s, past the dense
+/// bound of 64 × 731 + 1 024, so the σ is a tree-indexed assist.
+fn sparse_date() -> QuerySpec {
+    let mut q = qppt_ssb::queries::q3_1();
+    q.id = "sparse-date".into();
+    q.dims[2].predicates = vec![Predicate::is_in(
+        "d_year",
+        vec![Value::Int(1992), Value::Int(1998)],
+    )];
+    q
+}
+
 /// Q4.1 without its supplier: `date` has no predicate, so it joins through
 /// its base index — the dimension [`age_date_keys`] gives version
 /// histories — and carries the `d_year` the result groups by.
@@ -249,7 +265,7 @@ fn age_date_keys(db: &mut Database, first_dead: i64, second_dead: i64, all_dead:
 #[test]
 fn random_stars_in_every_dimension_order_match_the_reference() {
     let mut rng = Rng::new(0x5EED_0018);
-    let mut shapes = vec![dead_supplier(), base_date()];
+    let mut shapes = vec![dead_supplier(), base_date(), sparse_date()];
     for (id, ndims) in [1, 2, 3, 3, 4].into_iter().enumerate() {
         shapes.push(random_spec(&mut rng, id, ndims));
     }
@@ -272,6 +288,23 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
     age_date_keys(&mut ssb.db, 19940315, 19950720, 19970610);
     let db = Arc::new(ssb.db);
     let snap = db.snapshot();
+    let (_, stats) = QpptEngine::new(&db)
+        .run_with_stats(&sparse_date(), &PlanOptions::default())
+        .unwrap();
+    let sigma_kinds: Vec<(&str, &str)> = stats
+        .ops
+        .iter()
+        .filter(|op| op.label.starts_with("σ("))
+        .map(|op| (op.label.as_str(), op.index_kind.as_str()))
+        .collect();
+    assert_eq!(
+        sigma_kinds,
+        vec![
+            ("σ(supplier) → idx on s_suppkey", "Dense"),
+            ("σ(date) → idx on d_datekey", "KISS-Tree")
+        ],
+        "the sparse date σ stays a tree"
+    );
     let pool = WorkerPool::new(2, 8);
     let engine = PooledEngine::new(db.clone(), pool.clone());
 
@@ -301,8 +334,9 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
             }
         }
     }
-    // 1 + 2 + 6 + 6 + 24 + 6 orders of the random shapes, 6 + 6 of the
-    // others; 4 buffer/width settings × fused/non-fused × 2 parallelisms.
-    assert_eq!(runs, (45 + 12) * 16);
+    // 1 + 2 + 6 + 6 + 24 + 6 orders of the random shapes, 6 + 6 + 6 of
+    // the others; 4 buffer/width settings × fused/non-fused × 2
+    // parallelisms.
+    assert_eq!(runs, (45 + 18) * 16);
     pool.shutdown();
 }

@@ -7,6 +7,13 @@
 //! compile-time choice reified as an enum, with a uniform multimap API and a
 //! synchronous scan that dispatches to the structure-specific kernels.
 //!
+//! A dimension selection σ adds §2.1's extreme to the choice: it lives for
+//! one query and usually holds unique keys of one compact range, and then
+//! it is built as the one-level tree, a direct-addressed array
+//! ([`DenseIndex`]), instead of a tree sized for the whole key domain
+//! ([`TreeIndex::for_selection`]). A dense index is built whole and read
+//! through the same interface; it takes no inserts.
+//!
 //! [`IndexedTable`] couples a [`TreeIndex`] with a fixed-width payload
 //! buffer ([`PayloadBuf`]) — the representation of both *base indexes* and
 //! *intermediate indexed tables* (§3): the index maps a key to payload-row
@@ -17,6 +24,7 @@ use qppt_kiss::{kiss_sync_scan_range, KissConfig, KissTree};
 use qppt_mem::{key_bits, KeyPacker, Values};
 use qppt_trie::{sync_scan_range, PrefixTree, TrieConfig};
 
+use crate::dense::DenseIndex;
 use crate::mvcc::MvccTable;
 use crate::payload::{PayloadBuf, Row};
 use crate::table::Table;
@@ -38,6 +46,9 @@ pub enum TreeIndex {
     Kiss(KissTree<u32>),
     /// Generalized prefix tree, `k′ = 4` (32- or 64-bit keys).
     Pt(PrefixTree<u32>),
+    /// The one-level tree over a compact range of unique keys, built whole
+    /// ([`for_selection`](Self::for_selection)).
+    Dense(DenseIndex),
 }
 
 impl TreeIndex {
@@ -55,8 +66,10 @@ impl TreeIndex {
         TreeIndex::Pt(PrefixTree::new(cfg))
     }
 
-    /// The §2.2 compile-time choice: KISS for 32-bit domains (if
-    /// `prefer_kiss`), prefix tree otherwise.
+    /// The §2.2 compile-time choice for an index that grows by inserts:
+    /// KISS for 32-bit domains (if `prefer_kiss`), prefix tree otherwise. A
+    /// KISS root covers the whole 32-bit domain, which suits a long-lived
+    /// base index and a stage's output, whose keys are not known up front.
     pub fn for_domain(max_key: u64, prefer_kiss: bool) -> Self {
         if max_key <= u32::MAX as u64 {
             if prefer_kiss {
@@ -69,12 +82,30 @@ impl TreeIndex {
         }
     }
 
-    /// An empty index with the same configuration as `self`.
-    pub fn same_geometry(&self) -> Self {
-        match self {
-            TreeIndex::Kiss(t) => TreeIndex::Kiss(KissTree::new(t.config())),
-            TreeIndex::Pt(t) => TreeIndex::Pt(PrefixTree::new(t.config())),
+    /// The index of a table built whole in key order, such as a dimension
+    /// selection σ: `keys` ascending, the `i`-th key holding the value `i`
+    /// (its payload row). Unique keys whose span fits
+    /// ([`DenseIndex::fits`]: at most `64 × n + 1 024`) become §2.1's
+    /// one-level tree, [`Dense`](Self::Dense), with no knob — one load per
+    /// probe, at a size bounded by what the KISS-Tree costs in its worst
+    /// case; an empty selection is an empty dense index. Any other key set goes into the §2.2 tree of
+    /// [`for_domain`](Self::for_domain), whose arguments this passes on.
+    pub fn for_selection(keys: &[u64], max_key: u64, prefer_kiss: bool) -> Self {
+        let unique = keys.windows(2).all(|w| w[0] < w[1]);
+        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys ascending");
+        let dense = match (keys.first(), keys.last()) {
+            (Some(&lo), Some(&hi)) => unique && DenseIndex::fits(keys.len(), lo, hi),
+            _ => true,
+        };
+        if dense {
+            let values: Vec<u32> = (0..keys.len() as u32).collect();
+            return TreeIndex::Dense(DenseIndex::new(keys, &values));
         }
+        let mut index = Self::for_domain(max_key, prefer_kiss);
+        for (i, &k) in keys.iter().enumerate() {
+            index.insert(k, i as u32);
+        }
+        index
     }
 
     /// `true` for the KISS variant.
@@ -82,12 +113,14 @@ impl TreeIndex {
         matches!(self, TreeIndex::Kiss(_))
     }
 
-    /// Inserts a `(key, payload-row id)` pair (multimap).
+    /// Inserts a `(key, payload-row id)` pair (multimap). A dense index is
+    /// built whole and panics.
     #[inline]
     pub fn insert(&mut self, key: u64, value: u32) {
         match self {
             TreeIndex::Kiss(t) => t.insert(key_as_u32(key), value),
             TreeIndex::Pt(t) => t.insert(key, value),
+            TreeIndex::Dense(_) => panic!("{BUILT_WHOLE}"),
         }
     }
 
@@ -96,13 +129,15 @@ impl TreeIndex {
     /// Together with [`clamp`](Self::clamp) this is the one place the key
     /// domain of the two structures is derived; every probe and cursor
     /// below goes through it, so callers may pass any `u64`. The handle
-    /// lookup ([`get_handles`](Self::get_handles)) is the exception: both
-    /// structures answer a key beyond their domain absent themselves.
+    /// lookup ([`get_handles`](Self::get_handles)) is the exception: every
+    /// structure answers a key beyond its domain absent itself. A dense
+    /// index takes any `u64` and answers a key outside its span absent.
     #[inline]
     fn key_max(&self) -> u64 {
         match self {
             TreeIndex::Kiss(t) => t.config().key_limit().map_or(u32::MAX, |l| l - 1) as u64,
             TreeIndex::Pt(t) => t.config().key_limit().map_or(u64::MAX, |l| l - 1),
+            TreeIndex::Dense(_) => u64::MAX,
         }
     }
 
@@ -122,6 +157,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.get(key as u32),
             TreeIndex::Pt(t) => t.get(key),
+            TreeIndex::Dense(d) => d.get(key),
         }
     }
 
@@ -139,28 +175,8 @@ impl TreeIndex {
             && match self {
                 TreeIndex::Kiss(t) => t.contains_key(key as u32),
                 TreeIndex::Pt(t) => t.contains_key(key),
+                TreeIndex::Dense(d) => d.handle(key) != 0,
             }
-    }
-
-    /// Batched membership probe (join buffers, §2.3/§4.2).
-    pub fn batch_contains(&self, keys: &[u64]) -> Vec<bool> {
-        // Out-of-domain keys can never be present: probe them as the
-        // domain's last key and mask the answer.
-        let max = self.key_max();
-        let mut out = match self {
-            TreeIndex::Kiss(t) => {
-                let narrowed: Vec<u32> = keys.iter().map(|&k| k.min(max) as u32).collect();
-                t.batch_contains(&narrowed)
-            }
-            TreeIndex::Pt(t) => {
-                let narrowed: Vec<u64> = keys.iter().map(|&k| k.min(max)).collect();
-                t.batch_contains(&narrowed)
-            }
-        };
-        for (present, &k) in out.iter_mut().zip(keys) {
-            *present &= k <= max;
-        }
-        out
     }
 
     /// Batched multimap lookup: `f(job_index, value)` for every value of
@@ -205,14 +221,22 @@ impl TreeIndex {
                     }
                 });
             }
+            // One load per key: nothing to prefetch.
+            TreeIndex::Dense(d) => {
+                for (i, &k) in keys.iter().enumerate() {
+                    if let Some(vs) = d.get(k) {
+                        f(i, vs);
+                    }
+                }
+            }
         }
     }
 
     /// Batched lookup into content handles: `handles` (cleared first) gets
     /// one per key, in order — `0` for an absent key, else a value for
-    /// [`handle_values`](Self::handle_values). A KISS-Tree answers each key
-    /// with two dependent loads and no branch on the data; a prefix tree
-    /// descends per key. Without prefetch rounds this is the faster batch
+    /// [`handle_values`](Self::handle_values). A dense index answers each
+    /// key with one load, a KISS-Tree with two dependent loads, neither
+    /// with a branch on the data; a prefix tree descends per key. Without prefetch rounds this is the faster batch
     /// on a cache-resident index; [`batch_get_with`](Self::batch_get_with)
     /// is the one for an index larger than the caches.
     pub fn get_handles(&self, keys: &[u64], handles: &mut Vec<u32>) {
@@ -221,6 +245,10 @@ impl TreeIndex {
             TreeIndex::Pt(t) => {
                 handles.clear();
                 handles.extend(keys.iter().map(|&k| t.handle(k)));
+            }
+            TreeIndex::Dense(d) => {
+                handles.clear();
+                handles.extend(keys.iter().map(|&k| d.handle(k)));
             }
         }
     }
@@ -231,19 +259,21 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.handle_values(handle),
             TreeIndex::Pt(t) => t.handle_values(handle),
+            TreeIndex::Dense(d) => d.handle_values(handle),
         }
     }
 
     /// The value stored under `key`, storing `value` first if the key is
     /// absent — one descent (the trees' aggregating upsert). For indexes
     /// that keep one value per key, such as the group → accumulator-slot
-    /// index of a join-group.
+    /// index of a join-group. A dense index is built whole and panics.
     #[inline]
     pub fn get_or_insert(&mut self, key: u64, value: u32) -> u32 {
         let mut stored = value;
         match self {
             TreeIndex::Kiss(t) => t.insert_merge(key_as_u32(key), value, |old, _| stored = *old),
             TreeIndex::Pt(t) => t.insert_merge(key, value, |old, _| stored = *old),
+            TreeIndex::Dense(_) => panic!("{BUILT_WHOLE}"),
         }
         stored
     }
@@ -263,6 +293,7 @@ impl TreeIndex {
             TreeIndex::Pt(t) => t
                 .range(lo, hi)
                 .for_each(|(k, vs)| vs.for_each(|v| f(k, *v))),
+            TreeIndex::Dense(d) => d.for_each_key_range(lo, hi, |k, vs| vs.for_each(|v| f(k, *v))),
         }
     }
 
@@ -287,6 +318,7 @@ impl TreeIndex {
                 .range(lo as u32, hi as u32)
                 .for_each(|(k, vs)| f(k as u64, vs)),
             TreeIndex::Pt(t) => t.range(lo, hi).for_each(|(k, vs)| f(k, vs)),
+            TreeIndex::Dense(d) => d.for_each_key_range(lo, hi, f),
         }
     }
 
@@ -295,6 +327,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.min_key().map(u64::from),
             TreeIndex::Pt(t) => t.min_key(),
+            TreeIndex::Dense(d) => d.min_key(),
         }
     }
 
@@ -303,6 +336,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.max_key().map(u64::from),
             TreeIndex::Pt(t) => t.max_key(),
+            TreeIndex::Dense(d) => d.max_key(),
         }
     }
 
@@ -311,6 +345,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.len(),
             TreeIndex::Pt(t) => t.len(),
+            TreeIndex::Dense(d) => d.len(),
         }
     }
 
@@ -324,6 +359,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.total_values(),
             TreeIndex::Pt(t) => t.total_values(),
+            TreeIndex::Dense(d) => d.len(),
         }
     }
 
@@ -332,6 +368,7 @@ impl TreeIndex {
         match self {
             TreeIndex::Kiss(t) => t.stats().resident_bytes(),
             TreeIndex::Pt(t) => t.memory_bytes(),
+            TreeIndex::Dense(d) => d.memory_bytes(),
         }
     }
 
@@ -346,9 +383,13 @@ impl TreeIndex {
                     "PrefixTree<64>"
                 }
             }
+            TreeIndex::Dense(_) => "Dense",
         }
     }
 }
+
+/// Why a dense index takes no insert.
+const BUILT_WHOLE: &str = "a dense index is built whole (TreeIndex::for_selection)";
 
 /// Caller-owned scratch of [`TreeIndex::batch_get_with`]: the keys
 /// narrowed to the structure's width and the structure's own per-job
@@ -387,9 +428,11 @@ pub fn sync_scan_indexes<'l, 'r>(
 ///
 /// Matching structures use the structural skip-scan kernels
 /// ([`qppt_trie::sync_scan_range`], [`qppt_kiss::kiss_sync_scan_range`]);
-/// mismatched structures (which the planner avoids, but the API permits)
-/// fall back to an ordered range-iterate-and-probe that yields the same key
-/// sequence.
+/// mismatched structures fall back to an ordered range-iterate-and-probe
+/// over the keys both sides can hold, which yields the same key sequence.
+/// That is the path of a dense σ, the main input of a synchronous scan:
+/// the left side is walked over the σ's span only, and each of its keys
+/// probes the σ with one load.
 pub fn sync_scan_indexes_range<'l, 'r>(
     left: &'l TreeIndex,
     right: &'r TreeIndex,
@@ -408,8 +451,16 @@ pub fn sync_scan_indexes_range<'l, 'r>(
             sync_scan_range(l, r, lo, hi, f);
         }
         _ => {
-            // Mixed geometry: ordered iterate the left side, point-probe the
-            // right side. Key order (and thus output) is identical.
+            // Mixed geometry: ordered iterate the left side within the
+            // right side's key bounds, point-probe the right side. Key
+            // order (and thus output) is identical.
+            let (Some(rmin), Some(rmax)) = (right.min_key(), right.max_key()) else {
+                return;
+            };
+            let (lo, hi) = (lo.max(rmin), hi.min(rmax));
+            if lo > hi {
+                return;
+            }
             left.for_each_key_range(lo, hi, |k, lvals| {
                 if let Some(rvals) = right.get(k) {
                     f(k, lvals, rvals);
@@ -700,12 +751,12 @@ mod tests {
     fn out_of_domain_probes_are_safe() {
         let mut idx = TreeIndex::new_kiss();
         idx.insert(5, 1);
+        assert!(idx.contains(5));
         assert!(!idx.contains(1 << 40));
-        assert_eq!(idx.batch_contains(&[5, 1 << 40]), vec![true, false]);
         let mut idx32 = TreeIndex::new_pt(KeyWidth::W32);
         idx32.insert(5, 1);
+        assert!(idx32.contains(5));
         assert!(!idx32.contains(1 << 40));
-        assert_eq!(idx32.batch_contains(&[5, 1 << 40]), vec![true, false]);
     }
 
     /// A KISS-Tree with a small root holds `2^(l1_bits + 6)` keys: every
@@ -728,10 +779,8 @@ mod tests {
             hits.extend(vs.map(|&v| (i, v)))
         });
         assert_eq!(hits, vec![(0, 1), (1, 2)]);
-        assert_eq!(
-            idx.batch_contains(&keys),
-            vec![true, true, false, false, false]
-        );
+        let present: Vec<bool> = keys.iter().map(|&k| idx.contains(k)).collect();
+        assert_eq!(present, vec![true, true, false, false, false]);
         let mut handles = Vec::new();
         idx.get_handles(&keys, &mut handles);
         assert_eq!(&handles[2..], &[0, 0, 0]);

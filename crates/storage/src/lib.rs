@@ -16,8 +16,9 @@
 //!   indexes do not have to, because they are private for the query" — §3);
 //! * [`index`] — the unified tree-index handle ([`index::TreeIndex`]:
 //!   KISS-Tree for 32-bit key domains, prefix tree otherwise, chosen at plan
-//!   time exactly as §2.2 describes) and base indexes (secondary or
-//!   partially clustered, §3);
+//!   time exactly as §2.2 describes, and §2.1's one-level tree for a
+//!   dimension selection over a compact key range, [`dense`]) and base
+//!   indexes (secondary or partially clustered, §3);
 //! * [`payload`] — the fixed-width payload rows behind every index, in
 //!   32-bit lanes until a value needs 64;
 //! * [`db`] — the catalog: tables plus their base indexes, with index
@@ -27,6 +28,7 @@
 //!   and the reference oracle.
 
 pub mod db;
+pub mod dense;
 pub mod dict;
 pub mod index;
 pub mod mvcc;
@@ -36,6 +38,7 @@ pub mod table;
 pub mod types;
 
 pub use db::{Database, IndexDef};
+pub use dense::DenseIndex;
 pub use dict::Dictionary;
 pub use index::{
     stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,

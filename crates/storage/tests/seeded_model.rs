@@ -12,6 +12,10 @@
 //! prefix plus a trailing range, and maintenance under inserts — including
 //! rows that outgrow the part widths frozen at build time.
 //!
+//! The one-level dense index must equal all three trees on the unique key
+//! sets of a compact range it is built for, and
+//! [`TreeIndex::for_selection`] must choose it exactly by its rule.
+//!
 //! Under both, a [`PayloadBuf`] must read back every row it was given,
 //! before and after a value wider than 32 bits moves it from 32- to 64-bit
 //! lanes, and hold exactly the bytes its rows need when it was reserved
@@ -20,7 +24,7 @@
 use qppt_mem::Xoshiro256StarStar;
 use qppt_storage::{
     sync_scan_indexes, sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Lanes,
-    PayloadBuf, Schema, StorageError, TableBuilder, TreeIndex, Value,
+    PayloadBuf, ProbeScratch, Schema, StorageError, TableBuilder, TreeIndex, Value,
 };
 use std::collections::BTreeMap;
 
@@ -183,7 +187,6 @@ fn batched_probes_match_btreemap_model() {
             u64::MAX,
         ]);
         let present: Vec<bool> = probes.iter().map(|k| m.contains_key(k)).collect();
-        assert_eq!(idx.batch_contains(&probes), present, "{}", idx.kind_name());
         let mut got: Vec<(usize, u32)> = Vec::new();
         idx.batch_get_each(&probes, |i, v| got.push((i, v)));
         got.sort_unstable();
@@ -194,7 +197,7 @@ fn batched_probes_match_btreemap_model() {
             .collect();
         assert_eq!(got, expect, "{}", idx.kind_name());
         for (&k, &p) in probes.iter().zip(&present) {
-            assert_eq!(idx.contains(k), p);
+            assert_eq!(idx.contains(k), p, "{} key {k}", idx.kind_name());
         }
     }
 }
@@ -231,6 +234,200 @@ fn handle_lookup_matches_get_and_model() {
                 let expect = (!idx.is_empty()).then(|| m.get(&k).cloned()).flatten();
                 assert_eq!(got, expect, "{} key {k}", idx.kind_name());
             }
+        }
+    }
+}
+
+/// Seeded unique key sets of a compact range inside the 32-bit domain —
+/// what a dimension selection holds: `n` keys over a span of at most
+/// `64 × n + 1 024`, the span placed anywhere from 0 to `u32::MAX`
+/// (both ends included), from one key to a few hundred.
+fn compact_key_sets() -> Vec<Vec<u64>> {
+    let mut rng = Xoshiro256StarStar::new(0xDE45E);
+    let mut sets = vec![vec![0], vec![u32::MAX as u64], vec![0, 1, 2]];
+    for case in 0..24u64 {
+        let n = 1 + rng.below(400);
+        let span = n + rng.below(64 * n + 1024 - n + 1);
+        let min = match case % 4 {
+            0 => 0,
+            1 => u32::MAX as u64 + 1 - span,
+            _ => rng.below(u32::MAX as u64 + 2 - span),
+        };
+        // Both ends of the span and n − 2 distinct keys between them.
+        let mut keys: BTreeMap<u64, ()> = BTreeMap::new();
+        keys.insert(min, ());
+        keys.insert(min + span - 1, ());
+        while (keys.len() as u64) < n {
+            keys.insert(min + rng.below(span), ());
+        }
+        sets.push(keys.into_keys().collect());
+    }
+    sets
+}
+
+/// Every read of `dense` equals the same read of each tree over the same
+/// keys (the `i`-th key holding `i`): point lookups and handles at every
+/// key, its neighbours, the span's outside and beyond 32 bits; batched
+/// lookups; ordered sub-range scans; bounds and sizes.
+#[test]
+fn dense_index_equals_every_tree_on_compact_unique_keys() {
+    let mut handles = Vec::new();
+    let mut scratch = ProbeScratch::default();
+    for keys in compact_key_sets() {
+        let dense = TreeIndex::for_selection(&keys, u32::MAX as u64, true);
+        assert_eq!(dense.kind_name(), "Dense", "{} keys", keys.len());
+        let (min, max) = (keys[0], keys[keys.len() - 1]);
+        let mut probes: Vec<u64> = keys.iter().flat_map(|&k| [k, k ^ 1, k + 1]).collect();
+        probes.extend([min.wrapping_sub(1), max + 1, 1 << 32, 1 << 40, u64::MAX]);
+        let ranges = [
+            (0, u64::MAX),
+            (min, max),
+            (min + 1, max.saturating_sub(1)),
+            (keys[keys.len() / 3], keys[2 * keys.len() / 3]),
+            (max, min),
+            (max + 1, u64::MAX),
+            (0, min.saturating_sub(1)),
+        ];
+        for width in STRUCTURES {
+            let mut tree = width.map_or_else(TreeIndex::new_kiss, TreeIndex::new_pt);
+            for (i, &k) in keys.iter().enumerate() {
+                tree.insert(k, i as u32);
+            }
+            let label = format!("Dense vs {} on {} keys", tree.kind_name(), keys.len());
+            let read =
+                |idx: &TreeIndex, k: u64| idx.get(k).map(|vs| vs.copied().collect::<Vec<_>>());
+            for &k in &probes {
+                assert_eq!(read(&dense, k), read(&tree, k), "{label}: get {k}");
+                let (mut d, mut t) = (Vec::new(), Vec::new());
+                dense.get_each(k, |v| d.push(v));
+                tree.get_each(k, |v| t.push(v));
+                assert_eq!(d, t, "{label}: get_each {k}");
+                assert_eq!(dense.contains(k), tree.contains(k), "{label}: contains {k}");
+            }
+            let by_handle = |idx: &TreeIndex, handles: &mut Vec<u32>| -> Vec<Option<Vec<u32>>> {
+                idx.get_handles(&probes, handles);
+                handles
+                    .iter()
+                    .map(|&h| (h != 0).then(|| idx.handle_values(h).copied().collect()))
+                    .collect()
+            };
+            assert_eq!(
+                by_handle(&dense, &mut handles),
+                by_handle(&tree, &mut handles),
+                "{label}: handles"
+            );
+            let mut batched = |idx: &TreeIndex| {
+                let mut got = Vec::new();
+                idx.batch_get_with(&probes, &mut scratch, |i, vs| {
+                    got.extend(vs.map(|&v| (i, v)))
+                });
+                got
+            };
+            assert_eq!(batched(&dense), batched(&tree), "{label}: batch_get_with");
+            for (lo, hi) in ranges {
+                let scan = |idx: &TreeIndex| {
+                    let mut got = Vec::new();
+                    idx.for_each_key_range(lo, hi, |k, vs| {
+                        got.push((k, vs.copied().collect::<Vec<_>>()))
+                    });
+                    got
+                };
+                assert_eq!(scan(&dense), scan(&tree), "{label}: [{lo}, {hi}]");
+            }
+            assert_eq!(
+                (dense.min_key(), dense.max_key(), dense.len()),
+                (tree.min_key(), tree.max_key(), tree.len()),
+                "{label}"
+            );
+        }
+    }
+}
+
+/// A dense σ on the right of a synchronous scan: the mixed-structure path
+/// must yield exactly the key sequence the tree on the right would.
+#[test]
+fn sync_scan_with_a_dense_right_side_equals_the_tree_kernels() {
+    for (si, keys) in compact_key_sets().into_iter().enumerate() {
+        let dense = TreeIndex::for_selection(&keys, u32::MAX as u64, true);
+        let (min, max) = (keys[0], keys[keys.len() - 1]);
+        for (wi, &width) in STRUCTURES.iter().enumerate() {
+            // The left side holds every other right key plus keys around
+            // and outside the span, each twice.
+            let mut rng = Xoshiro256StarStar::new((si * 3 + wi) as u64);
+            let mut left = width.map_or_else(TreeIndex::new_kiss, TreeIndex::new_pt);
+            let mut right = width.map_or_else(TreeIndex::new_kiss, TreeIndex::new_pt);
+            for (i, &k) in keys.iter().enumerate() {
+                right.insert(k, i as u32);
+            }
+            let mut lkeys: Vec<u64> = keys.iter().copied().step_by(2).collect();
+            lkeys.extend([
+                min.saturating_sub(1),
+                max.saturating_add(1).min(u32::MAX as u64),
+            ]);
+            lkeys.extend((0..32).map(|_| min.saturating_sub(2048) + rng.below(max - min + 4096)));
+            for (i, &k) in lkeys.iter().filter(|&&k| k <= u32::MAX as u64).enumerate() {
+                left.insert(k, i as u32);
+                left.insert(k, i as u32 + 1_000);
+            }
+            let label = format!("{} × Dense on {} keys", left.kind_name(), keys.len());
+            for (lo, hi) in [(0, u64::MAX), (min, max), (min + 1, max), (max, min)] {
+                let scan = |r: &TreeIndex| {
+                    let mut got = Vec::new();
+                    sync_scan_indexes_range(&left, r, lo, hi, |k, lv, rv| {
+                        got.push((
+                            k,
+                            lv.copied().collect::<Vec<_>>(),
+                            rv.copied().collect::<Vec<_>>(),
+                        ))
+                    });
+                    got
+                };
+                assert_eq!(scan(&dense), scan(&right), "{label}: [{lo}, {hi}]");
+            }
+        }
+    }
+}
+
+/// The rule at its edges: a span of exactly `64 × n + 1 024` is dense, one
+/// more is a tree; a repeated key makes a tree that keeps every value; an
+/// empty selection is an empty dense index; single keys at 0 and at
+/// `u32::MAX` are dense.
+#[test]
+fn for_selection_chooses_dense_exactly_by_its_rule() {
+    let kind = |keys: &[u64]| TreeIndex::for_selection(keys, u32::MAX as u64, true).kind_name();
+    for n in [2u64, 16, 300] {
+        // n − 1 keys from 5 up, and the last key where the span ends.
+        let at = |span: u64| -> Vec<u64> {
+            let mut keys: Vec<u64> = (0..n - 1).map(|i| 5 + i).collect();
+            keys.push(5 + span - 1);
+            keys
+        };
+        assert_eq!(kind(&at(64 * n + 1024)), "Dense", "n = {n}");
+        assert_eq!(kind(&at(64 * n + 1025)), "KISS-Tree", "n = {n}");
+    }
+    let repeated = TreeIndex::for_selection(&[3, 7, 7, 9], u32::MAX as u64, true);
+    assert_eq!(repeated.kind_name(), "KISS-Tree");
+    let mut values = Vec::new();
+    repeated.for_each(|k, v| values.push((k, v)));
+    assert_eq!(values, vec![(3, 0), (7, 1), (7, 2), (9, 3)]);
+    assert_eq!(
+        TreeIndex::for_selection(&[3, 3], u32::MAX as u64, false).kind_name(),
+        "PrefixTree<32>"
+    );
+    let empty = TreeIndex::for_selection(&[], u32::MAX as u64, true);
+    assert_eq!(
+        (empty.kind_name(), empty.len(), empty.min_key()),
+        ("Dense", 0, None)
+    );
+    for k in [0, 1, u32::MAX as u64, 1 << 40, u64::MAX] {
+        assert!(empty.get(k).is_none(), "{k}");
+    }
+    for key in [0, u32::MAX as u64] {
+        let one = TreeIndex::for_selection(&[key], u32::MAX as u64, true);
+        assert_eq!(one.kind_name(), "Dense");
+        assert_eq!(one.get(key).map(|vs| vs.copied().collect()), Some(vec![0]));
+        for k in [key.wrapping_sub(1), key + 1, 1 << 32, 1 << 40, u64::MAX] {
+            assert!(!one.contains(k), "{key}: {k}");
         }
     }
 }
