@@ -1,52 +1,42 @@
 //! # qppt-cache — snapshot-keyed caching for the serving hot path
 //!
 //! QPPT's intermediates are ordered, canonical index structures: at an
-//! unchanged snapshot the engine rebuilds byte-identical plans, dimension
-//! selections, and results on every run. This crate makes that reuse
-//! explicit with a four-tier, byte-budgeted, sharded LRU keyed by
+//! unchanged snapshot the engine rebuilds byte-identical dimension
+//! selections and answers on every run. This crate makes that reuse
+//! explicit with a two-tier, byte-budgeted, sharded LRU keyed by
 //! *snapshot fingerprints* — structural hashes plus the version vector of
 //! exactly the tables an entry was computed from:
 //!
-//! 1. **Plan tier** — `Arc<Plan>` keyed per `(query, options)`: a hit
-//!    skips `build_plan`.
-//! 2. **Dimension tier** — `Arc<DimSelection>` keyed per *σ*
+//! 1. **Dimension tier** — `Arc<DimSelection>` keyed per *σ*
 //!    `(table, predicate set, carried columns, table version)`: one
 //!    materialized dimension `InterTable`, shared by **every query** whose
 //!    plan contains the same selection (Q3.1/Q3.2/Q3.3 all reuse one
-//!    `d_year BETWEEN 1992 AND 1997` table). This is the common-subwork
-//!    sharing the selection tier of PR 3 could not express: it cached a
-//!    whole `PreparedQuery` per query, so two queries sharing a σ each
-//!    paid the materialization.
-//! 3. **Selection tier** — `Arc<PreparedQuery>` keyed per
-//!    `(query, options)`: since PR 4 a cheap *composition* of shared
-//!    dimension handles plus the query-private fused stream; a hit
-//!    additionally skips the per-dimension cache walk and the
-//!    fused-selection scan.
-//! 4. **Result tier** — `Arc<CachedResult>`: the decoded rows and, beside
-//!    them, the rendered response (head and operator lines) the entry's
-//!    maker stored as opaque bytes. A hit touches neither the worker pool
-//!    nor a formatter: the server writes the stored bytes.
+//!    `d_year BETWEEN 1992 AND 1997` table).
+//! 2. **Result tier** — `Arc<CachedResult>`: a finished answer — the
+//!    decoded rows of a full request or the undecoded aggregate of a
+//!    `mode=partial` one — and, beside it, the rendered response (head and
+//!    operator lines) the entry's maker stored as opaque bytes. A hit
+//!    touches neither the worker pool nor a formatter: the server writes
+//!    the stored bytes. The maker keys the two modes apart (the server
+//!    folds a mode tag into the fingerprint), so they never share an entry.
 //!
 //! ## Byte budgets, pinning, TTL
 //!
 //! Every tier is bounded by a **byte budget**, not an entry count: a
-//! materialized selection is orders of magnitude heavier than a plan, so
-//! counting entries sized nothing. Entries report their footprint through
-//! [`HeapSize`], which bottoms out in the engine's own estimators
-//! (`InterTable::memory_bytes`, `QueryResult::memory_bytes`,
-//! `Plan::memory_bytes`). Attribution is conservative: σ tables are
-//! billed to the dimension tier that owns them *and*, in full, to every
-//! cached composer that pins them — a composer is what keeps its σ alive
-//! even after the dim tier drops them, so the selection budget must cover
-//! that retained memory (total resident selection bytes are bounded by
-//! `dim_budget + selection_budget`). Eviction pops from each shard's
+//! materialized selection is orders of magnitude heavier than a scalar
+//! answer, so counting entries sized nothing. Entries report their
+//! footprint through [`HeapSize`], which bottoms out in the engine's own
+//! estimators (`InterTable::memory_bytes`, `QueryResult::memory_bytes`,
+//! `PartialAggregate::memory_bytes`). Each σ table is billed once, to the
+//! dimension tier that owns it; no cached value holds another tier's
+//! entries, so nothing is billed twice. Eviction pops from each shard's
 //! intrusive recency list (O(victims), see `lru`) and prefers victims
 //! that are not pinned — an entry whose `Arc` is also held by an
-//! executing query or a composed prepared query frees nothing — but pins
-//! cannot break the bound: when only pinned entries remain, the coldest
-//! are dropped from the map while their holders keep the data alive. An
-//! optional idle TTL reclaims long-untouched entries even when the budget
-//! has room; pinned entries never count as idle.
+//! executing query frees nothing — but pins cannot break the bound: when
+//! only pinned entries remain, the coldest are dropped from the map while
+//! their holders keep the data alive. An optional idle TTL reclaims
+//! long-untouched entries even when the budget has room; pinned entries
+//! never count as idle.
 //!
 //! ## Coherence
 //!
@@ -56,9 +46,8 @@
 //! dimension fingerprints embed exactly their own table's version. So:
 //!
 //! * a write to a dimension table kills **exactly** that table's σ
-//!   entries (and the prepared/result entries of queries reading it) at
-//!   their next lookup — counted as an **invalidation**, stale bytes
-//!   never served;
+//!   entries (and the result entries of queries reading it) at their next
+//!   lookup — counted as an **invalidation**, stale bytes never served;
 //! * entries over untouched tables keep hitting, including the other
 //!   dimension entries of the very queries that were invalidated — after
 //!   a write to `date`, a re-run of Q4.2 rebuilds only the date σ and
@@ -80,19 +69,16 @@ mod lru;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qppt_core::plan::DimHandleKind;
 use qppt_core::{
-    fingerprint_dim, fingerprint_query, DimSelection, ExecStats, Plan, PlanOptions, PreparedQuery,
-    QpptError,
+    fingerprint_dim, fingerprint_query, DimSelection, ExecStats, PartialAggregate, PlanOptions,
 };
-use qppt_par::PooledEngine;
-use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot, StorageError};
+use qppt_storage::{Database, QueryResult, QuerySpec, StorageError};
 
 pub use lru::{CacheKey, CacheValue, ShardedLru, TierSnapshot};
 
 /// The snapshot fingerprint every tier is keyed on: one 64-bit hash over
 /// `(database identity, structural hash)` plus the version vector of the
-/// tables the entry reads — for query-level tiers the fact first, then
+/// tables the entry reads — for the result tier the fact first, then
 /// dimensions in spec order; for the dimension tier exactly the one
 /// dimension table.
 ///
@@ -153,17 +139,36 @@ impl QueryFingerprint {
     }
 }
 
-/// A cached full result: decoded rows plus the statistics of the execution
-/// that produced them, and beside them the response a hit answers, rendered
-/// once when the entry is made. At an unchanged snapshot those bytes are a
-/// pure function of the fingerprint, so a hit writes them as they are. The
-/// two byte fields are opaque here: whoever makes the entry renders them,
-/// this crate only stores and bills them.
+/// What a query's *finish* step produced: the decoded, ordered rows of a
+/// full request, or the undecoded aggregate a `mode=partial` request
+/// answers for the router to merge.
+#[derive(Debug, Clone)]
+pub enum Finished {
+    Rows(QueryResult),
+    Partial(PartialAggregate),
+}
+
+impl Finished {
+    /// Rows (full) or groups (partial) answered.
+    pub fn rows(&self) -> usize {
+        match self {
+            Finished::Rows(r) => r.rows.len(),
+            Finished::Partial(p) => p.groups.len(),
+        }
+    }
+}
+
+/// A result-tier entry: the finished answer plus the statistics of the
+/// execution that produced it, and beside them the response a hit
+/// answers, rendered once when the entry is made. At an unchanged
+/// snapshot those bytes are a pure function of the fingerprint, so a hit
+/// writes them as they are. The two byte fields are opaque here: whoever
+/// makes the entry renders them, this crate only stores and bills them.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    pub result: QueryResult,
+    pub finished: Finished,
     pub stats: ExecStats,
-    /// The rendered response head (status, columns, rows).
+    /// The rendered response head (status, columns, rows or groups).
     pub head: Box<[u8]>,
     /// The rendered operator lines a hit answers: the producing
     /// execution's operators plus the result-hit marker.
@@ -178,51 +183,26 @@ pub trait HeapSize {
     fn heap_bytes(&self) -> usize;
 }
 
-impl HeapSize for Plan {
-    fn heap_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-}
-
 impl HeapSize for DimSelection {
     fn heap_bytes(&self) -> usize {
         self.memory_bytes()
     }
 }
 
-impl HeapSize for PreparedQuery {
-    /// Query-private bytes **plus** the composed σ tables, in full. This
-    /// deliberately over-counts shared σ (once per composer that pins
-    /// them) rather than under-counting: a cached composer is what keeps
-    /// its σ alive even after the dimension tier drops them under
-    /// pressure, so the selection budget must bound that retained memory.
-    /// Billing only `private_bytes` (KiB-scale) would let the tier retain
-    /// thousands of composers, each pinning megabytes of selections the
-    /// budgets no longer see.
-    fn heap_bytes(&self) -> usize {
-        self.private_bytes()
-            + self
-                .dims
-                .iter()
-                .flatten()
-                .map(|d| d.memory_bytes())
-                .sum::<usize>()
-    }
-}
-
 impl HeapSize for CachedResult {
-    /// Decoded rows, operator records and both rendered byte strings: the
-    /// rendered response is resident beside the rows, so the result budget
-    /// bounds both.
+    /// The finished answer, operator records and both rendered byte
+    /// strings: the rendered response is resident beside the answer, so
+    /// the result budget bounds both.
     fn heap_bytes(&self) -> usize {
-        self.result.memory_bytes()
-            + self.stats.ops.len() * 96
-            + self.head.len()
-            + self.hit_ops.len()
+        let answer = match &self.finished {
+            Finished::Rows(r) => r.memory_bytes(),
+            Finished::Partial(p) => p.memory_bytes(),
+        };
+        answer + self.stats.ops.len() * 96 + self.head.len() + self.hit_ops.len()
     }
 }
 
-impl HeapSize for qppt_core::PartialAggregate {
+impl HeapSize for PartialAggregate {
     /// The router's partial-aggregate tier stores raw shard payloads; they
     /// budget bytes exactly like decoded results do.
     fn heap_bytes(&self) -> usize {
@@ -236,9 +216,10 @@ impl<T: HeapSize> CacheValue for Arc<T> {
     }
 
     /// Pinned while anyone outside the cache holds the `Arc`: an in-flight
-    /// execution, or — for dimension entries — a composed `PreparedQuery`
-    /// (cached or executing). Evicting such an entry frees nothing, so the
-    /// LRU treats it as a last-resort victim (see [`CacheValue::pinned`]).
+    /// execution (whose prepared query composes the dimension entries it
+    /// uses) or a request still writing a result entry's bytes. Evicting
+    /// such an entry frees nothing, so the LRU treats it as a last-resort
+    /// victim (see [`CacheValue::pinned`]).
     fn pinned(&self) -> bool {
         Arc::strong_count(self) > 1
     }
@@ -250,19 +231,11 @@ const SHARDS: usize = 8;
 /// Byte budgets and idle TTL of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Byte budget of the plan tier (plans are a few KiB of resolved
-    /// metadata — this fits hundreds).
-    pub plan_budget: usize,
     /// Byte budget of the dimension tier — the heavy tier: one entry is a
     /// whole materialized `InterTable`. Keep this the largest.
     pub dim_budget: usize,
-    /// Byte budget of the selection tier. A composer bills its private
-    /// state (plan handle + fused stream) plus, conservatively, the σ
-    /// tables it pins — so this budget bounds the selection memory cached
-    /// composers keep alive (shared σ count once per composer).
-    pub selection_budget: usize,
-    /// Byte budget of the result tier (decoded rows plus their rendered
-    /// response; SSB results are ≤ a few hundred rows).
+    /// Byte budget of the result tier (finished answers plus their
+    /// rendered responses; SSB results are ≤ a few hundred rows).
     pub result_budget: usize,
     /// Idle time-to-live: entries untouched for longer are reclaimed even
     /// when the byte budget has room. `None` = no age limit.
@@ -275,10 +248,8 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
-            plan_budget: 4 << 20,       // 4 MiB
-            dim_budget: 256 << 20,      // 256 MiB
-            selection_budget: 64 << 20, // 64 MiB
-            result_budget: 32 << 20,    // 32 MiB
+            dim_budget: 256 << 20,   // 256 MiB
+            result_budget: 32 << 20, // 32 MiB
             ttl: None,
             enabled: true,
         }
@@ -295,33 +266,26 @@ impl CacheConfig {
     }
 }
 
-/// Point-in-time statistics of all four tiers.
+/// Point-in-time statistics of both tiers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub plans: TierSnapshot,
     pub dims: TierSnapshot,
-    pub selections: TierSnapshot,
     pub results: TierSnapshot,
+    /// Always zero: no tier stands behind it. Kept only so the frozen
+    /// benchmark's `layers.rs` builds (it reads `cache.hit_ratio.plan`
+    /// from it). Delete it, with that read, as soon as the benchmark may
+    /// be edited.
+    pub plans: TierSnapshot,
+    /// Always zero, kept for the same reason as [`plans`](Self::plans)
+    /// (`cache.hit_ratio.selection`); delete it with them.
+    pub selections: TierSnapshot,
 }
 
-/// How a prepared query's dimension handles were obtained from the
-/// dimension tier during assemble-from-parts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DimAssembly {
-    /// σ handles served from the dimension tier (shared — possibly
-    /// materialized by a *different* query).
-    pub shared: usize,
-    /// σ handles materialized now (and inserted for the next query).
-    pub built: usize,
-}
-
-/// The four-tier snapshot-keyed query cache (see module docs). Internally
+/// The two-tier snapshot-keyed query cache (see module docs). Internally
 /// synchronized — share it behind an `Arc` across connections.
 #[derive(Debug)]
 pub struct QueryCache {
-    plans: ShardedLru<Arc<Plan>>,
     dims: ShardedLru<Arc<DimSelection>>,
-    selections: ShardedLru<Arc<PreparedQuery>>,
     results: ShardedLru<Arc<CachedResult>>,
     enabled: bool,
 }
@@ -336,9 +300,7 @@ impl QueryCache {
     /// Creates a cache with the given budgets.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            plans: ShardedLru::new(config.plan_budget, SHARDS, config.ttl),
             dims: ShardedLru::new(config.dim_budget, SHARDS, config.ttl),
-            selections: ShardedLru::new(config.selection_budget, SHARDS, config.ttl),
             results: ShardedLru::new(config.result_budget, SHARDS, config.ttl),
             enabled: config.enabled,
         }
@@ -365,21 +327,6 @@ impl QueryCache {
         }
     }
 
-    /// Plan-tier lookup.
-    pub fn get_plan(&self, fp: &QueryFingerprint) -> Option<Arc<Plan>> {
-        if !self.enabled {
-            return None;
-        }
-        self.plans.get(fp)
-    }
-
-    /// Plan-tier insert.
-    pub fn put_plan(&self, fp: &QueryFingerprint, value: Arc<Plan>) {
-        if self.enabled {
-            self.plans.put(fp, value);
-        }
-    }
-
     /// Dimension-tier lookup (key from
     /// [`QueryFingerprint::compute_dim`]).
     pub fn get_dim(&self, fp: &QueryFingerprint) -> Option<Arc<DimSelection>> {
@@ -396,86 +343,25 @@ impl QueryCache {
         }
     }
 
-    /// Selection-tier lookup.
-    pub fn get_selections(&self, fp: &QueryFingerprint) -> Option<Arc<PreparedQuery>> {
-        if !self.enabled {
-            return None;
-        }
-        self.selections.get(fp)
-    }
-
-    /// Selection-tier insert.
-    pub fn put_selections(&self, fp: &QueryFingerprint, value: Arc<PreparedQuery>) {
-        if self.enabled {
-            self.selections.put(fp, value);
-        }
-    }
-
-    /// Composes a [`PreparedQuery`] for an already-built plan in three
-    /// steps: **lookup** — every `Materialized` dimension is served from
-    /// the dimension tier when a version-fresh σ entry exists (whoever
-    /// built it); **σ** — the misses go through the engine's shared
-    /// [`materialize_missing_dims`](PooledEngine::materialize_missing_dims)
-    /// step (one pool job when several remain); **put** — what was built is
-    /// cached for the next query. Only the query-private fused stream is
-    /// always built. This is the serving path's assemble-from-parts step on
-    /// a selection-tier miss; with the cache disabled the lookups miss and
-    /// the puts drop, so every σ is built and nothing is cached.
-    pub fn prepare_from_parts(
-        &self,
-        engine: &PooledEngine,
-        plan: Arc<Plan>,
-        opts: &PlanOptions,
-        snap: Snapshot,
-        priority: i32,
-    ) -> Result<(PreparedQuery, DimAssembly), QpptError> {
-        let db = engine.db();
-        let mut dims = vec![None; plan.dims.len()];
-        let mut misses = Vec::new();
-        for (di, dim) in plan.dims.iter().enumerate() {
-            if dim.handle != DimHandleKind::Materialized {
-                continue;
-            }
-            let dfp = QueryFingerprint::compute_dim(db, dim, opts).map_err(QpptError::Storage)?;
-            match self.get_dim(&dfp) {
-                Some(shared) => dims[di] = Some(shared),
-                None => misses.push((di, dfp)),
-            }
-        }
-        let assembly = DimAssembly {
-            shared: dims.iter().flatten().count(),
-            built: misses.len(),
-        };
-        let dims = engine.materialize_missing_dims(&plan, snap, priority, dims)?;
-        for (di, dfp) in &misses {
-            let built = dims[*di].clone().expect("Materialized dims materialize");
-            self.put_dim(dfp, built);
-        }
-        Ok((PreparedQuery::from_parts(db, plan, dims, snap)?, assembly))
-    }
-
-    /// Drops every entry in every tier (lifetime counters survive).
+    /// Drops every entry in both tiers (lifetime counters survive).
     pub fn clear(&self) {
-        self.plans.clear();
         self.dims.clear();
-        self.selections.clear();
         self.results.clear();
     }
 
     /// Drops only the dimension tier (the `CACHE CLEAR dims` sub-verb).
-    /// Composed prepared queries keep their handles alive — subsequent
-    /// assemblies simply rematerialize and refill.
+    /// Executing queries keep their handles alive — subsequent assemblies
+    /// simply rematerialize and refill.
     pub fn clear_dims(&self) {
         self.dims.clear();
     }
 
-    /// Counters, entry counts, and resident bytes of all tiers.
+    /// Counters, entry counts, and resident bytes of both tiers.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            plans: self.plans.snapshot(),
             dims: self.dims.snapshot(),
-            selections: self.selections.snapshot(),
             results: self.results.snapshot(),
+            ..CacheStats::default()
         }
     }
 }
@@ -483,25 +369,45 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qppt_core::{build_plan, prepare_indexes, QpptEngine};
-    use qppt_par::WorkerPool;
+    use qppt_core::exec::materialize_dim_selection;
+    use qppt_core::plan::DimHandleKind;
+    use qppt_core::{build_plan, prepare_indexes, GroupRun, QpptEngine};
     use qppt_ssb::{queries, SsbDb};
 
-    fn entry(result: QueryResult, stats: ExecStats, head: &[u8], hit_ops: &[u8]) -> CachedResult {
+    fn entry(finished: Finished, stats: ExecStats, head: &[u8], hit_ops: &[u8]) -> CachedResult {
         CachedResult {
-            result,
+            finished,
             stats,
             head: head.into(),
             hit_ops: hit_ops.into(),
         }
     }
 
-    fn empty_result() -> QueryResult {
-        QueryResult {
+    fn empty_result() -> Finished {
+        Finished::Rows(QueryResult {
             group_cols: vec![],
             agg_cols: vec![],
             rows: vec![],
-        }
+        })
+    }
+
+    /// The first materialized σ of `q`'s plan, with its dim-tier key.
+    fn first_sigma(
+        db: &Database,
+        q: &QuerySpec,
+        opts: &PlanOptions,
+    ) -> (QueryFingerprint, Arc<DimSelection>) {
+        let plan = build_plan(db, q, opts).unwrap();
+        let di = plan
+            .dims
+            .iter()
+            .position(|d| d.handle == DimHandleKind::Materialized)
+            .expect("the query materializes a σ");
+        let sigma = materialize_dim_selection(db, db.snapshot(), &plan, di)
+            .unwrap()
+            .expect("materialized handle");
+        let dfp = QueryFingerprint::compute_dim(db, &plan.dims[di], opts).unwrap();
+        (dfp, sigma)
     }
 
     #[test]
@@ -517,6 +423,18 @@ mod tests {
             rendered.heap_bytes(),
             bare.heap_bytes() + head.len() + ops.len()
         );
+        // A partial entry bills its aggregate exactly as a full entry bills
+        // its rows.
+        let mut groups = GroupRun::with_capacity(1, 1);
+        groups.push(7, vec![qppt_storage::Value::Int(1997)], &[42]);
+        let partial = PartialAggregate {
+            group_cols: vec!["d_year".into()],
+            agg_cols: vec!["revenue".into()],
+            groups,
+        };
+        let partial_bytes = partial.memory_bytes();
+        let partial = entry(Finished::Partial(partial), ExecStats::default(), head, ops);
+        assert_eq!(partial.heap_bytes(), partial_bytes + head.len() + ops.len());
 
         let mut ssb = SsbDb::generate(0.005, 42);
         let opts = PlanOptions::default();
@@ -621,59 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_from_parts_shares_sigma_across_queries() {
-        let mut ssb = SsbDb::generate(0.01, 42);
-        let opts = PlanOptions::default();
-        for q in queries::all_queries() {
-            prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
-        }
-        let db = Arc::new(ssb.db);
-        let pool = WorkerPool::new(1, 2);
-        let engine = PooledEngine::new(db.clone(), pool.clone());
-        let cache = QueryCache::default();
-        let snap = db.snapshot();
-
-        // Q3.1 cold: builds supplier + date σ (customer is fused).
-        let plan31 = Arc::new(build_plan(&db, &queries::q3_1(), &opts).unwrap());
-        let (p31, a31) = cache
-            .prepare_from_parts(&engine, plan31, &opts, snap, 0)
-            .unwrap();
-        assert_eq!(a31.shared, 0);
-        assert!(a31.built >= 2, "q3.1 materializes supplier and date");
-
-        // Q3.2 shares only the date σ; supplier predicate differs.
-        let plan32 = Arc::new(build_plan(&db, &queries::q3_2(), &opts).unwrap());
-        let (p32, a32) = cache
-            .prepare_from_parts(&engine, plan32, &opts, snap, 0)
-            .unwrap();
-        assert_eq!(a32.shared, 1, "the date σ must come from the dim tier");
-        assert_eq!(a32.built, a31.built - 1);
-
-        // The handles are literally the same allocation.
-        let date_of = |p: &PreparedQuery| {
-            p.plan
-                .dims
-                .iter()
-                .position(|d| d.table == "date")
-                .map(|i| p.dims[i].clone().expect("materialized"))
-                .expect("date dim")
-        };
-        assert!(Arc::ptr_eq(&date_of(&p31), &date_of(&p32)));
-
-        // Both compositions execute byte-identically to fresh runs.
-        let oracle = QpptEngine::new(&db);
-        for (p, q) in [(&p31, queries::q3_1()), (&p32, queries::q3_2())] {
-            let (got, _) = engine.run_prepared(p, 0).unwrap();
-            assert_eq!(got, oracle.run(&q, &opts).unwrap(), "{}", q.id);
-        }
-        let s = cache.stats();
-        assert_eq!(s.dims.hits, 1);
-        assert_eq!(s.dims.insertions as usize, a31.built + a32.built);
-        assert!(s.dims.bytes > 0);
-        pool.shutdown();
-    }
-
-    #[test]
     fn tiers_roundtrip_and_invalidate_independently() {
         let mut ssb = SsbDb::generate(0.005, 42);
         let opts = PlanOptions::default();
@@ -685,21 +550,30 @@ mod tests {
 
         let engine = QpptEngine::new(&ssb.db);
         let (result, stats) = engine.run_with_stats(&q, &opts).unwrap();
-        cache.put_result(&fp, Arc::new(entry(result, stats, b"", b"")));
-        cache.put_plan(&fp, Arc::new(engine.plan(&q, &opts).unwrap()));
+        cache.put_result(
+            &fp,
+            Arc::new(entry(Finished::Rows(result), stats, b"", b"")),
+        );
+        // One σ of the query in the dimension tier, keyed on its own table.
+        let (dfp, sigma) = first_sigma(&ssb.db, &q, &opts);
+        cache.put_dim(&dfp, sigma);
         assert!(cache.get_result(&fp).is_some());
-        assert!(cache.get_plan(&fp).is_some());
+        assert!(cache.get_dim(&dfp).is_some());
         assert!(cache.stats().results.bytes > 0);
+        assert!(cache.stats().dims.bytes > 0);
 
-        // A write to the fact table invalidates on next lookup.
+        // A write to the fact table invalidates the result on next lookup;
+        // the σ, over an untouched dimension table, keeps hitting.
         ssb.db.delete_row("lineorder", 0).unwrap();
         let fp2 = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
         assert!(cache.get_result(&fp2).is_none());
+        let (dfp2, _) = first_sigma(&ssb.db, &q, &opts);
+        assert_eq!(dfp, dfp2, "a fact write leaves σ keys alone");
+        assert!(cache.get_dim(&dfp2).is_some());
         let s = cache.stats();
         assert_eq!(s.results.invalidations, 1);
         assert_eq!(s.results.hits, 1);
-        // The plan tier was never probed with the new fingerprint.
-        assert_eq!(s.plans.invalidations, 0);
+        assert_eq!((s.dims.hits, s.dims.invalidations), (2, 0));
     }
 
     #[test]
@@ -740,21 +614,13 @@ mod tests {
         assert!(cache.get_result(&fp).is_none());
         assert_eq!(cache.stats().results.insertions, 0);
 
-        // Assemble-from-parts still works — it just builds every σ and
-        // caches nothing (the cache=off contract covers the dim tier too).
-        let db = Arc::new(ssb.db);
-        let pool = WorkerPool::new(1, 2);
-        let engine = PooledEngine::new(db.clone(), pool.clone());
-        let plan = Arc::new(build_plan(&db, &q, &opts).unwrap());
-        let (p, a) = cache
-            .prepare_from_parts(&engine, plan, &opts, db.snapshot(), 0)
-            .unwrap();
-        assert_eq!(a.shared, 0);
-        assert!(a.built > 0);
-        let (got, _) = engine.run_prepared(&p, 0).unwrap();
-        assert_eq!(got, QpptEngine::new(&db).run(&q, &opts).unwrap());
+        // The dimension tier passes through too: the cache=off contract
+        // covers every tier.
+        let (dfp, sigma) = first_sigma(&ssb.db, &q, &opts);
+        cache.put_dim(&dfp, sigma);
+        assert!(cache.get_dim(&dfp).is_none());
         let s = cache.stats();
+        assert_eq!((s.results.hits, s.results.misses), (0, 0));
         assert_eq!((s.dims.insertions, s.dims.hits, s.dims.misses), (0, 0, 0));
-        pool.shutdown();
     }
 }

@@ -306,12 +306,6 @@ pub struct FusedSelection {
 }
 
 impl FusedSelection {
-    /// Resident bytes of the sorted selection stream (cache byte
-    /// accounting: this is the *query-private* part of a prepared query).
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + (self.keys.capacity() + self.carried.capacity()) * 8
-    }
-
     /// The index range of keys within `[range.lo, range.hi]`.
     fn slice(&self, range: KeyRange) -> std::ops::Range<usize> {
         let lo = self.keys.partition_point(|&k| k < range.lo);

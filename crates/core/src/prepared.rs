@@ -62,8 +62,7 @@ impl PreparedQuery {
     }
 
     /// Materializes the dimension state for an already-built plan at
-    /// `snap` — the entry point when a plan-cache tier hit skipped
-    /// [`build_plan`].
+    /// `snap`.
     pub fn from_plan(db: &Database, plan: Arc<Plan>, snap: Snapshot) -> Result<Self, QpptError> {
         let dims = (0..plan.dims.len())
             .map(|di| materialize_dim_selection(db, snap, &plan, di))
@@ -98,16 +97,5 @@ impl PreparedQuery {
     /// lists keep their shape whether the σ was built or shared.
     pub fn dim_stats(&self) -> Vec<OpStats> {
         self.dims.iter().flatten().map(|d| d.op.clone()).collect()
-    }
-
-    /// Heap bytes of the *query-private* state (plan + fused stream). The
-    /// dimension tables are excluded: they are shared handles — callers
-    /// that need the full retained footprint (the cache's selection-tier
-    /// accounting) add the σ tables' `memory_bytes` on top.
-    pub fn private_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.plan.memory_bytes()
-            + self.fused.as_ref().as_ref().map_or(0, |f| f.memory_bytes())
-            + self.dims.len() * std::mem::size_of::<Option<Arc<DimSelection>>>()
     }
 }

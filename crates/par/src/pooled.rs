@@ -159,8 +159,8 @@ impl PooledEngine {
         Ok(dims)
     }
 
-    /// Executes a query from prepared, shared state (the `qppt-cache`
-    /// selection-tier hit): no planning, no dimension materialization, no
+    /// Executes a query from prepared, shared state (σ handles possibly
+    /// served by the `qppt-cache` dimension tier): no planning, no dimension materialization, no
     /// selection-predicate evaluation — the pipeline runs straight off the
     /// prepared `InterTable`s and fused stream, which are shared (`Arc`)
     /// across concurrent executions.

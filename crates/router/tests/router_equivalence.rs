@@ -13,7 +13,9 @@
 //!   `router_partial_*` counters;
 //! * a write to **one** shard invalidates exactly that range's partial
 //!   and the merged results composed from it — the untouched range's
-//!   partial keeps hitting and only the written range is re-scattered.
+//!   partial keeps hitting and only the written range is re-scattered;
+//! * with the router cache off, a routed repeat is answered by every
+//!   shard's result tier (partial entries), byte-identical to the oracle.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +23,7 @@ use std::time::Duration;
 use qppt_cache::QueryCache;
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
-use qppt_router::{serve_router, Router, RouterConfig};
+use qppt_router::{serve_router, Router, RouterCacheConfig, RouterConfig};
 use qppt_server::{serve, QpptClient, ServeEngine, ServerHandle};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::Database;
@@ -36,6 +38,10 @@ struct Fleet {
 }
 
 fn start_fleet(shards: usize) -> Fleet {
+    start_fleet_with(shards, RouterCacheConfig::default())
+}
+
+fn start_fleet_with(shards: usize, router_cache: RouterCacheConfig) -> Fleet {
     let pool = WorkerPool::new(4, 16);
     let defaults = PlanOptions::default()
         .with_parallelism(2)
@@ -49,7 +55,9 @@ fn start_fleet(shards: usize) -> Fleet {
         addrs.push(h.addr().to_string());
         handles.push(h);
     }
-    let router = Arc::new(Router::new(RouterConfig::new(addrs)));
+    let mut config = RouterConfig::new(addrs);
+    config.cache = router_cache;
+    let router = Arc::new(Router::new(config));
     router
         .wait_for_shards(Duration::from_secs(30))
         .expect("shards answer PING");
@@ -500,4 +508,59 @@ fn single_shard_write_invalidates_exactly_that_range() {
         h.stop();
     }
     pool.shutdown();
+}
+
+#[test]
+fn routed_repeats_are_shard_result_hits() {
+    // The oracle: the sequential engine over the full, unsharded instance.
+    let opts = PlanOptions::default();
+    let mut ssb = SsbDb::generate(SF, SEED);
+    for q in queries::all_queries() {
+        prepare_indexes(&mut ssb.db, &q, &opts).expect("indexes build");
+    }
+    let oracle = QpptEngine::new(&ssb.db);
+    let all = queries::all_queries();
+    let expected: Vec<_> = all
+        .iter()
+        .map(|q| oracle.run(q, &opts).expect("oracle runs"))
+        .collect();
+    let stat = |kvs: &[(String, String)], key: &str| -> u64 {
+        field(kvs, key)
+            .parse()
+            .unwrap_or_else(|_| panic!("non-numeric {key}"))
+    };
+
+    for shards in [1usize, 2, 4] {
+        // No router tier: every routed request scatters, so a repeat can
+        // only be answered by the shards' own result tiers.
+        let fleet = start_fleet_with(shards, RouterCacheConfig::disabled());
+        let mut client = QpptClient::connect(fleet.router.addr()).expect("connect router");
+        let mut sweep = |pass: &str| {
+            for (qi, q) in all.iter().enumerate() {
+                let served = client
+                    .run(&q.id.to_ascii_lowercase(), &[])
+                    .unwrap_or_else(|e| panic!("{} {pass} at {shards} shards: {e}", q.id));
+                assert_eq!(
+                    served.result, expected[qi],
+                    "{} {pass} pass through {shards}-shard router",
+                    q.id
+                );
+            }
+            client.cache_stats().expect("stats")
+        };
+        let cold = sweep("cold");
+        let repeat = sweep("repeat");
+        assert_eq!(
+            stat(&repeat, "result_hits") - stat(&cold, "result_hits"),
+            (all.len() * shards) as u64,
+            "every shard answers every repeat from its result tier at {shards} shards"
+        );
+        assert_eq!(
+            stat(&repeat, "result_misses"),
+            stat(&cold, "result_misses"),
+            "a repeat misses no shard at {shards} shards"
+        );
+        client.quit().expect("clean quit");
+        fleet.stop();
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! * a routed `trace=on` query returns **one stitched span tree**: the
 //!   router's `request` root over `scatter` (with every shard's
-//!   plan/σ/exec/decode subtree grafted as `shard<i>`) and `merge`,
+//!   plan/σ/exec/decode subtree grafted as `shard<i>` on a cold request,
+//!   its `result_cache` span on a repeat) and `merge`,
 //!   valid under the strict checker (unique ids, parents first, child
 //!   micros ≤ parent micros) — with result bytes identical to the
 //!   untraced routed run;
@@ -91,34 +92,52 @@ fn routed_trace_stitches_every_shard_under_the_router_tree() {
     let fleet = start_fleet();
     let mut client = QpptClient::connect(fleet.router.addr()).expect("connect router");
 
+    // Cold and traced: every shard runs the pipeline, so the stitched tree
+    // carries plan/σ/exec/decode under every shard.
+    let traced = client
+        .run("q3.1", &[("trace", "on")])
+        .expect("cold traced run");
+    assert_eq!(traced.result, expected, "routed result matches oracle");
+    assert_stitched(&traced.stats.spans, &["plan", "sigma", "exec", "decode"]);
+
     let untraced = client.run("q3.1", &[]).expect("untraced routed run");
-    assert_eq!(untraced.result, expected, "routed result matches oracle");
+    assert_eq!(
+        untraced.result, expected,
+        "tracing must not change routed bytes"
+    );
     assert!(untraced.stats.spans.is_empty(), "no trace ⇒ no spans");
 
-    // Twice: through the shard caches, then `cache=off` fleet-wide (the
-    // forwarded line carries it, so every shard bypasses its tiers). One
-    // pipeline on the shards, one scatter on the router: the stitched tree
-    // has the same shape both times.
-    for options in [
-        &[("trace", "on")][..],
-        &[("trace", "on"), ("cache", "off")][..],
-    ] {
-        let traced = client.run("q3.1", options).expect("traced run");
-        assert_eq!(
-            traced.result, expected,
-            "tracing must not change routed bytes"
-        );
-        assert_stitched(&traced.stats.spans);
-    }
+    // A traced repeat: every shard answers its partial from the result
+    // tier, so each shard subtree is one result_cache span.
+    let repeat = client
+        .run("q3.1", &[("trace", "on")])
+        .expect("traced repeat");
+    assert_eq!(
+        repeat.result, expected,
+        "a shard hit must not change routed bytes"
+    );
+    assert_stitched(&repeat.stats.spans, &["result_cache"]);
+
+    // `cache=off` fleet-wide (the forwarded line carries it, so every
+    // shard bypasses its tiers): the pipeline again, one scatter on the
+    // router, the same stitched shape as the cold run.
+    let bypass = client
+        .run("q3.1", &[("trace", "on"), ("cache", "off")])
+        .expect("traced bypass");
+    assert_eq!(
+        bypass.result, expected,
+        "cache=off must not change routed bytes"
+    );
+    assert_stitched(&bypass.stats.spans, &["plan", "sigma", "exec", "decode"]);
 
     client.quit().expect("clean quit");
     fleet.stop();
 }
 
 /// The stitched routed trace: request root, scatter + merge under it, one
-/// `shard<i>` subtree per shard under scatter, each covering the shard's
-/// pipeline spans.
-fn assert_stitched(spans: &[qppt_obs::SpanRec]) {
+/// `shard<i>` subtree per shard under scatter, each holding the shard
+/// spans `shard_spans`.
+fn assert_stitched(spans: &[qppt_obs::SpanRec], shard_spans: &[&str]) {
     validate_span_tree(spans).expect("stitched span tree validates");
     let root = &spans[0];
     assert_eq!(root.name, "request");
@@ -141,16 +160,13 @@ fn assert_stitched(spans: &[qppt_obs::SpanRec]) {
             shard.micros,
             scatter.micros
         );
-        // The shard's own pipeline spans survived the graft: no result
-        // tier in partial mode, so plan/σ/exec/decode all appear per shard.
-        for want in ["plan", "sigma", "exec", "decode"] {
-            assert!(
-                spans
-                    .iter()
-                    .any(|s| s.parent == Some(shard.id) && s.name == want),
-                "shard{i} subtree missing {want}: {spans:?}"
-            );
-        }
+        // The shard's own spans survived the graft, and only they did.
+        let children: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.parent == Some(shard.id))
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(children, shard_spans, "shard{i} subtree: {spans:?}");
     }
 }
 
@@ -222,12 +238,7 @@ fn routed_metrics_merge_fleet_sums_and_cache_stats_agree() {
             .map(|(_, v)| v.parse().expect("numeric CACHE STATS field"))
             .unwrap_or_else(|| panic!("missing CACHE STATS field {key}"))
     };
-    for (tier, prefix) in [
-        ("result", "result"),
-        ("dim", "dim"),
-        ("selection", "selection"),
-        ("plan", "plan"),
-    ] {
+    for (tier, prefix) in [("result", "result"), ("dim", "dim")] {
         for (family, field) in [
             ("qppt_cache_hits_total", "hits"),
             ("qppt_cache_misses_total", "misses"),

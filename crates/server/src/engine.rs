@@ -14,39 +14,38 @@
 //! the startup preparation never built) into typed
 //! [`PlanError`](qppt_core::PlanError)s surfaced as one `ERR` line.
 //!
-//! Because every cache tier is keyed on *structure* (not names — see
+//! Because both cache tiers are keyed on *structure* (not names — see
 //! [`fingerprint_dim`](qppt_core::fingerprint_dim)), ad-hoc queries share
 //! cached work with named ones: an ad-hoc spec whose date σ matches
 //! Q3.1's predicate set hits the dimension tier Q3.1 warmed, and a
 //! re-submitted ad-hoc text hits the result tier whatever its `id=` says.
 //!
-//! The hot path consults the snapshot-keyed
-//! [`QueryCache`](qppt_cache::QueryCache) tiers in order:
+//! The hot path consults the two snapshot-keyed
+//! [`QueryCache`](qppt_cache::QueryCache) tiers:
 //!
-//! 1. **result hit** — return the cached entry without touching the pool.
+//! 1. **result hit** — return the cached entry without touching the pool,
+//!    in either mode: full and `mode=partial` answers both live in the
+//!    result tier, kept apart by a mode tag folded into the fingerprint.
 //!    The entry carries the response rendered once when it was made (the
-//!    `OK`/`COLS`/`ROW` head and the `# op` lines a hit answers), so the
-//!    dispatcher writes those bytes as they are and formats only
-//!    `# total_micros=…`; the rows are cloned only for in-process callers
-//!    of [`run_spec`](ServeEngine::run_spec). A full-mode miss renders the
-//!    entry at insertion and writes the same head bytes, so it still
-//!    serializes once;
-//! 2. **selection hit** — execute from the cached
-//!    [`PreparedQuery`](qppt_core::PreparedQuery) (skips `build_plan` and
-//!    every `materialize_dim`);
-//! 3. **plan hit / cold** — build or fetch the plan, then **assemble from
-//!    parts**: every `Materialized` dimension σ is looked up in the
-//!    *dimension tier* (keyed per `(table, predicates, carried columns,
-//!    table version)`, so a σ materialized by a *different* query hits —
-//!    Q3.2 reuses the date selection Q3.1 built); only the missing σ and
-//!    the query-private fused stream are materialized, and all four tiers
-//!    are (re)populated.
+//!    `OK`/`COLS`/`ROW` or `OK partial`/`COLS`/`P` head and the `# op`
+//!    lines a hit answers), so the dispatcher writes those bytes as they
+//!    are and formats only `# total_micros=…`; the answer is cloned only
+//!    for in-process callers. A miss renders the entry at insertion and
+//!    writes the same head bytes, so it still serializes once;
+//! 2. **miss** — build the plan (which validates the spec) and check its
+//!    indexes, then **assemble from parts**: every `Materialized`
+//!    dimension σ is looked up in the *dimension tier* (keyed per
+//!    `(table, predicates, carried columns, table version)`, so a σ
+//!    materialized by a *different* query hits — Q3.2 reuses the date
+//!    selection Q3.1 built); only the missing σ and the query-private
+//!    fused stream are materialized, then the query executes and its
+//!    finished answer is inserted.
 //!
 //! There is exactly one pipeline — **plan → σ → exec → finish** — and it
 //! is one function: full and `mode=partial` requests differ only in
-//! *finish* (decode + result tier, or the undecoded aggregate), and
-//! `cache=off` requests run the very same code against a disabled cache,
-//! so they bypass **all** tiers, the dimension tier included: every lookup
+//! *finish* (decode, or the undecoded aggregate) and in the mode tag of
+//! their result-tier key, and `cache=off` requests run the very same code
+//! against a disabled cache, so they bypass **both** tiers: every lookup
 //! misses, every insert drops, execution is fully independent.
 //!
 //! Coherence: fingerprints embed per-table versions
@@ -58,17 +57,26 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use qppt_cache::{CacheConfig, CacheStats, CachedResult, QueryCache, QueryFingerprint};
+use qppt_cache::{
+    CacheConfig, CacheStats, CachedResult, Finished, QueryCache, QueryFingerprint, TierSnapshot,
+};
+use qppt_core::plan::DimHandleKind;
 use qppt_core::{
-    BatchMode, ExecStats, OpStats, PartialAggregate, PlanOptions, QpptEngine, QpptError,
+    BatchMode, ExecStats, Fnv64, OpStats, PartialAggregate, Plan, PlanOptions, PreparedQuery,
+    QpptEngine, QpptError,
 };
 use qppt_obs::Trace;
 use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
-use qppt_storage::{Database, QueryResult, QuerySpec};
+use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
 use crate::obs::{elapsed_micros, ServeObs};
-use crate::protocol::{write_op_lines, write_run_head, RunControls};
+use crate::protocol::{write_op_lines, write_partial_head, write_run_head, RunControls};
+
+/// Domain-separation tag folded into the result-tier key of a
+/// `mode=partial` request, so a query's partial entry and its full entry
+/// never share a slot.
+const PARTIAL_TAG: u64 = 0x7061_7274_6961_6c21; // "partial!"
 
 /// Static facts about the serving instance, reported by `INFO`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -392,7 +400,7 @@ impl ServeEngine {
     /// tables/columns, type mismatches, bad group/order indices, predicates
     /// on columns the startup index preparation never saw) fail with one
     /// typed [`ServeError`] before any execution work happens — but
-    /// validation is folded into the *miss* paths, so cache hits pay
+    /// validation is folded into the *miss* path, so result hits pay
     /// nothing for it: a hit's entry can only have been inserted by a
     /// previous validated execution of the same `(instance, structure,
     /// options, versions)` key, which makes re-validating it pure overhead
@@ -410,16 +418,9 @@ impl ServeEngine {
             use_cache,
             ..RunControls::default()
         };
-        match self.serve(spec, opts, &controls, None)? {
-            (Answer::Cached(entry), stats, Outcome::ResultHit) => {
-                let mut hit = entry.stats.clone();
-                hit.push(result_hit_op(&entry.result));
-                hit.total_micros = stats.total_micros;
-                Ok((entry.result.clone(), hit))
-            }
-            (Answer::Cached(entry), stats, _) => Ok((entry.result.clone(), stats)),
-            (Answer::Full(result), stats, _) => Ok((result, stats)),
-            (Answer::Partial(_), ..) => unreachable!("full mode finishes with a decoded result"),
+        match self.run_finished(spec, opts, &controls)? {
+            (Finished::Rows(result), stats) => Ok((result, stats)),
+            (Finished::Partial(_), _) => unreachable!("full mode finishes with a decoded result"),
         }
     }
 
@@ -427,12 +428,13 @@ impl ServeEngine {
     /// run for `qppt-router`): the same pipeline as
     /// [`run_spec`](Self::run_spec), but *finish* stops at the finished
     /// aggregation run, serialized as a [`PartialAggregate`] for the
-    /// router to merge and order. The plan, dimension, and selection
-    /// tiers all participate exactly as in full mode — a shard-local σ
-    /// family warmed by one routed query is shared with the next — only
-    /// the *result* tier is skipped (it stores decoded, ordered results;
-    /// partials are merged upstream, so caching them here would never be
-    /// consulted by full-mode runs).
+    /// router to merge and order. Both tiers participate exactly as in
+    /// full mode: a shard-local σ family warmed by one routed query is
+    /// shared with the next, and a repeat at unchanged versions is a
+    /// result-tier hit that returns the entry's aggregate (with the
+    /// `cache: result hit` op appended, as [`run_spec`](Self::run_spec)
+    /// does). The result-tier key carries a mode tag, so a partial entry
+    /// never answers a full request, nor the reverse.
     pub fn run_spec_partial(
         &self,
         spec: &QuerySpec,
@@ -446,29 +448,51 @@ impl ServeEngine {
             partial: true,
             ..RunControls::default()
         };
-        match self.serve(spec, opts, &controls, None)? {
-            (Answer::Partial(partial), stats, _) => Ok((partial, stats)),
-            _ => unreachable!("partial mode finishes with the aggregate"),
+        match self.run_finished(spec, opts, &controls)? {
+            (Finished::Partial(partial), stats) => Ok((partial, stats)),
+            (Finished::Rows(_), _) => unreachable!("partial mode finishes with the aggregate"),
+        }
+    }
+
+    /// [`serve`](Self::serve) for in-process callers: the finished answer
+    /// and its stats — on a result hit the producing execution's operators
+    /// plus the result-hit record, as the wire answers them.
+    fn run_finished(
+        &self,
+        spec: &QuerySpec,
+        opts: &PlanOptions,
+        controls: &RunControls,
+    ) -> Result<(Finished, ExecStats), ServeError> {
+        match self.serve(spec, opts, controls, None)? {
+            (Answer::Cached(entry), stats, Outcome::ResultHit) => {
+                let mut hit = entry.stats.clone();
+                hit.push(result_hit_op(&entry.finished));
+                hit.total_micros = stats.total_micros;
+                Ok((entry.finished.clone(), hit))
+            }
+            (Answer::Cached(entry), stats, _) => Ok((entry.finished.clone(), stats)),
+            (Answer::Bypass(finished), stats, _) => Ok((finished, stats)),
         }
     }
 
     /// The one pipeline behind [`run_spec`](Self::run_spec),
-    /// [`run_spec_partial`](Self::run_spec_partial) and the TCP dispatcher:
-    /// **plan → σ → exec → finish**, with the cache tiers consulted in
-    /// between. `controls.partial` picks the finish step and nothing else;
-    /// `controls.use_cache = false` (the per-request `cache=off`) runs the
-    /// same code against a disabled cache. `trace` (made by the caller
-    /// from `controls.trace`) collects the request's span tree —
-    /// `plan | sigma | exec | decode`, or `result_cache` on a result-tier
-    /// hit, under the root `request` span the caller finishes; result
-    /// bytes are identical with and without it — spans only ride as extra
-    /// `#` lines.
+    /// [`run_spec_partial`](Self::run_spec_partial) and the TCP dispatcher,
+    /// with one miss path: fingerprint → result tier → plan (validating the
+    /// spec and its indexes) → σ from the dimension tier, the missing ones
+    /// built → exec → finish → insert. `controls.partial` picks the finish
+    /// step and tags the result-tier key; `controls.use_cache = false` (the
+    /// per-request `cache=off`) runs the same code against a disabled
+    /// cache. `trace` (made by the caller from `controls.trace`) collects
+    /// the request's span tree — `plan | sigma | exec | decode`, or
+    /// `result_cache` on a result-tier hit, under the root `request` span
+    /// the caller finishes; answer bytes are identical with and without it
+    /// — spans only ride as extra `#` lines.
     ///
-    /// Full mode with the cache on answers [`Answer::Cached`]: the entry a
-    /// hit found, or the one a miss just rendered and inserted. On a hit
-    /// the returned stats carry only `total_micros` — the entry's rendered
-    /// op lines are the hit's operator list. The [`Outcome`] names where
-    /// the answer came from.
+    /// With the cache on the answer is [`Answer::Cached`]: the entry a hit
+    /// found, or the one a miss just rendered and inserted. On a hit the
+    /// returned stats carry only `total_micros` — the entry's rendered op
+    /// lines are the hit's operator list. The [`Outcome`] names where the
+    /// answer came from.
     pub(crate) fn serve(
         &self,
         spec: &QuerySpec,
@@ -489,7 +513,7 @@ impl ServeEngine {
             &self.bypass
         };
         let started = Instant::now();
-        let fp = match QueryFingerprint::compute(db, spec, opts) {
+        let mut fp = match QueryFingerprint::compute(db, spec, opts) {
             Ok(fp) => fp,
             // Fingerprinting fails only on catalog errors (unknown
             // tables); prefer the validate pass's typed report.
@@ -498,9 +522,15 @@ impl ServeEngine {
                 return Err(ServeError::Engine(QpptError::Storage(e)));
             }
         };
+        if partial {
+            fp.key = Fnv64::new()
+                .write_u64(PARTIAL_TAG)
+                .write_u64(fp.key)
+                .finish();
+        }
 
-        // Result tier (full mode only): served without touching the pool.
-        if let Some(hit) = (!partial).then(|| cache.get_result(&fp)).flatten() {
+        // Result tier: served without touching the pool.
+        if let Some(hit) = cache.get_result(&fp) {
             let stats = ExecStats {
                 ops: Vec::new(),
                 total_micros: started.elapsed().as_micros(),
@@ -511,53 +541,22 @@ impl ServeEngine {
             return Ok((Answer::Cached(hit), stats, Outcome::ResultHit));
         }
 
-        // Selection tier: the composed PreparedQuery (a hit skips
-        // build_plan, the per-dimension cache walk, and the fused-selection
-        // scan — the PreparedQuery already owns its plan and σ handles, so
-        // the plan and dimension tiers are only consulted on a miss).
+        // Plan: build_plan runs the catalog validation itself (typed
+        // errors first — an unknown column beats a missing index on that
+        // column); the index-availability check layers on top before any
+        // materialization, execution, or caching.
         let plan_started = Instant::now();
-        let (prepared, tier, assembly, plan_micros, sigma_micros) = match cache.get_selections(&fp)
-        {
-            Some(p) => {
-                let plan_micros = elapsed_micros(plan_started);
-                (p, Outcome::SelectionHit, None, plan_micros, 0)
-            }
-            None => {
-                // Plan: a tier hit skips build_plan — and with it the
-                // whole validate pass: a cached plan at this
-                // fingerprint proves the spec and its indexes
-                // validated at these very table versions.
-                let (plan, tier) = match cache.get_plan(&fp) {
-                    Some(p) => (p, Outcome::PlanHit),
-                    None => {
-                        // Cold: build_plan runs the catalog validation
-                        // itself (typed errors first — an unknown
-                        // column beats a missing index on that
-                        // column); the index-availability check layers
-                        // on top before any materialization,
-                        // execution, or caching.
-                        let p = Arc::new(
-                            qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?,
-                        );
-                        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
-                        cache.put_plan(&fp, p.clone());
-                        (p, Outcome::Cold)
-                    }
-                };
-                let plan_micros = elapsed_micros(plan_started);
-                // σ: shared handles out of the dimension tier, the
-                // missing ones materialized (on the pool when several
-                // remain) and cached.
-                let sigma_started = Instant::now();
-                let (prepared, assembly) = cache
-                    .prepare_from_parts(&self.engine, plan, opts, db.snapshot(), priority)
-                    .map_err(ServeError::Engine)?;
-                let p = Arc::new(prepared);
-                cache.put_selections(&fp, p.clone());
-                let sigma_micros = elapsed_micros(sigma_started);
-                (p, tier, Some(assembly), plan_micros, sigma_micros)
-            }
-        };
+        let plan = Arc::new(qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?);
+        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
+        let plan_micros = elapsed_micros(plan_started);
+
+        // σ: shared handles out of the dimension tier, the missing ones
+        // materialized (on the pool when several remain) and cached.
+        let sigma_started = Instant::now();
+        let (prepared, assembly) = self
+            .prepare_from_parts(cache, plan, opts, db.snapshot(), priority)
+            .map_err(ServeError::Engine)?;
+        let sigma_micros = elapsed_micros(sigma_started);
 
         // Exec.
         let exec_started = Instant::now();
@@ -569,10 +568,10 @@ impl ServeEngine {
 
         // Finish — the only mode-dependent step.
         let decode_started = Instant::now();
-        let answer = if partial {
-            Answer::Partial(PartialAggregate::from_agg(db, &prepared.plan, &run))
+        let finished = if partial {
+            Finished::Partial(PartialAggregate::from_agg(db, &prepared.plan, &run))
         } else {
-            Answer::Full(qppt_core::exec::decode_result(db, &prepared.plan, &run))
+            Finished::Rows(qppt_core::exec::decode_result(db, &prepared.plan, &run))
         };
         if let Some(t) = trace {
             t.add(t.root(), "plan", plan_micros);
@@ -582,20 +581,58 @@ impl ServeEngine {
         }
         if !cache.enabled() {
             stats.total_micros = started.elapsed().as_micros();
-            return Ok((answer, stats, Outcome::Bypass));
+            return Ok((Answer::Bypass(finished), stats, Outcome::Bypass));
         }
-        let answer = match answer {
-            Answer::Full(result) => {
-                let entry = Arc::new(cache_entry(result, &stats));
-                cache.put_result(&fp, entry.clone());
-                Answer::Cached(entry)
-            }
-            other => other,
-        };
-        stats.push(cache_op(tier.label(), answer.rows()));
+        let entry = Arc::new(cache_entry(finished, &stats));
+        cache.put_result(&fp, entry.clone());
+        stats.push(cache_op(Outcome::Cold.label(), entry.finished.rows()));
         push_assembly_op(&mut stats, assembly);
         stats.total_micros = started.elapsed().as_micros();
-        Ok((answer, stats, tier))
+        Ok((Answer::Cached(entry), stats, Outcome::Cold))
+    }
+
+    /// Composes a [`PreparedQuery`] for an already-built plan in three
+    /// steps: **lookup** — every `Materialized` dimension is served from
+    /// the dimension tier when a version-fresh σ entry exists (whoever
+    /// built it); **σ** — the misses go through the engine's shared
+    /// [`materialize_missing_dims`](PooledEngine::materialize_missing_dims)
+    /// step (one pool job when several remain); **put** — what was built is
+    /// cached for the next query. Only the query-private fused stream is
+    /// always built. With the cache disabled the lookups miss and the puts
+    /// drop, so every σ is built and nothing is cached.
+    fn prepare_from_parts(
+        &self,
+        cache: &QueryCache,
+        plan: Arc<Plan>,
+        opts: &PlanOptions,
+        snap: Snapshot,
+        priority: i32,
+    ) -> Result<(PreparedQuery, DimAssembly), QpptError> {
+        let db = self.engine.db();
+        let mut dims = vec![None; plan.dims.len()];
+        let mut misses = Vec::new();
+        for (di, dim) in plan.dims.iter().enumerate() {
+            if dim.handle != DimHandleKind::Materialized {
+                continue;
+            }
+            let dfp = QueryFingerprint::compute_dim(db, dim, opts).map_err(QpptError::Storage)?;
+            match cache.get_dim(&dfp) {
+                Some(shared) => dims[di] = Some(shared),
+                None => misses.push((di, dfp)),
+            }
+        }
+        let assembly = DimAssembly {
+            shared: dims.iter().flatten().count(),
+            built: misses.len(),
+        };
+        let dims = self
+            .engine
+            .materialize_missing_dims(&plan, snap, priority, dims)?;
+        for (di, dfp) in &misses {
+            let built = dims[*di].clone().expect("Materialized dims materialize");
+            cache.put_dim(dfp, built);
+        }
+        Ok((PreparedQuery::from_parts(db, plan, dims, snap)?, assembly))
     }
 
     /// Renders the physical plan of a named query under the default
@@ -619,38 +656,24 @@ impl ServeEngine {
     }
 }
 
-/// What the pipeline's *finish* step produced: the decoded, ordered
-/// result (full mode) or the undecoded aggregate (`mode=partial`).
+/// A served answer.
 #[derive(Debug)]
 pub(crate) enum Answer {
-    /// Full mode with the cache on: the result-tier entry, whose rendered
-    /// head is the response head.
+    /// With the cache on: the result-tier entry, whose rendered head is
+    /// the response head.
     Cached(Arc<CachedResult>),
-    /// Full mode under `cache=off`.
-    Full(QueryResult),
-    Partial(PartialAggregate),
+    /// Under `cache=off`: what the finish step produced, rendered per
+    /// request.
+    Bypass(Finished),
 }
 
-impl Answer {
-    /// Rows (full) or groups (partial) answered.
-    fn rows(&self) -> usize {
-        match self {
-            Answer::Cached(e) => e.result.rows.len(),
-            Answer::Full(r) => r.rows.len(),
-            Answer::Partial(p) => p.groups.len(),
-        }
-    }
-}
-
-/// Where a served answer came from: the cache tier that answered it, or
-/// `Bypass` when the request ran against a disabled cache. The
-/// `# op cache: …` line and the `METRICS SLOW` outcome are both its
-/// [`label`](Outcome::label).
+/// Where a served answer came from: a result-tier hit, a miss that ran
+/// the pipeline (`Cold`), or `Bypass` when the request ran against a
+/// disabled cache. The `# op cache: …` line and the `METRICS SLOW`
+/// outcome are both its [`label`](Outcome::label).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Outcome {
     ResultHit,
-    SelectionHit,
-    PlanHit,
     Cold,
     Bypass,
 }
@@ -659,32 +682,45 @@ impl Outcome {
     pub(crate) fn label(self) -> &'static str {
         match self {
             Outcome::ResultHit => "cache: result hit",
-            Outcome::SelectionHit => "cache: selection hit",
-            Outcome::PlanHit => "cache: plan hit",
             Outcome::Cold => "cache: cold",
             Outcome::Bypass => "bypass",
         }
     }
 }
 
-/// The `# op` record a result-tier hit appends to the cached execution's
-/// operators.
-fn result_hit_op(result: &QueryResult) -> OpStats {
-    cache_op(Outcome::ResultHit.label(), result.rows.len())
+/// How a prepared query's dimension handles were obtained from the
+/// dimension tier during assemble-from-parts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DimAssembly {
+    /// σ handles served from the dimension tier (shared — possibly
+    /// materialized by a *different* query).
+    shared: usize,
+    /// σ handles materialized now (and inserted for the next query).
+    built: usize,
 }
 
-/// The result-tier entry of a full answer: the rows and the stats of the
-/// execution that produced them, plus the bytes a hit writes — the
-/// response head and the op lines (those operators, then the result-hit
-/// record) — rendered here, once, by the protocol's own writers.
-fn cache_entry(result: QueryResult, stats: &ExecStats) -> CachedResult {
+/// The `# op` record a result-tier hit appends to the cached execution's
+/// operators.
+fn result_hit_op(finished: &Finished) -> OpStats {
+    cache_op(Outcome::ResultHit.label(), finished.rows())
+}
+
+/// The result-tier entry of a finished answer: the answer and the stats
+/// of the execution that produced it, plus the bytes a hit writes — the
+/// response head of its mode and the op lines (those operators, then the
+/// result-hit record) — rendered here, once, by the protocol's own
+/// writers.
+fn cache_entry(finished: Finished, stats: &ExecStats) -> CachedResult {
     let (mut head, mut hit_ops) = (Vec::new(), Vec::new());
-    write_run_head(&mut head, &result)
-        .and_then(|()| write_op_lines(&mut hit_ops, &stats.ops))
-        .and_then(|()| write_op_lines(&mut hit_ops, &[result_hit_op(&result)]))
-        .expect("writing to a Vec cannot fail");
+    match &finished {
+        Finished::Rows(result) => write_run_head(&mut head, result),
+        Finished::Partial(partial) => write_partial_head(&mut head, partial),
+    }
+    .and_then(|()| write_op_lines(&mut hit_ops, &stats.ops))
+    .and_then(|()| write_op_lines(&mut hit_ops, &[result_hit_op(&finished)]))
+    .expect("writing to a Vec cannot fail");
     CachedResult {
-        result,
+        finished,
         stats: stats.clone(),
         head: head.into(),
         hit_ops: hit_ops.into(),
@@ -692,17 +728,15 @@ fn cache_entry(result: QueryResult, stats: &ExecStats) -> CachedResult {
 }
 
 /// Appends the dimension-assembly `# op` record, when σ work happened.
-fn push_assembly_op(stats: &mut ExecStats, assembly: Option<qppt_cache::DimAssembly>) {
-    if let Some(a) = assembly {
-        if a.shared + a.built > 0 {
-            // keys = σ served from the dim tier, tuples = σ built now.
-            let mut op = cache_op(
-                &format!("cache: dims {} shared / {} built", a.shared, a.built),
-                a.shared,
-            );
-            op.out_tuples = a.built;
-            stats.push(op);
-        }
+fn push_assembly_op(stats: &mut ExecStats, a: DimAssembly) {
+    if a.shared + a.built > 0 {
+        // keys = σ served from the dim tier, tuples = σ built now.
+        let mut op = cache_op(
+            &format!("cache: dims {} shared / {} built", a.shared, a.built),
+            a.shared,
+        );
+        op.out_tuples = a.built;
+        stats.push(op);
     }
 }
 
@@ -720,24 +754,18 @@ fn cache_op(label: &str, rows: usize) -> OpStats {
 }
 
 /// Renders [`CacheStats`] as the one-line `key=value` body of a
-/// `CACHE STATS` response: per tier (result / dim / selection / plan) the
+/// `CACHE STATS` response: per tier (result / dim) the
 /// hit/miss/invalidation/eviction/expiration counters plus live entries
 /// and resident bytes.
 pub fn render_cache_stats(s: &CacheStats) -> String {
-    let tier = |name: &str, t: &qppt_cache::TierSnapshot| {
+    let tier = |name: &str, t: &TierSnapshot| {
         format!(
             "{name}_hits={} {name}_misses={} {name}_invalidations={} \
              {name}_evictions={} {name}_expirations={} {name}_entries={} {name}_bytes={}",
             t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes
         )
     };
-    format!(
-        "{} {} {} {}",
-        tier("result", &s.results),
-        tier("dim", &s.dims),
-        tier("selection", &s.selections),
-        tier("plan", &s.plans)
-    )
+    format!("{} {}", tier("result", &s.results), tier("dim", &s.dims))
 }
 
 /// Detected hardware parallelism (1 when the probe fails).
@@ -766,3 +794,95 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qppt_core::{build_plan, prepare_indexes};
+
+    fn engine_over_ssb(config: CacheConfig) -> (ServeEngine, Arc<WorkerPool>) {
+        let mut ssb = SsbDb::generate(0.01, 42);
+        let opts = PlanOptions::default();
+        for q in queries::all_queries() {
+            prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+        }
+        let pool = WorkerPool::new(1, 2);
+        let engine = ServeEngine::over_db_with_config(
+            Arc::new(ssb.db),
+            pool.clone(),
+            opts,
+            0.01,
+            42,
+            config,
+        );
+        (engine, pool)
+    }
+
+    #[test]
+    fn prepare_from_parts_shares_sigma_across_queries() {
+        let (engine, pool) = engine_over_ssb(CacheConfig::default());
+        let (db, cache) = (engine.pooled().db(), engine.cache());
+        let opts = PlanOptions::default();
+        let snap = db.snapshot();
+
+        // Q3.1 cold: builds supplier + date σ (customer is fused).
+        let plan31 = Arc::new(build_plan(db, &queries::q3_1(), &opts).unwrap());
+        let (p31, a31) = engine
+            .prepare_from_parts(cache, plan31, &opts, snap, 0)
+            .unwrap();
+        assert_eq!(a31.shared, 0);
+        assert!(a31.built >= 2, "q3.1 materializes supplier and date");
+
+        // Q3.2 shares only the date σ; supplier predicate differs.
+        let plan32 = Arc::new(build_plan(db, &queries::q3_2(), &opts).unwrap());
+        let (p32, a32) = engine
+            .prepare_from_parts(cache, plan32, &opts, snap, 0)
+            .unwrap();
+        assert_eq!(a32.shared, 1, "the date σ must come from the dim tier");
+        assert_eq!(a32.built, a31.built - 1);
+
+        // The handles are literally the same allocation.
+        let date_of = |p: &PreparedQuery| {
+            p.plan
+                .dims
+                .iter()
+                .position(|d| d.table == "date")
+                .map(|i| p.dims[i].clone().expect("materialized"))
+                .expect("date dim")
+        };
+        assert!(Arc::ptr_eq(&date_of(&p31), &date_of(&p32)));
+
+        // Both compositions execute byte-identically to fresh runs.
+        let oracle = QpptEngine::new(db);
+        for (p, q) in [(&p31, queries::q3_1()), (&p32, queries::q3_2())] {
+            let (got, _) = engine.pooled().run_prepared(p, 0).unwrap();
+            assert_eq!(got, oracle.run(&q, &opts).unwrap(), "{}", q.id);
+        }
+        let s = cache.stats();
+        assert_eq!(s.dims.hits, 1);
+        assert_eq!(s.dims.insertions as usize, a31.built + a32.built);
+        assert!(s.dims.bytes > 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn prepare_from_parts_over_a_disabled_cache_builds_every_sigma() {
+        // The cache=off contract covers the dim tier too: every σ is built
+        // and nothing is cached.
+        let (engine, pool) = engine_over_ssb(CacheConfig::disabled());
+        let (db, cache) = (engine.pooled().db(), engine.cache());
+        let opts = PlanOptions::default();
+        let q = queries::q2_1();
+        let plan = Arc::new(build_plan(db, &q, &opts).unwrap());
+        let (p, a) = engine
+            .prepare_from_parts(cache, plan, &opts, db.snapshot(), 0)
+            .unwrap();
+        assert_eq!(a.shared, 0);
+        assert!(a.built > 0);
+        let (got, _) = engine.pooled().run_prepared(&p, 0).unwrap();
+        assert_eq!(got, QpptEngine::new(db).run(&q, &opts).unwrap());
+        let s = cache.stats();
+        assert_eq!((s.dims.insertions, s.dims.hits, s.dims.misses), (0, 0, 0));
+        pool.shutdown();
+    }
+}

@@ -17,7 +17,8 @@
 //! Every `RUN` goes through the snapshot-keyed
 //! [`QueryCache`](qppt_cache::QueryCache): repeated queries at unchanged
 //! per-table versions serve straight from the result tier without
-//! touching the pool, and MVCC writes invalidate exactly the affected
+//! touching the pool — full and `mode=partial` answers alike, each under
+//! its own key — and MVCC writes invalidate exactly the affected
 //! entries (`cache_equivalence` proves stale results are never served).
 //!
 //! * [`ServeEngine`] — database + pool + query cache + named-query

@@ -230,12 +230,7 @@ pub fn elapsed_micros(started: Instant) -> u64 {
 /// mirroring [`render_cache_stats`](crate::engine::render_cache_stats)
 /// field for field.
 fn render_cache_metrics(s: &CacheStats) -> String {
-    let tiers: [(&str, &TierSnapshot); 4] = [
-        ("result", &s.results),
-        ("dim", &s.dims),
-        ("selection", &s.selections),
-        ("plan", &s.plans),
-    ];
+    let tiers: [(&str, &TierSnapshot); 2] = [("result", &s.results), ("dim", &s.dims)];
     let mut out = String::new();
     let mut family = |name: &str, help: &str, kind: &str, get: &dyn Fn(&TierSnapshot) -> i64| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
@@ -321,7 +316,10 @@ mod tests {
             expo.value("qppt_cache_hits_total", &[("tier", "result")]),
             Some(0)
         );
-        assert_eq!(expo.value("qppt_cache_bytes", &[("tier", "plan")]), Some(0));
+        assert_eq!(expo.value("qppt_cache_bytes", &[("tier", "dim")]), Some(0));
+        for gone in ["plan", "selection"] {
+            assert_eq!(expo.value("qppt_cache_bytes", &[("tier", gone)]), None);
+        }
         assert!(expo.value("qppt_uptime_seconds", &[]).is_some());
         assert_eq!(expo.kind("qppt_request_micros"), Some("histogram"));
     }

@@ -52,12 +52,21 @@
 //! selects the inline form.
 //!
 //! `CACHE STATS` answers one `OK` line of `key=value` counters (per tier —
-//! result / dim / selection / plan —
-//! hits/misses/invalidations/evictions/expirations/entries/bytes);
+//! result / dim —
+//! hits/misses/invalidations/evictions/expirations/entries/bytes):
+//!
+//! ```text
+//! cache-stats = "OK" 2( SP tier-stats )        ; result, then dim
+//! tier-stats  = tier "_hits=" n SP tier "_misses=" n
+//!               SP tier "_invalidations=" n SP tier "_evictions=" n
+//!               SP tier "_expirations=" n SP tier "_entries=" n
+//!               SP tier "_bytes=" n
+//! tier        = "result" | "dim"
+//! ```
+//!
 //! `CACHE CLEAR` drops every cached entry, `CACHE CLEAR dims` only the
-//! shared dimension-selection tier. `cache=off` on a `RUN` bypasses every
-//! cache tier — the dimension tier included — for that request only (no
-//! lookups, no insertions).
+//! shared dimension-selection tier. `cache=off` on a `RUN` bypasses both
+//! cache tiers for that request only (no lookups, no insertions).
 //!
 //! ## RUN response
 //!
@@ -88,6 +97,8 @@
 //! written as stored, rendered by the same head and op-line writers that
 //! [`write_run_response`] is built from. Only `# total_micros=… workers=…`
 //! (and the `# span` lines of a traced request) are formatted per request.
+//! The same holds for the `PARTIAL` response below: its head is rendered
+//! once per entry by the writer [`write_partial_response`] is built from.
 //!
 //! ## PARTIAL response (`mode=partial`)
 //!
@@ -561,6 +572,16 @@ pub fn write_partial_response(
     workers: usize,
     spans: &[SpanRec],
 ) -> io::Result<()> {
+    write_partial_head(w, partial)?;
+    write_stats_lines(w, stats, workers, spans)?;
+    writeln!(w, "END")
+}
+
+/// Writes the head of a `PARTIAL` response: the `OK partial <n>` status,
+/// the `COLS` line and one `P` line per group — everything before the
+/// stats lines. Like [`write_run_head`] it depends on the answer alone,
+/// which is why the result tier stores it rendered.
+pub(crate) fn write_partial_head(w: &mut impl Write, partial: &PartialAggregate) -> io::Result<()> {
     writeln!(w, "OK partial {}", partial.groups.len())?;
     let groups = if partial.group_cols.is_empty() {
         "-".to_string()
@@ -581,8 +602,7 @@ pub fn write_partial_response(
         }
         writeln!(w)?;
     }
-    write_stats_lines(w, stats, workers, spans)?;
-    writeln!(w, "END")
+    Ok(())
 }
 
 /// Writes a `METRICS SLOW` response: the ring oldest-first, one `slow …`

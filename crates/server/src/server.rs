@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use qppt_cache::Finished;
 use qppt_storage::QuerySpec;
 
 use crate::engine::{render_cache_stats, Answer, Outcome, ServeEngine, ServeError};
@@ -378,10 +379,10 @@ impl EngineService {
     /// `RUN` and `QUERY` — named aliases and ad-hoc specs, full and
     /// `mode=partial` alike — converge here: overrides, then the engine's
     /// single plan → σ → exec → finish pipeline, then the response the
-    /// finish step calls for. A cached full answer is written from the
-    /// entry's rendered bytes: its head, this request's total line, its
-    /// hit op lines (or, on the miss that made it, the miss's own), the
-    /// spans, `END`.
+    /// finish step calls for. A cached answer of either mode is written
+    /// from the entry's rendered bytes: its head, this request's total
+    /// line, its hit op lines (or, on the miss that made it, the miss's
+    /// own), the spans, `END`.
     fn run_query(
         &self,
         verb: &'static str,
@@ -416,8 +417,10 @@ impl EngineService {
                 write_span_lines(&mut w, &spans)?;
                 writeln!(w, "END")?;
             }
-            Answer::Full(result) => write_run_response(&mut w, result, &stats, workers, &spans)?,
-            Answer::Partial(partial) => {
+            Answer::Bypass(Finished::Rows(result)) => {
+                write_run_response(&mut w, result, &stats, workers, &spans)?
+            }
+            Answer::Bypass(Finished::Partial(partial)) => {
                 write_partial_response(&mut w, partial, &stats, workers, &spans)?
             }
         }

@@ -191,11 +191,13 @@ fn malformed_adhoc_specs_error_structurally_over_tcp() {
              agg=sum(lo_revenue):r group=date.d_month",
             "carry=",
         ),
-        // A predicate column the startup preparation never indexed.
+        // A predicate column the startup preparation never indexed: the
+        // typed PlanError of the index check, before any σ is built — not
+        // the storage error a materialization would hit later.
         (
             "fact=lineorder dim=part[join=p_partkey:lo_partkey;p_size=7] \
              agg=sum(lo_revenue):r",
-            "no base index",
+            "invalid query: no base index on part.p_size",
         ),
         // No dims / no aggs are typed errors, not planner panics.
         ("fact=lineorder agg=sum(lo_revenue):r", "dim="),

@@ -18,16 +18,25 @@
 //! * on the wire, a result-tier hit — `RUN`, `QUERY` of the same spec, or
 //!   traced — answers the very bytes of the cold miss that filled it, and
 //!   the bytes an in-process hit renders, up to `# total_micros=`, the
-//!   tier's `# op cache: …` lines and `# span` lines.
+//!   tier's `# op cache: …` lines and `# span` lines;
+//! * `mode=partial` answers are result-tier entries too, keyed apart from
+//!   full answers: a partial hit answers its miss's bytes, a write to
+//!   `date` invalidates exactly the partial entries of date readers, and
+//!   `mode=partial cache=off` moves no counter.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qppt_cache::{CacheConfig, QueryCache};
-use qppt_core::{ExecStats, PlanOptions, QpptEngine};
+use qppt_core::plan::DimHandleKind;
+use qppt_core::{build_plan, ExecStats, PartialAggregate, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
-use qppt_server::protocol::write_run_response;
+use qppt_server::protocol::{
+    parse_partial_status, read_partial_body, read_status, write_partial_response,
+    write_run_response,
+};
 use qppt_server::{serve, QpptClient, ServeEngine};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, Value};
@@ -38,6 +47,15 @@ fn dim_assembly_op(stats: &ExecStats) -> Option<&qppt_core::OpStats> {
         .ops
         .iter()
         .find(|op| op.label.starts_with("cache: dims"))
+}
+
+/// The dim-tier lookups a wire `# op cache: dims <s> shared / <b> built`
+/// line reports (`s + b`), if `line` is one.
+fn dim_lookups(line: &str) -> Option<u64> {
+    let rest = line.strip_prefix("cache: dims ")?;
+    let (shared, rest) = rest.split_once(" shared / ")?;
+    let built = rest.split_once(" built")?.0;
+    Some(shared.parse::<u64>().ok()? + built.parse::<u64>().ok()?)
 }
 
 fn ssb_db(sf: f64) -> Arc<Database> {
@@ -184,12 +202,7 @@ fn cache_off_bypasses_every_tier_including_dims() {
         );
     }
     let s = engine.cache_stats();
-    for (tier, t) in [
-        ("results", s.results),
-        ("dims", s.dims),
-        ("selections", s.selections),
-        ("plans", s.plans),
-    ] {
+    for (tier, t) in [("results", s.results), ("dims", s.dims)] {
         assert_eq!(
             (t.hits, t.misses, t.insertions, t.entries),
             (0, 0, 0, 0),
@@ -391,6 +404,21 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
         .iter()
         .map(|q| oracle.run(q, &PlanOptions::default()).unwrap())
         .collect();
+    // The materialized σ of each query's plan: what one result miss looks
+    // up in the dimension tier.
+    let sigmas: Vec<u64> = all
+        .iter()
+        .map(|q| {
+            let plan = build_plan(&db, q, &defaults).unwrap();
+            let materialized = plan
+                .dims
+                .iter()
+                .filter(|d| d.handle == DimHandleKind::Materialized);
+            materialized.count() as u64
+        })
+        .collect();
+    let result_misses = AtomicU64::new(0);
+    let miss_sigma_lookups = AtomicU64::new(0);
 
     // 10 connections × 2 rounds over all 13 queries; mixed parallelism and
     // an occasional cache bypass, all racing on one shared cache.
@@ -398,6 +426,7 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
         for c in 0..10usize {
             let all = &all;
             let expected = &expected;
+            let (sigmas, misses, lookups) = (&sigmas, &result_misses, &miss_sigma_lookups);
             s.spawn(move || {
                 let mut client = QpptClient::connect(addr).expect("connect");
                 for round in 0..2 {
@@ -419,6 +448,15 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
                             "{} via client {c} (parallelism {par}, cache {cache})",
                             q.id
                         );
+                        // A miss reports its dim-tier lookups: one per
+                        // materialized σ of its query, shared or built.
+                        let ops = &served.stats.op_lines;
+                        if ops.iter().any(|l| l.starts_with("cache: cold |")) {
+                            let dims = ops.iter().find_map(|l| dim_lookups(l)).unwrap_or(0);
+                            assert_eq!(dims, sigmas[qi], "{} miss via client {c}", q.id);
+                            misses.fetch_add(1, Ordering::Relaxed);
+                            lookups.fetch_add(dims, Ordering::Relaxed);
+                        }
                     }
                 }
                 client.quit().expect("clean quit");
@@ -427,18 +465,20 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
     });
 
     // Counter exactness under concurrency: every cache=on run does exactly
-    // one result-tier lookup, every result miss exactly one selection-tier
-    // lookup, and every dim-tier miss exactly one insertion — races may
-    // shift the hit/miss split, never the totals.
+    // one result-tier lookup, every result miss exactly one dim-tier
+    // lookup per materialized σ of its query, and every dim-tier miss
+    // exactly one insertion — races may shift the hit/miss split, never
+    // the totals.
     let on_runs: u64 = (0..10usize)
         .flat_map(|c| (0..2usize).flat_map(move |round| (0..13usize).map(move |qi| (c, round, qi))))
         .filter(|(c, round, qi)| (c + qi + round) % 5 != 0)
         .count() as u64;
     let stats = engine.cache_stats();
     assert_eq!(stats.results.hits + stats.results.misses, on_runs);
+    assert_eq!(stats.results.misses, result_misses.into_inner());
     assert_eq!(
-        stats.selections.hits + stats.selections.misses,
-        stats.results.misses
+        stats.dims.hits + stats.dims.misses,
+        miss_sigma_lookups.into_inner()
     );
     assert_eq!(stats.dims.misses, stats.dims.insertions);
     assert!(
@@ -480,16 +520,14 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
 
 #[test]
 fn eviction_churn_under_tiny_budgets_stays_correct() {
-    // Pathologically small byte budgets: every tier is under constant
-    // eviction pressure, entries pinned by the composed prepared query (or
-    // by in-flight executions) are skipped rather than ripped out, and
-    // every answer stays byte-identical to the sequential oracle.
+    // Pathologically small byte budgets: both tiers are under constant
+    // eviction pressure, entries pinned by in-flight executions are
+    // skipped rather than ripped out, and every answer stays
+    // byte-identical to the sequential oracle.
     let db = ssb_db(0.01);
     let pool = WorkerPool::new(2, 8);
     let cache = Arc::new(QueryCache::new(CacheConfig {
-        plan_budget: 1,
         dim_budget: 4 << 10,
-        selection_budget: 1,
         result_budget: 1,
         ..CacheConfig::default()
     }));
@@ -516,8 +554,7 @@ fn eviction_churn_under_tiny_budgets_stays_correct() {
         }
     }
     let s = engine.cache_stats();
-    let evictions =
-        s.results.evictions + s.dims.evictions + s.selections.evictions + s.plans.evictions;
+    let evictions = s.results.evictions + s.dims.evictions;
     assert!(evictions > 0, "tiny budgets must evict: {s:?}");
     // A 1-byte result budget keeps at most one (over-budget) entry
     // resident per shard — 8 shards, 13 distinct queries: the put-path
@@ -639,5 +676,149 @@ fn result_hits_answer_the_cold_miss_bytes_over_the_wire() {
 
     drop(reader);
     server.stop();
+    pool.shutdown();
+}
+
+/// Parses a raw `PARTIAL` response back into its aggregate.
+fn parse_partial(response: &str) -> PartialAggregate {
+    let mut r = BufReader::new(response.as_bytes());
+    let status = read_status(&mut r).unwrap();
+    let n = parse_partial_status(&status).unwrap_or_else(|| panic!("not partial: {status}"));
+    read_partial_body(&mut r, n).unwrap().0
+}
+
+/// An ad-hoc query that reads no `date` row: the entry a write to `date`
+/// must leave alone.
+const NO_DATE: &str = "QUERY fact=lineorder \
+     dim=supplier[join=s_suppkey:lo_suppkey;s_region='ASIA';carry=s_nation] \
+     agg=sum(lo_revenue):rev group=supplier.s_nation order=group:0";
+
+#[test]
+fn partial_answers_are_result_entries_keyed_apart_from_full_ones() {
+    let mut ssb = SsbDb::generate(0.01, 42);
+    for q in queries::all_queries() {
+        qppt_core::prepare_indexes(&mut ssb.db, &q, &PlanOptions::default()).unwrap();
+    }
+    let mut db = Arc::new(ssb.db);
+    let pool = WorkerPool::new(2, 8);
+    let cache = Arc::new(QueryCache::default());
+    let defaults = PlanOptions::default();
+    let start = |db: &Arc<Database>| {
+        let engine = Arc::new(ServeEngine::over_db_with_cache(
+            db.clone(),
+            pool.clone(),
+            defaults,
+            0.01,
+            42,
+            cache.clone(),
+        ));
+        let server = serve(engine.clone(), "127.0.0.1:0").expect("bind loopback");
+        let reader = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+        (engine, server, reader)
+    };
+    let cold = |response: &str| response.contains("\n# op cache: cold |");
+    let hit = |response: &str| response.contains("\n# op cache: result hit |");
+
+    let (engine, server, mut reader) = start(&db);
+    let workers = engine.pooled().pipeline_participants(defaults.parallelism);
+    let oracle = QpptEngine::new(&db);
+    let mut partials = Vec::new();
+    for q in queries::all_queries() {
+        let name = q.id.to_ascii_lowercase();
+        let spec = engine.query(&name).expect("registered").clone();
+        let s0 = engine.cache_stats().results;
+
+        // A partial miss, then its hit: the same bytes but for the tier.
+        let miss = raw_request(&mut reader, &format!("RUN {name} mode=partial"));
+        let repeat = raw_request(&mut reader, &format!("RUN {name} mode=partial"));
+        assert!(cold(&miss), "{name}: {miss}");
+        assert!(hit(&repeat), "{name} repeat is a result hit: {repeat}");
+        assert_eq!(mask_tier(&repeat), mask_tier(&miss), "{name}: hit vs miss");
+        let partial = parse_partial(&miss);
+        assert_eq!(
+            partial.clone().into_result(&spec.order_by),
+            oracle.run(&spec, &defaults).unwrap(),
+            "{name}: partial vs oracle"
+        );
+
+        // In process: the same hit, rendered to the wire hit's bytes.
+        let (in_proc, stats) = engine.run_spec_partial(&spec, &defaults, 0, true).unwrap();
+        assert_eq!(in_proc, partial, "{name}: in-process hit");
+        assert!(stats.ops.iter().any(|op| op.label == "cache: result hit"));
+        let mut rendered = Vec::new();
+        write_partial_response(&mut rendered, &in_proc, &stats, workers, &[]).unwrap();
+        let rendered = String::from_utf8(rendered).unwrap();
+        assert_eq!(
+            mask_total(&rendered),
+            mask_total(&repeat),
+            "{name}: in-process"
+        );
+
+        // The modes never share an entry, in either order.
+        let full = raw_request(&mut reader, &format!("RUN {name}"));
+        assert!(cold(&full), "{name}: full after partial is a miss: {full}");
+        let full2 = raw_request(&mut reader, &format!("RUN {name} parallelism=2"));
+        let partial2 = raw_request(
+            &mut reader,
+            &format!("RUN {name} parallelism=2 mode=partial"),
+        );
+        assert!(cold(&full2), "{name}: {full2}");
+        assert!(
+            cold(&partial2),
+            "{name}: partial after full is a miss: {partial2}"
+        );
+        assert_eq!(parse_partial(&partial2), partial, "{name}: parallelism=2");
+
+        // cache=off answers the same aggregate and moves no counter.
+        let before = engine.cache_stats();
+        let off = raw_request(&mut reader, &format!("RUN {name} mode=partial cache=off"));
+        assert_eq!(engine.cache_stats(), before, "{name}: cache=off");
+        assert!(!off.contains("# op cache:"), "{name}: {off}");
+        assert_eq!(parse_partial(&off), partial, "{name}: cache=off");
+
+        let s1 = engine.cache_stats().results;
+        assert_eq!((s1.hits - s0.hits, s1.misses - s0.misses), (2, 4), "{name}");
+        partials.push((name, spec));
+    }
+    let no_date = raw_request(&mut reader, &format!("{NO_DATE} mode=partial"));
+    assert!(cold(&no_date), "{no_date}");
+
+    // A write to `date`: every named query reads it, the ad-hoc one not.
+    drop((reader, oracle));
+    server.stop();
+    drop(engine);
+    let before = cache.stats().results;
+    Arc::get_mut(&mut db)
+        .expect("server stopped, Arc unique")
+        .delete_row("date", 0)
+        .unwrap();
+    let (engine, server, mut reader) = start(&db);
+    let oracle = QpptEngine::new(&db);
+    for (name, spec) in &partials {
+        let rerun = raw_request(&mut reader, &format!("RUN {name} mode=partial"));
+        assert!(
+            cold(&rerun),
+            "{name}: stale partial served after a date write"
+        );
+        assert_eq!(
+            parse_partial(&rerun).into_result(&spec.order_by),
+            oracle.run(spec, &defaults).unwrap(),
+            "{name}: re-run vs oracle at the new snapshot"
+        );
+    }
+    let no_date_again = raw_request(&mut reader, &format!("{NO_DATE} mode=partial"));
+    assert!(hit(&no_date_again), "{no_date_again}");
+    assert_eq!(mask_tier(&no_date_again), mask_tier(&no_date));
+    let after = cache.stats().results;
+    assert_eq!(
+        after.invalidations - before.invalidations,
+        partials.len() as u64,
+        "exactly the date readers' partial entries die"
+    );
+    assert_eq!(after.hits - before.hits, 1, "the date-free entry survives");
+
+    drop((reader, oracle));
+    server.stop();
+    drop(engine);
     pool.shutdown();
 }

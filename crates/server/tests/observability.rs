@@ -138,12 +138,7 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
     let stats = client.cache_stats().expect("CACHE STATS answers");
     let text = client.metrics().expect("second scrape");
     let expo = parse_exposition(&text).expect("second scrape parses");
-    for (tier, prefix) in [
-        ("result", "result"),
-        ("dim", "dim"),
-        ("selection", "selection"),
-        ("plan", "plan"),
-    ] {
+    for (tier, prefix) in [("result", "result"), ("dim", "dim")] {
         for (family, field) in [
             ("qppt_cache_hits_total", "hits"),
             ("qppt_cache_misses_total", "misses"),
@@ -294,7 +289,8 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
     assert_pipeline_spans(&bypass.stats.spans, "cache=off");
 
     // Partial mode carries them too (the shard side of a routed trace),
-    // cached — a selection-tier hit by now — and bypassing alike.
+    // cached — a miss: the partial entry is keyed apart from the full one
+    // warmed above — and bypassing alike.
     let partial = client
         .run_partial("q3.2", &[("trace", "on")])
         .expect("traced partial");
@@ -304,6 +300,20 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
         .expect("traced partial bypass");
     assert_pipeline_spans(&partial_bypass.stats.spans, "partial cache=off");
     assert_eq!(partial_bypass.partial, partial.partial);
+    // A partial repeat is a result-tier hit of its own.
+    let partial_hit = client
+        .run_partial("q3.2", &[("trace", "on")])
+        .expect("traced partial hit");
+    validate_span_tree(&partial_hit.stats.spans).expect("partial hit span tree validates");
+    assert!(
+        partial_hit
+            .stats
+            .spans
+            .iter()
+            .any(|s| s.name == "result_cache"),
+        "a partial repeat must mark the result-tier hit"
+    );
+    assert_eq!(partial_hit.partial, partial.partial);
 
     // mem= rides on every # op line (satellite: memory_bytes was dropped).
     assert!(
