@@ -36,9 +36,10 @@
 //! - **filters**: dimension selections σ built as §2.1's one-level tree, a
 //!   [`DenseIndex`] ([`materialize_dim`] builds every σ whose join keys are
 //!   unique and compact that way). Testing a key is one load, so the
-//!   stage's scan tests every filter before it buffers a row (see below),
-//!   and a row a filter rejects never enters the join buffer. Q4.1's
-//!   supplier σ rejects 4 in 5 of the rows its customer σ lets through.
+//!   stage's scan kernel tests every filter before it buffers a row (see
+//!   below), and a row a filter rejects never enters the join buffer.
+//!   Q4.1's supplier σ rejects 4 in 5 of the rows its customer σ lets
+//!   through.
 //! - **tree assists**: base indexes and sparse σs, which the flush probes.
 //!
 //! A buffered candidate is a reference, not a copy: the id of its source
@@ -72,49 +73,60 @@
 //! buffer, the vector and every other scratch of the flush live in the
 //! [`Pipeline`] and are reused across flushes, stages and morsels.
 //!
-//! # One scan loop
+//! # One scan kernel
 //!
 //! The loops that feed the join buffer — the fact selection, the
 //! synchronous scan of stage 1's fact base index or of a later stage's
-//! intermediate, and the select-probe of stage 1 — each have one body that
-//! takes one tuple at a time. It checks visibility, each residual and then
-//! each of the stage's filters in plan order straight off the payload row,
-//! through the stage's field map — one check, `StageInput::passes` —
-//! and buffers the row's id; the fact selection, which has no filters,
-//! inserts only the rows that pass. The batching of §2.3 is the join
-//! buffer itself, the flush's handle lookups into the tree assists, and
-//! the select-probe's prefetching batched lookups into the fact index —
-//! which is larger than the caches, so its prefetch rounds still pay
-//! there.
+//! intermediate, and the select-probe of stage 1 — test a key's rows
+//! through one selection-vector kernel, `StageInput::select` (X100's
+//! selection vectors, with Ross's branch-free selection for each test).
+//! For each key the loop yields, the kernel writes the key's row ids into
+//! a reusable vector, at most `SEL_BLOCK` at a time, and then runs one
+//! pass per test over the survivors of the previous one: visibility, if
+//! the snapshot hides some fact versions; each residual predicate (a
+//! range is one unsigned compare, [`CompiledPred::admits`]); each filter
+//! in plan order, one clamped load. A pass writes every id back and
+//! advances the survivor count by the test's outcome, so a rejected row
+//! costs no mispredicted branch: as a branch, a σ that rejects rows in no
+//! pattern the predictor can learn mispredicts on a large share of them.
+//! The tests
+//! are resolved once per stage in [`Pipeline::new`], each with the field
+//! it reads; a test of the stage key itself holds for all of a key's rows
+//! or for none, so it runs once per key. Each filter is tested by exactly
+//! the rows the tests before it kept. Only then are the survivors
+//! emitted: buffered with their work rows or, by the fact selection,
+//! inserted. The batching of §2.3 is this kernel, the join buffer itself,
+//! the flush's handle lookups into the tree assists, and the
+//! select-probe's prefetching batched lookups into the fact index — which
+//! is larger than the caches, so its prefetch rounds still pay there.
 //!
 //! # Reading payload rows
 //!
 //! Those loops read the payload rows their index hands out ids for. A
 //! stage matches its input's lane width once ([`Lanes`]), and its scan and
 //! every flush run a body instantiated for it, so no field read branches
-//! on the width. The scans walk a key's ids segment by segment through
-//! [`Rows::for_each_row_of`], which prefetches the row a few ids ahead
-//! (§2.3's software prefetching, applied to payload rows): a base index's
-//! rows appended after its build, like an intermediate's rows, are not in
-//! key order, and each would otherwise be a cache miss. The flush reads
-//! the same rows again by id, at most `join_buffer` candidates later, while
-//! they are still in cache.
+//! on the width. The scan kernel gathers a key's ids segment by segment
+//! through [`Rows::for_each_row_of`], which prefetches the row a few ids
+//! ahead (§2.3's software prefetching, applied to payload rows): a base
+//! index's rows appended after its build, like an intermediate's rows, are
+//! not in key order, and each would otherwise be a cache miss in the
+//! kernel's first pass. A block of `SEL_BLOCK` rows stays in cache across
+//! the passes, and the flush reads the survivors again by id, at most
+//! `join_buffer` candidates later, while they are still in cache.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
     sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, DenseIndex,
-    IndexedTable, Lane, Lanes, MvccTable, PayloadBuf, ProbeScratch, QueryResult, Row, Rows,
-    Snapshot, StorageError, TreeIndex, Value, Values,
+    DenseSlots, IndexedTable, Lane, Lanes, MvccTable, PayloadBuf, ProbeScratch, QueryResult, Row,
+    Rows, Snapshot, StorageError, TreeIndex, Value, Values,
 };
 
 use crate::inter::{AggTable, GroupRun, InterTable};
 use crate::layout::{Layout, Src};
 use crate::options::PlanOptions;
-use crate::plan::{
-    DimHandleKind, FactSelect, JoinStage, MainInput, Plan, ResolvedDim, StageOutput,
-};
+use crate::plan::{DimHandleKind, JoinStage, MainInput, Plan, ResolvedDim, StageOutput};
 use crate::stats::{ExecStats, OpStats};
 use crate::{PartialAggregate, QpptError};
 
@@ -377,10 +389,11 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// stage, aggregating into the caller's [`AggTable`].
 ///
 /// [`new`](Self::new) resolves everything that does not depend on the
-/// morsel — the stage-1 fact index and its field map, each later stage's
-/// identity field map, every dimension's runtime access and fill
-/// positions, the operator labels — and owns the join buffer (row ids and
-/// partial work rows, see the module docs) and probe scratch;
+/// morsel — the stage-1 fact index, each stage's field map and the tests
+/// its scan runs, every dimension's runtime access and fill positions,
+/// the operator labels — and owns the join buffer (row ids and partial
+/// work rows, see the module docs), the scan's selection vector and probe
+/// scratch;
 /// [`run`](Self::run) then executes one
 /// [`KeyRange`] morsel over that state. A worker builds one `Pipeline` and
 /// runs every morsel it claims through it; sequential execution is the one
@@ -410,6 +423,9 @@ pub struct Pipeline<'a> {
     fact_field_map: Vec<FieldSrc>,
     /// The fact table, when `snap` hides some of its versions.
     fact_vis: Option<&'a MvccTable>,
+    /// The fact selection's predicates, resolved against
+    /// `fact_field_map` (empty without a fact selection).
+    select_tests: ScanTests<'a>,
     /// Key domain of the fact-selection index (stage-1 join column).
     fact_key_max: u64,
     /// One entry per `plan.stages`.
@@ -426,16 +442,19 @@ struct StageCtx<'a> {
     /// The tree-indexed assisting dimensions — base indexes and sparse σs —
     /// in plan order, probed by the flush.
     assists: Vec<AssistRt<'a>>,
-    /// The dense σs among the assisting dimensions, in plan order, tested
-    /// by the scan.
+    /// The dense σs among the assisting dimensions, in plan order: the
+    /// scan tests them, the flush fills their carried values.
     filters: Vec<Filter<'a>>,
+    /// What the scan tests on each row: the residuals, then the filters.
+    tests: ScanTests<'a>,
     main_fill_pos: Vec<usize>,
     /// The main dimension's index (`SyncScan` stages; a `SelectProbe`
     /// stage streams its dimension instead).
     main_access: Option<DimAccess<'a>>,
-    /// The field map of an intermediate input: its payload rows are the
-    /// stage's input layout.
-    identity: Vec<FieldSrc>,
+    /// How each input-layout field is read from a source row of the
+    /// stage's input: the fact base index's field map for stage 1 without
+    /// a fact selection, the identity for an intermediate.
+    fields: Vec<FieldSrc>,
     /// Key domain of an `Inter` output (the next join's fact column).
     out_key_max: u64,
 }
@@ -508,7 +527,17 @@ impl<'a> Pipeline<'a> {
             ops.push(op(format!("σ(fact residuals) → idx on {fact_key}")));
         }
         let mut stages = Vec::with_capacity(plan.stages.len());
-        for stage in &plan.stages {
+        for (si, stage) in plan.stages.iter().enumerate() {
+            // Stage 1 without a fact selection reads the fact base index;
+            // every other stage an intermediate, whose rows are its input
+            // layout.
+            let fields: Vec<FieldSrc> = if si == 0 && plan.fact_select.is_none() {
+                fact_field_map.clone()
+            } else {
+                (0..stage.input_layout.width())
+                    .map(FieldSrc::Payload)
+                    .collect()
+            };
             let fill_pos = |d: usize| -> Vec<usize> {
                 plan.dims[d]
                     .carried_names
@@ -538,6 +567,7 @@ impl<'a> Pipeline<'a> {
                     filters.push(Filter {
                         dense,
                         rows: payload,
+                        probe: fields[probe_pos],
                         probe_pos,
                         fill_pos,
                     });
@@ -570,17 +600,21 @@ impl<'a> Pipeline<'a> {
                     fact_col_max(fact_mvt, key_name)?
                 }
             };
+            let tests = ScanTests::new(&fields, &stage.residuals, &filters);
             stages.push(StageCtx {
                 assists,
                 filters,
+                tests,
                 main_fill_pos: fill_pos(main),
                 main_access,
-                identity: (0..stage.input_layout.width())
-                    .map(FieldSrc::Payload)
-                    .collect(),
+                fields,
                 out_key_max,
             });
         }
+        let select_tests = match &plan.fact_select {
+            Some(fs) => ScanTests::new(&fact_field_map, &fs.preds, &[]),
+            None => ScanTests::default(),
+        };
         Ok(Self {
             db,
             snap,
@@ -589,6 +623,7 @@ impl<'a> Pipeline<'a> {
             fact_base,
             fact_field_map,
             fact_vis: (!fact_mvt.fully_visible(snap)).then_some(fact_mvt),
+            select_tests,
             fact_key_max: fact_col_max(fact_mvt, fact_key)?,
             stages,
             scratch: JoinScratch::default(),
@@ -609,9 +644,9 @@ impl<'a> Pipeline<'a> {
 
         // Optional separate fact selection (the non-fused plan of Fig. 8).
         let mut stream: Option<InterTable> = None;
-        if let Some(fs) = &plan.fact_select {
+        if plan.fact_select.is_some() {
             let t0 = Instant::now();
-            let out = self.select_fact(fs, range);
+            let out = self.select_fact(range);
             absorb_inter(&mut self.ops[0], &out, t0);
             stream = Some(out);
         }
@@ -639,22 +674,16 @@ impl<'a> Pipeline<'a> {
             // Stage 1 scans the fact base index inside the morsel; a later
             // stage, or stage 1 after a fact selection, the intermediate
             // the previous operator built for this morsel, whole.
-            let (index, payload, fields, vis, scan) = match &input {
+            let (index, payload, vis, scan) = match &input {
                 None => (
                     &fact_base.data.index,
                     &fact_base.data.payload,
-                    &self.fact_field_map[..],
                     self.fact_vis,
                     range,
                 ),
-                Some(it) => (
-                    &it.data.index,
-                    &it.data.payload,
-                    &ctx.identity[..],
-                    None,
-                    KeyRange::full(),
-                ),
+                Some(it) => (&it.data.index, &it.data.payload, None, KeyRange::full()),
             };
+            let fields = &ctx.fields[..];
             let width = stage.work_layout.width();
             let key_slot = fields.iter().position(|f| matches!(f, FieldSrc::Key));
             let (db, fused, s) = (self.db, self.fused, &mut self.scratch);
@@ -683,14 +712,17 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Materializes the fact selection of the non-fused plan over one
-    /// morsel: the fact rows of `range` that pass `fs`, indexed on the
-    /// stage-1 join column. Only the rows that pass are copied.
-    fn select_fact(&self, fs: &FactSelect, range: KeyRange) -> InterTable {
+    /// morsel: the fact rows of `range` that pass its predicates, indexed
+    /// on the stage-1 join column. Only the rows that pass are copied.
+    fn select_fact(&mut self, range: KeyRange) -> InterTable {
         let base = self.fact_base;
         let (index, fields, vis) = (&base.data.index, &self.fact_field_map[..], self.fact_vis);
-        with_lanes!(base.data.payload, rows => {
-            self.select_fact_in(StageInput { index, rows, fields, vis }, fs, range)
-        })
+        let mut sel = std::mem::take(&mut self.scratch.sel);
+        let out = with_lanes!(base.data.payload, rows => {
+            self.select_fact_in(StageInput { index, rows, fields, vis }, range, &mut sel)
+        });
+        self.scratch.sel = sel;
+        out
     }
 
     /// [`select_fact`](Self::select_fact) over the fact rows at one lane
@@ -698,16 +730,17 @@ impl<'a> Pipeline<'a> {
     fn select_fact_in<L: Lane>(
         &self,
         fact: StageInput<'_, L>,
-        fs: &FactSelect,
         range: KeyRange,
+        sel: &mut Vec<u32>,
     ) -> InterTable {
         let (plan, snap) = (self.plan, self.snap);
         let index = TreeIndex::for_domain(self.fact_key_max, plan.opts.prefer_kiss);
         let mut out = InterTable::new(&plan.dims[0].fact_col_name, plan.fact_layout.clone(), index);
         fact.index
             .for_each_key_range(range.lo, range.hi, |key, pids| {
-                fact.rows.for_each_row_of(pids, |_, row| {
-                    if fact.passes(key, row, &fs.preds, &[], snap) {
+                fact.select(key, pids, &self.select_tests, snap, sel, |survivors| {
+                    for &id in survivors {
+                        let row = fact.rows.row(id);
                         out.insert(key, fact.fields.iter().map(|f| f.read(key, row)));
                     }
                 });
@@ -897,32 +930,146 @@ struct StageInput<'i, L> {
     vis: Option<&'i MvccTable>,
 }
 
+/// The most row ids the scan kernel tests at once: a key with more rows is
+/// tested a block at a time, so a block's rows are still in cache when the
+/// block's last pass reads them.
+const SEL_BLOCK: usize = 1024;
+
 impl<L: Lane> StageInput<'_, L> {
-    /// `true` if the source `row` under `key` is visible at `snap`, passes
-    /// every predicate of `preds` (over input-layout positions) and has
-    /// its key in every dense σ of `filters`, in that order — each field
-    /// read straight off the row, each filter one load.
+    /// The scan kernel: hands `emit` the ids of the rows `ids` under `key`
+    /// that are visible at `snap` and pass every test of `tests`, in id
+    /// order, one block of at most [`SEL_BLOCK`] rows at a time.
+    ///
+    /// The tests of the key run first, once. Then the block's ids go into
+    /// `sel`, walked with [`Rows::for_each_row_of`]'s prefetch, and each
+    /// test of a row field is one branch-free pass over the survivors of
+    /// the previous one ([`retain`]): visibility, if the snapshot hides
+    /// some versions, then the residuals, then the filters in plan order.
+    /// A filter is tested by exactly the rows the tests before it kept.
     #[inline]
-    fn passes(
+    fn select(
         &self,
         key: u64,
-        row: &[L],
-        preds: &[CompiledPred],
-        filters: &[Filter<'_>],
+        ids: Values<'_, u32>,
+        tests: &ScanTests<'_>,
         snap: Snapshot,
-    ) -> bool {
+        sel: &mut Vec<u32>,
+        mut emit: impl FnMut(&[u32]),
+    ) {
+        if !tests.key_holds(key) {
+            return;
+        }
+        let mut block = |sel: &mut Vec<u32>| {
+            let n = self.passes(sel, &tests.on_row, snap);
+            emit(&sel[..n]);
+            sel.clear();
+        };
+        sel.clear();
+        self.rows.for_each_row_of(ids, |id, _| {
+            sel.push(id);
+            if sel.len() == SEL_BLOCK {
+                block(sel);
+            }
+        });
+        if !sel.is_empty() {
+            block(sel);
+        }
+    }
+
+    /// Compacts `sel` to the ids of the rows visible at `snap` that pass
+    /// every test of `tests`, in order; returns how many there are.
+    #[inline]
+    fn passes(&self, sel: &mut [u32], tests: &[(usize, Test<'_>)], snap: Snapshot) -> usize {
+        let rows = self.rows;
+        let mut n = sel.len();
         if let Some(mvt) = self.vis {
-            if !mvt.visible(payload_rid(row), snap) {
-                return false;
+            n = retain(rows, sel, n, |row| mvt.visible(payload_rid(row), snap));
+        }
+        for &(p, test) in tests {
+            n = match test {
+                Test::Pred(pred) => retain(rows, sel, n, |row| pred.admits(row[p].into())),
+                Test::Filter(slots) => {
+                    count!(PROBES, n);
+                    retain(rows, sel, n, |row| slots.handle(row[p].into()) != 0)
+                }
+            };
+        }
+        n
+    }
+}
+
+/// One branch-free pass of the scan kernel: keeps, in order, those of the
+/// first `n` ids of `sel` whose row `keep` accepts, and returns how many.
+/// Every id is written back unconditionally and the count advanced by the
+/// test's outcome, so a rejected row costs no mispredicted branch.
+#[inline(always)]
+fn retain<L: Lane>(
+    rows: Rows<'_, L>,
+    sel: &mut [u32],
+    n: usize,
+    keep: impl Fn(&[L]) -> bool,
+) -> usize {
+    let mut kept = 0;
+    for i in 0..n {
+        let id = sel[i];
+        sel[kept] = id;
+        kept += keep(rows.row(id)) as usize;
+    }
+    kept
+}
+
+/// What a stage's scan tests, resolved once per stage by
+/// [`Pipeline::new`]: each residual predicate and dense σ filter with the
+/// field it reads.
+#[derive(Default)]
+struct ScanTests<'a> {
+    /// The tests of the stage key (and any `Never` predicate): each holds
+    /// for every row under a key or for none, so it runs once per key.
+    on_key: Vec<Test<'a>>,
+    /// The tests of a payload field, with its position: one kernel pass
+    /// each.
+    on_row: Vec<(usize, Test<'a>)>,
+}
+
+/// One test of the scan kernel.
+#[derive(Clone, Copy)]
+enum Test<'a> {
+    /// A residual predicate.
+    Pred(&'a CompiledPred),
+    /// A dense σ filter: the key's slot must hold a handle.
+    Filter(DenseSlots<'a>),
+}
+
+impl<'a> ScanTests<'a> {
+    /// Resolves `preds` (over input-layout positions) against the stage's
+    /// field map `fields`, then takes `filters`, in that order.
+    fn new(fields: &[FieldSrc], preds: &'a [CompiledPred], filters: &[Filter<'a>]) -> Self {
+        let mut tests = Self::default();
+        let preds = preds
+            .iter()
+            .map(|p| (p.column().map(|c| fields[c]), Test::Pred(p)));
+        let filters = filters
+            .iter()
+            .map(|f| (Some(f.probe), Test::Filter(f.dense.slots())));
+        for (field, test) in preds.chain(filters) {
+            match field {
+                Some(FieldSrc::Payload(p)) => tests.on_row.push((p, test)),
+                Some(FieldSrc::Key) | None => tests.on_key.push(test),
             }
         }
-        preds
-            .iter()
-            .all(|p| p.matches(|c| self.fields[c].read(key, row)))
-            && filters.iter().all(|f| {
+        tests
+    }
+
+    /// `true` if `key` passes every test of the stage key.
+    #[inline]
+    fn key_holds(&self, key: u64) -> bool {
+        self.on_key.iter().all(|&test| match test {
+            Test::Pred(pred) => pred.admits(key),
+            Test::Filter(slots) => {
                 count!(PROBES, 1);
-                f.dense.handle(self.fields[f.probe_pos].read(key, row)) != 0
-            })
+                slots.handle(key) != 0
+            }
+        })
     }
 }
 
@@ -1071,7 +1218,10 @@ struct Filter<'a> {
     dense: &'a DenseIndex,
     /// The σ's payload rows: its carried values.
     rows: &'a PayloadBuf,
-    /// The input-layout position of the fact column the σ joins on.
+    /// How the fact column the σ joins on is read from a source row.
+    probe: FieldSrc,
+    /// The input-layout position of that column: the key slot, when
+    /// `probe` reads the key.
     probe_pos: usize,
     /// Where the σ's carried values go in the work row.
     fill_pos: Vec<usize>,
@@ -1087,10 +1237,9 @@ impl Filter<'_> {
         s: &mut JoinScratch,
         width: usize,
     ) {
-        let probe = input.fields[self.probe_pos];
         for &r in &s.alive {
             let r = r as usize;
-            let key = match probe {
+            let key = match self.probe {
                 FieldSrc::Key => s.buffer[r * width + self.probe_pos],
                 FieldSrc::Payload(p) => input.rows.row(s.ids[r])[p].into(),
             };
@@ -1131,6 +1280,10 @@ struct JoinScratch {
     /// The flush's selection vector: ordinals of the buffer rows every
     /// assisting dimension probed so far has kept, ascending.
     alive: Vec<u32>,
+    /// The scan kernel's selection vector: the ids of a block of one
+    /// key's rows, compacted in place by each test (see
+    /// [`StageInput::select`]).
+    sel: Vec<u32>,
     /// An assist's probe keys and content handles, parallel to `alive`.
     keys: Vec<u64>,
     handles: Vec<u32>,
@@ -1350,16 +1503,17 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     /// stage 1 over the fact base index, the whole domain for an
     /// intermediate.
     fn sync_scan(&mut self, dim_acc: &DimAccess<'_>, range: KeyRange) {
-        let (input, snap, stage) = (self.input, self.snap, self.stage);
-        let (stride, filters) = (self.ctx.main_fill_pos.len(), &self.ctx.filters[..]);
+        let (input, snap, ctx) = (self.input, self.snap, self.ctx);
+        let stride = ctx.main_fill_pos.len();
         let mut dim_buf: Vec<u64> = Vec::new();
+        let mut sel = std::mem::take(&mut self.s.sel);
         let visit = |key, fids, dids| {
             let Some(count) = fetch_all(dim_acc, dids, snap, &mut dim_buf) else {
                 return;
             };
             // Cross product of fact tuples × dim tuples (§4.2).
-            input.rows.for_each_row_of(fids, |id, row| {
-                if input.passes(key, row, &stage.residuals, filters, snap) {
+            input.select(key, fids, &ctx.tests, snap, &mut sel, |survivors| {
+                for &id in survivors {
                     for t in 0..count {
                         self.emit(id, key, &dim_buf[t * stride..(t + 1) * stride]);
                     }
@@ -1367,6 +1521,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
             });
         };
         sync_scan_indexes_range(input.index, dim_acc.index(), range.lo, range.hi, visit);
+        self.s.sel = sel;
     }
 
     /// Fused select-join (§4.3): stream the main dimension's selection and
@@ -1382,8 +1537,8 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
         range: KeyRange,
         fused: Option<&FusedSelection>,
     ) -> Result<(), QpptError> {
-        let (input, snap, stage, cap) = (self.input, self.snap, self.stage, self.cap);
-        let (stride, filters) = (dim.carried_names.len(), &self.ctx.filters[..]);
+        let (input, snap, ctx, cap) = (self.input, self.snap, self.ctx, self.cap);
+        let stride = dim.carried_names.len();
 
         // The selection tuples of this morsel: a binary-searched slice of
         // the shared pre-materialized stream (work proportional to the
@@ -1410,9 +1565,11 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
                 (&scanned_keys, &scanned_carried)
             }
         };
-        // The probe scratch is taken out of `self` for the probe loop: the
-        // hit callbacks need `self` whole (they emit into the join buffer).
+        // The probe scratch and the selection vector are taken out of
+        // `self` for the probe loop: the hit callbacks need `self` whole
+        // (they emit into the join buffer).
         let mut probe = std::mem::take(&mut self.s.probe);
+        let mut sel = std::mem::take(&mut self.s.sel);
         // The stream is drained in chunks of the join-buffer size; each
         // chunk is one batched probe into the fact index (§2.3), whose hits
         // arrive key by key, each key's rows walked with prefetching.
@@ -1421,14 +1578,15 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
             input.index.batch_get_with(keys, &mut probe, |job, pids| {
                 let (g, key) = (start + job, keys[job]);
                 let carried = &probe_carried[g * stride..(g + 1) * stride];
-                input.rows.for_each_row_of(pids, |id, row| {
-                    if input.passes(key, row, &stage.residuals, filters, snap) {
+                input.select(key, pids, &ctx.tests, snap, &mut sel, |survivors| {
+                    for &id in survivors {
                         self.emit(id, key, carried);
                     }
                 });
             });
         }
         self.s.probe = probe;
+        self.s.sel = sel;
         Ok(())
     }
 }
@@ -1486,7 +1644,8 @@ pub fn scan_dim_selection(
             return;
         }
         for (p, &at) in residuals.iter().zip(&residual_pos) {
-            if !pred_matches_value(p, row.get(at)) {
+            let value = row.get(at);
+            if !p.matches(|_| value) {
                 return;
             }
         }
@@ -1578,16 +1737,6 @@ fn scan_dim_selection_set_ops(
     Ok(())
 }
 
-/// Evaluates a compiled predicate against a single already-fetched value.
-#[inline]
-fn pred_matches_value(p: &CompiledPred, value: u64) -> bool {
-    match p {
-        CompiledPred::Range { lo, hi, .. } => *lo <= value && value <= *hi,
-        CompiledPred::InSet { codes, .. } => codes.binary_search(&value).is_ok(),
-        CompiledPred::Never => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1677,11 +1826,21 @@ mod tests {
     /// flushes for the ten fact rows); returns the group values and sum of
     /// every group, in key order, and the work it took.
     fn run(spec: &QuerySpec) -> (Vec<(Vec<Value>, i64)>, Work) {
-        let opts = PlanOptions::default().with_join_buffer(4);
+        run_with(spec, PlanOptions::default(), |_| {})
+    }
+
+    /// [`run`] under `opts`, with `rewire` applied to the built plan.
+    fn run_with(
+        spec: &QuerySpec,
+        opts: PlanOptions,
+        rewire: impl FnOnce(&mut Plan),
+    ) -> (Vec<(Vec<Value>, i64)>, Work) {
+        let opts = opts.with_join_buffer(4);
         let mut db = db();
         prepare_indexes(&mut db, spec, &opts).unwrap();
         let snap = db.snapshot();
-        let plan = build_plan(&db, spec, &opts).unwrap();
+        let mut plan = build_plan(&db, spec, &opts).unwrap();
+        rewire(&mut plan);
         let dims: Vec<_> = (0..plan.dims.len())
             .map(|di| materialize_dim_selection(&db, snap, &plan, di).unwrap())
             .collect();
@@ -1768,6 +1927,70 @@ mod tests {
             }
         );
         assert_eq!(run(&star(vec![a, c, b], &group_by)), (groups, work));
+    }
+
+    #[test]
+    fn a_row_a_residual_rejects_costs_no_filter_probe() {
+        // `m ≤ 8` keeps rows 0..4: b is probed by those four only and
+        // keeps rows {0, 1}, c by those two, against 10 + 4 probes without
+        // the residual. The fused plan tests the residual in the stage's
+        // scan, the other one in the fact selection: the same work.
+        let mut spec = spec((1, 2), (1, 6));
+        spec.fact_predicates = vec![Predicate::between("m", 1, 8)];
+        let expect = (
+            vec![(ints(&[1]), 1 << 0), (ints(&[2]), 1 << 1)],
+            Work {
+                probes: 4 + 2,
+                buffered: 2,
+                materialized: 2,
+            },
+        );
+        for select_join in [true, false] {
+            let opts = PlanOptions::default().with_select_join(select_join);
+            assert_eq!(run_with(&spec, opts, |_| {}), expect, "{select_join}");
+        }
+    }
+
+    #[test]
+    fn a_filter_on_the_stage_key_is_tested_once_per_key() {
+        // The plan rewired so that σ(b) joins on `fa`, the key of the fact
+        // base index stage 1 scans (a valid spec joins each fact column
+        // once): the scan tests it once for each of the keys 1 and 2.
+        let on_fa = |plan: &mut Plan| plan.dims[1].fact_col_name = "fa".into();
+        let spec = |xb: (i64, i64)| {
+            star(
+                vec![
+                    dim("a", vec![], &["xa"]),
+                    dim("b", vec![Predicate::between("xb", xb.0, xb.1)], &[]),
+                ],
+                &[("a", "xa")],
+            )
+        };
+        // σ(b) holds the keys 3 and 4: both keys miss, nothing is buffered.
+        let (groups, work) = run_with(&spec((3, 4)), PlanOptions::default(), on_fa);
+        assert!(groups.is_empty());
+        let (probes, buffered, materialized) = (2, 0, 0);
+        assert_eq!(
+            work,
+            Work {
+                probes,
+                buffered,
+                materialized
+            }
+        );
+        // σ(b) holds the key 1: its five rows (the even ones) pass on one
+        // probe, key 2's five fail on one.
+        let (groups, work) = run_with(&spec((1, 1)), PlanOptions::default(), on_fa);
+        assert_eq!(groups, vec![(ints(&[1]), 1 + 4 + 16 + 64 + 256)]);
+        let (probes, buffered, materialized) = (2, 5, 5);
+        assert_eq!(
+            work,
+            Work {
+                probes,
+                buffered,
+                materialized
+            }
+        );
     }
 
     #[test]

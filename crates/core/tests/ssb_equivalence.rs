@@ -382,11 +382,18 @@ fn mvcc_snapshot_isolation_through_the_engine() {
     let opts = PlanOptions::default();
     let mut ssb = SsbDb::generate(0.01, 31);
     let q = queries::q1_1();
-    prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
+    // Q3.1 tests its fact rows against the dense customer and supplier
+    // σs: at a snapshot that hides appended rows, the scan runs its
+    // visibility pass ahead of the filter passes.
+    let filtered = queries::q3_1();
+    for spec in [&q, &filtered] {
+        prepare_indexes(&mut ssb.db, spec, &opts).unwrap();
+    }
 
     let before = ssb.db.snapshot();
     let engine = QpptEngine::new(&ssb.db);
     let (r_before, _) = engine.run_at(&q, &opts, before).unwrap();
+    let (f_before, _) = engine.run_at(&filtered, &opts, before).unwrap();
 
     // Insert a row that matches Q1.1 (1993 orderdate, discount 2, qty 10).
     let ship = {
@@ -414,9 +421,49 @@ fn mvcc_snapshot_isolation_through_the_engine() {
             ],
         )
         .unwrap();
+    // Two rows that match Q3.1: an ASIA customer and supplier, 1993.
+    let key_in_asia = |table: &str, key: &str, region: &str| {
+        let t = ssb.db.table(table).unwrap().table();
+        let (k, r) = (
+            t.schema().col(key).unwrap(),
+            t.schema().col(region).unwrap(),
+        );
+        let rid = (0..t.row_count() as u32)
+            .find(|&rid| t.value(rid, r) == qppt_storage::Value::str("ASIA"))
+            .expect("an ASIA row");
+        t.value(rid, k)
+    };
+    let (cust, supp) = (
+        key_in_asia("customer", "c_custkey", "c_region"),
+        key_in_asia("supplier", "s_suppkey", "s_region"),
+    );
+    for (line, revenue) in [(1, 7_000), (2, 11_000)] {
+        let row = {
+            let lo = ssb.db.table("lineorder").unwrap().table();
+            let col = |c: &str| lo.schema().col(c).unwrap();
+            let mut row: Vec<_> = (0..lo.schema().width()).map(|c| lo.value(0, c)).collect();
+            row[col("lo_orderkey")] = qppt_storage::Value::Int(888_889);
+            row[col("lo_linenumber")] = qppt_storage::Value::Int(line);
+            row[col("lo_custkey")] = cust.clone();
+            row[col("lo_suppkey")] = supp.clone();
+            row[col("lo_orderdate")] = qppt_storage::Value::Int(19930615);
+            row[col("lo_revenue")] = qppt_storage::Value::Int(revenue);
+            row
+        };
+        ssb.db.insert_row("lineorder", &row).unwrap();
+    }
     let after = ssb.db.snapshot();
 
     let engine = QpptEngine::new(&ssb.db);
+    let (f_old, _) = engine.run_at(&filtered, &opts, before).unwrap();
+    let (f_new, _) = engine.run_at(&filtered, &opts, after).unwrap();
+    assert_eq!(f_old, f_before, "old snapshot unchanged after insert");
+    assert!(!f_old.rows.is_empty());
+    assert_ne!(f_new, f_old, "new snapshot sees the inserted tuples");
+    for (got, snap) in [(f_old, before), (f_new, after)] {
+        let expect = run_reference(&ssb.db, &filtered, snap).unwrap();
+        assert_eq!(got.canonicalized(), expect.canonicalized());
+    }
     let (r_old, _) = engine.run_at(&q, &opts, before).unwrap();
     let (r_new, _) = engine.run_at(&q, &opts, after).unwrap();
     assert_eq!(r_old, r_before, "old snapshot unchanged after insert");

@@ -12,6 +12,11 @@
 //!   sits before and after an unselective one;
 //! * flush boundaries: `join_buffer` 1 (every row its own block), 64, 512;
 //! * a dimension that rejects every row of every block (`dead_supplier`);
+//! * fact residuals and dense σ filters in one stage
+//!   ([`residual_filters`]): the scan kernel runs its residual passes
+//!   ahead of its filter passes in the fused plan's select-probe; without
+//!   select-join the fact selection's kernel tests the residuals and the
+//!   synchronous scan's over its output the filters;
 //! * dense and sparse σs: every σ of the named queries is a dense index the
 //!   scan tests, while [`sparse_date`]'s date σ spans too wide a key range
 //!   and stays a tree the flush probes;
@@ -200,6 +205,21 @@ fn sparse_date() -> QuerySpec {
     q
 }
 
+/// Q3.1 with two fact residuals, `lo_discount ∈ [1, 3]` and
+/// `lo_quantity < 30`, in one stage with its dense customer and supplier
+/// σs: in the fused plan the select-probe tests the residuals and then the
+/// filters on every key's rows; without it the fact selection tests the
+/// residuals and the synchronous scan over its output the filters.
+fn residual_filters() -> QuerySpec {
+    let mut q = qppt_ssb::queries::q3_1();
+    q.id = "residual-filters".into();
+    q.fact_predicates = vec![
+        Predicate::between("lo_discount", 1i64, 3i64),
+        Predicate::lt("lo_quantity", 30i64),
+    ];
+    q
+}
+
 /// Q4.1 without its supplier: `date` has no predicate, so it joins through
 /// its base index — the dimension [`age_date_keys`] gives version
 /// histories — and carries the `d_year` the result groups by.
@@ -265,7 +285,12 @@ fn age_date_keys(db: &mut Database, first_dead: i64, second_dead: i64, all_dead:
 #[test]
 fn random_stars_in_every_dimension_order_match_the_reference() {
     let mut rng = Rng::new(0x5EED_0018);
-    let mut shapes = vec![dead_supplier(), base_date(), sparse_date()];
+    let mut shapes = vec![
+        dead_supplier(),
+        base_date(),
+        sparse_date(),
+        residual_filters(),
+    ];
     for (id, ndims) in [1, 2, 3, 3, 4].into_iter().enumerate() {
         shapes.push(random_spec(&mut rng, id, ndims));
     }
@@ -334,9 +359,9 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
             }
         }
     }
-    // 1 + 2 + 6 + 6 + 24 + 6 orders of the random shapes, 6 + 6 + 6 of
-    // the others; 4 buffer/width settings × fused/non-fused × 2
+    // 1 + 2 + 6 + 6 + 24 + 6 orders of the random shapes, 6 + 6 + 6 + 6
+    // of the others; 4 buffer/width settings × fused/non-fused × 2
     // parallelisms.
-    assert_eq!(runs, (45 + 18) * 16);
+    assert_eq!(runs, (45 + 24) * 16);
     pool.shutdown();
 }

@@ -36,6 +36,24 @@ pub struct DenseIndex {
     arena: DupArena<u32>,
 }
 
+/// A [`DenseIndex`]'s slots and `min`: what testing a key reads, borrowed
+/// once so a loop over many keys holds them in registers.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseSlots<'a> {
+    min: u64,
+    slots: &'a [u32],
+}
+
+impl DenseSlots<'_> {
+    /// The handle of `key`, `0` if absent — one load: any key outside the
+    /// span is clamped to the trailing sentinel.
+    #[inline]
+    pub fn handle(self, key: u64) -> u32 {
+        let sentinel = (self.slots.len() - 1) as u64;
+        self.slots[key.wrapping_sub(self.min).min(sentinel) as usize]
+    }
+}
+
 impl DenseIndex {
     /// `true` if `n` unique keys spanning `[min, max]` are stored densely:
     /// the span is at most `64 × n + 1 024`. At that bound the array costs
@@ -78,8 +96,17 @@ impl DenseIndex {
     /// span is clamped to the trailing sentinel.
     #[inline]
     pub fn handle(&self, key: u64) -> u32 {
-        let sentinel = (self.slots.len() - 1) as u64;
-        self.slots[key.wrapping_sub(self.min).min(sentinel) as usize]
+        self.slots().handle(key)
+    }
+
+    /// The slot array on its own, as a scan resolves it once and then
+    /// tests keys against it ([`DenseSlots::handle`]).
+    #[inline]
+    pub fn slots(&self) -> DenseSlots<'_> {
+        DenseSlots {
+            min: self.min,
+            slots: &self.slots,
+        }
     }
 
     /// The value under a non-zero handle.

@@ -38,7 +38,7 @@ pub mod table;
 pub mod types;
 
 pub use db::{Database, IndexDef};
-pub use dense::DenseIndex;
+pub use dense::{DenseIndex, DenseSlots};
 pub use dict::Dictionary;
 pub use index::{
     stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,

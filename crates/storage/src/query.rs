@@ -271,6 +271,23 @@ impl CompiledPred {
         }
     }
 
+    /// [`matches`](Self::matches) for `v`, the value of the predicate's
+    /// column, in the form a branch-free scan pass evaluates: a `Range` is
+    /// one unsigned compare, `v − lo ≤ hi − lo` with the subtraction
+    /// wrapping, so a `v` below `lo` lands above `hi − lo`. That needs
+    /// `lo ≤ hi`, which [`compile_predicate`] guarantees by compiling an
+    /// empty range to [`CompiledPred::Never`].
+    #[inline]
+    pub fn admits(&self, v: u64) -> bool {
+        match self {
+            CompiledPred::Range { lo, hi, .. } => {
+                debug_assert!(lo <= hi, "an empty range compiles to Never");
+                v.wrapping_sub(*lo) <= hi - lo
+            }
+            _ => self.matches(|_| v),
+        }
+    }
+
     /// The column this predicate reads (`None` for [`CompiledPred::Never`]).
     pub fn column(&self) -> Option<usize> {
         match self {
@@ -468,6 +485,27 @@ impl QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn admits_agrees_with_matches_at_every_range_edge() {
+        let edges = [(5, 5), (0, 7), (9, u64::MAX), (0, u64::MAX), (0, 0)];
+        for (lo, hi) in edges {
+            let p = CompiledPred::Range { col: 0, lo, hi };
+            // `lo − 1` wraps to `u64::MAX` at `lo = 0`, and `hi + 1` to 0
+            // at `hi = u64::MAX`: both must still read as outside.
+            for v in [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1), 0, u64::MAX] {
+                assert_eq!(p.admits(v), p.matches(|_| v), "{v} in [{lo}, {hi}]");
+            }
+        }
+        let set = CompiledPred::InSet {
+            col: 0,
+            codes: vec![2, 4],
+        };
+        for v in 0..6 {
+            assert_eq!(set.admits(v), set.matches(|_| v));
+        }
+        assert!(!CompiledPred::Never.admits(0));
+    }
 
     #[test]
     fn expr_eval() {
