@@ -1,24 +1,25 @@
 //! The router-side result cache: warm routed hits vs the uncached
-//! scatter path, and what an invalidation actually costs.
+//! scatter path, and byte-identity across single-shard writes.
 //!
 //! One fleet of `--shards` prefix-sharded servers behind a `qppt-router`
 //! with the routed cache on. Shard-side engine caches are **disabled**
 //! throughout, so every partial fetch is a real execute — the numbers
-//! isolate the router tiers rather than re-measuring the single-node
+//! isolate the router tier rather than re-measuring the single-node
 //! cache (that's `served_hit` / `served_adhoc` in `BENCHMARK.json`). Three
 //! phases:
 //!
-//! 1. **uncached** — `cache=off` requests bypass the router tiers: every
+//! 1. **uncached** — `cache=off` requests bypass the router tier: every
 //!    request scatters to all shards and re-merges (the pre-cache router).
 //! 2. **warm** — the same load with the cache on, after one warming
 //!    sweep: merged-tier hits that touch no shard. The bench **exits
 //!    non-zero** unless warm ≥ `--min-speedup`× uncached (default 10).
 //! 3. **invalidation** — `--cycles` rounds of a real single-shard write
 //!    (stop shard 0's listener, `delete_row`, re-serve on the same
-//!    address): the next request re-fetches *only* that range and
-//!    re-merges against the surviving partials. Compared against the same
-//!    query after `CACHE CLEAR`, which must re-scatter to every shard.
-//!    Cached and uncached answers are asserted byte-identical every round.
+//!    address): the next cached request invalidates its merged entry and
+//!    re-scatters, and so does the same query after `CACHE CLEAR`. Both
+//!    answers are asserted byte-identical to a `cache=off` scatter every
+//!    round. Not timed: with engine caches off, both re-scatters do the
+//!    same work.
 //!
 //! A correctness anchor first asserts cold, warm, and `cache=off` answers
 //! through the router are all byte-identical to the sequential oracle.
@@ -175,13 +176,11 @@ fn main() {
         0.0
     };
 
-    // Phase 3: single-shard invalidation re-merge vs CACHE CLEAR
-    // re-scatter, timed on the same connection.
-    eprintln!("invalidation phase: {cycles} write → re-merge → clear → re-scatter cycles …");
+    // Phase 3: single-shard writes, then the invalidated entry's
+    // re-scatter and a CACHE CLEAR re-scatter, both byte-checked.
+    eprintln!("invalidation phase: {cycles} write → re-scatter → clear → re-scatter cycles …");
     let mut client = QpptClient::connect(&*raddr).expect("connect router");
     client.run("q2.3", &[]).expect("cycle warm-up");
-    let mut remerge: Vec<f64> = Vec::with_capacity(cycles);
-    let mut rescatter: Vec<f64> = Vec::with_capacity(cycles);
     for cycle in 0..cycles {
         // The write: shard 0 restarts on its own address with one more
         // fact row deleted — its version vector moves, the others' don't.
@@ -195,48 +194,26 @@ fn main() {
         handles.insert(0, serve_shard(0, dbs[0].clone(), &addrs[0]));
         // Sit out the staleness bound so the next lookup re-probes.
         std::thread::sleep(PROBE_INTERVAL + Duration::from_millis(50));
-        // One untimed cache=off scatter re-establishes the router's
-        // pooled connections to the restarted listener — both timed
-        // queries below then pay transport-warm costs only, not the
-        // dead-conn detection and retry backoff the restart left behind.
-        // (cache=off bypasses the tiers, so the stale entries survive it.)
-        client
-            .run("q2.3", &[("cache", "off")])
-            .expect("connection warm-up");
-
-        // Re-merge: only range 0 is re-fetched, the rest are partial hits.
-        let t0 = Instant::now();
-        let merged = client.run("q2.3", &[]).expect("re-merge query");
-        remerge.push(t0.elapsed().as_secs_f64() * 1e6);
-
-        // The cached answer must match an uncached scatter of the same
-        // post-write fleet.
+        // The invalidated merged entry re-scatters; its answer must match
+        // an uncached scatter of the same post-write fleet.
+        let rescattered = client.run("q2.3", &[]).expect("re-scatter query");
         let check = client
             .run("q2.3", &[("cache", "off")])
             .expect("uncached check");
         assert_eq!(
-            merged.result, check.result,
-            "post-write re-merge diverged from the uncached scatter (cycle {cycle})"
+            rescattered.result, check.result,
+            "post-write re-scatter diverged from the uncached scatter (cycle {cycle})"
         );
 
-        // Full re-scatter: CACHE CLEAR drops both tiers (probed versions
-        // survive), so the same query fetches every range again.
+        // CACHE CLEAR drops the tier (probed versions survive), so the
+        // same query scatters again.
         client.cache_clear().expect("CACHE CLEAR answers");
-        let t1 = Instant::now();
-        let cleared = client.run("q2.3", &[]).expect("re-scatter query");
-        rescatter.push(t1.elapsed().as_secs_f64() * 1e6);
+        let cleared = client.run("q2.3", &[]).expect("post-clear query");
         assert_eq!(
             cleared.result, check.result,
-            "re-scatter bytes (cycle {cycle})"
+            "post-clear bytes (cycle {cycle})"
         );
     }
-    let remerge_p50 = percentile(&mut remerge, 50.0);
-    let rescatter_p50 = percentile(&mut rescatter, 50.0);
-    let rescatter_over_remerge = if remerge_p50 > 0.0 {
-        rescatter_p50 / remerge_p50
-    } else {
-        0.0
-    };
 
     rh.stop();
     for h in handles {
@@ -263,14 +240,11 @@ fn main() {
             ],
         ],
     );
-    println!(
-        "invalidation ({cycles} single-shard write cycles): re-merge p50 {remerge_p50:.0} µs, \
-         CACHE CLEAR re-scatter p50 {rescatter_p50:.0} µs ({rescatter_over_remerge:.2}x)"
-    );
+    println!("invalidation: {cycles} single-shard write cycles, every answer byte-identical");
 
     // Hand-rolled JSON (the workspace is dependency-free by design).
     let json = format!(
-        "{{\n  \"bench\": \"router_cache\",\n  \"sf\": {sf},\n  \"cores\": {cores},\n  \"pool_threads\": {threads},\n  \"shards\": {shards},\n  \"parallelism\": {parallelism},\n  \"clients\": {clients},\n  \"queries_per_client\": {queries_per_client},\n  \"mix\": [\"Q1.1\", \"Q2.3\", \"Q3.2\", \"Q4.1\"],\n  \"probe_interval_ms\": {},\n  \"uncached_qps\": {uncached_qps:.3},\n  \"warm_qps\": {warm_qps:.3},\n  \"warm_over_uncached\": {speedup:.3},\n  \"min_speedup\": {min_speedup},\n  \"invalidation\": {{\"cycles\": {cycles}, \"remerge_p50_micros\": {remerge_p50:.1}, \"rescatter_p50_micros\": {rescatter_p50:.1}, \"rescatter_over_remerge\": {rescatter_over_remerge:.3}}}\n}}\n",
+        "{{\n  \"bench\": \"router_cache\",\n  \"sf\": {sf},\n  \"cores\": {cores},\n  \"pool_threads\": {threads},\n  \"shards\": {shards},\n  \"parallelism\": {parallelism},\n  \"clients\": {clients},\n  \"queries_per_client\": {queries_per_client},\n  \"mix\": [\"Q1.1\", \"Q2.3\", \"Q3.2\", \"Q4.1\"],\n  \"probe_interval_ms\": {},\n  \"uncached_qps\": {uncached_qps:.3},\n  \"warm_qps\": {warm_qps:.3},\n  \"warm_over_uncached\": {speedup:.3},\n  \"min_speedup\": {min_speedup},\n  \"invalidation\": {{\"cycles\": {cycles}}}\n}}\n",
         PROBE_INTERVAL.as_millis()
     );
     let mut f = std::fs::File::create(&out_path).expect("create output file");
@@ -284,14 +258,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// Nearest-rank percentile over an unsorted sample (sorts in place).
-fn percentile(sample: &mut [f64], p: f64) -> f64 {
-    assert!(!sample.is_empty());
-    sample.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((p / 100.0) * (sample.len() - 1) as f64).round() as usize;
-    sample[idx.min(sample.len() - 1)]
 }
 
 /// C clients, each on its own connection, round-robin over the mix.

@@ -202,14 +202,6 @@ impl HeapSize for CachedResult {
     }
 }
 
-impl HeapSize for PartialAggregate {
-    /// The router's partial-aggregate tier stores raw shard payloads; they
-    /// budget bytes exactly like decoded results do.
-    fn heap_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-}
-
 impl<T: HeapSize> CacheValue for Arc<T> {
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<T>() + T::heap_bytes(self)

@@ -18,8 +18,7 @@ pub struct SlowEntry {
     /// The raw request line as received.
     pub line: String,
     /// Where the answer came from: a cache-tier label (`cache: result
-    /// hit`, `router cache: partial hit (shard 1)`, …), `bypass`, or
-    /// `routed`.
+    /// hit`, `router cache: result hit`, …), `bypass`, or `routed`.
     pub outcome: String,
     /// Request wall time, microseconds.
     pub micros: u64,

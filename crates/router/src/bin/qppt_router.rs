@@ -42,65 +42,51 @@
 //! (client-untraced) `RUN`/`QUERY` to `trace=on` deterministically
 //! (0 = off, 1 traces everything).
 //!
-//! Routed caching: the router keeps a two-tier result cache — merged
-//! results keyed on (query, options, topology generation, per-shard
-//! version vector) and per-range partial aggregates — so warm repeats
-//! answer without touching the fleet and a single-shard write only
-//! re-fetches that shard's range. `--cache-probe-interval-ms <n>`
-//! (default 500) bounds staleness: version vectors older than *n* ms are
-//! re-probed (one `INFO` per range) before a cached entry is served on
-//! them. `--cache-result-mb`/`--cache-partial-mb` size the two tiers
-//! (defaults 32/64 MiB); `--no-router-cache` disables both tiers (every
-//! request scatters). The routed `CACHE STATS` verb reports the tiers as
-//! `router_result_*`/`router_partial_*` fields and `CACHE CLEAR` drops
-//! them along with the fleet's engine tiers.
+//! Routed caching: the router caches merged results keyed on (query,
+//! options, topology generation, per-shard version vector), so warm
+//! repeats answer without touching the fleet. A miss scatters to every
+//! range, and a shard whose versions have not moved answers from its own
+//! result tier. `--cache-probe-interval-ms <n>` (default 500) bounds
+//! staleness: version vectors older than *n* ms are re-probed (one `INFO`
+//! per range) before a cached entry is served on them.
+//! `--cache-result-mb` sizes the tier (default 32 MiB);
+//! `--no-router-cache` disables it (every request scatters). The routed
+//! `CACHE STATS` verb reports the tier as `router_result_*` fields and
+//! `CACHE CLEAR` drops it along with the fleet's engine tiers.
+//!
+//! An unknown flag, or a value that does not parse, exits 2 with one
+//! stderr line naming it, before the router waits on the fleet.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use qppt_router::{parse_fleet, serve_router, Router, RouterConfig, RouterObs};
-
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("bad value for {flag}: {v}"))
-        })
-        .unwrap_or(default)
-}
+use qppt_server::cli::Flags;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr: String = arg(&args, "--addr", "127.0.0.1:7900".to_string());
-    let fleet_flag: String = arg(&args, "--fleet", String::new());
-    let shards_flag: String = arg(&args, "--shards", String::new());
-    let connect_timeout: f64 = arg(&args, "--connect-timeout-secs", 5.0);
-    let read_timeout: f64 = arg(&args, "--read-timeout-secs", 60.0);
-    let conns_per_shard: usize = arg(&args, "--conns-per-shard", 4);
-    let retry_budget: usize = arg(&args, "--retry-budget", 4);
-    let retry_backoff_ms: u64 = arg(&args, "--retry-backoff-ms", 10);
-    let retry_backoff_cap_ms: u64 = arg(&args, "--retry-backoff-cap-ms", 500);
-    let probe_interval_ms: u64 = arg(&args, "--probe-interval-ms", 200);
-    let probe_backoff_cap_ms: u64 = arg(&args, "--probe-backoff-cap-ms", 5_000);
-    let wait_secs: f64 = arg(&args, "--wait-secs", 120.0);
-    let no_obs = args.iter().any(|a| a == "--no-obs");
-    let slow_query_micros: u64 = arg(&args, "--slow-query-micros", 0);
-    let trace_sample_rate: f64 = arg(&args, "--trace-sample-rate", 0.0);
-    let no_router_cache = args.iter().any(|a| a == "--no-router-cache");
-    let cache_probe_interval_ms: u64 = arg(&args, "--cache-probe-interval-ms", 500);
-    let cache_result_mb: usize = arg(&args, "--cache-result-mb", 32);
-    let cache_partial_mb: usize = arg(&args, "--cache-partial-mb", 64);
+    let mut flags = Flags::new("qppt-router", std::env::args().skip(1).collect());
+    let addr: String = flags.value("--addr", "127.0.0.1:7900".to_string());
+    let fleet_flag: String = flags.value("--fleet", String::new());
+    let shards_flag: String = flags.value("--shards", String::new());
+    let connect_timeout: f64 = flags.value("--connect-timeout-secs", 5.0);
+    let read_timeout: f64 = flags.value("--read-timeout-secs", 60.0);
+    let conns_per_shard: usize = flags.value("--conns-per-shard", 4);
+    let retry_budget: usize = flags.value("--retry-budget", 4);
+    let retry_backoff_ms: u64 = flags.value("--retry-backoff-ms", 10);
+    let retry_backoff_cap_ms: u64 = flags.value("--retry-backoff-cap-ms", 500);
+    let probe_interval_ms: u64 = flags.value("--probe-interval-ms", 200);
+    let probe_backoff_cap_ms: u64 = flags.value("--probe-backoff-cap-ms", 5_000);
+    let wait_secs: f64 = flags.value("--wait-secs", 120.0);
+    let no_obs = flags.switch("--no-obs");
+    let slow_query_micros: u64 = flags.value("--slow-query-micros", 0);
+    let trace_sample_rate: f64 = flags.value("--trace-sample-rate", 0.0);
+    let no_router_cache = flags.switch("--no-router-cache");
+    let cache_probe_interval_ms: u64 = flags.value("--cache-probe-interval-ms", 500);
+    let cache_result_mb: usize = flags.value("--cache-result-mb", 32);
+    flags.finish();
 
     let fleet: Vec<Vec<String>> = if !fleet_flag.is_empty() {
-        match parse_fleet(&fleet_flag) {
-            Ok(fleet) => fleet,
-            Err(e) => {
-                eprintln!("qppt-router: bad --fleet spec: {e}");
-                std::process::exit(2);
-            }
-        }
+        parse_fleet(&fleet_flag).unwrap_or_else(|e| flags.fail(format!("bad --fleet spec: {e}")))
     } else {
         // --shards a,b,c == a single-replica fleet, one range per address.
         shards_flag
@@ -111,11 +97,10 @@ fn main() {
             .collect()
     };
     if fleet.is_empty() {
-        eprintln!(
-            "qppt-router: --fleet (range0=a,b;range1=c,d) or --shards (a,b,c) is required, \
-             addresses in range order"
+        flags.fail(
+            "--fleet (range0=a,b;range1=c,d) or --shards (a,b,c) is required, \
+             addresses in range order",
         );
-        std::process::exit(2);
     }
 
     let mut config = RouterConfig::with_fleet(fleet.clone());
@@ -131,7 +116,6 @@ fn main() {
     config.cache.enabled = !no_router_cache;
     config.cache.probe_interval = Duration::from_millis(cache_probe_interval_ms);
     config.cache.result_budget = cache_result_mb << 20;
-    config.cache.partial_budget = cache_partial_mb << 20;
     let ranges = fleet.len();
     let replicas: usize = fleet.iter().map(Vec::len).sum();
     let mut router = Router::new(config);

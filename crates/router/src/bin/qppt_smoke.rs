@@ -17,13 +17,14 @@
 //!
 //! Router mode also probes the routed result cache: a repeat of a named
 //! query must answer from the merged-result tier, and `CACHE STATS` must
-//! report it under the distinct `router_result_*`/`router_partial_*`
-//! fields.
+//! report it under the distinct `router_result_*` fields — and carry no
+//! other router tier's fields, as the `METRICS` probe carries no
+//! `tier="partial"` sample.
 //!
 //! `--chaos` (implies `--router`) upgrades the fleet to two replicas per
 //! range — each shard engine served on two listeners — then kills one
 //! replica of range 0 mid-run and repeats every probe twice: once with
-//! `cache=off` (bypassing the router tiers, so the scatter must fail over
+//! `cache=off` (bypassing the router tier, so the scatter must fail over
 //! to the sibling) and once plain (served warm from the router cache, to
 //! which the kill is invisible). The probes must see **zero**
 //! client-visible errors, and the router's own metrics must record ≥ 1
@@ -177,7 +178,7 @@ fn router_smoke(chaos: bool) {
 
     if chaos {
         // Kill one replica of range 0 mid-run. Uncached probes first
-        // (`cache=off` bypasses the router tiers, so they scatter into the
+        // (`cache=off` bypasses the router tier, so they scatter into the
         // half-dead pool and must fail over), then the plain probe set
         // (served warm from the router cache — the kill is invisible to
         // it). Every probe must see zero client-visible errors.
@@ -225,11 +226,25 @@ fn router_smoke(chaos: bool) {
     );
 }
 
+/// Every `router_*` field of a routed `CACHE STATS` line, in order: the
+/// merged-result tier and the version-probe count.
+const ROUTER_CACHE_FIELDS: [&str; 8] = [
+    "router_result_hits",
+    "router_result_misses",
+    "router_result_invalidations",
+    "router_result_evictions",
+    "router_result_expirations",
+    "router_result_entries",
+    "router_result_bytes",
+    "router_probes",
+];
+
 /// The routed-caching probe: a repeat of a named query the probe set
 /// already ran must answer from the router's merged-result tier —
 /// byte-identical to the oracle, with `CACHE STATS` reporting the hit
-/// under the distinct `router_result_*`/`router_partial_*` fields (never
-/// summed into the engine tiers). Returns the number of failures.
+/// under the distinct `router_result_*` fields (never summed into the
+/// engine tiers) and no other `router_*` field but `router_probes`.
+/// Returns the number of failures.
 fn router_cache_probe(client: &mut QpptClient, engine: &QpptEngine, opts: &PlanOptions) -> usize {
     let expected = engine
         .run(&queries::q2_3(), opts)
@@ -260,12 +275,19 @@ fn router_cache_probe(client: &mut QpptClient, engine: &QpptEngine, opts: &PlanO
             .and_then(|(_, v)| v.parse().ok())
     };
     let mut failed = 0usize;
-    for (key, want_at_least) in [
-        ("router_result_hits", 1),
-        ("router_result_misses", 1),
-        ("router_partial_misses", 1),
-        ("router_partial_hits", 0),
-    ] {
+    let router_fields: Vec<&str> = stats
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| k.starts_with("router_"))
+        .collect();
+    if router_fields != ROUTER_CACHE_FIELDS {
+        eprintln!(
+            "smoke: CACHE STATS FAIL — router fields are {router_fields:?}, \
+             want exactly {ROUTER_CACHE_FIELDS:?}"
+        );
+        failed += 1;
+    }
+    for (key, want_at_least) in [("router_result_hits", 1), ("router_result_misses", 1)] {
         match field(key) {
             Some(v) if v >= want_at_least => {
                 eprintln!("smoke: CACHE STATS {key} OK ({v})");
@@ -283,9 +305,10 @@ fn router_cache_probe(client: &mut QpptClient, engine: &QpptEngine, opts: &PlanO
 /// Prometheus checker and count the ≥ 3 named `RUN`s `run_probes` just
 /// issued. In router mode (`shards = Some(n)`) that count must appear per
 /// shard and the `shard="fleet"` sample must equal the shard sum, with
-/// the router's own `qppt_router_*` families alongside. A server built
-/// with `--no-obs` answers a structured `ERR` — reported as a skip, not a
-/// failure. Returns the number of failures.
+/// the router's own `qppt_router_*` families alongside and no
+/// `tier="partial"` sample. A server built with `--no-obs` answers a
+/// structured `ERR` — reported as a skip, not a failure. Returns the
+/// number of failures.
 fn metrics_probe(client: &mut QpptClient, shards: Option<usize>) -> usize {
     let text = match client.metrics() {
         Ok(t) => t,
@@ -370,6 +393,16 @@ fn metrics_probe(client: &mut QpptClient, shards: Option<usize>) -> usize {
                 "qppt_router_merge_micros_count",
                 expo.value("qppt_router_merge_micros_count", &[]),
                 &|v| v >= 3,
+            );
+            let partial_tier = expo
+                .samples
+                .iter()
+                .filter(|s| s.label("tier") == Some("partial"))
+                .count();
+            check(
+                "samples labeled tier=partial",
+                Some(partial_tier as i64),
+                &|v| v == 0,
             );
         }
     }

@@ -1,18 +1,15 @@
-//! The router-side result cache: two fleet-keyed tiers over the same
-//! byte-budgeted [`ShardedLru`] machinery the shards use, plus the
-//! version-probe state that keeps them coherent without a database.
+//! The router-side result cache: one fleet-keyed merged-result tier over
+//! the same byte-budgeted [`ShardedLru`] machinery the shards use, plus
+//! the version-probe state that keeps it coherent without a database.
 //!
-//! * **Merged-result tier** — the fully merged, ordered [`QueryResult`] of
-//!   one routed `RUN`/`QUERY`, keyed on the query/options fingerprint and
-//!   valid only at one `(topology generation, per-shard table-version
-//!   vector)` snapshot. A hit answers a repeated fleet-wide query without
-//!   touching any shard.
-//! * **Partial-aggregate tier** — each shard's raw `mode=partial` payload,
-//!   keyed per `(query, range, range count)` and versioned by **that
-//!   shard's table versions only**. When a topology swap or a single-shard
-//!   write invalidates the merged entry, the router re-fetches only the
-//!   affected ranges and re-merges locally — the surviving ranges' partials
-//!   keep hitting.
+//! An entry is the fully merged, ordered [`QueryResult`] of one routed
+//! `RUN`/`QUERY`, keyed on the query/options fingerprint and valid only at
+//! one `(topology generation, per-shard table-version vector)` snapshot. A
+//! hit answers a repeated fleet-wide query without touching any shard. A
+//! miss — a topology swap, a write to any shard, or a cold query —
+//! scatters to every range; a shard whose versions have not moved answers
+//! its `mode=partial` request from its own result tier, so the router
+//! keeps no second copy of shard partials.
 //!
 //! ## Coherence without a database
 //!
@@ -25,9 +22,9 @@
 //! served, so a cached answer can never be staler than that bound; the
 //! background prober refreshes recently used vectors proactively so warm
 //! traffic rarely pays an on-demand probe. A version mismatch at lookup
-//! time invalidates exactly the affected shard's partials and every merged
-//! result composed from them — the same key-level MVCC check the shard
-//! tiers run, lifted to fleet scope.
+//! time invalidates every merged result composed from the moved shard —
+//! the same key-level MVCC check the shard tiers run, lifted to fleet
+//! scope.
 //!
 //! Correctness rests on the invariants the router already relies on:
 //! results are byte-identical across parallelism (so a router-side options
@@ -40,17 +37,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qppt_cache::{CacheKey, HeapSize, ShardedLru, TierSnapshot};
-use qppt_core::{Fnv64, PartialAggregate};
 use qppt_storage::QueryResult;
 
-/// Domain-separation tags folded into the two tiers' bucket keys so a
-/// merged entry and a partial entry of the same query can never collide.
-const MERGED_TAG: u64 = 0x6d65_7267_6564_2121; // "merged!!"
-const PARTIAL_TAG: u64 = 0x7061_7274_6961_6c21; // "partial!"
-
 /// The fleet-scoped [`CacheKey`]: a 64-bit bucket key plus the version
-/// vector a valid entry must match. Built by [`FleetKey::merged`] /
-/// [`FleetKey::partial`]; `qppt-cache` stays shard-agnostic.
+/// vector a valid entry must match. Built by [`FleetKey::merged`];
+/// `qppt-cache` stays shard-agnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetKey {
     key: u64,
@@ -68,15 +59,13 @@ impl CacheKey for FleetKey {
 }
 
 impl FleetKey {
-    /// The merged-result tier key of one routed query. The bucket key
-    /// covers only the query/options fingerprint — stable across topology
+    /// The merged-result tier key of one routed query. The bucket key is
+    /// the query/options fingerprint itself — stable across topology
     /// swaps — while the version vector snapshots the topology generation
     /// plus every range's table versions (length-prefixed, so vectors of
     /// different shapes can never alias). A swap or any shard write thus
     /// registers as an **invalidation** at the next lookup, not a miss.
     pub fn merged(qfp: u64, generation: u64, range_versions: &[Vec<u64>]) -> Self {
-        let mut key = Fnv64::new();
-        key.write_u64(MERGED_TAG).write_u64(qfp);
         let mut versions = Vec::with_capacity(
             2 + range_versions.len() + range_versions.iter().map(Vec::len).sum::<usize>(),
         );
@@ -86,29 +75,7 @@ impl FleetKey {
             versions.push(vs.len() as u64);
             versions.extend_from_slice(vs);
         }
-        Self {
-            key: key.finish(),
-            versions,
-        }
-    }
-
-    /// The partial-aggregate tier key of one range's payload. The bucket
-    /// key covers the query fingerprint and the range's place in the
-    /// sharding (`range` of `range_count` — a re-shard changes the key,
-    /// a plain replica failover does not); the version vector is **that
-    /// shard's table versions only**, so a topology swap that keeps the
-    /// range intact leaves the entry hitting and a write to one shard
-    /// invalidates exactly that shard's partials.
-    pub fn partial(qfp: u64, range: usize, range_count: usize, versions: &[u64]) -> Self {
-        let mut key = Fnv64::new();
-        key.write_u64(PARTIAL_TAG)
-            .write_u64(qfp)
-            .write_u64(range as u64)
-            .write_u64(range_count as u64);
-        Self {
-            key: key.finish(),
-            versions: versions.to_vec(),
-        }
+        Self { key: qfp, versions }
     }
 }
 
@@ -124,20 +91,6 @@ pub struct CachedMerged {
 impl HeapSize for CachedMerged {
     fn heap_bytes(&self) -> usize {
         self.result.memory_bytes()
-    }
-}
-
-/// A partial-aggregate tier entry: one range's raw payload plus the worker
-/// count its shard reported (folded into the merged response's maximum).
-#[derive(Debug, Clone)]
-pub struct CachedPartial {
-    pub partial: PartialAggregate,
-    pub workers: usize,
-}
-
-impl HeapSize for CachedPartial {
-    fn heap_bytes(&self) -> usize {
-        self.partial.memory_bytes()
     }
 }
 
@@ -157,17 +110,14 @@ struct VersionState {
     ranges: Vec<Option<ProbedVersions>>,
 }
 
-/// Shard count of both tiers (no deployment has ever needed another).
+/// Shard count of the tier (no deployment has ever needed another).
 const SHARDS: usize = 8;
 
-/// Budgets and probe tunables of the [`RouterCache`].
+/// Budget and probe tunables of the [`RouterCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterCacheConfig {
     /// Byte budget of the merged-result tier.
     pub result_budget: usize,
-    /// Byte budget of the partial-aggregate tier (one entry per range per
-    /// query — keep it larger than the result tier).
-    pub partial_budget: usize,
     /// The staleness bound (`--cache-probe-interval-ms`): a probed
     /// version vector older than this is re-probed before any cached
     /// entry is served on it.
@@ -180,8 +130,7 @@ pub struct RouterCacheConfig {
 impl Default for RouterCacheConfig {
     fn default() -> Self {
         Self {
-            result_budget: 32 << 20,  // 32 MiB
-            partial_budget: 64 << 20, // 64 MiB
+            result_budget: 32 << 20, // 32 MiB
             probe_interval: Duration::from_millis(500),
             enabled: true,
         }
@@ -198,25 +147,23 @@ impl RouterCacheConfig {
     }
 }
 
-/// Point-in-time statistics of both router tiers plus the version-probe
+/// Point-in-time statistics of the router tier plus the version-probe
 /// count — what `CACHE STATS` appends as `router_*` fields and `METRICS`
 /// renders as `qppt_router_cache_*` families (both from this snapshot, so
 /// the two surfaces agree by definition).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterCacheStats {
     pub results: TierSnapshot,
-    pub partials: TierSnapshot,
     /// `INFO` version probes issued (on-demand + background refresh).
     pub probes: u64,
 }
 
-/// The two-tier router-side result cache (see module docs). Internally
+/// The router-side result cache (see module docs). Internally
 /// synchronized — shared behind an `Arc` by the dispatcher and the
 /// background prober.
 #[derive(Debug)]
 pub struct RouterCache {
     results: ShardedLru<Arc<CachedMerged>>,
-    partials: ShardedLru<Arc<CachedPartial>>,
     state: Mutex<VersionState>,
     probes: AtomicU64,
     probe_interval: Duration,
@@ -230,13 +177,12 @@ impl Default for RouterCache {
 }
 
 impl RouterCache {
-    /// Creates the cache with the given budgets and probe tunables.
+    /// Creates the cache with the given budget and probe tunables.
     pub fn new(config: RouterCacheConfig) -> Self {
         Self {
             // No idle TTL: freshness is version probes, and bytes are
-            // bounded by the budgets.
+            // bounded by the budget.
             results: ShardedLru::new(config.result_budget, SHARDS, None),
-            partials: ShardedLru::new(config.partial_budget, SHARDS, None),
             state: Mutex::new(VersionState {
                 generation: 0,
                 ranges: Vec::new(),
@@ -333,34 +279,17 @@ impl RouterCache {
         }
     }
 
-    /// Partial-aggregate tier lookup.
-    pub fn get_partial(&self, key: &FleetKey) -> Option<Arc<CachedPartial>> {
-        if !self.enabled {
-            return None;
-        }
-        self.partials.get(key)
-    }
-
-    /// Partial-aggregate tier insert.
-    pub fn put_partial(&self, key: &FleetKey, value: Arc<CachedPartial>) {
-        if self.enabled {
-            self.partials.put(key, value);
-        }
-    }
-
-    /// Drops every entry in both tiers (lifetime counters survive). The
-    /// probed version vectors are kept — they describe the shards, not the
-    /// dropped entries.
+    /// Drops every entry (lifetime counters survive). The probed version
+    /// vectors are kept — they describe the shards, not the dropped
+    /// entries.
     pub fn clear(&self) {
         self.results.clear();
-        self.partials.clear();
     }
 
-    /// Counters, entry counts, and resident bytes of both tiers.
+    /// Counters, entry count, and resident bytes of the tier.
     pub fn stats(&self) -> RouterCacheStats {
         RouterCacheStats {
             results: self.results.snapshot(),
-            partials: self.partials.snapshot(),
             probes: self.probes.load(Ordering::Relaxed),
         }
     }
@@ -370,75 +299,68 @@ impl RouterCache {
 /// `CACHE STATS` line appends after the summed shard counters — same
 /// field set as a shard tier, distinct names, never summed into them.
 pub fn render_router_cache_stats(s: &RouterCacheStats) -> String {
-    let tier = |name: &str, t: &TierSnapshot| {
-        format!(
-            "{name}_hits={} {name}_misses={} {name}_invalidations={} \
-             {name}_evictions={} {name}_expirations={} {name}_entries={} {name}_bytes={}",
-            t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes
-        )
-    };
+    let t = &s.results;
     format!(
-        "{} {} router_probes={}",
-        tier("router_result", &s.results),
-        tier("router_partial", &s.partials),
-        s.probes
+        "router_result_hits={} router_result_misses={} router_result_invalidations={} \
+         router_result_evictions={} router_result_expirations={} router_result_entries={} \
+         router_result_bytes={} router_probes={}",
+        t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes, s.probes
     )
 }
 
-/// Renders the router tiers as Prometheus `qppt_router_cache_*` families
-/// with a `tier` label, mirroring [`render_router_cache_stats`] field for
-/// field — appended to the routed `METRICS` exposition from the same
-/// snapshot `CACHE STATS` reads.
+/// Renders the router tier as Prometheus `qppt_router_cache_*` families,
+/// one `tier="result"` sample each, mirroring [`render_router_cache_stats`]
+/// field for field — appended to the routed `METRICS` exposition from the
+/// same snapshot `CACHE STATS` reads.
 pub fn render_router_cache_metrics(s: &RouterCacheStats) -> String {
-    let tiers: [(&str, &TierSnapshot); 2] = [("result", &s.results), ("partial", &s.partials)];
+    let t = &s.results;
     let mut out = String::new();
-    let mut family = |name: &str, help: &str, kind: &str, get: &dyn Fn(&TierSnapshot) -> i64| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (tier, t) in &tiers {
-            out.push_str(&format!("{name}{{tier=\"{tier}\"}} {}\n", get(t)));
-        }
+    let mut family = |name: &str, help: &str, kind: &str, value: u64| {
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name}{{tier=\"result\"}} {value}\n"
+        ));
     };
     family(
         "qppt_router_cache_hits_total",
         "Router-cache lookups answered from the tier.",
         "counter",
-        &|t| t.hits as i64,
+        t.hits,
     );
     family(
         "qppt_router_cache_misses_total",
         "Router-cache lookups the tier could not answer.",
         "counter",
-        &|t| t.misses as i64,
+        t.misses,
     );
     family(
         "qppt_router_cache_invalidations_total",
         "Entries dropped because a shard version vector or the topology moved.",
         "counter",
-        &|t| t.invalidations as i64,
+        t.invalidations,
     );
     family(
         "qppt_router_cache_evictions_total",
         "Entries removed under byte pressure.",
         "counter",
-        &|t| t.evictions as i64,
+        t.evictions,
     );
     family(
         "qppt_router_cache_expirations_total",
         "Entries removed after sitting idle past the TTL.",
         "counter",
-        &|t| t.expirations as i64,
+        t.expirations,
     );
     family(
         "qppt_router_cache_entries",
         "Live entries resident in the tier.",
         "gauge",
-        &|t| t.entries as i64,
+        t.entries as u64,
     );
     family(
         "qppt_router_cache_bytes",
         "Heap bytes resident in the tier.",
         "gauge",
-        &|t| t.bytes as i64,
+        t.bytes as u64,
     );
     out.push_str(&format!(
         "# HELP qppt_router_cache_probes_total INFO version probes issued \
@@ -464,22 +386,6 @@ pub fn parse_versions_field(status: &str) -> Option<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qppt_core::GroupRun;
-
-    fn partial(rows: usize) -> CachedPartial {
-        let mut groups = GroupRun::with_capacity(1, rows);
-        for k in 0..rows as u64 {
-            groups.push(k, vec![qppt_storage::Value::Int(k as i64)], &[1]);
-        }
-        CachedPartial {
-            partial: PartialAggregate {
-                group_cols: vec!["g".to_string()],
-                agg_cols: vec!["a".to_string()],
-                groups,
-            },
-            workers: 2,
-        }
-    }
 
     fn merged(rows: usize) -> CachedMerged {
         CachedMerged {
@@ -517,31 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_keys_isolate_ranges_and_survive_generation_moves() {
-        let cache = RouterCache::default();
-        let k0 = FleetKey::partial(7, 0, 2, &[1, 1]);
-        let k1 = FleetKey::partial(7, 1, 2, &[1, 1]);
-        assert_ne!(k0.key(), k1.key(), "ranges must not alias");
-        cache.put_partial(&k0, Arc::new(partial(2)));
-        cache.put_partial(&k1, Arc::new(partial(3)));
-
-        // A write on shard 0 invalidates exactly range 0's entry.
-        assert!(cache
-            .get_partial(&FleetKey::partial(7, 0, 2, &[2, 1]))
-            .is_none());
-        assert!(cache.get_partial(&k1).is_some());
-        let s = cache.stats();
-        assert_eq!((s.partials.invalidations, s.partials.hits), (1, 1));
-
-        // Partial keys carry no generation — the same range/versions hit
-        // after a swap; a *re-shard* (different range count) is a miss.
-        assert!(cache.get_partial(&k1).is_some());
-        assert!(cache
-            .get_partial(&FleetKey::partial(7, 1, 4, &[1, 1]))
-            .is_none());
-    }
-
-    #[test]
     fn version_state_is_generation_scoped_and_staleness_bounded() {
         let cache = RouterCache::new(RouterCacheConfig {
             probe_interval: Duration::from_millis(40),
@@ -576,12 +457,11 @@ mod tests {
         cache.record_versions(0, 1, 0, vec![1]);
         let key = FleetKey::merged(9, 0, &[vec![1]]);
         cache.put_merged(&key, Arc::new(merged(1)));
-        cache.put_partial(&FleetKey::partial(9, 0, 1, &[1]), Arc::new(partial(1)));
         assert!(cache.get_merged(&key).is_some());
         cache.clear();
         assert!(cache.get_merged(&key).is_none());
         let s = cache.stats();
-        assert_eq!((s.results.entries, s.partials.entries), (0, 0));
+        assert_eq!(s.results.entries, 0);
         assert_eq!((s.results.hits, s.results.insertions), (1, 1));
         assert_eq!(cache.cached_versions(0, 1), vec![Some(vec![1])]);
     }
@@ -606,10 +486,15 @@ mod tests {
         cache.record_versions(0, 1, 0, vec![1]);
         let s = cache.stats();
         let line = render_router_cache_stats(&s);
-        assert!(line.contains("router_result_hits=1"));
-        assert!(line.contains("router_result_misses=1"));
-        assert!(line.contains("router_partial_hits=0"));
-        assert!(line.contains("router_probes=1"));
+        assert_eq!(
+            line,
+            format!(
+                "router_result_hits=1 router_result_misses=1 router_result_invalidations=0 \
+                 router_result_evictions=0 router_result_expirations=0 router_result_entries=1 \
+                 router_result_bytes={} router_probes=1",
+                s.results.bytes
+            )
+        );
         let expo = qppt_obs::parse_exposition(&render_router_cache_metrics(&s))
             .expect("exposition parses");
         assert_eq!(

@@ -56,27 +56,26 @@
 //!
 //! ## Routed caching
 //!
-//! The router carries its own two-tier result cache ([`cache`]): merged
-//! fleet-wide results keyed on (query fingerprint, topology generation,
-//! per-shard table-version vector), and each shard's raw partial payload
-//! keyed per range. Shards surface their table versions through `INFO`;
-//! the router probes them — on demand when a cached vector is older than
-//! the staleness bound (`--cache-probe-interval-ms`), proactively from
-//! the background prober — so a write to one shard invalidates exactly
-//! that shard's partials plus the merged results composed from them, and
-//! a topology swap invalidates merged results while surviving ranges'
-//! partials keep hitting. Cached answers stay byte-identical to the
-//! uncached scatter and the single-node oracle (`router_equivalence`,
-//! `router_failover`).
+//! The router carries its own result cache ([`cache`]): merged fleet-wide
+//! results keyed on (query fingerprint, topology generation, per-shard
+//! table-version vector). Shards surface their table versions through
+//! `INFO`; the router probes them — on demand when a cached vector is
+//! older than the staleness bound (`--cache-probe-interval-ms`),
+//! proactively from the background prober — so a write to one shard or a
+//! topology swap invalidates the merged results, and the next request
+//! re-scatters to every range. A shard whose versions have not moved
+//! answers that request from its own result tier. Cached answers stay
+//! byte-identical to the uncached scatter and the single-node oracle
+//! (`router_equivalence`, `router_failover`).
 //!
 //! ## Verbs
 //!
 //! | verb | routing |
 //! |---|---|
-//! | `RUN` / `QUERY` | router cache lookup, then scatter `mode=partial` to one replica per missing range (failover inside the range), gather, merge |
+//! | `RUN` / `QUERY` | router cache lookup, then scatter `mode=partial` to one replica per range (failover inside the range), gather, merge |
 //! | `INFO` | fan-out: summed `rows=`, `shards=N`, replica counts, per-range map |
-//! | `CACHE STATS` | fan-out to one replica per range: counters summed, router tiers appended as `router_*` |
-//! | `CACHE CLEAR [dims]` | broadcast to **every replica** of every range, plus the router's own tiers |
+//! | `CACHE STATS` | fan-out to one replica per range: counters summed, router tier appended as `router_*` |
+//! | `CACHE CLEAR [dims]` | broadcast to **every replica** of every range, plus the router's own tier |
 //! | `LIST` / `EXPLAIN` | relayed to range 0 (identical on all shards) |
 //! | `PING` | answered locally |
 //! | `SHUTDOWN` | stops the router only — shards keep serving |

@@ -23,7 +23,7 @@ use qppt_storage::{OrderKey, QueryResult, QuerySpec};
 
 use crate::cache::{
     parse_versions_field, render_router_cache_metrics, render_router_cache_stats, CachedMerged,
-    CachedPartial, FleetKey, RouterCache, RouterCacheConfig,
+    FleetKey, RouterCache, RouterCacheConfig,
 };
 use crate::map::{Backoff, MapCell, RangeReplicas, Replica, ShardMap};
 use crate::obs::RouterObs;
@@ -144,17 +144,14 @@ struct Gathered {
 #[derive(Clone, Copy)]
 enum Answered {
     ResultHit,
-    /// The last range that came from the partial tier.
-    PartialHit(usize),
     Routed,
 }
 
 impl Answered {
-    fn label(self) -> String {
+    fn label(self) -> &'static str {
         match self {
-            Self::ResultHit => "router cache: result hit".to_string(),
-            Self::PartialHit(shard) => format!("router cache: partial hit (shard {shard})"),
-            Self::Routed => "routed".to_string(),
+            Self::ResultHit => "router cache: result hit",
+            Self::Routed => "routed",
         }
     }
 }
@@ -825,11 +822,11 @@ impl Router {
 
     /// `CACHE` fan-out: `STATS` sums every per-tier counter across one
     /// replica per range (appending `shards=N` and the router's own
-    /// `router_result_*`/`router_partial_*` tiers as distinct fields —
-    /// never summed into the shard counters); `CLEAR`/`CLEAR dims`
-    /// broadcasts to **every replica** of every range so no sibling keeps
-    /// a stale cache, and drops the router's own tiers first — routed
-    /// results compose shard work, so they go with it.
+    /// `router_result_*` tier as distinct fields — never summed into the
+    /// shard counters); `CLEAR`/`CLEAR dims` broadcasts to **every
+    /// replica** of every range so no sibling keeps a stale cache, and
+    /// drops the router's own tier first — routed results compose shard
+    /// work, so they go with it.
     fn handle_cache(&self, cmd: CacheCmd, w: &mut dyn Write) -> io::Result<()> {
         let line = match cmd {
             CacheCmd::Stats => "CACHE STATS",
@@ -838,7 +835,7 @@ impl Router {
         };
         match cmd {
             CacheCmd::Clear | CacheCmd::ClearDims => {
-                // Local tiers first, unconditionally: even if some shard
+                // Local tier first, unconditionally: even if some shard
                 // is unreachable, a cleared router tier is merely cold,
                 // never stale.
                 self.shared.cache.clear();
@@ -930,7 +927,7 @@ impl Router {
                 let spans = finish_trace(trace, stats.total_micros);
                 let out = write_run_response(&mut w, &result, &stats, workers, &spans);
                 if let Some(obs) = &self.obs {
-                    obs.slow_log(started, verb, line, &answered.label(), &spans);
+                    obs.slow_log(started, verb, line, answered.label(), &spans);
                 }
                 out
             }
@@ -949,12 +946,13 @@ impl Router {
     /// (the routed hot path): establish a fresh-enough per-range version
     /// vector (probed state within the staleness bound, else an on-demand
     /// `INFO` probe), serve a merged-tier hit without touching any shard,
-    /// otherwise scatter **only the ranges whose partial is not cached**,
-    /// re-merge locally, and populate both tiers. With `cached = None` —
-    /// `cache=off`, `--no-router-cache`, or any probe failure: the cache
-    /// can make a query cheaper, never less available — it is the same
-    /// loop with no range cached and nothing stored. Result bytes are
-    /// identical on every outcome.
+    /// otherwise scatter to every range and store the merge. A shard whose
+    /// versions have not moved answers from its own result tier, so after
+    /// a single-shard write only that shard re-executes, and after a
+    /// topology swap none does. With `cached = None` — `cache=off`, `--no-router-cache`, or
+    /// any probe failure: the cache can make a query cheaper, never less
+    /// available — it is the same scatter with nothing stored. Result
+    /// bytes are identical on every outcome.
     ///
     /// Tracing: the gather wall time becomes a `scatter` span, each
     /// scattered range's own span tree (carried back on the partial
@@ -977,7 +975,7 @@ impl Router {
         // The freshness proof: no version vector for some range means no
         // proof — serve this request uncached rather than fail or
         // stale-serve.
-        let keys: Option<(u64, Vec<Vec<u64>>)> = cached.and_then(|qfp| {
+        let key: Option<FleetKey> = cached.and_then(|qfp| {
             let mut versions = cache.cached_versions(generation, n);
             for (ri, slot) in versions.iter_mut().enumerate() {
                 if slot.is_none() {
@@ -986,53 +984,51 @@ impl Router {
                     *slot = Some(vs);
                 }
             }
-            Some((qfp, versions.into_iter().flatten().collect()))
+            let versions: Vec<Vec<u64>> = versions.into_iter().flatten().collect();
+            Some(FleetKey::merged(qfp, generation, &versions))
         });
 
-        let mut cached_parts: Vec<Option<Arc<CachedPartial>>> = vec![None; n];
-        if let Some((qfp, versions)) = &keys {
-            if let Some(hit) = cache.get_merged(&FleetKey::merged(*qfp, generation, versions)) {
-                let mut stats = ExecStats::default();
-                stats.push(router_cache_op(
-                    Answered::ResultHit.label(),
-                    hit.result.rows.len(),
-                ));
-                if let Some(t) = trace {
-                    t.add(t.root(), "router_cache", elapsed_micros(started));
-                }
-                stats.total_micros = started.elapsed().as_micros();
-                return Ok((hit.result.clone(), stats, hit.workers, Answered::ResultHit));
+        if let Some(hit) = key.as_ref().and_then(|k| cache.get_merged(k)) {
+            // The same `index=cache` op the shard tiers stamp on a hit.
+            let rows = hit.result.rows.len();
+            let mut stats = ExecStats::default();
+            stats.push(OpStats {
+                label: Answered::ResultHit.label().to_string(),
+                out_keys: rows,
+                out_tuples: rows,
+                index_kind: "cache".to_string(),
+                memory_bytes: 0,
+                micros: 0,
+            });
+            if let Some(t) = trace {
+                t.add(t.root(), "router_cache", elapsed_micros(started));
             }
-            for (ri, slot) in cached_parts.iter_mut().enumerate() {
-                *slot = cache.get_partial(&FleetKey::partial(*qfp, ri, n, &versions[ri]));
-            }
+            stats.total_micros = started.elapsed().as_micros();
+            return Ok((hit.result.clone(), stats, hit.workers, Answered::ResultHit));
         }
 
-        // Scatter first: every range that needs a shard has the request in
-        // flight before any response is read, so shards execute
-        // concurrently.
+        // Scatter first: every range has the request in flight before any
+        // response is read, so shards execute concurrently.
         let mut retry = RetryState {
             budget: self.retry_budget,
         };
-        let in_flight: Vec<(usize, SendOutcome)> = (0..n)
-            .filter(|&ri| cached_parts[ri].is_none())
-            .map(|ri| (ri, self.send_to_range(map.range(ri), forward)))
+        let in_flight: Vec<SendOutcome> = (0..n)
+            .map(|ri| self.send_to_range(map.range(ri), forward))
             .collect();
         // Gather in range order (the deterministic merge order). Every
         // in-flight response is consumed even after an earlier range
         // failed, so surviving pooled connections stay synchronized.
         let mut query_err: Option<String> = None;
         let mut unavailable: Option<(usize, String)> = None;
-        let mut fresh: Vec<Option<(Gathered, usize)>> = (0..n).map(|_| None).collect();
-        let any_scatter = !in_flight.is_empty();
-        for (ri, sent) in in_flight {
+        let mut gathered: Vec<(Gathered, usize)> = Vec::with_capacity(n);
+        for (ri, sent) in in_flight.into_iter().enumerate() {
             match self.gather_range(map, ri, sent, forward, read_partial_response, &mut retry) {
                 Ok((g, replica)) => {
                     if let Some(o) = obs {
                         o.record_rtt(ri, elapsed_micros(started));
                         o.note_replica_request(ri, replica);
                     }
-                    fresh[ri] = Some((g, replica));
+                    gathered.push((g, replica));
                 }
                 Err(GatherError::Query(msg)) => {
                     if query_err.is_none() {
@@ -1049,6 +1045,8 @@ impl Router {
         // A query error is deterministic across the fleet (same spec, same
         // replicated dims) — relay it even if some other range was also
         // down; a partial gather is *never* served as a complete answer.
+        // Past this point every range was gathered, so `gathered[ri]` is
+        // range `ri`.
         if let Some(msg) = query_err {
             return Err(RouterError::Query(msg));
         }
@@ -1056,65 +1054,38 @@ impl Router {
             return Err(RouterError::RangeUnavailable { range, detail });
         }
         if let Some(t) = trace.as_deref_mut() {
-            if any_scatter {
-                // The scatter span's wall time covers every gather, so each
-                // grafted shard tree's root (the shard's request total,
-                // which excludes the network) stays ≤ its parent.
-                let scatter = t.add(t.root(), "scatter", elapsed_micros(started));
-                for (i, slot) in fresh.iter().enumerate() {
-                    if let Some((g, _)) = slot {
-                        if !g.stats.spans.is_empty() {
-                            // A malformed shard tree is dropped, never
-                            // fatal — tracing must not fail a query that
-                            // produced rows.
-                            let _ = t.graft(scatter, &format!("shard{i}"), &g.stats.spans);
-                        }
-                    }
+            // The scatter span's wall time covers every gather, so each
+            // grafted shard tree's root (the shard's request total, which
+            // excludes the network) stays ≤ its parent.
+            let scatter = t.add(t.root(), "scatter", elapsed_micros(started));
+            for (i, (g, _)) in gathered.iter().enumerate() {
+                if !g.stats.spans.is_empty() {
+                    // A malformed shard tree is dropped, never fatal —
+                    // tracing must not fail a query that produced rows.
+                    let _ = t.graft(scatter, &format!("shard{i}"), &g.stats.spans);
                 }
             }
         }
 
-        // Assemble in range order: fresh gathers are cached under the
-        // versions this request *probed* (possibly already superseded —
-        // the next probe invalidates them, keeping staleness inside the
-        // probe bound), cached partials are held in place.
         let mut stats = ExecStats::default();
-        let mut held: Vec<Arc<CachedPartial>> = Vec::with_capacity(n);
         let mut workers = 1usize;
-        let mut answered = Answered::Routed;
-        for ri in 0..n {
-            let part = if let Some((g, replica)) = fresh[ri].take() {
-                stats.push(OpStats {
-                    label: format!(
-                        "gather: shard {ri} replica {replica} @ {}",
-                        map.range(ri).replica(replica).addr()
-                    ),
-                    out_keys: g.partial.groups.len(),
-                    out_tuples: g.partial.groups.len(),
-                    index_kind: "wire".to_string(),
-                    memory_bytes: 0,
-                    micros: g.stats.total_micros,
-                });
-                let part = Arc::new(CachedPartial {
-                    partial: g.partial,
-                    workers: g.stats.workers,
-                });
-                if let Some((qfp, versions)) = &keys {
-                    cache.put_partial(&FleetKey::partial(*qfp, ri, n, &versions[ri]), part.clone());
-                }
-                part
-            } else {
-                let hit = cached_parts[ri].take().expect("range cached or gathered");
-                answered = Answered::PartialHit(ri);
-                stats.push(router_cache_op(answered.label(), hit.partial.groups.len()));
-                hit
-            };
-            workers = workers.max(part.workers);
-            held.push(part);
+        for (ri, (g, replica)) in gathered.iter().enumerate() {
+            stats.push(OpStats {
+                label: format!(
+                    "gather: shard {ri} replica {replica} @ {}",
+                    map.range(ri).replica(*replica).addr()
+                ),
+                out_keys: g.partial.groups.len(),
+                out_tuples: g.partial.groups.len(),
+                index_kind: "wire".to_string(),
+                memory_bytes: 0,
+                micros: g.stats.total_micros,
+            });
+            workers = workers.max(g.stats.workers);
         }
 
         let merge_started = Instant::now();
-        let parts: Vec<&PartialAggregate> = held.iter().map(|p| &p.partial).collect();
+        let parts: Vec<&PartialAggregate> = gathered.iter().map(|(g, _)| &g.partial).collect();
         let merged = PartialAggregate::merge(&parts)
             .map_err(|e| RouterError::Query(e.to_string()))?
             .expect("at least one range");
@@ -1126,9 +1097,12 @@ impl Router {
         if let Some(t) = trace {
             t.add(t.root(), "merge", merge_micros);
         }
-        if let Some((qfp, versions)) = &keys {
+        // Stored under the versions this request probed, possibly already
+        // superseded: the next probe invalidates it, keeping staleness
+        // inside the probe bound.
+        if let Some(key) = &key {
             cache.put_merged(
-                &FleetKey::merged(*qfp, generation, versions),
+                key,
                 Arc::new(CachedMerged {
                     result: result.clone(),
                     workers,
@@ -1136,7 +1110,7 @@ impl Router {
             );
         }
         stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats, workers, answered))
+        Ok((result, stats, workers, Answered::Routed))
     }
 
     /// On-demand version probe: one `INFO` round-trip to range `ri`
@@ -1176,20 +1150,6 @@ impl Router {
         } else {
             TraceMode::Off
         }
-    }
-}
-
-/// An [`OpStats`] line marking a router-cache outcome on the response —
-/// the same `index=cache` shape the shard tiers stamp, so clients parse
-/// one convention.
-fn router_cache_op(label: String, keys: usize) -> OpStats {
-    OpStats {
-        label,
-        out_keys: keys,
-        out_tuples: keys,
-        index_kind: "cache".to_string(),
-        memory_bytes: 0,
-        micros: 0,
     }
 }
 

@@ -9,11 +9,10 @@
 //!   across distinct queries);
 //! * the router-side result cache never changes bytes — cold fill, warm
 //!   merged-tier hit, and per-request `cache=off` bypass all match the
-//!   oracle at every shard count, with exact `router_result_*` /
-//!   `router_partial_*` counters;
-//! * a write to **one** shard invalidates exactly that range's partial
-//!   and the merged results composed from it — the untouched range's
-//!   partial keeps hitting and only the written range is re-scattered;
+//!   oracle at every shard count, with exact `router_result_*` counters;
+//! * a write to **one** shard invalidates the merged results composed from
+//!   it and re-scatters to every range — the written shard's own result
+//!   entry invalidates, the untouched shard answers from its result tier;
 //! * with the router cache off, a routed repeat is answered by every
 //!   shard's result tier (partial entries), byte-identical to the oracle.
 
@@ -262,8 +261,7 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
                 .unwrap_or_else(|_| panic!("non-numeric {key}"))
         };
 
-        // Cold sweep: every query fills the merged tier (one miss each)
-        // and the partial tier (one miss per range each).
+        // Cold sweep: every query fills the merged tier (one miss each).
         let s0 = client.cache_stats().expect("stats");
         for (qi, q) in all.iter().enumerate() {
             let served = client
@@ -281,14 +279,8 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
             stat(&s1, "router_result_hits"),
             stat(&s0, "router_result_hits")
         );
-        assert_eq!(
-            stat(&s1, "router_partial_misses") - stat(&s0, "router_partial_misses"),
-            n * shards as u64,
-            "one partial miss per range per cold query"
-        );
 
-        // Warm sweep: every query is a merged-tier hit — the partial tier
-        // is never consulted (the merged hit short-circuits the scatter).
+        // Warm sweep: every query is a merged-tier hit.
         for (qi, q) in all.iter().enumerate() {
             let served = client
                 .run(&q.id.to_ascii_lowercase(), &[])
@@ -305,17 +297,9 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
             stat(&s2, "router_result_misses"),
             stat(&s1, "router_result_misses")
         );
-        assert_eq!(
-            stat(&s2, "router_partial_hits"),
-            stat(&s1, "router_partial_hits")
-        );
-        assert_eq!(
-            stat(&s2, "router_partial_misses"),
-            stat(&s1, "router_partial_misses")
-        );
 
-        // Per-request bypass: `cache=off` never touches either router
-        // tier and still matches the oracle byte for byte.
+        // Per-request bypass: `cache=off` never touches the router tier
+        // and still matches the oracle byte for byte.
         for (qi, q) in all.iter().enumerate() {
             let served = client
                 .run(&q.id.to_ascii_lowercase(), &[("cache", "off")])
@@ -328,10 +312,6 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
             "router_result_misses",
             "router_result_invalidations",
             "router_result_entries",
-            "router_partial_hits",
-            "router_partial_misses",
-            "router_partial_invalidations",
-            "router_partial_entries",
         ] {
             assert_eq!(
                 stat(&s3, key),
@@ -340,7 +320,6 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
             );
         }
         assert_eq!(stat(&s3, "router_result_invalidations"), 0);
-        assert_eq!(stat(&s3, "router_partial_invalidations"), 0);
 
         client.quit().expect("clean quit");
         fleet.stop();
@@ -348,7 +327,7 @@ fn router_cache_is_byte_identical_on_off_and_vs_oracle() {
 }
 
 #[test]
-fn single_shard_write_invalidates_exactly_that_range() {
+fn single_shard_write_rescatters_and_the_untouched_shard_hits_its_result_tier() {
     const SHARDS: usize = 2;
     let pool = WorkerPool::new(4, 16);
     let opts = PlanOptions::default();
@@ -356,9 +335,9 @@ fn single_shard_write_invalidates_exactly_that_range() {
 
     // Externally owned shard databases and caches, so a write can land
     // mid-test: stop the shard's listener, mutate the then-uniquely-owned
-    // database, re-serve on the *same*
-    // address — the router's shard map never moves, so the only signal a
-    // cached entry can go stale on is the probed version vector.
+    // database, re-serve on the *same* address over the same cache — the
+    // router's shard map never moves, so the only signal a cached entry
+    // can go stale on is the probed version vector.
     let mut dbs: Vec<Arc<Database>> = (0..SHARDS)
         .map(|i| {
             let mut ssb = SsbDb::generate_shard(SF, SEED, i, SHARDS);
@@ -403,6 +382,12 @@ fn single_shard_write_invalidates_exactly_that_range() {
             .parse()
             .unwrap_or_else(|_| panic!("non-numeric {key}"))
     };
+    // A shard's own CACHE STATS, over a direct connection.
+    let shard_stats = |i: usize| -> Vec<(String, String)> {
+        QpptClient::connect(&*addrs[i])
+            .and_then(|mut c| c.cache_stats())
+            .expect("direct shard CACHE STATS")
+    };
 
     // Cold fill + warm merged hit.
     let s0 = client.cache_stats().expect("stats");
@@ -418,14 +403,6 @@ fn single_shard_write_invalidates_exactly_that_range() {
         stat(&s1, "router_result_hits") - stat(&s0, "router_result_hits"),
         1
     );
-    assert_eq!(
-        stat(&s1, "router_partial_misses") - stat(&s0, "router_partial_misses"),
-        2
-    );
-    assert_eq!(
-        stat(&s1, "router_partial_hits"),
-        stat(&s0, "router_partial_hits")
-    );
 
     // The write: shard 0 restarts on its own address with one fact row
     // deleted — its table-version vector moves, shard 1's does not.
@@ -438,10 +415,10 @@ fn single_shard_write_invalidates_exactly_that_range() {
     handles.insert(0, serve_shard(0, dbs[0].clone(), &addrs[0]));
     // Sit out the staleness bound: the next lookup must re-probe.
     std::thread::sleep(Duration::from_millis(120));
+    let before: Vec<_> = (0..SHARDS).map(shard_stats).collect();
 
-    // Exactly range 0 is re-fetched: the merged entry and shard 0's
-    // partial register as *invalidations* (same key, moved versions),
-    // shard 1's partial keeps hitting, and nothing counts as a miss.
+    // The merged entry registers as an *invalidation* (same key, moved
+    // versions), and the request re-scatters to both ranges.
     let post = client.run("q2.3", &[]).expect("post-write routed run");
     let s2 = client.cache_stats().expect("stats");
     assert_eq!(
@@ -457,23 +434,34 @@ fn single_shard_write_invalidates_exactly_that_range() {
         stat(&s2, "router_result_hits"),
         stat(&s1, "router_result_hits")
     );
+    for ri in 0..SHARDS {
+        assert!(
+            post.stats
+                .op_lines
+                .iter()
+                .any(|l| l.contains(&format!("gather: shard {ri} "))),
+            "range {ri} is scattered: {:?}",
+            post.stats.op_lines
+        );
+    }
+
+    // Each shard's own result tier did the work: the written shard's
+    // entry invalidates and re-executes, the untouched shard hits.
+    let after: Vec<_> = (0..SHARDS).map(shard_stats).collect();
+    let moved = |i: usize, key: &str| stat(&after[i], key) - stat(&before[i], key);
     assert_eq!(
-        stat(&s2, "router_partial_invalidations") - stat(&s1, "router_partial_invalidations"),
-        1,
-        "only the written range's partial is invalidated"
+        (moved(0, "result_invalidations"), moved(0, "result_hits")),
+        (1, 0),
+        "the written shard re-executes"
     );
     assert_eq!(
-        stat(&s2, "router_partial_hits") - stat(&s1, "router_partial_hits"),
-        1,
-        "the untouched range's partial keeps hitting"
-    );
-    assert_eq!(
-        stat(&s2, "router_partial_misses"),
-        stat(&s1, "router_partial_misses")
+        (moved(1, "result_hits"), moved(1, "result_misses")),
+        (1, 0),
+        "the untouched shard answers from its result tier"
     );
 
-    // Byte-identity of the re-merge: the cached path agrees with the
-    // uncached router over the written fleet…
+    // Byte-identity: the cached path agrees with the uncached router over
+    // the written fleet…
     let uncached = client
         .run("q2.3", &[("cache", "off")])
         .expect("uncached post-write run");
@@ -486,9 +474,6 @@ fn single_shard_write_invalidates_exactly_that_range() {
         "router_result_hits",
         "router_result_misses",
         "router_result_invalidations",
-        "router_partial_hits",
-        "router_partial_misses",
-        "router_partial_invalidations",
     ] {
         assert_eq!(stat(&s3, key), stat(&s2, key), "cache=off moved {key}");
     }

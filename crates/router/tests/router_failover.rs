@@ -302,10 +302,10 @@ fn failover_keeps_all_queries_byte_identical_with_exact_metrics() {
 }
 
 /// The router cache under chaos: a topology swap invalidates every merged
-/// entry via the generation while the surviving ranges' partials keep
-/// hitting (the re-merge touches **zero** shards), replica death leaves
-/// warm merged hits serving untouched (the data cannot have changed — only
-/// the transport did), and `CACHE CLEAR` re-scatters cold, not stale.
+/// entry via the generation and re-scatters to every range, where each
+/// shard answers from its own result tier; replica death leaves warm
+/// merged hits serving untouched (the data cannot have changed — only the
+/// transport did), and `CACHE CLEAR` re-scatters cold, not stale.
 /// Byte-identity to the single-node oracle holds throughout.
 #[test]
 fn cached_serving_survives_topology_swaps_and_replica_chaos() {
@@ -399,7 +399,6 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
         n,
         "one merged hit per warm query"
     );
-    assert_eq!(stat(&s1, "router_partial_misses"), n * RANGES as u64);
     assert_eq!(
         stat(&s1, "router_probes"),
         RANGES as u64,
@@ -413,9 +412,8 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
     );
 
     // Phase 2 — swap to the *same* fleet: a new topology generation. Every
-    // merged entry invalidates; every partial (keyed without a generation,
-    // versioned by its shard alone) survives — the re-merge is answered
-    // entirely router-side, with zero shard exchanges.
+    // merged entry invalidates and the sweep re-scatters to every range;
+    // no shard's versions moved, so each answers from its own result tier.
     router
         .swap_fleet(fleet.clone())
         .expect("swap to same fleet");
@@ -431,24 +429,20 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
         stat(&s1, "router_result_misses")
     );
     assert_eq!(
-        stat(&s2, "router_partial_hits") - stat(&s1, "router_partial_hits"),
+        stat(&s2, "result_hits") - stat(&s1, "result_hits"),
         n * RANGES as u64,
-        "every range's partial survives the swap"
+        "every shard answers the re-scatter from its result tier"
     );
-    assert_eq!(
-        stat(&s2, "router_partial_misses"),
-        stat(&s1, "router_partial_misses")
-    );
-    assert_eq!(stat(&s2, "router_partial_invalidations"), 0);
     assert_eq!(
         stat(&s2, "router_probes") - stat(&s1, "router_probes"),
         RANGES as u64,
         "the new generation re-probes each range once"
     );
+    let exchanges_swapped = fleet_exchanges(&router);
     assert_eq!(
-        fleet_exchanges(&router),
-        exchanges_cold,
-        "the post-swap re-merge is assembled without scattering"
+        exchanges_swapped - exchanges_cold,
+        (n as i64) * RANGES as i64,
+        "the post-swap sweep scatters to every range once per query"
     );
 
     // Phase 3 — kill a replica. Warm merged hits keep serving: within the
@@ -460,7 +454,7 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
     // fans out to the fleet and is allowed to fail over — the cached
     // query path above must not have.
     assert_eq!(failovers(&router), 0, "cached hits cannot fail over");
-    assert_eq!(fleet_exchanges(&router), exchanges_cold);
+    assert_eq!(fleet_exchanges(&router), exchanges_swapped);
     let s3 = client.cache_stats().expect("stats");
     assert_eq!(
         stat(&s3, "router_result_hits") - stat(&s2, "router_result_hits"),
@@ -483,10 +477,6 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
         "cleared entries re-fill as misses"
     );
     assert_eq!(
-        stat(&s4, "router_partial_misses") - stat(&s3, "router_partial_misses"),
-        n * RANGES as u64
-    );
-    assert_eq!(
         stat(&s4, "router_result_invalidations"),
         stat(&s3, "router_result_invalidations")
     );
@@ -496,28 +486,53 @@ fn cached_serving_survives_topology_swaps_and_replica_chaos() {
         "CACHE CLEAR keeps the probed version vectors"
     );
     assert_eq!(
-        fleet_exchanges(&router) - exchanges_cold,
+        fleet_exchanges(&router) - exchanges_swapped,
         (n as i64) * RANGES as i64,
         "the post-clear sweep scatters in full"
     );
 
     // The routed METRICS exposition agrees with CACHE STATS field for
-    // field — both read one snapshot of the same tiers.
+    // field — both read one snapshot of the same tier — and neither
+    // surface carries a partial tier.
     let expo = parse_exposition(&client.metrics().expect("routed METRICS"))
         .expect("merged exposition parses");
-    for (tier, prefix) in [("result", "router_result"), ("partial", "router_partial")] {
-        for (family, field) in [
-            ("qppt_router_cache_hits_total", "hits"),
-            ("qppt_router_cache_misses_total", "misses"),
-            ("qppt_router_cache_invalidations_total", "invalidations"),
-        ] {
-            assert_eq!(
-                expo.value(family, &[("tier", tier)]),
-                Some(stat(&s4, &format!("{prefix}_{field}")) as i64),
-                "{family}{{tier={tier}}} must equal CACHE STATS {prefix}_{field}"
-            );
-        }
+    for (family, field) in [
+        ("qppt_router_cache_hits_total", "hits"),
+        ("qppt_router_cache_misses_total", "misses"),
+        ("qppt_router_cache_invalidations_total", "invalidations"),
+    ] {
+        assert_eq!(
+            expo.value(family, &[("tier", "result")]),
+            Some(stat(&s4, &format!("router_result_{field}")) as i64),
+            "{family}{{tier=result}} must equal CACHE STATS router_result_{field}"
+        );
     }
+    let router_fields: Vec<&str> = s4
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| k.starts_with("router_"))
+        .collect();
+    assert_eq!(
+        router_fields,
+        [
+            "router_result_hits",
+            "router_result_misses",
+            "router_result_invalidations",
+            "router_result_evictions",
+            "router_result_expirations",
+            "router_result_entries",
+            "router_result_bytes",
+            "router_probes",
+        ],
+        "CACHE STATS carries the result tier and the probe count, nothing else"
+    );
+    assert!(
+        !expo
+            .samples
+            .iter()
+            .any(|s| s.label("tier") == Some("partial")),
+        "METRICS carries no tier=\"partial\" sample"
+    );
     assert_eq!(
         expo.value("qppt_router_cache_probes_total", &[]),
         Some(stat(&s4, "router_probes") as i64)

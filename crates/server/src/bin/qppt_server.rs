@@ -31,6 +31,9 @@
 //! `--seed` — so the ordinal is purely descriptive: `INFO` reports
 //! `replica=j` and the router uses it to localize relayed errors. Health
 //! probes (`PING`) stay O(1) regardless of replica count.
+//!
+//! An unknown flag, or a value that does not parse, exits 2 with one
+//! stderr line naming it, before any data is generated.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,46 +41,38 @@ use std::time::{Duration, Instant};
 use qppt_cache::CacheConfig;
 use qppt_core::PlanOptions;
 use qppt_par::WorkerPool;
+use qppt_server::cli::Flags;
 use qppt_server::{detected_cores, serve, ServeEngine, ServeObs};
 
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("bad value for {flag}: {v}"))
-        })
-        .unwrap_or(default)
-}
-
-fn parse_shard(spec: &str) -> (usize, usize) {
-    let parse = || -> Option<(usize, usize)> {
-        let (i, n) = spec.split_once('/')?;
-        let (i, n) = (i.trim().parse().ok()?, n.trim().parse().ok()?);
-        (n >= 1 && i < n).then_some((i, n))
-    };
-    parse().unwrap_or_else(|| panic!("bad value for --shard: {spec} (expected i/n with i < n)"))
+fn parse_shard(spec: &str) -> Option<(usize, usize)> {
+    let (i, n) = spec.split_once('/')?;
+    let (i, n) = (i.trim().parse().ok()?, n.trim().parse().ok()?);
+    (n >= 1 && i < n).then_some((i, n))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr: String = arg(&args, "--addr", "127.0.0.1:7878".to_string());
-    let sf: f64 = arg(&args, "--sf", 0.05);
-    let seed: u64 = arg(&args, "--seed", 42);
+    let mut flags = Flags::new("qppt-server", std::env::args().skip(1).collect());
+    let addr: String = flags.value("--addr", "127.0.0.1:7878".to_string());
+    let sf: f64 = flags.value("--sf", 0.05);
+    let seed: u64 = flags.value("--seed", 42);
     let cores = detected_cores();
-    let threads: usize = arg(&args, "--threads", cores);
-    let admission: usize = arg(&args, "--admission", (2 * threads).max(4));
-    let parallelism: usize = arg(&args, "--parallelism", threads);
-    let seq_index_build = args.iter().any(|a| a == "--seq-index-build");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let cache_dim_mb: usize = arg(&args, "--cache-dim-mb", 256);
-    let cache_ttl_secs: f64 = arg(&args, "--cache-ttl-secs", 0.0);
-    let shard_spec: String = arg(&args, "--shard", "0/1".to_string());
-    let (shard, shards) = parse_shard(&shard_spec);
-    let replica: usize = arg(&args, "--replica", 0);
-    let no_obs = args.iter().any(|a| a == "--no-obs");
-    let slow_query_micros: u64 = arg(&args, "--slow-query-micros", 0);
+    let threads: usize = flags.value("--threads", cores);
+    let admission: usize = flags.value("--admission", (2 * threads).max(4));
+    let parallelism: usize = flags.value("--parallelism", threads);
+    let seq_index_build = flags.switch("--seq-index-build");
+    let no_cache = flags.switch("--no-cache");
+    let cache_dim_mb: usize = flags.value("--cache-dim-mb", 256);
+    let cache_ttl_secs: f64 = flags.value("--cache-ttl-secs", 0.0);
+    let shard_spec: String = flags.value("--shard", "0/1".to_string());
+    let replica: usize = flags.value("--replica", 0);
+    let no_obs = flags.switch("--no-obs");
+    let slow_query_micros: u64 = flags.value("--slow-query-micros", 0);
+    flags.finish();
+    let (shard, shards) = parse_shard(&shard_spec).unwrap_or_else(|| {
+        flags.fail(format!(
+            "bad value for --shard: {shard_spec} (expected i/n with i < n)"
+        ))
+    });
 
     if cores == 1 {
         eprintln!(

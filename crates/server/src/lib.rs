@@ -58,6 +58,7 @@
 //! pool.shutdown();   // the pool outlives the server by design
 //! ```
 
+pub mod cli;
 mod client;
 mod engine;
 pub mod obs;
