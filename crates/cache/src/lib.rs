@@ -273,6 +273,111 @@ pub struct CacheStats {
     pub selections: TierSnapshot,
 }
 
+impl CacheStats {
+    /// The tiers a server reports, labeled in wire order.
+    pub fn tiers(&self) -> [(&'static str, &TierSnapshot); 2] {
+        [("result", &self.results), ("dim", &self.dims)]
+    }
+}
+
+/// How a [`TierField`] renders as a Prometheus family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldKind {
+    /// Only grows; the family name ends in `_total`.
+    Counter,
+    /// Moves both ways.
+    Gauge,
+}
+
+/// One word of the cache counter vocabulary: the `CACHE STATS` key suffix
+/// and `METRICS` family stem, its kind, its HELP text and its getter.
+#[derive(Debug, Clone, Copy)]
+pub struct TierField {
+    pub name: &'static str,
+    pub kind: FieldKind,
+    pub help: &'static str,
+    pub get: fn(&TierSnapshot) -> u64,
+}
+
+/// The counter vocabulary of every cache tier, in wire order. Both
+/// `CACHE STATS` lines (a server's and the router's) and both `METRICS`
+/// family sets render from this one list, so they agree by construction.
+pub const TIER_FIELDS: [TierField; 7] = [
+    TierField {
+        name: "hits",
+        kind: FieldKind::Counter,
+        help: "Cache lookups answered from the tier.",
+        get: |t| t.hits,
+    },
+    TierField {
+        name: "misses",
+        kind: FieldKind::Counter,
+        help: "Cache lookups the tier could not answer.",
+        get: |t| t.misses,
+    },
+    TierField {
+        name: "invalidations",
+        kind: FieldKind::Counter,
+        help: "Entries dropped because a version they were computed at moved.",
+        get: |t| t.invalidations,
+    },
+    TierField {
+        name: "evictions",
+        kind: FieldKind::Counter,
+        help: "Entries removed under byte pressure.",
+        get: |t| t.evictions,
+    },
+    TierField {
+        name: "expirations",
+        kind: FieldKind::Counter,
+        help: "Entries removed after sitting idle past the TTL.",
+        get: |t| t.expirations,
+    },
+    TierField {
+        name: "entries",
+        kind: FieldKind::Gauge,
+        help: "Live entries resident in the tier.",
+        get: |t| t.entries as u64,
+    },
+    TierField {
+        name: "bytes",
+        kind: FieldKind::Gauge,
+        help: "Heap bytes resident in the tier.",
+        get: |t| t.bytes as u64,
+    },
+];
+
+/// `<tier>_<field>=<value>` for each tier in order and each of its
+/// [`TIER_FIELDS`], space-separated: the counters of a `CACHE STATS` line.
+pub fn render_tier_stats(tiers: &[(&str, &TierSnapshot)]) -> String {
+    let mut fields = Vec::with_capacity(tiers.len() * TIER_FIELDS.len());
+    for (tier, t) in tiers {
+        for f in &TIER_FIELDS {
+            fields.push(format!("{tier}_{}={}", f.name, (f.get)(t)));
+        }
+    }
+    fields.join(" ")
+}
+
+/// One Prometheus family per [`TIER_FIELDS`] entry, named `<prefix><field>`
+/// (`_total` appended for a counter), with one `tier="<tier>"` sample per
+/// tier.
+pub fn render_tier_families(prefix: &str, tiers: &[(&str, &TierSnapshot)]) -> String {
+    let mut out = String::new();
+    for f in &TIER_FIELDS {
+        let (suffix, kind) = match f.kind {
+            FieldKind::Counter => ("_total", "counter"),
+            FieldKind::Gauge => ("", "gauge"),
+        };
+        let name = format!("{prefix}{}{suffix}", f.name);
+        out.push_str(&format!("# HELP {name} {}\n# TYPE {name} {kind}\n", f.help));
+        for (tier, t) in tiers {
+            out.push_str(&format!("{name}{{tier=\"{tier}\"}} {}\n", (f.get)(t)));
+        }
+    }
+    out
+}
+
 /// The two-tier snapshot-keyed query cache (see module docs). Internally
 /// synchronized — share it behind an `Arc` across connections.
 #[derive(Debug)]

@@ -36,7 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qppt_cache::{CacheKey, HeapSize, ShardedLru, TierSnapshot};
+use qppt_cache::{
+    render_tier_families, render_tier_stats, CacheKey, HeapSize, ShardedLru, TierSnapshot,
+};
 use qppt_storage::QueryResult;
 
 /// The fleet-scoped [`CacheKey`]: a 64-bit bucket key plus the version
@@ -296,72 +298,22 @@ impl RouterCache {
 }
 
 /// Renders [`RouterCacheStats`] as the `router_*` fields the routed
-/// `CACHE STATS` line appends after the summed shard counters — same
-/// field set as a shard tier, distinct names, never summed into them.
+/// `CACHE STATS` line appends after the summed shard counters — the shard
+/// tiers' [`TIER_FIELDS`](qppt_cache::TIER_FIELDS) under distinct names,
+/// never summed into them — plus `router_probes`.
 pub fn render_router_cache_stats(s: &RouterCacheStats) -> String {
-    let t = &s.results;
     format!(
-        "router_result_hits={} router_result_misses={} router_result_invalidations={} \
-         router_result_evictions={} router_result_expirations={} router_result_entries={} \
-         router_result_bytes={} router_probes={}",
-        t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes, s.probes
+        "{} router_probes={}",
+        render_tier_stats(&[("router_result", &s.results)]),
+        s.probes
     )
 }
 
-/// Renders the router tier as Prometheus `qppt_router_cache_*` families,
-/// one `tier="result"` sample each, mirroring [`render_router_cache_stats`]
-/// field for field — appended to the routed `METRICS` exposition from the
-/// same snapshot `CACHE STATS` reads.
+/// Renders the router tier as `qppt_router_cache_*` families, one
+/// `tier="result"` sample each, plus the probe counter — appended to the
+/// routed `METRICS` exposition from the same snapshot `CACHE STATS` reads.
 pub fn render_router_cache_metrics(s: &RouterCacheStats) -> String {
-    let t = &s.results;
-    let mut out = String::new();
-    let mut family = |name: &str, help: &str, kind: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name}{{tier=\"result\"}} {value}\n"
-        ));
-    };
-    family(
-        "qppt_router_cache_hits_total",
-        "Router-cache lookups answered from the tier.",
-        "counter",
-        t.hits,
-    );
-    family(
-        "qppt_router_cache_misses_total",
-        "Router-cache lookups the tier could not answer.",
-        "counter",
-        t.misses,
-    );
-    family(
-        "qppt_router_cache_invalidations_total",
-        "Entries dropped because a shard version vector or the topology moved.",
-        "counter",
-        t.invalidations,
-    );
-    family(
-        "qppt_router_cache_evictions_total",
-        "Entries removed under byte pressure.",
-        "counter",
-        t.evictions,
-    );
-    family(
-        "qppt_router_cache_expirations_total",
-        "Entries removed after sitting idle past the TTL.",
-        "counter",
-        t.expirations,
-    );
-    family(
-        "qppt_router_cache_entries",
-        "Live entries resident in the tier.",
-        "gauge",
-        t.entries as u64,
-    );
-    family(
-        "qppt_router_cache_bytes",
-        "Heap bytes resident in the tier.",
-        "gauge",
-        t.bytes as u64,
-    );
+    let mut out = render_tier_families("qppt_router_cache_", &[("result", &s.results)]);
     out.push_str(&format!(
         "# HELP qppt_router_cache_probes_total INFO version probes issued \
          (on-demand + background refresh).\n\
@@ -510,6 +462,58 @@ mod tests {
             expo.value("qppt_router_cache_bytes", &[("tier", "result")]),
             Some(s.results.bytes as i64)
         );
+    }
+
+    /// Pins the router's `router_*` stats fields and `qppt_router_cache_*`
+    /// families byte for byte, every counter non-zero and distinct.
+    #[test]
+    fn cache_vocabulary_renders_golden_stats_fields_and_families() {
+        let s = RouterCacheStats {
+            results: TierSnapshot {
+                hits: 1,
+                misses: 2,
+                invalidations: 3,
+                evictions: 4,
+                expirations: 5,
+                insertions: 6,
+                entries: 7,
+                bytes: 8,
+            },
+            probes: 9,
+        };
+        assert_eq!(
+            render_router_cache_stats(&s),
+            "router_result_hits=1 router_result_misses=2 router_result_invalidations=3 \
+             router_result_evictions=4 router_result_expirations=5 router_result_entries=7 \
+             router_result_bytes=8 router_probes=9"
+        );
+        let golden = "\
+# HELP qppt_router_cache_hits_total Cache lookups answered from the tier.
+# TYPE qppt_router_cache_hits_total counter
+qppt_router_cache_hits_total{tier=\"result\"} 1
+# HELP qppt_router_cache_misses_total Cache lookups the tier could not answer.
+# TYPE qppt_router_cache_misses_total counter
+qppt_router_cache_misses_total{tier=\"result\"} 2
+# HELP qppt_router_cache_invalidations_total Entries dropped because a version they were computed at moved.
+# TYPE qppt_router_cache_invalidations_total counter
+qppt_router_cache_invalidations_total{tier=\"result\"} 3
+# HELP qppt_router_cache_evictions_total Entries removed under byte pressure.
+# TYPE qppt_router_cache_evictions_total counter
+qppt_router_cache_evictions_total{tier=\"result\"} 4
+# HELP qppt_router_cache_expirations_total Entries removed after sitting idle past the TTL.
+# TYPE qppt_router_cache_expirations_total counter
+qppt_router_cache_expirations_total{tier=\"result\"} 5
+# HELP qppt_router_cache_entries Live entries resident in the tier.
+# TYPE qppt_router_cache_entries gauge
+qppt_router_cache_entries{tier=\"result\"} 7
+# HELP qppt_router_cache_bytes Heap bytes resident in the tier.
+# TYPE qppt_router_cache_bytes gauge
+qppt_router_cache_bytes{tier=\"result\"} 8
+# HELP qppt_router_cache_probes_total INFO version probes issued (on-demand + background refresh).
+# TYPE qppt_router_cache_probes_total counter
+qppt_router_cache_probes_total 9
+";
+        assert_eq!(render_router_cache_metrics(&s), golden);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! Each `lo_orderdate` range can own an **ordered replica set** (every
 //! replica is a `qppt-server` started with the same `--shard i/n`, so
 //! replicas serve identical fact partitions). The fleet layout lives in a
-//! router-side shard map ([`map`]) read lock-free on the hot path and
-//! swappable atomically between requests ([`Router::swap_fleet`]).
+//! router-side shard map ([`map`]): each request clones one `Arc` of it,
+//! and [`Router::swap_fleet`] swaps in a new one between requests.
 //!
 //! Connect and read timeouts bound every replica exchange. On a
 //! connect/read/protocol failure the router fails over: the next live
@@ -70,15 +70,26 @@
 //!
 //! ## Verbs
 //!
+//! Every fleet verb is one exchange: the request goes to one replica of
+//! each range it needs before any response is read, the responses are
+//! gathered in range order with failover inside each range under one
+//! retry budget, and the verb folds the answers. A failure is answered by
+//! one rule: a shard `ERR` is relayed ahead of an unavailable range, and
+//! within each kind the lowest range wins.
+//!
 //! | verb | routing |
 //! |---|---|
-//! | `RUN` / `QUERY` | router cache lookup, then scatter `mode=partial` to one replica per range (failover inside the range), gather, merge |
-//! | `INFO` | fan-out: summed `rows=`, `shards=N`, replica counts, per-range map |
-//! | `CACHE STATS` | fan-out to one replica per range: counters summed, router tier appended as `router_*` |
-//! | `CACHE CLEAR [dims]` | broadcast to **every replica** of every range, plus the router's own tier |
-//! | `LIST` / `EXPLAIN` | relayed to range 0 (identical on all shards) |
+//! | `RUN` / `QUERY` | router cache lookup, then the exchange of `mode=partial` with every range, merged |
+//! | `INFO` | exchange with every range: summed `rows=`, `shards=N`, replica counts, per-range map |
+//! | `CACHE STATS` | exchange with every range: counters summed, router tier appended as `router_*` |
+//! | `CACHE CLEAR [dims]` | the router's own tier, then a fresh-dial ask to **every reachable replica** of every range; `ERR` names the first range with none |
+//! | `LIST` / `EXPLAIN` | exchange with range 0 (identical on all shards), relayed |
 //! | `PING` | answered locally |
 //! | `SHUTDOWN` | stops the router only — shards keep serving |
+//!
+//! A shard reply whose counter does not parse (`CACHE STATS`, `INFO
+//! rows=`) is relayed as `ERR shard <i> replica <j>: …`, never read as
+//! zero.
 //!
 //! The TCP frontend is literally qppt-server's ([`Router`] implements
 //! [`qppt_server::LineService`]), so oversized and malformed request
@@ -96,4 +107,4 @@ pub use cache::{RouterCache, RouterCacheConfig, RouterCacheStats};
 pub use chaos::{ChaosMode, ChaosProxy};
 pub use map::{parse_fleet, Backoff, ShardMap};
 pub use obs::RouterObs;
-pub use router::{serve_router, serve_router_with, Router, RouterConfig, RouterError};
+pub use router::{serve_router, Router, RouterConfig, RouterError};

@@ -4,12 +4,11 @@
 //! A [`ShardMap`] assigns each `lo_orderdate` range an **ordered replica
 //! set** — every replica of range *i* is a `qppt-server` started with
 //! `--shard i/n`, so replicas serve identical fact partitions and their
-//! partials merge byte-identically whichever one answers. The map is held
-//! in a [`MapCell`], an ArcSwap-style cell: readers take a plain atomic
-//! load on the hot path (no lock, no reference counting), writers swap in
-//! a whole new map between requests and retire the old one to a graveyard
-//! that lives as long as the cell, so an in-flight reader's borrow can
-//! never dangle.
+//! partials merge byte-identically whichever one answers. The router holds
+//! the map as a plain `Arc` snapshot behind a lock: a request clones the
+//! `Arc` once and keeps the map it started on, `ShardMap::install` swaps
+//! in a whole new map between requests, and a retired map — with its idle
+//! pooled connections — drops when its last reader lets go.
 //!
 //! Health state lives *inside* each [`Replica`] as lock-free atomics:
 //! `live` flips to suspect on a fresh-connection failure, and the
@@ -21,8 +20,8 @@
 //! `d = min(cap, base·2^attempt)`), reset on success. The jitter source is
 //! the repo's own deterministic [`SplitMix64`] — no new dependencies.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use qppt_mem::SplitMix64;
@@ -222,8 +221,8 @@ impl RangeReplicas {
 pub struct ShardMap {
     ranges: Vec<RangeReplicas>,
     epoch: Instant,
-    /// Topology generation: 0 for the map a [`MapCell`] is created with,
-    /// bumped by every [`MapCell::swap`]. Folded into router-side cache
+    /// Topology generation: 0 for the map a router starts with, bumped by
+    /// every [`install`](Self::install). Folded into router-side cache
     /// keys so a fleet reconfiguration invalidates every merged result
     /// composed under the old topology.
     generation: u64,
@@ -267,7 +266,7 @@ impl ShardMap {
     }
 
     /// The topology generation this map was installed at (see the field
-    /// docs; assigned by the owning [`MapCell`]).
+    /// docs).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -304,81 +303,19 @@ impl ShardMap {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// Drops every idle pooled connection in the map (used when the map is
-    /// retired by a swap — in-flight checkouts are unaffected, they own
-    /// their connections).
-    fn close_idle(&self) {
-        for range in &self.ranges {
-            for rep in &range.replicas {
-                rep.pool.clear();
-            }
-        }
-    }
-}
-
-/// An ArcSwap-style holder of the current [`ShardMap`].
-///
-/// `load` is the hot path: one atomic pointer read, no lock, no reference
-/// count traffic. `swap` installs a new map between requests and retires
-/// the old one into an append-only graveyard guarded by a mutex writers
-/// alone touch. Retired maps are kept until the cell is dropped — swaps
-/// are rare operator actions (a fleet reconfig), so the graveyard stays
-/// tiny, and keeping them is what makes `load`'s borrow sound without
-/// per-read bookkeeping.
-#[derive(Debug)]
-pub struct MapCell {
-    current: AtomicPtr<ShardMap>,
-    /// Every map ever installed, in order. Append-only until drop: this is
-    /// what keeps `current`'s pointee alive for `load`'s borrow. The boxes
-    /// are load-bearing, not indirection for its own sake: `current` points
-    /// *into* them, so each map's address must survive the Vec reallocating
-    /// as it grows.
-    #[allow(clippy::vec_box)]
-    graveyard: Mutex<Vec<Box<ShardMap>>>,
-    /// Monotonic topology counter: the generation the *next* swapped-in
-    /// map receives. Stamped into each map so readers see a generation
-    /// coherent with the map they loaded.
-    next_generation: AtomicU64,
-}
-
-impl MapCell {
-    /// Creates the cell holding `map`.
-    pub(crate) fn new(map: ShardMap) -> Self {
-        let mut boxed = Box::new(map);
-        boxed.generation = 0;
-        let ptr: *mut ShardMap = &mut *boxed;
-        Self {
-            current: AtomicPtr::new(ptr),
-            graveyard: Mutex::new(vec![boxed]),
-            next_generation: AtomicU64::new(1),
-        }
+    /// The map in `slot`: one `Arc` clone, held for a whole request.
+    pub(crate) fn current(slot: &RwLock<Arc<ShardMap>>) -> Arc<ShardMap> {
+        Arc::clone(&slot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The current map. Lock-free; the borrow is valid for the cell's
-    /// lifetime even across a concurrent `swap`.
-    pub fn load(&self) -> &ShardMap {
-        // SAFETY: every pointer ever stored in `current` points into a
-        // `Box<ShardMap>` held by `graveyard`, which only grows while the
-        // cell is alive (boxes are never removed before drop, and a Box's
-        // heap allocation is address-stable across moves of the Box). The
-        // `&self` borrow keeps the cell — and thus the graveyard — alive
-        // for the returned lifetime.
-        unsafe { &*self.current.load(Ordering::Acquire) }
-    }
-
-    /// Installs `map` as the current map. In-flight readers of the old map
-    /// keep a valid borrow (see [`load`](Self::load)); its idle pooled
-    /// connections are closed so they don't linger.
-    pub(crate) fn swap(&self, map: ShardMap) {
-        let mut boxed = Box::new(map);
-        boxed.generation = self.next_generation.fetch_add(1, Ordering::AcqRel);
-        let ptr: *mut ShardMap = &mut *boxed;
-        let mut graveyard = self.graveyard.lock().unwrap_or_else(|e| e.into_inner());
-        graveyard.push(boxed);
-        let old = self.current.swap(ptr, Ordering::AcqRel);
-        // SAFETY: `old` was stored in `current`, so it points into a box
-        // in `graveyard` (still held — we only pushed).
-        unsafe { (*old).close_idle() };
+    /// Installs `next` as the map in `slot`, one generation past the map
+    /// it replaces. In-flight requests keep the `Arc` they cloned; the
+    /// retired map, with its idle pooled connections, drops when the last
+    /// of them lets go.
+    pub(crate) fn install(slot: &RwLock<Arc<ShardMap>>, mut next: ShardMap) {
+        let mut current = slot.write().unwrap_or_else(PoisonError::into_inner);
+        next.generation = current.generation + 1;
+        *current = Arc::new(next);
     }
 }
 
@@ -452,8 +389,6 @@ fn jittered(d: Duration, rng: &mut SplitMix64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     const CONNECT: Duration = Duration::from_secs(1);
     const READ: Duration = Duration::from_secs(1);
@@ -570,20 +505,25 @@ mod tests {
     }
 
     #[test]
-    fn map_cell_swap_is_safe_under_concurrent_readers() {
-        let cell = Arc::new(MapCell::new(map_of(&[&["seed:0"]])));
+    fn map_swap_is_safe_under_concurrent_readers_and_frees_retired_maps() {
+        let slot = Arc::new(RwLock::new(Arc::new(map_of(&[&["seed:0"]]))));
+        let seed = Arc::downgrade(&ShardMap::current(&slot));
         let stop = Arc::new(AtomicBool::new(false));
         let loads = Arc::new(AtomicU64::new(0));
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let cell = Arc::clone(&cell);
+                let slot = Arc::clone(&slot);
                 let stop = Arc::clone(&stop);
                 let loads = Arc::clone(&loads);
                 std::thread::spawn(move || {
+                    let mut seen = 0;
                     while !stop.load(Ordering::Relaxed) {
-                        let map = cell.load();
-                        // Hold the borrow across real work: every loaded
-                        // map must stay fully intact.
+                        let map = ShardMap::current(&slot);
+                        // Hold the map across real work: every loaded map
+                        // must stay fully intact, and generations never
+                        // run backwards.
+                        assert!(map.generation() >= seen, "generation went backwards");
+                        seen = map.generation();
                         assert!(map.range_count() >= 1);
                         for range in map.ranges() {
                             assert!(!range.is_empty());
@@ -596,7 +536,7 @@ mod tests {
             .collect();
         for gen in 0..200u32 {
             let addr = format!("gen{gen}:1");
-            cell.swap(map_of(&[&[addr.as_str()], &["other:2"]]));
+            ShardMap::install(&slot, map_of(&[&[addr.as_str()], &["other:2"]]));
         }
         // Keep swapping until the readers demonstrably overlapped with at
         // least some swaps — on a single-core host the 200 swaps above can
@@ -604,7 +544,7 @@ mod tests {
         let mut gen = 200u32;
         while loads.load(Ordering::Relaxed) < 64 {
             let addr = format!("gen{gen}:1");
-            cell.swap(map_of(&[&[addr.as_str()], &["other:2"]]));
+            ShardMap::install(&slot, map_of(&[&[addr.as_str()], &["other:2"]]));
             gen += 1;
             std::thread::yield_now();
         }
@@ -612,22 +552,39 @@ mod tests {
         for h in readers {
             h.join().unwrap();
         }
-        assert!(loads.load(Ordering::Relaxed) > 0, "readers made progress");
-        assert_eq!(cell.load().range_count(), 2);
+        let map = ShardMap::current(&slot);
+        assert_eq!(map.range_count(), 2);
         let last = format!("gen{}:1", gen - 1);
-        assert_eq!(cell.load().range(0).replica(0).addr(), last);
+        assert_eq!(map.range(0).replica(0).addr(), last);
         // Each swap bumps the topology generation: `gen` swaps happened
-        // since the cell was created at generation 0.
-        assert_eq!(cell.load().generation(), u64::from(gen));
+        // since the slot was filled at generation 0.
+        assert_eq!(map.generation(), u64::from(gen));
+        // Retired maps are freed once their readers let go: a map held
+        // across a swap survives it and is dropped with its last holder.
+        assert!(
+            seed.upgrade().is_none(),
+            "the seed map outlived its readers"
+        );
+        let held = Arc::downgrade(&map);
+        ShardMap::install(&slot, map_of(&[&["next:1"]]));
+        assert_eq!(
+            held.upgrade().expect("held map alive").generation(),
+            u64::from(gen)
+        );
+        drop(map);
+        assert!(
+            held.upgrade().is_none(),
+            "a retired map outlived its last reader"
+        );
     }
 
     #[test]
-    fn map_cell_stamps_monotonic_generations() {
-        let cell = MapCell::new(map_of(&[&["a:1"]]));
-        assert_eq!(cell.load().generation(), 0);
-        cell.swap(map_of(&[&["b:2"]]));
-        assert_eq!(cell.load().generation(), 1);
-        cell.swap(map_of(&[&["c:3"], &["d:4"]]));
-        assert_eq!(cell.load().generation(), 2);
+    fn install_stamps_monotonic_generations() {
+        let slot = RwLock::new(Arc::new(map_of(&[&["a:1"]])));
+        assert_eq!(ShardMap::current(&slot).generation(), 0);
+        ShardMap::install(&slot, map_of(&[&["b:2"]]));
+        assert_eq!(ShardMap::current(&slot).generation(), 1);
+        ShardMap::install(&slot, map_of(&[&["c:3"], &["d:4"]]));
+        assert_eq!(ShardMap::current(&slot).generation(), 2);
     }
 }

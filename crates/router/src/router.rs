@@ -4,8 +4,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -25,7 +26,7 @@ use crate::cache::{
     parse_versions_field, render_router_cache_metrics, render_router_cache_stats, CachedMerged,
     FleetKey, RouterCache, RouterCacheConfig,
 };
-use crate::map::{Backoff, MapCell, RangeReplicas, Replica, ShardMap};
+use crate::map::{Backoff, RangeReplicas, Replica, ShardMap};
 use crate::obs::RouterObs;
 use crate::pool::ShardConn;
 
@@ -171,40 +172,91 @@ impl GatherError {
     }
 }
 
-/// A request line sent (or not) to one range's preferred replica during
-/// the scatter phase.
-enum SendOutcome {
-    /// The line is in flight on `replica`; `reused` records whether the
-    /// connection came from the idle pool (a later read failure is then
-    /// possibly a stale conn, not a dead replica).
-    Sent {
-        replica: usize,
-        conn: ShardConn,
-        reused: bool,
-    },
-    /// The send itself failed. `stale` is true when it failed on a reused
-    /// pooled connection — the replica deserves one fresh-dial retry
-    /// before being convicted.
-    Failed {
-        replica: usize,
-        detail: String,
-        stale: bool,
-    },
+/// What one replica said, prefixed with where it came from — how a shard
+/// `ERR` or a malformed reply is relayed.
+fn origin(range: usize, replica: usize, msg: impl fmt::Display) -> String {
+    format!("shard {range} replica {replica}: {msg}")
 }
 
-/// Per-request failover accounting: the retry budget shared across every
-/// range of one scatter.
-struct RetryState {
-    budget: usize,
+/// Folds a fan-out's per-range results by the router's one error rule: a
+/// shard `ERR` is relayed ahead of an unavailable range (a query error is
+/// deterministic across the fleet, so it is the truer answer), and within
+/// each kind the lowest range wins. `results[i]` is range `i`'s. A partial
+/// gather is never an answer.
+fn settle<T>(results: Vec<Result<T, GatherError>>) -> Result<Vec<T>, RouterError> {
+    let mut answers = Vec::with_capacity(results.len());
+    let mut failures = Vec::new();
+    for (ri, r) in results.into_iter().enumerate() {
+        match r {
+            Ok(v) => answers.push(v),
+            Err(e) => failures.push((ri, e)),
+        }
+    }
+    match failures
+        .into_iter()
+        .min_by_key(|(ri, e)| (matches!(e, GatherError::Unavailable(_)), *ri))
+    {
+        Some((ri, e)) => Err(e.at(ri)),
+        None => Ok(answers),
+    }
+}
+
+/// A request line sent (or not) to one range's preferred replica before
+/// any response is read.
+struct InFlight {
+    replica: usize,
+    /// The connection carrying the request, or why the send failed.
+    conn: io::Result<ShardConn>,
+    /// The connection came from the idle pool: a failure on it may be a
+    /// stale connection rather than a dead replica, so the replica gets
+    /// one fresh-dial retry before it is convicted.
+    reused: bool,
+}
+
+/// Sends `line` to `range`'s preferred replica over a pooled connection if
+/// possible, else a fresh dial. Failures are left to
+/// [`Router::gather_range`], which owns failover.
+fn send_to_range(range: &RangeReplicas, line: &str) -> InFlight {
+    let replica = range.preferred();
+    match range.replica(replica).pool().checkout() {
+        Err(e) => InFlight {
+            replica,
+            conn: Err(e),
+            reused: false,
+        },
+        Ok((mut conn, reused)) => InFlight {
+            replica,
+            conn: conn.send_line(line).map(|()| conn),
+            reused,
+        },
+    }
+}
+
+/// One exchange over a fresh dial to `rep`: send `line`, then `read` the
+/// response. A drained connection joins the replica's pool; any failure
+/// drops it (an `ERR` status does not prove the stream is drained). Dial
+/// and send failures surface as [`ClientError::Io`].
+fn ask<T>(
+    rep: &Replica,
+    line: &str,
+    read: impl FnOnce(&mut ShardConn) -> Result<T, ClientError>,
+) -> Result<T, ClientError> {
+    let mut conn = rep.pool().dial()?;
+    conn.send_line(line)?;
+    let v = read(&mut conn)?;
+    rep.pool().checkin(conn);
+    Ok(v)
 }
 
 /// State shared between the router proper and its background health
 /// prober.
 struct Shared {
-    map: MapCell,
+    /// The current fleet layout. A request clones the `Arc` once and keeps
+    /// that map to the end (see [`ShardMap::install`]).
+    map: RwLock<Arc<ShardMap>>,
     /// The router-side result cache — shared with the prober, which
     /// piggybacks version refreshes on its health scans.
-    cache: Arc<RouterCache>,
+    cache: RouterCache,
     /// Set by [`Router::with_obs`]; the prober reads it lazily so the
     /// builder-style attach still works after the thread has started.
     obs: OnceLock<Arc<RouterObs>>,
@@ -214,6 +266,12 @@ struct Shared {
     connect_timeout: Duration,
     read_timeout: Duration,
     conns_per_replica: usize,
+}
+
+impl Shared {
+    fn map(&self) -> Arc<ShardMap> {
+        ShardMap::current(&self.map)
+    }
 }
 
 /// The scatter/gather router over a replicated, health-checked fleet.
@@ -227,7 +285,6 @@ pub struct Router {
     /// without touching the fleet).
     queries: BTreeMap<String, QuerySpec>,
     started: Instant,
-    obs: Option<Arc<RouterObs>>,
     retry_budget: usize,
     backoff_base: Duration,
     backoff_cap: Duration,
@@ -260,8 +317,8 @@ impl Router {
             config.read_timeout,
         );
         let shared = Arc::new(Shared {
-            map: MapCell::new(map),
-            cache: Arc::new(RouterCache::new(config.cache)),
+            map: RwLock::new(Arc::new(map)),
+            cache: RouterCache::new(config.cache),
             obs: OnceLock::new(),
             stop: AtomicBool::new(false),
             probe_interval: config.probe_interval,
@@ -285,7 +342,6 @@ impl Router {
             shared,
             queries,
             started: Instant::now(),
-            obs: None,
             retry_budget: config.retry_budget,
             backoff_base: config.retry_backoff,
             backoff_cap: config.retry_backoff_cap,
@@ -299,18 +355,16 @@ impl Router {
     /// metrics, per-range RTT histograms, failover/health gauges, the
     /// merged `METRICS` exposition, and the slow-query log. Without it
     /// the router serves uninstrumented (`--no-obs`) and `METRICS`
-    /// answers `ERR`.
-    pub fn with_obs(mut self, obs: Arc<RouterObs>) -> Self {
-        let map = self.shared.map.load();
-        obs.set_replicas_live(map.live_replicas());
-        let _ = self.shared.obs.set(Arc::clone(&obs));
-        self.obs = Some(obs);
+    /// answers `ERR`. Only the first attach takes effect.
+    pub fn with_obs(self, obs: Arc<RouterObs>) -> Self {
+        obs.set_replicas_live(self.shared.map().live_replicas());
+        let _ = self.shared.obs.set(obs);
         self
     }
 
     /// The attached observability state, if any.
     pub fn obs(&self) -> Option<&Arc<RouterObs>> {
-        self.obs.as_ref()
+        self.shared.obs.get()
     }
 
     /// Seconds since this router was constructed (the `INFO`
@@ -326,7 +380,7 @@ impl Router {
 
     /// Number of ranges fronted.
     pub fn shard_count(&self) -> usize {
-        self.shared.map.load().range_count()
+        self.shared.map().range_count()
     }
 
     /// The router-side result cache (its statistics back the `router_*`
@@ -351,10 +405,8 @@ impl Router {
             self.shared.connect_timeout,
             self.shared.read_timeout,
         );
-        self.shared.map.swap(map);
-        if let Some(o) = &self.obs {
-            o.set_replicas_live(self.shared.map.load().live_replicas());
-        }
+        ShardMap::install(&self.shared.map, map);
+        self.publish_health(&self.shared.map());
         Ok(())
     }
 
@@ -364,7 +416,7 @@ impl Router {
     /// starts as long as **every range keeps at least one live replica**;
     /// otherwise the range's error is returned.
     pub fn wait_for_shards(&self, timeout: Duration) -> Result<(), RouterError> {
-        let map = self.shared.map.load();
+        let map = self.shared.map();
         let deadline = Instant::now() + timeout;
         let mut pending: Vec<(usize, usize)> = map
             .ranges()
@@ -375,14 +427,10 @@ impl Router {
         let mut last_err: BTreeMap<usize, String> = BTreeMap::new();
         loop {
             pending.retain(|&(ri, rj)| {
-                let rep = map.range(ri).replica(rj);
-                match probe_replica(rep) {
-                    Ok(conn) => {
-                        rep.pool().checkin(conn);
-                        false
-                    }
-                    Err(detail) => {
-                        last_err.insert(ri, detail);
+                match ask(map.range(ri).replica(rj), "PING", ShardConn::read_status) {
+                    Ok(_) => false,
+                    Err(e) => {
+                        last_err.insert(ri, e.to_string());
                         true
                     }
                 }
@@ -403,7 +451,7 @@ impl Router {
                 self.shared.probe_backoff_cap,
             );
         }
-        self.publish_health(map);
+        self.publish_health(&map);
         for (ri, range) in map.ranges().iter().enumerate() {
             if range.live_count() == 0 {
                 let detail = last_err
@@ -417,7 +465,7 @@ impl Router {
 
     /// Publishes the fleet-wide live-replica count after a health flip.
     fn publish_health(&self, map: &ShardMap) {
-        if let Some(o) = &self.obs {
+        if let Some(o) = self.obs() {
             o.set_replicas_live(map.live_replicas());
         }
     }
@@ -435,29 +483,54 @@ impl Router {
         }
     }
 
-    /// Scatter-phase send to one range's preferred replica: a pooled
-    /// connection if possible, else a fresh dial. Failures are deferred
-    /// to [`gather_range`](Self::gather_range), which owns failover.
-    fn send_to_range(&self, range: &RangeReplicas, line: &str) -> SendOutcome {
-        let p = range.preferred();
-        match range.replica(p).pool().checkout() {
-            Err(e) => SendOutcome::Failed {
-                replica: p,
-                detail: e.to_string(),
-                stale: false,
-            },
-            Ok((mut conn, reused)) => match conn.send_line(line) {
-                Ok(()) => SendOutcome::Sent {
-                    replica: p,
-                    conn,
-                    reused,
-                },
-                Err(e) => SendOutcome::Failed {
-                    replica: p,
-                    detail: e.to_string(),
-                    stale: reused,
-                },
-            },
+    /// **The** fan-out of every fleet verb but `CACHE CLEAR` (which must
+    /// reach every replica, see [`cache_clear`](Self::cache_clear)): sends
+    /// `line` to the preferred replica of each range in `ranges` before
+    /// reading any response — so the shards work concurrently — then
+    /// gathers the responses in range order through
+    /// [`gather_range`](Self::gather_range), failing over inside each
+    /// range under one retry budget of `budget` attempts.
+    /// Every in-flight response is consumed, even after an earlier range
+    /// failed, so surviving pooled connections stay synchronized. Returns
+    /// one result per range, in range order: `read`'s value plus the
+    /// ordinal of the replica that answered.
+    fn exchange<T>(
+        &self,
+        map: &ShardMap,
+        ranges: Range<usize>,
+        line: &str,
+        mut budget: usize,
+        read: impl Fn(&mut ShardConn) -> Result<T, ClientError>,
+    ) -> Vec<Result<(T, usize), GatherError>> {
+        let in_flight: Vec<(usize, InFlight)> = ranges
+            .map(|ri| (ri, send_to_range(map.range(ri), line)))
+            .collect();
+        in_flight
+            .into_iter()
+            .map(|(ri, sent)| self.gather_range(map, ri, sent, line, &read, &mut budget))
+            .collect()
+    }
+
+    /// Settles one attempt on replica `rj` of range `ri`: a response marks
+    /// the replica live; a shard `ERR` is a real answer, relayed as a
+    /// query error with its origin; any other failure comes back as its
+    /// detail, for the caller to convict and fail over.
+    fn attempt<T>(
+        &self,
+        map: &ShardMap,
+        ri: usize,
+        rj: usize,
+        outcome: Result<T, ClientError>,
+    ) -> Result<Result<T, String>, GatherError> {
+        match outcome {
+            Ok(v) => {
+                if map.range(ri).replica(rj).mark_live() {
+                    self.publish_health(map);
+                }
+                Ok(Ok(v))
+            }
+            Err(ClientError::Server(msg)) => Err(GatherError::Query(origin(ri, rj, msg))),
+            Err(e) => Ok(Err(e.to_string())),
         }
     }
 
@@ -465,78 +538,40 @@ impl Router {
     /// and, on a transport/protocol failure, walks the range's remaining
     /// replicas (the first replica again when its failure smelled like a
     /// stale pooled conn, then live siblings, then suspects as a last
-    /// resort) under the request's shared retry budget, sleeping the
-    /// capped-exponential jittered backoff before each attempt. A shard
-    /// `ERR` is a real answer — relayed as a query error with its
-    /// `shard <i> replica <j>:` origin, and the connection is dropped
-    /// (an `ERR` status does not prove the stream is drained). Returns
-    /// the payload plus the ordinal of the replica that answered.
+    /// resort) under the request's shared retry `budget`, sleeping the
+    /// capped-exponential jittered backoff before each fresh-dial
+    /// [`ask`]. Returns the payload plus the ordinal of the replica that
+    /// answered.
     fn gather_range<T>(
         &self,
         map: &ShardMap,
         ri: usize,
-        sent: SendOutcome,
+        sent: InFlight,
         line: &str,
-        read: impl Fn(&mut ShardConn) -> Result<T, ClientError>,
-        retry: &mut RetryState,
+        read: &impl Fn(&mut ShardConn) -> Result<T, ClientError>,
+        budget: &mut usize,
     ) -> Result<(T, usize), GatherError> {
         let range = map.range(ri);
-        let obs = self.obs.as_deref();
-        let first;
-        let mut stale_retry = false;
-        let mut last_detail;
-        match sent {
-            SendOutcome::Sent {
-                replica,
-                mut conn,
-                reused,
-            } => {
-                first = replica;
-                match read(&mut conn) {
-                    Ok(v) => {
-                        let rep = range.replica(replica);
-                        rep.pool().checkin(conn);
-                        if rep.mark_live() {
-                            self.publish_health(map);
-                        }
-                        return Ok((v, replica));
-                    }
-                    Err(ClientError::Server(msg)) => {
-                        return Err(GatherError::Query(format!(
-                            "shard {ri} replica {replica}: {msg}"
-                        )));
-                    }
-                    Err(e) => {
-                        last_detail = e.to_string();
-                        if reused {
-                            stale_retry = true;
-                        } else {
-                            self.convict(map, ri, replica);
-                        }
-                    }
-                }
-            }
-            SendOutcome::Failed {
-                replica,
-                detail,
-                stale,
-            } => {
-                first = replica;
-                last_detail = detail;
-                if stale {
-                    stale_retry = true;
-                } else {
-                    self.convict(map, ri, replica);
-                }
-            }
-        }
+        let obs = self.obs();
+        let first = sent.replica;
+        let outcome = sent.conn.map_err(ClientError::Io).and_then(|mut conn| {
+            let v = read(&mut conn)?;
+            range.replica(first).pool().checkin(conn);
+            Ok(v)
+        });
+        let mut last_detail = match self.attempt(map, ri, first, outcome)? {
+            Ok(v) => return Ok((v, first)),
+            Err(detail) => detail,
+        };
         // Candidate order: the possibly-stale first replica gets one
         // fresh-dial retry before conviction; then untried live siblings
         // in replica order; then untried suspects (someone may have come
         // back before the prober noticed).
         let mut candidates: Vec<usize> = Vec::with_capacity(range.len() + 1);
-        if stale_retry {
+        if sent.reused {
             candidates.push(first);
+        } else {
+            self.convict(map, ri, first);
         }
         let (live, suspect): (Vec<usize>, Vec<usize>) = (0..range.len())
             .filter(|&j| j != first)
@@ -545,12 +580,12 @@ impl Router {
         candidates.extend(suspect);
         let mut backoff = Backoff::new(self.backoff_base, self.backoff_cap, next_backoff_seed());
         for cand in candidates {
-            if retry.budget == 0 {
+            if *budget == 0 {
                 return Err(GatherError::Unavailable(format!(
                     "retry budget exhausted; last error: {last_detail}"
                 )));
             }
-            retry.budget -= 1;
+            *budget -= 1;
             thread::sleep(backoff.next_delay());
             if let Some(o) = obs {
                 o.note_retry();
@@ -558,41 +593,24 @@ impl Router {
             let rep = range.replica(cand);
             // Idle conns predate whatever broke — dial fresh.
             rep.pool().clear();
-            match rep.pool().dial().and_then(|mut c| {
-                c.send_line(line)?;
-                Ok(c)
-            }) {
-                Err(e) => {
-                    last_detail = e.to_string();
-                    self.convict(map, ri, cand);
+            let outcome = ask(rep, line, |conn| {
+                if let Some(o) = obs {
+                    o.note_reconnect();
                 }
-                Ok(mut conn) => {
-                    if let Some(o) = obs {
-                        o.note_reconnect();
-                    }
-                    match read(&mut conn) {
-                        Ok(v) => {
-                            rep.pool().checkin(conn);
-                            if rep.mark_live() {
-                                self.publish_health(map);
-                            }
-                            if cand != first {
-                                if let Some(o) = obs {
-                                    o.note_failover();
-                                }
-                            }
-                            return Ok((v, cand));
-                        }
-                        Err(ClientError::Server(msg)) => {
-                            return Err(GatherError::Query(format!(
-                                "shard {ri} replica {cand}: {msg}"
-                            )));
-                        }
-                        Err(e) => {
-                            last_detail = e.to_string();
-                            self.convict(map, ri, cand);
+                read(conn)
+            });
+            match self.attempt(map, ri, cand, outcome)? {
+                Ok(v) => {
+                    if cand != first {
+                        if let Some(o) = obs {
+                            o.note_failover();
                         }
                     }
+                    return Ok((v, cand));
+                }
+                Err(detail) => {
+                    last_detail = detail;
+                    self.convict(map, ri, cand);
                 }
             }
         }
@@ -601,126 +619,42 @@ impl Router {
         )))
     }
 
-    /// Sends a single-line-response command (`INFO`, `CACHE STATS`) to
-    /// one replica of every range (failing over as needed); returns the
-    /// `OK` payloads plus the answering replica's ordinal, in range
-    /// order.
-    fn fanout_status(&self, line: &str) -> Result<Vec<(String, usize)>, RouterError> {
-        let map = self.shared.map.load();
-        let mut retry = RetryState {
-            budget: self.retry_budget,
-        };
-        let in_flight: Vec<SendOutcome> = map
-            .ranges()
-            .iter()
-            .map(|range| self.send_to_range(range, line))
-            .collect();
-        let mut payloads = Vec::with_capacity(map.range_count());
-        for (i, sent) in in_flight.into_iter().enumerate() {
-            let read = |c: &mut ShardConn| c.read_status();
-            payloads.push(
-                self.gather_range(map, i, sent, line, read, &mut retry)
-                    .map_err(|e| e.at(i))?,
-            );
-        }
-        Ok(payloads)
-    }
-
-    /// Sends a single-line-response command to **every replica** of every
-    /// range (`CACHE CLEAR` must not leave a sibling's cache stale).
-    /// Suspect or failing replicas are best-effort; the call errors only
-    /// when some range had **zero** successes.
-    fn broadcast_status(&self, line: &str) -> Result<(), RouterError> {
-        let map = self.shared.map.load();
-        for (ri, range) in map.ranges().iter().enumerate() {
-            let mut ok = false;
-            let mut last_detail = String::from("no replica reachable");
-            for (rj, rep) in range.replicas().iter().enumerate() {
-                // Always a fresh dial: broadcasts are rare, and a stale
-                // pooled conn must not fake a failure here.
-                let attempt = rep
-                    .pool()
-                    .dial()
-                    .map_err(ClientError::Io)
-                    .and_then(|mut c| {
-                        c.send_line(line).map_err(ClientError::Io)?;
-                        c.read_status()?;
-                        Ok(c)
-                    });
-                match attempt {
-                    Ok(conn) => {
-                        rep.pool().checkin(conn);
-                        ok = true;
-                    }
-                    Err(ClientError::Server(msg)) => {
-                        return Err(RouterError::Query(format!(
-                            "shard {ri} replica {rj}: {msg}"
-                        )));
-                    }
-                    Err(e) => last_detail = e.to_string(),
-                }
-            }
-            if !ok {
-                return Err(RouterError::RangeUnavailable {
-                    range: ri,
-                    detail: last_detail,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Fans `METRICS` out to one replica per range; returns `(range id,
-    /// exposition text)` pairs in range order, ready for
-    /// [`merge_exposition`](qppt_obs::merge_exposition).
-    fn fanout_metrics(&self) -> Result<Vec<(String, String)>, RouterError> {
-        let map = self.shared.map.load();
-        let mut retry = RetryState {
-            budget: self.retry_budget,
-        };
-        let in_flight: Vec<SendOutcome> = map
-            .ranges()
-            .iter()
-            .map(|range| self.send_to_range(range, "METRICS"))
-            .collect();
-        let mut out = Vec::with_capacity(map.range_count());
-        for (i, sent) in in_flight.into_iter().enumerate() {
-            let read = |c: &mut ShardConn| {
-                c.read_status()?;
-                let body = read_text_body(c.reader())?;
-                let mut text = body.join("\n");
-                text.push('\n');
-                Ok(text)
-            };
-            let (text, _) = self
-                .gather_range(map, i, sent, "METRICS", read, &mut retry)
-                .map_err(|e| e.at(i))?;
-            out.push((i.to_string(), text));
-        }
-        Ok(out)
-    }
-
     /// `METRICS` at the router: the merged fleet exposition — every range
     /// family re-labeled `shard="<i>"` plus summed `shard="fleet"`
     /// samples — followed by the router's own `qppt_router_*` families.
     fn handle_metrics(&self, w: &mut dyn Write) -> io::Result<()> {
-        let Some(obs) = &self.obs else {
+        let Some(obs) = self.obs() else {
             return writeln!(w, "ERR metrics disabled (--no-obs)");
         };
-        match self.fanout_metrics() {
+        let read = |c: &mut ShardConn| {
+            c.read_status()?;
+            let mut text = read_text_body(c.reader())?.join("\n");
+            text.push('\n');
+            Ok(text)
+        };
+        let map = self.shared.map();
+        let all = 0..map.range_count();
+        match settle(self.exchange(&map, all, "METRICS", self.retry_budget, read)) {
             Err(e) => writeln!(w, "ERR {e}"),
-            Ok(shard_expos) => match merge_exposition(&shard_expos) {
-                Err(e) => writeln!(w, "ERR metrics merge failed ({e})"),
-                Ok(mut merged) => {
-                    merged.push_str(&obs.render());
-                    merged.push_str(&render_router_cache_metrics(&self.shared.cache.stats()));
-                    writeln!(w, "OK metrics")?;
-                    for l in merged.lines() {
-                        writeln!(w, "{l}")?;
+            Ok(texts) => {
+                let shard_expos: Vec<(String, String)> = texts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (text, _))| (i.to_string(), text))
+                    .collect();
+                match merge_exposition(&shard_expos) {
+                    Err(e) => writeln!(w, "ERR metrics merge failed ({e})"),
+                    Ok(mut merged) => {
+                        merged.push_str(&obs.render());
+                        merged.push_str(&render_router_cache_metrics(&self.shared.cache.stats()));
+                        writeln!(w, "OK metrics")?;
+                        for l in merged.lines() {
+                            writeln!(w, "{l}")?;
+                        }
+                        writeln!(w, "END")
                     }
-                    writeln!(w, "END")
                 }
-            },
+            }
         }
     }
 
@@ -730,21 +664,18 @@ impl Router {
     /// same replicated dimension tables), so one range speaks for the
     /// fleet.
     fn relay_text(&self, line: &str, w: &mut dyn Write) -> io::Result<()> {
-        let map = self.shared.map.load();
-        let mut retry = RetryState {
-            budget: self.retry_budget,
-        };
-        let sent = self.send_to_range(map.range(0), line);
         let read = |c: &mut ShardConn| {
             let status = c.read_status()?;
             let body = read_text_body(c.reader())?;
             Ok((status, body))
         };
-        match self.gather_range(map, 0, sent, line, read, &mut retry) {
-            Err(e) => writeln!(w, "ERR {}", e.at(0)),
-            Ok(((status, body), _)) => {
+        let map = self.shared.map();
+        match settle(self.exchange(&map, 0..1, line, self.retry_budget, read)) {
+            Err(e) => writeln!(w, "ERR {e}"),
+            Ok(answers) => {
+                let ((status, body), _) = &answers[0];
                 writeln!(w, "OK {status}")?;
-                for l in &body {
+                for l in body {
                     writeln!(w, "{l}")?;
                 }
                 writeln!(w, "END")
@@ -757,125 +688,157 @@ impl Router {
     /// own `uptime_secs=`/`build=` plus the fleet's
     /// `uptime_min_secs=`/`uptime_max_secs=` spread, and the per-range
     /// map (`shard<i>=<answering replica addr> rows<i>=<n>
-    /// replicas<i>=<size>`).
-    fn handle_info(&self, w: &mut dyn Write) -> io::Result<()> {
-        let map = self.shared.map.load();
-        match self.fanout_status("INFO") {
-            Err(e) => writeln!(w, "ERR {e}"),
-            Ok(lines) => {
-                let field = |l: &str, key: &str| -> Option<u64> {
-                    l.split_whitespace()
-                        .find_map(|kv| kv.strip_prefix(key))
-                        .and_then(|v| v.strip_prefix('='))
-                        .and_then(|v| v.parse().ok())
-                };
-                let rows: Vec<u64> = lines
-                    .iter()
-                    .map(|(l, _)| field(l, "rows").unwrap_or(0))
-                    .collect();
-                let uptimes: Vec<u64> = lines
-                    .iter()
-                    .filter_map(|(l, _)| field(l, "uptime_secs"))
-                    .collect();
-                write!(
-                    w,
-                    "OK shards={} rows={} replicas={} replicas_live={}",
-                    map.range_count(),
-                    rows.iter().sum::<u64>(),
-                    map.total_replicas(),
-                    map.live_replicas(),
-                )?;
-                for kv in lines[0].0.split_whitespace() {
-                    match kv.split_once('=') {
-                        // Fleet-level, per-shard, or router-level fields
-                        // replace these range-0 values.
-                        Some((
-                            "rows" | "shard" | "shards" | "replica" | "uptime_secs" | "build"
-                            | "versions",
-                            _,
-                        )) => {}
-                        Some(_) => write!(w, " {kv}")?,
-                        None => {}
-                    }
-                }
-                write!(
-                    w,
-                    " uptime_secs={} uptime_min_secs={} uptime_max_secs={} build={}",
-                    self.uptime_secs(),
-                    uptimes.iter().min().copied().unwrap_or(0),
-                    uptimes.iter().max().copied().unwrap_or(0),
-                    Self::build(),
-                )?;
-                for (i, ((_, replica), n)) in lines.iter().zip(&rows).enumerate() {
-                    let range = map.range(i);
-                    write!(
-                        w,
-                        " shard{i}={} rows{i}={n} replicas{i}={}",
-                        range.replica(*replica).addr(),
-                        range.len(),
-                    )?;
-                }
-                writeln!(w)
+    /// replicas<i>=<size>`). A shard reply without a numeric `rows=` is an
+    /// error, never a zero.
+    fn info_line(&self) -> Result<String, RouterError> {
+        let map = self.shared.map();
+        let all = 0..map.range_count();
+        let infos = self.exchange(&map, all, "INFO", self.retry_budget, ShardConn::read_status);
+        let lines = settle(infos)?;
+        let field = |l: &str, key: &str| -> Option<u64> {
+            l.split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key))
+                .and_then(|v| v.strip_prefix('='))
+                .and_then(|v| v.parse().ok())
+        };
+        let rows = lines
+            .iter()
+            .enumerate()
+            .map(|(ri, (l, rj))| {
+                field(l, "rows").ok_or_else(|| {
+                    RouterError::Query(origin(ri, *rj, "INFO reply has no numeric rows= field"))
+                })
+            })
+            .collect::<Result<Vec<u64>, _>>()?;
+        let uptimes: Vec<u64> = lines
+            .iter()
+            .filter_map(|(l, _)| field(l, "uptime_secs"))
+            .collect();
+        let mut out = format!(
+            "shards={} rows={} replicas={} replicas_live={}",
+            map.range_count(),
+            rows.iter().sum::<u64>(),
+            map.total_replicas(),
+            map.live_replicas(),
+        );
+        for kv in lines[0].0.split_whitespace() {
+            match kv.split_once('=') {
+                // Fleet-level, per-shard, or router-level fields replace
+                // these range-0 values.
+                Some((
+                    "rows" | "shard" | "shards" | "replica" | "uptime_secs" | "build" | "versions",
+                    _,
+                ))
+                | None => {}
+                Some(_) => out.push_str(&format!(" {kv}")),
             }
         }
+        out.push_str(&format!(
+            " uptime_secs={} uptime_min_secs={} uptime_max_secs={} build={}",
+            self.uptime_secs(),
+            uptimes.iter().min().copied().unwrap_or(0),
+            uptimes.iter().max().copied().unwrap_or(0),
+            Self::build(),
+        ));
+        for (i, ((_, replica), n)) in lines.iter().zip(&rows).enumerate() {
+            let range = map.range(i);
+            out.push_str(&format!(
+                " shard{i}={} rows{i}={n} replicas{i}={}",
+                range.replica(*replica).addr(),
+                range.len(),
+            ));
+        }
+        Ok(out)
     }
 
-    /// `CACHE` fan-out: `STATS` sums every per-tier counter across one
-    /// replica per range (appending `shards=N` and the router's own
-    /// `router_result_*` tier as distinct fields — never summed into the
-    /// shard counters); `CLEAR`/`CLEAR dims` broadcasts to **every
-    /// replica** of every range so no sibling keeps a stale cache, and
-    /// drops the router's own tier first — routed results compose shard
-    /// work, so they go with it.
-    fn handle_cache(&self, cmd: CacheCmd, w: &mut dyn Write) -> io::Result<()> {
-        let line = match cmd {
-            CacheCmd::Stats => "CACHE STATS",
-            CacheCmd::Clear => "CACHE CLEAR",
-            CacheCmd::ClearDims => "CACHE CLEAR dims",
-        };
-        match cmd {
-            CacheCmd::Clear | CacheCmd::ClearDims => {
-                // Local tier first, unconditionally: even if some shard
-                // is unreachable, a cleared router tier is merely cold,
-                // never stale.
-                self.shared.cache.clear();
-                match self.broadcast_status(line) {
-                    Err(e) => writeln!(w, "ERR {e}"),
-                    Ok(()) => match cmd {
-                        CacheCmd::ClearDims => writeln!(w, "OK cleared dims"),
-                        _ => writeln!(w, "OK cleared"),
-                    },
+    /// Routed `CACHE STATS`: every per-tier counter summed across one
+    /// replica per range, in range 0's field order so the line shape
+    /// matches a single node's, then `shards=N` and the router's own
+    /// `router_*` tier as distinct fields — never summed into the shard
+    /// counters. A counter that does not parse is an error, never a zero.
+    fn cache_stats_line(&self) -> Result<String, RouterError> {
+        let map = self.shared.map();
+        let all = 0..map.range_count();
+        let stats = self.exchange(
+            &map,
+            all,
+            "CACHE STATS",
+            self.retry_budget,
+            ShardConn::read_status,
+        );
+        let lines = settle(stats)?;
+        let mut keys: Vec<&str> = Vec::new();
+        let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+        for (ri, (l, rj)) in lines.iter().enumerate() {
+            for kv in l.split_whitespace() {
+                if let Some((k, v)) = kv.split_once('=') {
+                    let v: u64 = v.parse().map_err(|_| {
+                        RouterError::Query(origin(ri, *rj, format!("malformed counter {kv}")))
+                    })?;
+                    if !sums.contains_key(k) {
+                        keys.push(k);
+                    }
+                    *sums.entry(k).or_insert(0) += v;
                 }
             }
-            CacheCmd::Stats => match self.fanout_status(line) {
-                Err(e) => writeln!(w, "ERR {e}"),
-                Ok(lines) => {
-                    // Sum counters key-wise, keeping range 0's field order
-                    // so the line shape matches a single node's.
-                    let mut keys: Vec<&str> = Vec::new();
-                    let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
-                    for (l, _) in &lines {
-                        for kv in l.split_whitespace() {
-                            if let Some((k, v)) = kv.split_once('=') {
-                                if !sums.contains_key(k) {
-                                    keys.push(k);
-                                }
-                                *sums.entry(k).or_insert(0) += v.parse::<u64>().unwrap_or(0);
-                            }
+        }
+        let mut out: Vec<String> = keys.iter().map(|k| format!("{k}={}", sums[k])).collect();
+        out.push(format!("shards={}", map.range_count()));
+        out.push(render_router_cache_stats(&self.shared.cache.stats()));
+        Ok(out.join(" "))
+    }
+
+    /// Routed `CACHE CLEAR [dims]`: drops the router's own tier first —
+    /// routed results compose shard work, so they go with it — then asks
+    /// **every replica** of every range over a fresh dial, so no sibling
+    /// keeps a stale cache. Every replica is tried; the answer is the
+    /// first failure by the fan-out rule, where a range is unavailable
+    /// only when none of its replicas answered.
+    fn cache_clear(&self, line: &str) -> Result<(), RouterError> {
+        // Local tier first, unconditionally: even if some shard is
+        // unreachable, a cleared router tier is merely cold, never stale.
+        self.shared.cache.clear();
+        let map = self.shared.map();
+        let results = map
+            .ranges()
+            .iter()
+            .enumerate()
+            .map(|(ri, range)| {
+                let mut answered = false;
+                let mut query_err = None;
+                let mut last_detail = String::new();
+                for (rj, rep) in range.replicas().iter().enumerate() {
+                    match ask(rep, line, ShardConn::read_status) {
+                        Ok(_) => answered = true,
+                        Err(ClientError::Server(msg)) => {
+                            query_err.get_or_insert_with(|| origin(ri, rj, msg));
                         }
+                        Err(e) => last_detail = e.to_string(),
                     }
-                    write!(w, "OK")?;
-                    for k in keys {
-                        write!(w, " {k}={}", sums[k])?;
-                    }
-                    writeln!(
-                        w,
-                        " shards={} {}",
-                        self.shard_count(),
-                        render_router_cache_stats(&self.shared.cache.stats())
-                    )
                 }
-            },
+                match query_err {
+                    Some(msg) => Err(GatherError::Query(msg)),
+                    None if answered => Ok(()),
+                    None => Err(GatherError::Unavailable(last_detail)),
+                }
+            })
+            .collect();
+        settle(results).map(drop)
+    }
+
+    /// `CACHE` at the router (see [`cache_stats_line`](Self::cache_stats_line)
+    /// and [`cache_clear`](Self::cache_clear)).
+    fn handle_cache(&self, cmd: CacheCmd, w: &mut dyn Write) -> io::Result<()> {
+        let answer = match cmd {
+            CacheCmd::Stats => self.cache_stats_line(),
+            CacheCmd::Clear => self.cache_clear("CACHE CLEAR").map(|()| "cleared".into()),
+            CacheCmd::ClearDims => self
+                .cache_clear("CACHE CLEAR dims")
+                .map(|()| "cleared dims".into()),
+        };
+        match answer {
+            Ok(text) => writeln!(w, "OK {text}"),
+            Err(e) => writeln!(w, "ERR {e}"),
         }
     }
 
@@ -926,7 +889,7 @@ impl Router {
             Ok((result, stats, workers, answered)) => {
                 let spans = finish_trace(trace, stats.total_micros);
                 let out = write_run_response(&mut w, &result, &stats, workers, &spans);
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = self.obs() {
                     obs.slow_log(started, verb, line, answered.label(), &spans);
                 }
                 out
@@ -967,8 +930,8 @@ impl Router {
     ) -> Result<(QueryResult, ExecStats, usize, Answered), RouterError> {
         let cache = &self.shared.cache;
         let started = Instant::now();
-        let obs = self.obs.as_deref();
-        let map = self.shared.map.load();
+        let obs = self.obs();
+        let map = self.shared.map();
         let generation = map.generation();
         let n = map.range_count();
 
@@ -979,7 +942,11 @@ impl Router {
             let mut versions = cache.cached_versions(generation, n);
             for (ri, slot) in versions.iter_mut().enumerate() {
                 if slot.is_none() {
-                    let vs = self.probe_versions(map, ri)?;
+                    // On demand: one `INFO` to this range, under a
+                    // probe-local budget of one retry.
+                    let info = self.exchange(&map, ri..ri + 1, "INFO", 1, ShardConn::read_status);
+                    let (status, _) = info.into_iter().next()?.ok()?;
+                    let vs = parse_versions_field(&status)?;
                     cache.record_versions(generation, n, ri, vs.clone());
                     *slot = Some(vs);
                 }
@@ -1007,52 +974,24 @@ impl Router {
             return Ok((hit.result.clone(), stats, hit.workers, Answered::ResultHit));
         }
 
-        // Scatter first: every range has the request in flight before any
-        // response is read, so shards execute concurrently.
-        let mut retry = RetryState {
-            budget: self.retry_budget,
-        };
-        let in_flight: Vec<SendOutcome> = (0..n)
-            .map(|ri| self.send_to_range(map.range(ri), forward))
-            .collect();
-        // Gather in range order (the deterministic merge order). Every
-        // in-flight response is consumed even after an earlier range
-        // failed, so surviving pooled connections stay synchronized.
-        let mut query_err: Option<String> = None;
-        let mut unavailable: Option<(usize, String)> = None;
-        let mut gathered: Vec<(Gathered, usize)> = Vec::with_capacity(n);
-        for (ri, sent) in in_flight.into_iter().enumerate() {
-            match self.gather_range(map, ri, sent, forward, read_partial_response, &mut retry) {
-                Ok((g, replica)) => {
-                    if let Some(o) = obs {
-                        o.record_rtt(ri, elapsed_micros(started));
-                        o.note_replica_request(ri, replica);
-                    }
-                    gathered.push((g, replica));
-                }
-                Err(GatherError::Query(msg)) => {
-                    if query_err.is_none() {
-                        query_err = Some(msg);
-                    }
-                }
-                Err(GatherError::Unavailable(detail)) => {
-                    if unavailable.is_none() {
-                        unavailable = Some((ri, detail));
-                    }
+        // Each range's RTT is the time from the scatter's start to its
+        // gather, recorded even when another range fails.
+        let read = |c: &mut ShardConn| Ok((read_partial_response(c)?, elapsed_micros(started)));
+        let results = self.exchange(&map, 0..n, forward, self.retry_budget, read);
+        if let Some(o) = obs {
+            for (ri, r) in results.iter().enumerate() {
+                if let Ok(((_, rtt), replica)) = r {
+                    o.record_rtt(ri, *rtt);
+                    o.note_replica_request(ri, *replica);
                 }
             }
         }
-        // A query error is deterministic across the fleet (same spec, same
-        // replicated dims) — relay it even if some other range was also
-        // down; a partial gather is *never* served as a complete answer.
         // Past this point every range was gathered, so `gathered[ri]` is
         // range `ri`.
-        if let Some(msg) = query_err {
-            return Err(RouterError::Query(msg));
-        }
-        if let Some((range, detail)) = unavailable {
-            return Err(RouterError::RangeUnavailable { range, detail });
-        }
+        let gathered: Vec<(Gathered, usize)> = settle(results)?
+            .into_iter()
+            .map(|((g, _), replica)| (g, replica))
+            .collect();
         if let Some(t) = trace.as_deref_mut() {
             // The scatter span's wall time covers every gather, so each
             // grafted shard tree's root (the shard's request total, which
@@ -1113,20 +1052,6 @@ impl Router {
         Ok((result, stats, workers, Answered::Routed))
     }
 
-    /// On-demand version probe: one `INFO` round-trip to range `ri`
-    /// (with the usual in-range failover, under a probe-local budget).
-    /// `None` when the range is unreachable or its `INFO` carries no
-    /// parseable `versions=` field (an old server build).
-    fn probe_versions(&self, map: &ShardMap, ri: usize) -> Option<Vec<u64>> {
-        let mut retry = RetryState { budget: 1 };
-        let sent = self.send_to_range(map.range(ri), "INFO");
-        let read = |c: &mut ShardConn| c.read_status();
-        match self.gather_range(map, ri, sent, "INFO", read, &mut retry) {
-            Ok((status, _)) => parse_versions_field(&status),
-            Err(_) => None,
-        }
-    }
-
     /// Applies `--trace-sample-rate` to one routed `RUN`/`QUERY`: an
     /// organic (untraced) request is promoted to `trace=on` when the
     /// untraced-arrival counter lands on the sampling stride — the first
@@ -1177,16 +1102,15 @@ fn prober_loop(shared: &Shared) {
             continue;
         }
         since_scan = Duration::ZERO;
-        let map = shared.map.load();
+        let map = shared.map();
         let now = map.now_micros();
         for range in map.ranges() {
             for rep in range.replicas() {
                 if rep.is_live() || !rep.probe_due(now) {
                     continue;
                 }
-                match probe_replica(rep) {
-                    Ok(conn) => {
-                        rep.pool().checkin(conn);
+                match ask(rep, "PING", ShardConn::read_status) {
+                    Ok(_) => {
                         if rep.mark_live() {
                             if let Some(o) = shared.obs.get() {
                                 o.note_probe_recovery();
@@ -1210,34 +1134,17 @@ fn prober_loop(shared: &Shared) {
             let generation = map.generation();
             let n = map.range_count();
             for ri in shared.cache.refresh_due(generation, n) {
-                if let Some(vs) = probe_versions_fresh(map, ri) {
+                // A fresh dial: the prober must not compete with request
+                // traffic for pooled conns, nor convict replicas.
+                let range = map.range(ri);
+                let rep = range.replica(range.preferred());
+                let status = ask(rep, "INFO", ShardConn::read_status);
+                if let Some(vs) = status.ok().and_then(|s| parse_versions_field(&s)) {
                     shared.cache.record_versions(generation, n, ri, vs);
                 }
             }
         }
     }
-}
-
-/// One background version probe: a fresh dial + `INFO` on the range's
-/// preferred replica. Fresh connections only — the prober must not
-/// compete with request traffic for pooled conns or convict replicas.
-fn probe_versions_fresh(map: &ShardMap, ri: usize) -> Option<Vec<u64>> {
-    let range = map.range(ri);
-    let rep = range.replica(range.preferred());
-    let mut c = rep.pool().dial().ok()?;
-    c.send_line("INFO").ok()?;
-    let status = c.read_status().ok()?;
-    rep.pool().checkin(c);
-    parse_versions_field(&status)
-}
-
-/// One health probe: fresh dial + `PING` + status. Returns the connection
-/// (synchronized — `PING` has a one-line response) for check-in.
-fn probe_replica(rep: &Replica) -> Result<ShardConn, String> {
-    let mut c = rep.pool().dial().map_err(|e| e.to_string())?;
-    c.send_line("PING").map_err(|e| e.to_string())?;
-    c.read_status().map_err(|e| e.to_string())?;
-    Ok(c)
 }
 
 /// Process-wide source of failover-backoff jitter seeds — each request's
@@ -1254,7 +1161,7 @@ impl LineService for Router {
         let parsed = parse_request(line);
         let verb = parsed.as_ref().ok().map(Request::verb);
         let reply = self.dispatch(parsed, line, w)?;
-        if let (Some(obs), Some(verb)) = (&self.obs, verb) {
+        if let (Some(obs), Some(verb)) = (self.obs(), verb) {
             obs.record_request(verb, elapsed_micros(started));
         }
         Ok(reply)
@@ -1281,9 +1188,12 @@ impl Router {
                 writeln!(w, "OK shutting down")?;
                 return Ok(Reply::Shutdown);
             }
-            Ok(Request::Info) => self.handle_info(&mut w)?,
+            Ok(Request::Info) => match self.info_line() {
+                Ok(line) => writeln!(w, "OK {line}")?,
+                Err(e) => writeln!(w, "ERR {e}")?,
+            },
             Ok(Request::Metrics) => self.handle_metrics(&mut w)?,
-            Ok(Request::MetricsSlow) => match &self.obs {
+            Ok(Request::MetricsSlow) => match self.obs() {
                 None => writeln!(w, "ERR metrics disabled (--no-obs)")?,
                 Some(obs) => write_slow_response(&mut w, &obs.slow_ring().snapshot())?,
             },
@@ -1318,20 +1228,11 @@ impl Router {
     }
 }
 
-/// Serves `router` on `addr` under the default frontend tunables.
+/// Serves `router` on `addr` under the default frontend tunables — the
+/// same frontend as qppt-server, because it is literally
+/// [`serve_lines`].
 pub fn serve_router(router: Arc<Router>, addr: &str) -> io::Result<ServerHandle> {
-    serve_router_with(router, addr, ServerConfig::default())
-}
-
-/// [`serve_router`] with explicit frontend tunables — the same
-/// [`ServerConfig`] (poll tick, request-line cap) as qppt-server, because
-/// it is literally the same frontend.
-pub fn serve_router_with(
-    router: Arc<Router>,
-    addr: &str,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    serve_lines(router, addr, config)
+    serve_lines(router, addr, ServerConfig::default())
 }
 
 /// Reads one complete `PARTIAL` response off a shard connection.

@@ -14,15 +14,21 @@
 //!   it and re-scatters to every range — the written shard's own result
 //!   entry invalidates, the untouched shard answers from its result tier;
 //! * with the router cache off, a routed repeat is answered by every
-//!   shard's result tier (partial entries), byte-identical to the oracle.
+//!   shard's result tier (partial entries), byte-identical to the oracle;
+//! * `LIST`, `EXPLAIN <name>` and an inline `EXPLAIN <text>` relayed to
+//!   range 0 equal a direct shard's answer byte for byte, also when range
+//!   0's preferred replica is dead and a sibling answers.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use qppt_cache::QueryCache;
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
+use qppt_obs::parse_exposition;
 use qppt_par::WorkerPool;
-use qppt_router::{serve_router, Router, RouterCacheConfig, RouterConfig};
+use qppt_router::{serve_router, ChaosProxy, Router, RouterCacheConfig, RouterConfig, RouterObs};
 use qppt_server::{serve, QpptClient, ServeEngine, ServerHandle};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::Database;
@@ -548,4 +554,99 @@ fn routed_repeats_are_shard_result_hits() {
         client.quit().expect("clean quit");
         fleet.stop();
     }
+}
+
+/// Sends `line` over a fresh connection and returns the raw response: the
+/// status line, then — for an `OK` — every body line through `END`.
+fn raw_exchange(addr: &str, line: &str) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writeln!(writer, "{line}").expect("send");
+    writer.flush().expect("flush");
+    let mut lines = Vec::new();
+    loop {
+        let mut l = String::new();
+        let n = reader.read_line(&mut l).expect("read");
+        assert!(n > 0, "connection closed mid-response to {line}: {lines:?}");
+        let l = l.trim_end_matches('\n').to_string();
+        let done = l == "END" || (lines.is_empty() && l.starts_with("ERR"));
+        lines.push(l);
+        if done {
+            return lines;
+        }
+    }
+}
+
+#[test]
+fn list_and_explain_relay_range_0_byte_for_byte_through_failover() {
+    let pool = WorkerPool::new(2, 8);
+    let defaults = PlanOptions::default().with_parallelism(2);
+    let shards: Vec<ServerHandle> = (0..2)
+        .map(|i| {
+            let engine = ServeEngine::with_ssb_shard(SF, SEED, pool.clone(), defaults, i, 2)
+                .expect("shard engine builds");
+            serve(Arc::new(engine), "127.0.0.1:0").expect("shard binds")
+        })
+        .collect();
+    let addrs: Vec<String> = shards.iter().map(|h| h.addr().to_string()).collect();
+    let requests = [
+        "LIST".to_string(),
+        "EXPLAIN q1.1".to_string(),
+        format!("EXPLAIN {}", qppt_query::print(&queries::q2_3())),
+    ];
+    let direct: Vec<Vec<String>> = requests
+        .iter()
+        .map(|r| raw_exchange(&addrs[0], r))
+        .collect();
+    for (r, d) in requests.iter().zip(&direct) {
+        assert!(
+            d[0].starts_with("OK ") && d.len() > 2,
+            "{r} answers a body: {d:?}"
+        );
+    }
+    let relayed = |rh: &ServerHandle| {
+        let addr = rh.addr().to_string();
+        for (r, want) in requests.iter().zip(&direct) {
+            assert_eq!(&raw_exchange(&addr, r), want, "{r} through the router");
+        }
+    };
+
+    // One replica per range.
+    let router = Arc::new(Router::new(RouterConfig::new(addrs.clone())));
+    router
+        .wait_for_shards(Duration::from_secs(30))
+        .expect("shards answer PING");
+    let rh = serve_router(router, "127.0.0.1:0").expect("router binds");
+    relayed(&rh);
+    rh.stop();
+
+    // Range 0 has two replicas, and the one the rotation prefers first
+    // sits behind a killed proxy: the relay fails over to its sibling.
+    let proxy = ChaosProxy::start(addrs[0].clone()).expect("proxy binds");
+    let mut config = RouterConfig::with_fleet(vec![
+        vec![proxy.addr(), addrs[0].clone()],
+        vec![addrs[1].clone()],
+    ]);
+    config.connect_timeout = Duration::from_secs(1);
+    config.retry_backoff = Duration::from_millis(1);
+    config.retry_backoff_cap = Duration::from_millis(10);
+    let router = Arc::new(Router::new(config).with_obs(RouterObs::new(2, None)));
+    router
+        .wait_for_shards(Duration::from_secs(30))
+        .expect("replicas answer PING");
+    proxy.kill();
+    let rh = serve_router(router.clone(), "127.0.0.1:0").expect("router binds");
+    relayed(&rh);
+    let obs = router.obs().expect("obs attached");
+    let failovers = parse_exposition(&obs.render())
+        .expect("router exposition parses")
+        .value("qppt_router_failovers_total", &[])
+        .expect("failover counter present");
+    assert!(failovers >= 1, "the dead preferred replica was tried first");
+    rh.stop();
+    for h in shards {
+        h.stop();
+    }
+    pool.shutdown();
 }

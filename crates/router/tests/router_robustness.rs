@@ -11,6 +11,10 @@
 //! * injected garbage (`ERR` plus trailing junk) is relayed with its
 //!   `shard <i> replica <j>:` origin and the poisoned connection is
 //!   dropped, never re-pooled;
+//! * a malformed shard counter (`CACHE STATS`, `INFO rows=`) is a relayed
+//!   `shard <i> replica <j>:` error, never read as zero;
+//! * `CACHE CLEAR` clears every range it can reach, and names the first
+//!   range it could not;
 //! * malformed and oversized request lines at the router get the same
 //!   drain-and-`ERR` treatment as on a shard — never a dead connection.
 
@@ -203,6 +207,27 @@ fn slow_shard_times_out_and_garbage_is_localized_not_repooled() {
         "a dropped (never re-pooled) conn costs no retry on the next request"
     );
 
+    // A malformed counter is a relayed peer error, never a zero: a routed
+    // `CACHE STATS` whose shard field does not parse, and an `INFO` reply
+    // without a numeric `rows=`.
+    proxy.set_mode(ChaosMode::Garbage(vec!["OK result_hits=x".into()]));
+    for (verb, reply) in [
+        ("CACHE STATS", client.cache_stats().map(drop)),
+        ("INFO", client.info().map(drop)),
+    ] {
+        match reply {
+            Err(ClientError::Server(msg)) => assert!(
+                msg.starts_with("shard 0 replica 0:"),
+                "{verb}: want a relayed peer error, got: {msg}"
+            ),
+            other => panic!("{verb}: want a relayed peer error, got {other:?}"),
+        }
+    }
+    proxy.set_mode(ChaosMode::Pass);
+    client
+        .cache_stats()
+        .expect("clean CACHE STATS after garbage");
+
     // Slow shard: accept-then-hang. The read timeout must fire — once on
     // the pooled conn, once on the same-replica fresh retry — and the
     // structured error must land within 2 × (connect + read).
@@ -237,6 +262,71 @@ fn slow_shard_times_out_and_garbage_is_localized_not_repooled() {
     client.quit().expect("clean quit");
     rh.stop();
     shard.stop();
+    pool.shutdown();
+}
+
+/// Two single-replica ranges, range 0 behind a killed proxy: a routed
+/// `CACHE CLEAR` still clears range 1, and answers with range 0's outage.
+#[test]
+fn cache_clear_reaches_every_range_it_can() {
+    let pool = WorkerPool::new(2, 8);
+    let defaults = PlanOptions::default().with_parallelism(2);
+    let shards: Vec<_> = (0..2)
+        .map(|i| {
+            let engine = ServeEngine::with_ssb_shard(SF, SEED, pool.clone(), defaults, i, 2)
+                .expect("shard engine builds");
+            serve(Arc::new(engine), "127.0.0.1:0").expect("shard binds")
+        })
+        .collect();
+    let proxy = ChaosProxy::start(shards[0].addr().to_string()).expect("proxy binds");
+    let mut config = RouterConfig::new(vec![proxy.addr(), shards[1].addr().to_string()]);
+    config.connect_timeout = Duration::from_secs(1);
+    config.retry_backoff = Duration::from_millis(1);
+    config.retry_backoff_cap = Duration::from_millis(10);
+    let router = Arc::new(Router::new(config));
+    router
+        .wait_for_shards(Duration::from_secs(30))
+        .expect("shards answer PING");
+    let rh = serve_router(router, "127.0.0.1:0").expect("router binds");
+    let mut client = QpptClient::connect(rh.addr()).expect("connect router");
+    let mut shard1 = QpptClient::connect(shards[1].addr()).expect("connect shard 1");
+    let entries = |c: &mut QpptClient| -> (String, String) {
+        let stats = c.cache_stats().expect("shard CACHE STATS");
+        let get = |k: &str| {
+            stats
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+                .expect("field present")
+        };
+        (get("result_entries"), get("dim_entries"))
+    };
+
+    // Warm range 1 through the router.
+    client.run("q2.3", &[]).expect("warm run");
+    let (results, dims) = entries(&mut shard1);
+    assert!(results != "0" && dims != "0", "range 1 is warm");
+
+    proxy.kill();
+    match client.cache_clear() {
+        Err(ClientError::Server(msg)) => assert!(
+            msg.starts_with("range 0 unavailable ("),
+            "want range 0's outage, got: {msg}"
+        ),
+        other => panic!("want ERR range 0 unavailable, got {other:?}"),
+    }
+    assert_eq!(
+        entries(&mut shard1),
+        ("0".to_string(), "0".to_string()),
+        "range 1 was cleared although range 0 was down"
+    );
+
+    client.quit().expect("clean quit");
+    shard1.quit().expect("clean quit");
+    rh.stop();
+    for h in shards {
+        h.stop();
+    }
     pool.shutdown();
 }
 

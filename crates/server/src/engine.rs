@@ -58,7 +58,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_cache::{
-    CacheConfig, CacheStats, CachedResult, Finished, QueryCache, QueryFingerprint, TierSnapshot,
+    render_tier_stats, CacheConfig, CacheStats, CachedResult, Finished, QueryCache,
+    QueryFingerprint,
 };
 use qppt_core::plan::DimHandleKind;
 use qppt_core::{
@@ -754,18 +755,10 @@ fn cache_op(label: &str, rows: usize) -> OpStats {
 }
 
 /// Renders [`CacheStats`] as the one-line `key=value` body of a
-/// `CACHE STATS` response: per tier (result / dim) the
-/// hit/miss/invalidation/eviction/expiration counters plus live entries
-/// and resident bytes.
+/// `CACHE STATS` response: every [`TIER_FIELDS`](qppt_cache::TIER_FIELDS)
+/// counter of the result tier, then of the dim tier.
 pub fn render_cache_stats(s: &CacheStats) -> String {
-    let tier = |name: &str, t: &TierSnapshot| {
-        format!(
-            "{name}_hits={} {name}_misses={} {name}_invalidations={} \
-             {name}_evictions={} {name}_expirations={} {name}_entries={} {name}_bytes={}",
-            t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes
-        )
-    };
-    format!("{} {}", tier("result", &s.results), tier("dim", &s.dims))
+    render_tier_stats(&s.tiers())
 }
 
 /// Detected hardware parallelism (1 when the probe fails).

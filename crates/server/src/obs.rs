@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use qppt_cache::{CacheStats, TierSnapshot};
+use qppt_cache::{render_tier_families, CacheStats};
 use qppt_obs::{Counter, Gauge, Histogram, Registry, SlowEntry, SlowRing, SpanRec, Trace};
 use qppt_par::PoolMetrics;
 
@@ -189,7 +189,7 @@ impl ServeObs {
     /// `CACHE STATS` renders.
     pub fn render(&self, cache: &CacheStats) -> String {
         let mut out = self.front.render();
-        out.push_str(&render_cache_metrics(cache));
+        out.push_str(&render_tier_families("qppt_cache_", &cache.tiers()));
         out
     }
 }
@@ -224,63 +224,6 @@ pub fn finish_trace(trace: Option<Trace>, total_micros: u128) -> Vec<SpanRec> {
 /// Saturating `u64` micros since `started`.
 pub fn elapsed_micros(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Renders the cache tiers as Prometheus families with a `tier` label,
-/// mirroring [`render_cache_stats`](crate::engine::render_cache_stats)
-/// field for field.
-fn render_cache_metrics(s: &CacheStats) -> String {
-    let tiers: [(&str, &TierSnapshot); 2] = [("result", &s.results), ("dim", &s.dims)];
-    let mut out = String::new();
-    let mut family = |name: &str, help: &str, kind: &str, get: &dyn Fn(&TierSnapshot) -> i64| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (tier, t) in &tiers {
-            out.push_str(&format!("{name}{{tier=\"{tier}\"}} {}\n", get(t)));
-        }
-    };
-    family(
-        "qppt_cache_hits_total",
-        "Cache lookups answered from the tier.",
-        "counter",
-        &|t| t.hits as i64,
-    );
-    family(
-        "qppt_cache_misses_total",
-        "Cache lookups the tier could not answer.",
-        "counter",
-        &|t| t.misses as i64,
-    );
-    family(
-        "qppt_cache_invalidations_total",
-        "Entries dropped because a table version moved.",
-        "counter",
-        &|t| t.invalidations as i64,
-    );
-    family(
-        "qppt_cache_evictions_total",
-        "Entries removed under byte pressure.",
-        "counter",
-        &|t| t.evictions as i64,
-    );
-    family(
-        "qppt_cache_expirations_total",
-        "Entries removed after sitting idle past the TTL.",
-        "counter",
-        &|t| t.expirations as i64,
-    );
-    family(
-        "qppt_cache_entries",
-        "Live entries resident in the tier.",
-        "gauge",
-        &|t| t.entries as i64,
-    );
-    family(
-        "qppt_cache_bytes",
-        "Heap bytes resident in the tier.",
-        "gauge",
-        &|t| t.bytes as i64,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -322,6 +265,67 @@ mod tests {
         }
         assert!(expo.value("qppt_uptime_seconds", &[]).is_some());
         assert_eq!(expo.kind("qppt_request_micros"), Some("histogram"));
+    }
+
+    /// Pins the server's `CACHE STATS` line and `qppt_cache_*` families
+    /// byte for byte, every counter non-zero and distinct.
+    #[test]
+    fn cache_vocabulary_renders_golden_stats_line_and_families() {
+        let tier = |base: u64| qppt_cache::TierSnapshot {
+            hits: base + 1,
+            misses: base + 2,
+            invalidations: base + 3,
+            evictions: base + 4,
+            expirations: base + 5,
+            insertions: base + 6,
+            entries: base as usize + 7,
+            bytes: base as usize + 8,
+        };
+        let stats = CacheStats {
+            results: tier(10),
+            dims: tier(20),
+            ..CacheStats::default()
+        };
+        assert_eq!(
+            crate::render_cache_stats(&stats),
+            "result_hits=11 result_misses=12 result_invalidations=13 result_evictions=14 \
+             result_expirations=15 result_entries=17 result_bytes=18 \
+             dim_hits=21 dim_misses=22 dim_invalidations=23 dim_evictions=24 \
+             dim_expirations=25 dim_entries=27 dim_bytes=28"
+        );
+        let golden = "\
+# HELP qppt_cache_hits_total Cache lookups answered from the tier.
+# TYPE qppt_cache_hits_total counter
+qppt_cache_hits_total{tier=\"result\"} 11
+qppt_cache_hits_total{tier=\"dim\"} 21
+# HELP qppt_cache_misses_total Cache lookups the tier could not answer.
+# TYPE qppt_cache_misses_total counter
+qppt_cache_misses_total{tier=\"result\"} 12
+qppt_cache_misses_total{tier=\"dim\"} 22
+# HELP qppt_cache_invalidations_total Entries dropped because a version they were computed at moved.
+# TYPE qppt_cache_invalidations_total counter
+qppt_cache_invalidations_total{tier=\"result\"} 13
+qppt_cache_invalidations_total{tier=\"dim\"} 23
+# HELP qppt_cache_evictions_total Entries removed under byte pressure.
+# TYPE qppt_cache_evictions_total counter
+qppt_cache_evictions_total{tier=\"result\"} 14
+qppt_cache_evictions_total{tier=\"dim\"} 24
+# HELP qppt_cache_expirations_total Entries removed after sitting idle past the TTL.
+# TYPE qppt_cache_expirations_total counter
+qppt_cache_expirations_total{tier=\"result\"} 15
+qppt_cache_expirations_total{tier=\"dim\"} 25
+# HELP qppt_cache_entries Live entries resident in the tier.
+# TYPE qppt_cache_entries gauge
+qppt_cache_entries{tier=\"result\"} 17
+qppt_cache_entries{tier=\"dim\"} 27
+# HELP qppt_cache_bytes Heap bytes resident in the tier.
+# TYPE qppt_cache_bytes gauge
+qppt_cache_bytes{tier=\"result\"} 18
+qppt_cache_bytes{tier=\"dim\"} 28
+";
+        let text = ServeObs::new(None).render(&stats);
+        assert!(text.ends_with(golden), "cache families drifted:\n{text}");
+        parse_exposition(&text).expect("exposition parses");
     }
 
     #[test]
