@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use qppt_core::{PlanOptions, QpptError};
-use qppt_storage::{Database, QuerySpec};
+use qppt_storage::{sort_rids_by_key, Database, QuerySpec};
 
 use crate::morsel::Partitioner;
 use crate::pool::{PoolJob, WorkerPool};
@@ -79,14 +79,15 @@ fn par_sorted_order(pool: &WorkerPool, keys: &[u64], morsel_bits: u8) -> Vec<u32
     for b in &job.buckets {
         let mut bucket = std::mem::take(&mut *b.lock().expect("sort lock"));
         if aborted {
-            bucket.sort_by_key(|&rid| job.keys[rid as usize]);
+            sort_rids_by_key(&mut bucket, &job.keys);
         }
         order.extend_from_slice(&bucket);
     }
     order
 }
 
-/// One task per bucket: sort its rids by key (stable).
+/// One task per bucket: sort its rids by key (stable; packed where the
+/// keys fit 32 bits, see [`sort_rids_by_key`]).
 struct SortJob {
     keys: Vec<u64>,
     buckets: Vec<Mutex<Vec<u32>>>,
@@ -109,10 +110,51 @@ impl PoolJob for SortJob {
             let Some(bucket) = self.buckets.get(b) else {
                 break;
             };
-            bucket
-                .lock()
-                .expect("sort lock")
-                .sort_by_key(|&rid| self.keys[rid as usize]);
+            sort_rids_by_key(&mut bucket.lock().expect("sort lock"), &self.keys);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The indirect stable sort the pooled order must equal.
+    fn indirect_order(keys: &[u64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&rid| keys[rid as usize]);
+        order
+    }
+
+    #[test]
+    fn pooled_order_matches_indirect_sort() {
+        let pool = WorkerPool::new(2, 2);
+        let mut rng = qppt_mem::Xoshiro256StarStar::new(0x706f_6f6c);
+        let max = u32::MAX as u64;
+        let mut wide: Vec<u64> = (0..4_000).map(|_| rng.below(1 << 20)).collect();
+        wide[1_234] = max + 1;
+        let cases: Vec<Vec<u64>> = vec![
+            Vec::new(),
+            // Heavy duplicates.
+            (0..5_000).map(|_| rng.below(7)).collect(),
+            // The 32-bit domain's ends.
+            (0..2_000)
+                .map(|_| [0, max][rng.below(2) as usize])
+                .collect(),
+            (0..3_000).map(|_| rng.below(max + 1)).collect(),
+            // A key past 32 bits: its bucket takes the fallback.
+            wide,
+        ];
+        for keys in &cases {
+            for morsel_bits in [1, 3, 6] {
+                assert_eq!(
+                    par_sorted_order(&pool, keys, morsel_bits),
+                    indirect_order(keys),
+                    "{} keys, {morsel_bits} morsel bits",
+                    keys.len()
+                );
+            }
+        }
+        pool.shutdown();
     }
 }

@@ -23,12 +23,19 @@ impl Dictionary {
         let mut v: Vec<String> = values.into_iter().map(|s| s.as_ref().to_string()).collect();
         v.sort_unstable();
         v.dedup();
-        let codes = v
+        Self::from_sorted_distinct(v)
+    }
+
+    /// The dictionary over `values`, which must be strictly ascending; code
+    /// `i` is `values[i]`.
+    pub(crate) fn from_sorted_distinct(values: Vec<String>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
+        let codes = values
             .iter()
             .enumerate()
             .map(|(i, s)| (s.clone(), i as u32))
             .collect();
-        Self { values: v, codes }
+        Self { values, codes }
     }
 
     /// Number of distinct values.

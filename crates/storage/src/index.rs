@@ -700,8 +700,36 @@ pub(crate) fn key_packer(
 /// [`BaseIndex::build`], and the contract of every alternative sorter.
 pub fn stable_key_order(keys: &[u64]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    order.sort_by_key(|&rid| keys[rid as usize]);
+    sort_rids_by_key(&mut order, keys);
     order
+}
+
+/// Sorts `rids`, which must be ascending on entry, by `keys[rid]`, equal
+/// keys keeping rid order. Where every key of `rids` fits 32 bits, this
+/// sorts packed `key << 32 | rid` words: equal keys tie on the rid, so an
+/// unstable sort gives the stable order by construction, and no comparison
+/// loads a key at random. Wider keys take the indirect stable sort.
+pub fn sort_rids_by_key(rids: &mut [u32], keys: &[u64]) {
+    if !sort_packed(rids, keys) {
+        rids.sort_by_key(|&rid| keys[rid as usize]);
+    }
+}
+
+/// [`sort_rids_by_key`]'s packed path; `false`, with `rids` untouched,
+/// when a key is wider than 32 bits.
+fn sort_packed(rids: &mut [u32], keys: &[u64]) -> bool {
+    if rids.iter().any(|&rid| keys[rid as usize] > u32::MAX as u64) {
+        return false;
+    }
+    let mut packed: Vec<u64> = rids
+        .iter()
+        .map(|&rid| keys[rid as usize] << 32 | rid as u64)
+        .collect();
+    packed.sort_unstable();
+    for (rid, word) in rids.iter_mut().zip(packed) {
+        *rid = word as u32;
+    }
+    true
 }
 
 /// Column names → column positions, for catalog code.
@@ -715,6 +743,55 @@ pub(crate) fn resolve_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The indirect stable sort every packed order must equal.
+    fn indirect_order(keys: &[u64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&rid| keys[rid as usize]);
+        order
+    }
+
+    #[test]
+    fn packed_sort_matches_indirect_sort() {
+        let mut rng = qppt_mem::Xoshiro256StarStar::new(0x736f_7274);
+        let max = u32::MAX as u64;
+        let cases: Vec<Vec<u64>> = vec![
+            Vec::new(),
+            // Heavy duplicates.
+            (0..5_000).map(|_| rng.below(7)).collect(),
+            // The 32-bit domain's ends.
+            (0..2_000)
+                .map(|_| [0, max][rng.below(2) as usize])
+                .collect(),
+            (0..3_000).map(|_| rng.below(max + 1)).collect(),
+        ];
+        for keys in &cases {
+            let mut rids: Vec<u32> = (0..keys.len() as u32).collect();
+            assert!(
+                sort_packed(&mut rids, keys),
+                "32-bit keys take the packed path"
+            );
+            assert_eq!(rids, indirect_order(keys));
+            assert_eq!(stable_key_order(keys), indirect_order(keys));
+        }
+        // One key past 32 bits takes the fallback and leaves rids untouched.
+        let mut keys: Vec<u64> = (0..1_000).map(|_| rng.below(50)).collect();
+        keys[417] = max + 1;
+        let mut rids: Vec<u32> = (0..keys.len() as u32).collect();
+        assert!(!sort_packed(&mut rids, &keys));
+        assert_eq!(rids, (0..keys.len() as u32).collect::<Vec<_>>());
+        assert_eq!(stable_key_order(&keys), indirect_order(&keys));
+        // An ascending subset of rids, as a pooled build's bucket holds,
+        // sorts within itself on either path.
+        for wide in [max + 1, 9] {
+            keys[417] = wide;
+            let mut got: Vec<u32> = (0..keys.len() as u32).step_by(3).collect();
+            let mut want = got.clone();
+            want.sort_by_key(|&rid| keys[rid as usize]);
+            sort_rids_by_key(&mut got, &keys);
+            assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn for_domain_picks_structures() {

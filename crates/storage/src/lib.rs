@@ -41,8 +41,8 @@ pub use db::{Database, IndexDef};
 pub use dense::{DenseIndex, DenseSlots};
 pub use dict::Dictionary;
 pub use index::{
-    stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,
-    KeyWidth, ProbeScratch, TreeIndex,
+    sort_rids_by_key, stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex,
+    IndexedTable, KeyWidth, ProbeScratch, TreeIndex,
 };
 pub use mvcc::{MvccTable, Snapshot, TxnManager};
 pub use payload::{Lane, Lanes, PayloadBuf, Row, Rows};

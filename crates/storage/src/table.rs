@@ -5,6 +5,12 @@
 //! dictionary codes), so a row is a fixed-width `&[u64]` slice and the rid
 //! is the row index. Per-column statistics (min/max code, 32-bit-ness)
 //! drive the planner's KISS-vs-prefix-tree index choice.
+//!
+//! [`TableBuilder`] encodes each row on arrival and remaps string codes
+//! once at the end, so a bulk load holds the codes and each column's
+//! distinct strings, never a staged copy of every field.
+
+use std::collections::HashMap;
 
 use crate::dict::Dictionary;
 use crate::types::{ColumnType, Schema, StorageError, Value};
@@ -210,27 +216,44 @@ impl Table {
     }
 }
 
-/// Two-phase table construction: collect raw rows, then build dictionaries
-/// from the full string domains and encode everything (this is what makes
-/// the dictionaries order-preserving).
+/// Table construction that encodes each row on arrival and remaps once.
+///
+/// [`push_row`](Self::push_row) writes int fields straight into the
+/// row-major codes, and gives each string field a provisional code: the
+/// value's position in its column's first-seen order. Only the distinct
+/// strings are kept beside the codes. [`finish`](Self::finish) sorts each
+/// column's distinct strings into an order-preserving [`Dictionary`], then
+/// makes one pass over the rows that rewrites provisional codes as sorted
+/// codes and collects the [`ColumnStats`].
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
     schema: Schema,
-    raw: Vec<Value>,
+    /// Row-major codes; string fields hold provisional codes until `finish`.
+    data: Vec<u64>,
+    /// Per column: each distinct string → its provisional code (`None` for
+    /// int columns).
+    interners: Vec<Option<HashMap<String, u32>>>,
 }
 
 impl TableBuilder {
     /// Starts building a table.
     pub fn new(name: &str, schema: Schema) -> Self {
+        let interners = schema
+            .columns()
+            .iter()
+            .map(|def| (def.ty == ColumnType::Str).then(HashMap::new))
+            .collect();
         Self {
             name: name.to_string(),
             schema,
-            raw: Vec::new(),
+            data: Vec::new(),
+            interners,
         }
     }
 
-    /// Appends a row of raw values (type-checked).
+    /// Type-checks a row of raw values and encodes it. A rejected row
+    /// leaves the builder as it was.
     pub fn push_row(&mut self, values: Vec<Value>) -> Result<(), StorageError> {
         if values.len() != self.schema.width() {
             return Err(StorageError::ArityMismatch {
@@ -256,36 +279,53 @@ impl TableBuilder {
                 }
             }
         }
-        self.raw.extend(values);
+        for (v, interner) in values.into_iter().zip(&mut self.interners) {
+            let code = match v {
+                Value::Int(i) => i as u64,
+                Value::Str(s) => {
+                    let interner = interner.as_mut().expect("str column has an interner");
+                    let next = interner.len() as u32;
+                    *interner.entry(s).or_insert(next) as u64
+                }
+            };
+            self.data.push(code);
+        }
         Ok(())
     }
 
     /// Number of rows staged so far.
     pub fn staged_rows(&self) -> usize {
-        if self.schema.width() == 0 {
-            0
-        } else {
-            self.raw.len() / self.schema.width()
-        }
+        self.data
+            .len()
+            .checked_div(self.schema.width())
+            .unwrap_or(0)
     }
 
-    /// Builds dictionaries, encodes all rows, and returns the table.
+    /// Builds the dictionaries, remaps every string field to its sorted
+    /// code, and returns the table.
     pub fn finish(self) -> Table {
         let width = self.schema.width();
-        let nrows = self.raw.len().checked_div(width).unwrap_or(0);
-        // Build per-column dictionaries from the full domains.
         let mut dicts: Vec<Option<Dictionary>> = Vec::with_capacity(width);
-        for (c, def) in self.schema.columns().iter().enumerate() {
-            match def.ty {
-                ColumnType::Int => dicts.push(None),
-                ColumnType::Str => {
-                    let dict =
-                        Dictionary::build((0..nrows).map(|r| self.raw[r * width + c].as_str()));
-                    dicts.push(Some(dict));
-                }
+        // Per string column: provisional code → sorted code.
+        let mut remaps: Vec<Option<Vec<u64>>> = Vec::with_capacity(width);
+        for interner in self.interners {
+            let Some(interner) = interner else {
+                dicts.push(None);
+                remaps.push(None);
+                continue;
+            };
+            let mut distinct: Vec<(String, u32)> = interner.into_iter().collect();
+            distinct.sort_unstable();
+            let mut remap = vec![0; distinct.len()];
+            for (code, (_, provisional)) in distinct.iter().enumerate() {
+                remap[*provisional as usize] = code as u64;
             }
+            let values = distinct.into_iter().map(|(s, _)| s).collect();
+            dicts.push(Some(Dictionary::from_sorted_distinct(values)));
+            remaps.push(Some(remap));
         }
-        let mut data = Vec::with_capacity(self.raw.len());
+        let mut data = self.data;
+        data.shrink_to_fit();
         let mut stats = vec![
             ColumnStats {
                 min: u64::MAX,
@@ -293,21 +333,15 @@ impl TableBuilder {
             };
             width
         ];
-        for r in 0..nrows {
-            for c in 0..width {
-                let code = match &self.raw[r * width + c] {
-                    Value::Int(i) => *i as u64,
-                    Value::Str(s) => dicts[c]
-                        .as_ref()
-                        .expect("str column has dict")
-                        .encode(s)
-                        .expect("dictionary was built from these values")
-                        as u64,
-                };
-                let s = &mut stats[c];
-                s.min = s.min.min(code);
-                s.max = s.max.max(code);
-                data.push(code);
+        if width > 0 {
+            for row in data.chunks_exact_mut(width) {
+                for ((code, remap), s) in row.iter_mut().zip(&remaps).zip(&mut stats) {
+                    if let Some(remap) = remap {
+                        *code = remap[*code as usize];
+                    }
+                    s.min = s.min.min(*code);
+                    s.max = s.max.max(*code);
+                }
             }
         }
         Table {
@@ -419,5 +453,171 @@ mod tests {
         let t = TableBuilder::new("e", Schema::of(&[("a", ColumnType::Int)])).finish();
         assert_eq!(t.row_count(), 0);
         assert!(t.stats(0).fits_u32());
+    }
+
+    /// The two-phase builder `TableBuilder` replaced: stage every field as
+    /// a `Value`, then build each dictionary from the column's full
+    /// multiset and encode every row. The reference for the differential.
+    struct StagingBuilder {
+        schema: Schema,
+        raw: Vec<Value>,
+    }
+
+    impl StagingBuilder {
+        fn finish(self, name: &str) -> Table {
+            let width = self.schema.width();
+            let nrows = self.raw.len().checked_div(width).unwrap_or(0);
+            let dicts: Vec<Option<Dictionary>> = (0..width)
+                .map(|c| {
+                    (self.schema.column(c).ty == ColumnType::Str).then(|| {
+                        Dictionary::build((0..nrows).map(|r| self.raw[r * width + c].as_str()))
+                    })
+                })
+                .collect();
+            let mut data = Vec::with_capacity(self.raw.len());
+            let mut stats = vec![
+                ColumnStats {
+                    min: u64::MAX,
+                    max: 0
+                };
+                width
+            ];
+            for (i, v) in self.raw.iter().enumerate() {
+                let c = i % width;
+                let code = match v {
+                    Value::Int(i) => *i as u64,
+                    Value::Str(s) => dicts[c].as_ref().unwrap().encode(s).unwrap() as u64,
+                };
+                stats[c].min = stats[c].min.min(code);
+                stats[c].max = stats[c].max.max(code);
+                data.push(code);
+            }
+            Table {
+                name: name.to_string(),
+                schema: self.schema,
+                dicts,
+                data,
+                stats,
+            }
+        }
+    }
+
+    fn assert_same_table(got: &Table, want: &Table) {
+        assert_eq!(got.name, want.name);
+        assert_eq!(got.schema.columns(), want.schema.columns());
+        assert_eq!(got.data, want.data, "codes");
+        assert_eq!(got.data.capacity(), want.data.capacity(), "capacity");
+        assert_eq!(got.stats, want.stats, "stats");
+        assert_eq!(got.memory_bytes(), want.memory_bytes());
+        for (g, w) in got.dicts.iter().zip(&want.dicts) {
+            assert_eq!(g.is_some(), w.is_some());
+            if let (Some(g), Some(w)) = (g, w) {
+                assert_eq!(g.values(), w.values(), "dictionary");
+                for v in w.values() {
+                    assert_eq!(g.encode(v), w.encode(v), "code of {v}");
+                }
+            }
+        }
+    }
+
+    /// Pushes `rows` into both builders and compares the finished tables;
+    /// rows the new builder rejects must leave no trace in it.
+    fn differential(schema: Schema, rows: Vec<Vec<Value>>) {
+        let mut builder = TableBuilder::new("d", schema.clone());
+        let mut staging = StagingBuilder {
+            schema,
+            raw: Vec::new(),
+        };
+        for row in rows {
+            if builder.push_row(row.clone()).is_ok() {
+                staging.raw.extend(row);
+            }
+            assert_eq!(
+                builder.staged_rows(),
+                staging
+                    .raw
+                    .len()
+                    .checked_div(staging.schema.width())
+                    .unwrap_or(0)
+            );
+        }
+        assert_same_table(&builder.finish(), &staging.finish("d"));
+    }
+
+    fn mixed_schema() -> Schema {
+        Schema::of(&[
+            ("id", ColumnType::Int),
+            ("word", ColumnType::Str),
+            ("reversed", ColumnType::Str),
+            ("single", ColumnType::Str),
+            ("wide", ColumnType::Int),
+        ])
+    }
+
+    #[test]
+    fn builder_matches_staging_builder_on_seeded_rows() {
+        let mut rng = qppt_mem::Xoshiro256StarStar::new(0x7461_626c);
+        let words = ["delta", "alpha", "echo", "charlie", "bravo", "", "alpha2"];
+        let rows: Vec<Vec<Value>> = (0..2_000u64)
+            .map(|r| {
+                vec![
+                    Value::Int(rng.below(1_000) as i64),
+                    Value::str(words[rng.below(words.len() as u64) as usize]),
+                    // First-seen order is the reverse of sorted order.
+                    Value::Str(format!("k{:05}", 99_999 - r)),
+                    Value::str("only"),
+                    Value::Int((rng.next_u64() >> 1) as i64),
+                ]
+            })
+            .collect();
+        differential(mixed_schema(), rows);
+    }
+
+    #[test]
+    fn builder_matches_staging_builder_at_the_edges() {
+        // An empty table: every column's stats stay empty.
+        differential(mixed_schema(), Vec::new());
+        // A width-0 schema stages nothing, however many rows arrive.
+        differential(Schema::of(&[]), vec![Vec::new(); 3]);
+        // One row; a single-value string column.
+        differential(
+            mixed_schema(),
+            vec![vec![
+                Value::Int(0),
+                Value::str("x"),
+                Value::str("y"),
+                Value::str("z"),
+                Value::Int(i64::MAX),
+            ]],
+        );
+    }
+
+    #[test]
+    fn rejected_rows_leave_no_trace() {
+        let mut rng = qppt_mem::Xoshiro256StarStar::new(0x6261_6421);
+        let good = |rng: &mut qppt_mem::Xoshiro256StarStar| {
+            vec![
+                Value::Int(rng.below(50) as i64),
+                Value::Str(format!("w{}", rng.below(30))),
+                Value::Str(format!("r{}", rng.below(30))),
+                Value::str("only"),
+                Value::Int(rng.below(1 << 40) as i64),
+            ]
+        };
+        let mut rows = Vec::new();
+        for _ in 0..500 {
+            rows.push(good(&mut rng));
+            // A bad row whose valid-looking strings would otherwise take
+            // fresh provisional codes ahead of the check that rejects it.
+            let mut bad = good(&mut rng);
+            bad[1] = Value::Str(format!("unseen{}", rng.below(1_000)));
+            match rng.below(3) {
+                0 => bad.truncate(4),
+                1 => bad[3] = Value::Int(1),
+                _ => bad[4] = Value::Int(-1 - rng.below(10) as i64),
+            }
+            rows.push(bad);
+        }
+        differential(mixed_schema(), rows);
     }
 }
