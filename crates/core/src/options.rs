@@ -50,13 +50,11 @@ pub struct PlanOptions {
     /// scheduling overhead. Must be in `1..=16`; the default of 6 yields up
     /// to 64 morsels.
     pub morsel_bits: u8,
-    /// Build base indexes with partitioned parallel sorts on a
-    /// shared worker pool (`qppt_par::prepare_indexes_pooled`): row ids are
-    /// bucketed on the top [`morsel_bits`](Self::morsel_bits) of the key
-    /// domain — the same prefix partitioning scans use — and each bucket
-    /// sorts as one pool task. Off by default (sequential builds); the
-    /// resulting indexes are bit-identical either way (so the knob is
-    /// **excluded** from the cache fingerprints), and
+    /// Run each base-index build's passes — keys, bucket sorts, payload
+    /// gather beside the tree fill — on as many threads as the worker pool
+    /// has (`qppt_par::prepare_indexes_pooled`). Off by default (the serial
+    /// hook); the resulting indexes are bit-identical either way (so the
+    /// knob is **excluded** from the cache fingerprints), and
     /// [`prepare_indexes`](crate::plan::prepare_indexes) ignores the switch
     /// entirely (it has no pool).
     pub par_index_build: bool,

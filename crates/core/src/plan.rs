@@ -17,8 +17,8 @@
 
 use qppt_mem::{key_bits, KeyPackError, KeyPacker};
 use qppt_storage::{
-    compile_predicate, stable_key_order, ColumnType, CompiledPred, Database, IndexDef, QuerySpec,
-    StorageError,
+    compile_predicate, BuildTasks, ColumnType, CompiledPred, Database, IndexDef, QuerySpec,
+    SerialTasks, StorageError,
 };
 
 use crate::layout::{Layout, Src};
@@ -320,20 +320,21 @@ pub fn prepare_indexes(
     spec: &QuerySpec,
     opts: &PlanOptions,
 ) -> Result<(), QpptError> {
-    prepare_indexes_with(db, spec, opts, &stable_key_order)
+    prepare_indexes_with(db, spec, opts, &SerialTasks)
 }
 
-/// [`prepare_indexes`] with the sort of each index build supplied by the
-/// caller (see [`Database::create_index_with`]).
+/// [`prepare_indexes`] with each index build's tasks run by `tasks` (see
+/// [`Database::create_index_with`]); the indexes are the same whatever
+/// runs them.
 pub fn prepare_indexes_with(
     db: &mut Database,
     spec: &QuerySpec,
     opts: &PlanOptions,
-    sort: &dyn Fn(&[u64]) -> Vec<u32>,
+    tasks: &dyn BuildTasks,
 ) -> Result<(), QpptError> {
     db.prefer_kiss = opts.prefer_kiss;
     for def in &planned_indexes(db, spec, opts)? {
-        db.create_index_with(def, sort)?;
+        db.create_index_with(def, tasks)?;
     }
     Ok(())
 }

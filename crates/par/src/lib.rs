@@ -63,8 +63,8 @@
 //! starts — as one participating pool job when two or more remain — and
 //! shared read-only by all workers), **exec**
 //! ([`PooledEngine::run_prepared_agg`]) and **finish** (decode, or ship the
-//! undecoded aggregate). Base index *builds* can also ride
-//! the shared pool — see [`prepare_indexes_pooled`]
+//! undecoded aggregate). Base index *builds* can also run on the pool's
+//! width — see [`prepare_indexes_pooled`] and [`ThreadTasks`]
 //! ([`par_index_build`](qppt_core::PlanOptions::par_index_build)).
 //!
 //! ## Example
@@ -100,7 +100,7 @@ mod scheduler;
 pub use morsel::Partitioner;
 pub use pool::{JobAborted, JobHandle, PoolJob, PoolMetrics, WorkerPool};
 pub use pooled::PooledEngine;
-pub use prepare::prepare_indexes_pooled;
+pub use prepare::{prepare_indexes_pooled, ThreadTasks};
 
 use qppt_core::{Plan, QpptError};
 use qppt_storage::Database;

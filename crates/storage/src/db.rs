@@ -8,7 +8,8 @@
 
 use std::collections::HashMap;
 
-use crate::index::{key_packer, resolve_columns, stable_key_order, BaseIndex};
+use crate::build::{BuildTasks, SerialTasks};
+use crate::index::{key_packer, resolve_columns, BaseIndex};
 use crate::mvcc::{MvccTable, Snapshot, TxnManager};
 use crate::table::Table;
 use crate::types::{StorageError, Value};
@@ -151,19 +152,25 @@ impl Database {
 
     /// Creates a base index: a no-op if an index on the same key columns
     /// (in the same order) already carries at least the requested columns,
-    /// a rebuild with the union of carried columns if it carries fewer.
+    /// a widening to the union of carried columns if it carries fewer.
     pub fn create_index(&mut self, def: &IndexDef) -> Result<usize, StorageError> {
-        self.create_index_with(def, &stable_key_order)
+        self.create_index_with(def, &SerialTasks)
     }
 
-    /// Like [`create_index`](Self::create_index), with the sort behind the
-    /// clustered insertion order supplied by `sort` — the hook for parallel
-    /// index builds; see [`BaseIndex::build`] for its contract, under which
-    /// the resulting index is bit-identical to a sequential build.
+    /// Like [`create_index`](Self::create_index), with the build's tasks
+    /// run by `tasks` — the hook for parallel index builds; every hook
+    /// builds the same index bit for bit (see [`BaseIndex::build`]).
+    ///
+    /// An index that carries fewer columns than requested comes to carry
+    /// the union: its own columns, then the new ones. If no row has been
+    /// appended since it was built, and `prefer_kiss` still picks its tree,
+    /// it keeps the tree and only gathers its payload anew
+    /// ([`BaseIndex::widen`]) — which is what a rebuild would make. Otherwise
+    /// it is rebuilt with the union.
     pub fn create_index_with(
         &mut self,
         def: &IndexDef,
-        sort: &dyn Fn(&[u64]) -> Vec<u32>,
+        tasks: &dyn BuildTasks,
     ) -> Result<usize, StorageError> {
         assert!(!def.keys.is_empty(), "an index needs a key column");
         let t_idx = self.table_idx(&def.table)?;
@@ -173,8 +180,12 @@ impl Database {
         let lookup_key = (t_idx, key_cols);
         let existing = self.index_lookup.get(&lookup_key).copied();
         if let Some(pos) = existing {
-            let have = &self.indexes[pos];
+            let have = &mut self.indexes[pos];
             if carried.iter().all(|c| have.carries(*c)) {
+                return Ok(pos);
+            }
+            if have.widen(&self.tables[t_idx], &carried, self.prefer_kiss, tasks) {
+                self.bump_version(t_idx);
                 return Ok(pos);
             }
             // Rebuild with the union of carried columns.
@@ -192,7 +203,7 @@ impl Database {
             lookup_key.1.clone(),
             carried,
             self.prefer_kiss,
-            sort,
+            tasks,
         )?;
         let pos = existing.unwrap_or(self.indexes.len());
         if existing.is_some() {
@@ -269,7 +280,7 @@ impl Database {
                     index.key_cols.clone(),
                     index.carried.clone(),
                     self.prefer_kiss,
-                    &stable_key_order,
+                    &SerialTasks,
                 )
                 .expect("the grown key was checked to pack before the append");
             }

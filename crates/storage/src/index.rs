@@ -24,10 +24,13 @@ use qppt_kiss::{kiss_sync_scan_range, KissConfig, KissTree};
 use qppt_mem::{key_bits, KeyPacker, Values};
 use qppt_trie::{sync_scan_range, PrefixTree, TrieConfig};
 
+use crate::build::{
+    carries_u32, clustered, gather, key_order, sorted_items, BuildTasks, SerialTasks,
+};
 use crate::dense::DenseIndex;
 use crate::mvcc::MvccTable;
 use crate::payload::{PayloadBuf, Row};
-use crate::table::Table;
+use crate::table::{ColumnStats, Table};
 use crate::types::StorageError;
 
 /// Key width of an index (which structure can hold it).
@@ -481,14 +484,9 @@ pub struct IndexedTable {
 impl IndexedTable {
     /// Creates an indexed table.
     pub fn new(index: TreeIndex, payload_width: usize) -> Self {
-        Self::with_capacity(index, payload_width, 0)
-    }
-
-    /// An empty indexed table with room for exactly `rows` payload rows.
-    pub fn with_capacity(index: TreeIndex, payload_width: usize, rows: usize) -> Self {
         Self {
             index,
-            payload: PayloadBuf::with_capacity(payload_width, rows),
+            payload: PayloadBuf::new(payload_width),
         }
     }
 
@@ -547,6 +545,9 @@ pub struct BaseIndex {
     pub data: IndexedTable,
     /// The key format, one part per key column, frozen at build time.
     packer: KeyPacker,
+    /// The table's row versions at build time: the clustered rows, ahead of
+    /// any that [`on_insert`](Self::on_insert) appended.
+    clustered_rows: usize,
 }
 
 impl BaseIndex {
@@ -564,61 +565,94 @@ impl BaseIndex {
     /// prefetch them ahead of use ([`crate::Rows::for_each_row_of`]), so a
     /// read after writes does not pay a DRAM miss per appended row.
     ///
-    /// The payload is reserved for exactly the table's row versions, in
-    /// 32-bit lanes while every carried value fits ([`PayloadBuf`]).
+    /// The order is [`stable_key_order`]'s: by key, equal keys in rid
+    /// order. The payload holds exactly the table's row versions, in 32-bit
+    /// lanes iff every carried column's statistics fit them — what pushing
+    /// the rows one by one into a [`PayloadBuf`] would end at.
     ///
-    /// `sort` receives every row version's packed key, indexed by rid, and
-    /// must return the rids stably sorted by it (ties in rid order), exactly as
-    /// [`stable_key_order`] does — the hook that lets `qppt-par` run the
-    /// sort partitioned on its worker pool while the clustered insertion,
-    /// and therefore every bit of the index, stays the same.
+    /// The build is a few linear passes of independent tasks (see the
+    /// `build` module), run by `tasks`: [`SerialTasks`] runs them in order
+    /// on the calling thread, `qppt-par` on its threads. Every hook builds
+    /// the same index, bit for bit.
     pub fn build(
         table_idx: usize,
         table: &MvccTable,
         key_cols: Vec<usize>,
         carried: Vec<usize>,
         prefer_kiss: bool,
-        sort: &dyn Fn(&[u64]) -> Vec<u32>,
+        tasks: &dyn BuildTasks,
     ) -> Result<Self, StorageError> {
         let t = table.table();
+        let rows = table.version_count();
         let packer = key_packer(t, &key_cols, None)?;
-        // The widths cover the table's statistics, so every row fits.
-        let keys: Vec<u64> = (0..table.version_count() as u32)
-            .map(|rid| {
-                let src = t.row(rid);
-                packer.pack_fitting(key_cols.iter().map(|&c| src[c]))
-            })
-            .collect();
-        let order = sort(&keys);
-        debug_assert_eq!(order.len(), keys.len());
-        debug_assert!(order
-            .windows(2)
-            .all(|w| keys[w[0] as usize] <= keys[w[1] as usize]));
-        let carried_names: Vec<String> = carried
-            .iter()
-            .map(|&c| t.schema().column(c).name.clone())
-            .collect();
-        let mut data = IndexedTable::with_capacity(
-            TreeIndex::for_domain(packer.max_key(), prefer_kiss),
-            1 + carried.len(),
-            order.len(),
-        );
-        for &rid in &order {
-            let src = t.row(rid);
-            let fields = carried.iter().map(|&c| src[c]);
-            data.insert_row(
-                keys[rid as usize],
-                std::iter::once(rid as u64).chain(fields),
-            );
-        }
+        // The widths cover the table's statistics, so every row fits, and
+        // the keys of the columns' minima and maxima bound every key.
+        let key_of = |rid: u32| {
+            let row = t.row(rid);
+            packer.pack_fitting(key_cols.iter().map(|&c| row[c]))
+        };
+        let bound = |pick: fn(ColumnStats) -> u64| {
+            packer.pack_fitting(key_cols.iter().map(|&c| pick(t.stats(c))))
+        };
+        let bounds = match rows {
+            0 => (0, 0),
+            _ => (bound(|s| s.min), bound(|s| s.max)),
+        };
+        let tree = TreeIndex::for_domain(packer.max_key(), prefer_kiss);
+        let (index, payload) = if packer.max_key() <= u32::MAX as u64 {
+            let items = sorted_items::<u64>(rows, key_of, bounds, tasks);
+            clustered(t, &items, tree, &carried, tasks)
+        } else {
+            let items = sorted_items::<(u64, u32)>(rows, key_of, bounds, tasks);
+            clustered(t, &items, tree, &carried, tasks)
+        };
         Ok(Self {
             table_idx,
             key_cols,
+            carried_names: column_names(t, &carried),
             carried,
-            carried_names,
-            data,
+            data: IndexedTable { index, payload },
             packer,
+            clustered_rows: rows,
         })
+    }
+
+    /// Adds the columns of `more` this index does not carry yet, after the
+    /// ones it does — the union a rebuild would carry — by gathering the
+    /// payload anew in the order the tree already holds. `false`, with
+    /// nothing changed, unless that *is* the rebuild: no row may have been
+    /// appended since the build (the table's statistics, and so the key
+    /// format, the order and the tree, are then the build's), and
+    /// `prefer_kiss` must choose the tree this index has.
+    pub fn widen(
+        &mut self,
+        table: &MvccTable,
+        more: &[usize],
+        prefer_kiss: bool,
+        tasks: &dyn BuildTasks,
+    ) -> bool {
+        let fits32 = self.packer.max_key() <= u32::MAX as u64;
+        if table.version_count() != self.clustered_rows
+            || self.data.index.is_kiss() != (prefer_kiss && fits32)
+        {
+            return false;
+        }
+        for &c in more {
+            if !self.carries(c) {
+                self.carried.push(c);
+            }
+        }
+        let t = table.table();
+        let old = &self.data.payload;
+        let rid = |i: usize| old.row(i as u32).get(0) as u32;
+        let payload = if carries_u32(t, &self.carried) {
+            gather::<u32>(t, self.clustered_rows, rid, &self.carried, None, tasks)
+        } else {
+            gather::<u64>(t, self.clustered_rows, rid, &self.carried, None, tasks)
+        };
+        self.data.payload = payload;
+        self.carried_names = column_names(t, &self.carried);
+        true
     }
 
     /// The key format: packs per-column codes (`pack`) or per-column
@@ -696,40 +730,17 @@ pub(crate) fn key_packer(
 }
 
 /// The rids `0..keys.len()` stably sorted by `keys[rid]` (ties keep rid
-/// order) — the clustered insertion order of a sequential
-/// [`BaseIndex::build`], and the contract of every alternative sorter.
+/// order) — the clustered insertion order of [`BaseIndex::build`], and the
+/// contract its sort is tested against. Sorted by the build's own sort
+/// ([`key_order`]) on the calling thread.
 pub fn stable_key_order(keys: &[u64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    sort_rids_by_key(&mut order, keys);
-    order
+    key_order(keys, &SerialTasks)
 }
 
-/// Sorts `rids`, which must be ascending on entry, by `keys[rid]`, equal
-/// keys keeping rid order. Where every key of `rids` fits 32 bits, this
-/// sorts packed `key << 32 | rid` words: equal keys tie on the rid, so an
-/// unstable sort gives the stable order by construction, and no comparison
-/// loads a key at random. Wider keys take the indirect stable sort.
-pub fn sort_rids_by_key(rids: &mut [u32], keys: &[u64]) {
-    if !sort_packed(rids, keys) {
-        rids.sort_by_key(|&rid| keys[rid as usize]);
-    }
-}
-
-/// [`sort_rids_by_key`]'s packed path; `false`, with `rids` untouched,
-/// when a key is wider than 32 bits.
-fn sort_packed(rids: &mut [u32], keys: &[u64]) -> bool {
-    if rids.iter().any(|&rid| keys[rid as usize] > u32::MAX as u64) {
-        return false;
-    }
-    let mut packed: Vec<u64> = rids
-        .iter()
-        .map(|&rid| keys[rid as usize] << 32 | rid as u64)
-        .collect();
-    packed.sort_unstable();
-    for (rid, word) in rids.iter_mut().zip(packed) {
-        *rid = word as u32;
-    }
-    true
+fn column_names(t: &Table, cols: &[usize]) -> Vec<String> {
+    cols.iter()
+        .map(|&c| t.schema().column(c).name.clone())
+        .collect()
 }
 
 /// Column names → column positions, for catalog code.
@@ -755,8 +766,11 @@ mod tests {
     fn packed_sort_matches_indirect_sort() {
         let mut rng = qppt_mem::Xoshiro256StarStar::new(0x736f_7274);
         let max = u32::MAX as u64;
+        let mut wide: Vec<u64> = (0..1_000).map(|_| rng.below(50)).collect();
+        wide[417] = max + 1;
         let cases: Vec<Vec<u64>> = vec![
             Vec::new(),
+            vec![7],
             // Heavy duplicates.
             (0..5_000).map(|_| rng.below(7)).collect(),
             // The 32-bit domain's ends.
@@ -764,32 +778,15 @@ mod tests {
                 .map(|_| [0, max][rng.below(2) as usize])
                 .collect(),
             (0..3_000).map(|_| rng.below(max + 1)).collect(),
+            // One key past 32 bits: `(key, rid)` pairs, not packed words.
+            wide,
+            (0..3_000).map(|_| rng.next_u64()).collect(),
+            (0..100)
+                .map(|_| [0, u64::MAX][rng.below(2) as usize])
+                .collect(),
         ];
         for keys in &cases {
-            let mut rids: Vec<u32> = (0..keys.len() as u32).collect();
-            assert!(
-                sort_packed(&mut rids, keys),
-                "32-bit keys take the packed path"
-            );
-            assert_eq!(rids, indirect_order(keys));
             assert_eq!(stable_key_order(keys), indirect_order(keys));
-        }
-        // One key past 32 bits takes the fallback and leaves rids untouched.
-        let mut keys: Vec<u64> = (0..1_000).map(|_| rng.below(50)).collect();
-        keys[417] = max + 1;
-        let mut rids: Vec<u32> = (0..keys.len() as u32).collect();
-        assert!(!sort_packed(&mut rids, &keys));
-        assert_eq!(rids, (0..keys.len() as u32).collect::<Vec<_>>());
-        assert_eq!(stable_key_order(&keys), indirect_order(&keys));
-        // An ascending subset of rids, as a pooled build's bucket holds,
-        // sorts within itself on either path.
-        for wide in [max + 1, 9] {
-            keys[417] = wide;
-            let mut got: Vec<u32> = (0..keys.len() as u32).step_by(3).collect();
-            let mut want = got.clone();
-            want.sort_by_key(|&rid| keys[rid as usize]);
-            sort_rids_by_key(&mut got, &keys);
-            assert_eq!(got, want);
         }
     }
 

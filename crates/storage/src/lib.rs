@@ -18,7 +18,8 @@
 //!   KISS-Tree for 32-bit key domains, prefix tree otherwise, chosen at plan
 //!   time exactly as §2.2 describes, and §2.1's one-level tree for a
 //!   dimension selection over a compact key range, [`dense`]) and base
-//!   indexes (secondary or partially clustered, §3);
+//!   indexes (secondary or partially clustered, §3), whose build runs as
+//!   a few linear passes of tasks behind one hook ([`BuildTasks`]);
 //! * [`payload`] — the fixed-width payload rows behind every index, in
 //!   32-bit lanes until a value needs 64;
 //! * [`db`] — the catalog: tables plus their base indexes, with index
@@ -27,6 +28,7 @@
 //!   and result format shared by the QPPT engine, both comparison engines,
 //!   and the reference oracle.
 
+mod build;
 pub mod db;
 pub mod dense;
 pub mod dict;
@@ -37,12 +39,13 @@ pub mod query;
 pub mod table;
 pub mod types;
 
+pub use build::{key_order, BuildTasks, SerialTasks};
 pub use db::{Database, IndexDef};
 pub use dense::{DenseIndex, DenseSlots};
 pub use dict::Dictionary;
 pub use index::{
-    sort_rids_by_key, stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex,
-    IndexedTable, KeyWidth, ProbeScratch, TreeIndex,
+    stable_key_order, sync_scan_indexes, sync_scan_indexes_range, BaseIndex, IndexedTable,
+    KeyWidth, ProbeScratch, TreeIndex,
 };
 pub use mvcc::{MvccTable, Snapshot, TxnManager};
 pub use payload::{Lane, Lanes, PayloadBuf, Row, Rows};

@@ -32,10 +32,36 @@ const PREFETCH_DISTANCE: usize = 8;
 
 /// A lane width of a [`PayloadBuf`]: `u32` or `u64`. Every lane widens to
 /// the `u64` code it stores.
-pub trait Lane: Copy + Into<u64> {}
+pub trait Lane: Copy + Default + Into<u64> + Send + Sync {
+    /// `code` in one lane; the caller has checked that it fits.
+    fn from_code(code: u64) -> Self;
 
-impl Lane for u32 {}
-impl Lane for u64 {}
+    /// [`PayloadBuf::from_lanes`] at this width.
+    fn payload(width: usize, rows: usize, lanes: Vec<Self>) -> PayloadBuf;
+}
+
+impl Lane for u32 {
+    #[inline]
+    fn from_code(code: u64) -> Self {
+        debug_assert!(code <= u32::MAX as u64, "{code} in a 32-bit lane");
+        code as u32
+    }
+
+    fn payload(width: usize, rows: usize, lanes: Vec<Self>) -> PayloadBuf {
+        PayloadBuf::of(width, rows, Data::U32(lanes))
+    }
+}
+
+impl Lane for u64 {
+    #[inline]
+    fn from_code(code: u64) -> Self {
+        code
+    }
+
+    fn payload(width: usize, rows: usize, lanes: Vec<Self>) -> PayloadBuf {
+        PayloadBuf::of(width, rows, Data::U64(lanes))
+    }
+}
 
 /// The rows of a [`PayloadBuf`] at one lane width.
 #[derive(Debug, Clone, Copy)]
@@ -162,6 +188,19 @@ impl PayloadBuf {
             data: Data::U32(Vec::with_capacity(width * rows)),
             rows: 0,
         }
+    }
+
+    /// `rows` rows of `width` fields, stored back to back in `lanes`: a
+    /// builder that knows every value's width fills the buffer whole at its
+    /// final lane width, and the buffer holds exactly those rows.
+    pub fn from_lanes<L: Lane>(width: usize, rows: usize, lanes: Vec<L>) -> Self {
+        L::payload(width, rows, lanes)
+    }
+
+    fn of(width: usize, rows: usize, data: Data) -> Self {
+        let buf = Self { width, data, rows };
+        assert_eq!(buf.lanes_len(), width * rows, "lanes of {rows} rows");
+        buf
     }
 
     /// Fields per row.
