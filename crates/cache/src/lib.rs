@@ -14,20 +14,21 @@
 //!    `d_year BETWEEN 1992 AND 1997` table).
 //! 2. **Result tier** — `Arc<CachedResult>`: a finished answer — the
 //!    decoded rows of a full request or the undecoded aggregate of a
-//!    `mode=partial` one — and, beside it, the rendered response (head and
-//!    operator lines) the entry's maker stored as opaque bytes. A hit
-//!    touches neither the worker pool nor a formatter: the server writes
-//!    the stored bytes. The maker keys the two modes apart (the server
-//!    folds a mode tag into the fingerprint), so they never share an entry.
+//!    `mode=partial` one — kept once, as the rendered response (head and
+//!    operator lines) the entry's maker stored as opaque bytes, beside the
+//!    statistics of the execution that made it. A hit touches neither the
+//!    worker pool nor a formatter: the server writes the stored bytes. The
+//!    maker keys the two modes apart (the server folds a mode tag into the
+//!    fingerprint), so they never share an entry.
 //!
 //! ## Byte budgets, pinning, TTL
 //!
 //! Every tier is bounded by a **byte budget**, not an entry count: a
 //! materialized selection is orders of magnitude heavier than a scalar
 //! answer, so counting entries sized nothing. Entries report their
-//! footprint through [`HeapSize`], which bottoms out in the engine's own
-//! estimators (`InterTable::memory_bytes`, `QueryResult::memory_bytes`,
-//! `PartialAggregate::memory_bytes`). Each σ table is billed once, to the
+//! footprint through [`HeapSize`]: a σ through the engine's own estimator
+//! (`InterTable::memory_bytes`), a result entry as the bytes it stores.
+//! Each σ table is billed once, to the
 //! dimension tier that owns it; no cached value holds another tier's
 //! entries, so nothing is billed twice. Eviction pops from each shard's
 //! intrusive recency list (O(victims), see `lru`) and prefers victims
@@ -69,10 +70,8 @@ mod lru;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qppt_core::{
-    fingerprint_dim, fingerprint_query, DimSelection, ExecStats, PartialAggregate, PlanOptions,
-};
-use qppt_storage::{Database, QueryResult, QuerySpec, StorageError};
+use qppt_core::{fingerprint_dim, fingerprint_query, DimSelection, ExecStats, PlanOptions};
+use qppt_storage::{Database, QuerySpec, StorageError};
 
 pub use lru::{CacheKey, CacheValue, ShardedLru, TierSnapshot};
 
@@ -139,34 +138,16 @@ impl QueryFingerprint {
     }
 }
 
-/// What a query's *finish* step produced: the decoded, ordered rows of a
-/// full request, or the undecoded aggregate a `mode=partial` request
-/// answers for the router to merge.
-#[derive(Debug, Clone)]
-pub enum Finished {
-    Rows(QueryResult),
-    Partial(PartialAggregate),
-}
-
-impl Finished {
-    /// Rows (full) or groups (partial) answered.
-    pub fn rows(&self) -> usize {
-        match self {
-            Finished::Rows(r) => r.rows.len(),
-            Finished::Partial(p) => p.groups.len(),
-        }
-    }
-}
-
-/// A result-tier entry: the finished answer plus the statistics of the
-/// execution that produced it, and beside them the response a hit
-/// answers, rendered once when the entry is made. At an unchanged
-/// snapshot those bytes are a pure function of the fingerprint, so a hit
-/// writes them as they are. The two byte fields are opaque here: whoever
-/// makes the entry renders them, this crate only stores and bills them.
+/// A result-tier entry: the response a hit answers, rendered once when the
+/// entry is made, and the statistics of the execution that produced it.
+/// At an unchanged snapshot those bytes are a pure function of the
+/// fingerprint, so a hit writes them as they are. They are the entry's one
+/// copy of the answer: whoever wants the answer itself back reads it from
+/// the head, as a client would. The two byte fields are opaque here:
+/// whoever makes the entry renders them, this crate only stores and bills
+/// them.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    pub finished: Finished,
     pub stats: ExecStats,
     /// The rendered response head (status, columns, rows or groups).
     pub head: Box<[u8]>,
@@ -175,9 +156,10 @@ pub struct CachedResult {
     pub hit_ops: Box<[u8]>,
 }
 
-/// Heap footprint for the cache's byte budgets. Implemented down through
-/// the engine's own estimators; every tier value is an `Arc<T: HeapSize>`,
-/// which also supplies the pin signal (an `Arc` held outside the cache).
+/// Heap footprint for the cache's byte budgets: for a σ the engine's own
+/// estimate of its table, for a result entry the bytes it stores. Every
+/// tier value is an `Arc<T: HeapSize>`, which also supplies the pin signal
+/// (an `Arc` held outside the cache).
 pub trait HeapSize {
     /// Estimated heap bytes owned by this value.
     fn heap_bytes(&self) -> usize;
@@ -190,17 +172,16 @@ impl HeapSize for DimSelection {
 }
 
 impl HeapSize for CachedResult {
-    /// The finished answer, operator records and both rendered byte
-    /// strings: the rendered response is resident beside the answer, so
-    /// the result budget bounds both.
+    /// Both rendered byte strings — the answer itself — plus a bounded
+    /// estimate (96 bytes) per operator record.
     fn heap_bytes(&self) -> usize {
-        let answer = match &self.finished {
-            Finished::Rows(r) => r.memory_bytes(),
-            Finished::Partial(p) => p.memory_bytes(),
-        };
-        answer + self.stats.ops.len() * 96 + self.head.len() + self.hit_ops.len()
+        self.stats.ops.len() * OP_BYTES + self.head.len() + self.hit_ops.len()
     }
 }
+
+/// What a result entry bills per operator record: the record and its two
+/// short strings.
+const OP_BYTES: usize = 96;
 
 impl<T: HeapSize> CacheValue for Arc<T> {
     fn heap_bytes(&self) -> usize {
@@ -226,8 +207,8 @@ pub struct CacheConfig {
     /// Byte budget of the dimension tier — the heavy tier: one entry is a
     /// whole materialized `InterTable`. Keep this the largest.
     pub dim_budget: usize,
-    /// Byte budget of the result tier (finished answers plus their
-    /// rendered responses; SSB results are ≤ a few hundred rows).
+    /// Byte budget of the result tier (rendered answers; SSB results are
+    /// ≤ a few hundred rows).
     pub result_budget: usize,
     /// Idle time-to-live: entries untouched for longer are reclaimed even
     /// when the byte budget has room. `None` = no age limit.
@@ -468,24 +449,15 @@ mod tests {
     use super::*;
     use qppt_core::exec::materialize_dim_selection;
     use qppt_core::plan::DimHandleKind;
-    use qppt_core::{build_plan, prepare_indexes, GroupRun, QpptEngine};
+    use qppt_core::{build_plan, prepare_indexes, QpptEngine};
     use qppt_ssb::{queries, SsbDb};
 
-    fn entry(finished: Finished, stats: ExecStats, head: &[u8], hit_ops: &[u8]) -> CachedResult {
+    fn entry(stats: ExecStats, head: &[u8], hit_ops: &[u8]) -> CachedResult {
         CachedResult {
-            finished,
             stats,
             head: head.into(),
             hit_ops: hit_ops.into(),
         }
-    }
-
-    fn empty_result() -> Finished {
-        Finished::Rows(QueryResult {
-            group_cols: vec![],
-            agg_cols: vec![],
-            rows: vec![],
-        })
     }
 
     /// The first materialized σ of `q`'s plan, with its dim-tier key.
@@ -509,29 +481,33 @@ mod tests {
 
     #[test]
     fn result_entry_bills_its_rendered_bytes() {
-        // The rendered response is resident beside the rows, so the result
-        // budget must see every byte of it: heap_bytes grows by exactly the
-        // head and op-line lengths, and the tier's byte count follows.
-        let bare = entry(empty_result(), ExecStats::default(), b"", b"");
+        // The rendered response is the entry's one copy of the answer, so
+        // the result budget sees every byte of it: heap_bytes is exactly
+        // the head and op-line lengths plus a fixed amount per operator
+        // record, whatever the answer's mode or size.
+        let bare = entry(ExecStats::default(), b"", b"");
+        assert_eq!(bare.heap_bytes(), 0);
         let head = b"OK 0\nCOLS - revenue\n";
         let ops = b"# op cache: result hit | micros=0 keys=0 tuples=0 index=cache mem=0\n";
-        let rendered = entry(empty_result(), ExecStats::default(), head, ops);
+        let rendered = entry(ExecStats::default(), head, ops);
+        assert_eq!(rendered.heap_bytes(), head.len() + ops.len());
+        let mut stats = ExecStats::default();
+        for micros in 0..3 {
+            stats.push(qppt_core::OpStats {
+                label: "scan".into(),
+                out_keys: 1,
+                out_tuples: 1,
+                index_kind: "KISS-Tree".into(),
+                memory_bytes: 4096,
+                micros,
+            });
+        }
+        let partial_head = b"OK partial 1\nCOLS d_year revenue\nP\t7\ti:1997\t42\n";
+        let partial = entry(stats, partial_head, ops);
         assert_eq!(
-            rendered.heap_bytes(),
-            bare.heap_bytes() + head.len() + ops.len()
+            partial.heap_bytes(),
+            3 * OP_BYTES + partial_head.len() + ops.len()
         );
-        // A partial entry bills its aggregate exactly as a full entry bills
-        // its rows.
-        let mut groups = GroupRun::with_capacity(1, 1);
-        groups.push(7, vec![qppt_storage::Value::Int(1997)], &[42]);
-        let partial = PartialAggregate {
-            group_cols: vec!["d_year".into()],
-            agg_cols: vec!["revenue".into()],
-            groups,
-        };
-        let partial_bytes = partial.memory_bytes();
-        let partial = entry(Finished::Partial(partial), ExecStats::default(), head, ops);
-        assert_eq!(partial.heap_bytes(), partial_bytes + head.len() + ops.len());
 
         let mut ssb = SsbDb::generate(0.005, 42);
         let opts = PlanOptions::default();
@@ -543,7 +519,7 @@ mod tests {
         let billed = CacheValue::heap_bytes(&value);
         assert_eq!(
             billed,
-            std::mem::size_of::<CachedResult>() + bare.heap_bytes() + head.len() + ops.len()
+            std::mem::size_of::<CachedResult>() + head.len() + ops.len()
         );
         cache.put_result(&fp, value);
         assert_eq!(cache.stats().results.bytes, billed);
@@ -562,10 +538,7 @@ mod tests {
                 ..CacheConfig::default()
             });
             for key in [&fp, &same_shard] {
-                cache.put_result(
-                    key,
-                    Arc::new(entry(empty_result(), ExecStats::default(), h, o)),
-                );
+                cache.put_result(key, Arc::new(entry(ExecStats::default(), h, o)));
             }
             let s = cache.stats().results;
             assert_eq!(s.evictions, evictions, "{s:?}");
@@ -646,11 +619,8 @@ mod tests {
         assert!(cache.get_result(&fp).is_none());
 
         let engine = QpptEngine::new(&ssb.db);
-        let (result, stats) = engine.run_with_stats(&q, &opts).unwrap();
-        cache.put_result(
-            &fp,
-            Arc::new(entry(Finished::Rows(result), stats, b"", b"")),
-        );
+        let (_, stats) = engine.run_with_stats(&q, &opts).unwrap();
+        cache.put_result(&fp, Arc::new(entry(stats, b"OK 0\n", b"")));
         // One σ of the query in the dimension tier, keyed on its own table.
         let (dfp, sigma) = first_sigma(&ssb.db, &q, &opts);
         cache.put_dim(&dfp, sigma);
@@ -704,10 +674,7 @@ mod tests {
         let cache = QueryCache::new(CacheConfig::disabled());
         assert!(!cache.enabled());
         let fp = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
-        cache.put_result(
-            &fp,
-            Arc::new(entry(empty_result(), ExecStats::default(), b"", b"")),
-        );
+        cache.put_result(&fp, Arc::new(entry(ExecStats::default(), b"", b"")));
         assert!(cache.get_result(&fp).is_none());
         assert_eq!(cache.stats().results.insertions, 0);
 

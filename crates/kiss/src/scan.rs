@@ -2,11 +2,12 @@
 //!
 //! The root-level pass is bounded by `max(l.min, r.min) ..=
 //! min(l.max, r.max)` — the optimisation the paper calls out for dense keys,
-//! which avoids scanning two full 256 MB root directories. The scan only
+//! which avoids scanning two full 256 MB root directories — and within that
+//! span it reads only the 4 KB root pages both trees touched. The scan only
 //! visits second-level nodes whose root slot is populated in **both** trees,
 //! and within a shared node only entries populated on both sides.
 
-use crate::tree::{KissTree, Values};
+use crate::tree::{next_set_page, KissTree, Values, ROOT_PAGE_SLOTS};
 
 /// Runs a synchronous index scan, invoking `f` for every key present in both
 /// trees, in ascending key order: [`kiss_sync_scan_range`] over the whole
@@ -30,15 +31,16 @@ pub fn kiss_sync_scan<'l, 'r, VL, VR>(
 /// The range is the **cursor** of the executor: a morsel is a contiguous
 /// root-directory range (a top-level prefix range of the 32-bit key
 /// domain), so the root-level pass touches only the slots of this
-/// partition, further bounded by both trees' min/max keys; sequential
-/// execution is the one morsel covering the whole domain. Per-key range
-/// checks are needed only in the two boundary root slots.
+/// partition, further bounded by both trees' min/max keys and, within
+/// that, by the root pages both trees touched; sequential execution is the
+/// one morsel covering the whole domain. Per-key range checks are needed
+/// only in the two boundary root slots.
 pub fn kiss_sync_scan_range<'l, 'r, VL, VR>(
     left: &'l KissTree<VL>,
     right: &'r KissTree<VR>,
     lo: u32,
     hi: u32,
-    mut f: impl FnMut(u32, Values<'l, VL>, Values<'r, VR>),
+    f: impl FnMut(u32, Values<'l, VL>, Values<'r, VR>),
 ) where
     VL: Copy + Default,
     VR: Copy + Default,
@@ -59,38 +61,68 @@ pub fn kiss_sync_scan_range<'l, 'r, VL, VR>(
     if lo > hi {
         return;
     }
+    scan_slots(left, right, lo, hi, f);
+}
+
+/// The body of [`kiss_sync_scan_range`] once both trees are non-empty and
+/// `lo <= hi` lie within both trees' keys; returns the root slots it read.
+/// It reads only the slots of root pages **both** trees touched: the
+/// pages come from the AND of the two touched-page bitmaps, a word (64
+/// pages) at a time, so a walk costs the pages the trees share, not the
+/// key span between them.
+fn scan_slots<'l, 'r, VL, VR>(
+    left: &'l KissTree<VL>,
+    right: &'r KissTree<VR>,
+    lo: u32,
+    hi: u32,
+    mut f: impl FnMut(u32, Values<'l, VL>, Values<'r, VR>),
+) -> usize
+where
+    VL: Copy + Default,
+    VR: Copy + Default,
+{
     let cfg = left.config();
     let (root_lo, _) = cfg.split(lo);
     let (root_hi, _) = cfg.split(hi);
     let entries = cfg.node_entries();
-    for ri in root_lo..=root_hi {
-        let ln = left.root_slot(ri);
-        if ln == 0 {
-            continue;
-        }
-        let rn = right.root_slot(ri);
-        if rn == 0 {
-            continue;
-        }
-        // Entries of interior root slots are in range by construction; only
-        // the boundary slots need the per-key check.
-        let boundary = ri == root_lo || ri == root_hi;
-        for ei in 0..entries {
-            let le = left.node_entry(ln, ei);
-            if le == 0 {
+    let both = |w: usize| left.root_page_word(w) & right.root_page_word(w);
+    let mut slots_read = 0;
+    let mut from = root_lo / ROOT_PAGE_SLOTS;
+    while let Some(page) = next_set_page(both, from, root_hi / ROOT_PAGE_SLOTS) {
+        from = page + 1;
+        let first = root_lo.max(page * ROOT_PAGE_SLOTS);
+        let last = root_hi.min(from * ROOT_PAGE_SLOTS - 1);
+        slots_read += last + 1 - first;
+        for ri in first..=last {
+            let ln = left.root_slot(ri);
+            if ln == 0 {
                 continue;
             }
-            let re = right.node_entry(rn, ei);
-            if re == 0 {
+            let rn = right.root_slot(ri);
+            if rn == 0 {
                 continue;
             }
-            let key = cfg.join(ri, ei);
-            if boundary && (key < lo || key > hi) {
-                continue;
+            // Entries of interior root slots are in range by construction;
+            // only the boundary slots need the per-key check.
+            let boundary = ri == root_lo || ri == root_hi;
+            for ei in 0..entries {
+                let le = left.node_entry(ln, ei);
+                if le == 0 {
+                    continue;
+                }
+                let re = right.node_entry(rn, ei);
+                if re == 0 {
+                    continue;
+                }
+                let key = cfg.join(ri, ei);
+                if boundary && (key < lo || key > hi) {
+                    continue;
+                }
+                f(key, left.values_of(le - 1), right.values_of(re - 1));
             }
-            f(key, left.values_of(le - 1), right.values_of(re - 1));
         }
     }
+    slots_read
 }
 
 /// Set intersection over KISS-Trees: keys present in both, values from the
@@ -214,6 +246,29 @@ mod tests {
         let i = kiss_intersect(&ta, &tb);
         assert_eq!(i.keys().collect::<Vec<_>>(), vec![6, 7]);
         assert_eq!(i.get_first(6), ta.get_first(6));
+    }
+
+    #[test]
+    fn scan_reads_only_pages_both_trees_touched() {
+        // Paper geometry, keys 0 and u32::MAX on both sides: the two
+        // shared pages' slots are read, not the 2^26 between them. A third
+        // page touched by one tree only is skipped.
+        let mut ta = KissTree::<u32>::new(KissConfig::paper());
+        let mut tb = KissTree::<u32>::new(KissConfig::paper());
+        for k in [0, u32::MAX] {
+            ta.insert(k, 1);
+            tb.insert(k, 2);
+        }
+        ta.insert(1 << 31, 3);
+        let mut keys = Vec::new();
+        let read = scan_slots(&ta, &tb, 0, u32::MAX, |k, _, _| keys.push(k));
+        assert_eq!(keys, [0, u32::MAX]);
+        assert_eq!(read, 2 * ROOT_PAGE_SLOTS);
+        // Touched pages that do not overlap: nothing to read.
+        let mut tc = KissTree::<u32>::new(KissConfig::paper());
+        tc.insert(1 << 30, 4);
+        tc.insert(u32::MAX - (1 << 20), 4);
+        assert_eq!(scan_slots(&ta, &tc, 0, u32::MAX, |_, _, _| panic!()), 0);
     }
 
     #[test]

@@ -21,7 +21,29 @@ fn arena_slot(n: u32, entry: usize) -> usize {
 
 /// OS page size the root directory is mapped at, and its slots per page.
 const ROOT_PAGE_BYTES: usize = 4096;
-const ROOT_PAGE_SLOTS: usize = ROOT_PAGE_BYTES / core::mem::size_of::<u32>();
+pub(crate) const ROOT_PAGE_SLOTS: usize = ROOT_PAGE_BYTES / core::mem::size_of::<u32>();
+
+/// The first page in `from..=to` whose bit is set in the page bitmap
+/// `word(w)` returns word by word, 64 pages a word; `None` when there is
+/// none. Reads one word per 64 pages skipped and never a word past `to`'s.
+pub(crate) fn next_set_page(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
+    if from > to {
+        return None;
+    }
+    let mut w = from / 64;
+    let mut bits = word(w) & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            let page = w * 64 + bits.trailing_zeros() as usize;
+            return (page <= to).then_some(page);
+        }
+        w += 1;
+        if w * 64 > to {
+            return None;
+        }
+        bits = word(w);
+    }
+}
 
 /// Compressed second-level node: the original KISS-Tree's bitmask node.
 /// Entry `e` exists iff bit `e` is set, and its slot is the popcount of the
@@ -156,6 +178,26 @@ impl<V: Copy + Default> KissTree<V> {
 
     pub(crate) fn root_slot(&self, idx: usize) -> u32 {
         self.root[idx]
+    }
+
+    /// Word `w` of the touched-page bitmap: bit `p % 64` of word `p / 64`
+    /// is set iff root page `p` holds a non-empty slot.
+    #[inline]
+    pub(crate) fn root_page_word(&self, w: usize) -> u64 {
+        self.root_pages[w]
+    }
+
+    /// `slot` if its root page is touched, else the first slot of the next
+    /// touched page up to `last`'s, else `last + 1`: the first root slot at
+    /// or after `slot` that can be non-empty. Every slot it skips is empty.
+    #[inline]
+    fn touched_from(&self, slot: usize, last: usize) -> usize {
+        let page = slot / ROOT_PAGE_SLOTS;
+        match next_set_page(|w| self.root_pages[w], page, last / ROOT_PAGE_SLOTS) {
+            Some(p) if p == page => slot,
+            Some(p) => p * ROOT_PAGE_SLOTS,
+            None => last + 1,
+        }
     }
 
     /// The root slot of `key` — the node number its second-level node has,
@@ -373,22 +415,29 @@ impl<V: Copy + Default> KissTree<V> {
 
     /// Iterates `(key, values)` with `lo <= key <= hi` in ascending order —
     /// the tree's one cursor. The root pass is bounded by the maintained
-    /// min/max keys, so a range far wider than the population (the full
-    /// domain included) never walks empty stretches of the root directory.
+    /// min/max keys, and it reads only the slots of touched root pages:
+    /// past an empty slot at a page's end it jumps to the next page set in
+    /// the touched-page bitmap. A walk so costs the root pages the tree
+    /// touched in the range, whatever the key span between them.
     pub fn range(&self, lo: u32, hi: u32) -> KissIter<'_, V> {
         let (lo, hi) = if self.is_empty() {
             (1, 0) // empty bounds
         } else {
             (lo.max(self.min_key), hi.min(self.max_key))
         };
-        let (root_lo, _) = self.cfg.split(lo);
+        let (root_lo, entry_lo) = self.cfg.split(lo);
+        let (hi_root, _) = self.cfg.split(hi);
+        let root_idx = self.touched_from(root_lo, hi_root);
+        let entry_idx = if root_idx == root_lo { entry_lo } else { 0 };
         KissIter {
             tree: self,
-            root_idx: root_lo,
-            entry_idx: (lo as usize) & (self.cfg.node_entries() - 1),
+            root_idx,
+            entry_idx,
             lo,
             hi,
+            hi_root,
             exhausted: lo > hi,
+            slots_read: 0,
         }
     }
 
@@ -476,7 +525,28 @@ pub struct KissIter<'a, V> {
     entry_idx: usize,
     lo: u32,
     hi: u32,
+    hi_root: usize,
     exhausted: bool,
+    slots_read: usize,
+}
+
+impl<V: Copy + Default> KissIter<'_, V> {
+    /// Root slots the cursor has read so far: the walk's work, which the
+    /// touched-page skip bounds by the slots of the pages it entered.
+    pub fn slots_read(&self) -> usize {
+        self.slots_read
+    }
+
+    /// Steps to the next root slot; entering a new page, it jumps to the
+    /// next touched one instead.
+    #[inline]
+    fn next_slot(&mut self) {
+        self.root_idx += 1;
+        self.entry_idx = 0;
+        if self.root_idx.is_multiple_of(ROOT_PAGE_SLOTS) && self.root_idx <= self.hi_root {
+            self.root_idx = self.tree.touched_from(self.root_idx, self.hi_root);
+        }
+    }
 }
 
 impl<'a, V: Copy + Default> Iterator for KissIter<'a, V> {
@@ -488,16 +558,15 @@ impl<'a, V: Copy + Default> Iterator for KissIter<'a, V> {
         }
         let cfg = self.tree.cfg;
         let entries = cfg.node_entries();
-        let (hi_root, _) = cfg.split(self.hi);
         loop {
-            if self.root_idx > hi_root {
+            if self.root_idx > self.hi_root {
                 self.exhausted = true;
                 return None;
             }
             let n = self.tree.root[self.root_idx];
+            self.slots_read += 1;
             if n == EMPTY {
-                self.root_idx += 1;
-                self.entry_idx = 0;
+                self.next_slot();
                 continue;
             }
             while self.entry_idx < entries {
@@ -514,8 +583,7 @@ impl<'a, V: Copy + Default> Iterator for KissIter<'a, V> {
                     }
                 }
             }
-            self.root_idx += 1;
-            self.entry_idx = 0;
+            self.next_slot();
         }
     }
 }

@@ -407,7 +407,8 @@ fn stats_equal_an_oracle_over_the_keys() {
 }
 
 /// The widest span the paper geometry has: two keys, two touched root
-/// pages, whatever the 2²⁶ − 2 slots between them.
+/// pages, whatever the 2²⁶ − 2 slots between them — and a walk of it reads
+/// the slots of those two pages only, not the 2²⁶ of the span.
 #[test]
 fn widest_key_span_touches_two_pages() {
     for cfg in [KissConfig::paper(), KissConfig::paper_compressed()] {
@@ -420,6 +421,150 @@ fn widest_key_span_touches_two_pages() {
         let s = t.stats();
         assert_eq!(s.root_touched_bytes, 2 * 4096, "{cfg:?}");
         assert_eq!(s, oracle.expect(&t), "{cfg:?}");
+
+        // The two pages' slots, and the two keys' slots once more each,
+        // where the walk resumes after yielding them.
+        let mut walk = t.iter();
+        assert_eq!(
+            walk.by_ref().map(|(k, _)| k).collect::<Vec<_>>(),
+            [0, u32::MAX]
+        );
+        assert_eq!(walk.slots_read(), 2 * PAGE_SLOTS as usize + 2, "{cfg:?}");
+        // A range inside the untouched stretch reads nothing but the
+        // bitmap.
+        let mut inner = t.range(1 << 20, u32::MAX - (1 << 20));
+        assert_eq!(inner.next().map(|(k, _)| k), None, "{cfg:?}");
+        assert_eq!(inner.slots_read(), 0, "{cfg:?}");
+    }
+}
+
+/// Root slots per 4 KB root page, and keys per page.
+const PAGE_SLOTS: u32 = 1024;
+const PAGE_KEYS: u32 = PAGE_SLOTS * 64;
+
+/// A root geometry with several bitmap words' worth of root pages (13–20
+/// root bits: 8–1 024 pages), every fourth case the paper geometry, either
+/// compression mode.
+fn paged_config(rng: &mut Xoshiro256StarStar, case: u64) -> KissConfig {
+    let compressed = rng.chance(1, 2);
+    let l1_bits = if case % 4 == 3 {
+        26
+    } else {
+        13 + rng.below(8) as u8
+    };
+    KissConfig {
+        l1_bits,
+        compressed,
+    }
+}
+
+/// Keys on a few of `pages` root pages: the pages' first and last keys,
+/// their second-level node edges, and keys anywhere inside them.
+fn paged_keys(rng: &mut Xoshiro256StarStar, pages: &[u32], max: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    for &p in pages {
+        let first = p * PAGE_KEYS;
+        let last = first.saturating_add(PAGE_KEYS - 1).min(max);
+        for _ in 0..1 + rng.below(12) {
+            out.push(match rng.below(6) {
+                0 => first,
+                1 => last,
+                2 => first + 63,
+                3 => last - 63,
+                _ => first + rng.below((last - first) as u64 + 1) as u32,
+            });
+        }
+    }
+    out
+}
+
+/// One to eight distinct root pages of the geometry's `total`, ascending.
+fn some_pages(rng: &mut Xoshiro256StarStar, total: u32) -> Vec<u32> {
+    let count = 1 + rng.below(8);
+    let mut out: Vec<u32> = (0..count).map(|_| rng.below(total as u64) as u32).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Ranges whose bounds sit on root-page edges, inside untouched pages, in
+/// the last root page, and anywhere.
+fn paged_ranges(rng: &mut Xoshiro256StarStar, total: u32, max: u32) -> Vec<(u32, u32)> {
+    let mut out = vec![
+        (0, u32::MAX),
+        (0, max),
+        (max - (PAGE_KEYS - 1), max),
+        (max, max),
+    ];
+    for _ in 0..10 {
+        let (a, b) = (
+            rng.below(total as u64) as u32,
+            rng.below(total as u64) as u32,
+        );
+        let edge = |p: u32, r: &mut Xoshiro256StarStar| match r.below(4) {
+            0 => p * PAGE_KEYS,
+            1 => (p * PAGE_KEYS).saturating_add(PAGE_KEYS - 1).min(max),
+            2 => (p * PAGE_KEYS).saturating_sub(1),
+            _ => p * PAGE_KEYS + r.below(PAGE_KEYS as u64) as u32,
+        };
+        let (lo, hi) = (edge(a.min(b), rng), edge(a.max(b), rng));
+        out.push((lo, hi));
+        out.push((hi, lo));
+    }
+    out
+}
+
+/// The touched-page skip changes what the cursors read, never what they
+/// yield: `range` and `kiss_sync_scan_range` equal the model over trees
+/// whose keys sit on a few root pages — on page edges, with the bounds on
+/// edges, inside untouched pages and in the last page, and for pairs of
+/// trees whose touched pages overlap partly or not at all.
+#[test]
+fn cursors_skip_untouched_pages_like_the_model() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256StarStar::new(0x9A6E5 + case);
+        let ca = paged_config(&mut rng, case);
+        let cb = KissConfig {
+            compressed: rng.chance(1, 2),
+            ..ca
+        };
+        let max = max_key(ca);
+        let total = (ca.root_slots() as u32).div_ceil(PAGE_SLOTS);
+        let mut pages_a = some_pages(&mut rng, total);
+        if rng.chance(1, 2) {
+            pages_a.push(total - 1); // the last root page
+        }
+        // B's pages: A's in part, or (every third case) none of A's.
+        let pages_b: Vec<u32> = some_pages(&mut rng, total)
+            .into_iter()
+            .chain(pages_a.iter().copied().filter(|_| rng.chance(1, 2)))
+            .filter(|p| case % 3 != 0 || !pages_a.contains(p))
+            .collect();
+        let a = paged_keys(&mut rng, &pages_a, max);
+        let mut b = paged_keys(&mut rng, &pages_b, max);
+        b.extend(
+            a.iter().copied().filter(|k| {
+                rng.chance(1, 2) && (case % 3 != 0 || pages_b.contains(&(k / PAGE_KEYS)))
+            }),
+        );
+        let ((ta, ma), (tb, mb)) = (build(ca, &a), build(cb, &b));
+        for (lo, hi) in paged_ranges(&mut rng, total, max) {
+            let want = model_range(&ma, lo, hi);
+            assert_eq!(
+                entries(ta.range(lo, hi)),
+                want,
+                "case {case} {ca:?} [{lo}, {hi}]"
+            );
+            let both: Vec<(u32, Vec<u32>, Vec<u32>)> = want
+                .into_iter()
+                .filter_map(|(k, lv)| mb.get(&k).map(|rv| (k, lv, rv.clone())))
+                .collect();
+            let mut got = Vec::new();
+            kiss_sync_scan_range(&ta, &tb, lo, hi, |k, lv, rv| {
+                got.push((k, lv.copied().collect(), rv.copied().collect()));
+            });
+            assert_eq!(got, both, "case {case} {ca:?} [{lo}, {hi}]");
+        }
     }
 }
 

@@ -1,9 +1,13 @@
 //! The CI smoke probe: connect to a running qppt-server, learn its
 //! `sf`/`seed` from `INFO`, regenerate the same SSB instance locally, and
 //! assert the served answers are byte-identical to the local sequential
-//! engine's — named aliases *and* one ad-hoc `QUERY` (plus one
-//! deliberately malformed `QUERY`, which must be a clean `ERR`). Exits
-//! non-zero on any mismatch.
+//! engine's — named aliases *and* two ad-hoc `QUERY`s, one grouping on
+//! values scattered across the dictionary (plus one deliberately malformed
+//! `QUERY`, which must be a clean `ERR`). Each probe is sent twice: the
+//! repeat must answer from a result tier (its op lines carry `cache:
+//! result hit`) and equal the first answer and the oracle's, so the
+//! server must run with its result tier on (the default; `--no-cache`
+//! fails the repeats). Exits non-zero on any mismatch.
 //!
 //! ```text
 //! cargo run --release --bin qppt-smoke -- --addr 127.0.0.1:7878 --shutdown
@@ -41,8 +45,9 @@ use std::process::exit;
 use std::time::Duration;
 
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-use qppt_server::QpptClient;
+use qppt_server::{ClientError, QpptClient, Served};
 use qppt_ssb::{queries, SsbDb};
+use qppt_storage::QueryResult;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -409,12 +414,15 @@ fn metrics_probe(client: &mut QpptClient, shards: Option<usize>) -> usize {
     failed
 }
 
-/// The shared probe set: five named aliases, one ad-hoc `QUERY`, one
+/// The shared probe set: five named aliases, two ad-hoc `QUERY`s, one
 /// deliberately malformed `QUERY` — all checked against the sequential
 /// oracle. `q3.2` has the widest group set, with string group values that
 /// every shard reports, so routed it is the largest merge. `q4.2` is the
 /// one SSB query whose three assists (supplier, part, date) each carry a
-/// group column, so every assist writes into the join buffer's rows.
+/// group column, so every assist writes into the join buffer's rows. The
+/// second ad-hoc query groups on cities drawn from all over the customer
+/// dictionary, so its packed group key is wide and its groups far apart.
+/// Every probe but the malformed one is sent twice (see [`probe_twice`]).
 /// Returns the number of failures.
 fn run_probes(
     client: &mut QpptClient,
@@ -423,6 +431,9 @@ fn run_probes(
     extra: &[(&str, &str)],
 ) -> usize {
     let mut failed = 0usize;
+    let mut options = vec![("parallelism", "2")];
+    options.extend_from_slice(extra);
+    let cached = !extra.contains(&("cache", "off"));
     for (name, spec) in [
         ("q1.1", queries::q1_1()),
         ("q2.3", queries::q2_3()),
@@ -431,62 +442,18 @@ fn run_probes(
         ("q4.2", queries::q4_2()),
     ] {
         let expected = engine.run(&spec, opts).expect("sequential oracle runs");
-        let mut options = vec![("parallelism", "2")];
-        options.extend_from_slice(extra);
-        match client.run(name, &options) {
-            Ok(served) if served.result == expected => {
-                eprintln!(
-                    "smoke: {name} OK — {} rows byte-identical (server total {} µs)",
-                    expected.rows.len(),
-                    served.stats.total_micros
-                );
-            }
-            Ok(served) => {
-                eprintln!(
-                    "smoke: {name} MISMATCH — served {} rows, expected {}",
-                    served.result.rows.len(),
-                    expected.rows.len()
-                );
-                failed += 1;
-            }
-            Err(e) => {
-                eprintln!("smoke: {name} FAIL — {e}");
-                failed += 1;
-            }
-        }
+        failed += probe_twice(name, &expected, cached, || client.run(name, &options));
     }
 
-    // Ad-hoc frontend probe: a query the server has no name for, written
+    // Ad-hoc frontend probes: queries the server has no name for, written
     // in the qppt-query language, checked against the locally parsed spec.
-    let adhoc_text = "fact=lineorder \
-         dim=supplier[join=s_suppkey:lo_suppkey;s_region='ASIA';carry=s_nation] \
-         dim=date[join=d_datekey:lo_orderdate;d_year between 1992 and 1997;carry=d_year] \
-         agg=sum(lo_revenue):revenue group=supplier.s_nation,date.d_year \
-         order=group:1,agg:0:desc id=smoke-adhoc";
-    let adhoc_spec = qppt_query::parse(adhoc_text).expect("smoke ad-hoc text parses");
-    let expected = engine.run(&adhoc_spec, opts).expect("ad-hoc oracle runs");
-    let mut options = vec![("parallelism", "2")];
-    options.extend_from_slice(extra);
-    match client.query(adhoc_text, &options) {
-        Ok(served) if served.result == expected => {
-            eprintln!(
-                "smoke: ad-hoc QUERY OK — {} rows byte-identical (server total {} µs)",
-                expected.rows.len(),
-                served.stats.total_micros
-            );
-        }
-        Ok(served) => {
-            eprintln!(
-                "smoke: ad-hoc QUERY MISMATCH — served {} rows, expected {}",
-                served.result.rows.len(),
-                expected.rows.len()
-            );
-            failed += 1;
-        }
-        Err(e) => {
-            eprintln!("smoke: ad-hoc QUERY FAIL — {e}");
-            failed += 1;
-        }
+    for (what, text) in [
+        ("ad-hoc QUERY", ADHOC),
+        ("scattered ad-hoc QUERY", SCATTERED_ADHOC),
+    ] {
+        let spec = qppt_query::parse(text).expect("smoke ad-hoc text parses");
+        let expected = engine.run(&spec, opts).expect("ad-hoc oracle runs");
+        failed += probe_twice(what, &expected, cached, || client.query(text, &options));
     }
 
     // And a deliberately malformed QUERY must come back as a structured
@@ -508,5 +475,77 @@ fn run_probes(
         }
     }
 
+    failed
+}
+
+/// The ad-hoc probe: supplier nations by year in Asia.
+const ADHOC: &str = "fact=lineorder \
+     dim=supplier[join=s_suppkey:lo_suppkey;s_region='ASIA';carry=s_nation] \
+     dim=date[join=d_datekey:lo_orderdate;d_year between 1992 and 1997;carry=d_year] \
+     agg=sum(lo_revenue):revenue group=supplier.s_nation,date.d_year \
+     order=group:1,agg:0:desc id=smoke-adhoc";
+
+/// The scattered ad-hoc probe: Q3.3's drill-down over customer cities of
+/// eight nations across the dictionary.
+const SCATTERED_ADHOC: &str = "fact=lineorder \
+     dim=customer[join=c_custkey:lo_custkey;c_city in 'ALGERIA  1','BRAZIL   3',\
+     'CHINA    5','FRANCE   7','JAPAN    2','PERU     4','ROMANIA  6','UNITED ST0';\
+     carry=c_city] \
+     dim=supplier[join=s_suppkey:lo_suppkey;s_city in 'ALGERIA  1','BRAZIL   3',\
+     'CHINA    5','FRANCE   7','JAPAN    2','PERU     4','ROMANIA  6','UNITED ST0';\
+     carry=s_city] \
+     dim=date[join=d_datekey:lo_orderdate;d_year between 1992 and 1997;carry=d_year] \
+     agg=sum(lo_revenue):revenue group=customer.c_city,supplier.s_city,date.d_year \
+     order=group:2,agg:0:desc id=smoke-scattered";
+
+/// Sends one probe twice; both answers must equal the oracle's `expected`,
+/// and so each other. The first may run cold; with `cached` (no
+/// `cache=off` among the options) the repeat must come from a result tier,
+/// a server's or the router's: one of its op lines is the tier's
+/// `cache: result hit` record. Returns the number of failures.
+fn probe_twice(
+    what: &str,
+    expected: &QueryResult,
+    cached: bool,
+    mut send: impl FnMut() -> Result<Served, ClientError>,
+) -> usize {
+    let mut failed = 0;
+    for attempt in ["first", "repeat"] {
+        match send() {
+            Ok(served) if served.result == *expected => {
+                let hit = served
+                    .stats
+                    .op_lines
+                    .iter()
+                    .any(|l| l.contains("cache: result hit"));
+                if attempt == "repeat" && cached && !hit {
+                    eprintln!(
+                        "smoke: {what} repeat FAIL — not a result hit: {:?}",
+                        served.stats.op_lines
+                    );
+                    failed += 1;
+                    continue;
+                }
+                eprintln!(
+                    "smoke: {what} {attempt} OK — {} rows byte-identical{} (server total {} µs)",
+                    expected.rows.len(),
+                    if hit { ", result hit" } else { "" },
+                    served.stats.total_micros
+                );
+            }
+            Ok(served) => {
+                eprintln!(
+                    "smoke: {what} {attempt} MISMATCH — served {} rows, expected {}",
+                    served.result.rows.len(),
+                    expected.rows.len()
+                );
+                failed += 1;
+            }
+            Err(e) => {
+                eprintln!("smoke: {what} {attempt} FAIL — {e}");
+                failed += 1;
+            }
+        }
+    }
     failed
 }

@@ -26,12 +26,14 @@
 //! 1. **result hit** — return the cached entry without touching the pool,
 //!    in either mode: full and `mode=partial` answers both live in the
 //!    result tier, kept apart by a mode tag folded into the fingerprint.
-//!    The entry carries the response rendered once when it was made (the
-//!    `OK`/`COLS`/`ROW` or `OK partial`/`COLS`/`P` head and the `# op`
-//!    lines a hit answers), so the dispatcher writes those bytes as they
-//!    are and formats only `# total_micros=…`; the answer is cloned only
-//!    for in-process callers. A miss renders the entry at insertion and
-//!    writes the same head bytes, so it still serializes once;
+//!    The entry holds the answer once, as the response rendered when it
+//!    was made (the `OK`/`COLS`/`ROW` or `OK partial`/`COLS`/`P` head and
+//!    the `# op` lines a hit answers), so the dispatcher writes those bytes
+//!    as they are and formats only `# total_micros=…`; an in-process
+//!    caller gets the answer read back from the head by the protocol's own
+//!    readers. A miss renders the entry at insertion and writes the same
+//!    head bytes, so it still serializes once, and an in-process miss gets
+//!    the answer it just finished;
 //! 2. **miss** — build the plan (which validates the spec) and check its
 //!    indexes, then **assemble from parts**: every `Materialized`
 //!    dimension σ is looked up in the *dimension tier* (keyed per
@@ -54,12 +56,12 @@
 //! under a running query and stale entries die on their next lookup.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_cache::{
-    render_tier_stats, CacheConfig, CacheStats, CachedResult, Finished, QueryCache,
-    QueryFingerprint,
+    render_tier_stats, CacheConfig, CacheStats, CachedResult, QueryCache, QueryFingerprint,
 };
 use qppt_core::plan::DimHandleKind;
 use qppt_core::{
@@ -72,7 +74,10 @@ use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
 use crate::obs::{elapsed_micros, ServeObs};
-use crate::protocol::{write_op_lines, write_partial_head, write_run_head, RunControls};
+use crate::protocol::{
+    parse_partial_status, read_partial_body, read_run_body, read_status, write_op_lines,
+    write_partial_head, write_run_head, RunControls,
+};
 
 /// Domain-separation tag folded into the result-tier key of a
 /// `mode=partial` request, so a query's partial entry and its full entry
@@ -456,8 +461,9 @@ impl ServeEngine {
     }
 
     /// [`serve`](Self::serve) for in-process callers: the finished answer
-    /// and its stats — on a result hit the producing execution's operators
-    /// plus the result-hit record, as the wire answers them.
+    /// and its stats — on a result hit the answer read back from the
+    /// entry's head and the producing execution's operators plus the
+    /// result-hit record, as the wire answers them.
     fn run_finished(
         &self,
         spec: &QuerySpec,
@@ -465,14 +471,14 @@ impl ServeEngine {
         controls: &RunControls,
     ) -> Result<(Finished, ExecStats), ServeError> {
         match self.serve(spec, opts, controls, None)? {
-            (Answer::Cached(entry), stats, Outcome::ResultHit) => {
+            (Answer::Hit(entry), stats) => {
+                let finished = Finished::read(&entry.head);
                 let mut hit = entry.stats.clone();
-                hit.push(result_hit_op(&entry.finished));
+                hit.push(result_hit_op(finished.rows()));
                 hit.total_micros = stats.total_micros;
-                Ok((entry.finished.clone(), hit))
+                Ok((finished, hit))
             }
-            (Answer::Cached(entry), stats, _) => Ok((entry.finished.clone(), stats)),
-            (Answer::Bypass(finished), stats, _) => Ok((finished, stats)),
+            (Answer::Cold(finished, _) | Answer::Bypass(finished), stats) => Ok((finished, stats)),
         }
     }
 
@@ -489,18 +495,18 @@ impl ServeEngine {
     /// the caller finishes; answer bytes are identical with and without it
     /// — spans only ride as extra `#` lines.
     ///
-    /// With the cache on the answer is [`Answer::Cached`]: the entry a hit
-    /// found, or the one a miss just rendered and inserted. On a hit the
+    /// With the cache on the answer is the entry a hit found
+    /// ([`Answer::Hit`]), or the answer a miss just finished beside the
+    /// entry it rendered and inserted ([`Answer::Cold`]). On a hit the
     /// returned stats carry only `total_micros` — the entry's rendered op
-    /// lines are the hit's operator list. The [`Outcome`] names where the
-    /// answer came from.
+    /// lines are the hit's operator list.
     pub(crate) fn serve(
         &self,
         spec: &QuerySpec,
         opts: &PlanOptions,
         controls: &RunControls,
         trace: Option<&mut Trace>,
-    ) -> Result<(Answer, ExecStats, Outcome), ServeError> {
+    ) -> Result<(Answer, ExecStats), ServeError> {
         let db = self.engine.db();
         let RunControls {
             priority,
@@ -539,7 +545,7 @@ impl ServeEngine {
             if let Some(t) = trace {
                 t.add(t.root(), "result_cache", elapsed_micros(started));
             }
-            return Ok((Answer::Cached(hit), stats, Outcome::ResultHit));
+            return Ok((Answer::Hit(hit), stats));
         }
 
         // Plan: build_plan runs the catalog validation itself (typed
@@ -582,14 +588,14 @@ impl ServeEngine {
         }
         if !cache.enabled() {
             stats.total_micros = started.elapsed().as_micros();
-            return Ok((Answer::Bypass(finished), stats, Outcome::Bypass));
+            return Ok((Answer::Bypass(finished), stats));
         }
-        let entry = Arc::new(cache_entry(finished, &stats));
+        let entry = Arc::new(cache_entry(&finished, &stats));
         cache.put_result(&fp, entry.clone());
-        stats.push(cache_op(Outcome::Cold.label(), entry.finished.rows()));
+        stats.push(cache_op(Outcome::Cold.label(), finished.rows()));
         push_assembly_op(&mut stats, assembly);
         stats.total_micros = started.elapsed().as_micros();
-        Ok((Answer::Cached(entry), stats, Outcome::Cold))
+        Ok((Answer::Cold(finished, entry), stats))
     }
 
     /// Composes a [`PreparedQuery`] for an already-built plan in three
@@ -657,15 +663,65 @@ impl ServeEngine {
     }
 }
 
+/// What a query's *finish* step produced: the decoded, ordered rows of a
+/// full request, or the undecoded aggregate a `mode=partial` request
+/// answers for the router to merge.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Finished {
+    Rows(QueryResult),
+    Partial(PartialAggregate),
+}
+
+impl Finished {
+    /// Rows (full) or groups (partial) answered.
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            Finished::Rows(r) => r.rows.len(),
+            Finished::Partial(p) => p.groups.len(),
+        }
+    }
+
+    /// The answer a rendered response head holds, read back by the
+    /// readers clients and the router run on the wire: a `RUN` head reads
+    /// as rows, an `OK partial` one as the aggregate.
+    fn read(head: &[u8]) -> Finished {
+        const READS_BACK: &str = "a result-tier head reads back as the answer it was rendered from";
+        let mut r = head.chain(&b"END\n"[..]);
+        let status = read_status(&mut r).expect(READS_BACK);
+        let read = match parse_partial_status(&status) {
+            Some(groups) => read_partial_body(&mut r, groups).map(|(p, _)| Finished::Partial(p)),
+            None => {
+                let rows = status.parse().expect(READS_BACK);
+                read_run_body(&mut r, rows).map(|(rows, _)| Finished::Rows(rows))
+            }
+        };
+        read.expect(READS_BACK)
+    }
+}
+
 /// A served answer.
 #[derive(Debug)]
 pub(crate) enum Answer {
-    /// With the cache on: the result-tier entry, whose rendered head is
-    /// the response head.
-    Cached(Arc<CachedResult>),
+    /// A result-tier hit: the entry, whose rendered head is the response
+    /// head.
+    Hit(Arc<CachedResult>),
+    /// A miss with the cache on: the answer the finish step produced, and
+    /// the entry rendered from it and inserted.
+    Cold(Finished, Arc<CachedResult>),
     /// Under `cache=off`: what the finish step produced, rendered per
     /// request.
     Bypass(Finished),
+}
+
+impl Answer {
+    /// Where the answer came from.
+    pub(crate) fn outcome(&self) -> Outcome {
+        match self {
+            Answer::Hit(_) => Outcome::ResultHit,
+            Answer::Cold(..) => Outcome::Cold,
+            Answer::Bypass(_) => Outcome::Bypass,
+        }
+    }
 }
 
 /// Where a served answer came from: a result-tier hit, a miss that ran
@@ -700,28 +756,28 @@ struct DimAssembly {
     built: usize,
 }
 
-/// The `# op` record a result-tier hit appends to the cached execution's
-/// operators.
-fn result_hit_op(finished: &Finished) -> OpStats {
-    cache_op(Outcome::ResultHit.label(), finished.rows())
+/// The `# op` record a result-tier hit of `rows` rows (or groups) appends
+/// to the cached execution's operators.
+fn result_hit_op(rows: usize) -> OpStats {
+    cache_op(Outcome::ResultHit.label(), rows)
 }
 
-/// The result-tier entry of a finished answer: the answer and the stats
-/// of the execution that produced it, plus the bytes a hit writes — the
-/// response head of its mode and the op lines (those operators, then the
-/// result-hit record) — rendered here, once, by the protocol's own
-/// writers.
-fn cache_entry(finished: Finished, stats: &ExecStats) -> CachedResult {
+/// The result-tier entry of a finished answer: the stats of the execution
+/// that produced it and the bytes a hit writes — the response head of its
+/// mode, which is the entry's one copy of the answer, and the op lines
+/// (those operators, then the result-hit record) — rendered here, once, by
+/// the protocol's own writers.
+fn cache_entry(finished: &Finished, stats: &ExecStats) -> CachedResult {
     let (mut head, mut hit_ops) = (Vec::new(), Vec::new());
-    match &finished {
+    match finished {
         Finished::Rows(result) => write_run_head(&mut head, result),
         Finished::Partial(partial) => write_partial_head(&mut head, partial),
     }
     .and_then(|()| write_op_lines(&mut hit_ops, &stats.ops))
-    .and_then(|()| write_op_lines(&mut hit_ops, &[result_hit_op(&finished)]))
+    .and_then(|()| write_op_lines(&mut hit_ops, &[result_hit_op(finished.rows())]))
     .expect("writing to a Vec cannot fail");
+    debug_assert_eq!(&Finished::read(&head), finished, "the head reads back");
     CachedResult {
-        finished,
         stats: stats.clone(),
         head: head.into(),
         hit_ops: hit_ops.into(),
@@ -855,6 +911,44 @@ mod tests {
         assert_eq!(s.dims.hits, 1);
         assert_eq!(s.dims.insertions as usize, a31.built + a32.built);
         assert!(s.dims.bytes > 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn result_entries_bill_the_bytes_they_store() {
+        // An entry holds its answer once, as the rendered head: it bills
+        // the head and the hit's op lines plus a fixed amount per operator
+        // record, however many rows the answer has, in either mode.
+        use qppt_cache::HeapSize;
+        let (engine, pool) = engine_over_ssb(CacheConfig::default());
+        let opts = PlanOptions::default();
+        for q in queries::all_queries() {
+            for partial in [false, true] {
+                let controls = RunControls {
+                    partial,
+                    ..RunControls::default()
+                };
+                let before = engine.cache_stats().results.bytes;
+                let (answer, _) = engine.serve(&q, &opts, &controls, None).unwrap();
+                let Answer::Cold(finished, entry) = answer else {
+                    panic!("{}: a first run misses", q.id);
+                };
+                let stored = entry.head.len() + entry.hit_ops.len();
+                let billed = entry.heap_bytes();
+                let ops = entry.stats.ops.len();
+                assert!(ops <= 16, "{} partial={partial}: {ops} operators", q.id);
+                assert!(
+                    (stored..=stored + 96 * ops).contains(&billed),
+                    "{} partial={partial}: billed {billed} for {stored} stored",
+                    q.id
+                );
+                assert_eq!(
+                    engine.cache_stats().results.bytes - before,
+                    std::mem::size_of::<CachedResult>() + billed
+                );
+                assert_eq!(Finished::read(&entry.head), finished, "{}", q.id);
+            }
+        }
         pool.shutdown();
     }
 

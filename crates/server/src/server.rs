@@ -44,10 +44,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use qppt_cache::Finished;
 use qppt_storage::QuerySpec;
 
-use crate::engine::{render_cache_stats, Answer, Outcome, ServeEngine, ServeError};
+use crate::engine::{render_cache_stats, Answer, Finished, ServeEngine, ServeError};
 use crate::obs::{elapsed_micros, finish_trace, make_trace};
 use crate::protocol::{
     apply_overrides, parse_request, write_op_lines, write_partial_response, write_run_response,
@@ -400,16 +399,16 @@ impl EngineService {
         let workers = engine.pooled().pipeline_participants(opts.parallelism);
         let mut trace = make_trace(controls.trace);
         let served = spec.and_then(|spec| engine.serve(spec, &opts, &controls, trace.as_mut()));
-        let (answer, stats, outcome) = match served {
+        let (answer, stats) = match served {
             Err(e) => return writeln!(w, "ERR {e}"),
             Ok(served) => served,
         };
         let spans = finish_trace(trace, stats.total_micros);
         match &answer {
-            Answer::Cached(entry) => {
+            Answer::Hit(entry) | Answer::Cold(_, entry) => {
                 w.write_all(&entry.head)?;
                 write_total_line(&mut w, stats.total_micros, workers)?;
-                if outcome == Outcome::ResultHit {
+                if let Answer::Hit(_) = answer {
                     w.write_all(&entry.hit_ops)?;
                 } else {
                     write_op_lines(&mut w, &stats.ops)?;
@@ -425,7 +424,7 @@ impl EngineService {
             }
         }
         if let Some(obs) = engine.obs() {
-            obs.slow_log(started, verb, line, outcome.label(), &spans);
+            obs.slow_log(started, verb, line, answer.outcome().label(), &spans);
         }
         Ok(())
     }

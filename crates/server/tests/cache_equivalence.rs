@@ -22,7 +22,12 @@
 //! * `mode=partial` answers are result-tier entries too, keyed apart from
 //!   full answers: a partial hit answers its miss's bytes, a write to
 //!   `date` invalidates exactly the partial entries of date readers, and
-//!   `mode=partial cache=off` moves no counter.
+//!   `mode=partial cache=off` moves no counter;
+//! * an entry keeps its answer once, as rendered bytes: an in-process hit
+//!   reads it back and answers exactly what the miss answered — rows,
+//!   group values, aggregates (negative sums included) and operator
+//!   records — in both modes, for the 13 queries and seeded ad-hoc shapes
+//!   whose group values lie scattered across the dictionaries.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -31,7 +36,8 @@ use std::sync::Arc;
 
 use qppt_cache::{CacheConfig, QueryCache};
 use qppt_core::plan::DimHandleKind;
-use qppt_core::{build_plan, ExecStats, PartialAggregate, PlanOptions, QpptEngine};
+use qppt_core::{build_plan, ExecStats, OpStats, PartialAggregate, PlanOptions, QpptEngine};
+use qppt_mem::Xoshiro256StarStar;
 use qppt_par::WorkerPool;
 use qppt_server::protocol::{
     parse_partial_status, read_partial_body, read_status, write_partial_response,
@@ -39,7 +45,7 @@ use qppt_server::protocol::{
 };
 use qppt_server::{serve, QpptClient, ServeEngine};
 use qppt_ssb::{queries, SsbDb};
-use qppt_storage::{Database, Value};
+use qppt_storage::{Database, Expr, Predicate, QuerySpec, Value};
 
 /// The `# op cache: dims …` entry of one run's stats, if any.
 fn dim_assembly_op(stats: &ExecStats) -> Option<&qppt_core::OpStats> {
@@ -820,5 +826,131 @@ fn partial_answers_are_result_entries_keyed_apart_from_full_ones() {
     drop((reader, oracle));
     server.stop();
     drop(engine);
+    pool.shutdown();
+}
+
+/// `count` SSB cities drawn from all 25 nations: group values spread
+/// across the city dictionaries rather than adjacent codes.
+fn scattered_cities(rng: &mut Xoshiro256StarStar, count: usize) -> Vec<Value> {
+    (0..count)
+        .map(|_| {
+            let (nation, _) = qppt_ssb::NATIONS[rng.below(25) as usize];
+            Value::Str(qppt_ssb::gen::city_name(nation, rng.below(10)))
+        })
+        .collect()
+}
+
+/// Seeded ad-hoc shapes: Q3.3's drill-down over scattered cities (the
+/// group key's values far apart in a wide packed key), Q3.2's over two
+/// random nations, and the three Q4 queries with profit negated, so every
+/// sum is negative.
+fn adhoc_shapes(seed: u64) -> Vec<QuerySpec> {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let mut out = Vec::new();
+    for i in 0..6 {
+        let mut q = queries::q3_3();
+        q.id = format!("scattered{i}");
+        for d in &mut q.dims {
+            let column = match d.table.as_str() {
+                "customer" => "c_city",
+                "supplier" => "s_city",
+                _ => continue,
+            };
+            let count = 2 + rng.below(12) as usize;
+            d.predicates = vec![Predicate::is_in(column, scattered_cities(&mut rng, count))];
+        }
+        out.push(q);
+    }
+    for i in 0..3 {
+        let mut q = queries::q3_2();
+        q.id = format!("nations{i}");
+        for d in &mut q.dims {
+            let column = match d.table.as_str() {
+                "customer" => "c_nation",
+                "supplier" => "s_nation",
+                _ => continue,
+            };
+            let (nation, _) = qppt_ssb::NATIONS[rng.below(25) as usize];
+            d.predicates = vec![Predicate::eq(column, nation)];
+        }
+        out.push(q);
+    }
+    for mut q in [queries::q4_1(), queries::q4_2(), queries::q4_3()] {
+        q.id = format!("{}-loss", q.id);
+        q.aggregates[0].expr = Expr::Sub("lo_supplycost".into(), "lo_revenue".into());
+        out.push(q);
+    }
+    out
+}
+
+/// What a result hit reports as its operators: the miss's execution
+/// operators — its records without the cache's own — then the result-hit
+/// record of `rows` rows.
+fn hit_ops_of(miss: &ExecStats, rows: usize) -> Vec<OpStats> {
+    let mut ops: Vec<OpStats> = miss
+        .ops
+        .iter()
+        .filter(|op| !op.label.starts_with("cache: "))
+        .cloned()
+        .collect();
+    ops.push(OpStats {
+        label: "cache: result hit".into(),
+        out_keys: rows,
+        out_tuples: rows,
+        index_kind: "cache".into(),
+        memory_bytes: 0,
+        micros: 0,
+    });
+    ops
+}
+
+#[test]
+fn in_process_hits_answer_what_their_miss_answered() {
+    let db = ssb_db(0.01);
+    let pool = WorkerPool::new(2, 8);
+    let engine = ServeEngine::over_db(db.clone(), pool.clone(), PlanOptions::default(), 0.01, 42);
+    let opts = PlanOptions::default();
+    let shapes = adhoc_shapes(0x4817);
+    let (mut negative, mut scattered_rows) = (0, 0);
+    for spec in queries::all_queries().iter().chain(&shapes) {
+        let id = &spec.id;
+        let (miss, miss_stats) = engine.run_spec(spec, &opts, 0, true).unwrap();
+        let rows = miss.rows.len();
+        let cold = miss_stats.ops.iter().find(|op| op.label == "cache: cold");
+        assert_eq!(cold.map(|op| op.out_tuples), Some(rows), "{id}");
+        let (hit, hit_stats) = engine.run_spec(spec, &opts, 0, true).unwrap();
+        assert_eq!(hit, miss, "{id}: the hit answers the miss's rows");
+        assert_eq!(hit_stats.ops, hit_ops_of(&miss_stats, rows), "{id}");
+        let (bypass, _) = engine.run_spec(spec, &opts, 0, false).unwrap();
+        assert_eq!(hit, bypass, "{id}: and what cache=off answers");
+        negative += miss
+            .rows
+            .iter()
+            .flat_map(|r| &r.agg_values)
+            .filter(|&&a| a < 0)
+            .count();
+        if id.starts_with("scattered") {
+            scattered_rows += rows;
+        }
+
+        let (miss, miss_stats) = engine.run_spec_partial(spec, &opts, 0, true).unwrap();
+        let (hit, hit_stats) = engine.run_spec_partial(spec, &opts, 0, true).unwrap();
+        assert_eq!(hit, miss, "{id}: the partial hit answers the miss's groups");
+        let groups = miss.groups.len();
+        assert_eq!(
+            hit_stats.ops,
+            hit_ops_of(&miss_stats, groups),
+            "{id} partial"
+        );
+        let (bypass, _) = engine.run_spec_partial(spec, &opts, 0, false).unwrap();
+        assert_eq!(hit, bypass, "{id}: partial and what cache=off answers");
+    }
+    // The sample reaches what it is for: negative sums, and scattered
+    // groups that are not all empty.
+    assert!(negative > 0, "the negated Q4 shapes sum below zero");
+    assert!(scattered_rows > 0, "some scattered drill-down has rows");
+    let s = engine.cache_stats().results;
+    let answers = (queries::all_queries().len() + shapes.len()) as u64;
+    assert_eq!((s.misses, s.hits), (2 * answers, 2 * answers));
     pool.shutdown();
 }

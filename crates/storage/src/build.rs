@@ -2,20 +2,23 @@
 //! independent tasks.
 //!
 //! [`BaseIndex::build`](crate::BaseIndex::build) lays a table's row
-//! versions out in key order. It runs in three passes, each split into
+//! versions out in key order. It runs in four passes, each split into
 //! tasks that touch disjoint memory:
 //!
-//! 1. **Keys**, in row chunks: every row's packed key goes into one sort
-//!    item beside its rid, and each chunk counts its items per bucket of
-//!    the key's top bits.
-//! 2. **Sort**: one in-place pass moves every item into its bucket; the
-//!    buckets, which are key-disjoint and ascending, then sort as tasks.
+//! 1. **Count**, in row chunks: each chunk counts its rows' packed keys
+//!    per bucket of the key span's top bits.
+//! 2. **Place**, in the same chunks: each chunk packs every row's key
+//!    again into one sort item beside its rid, written straight into the
+//!    chunk's share of the item's bucket — so the items are bucketed as
+//!    they are made, in one buffer.
+//! 3. **Sort**: the buckets, which are key-disjoint and ascending, sort as
+//!    tasks.
 //!    Where keys fit 32 bits an item is the word `key << 32 | rid`; wider
 //!    keys sort `(key, rid)` pairs. Either way equal keys tie on the rid,
 //!    so the unstable sort gives the stable order
 //!    ([`stable_key_order`](crate::stable_key_order)) by construction, and
 //!    nothing in it loads a key at random.
-//! 3. **Gather**, in chunks of the sorted items: payload row `i` is item
+//! 4. **Gather**, in chunks of the sorted items: payload row `i` is item
 //!    `i`'s rid and carried values, written straight into a buffer
 //!    allocated once at its final lane width, with the table row 16 items
 //!    ahead prefetched. The tree takes the items' keys in order, as one
@@ -28,7 +31,6 @@
 //! tasks, never on who ran them or in what order, so every hook builds the
 //! same index bit for bit.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use qppt_mem::key_bits;
@@ -38,8 +40,14 @@ use crate::index::TreeIndex;
 use crate::payload::{Lane, PayloadBuf};
 use crate::table::Table;
 
-/// Rows per task of the key and gather passes.
+/// Rows per task of the count, place and gather passes, at least.
 const CHUNK_ROWS: usize = 1 << 14;
+
+/// The count and place passes split into at most this many tasks: each
+/// keeps a count and a slice per bucket, and at one task per
+/// [`CHUNK_ROWS`] rows that bookkeeping (≈ 0.45 MB at 1.2 M rows) showed
+/// in a served deployment's peak RSS.
+const KEY_TASKS: usize = 16;
 
 /// The sort buckets on at most this many top bits of the key span.
 const BUCKET_BITS: u32 = 8;
@@ -164,34 +172,15 @@ pub(crate) fn sorted_items<K: Keyed>(
     (lo, hi): (u64, u64),
     tasks: &dyn BuildTasks,
 ) -> Vec<K> {
-    let mut items = vec![K::default(); rows];
     if rows == 0 {
-        return items;
+        return Vec::new();
     }
     let buckets = Buckets::new(lo, hi);
-    let counts: Vec<AtomicUsize> = (0..buckets.count).map(|_| AtomicUsize::new(0)).collect();
-    {
-        let chunks = locked(items.chunks_mut(CHUNK_ROWS));
-        tasks.run(chunks.len(), &|i| {
-            let mut chunk = chunks[i].lock().expect("key chunk");
-            let mut local = vec![0usize; buckets.count];
-            let first = i * CHUNK_ROWS;
-            for (j, item) in chunk.iter_mut().enumerate() {
-                let rid = (first + j) as u32;
-                let key = key_of(rid);
-                debug_assert!((lo..=hi).contains(&key), "{key} outside [{lo}, {hi}]");
-                local[buckets.of(key)] += 1;
-                *item = K::new(key, rid);
-            }
-            for (total, n) in counts.iter().zip(local) {
-                total.fetch_add(n, Ordering::Relaxed);
-            }
-        });
-    }
-    let counts: Vec<usize> = counts.into_iter().map(AtomicUsize::into_inner).collect();
-    partition(&mut items, &buckets, &counts);
+    let counts = bucket_counts(rows, &key_of, &buckets, tasks);
+    let mut items = partition::<K>(rows, &key_of, &buckets, &counts, tasks);
     let mut rest = &mut items[..];
-    let parts = locked(counts.iter().map(|&n| {
+    let parts = locked((0..buckets.count).map(|b| {
+        let n = counts.iter().map(|c| c[b]).sum();
         let (part, tail) = std::mem::take(&mut rest).split_at_mut(n);
         rest = tail;
         part
@@ -203,33 +192,87 @@ pub(crate) fn sorted_items<K: Keyed>(
     items
 }
 
-/// Moves every item into its bucket, in place: bucket `b` ends up at
-/// `counts[..b].sum()..counts[..=b].sum()`, its items in no particular
-/// order. Each swap puts one item home for good (American flag sort's
-/// permutation pass).
-fn partition<K: Keyed>(items: &mut [K], buckets: &Buckets, counts: &[usize]) {
-    let (mut heads, mut ends) = (Vec::with_capacity(counts.len()), Vec::new());
-    let mut at = 0;
-    for &n in counts {
-        heads.push(at);
-        at += n;
-        ends.push(at);
-    }
-    for b in 0..counts.len() {
-        while heads[b] < ends[b] {
-            let mut item = items[heads[b]];
-            loop {
-                let home = buckets.of(item.key());
-                if home == b {
-                    break;
-                }
-                std::mem::swap(&mut item, &mut items[heads[home]]);
-                heads[home] += 1;
-            }
-            items[heads[b]] = item;
-            heads[b] += 1;
+/// Rows per task of the count and place passes: [`CHUNK_ROWS`], or more
+/// where that would make more than [`KEY_TASKS`] tasks.
+fn key_chunk_rows(rows: usize) -> usize {
+    CHUNK_ROWS.max(rows.div_ceil(KEY_TASKS))
+}
+
+/// The rids of key chunk `c` of `rows`.
+fn chunk_rids(c: usize, rows: usize) -> std::ops::Range<u32> {
+    let len = key_chunk_rows(rows);
+    (c * len) as u32..((c + 1) * len).min(rows) as u32
+}
+
+/// `counts[c][b]`: how many rids of key chunk `c` ([`chunk_rids`]) have
+/// their key in bucket `b`, one task per chunk.
+fn bucket_counts(
+    rows: usize,
+    key_of: &(impl Fn(u32) -> u64 + Sync),
+    buckets: &Buckets,
+    tasks: &dyn BuildTasks,
+) -> Vec<Vec<usize>> {
+    let chunks = rows.div_ceil(key_chunk_rows(rows));
+    let counts = locked((0..chunks).map(|_| vec![0usize; buckets.count]));
+    tasks.run(chunks, &|c| {
+        let mut local = counts[c].lock().expect("chunk counts");
+        for rid in chunk_rids(c, rows) {
+            let key = key_of(rid);
+            debug_assert!(
+                key >= buckets.lo && buckets.of(key) < buckets.count,
+                "{key} outside the key span"
+            );
+            local[buckets.of(key)] += 1;
+        }
+    });
+    counts
+        .into_iter()
+        .map(|c| c.into_inner().expect("chunk counts"))
+        .collect()
+}
+
+/// The rids `0..rows` as sort items, moved into their buckets: bucket `b`
+/// holds the items whose key falls in it, after every item of the buckets
+/// below. Each key chunk is one task that packs its rids' items straight
+/// into its own share of every bucket (`counts` from [`bucket_counts`]);
+/// a bucket's shares lie in chunk order, so a bucket holds its items in
+/// rid order, and no second item buffer is needed — the price is packing
+/// every key twice, once to count and once to place.
+fn partition<K: Keyed>(
+    rows: usize,
+    key_of: &(impl Fn(u32) -> u64 + Sync),
+    buckets: &Buckets,
+    counts: &[Vec<usize>],
+    tasks: &dyn BuildTasks,
+) -> Vec<K> {
+    let mut items = vec![K::default(); rows];
+    let mut shares: Vec<Vec<&mut [K]>> = counts
+        .iter()
+        .map(|_| Vec::with_capacity(buckets.count))
+        .collect();
+    let mut rest = &mut items[..];
+    for b in 0..buckets.count {
+        for (share, count) in shares.iter_mut().zip(counts) {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(count[b]);
+            rest = tail;
+            share.push(part);
         }
     }
+    let shares = locked(shares.into_iter());
+    tasks.run(shares.len(), &|c| {
+        let mut share = shares[c].lock().expect("chunk share");
+        for rid in chunk_rids(c, rows) {
+            let key = key_of(rid);
+            let b = buckets.of(key);
+            let (item, rest) = std::mem::take(&mut share[b])
+                .split_first_mut()
+                .expect("the count pass counted this item");
+            *item = K::new(key, rid);
+            share[b] = rest;
+        }
+    });
+    drop(shares);
+    items
 }
 
 /// The payload of a base index: row `i` is `[rid(i), carried values of
@@ -323,6 +366,15 @@ mod tests {
 
     #[test]
     fn partition_puts_every_item_in_its_bucket() {
+        // Several chunks, each packing into its share of every bucket: the
+        // result is the items in rid order, stably ordered by bucket, under
+        // the serial hook and with the chunks' tasks run in reverse.
+        struct Reversed;
+        impl BuildTasks for Reversed {
+            fn run(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+                (0..tasks).rev().for_each(task);
+            }
+        }
         let mut rng = qppt_mem::Xoshiro256StarStar::new(0x6275_636b);
         for (lo, hi) in [
             (0u64, 0u64),
@@ -332,20 +384,17 @@ mod tests {
         ] {
             let buckets = Buckets::new(lo, hi);
             assert!(buckets.count <= 1 << BUCKET_BITS);
-            let mut items: Vec<u64> = (0..3_000u32)
-                .map(|rid| Keyed::new(lo + rng.below(hi - lo + 1), rid))
-                .collect();
-            let mut counts = vec![0; buckets.count];
-            for &it in &items {
-                counts[buckets.of(it.key())] += 1;
+            let rows = 2 * CHUNK_ROWS + 3_000;
+            let keys: Vec<u64> = (0..rows).map(|_| lo + rng.below(hi - lo + 1)).collect();
+            let key_of = |rid: u32| keys[rid as usize];
+            let mut want: Vec<u64> = (0..rows as u32).map(|r| Keyed::new(key_of(r), r)).collect();
+            want.sort_by_key(|&it| buckets.of(it.key()));
+            for tasks in [&SerialTasks as &dyn BuildTasks, &Reversed] {
+                let counts = bucket_counts(rows, &key_of, &buckets, tasks);
+                assert_eq!(counts.len(), 3);
+                let items: Vec<u64> = partition(rows, &key_of, &buckets, &counts, tasks);
+                assert_eq!(items, want, "[{lo}, {hi}]");
             }
-            let mut want = items.clone();
-            partition(&mut items, &buckets, &counts);
-            let homes: Vec<usize> = items.iter().map(|&it| buckets.of(it.key())).collect();
-            assert!(homes.windows(2).all(|w| w[0] <= w[1]), "[{lo}, {hi}]");
-            items.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(items, want);
         }
     }
 }
