@@ -37,10 +37,13 @@ pub struct PlanOptions {
     /// operate on a multidimensional index as input"). Eligible = equality
     /// predicates on all leading columns, at most a range on the last.
     pub multidim_selections: bool,
-    /// Worker count for the morsel-driven parallel executor (`qppt-par`).
-    /// `1` (the default) is sequential execution — every operator class
-    /// (selections, synchronous scans, composed joins) runs on the calling
-    /// thread; `QpptEngine::run` ignores this knob entirely — only
+    /// Worker count for the morsel-driven parallel executor (`qppt-par`),
+    /// an upper bound: the pool grants a query at most the cores its load
+    /// leaves free, so a lone query runs this wide (up to the pool's size)
+    /// while under concurrent load each query runs on its calling thread
+    /// alone. `1` (the default) is sequential execution — every operator
+    /// class (selections, synchronous scans, composed joins) runs on the
+    /// calling thread; `QpptEngine::run` ignores this knob entirely — only
     /// `qppt_par::PooledEngine` consults it.
     pub parallelism: usize,
     /// Morsel granularity: the key domain of the stage-1 join attribute is

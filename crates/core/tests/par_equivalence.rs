@@ -20,11 +20,12 @@ fn prepared_db(sf: f64, seed: u64, opts: &PlanOptions) -> Arc<Database> {
     Arc::new(ssb.db)
 }
 
-/// A pool on which `parallelism = 8` is really reachable: the calling
-/// thread participates in its own jobs, so 7 workers + caller = 8.
+/// A pool on which `parallelism = 8` is really reachable: a pool's size is
+/// its core budget, the participating caller's core included, so a lone
+/// query is granted 8 participants on a pool of 8.
 fn pool_for_8() -> Arc<WorkerPool> {
-    let pool = WorkerPool::new(7, 8);
-    assert!(pool.size() + 1 >= 8);
+    let pool = WorkerPool::new(8, 8);
+    assert_eq!(pool.grant(8), 8);
     pool
 }
 

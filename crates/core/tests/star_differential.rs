@@ -365,3 +365,81 @@ fn random_stars_in_every_dimension_order_match_the_reference() {
     assert_eq!(runs, (45 + 24) * 16);
     pool.shutdown();
 }
+
+/// Byte identity whatever the grant: three callers on a pool of two, all
+/// at `parallelism = 2`, run the 13 SSB queries and a seeded sample of
+/// random star shapes. The first caller runs alone at first (granted two
+/// cores), the other two join it for one round (so the grants drop to one
+/// core, and some parallel jobs overlap queries run alone), and it
+/// finishes alone again. Every answer must equal the reference executor's,
+/// and every σ and join-group record (up to its time) the sequential
+/// run's.
+#[test]
+fn concurrent_callers_match_the_reference_whatever_the_grant() {
+    let mut rng = Rng::new(0x5EED_0045);
+    let mut shapes = qppt_ssb::queries::all_queries();
+    shapes.extend([dead_supplier(), sparse_date(), residual_filters()]);
+    for (id, ndims) in [2, 3, 4, 4].into_iter().enumerate() {
+        shapes.push(random_spec(&mut rng, 100 + id, ndims));
+    }
+    let opts = PlanOptions::default().with_parallelism(2);
+    let mut ssb = SsbDb::generate(0.01, 45);
+    for q in &shapes {
+        prepare_indexes(&mut ssb.db, q, &opts).unwrap();
+    }
+    let db = Arc::new(ssb.db);
+    let snap = db.snapshot();
+    // The σ and join-group records, up to their time.
+    let records = |stats: &qppt_core::ExecStats| -> Vec<qppt_core::OpStats> {
+        stats
+            .ops
+            .iter()
+            .filter(|o| o.label.starts_with('σ') || o.label.ends_with("join-group"))
+            .map(|o| qppt_core::OpStats {
+                micros: 0,
+                ..o.clone()
+            })
+            .collect()
+    };
+    let expected: Vec<_> = shapes
+        .iter()
+        .map(|q| {
+            let reference = run_reference(&db, q, snap).unwrap().canonicalized();
+            let (_, stats) = QpptEngine::new(&db)
+                .run_with_stats(q, &PlanOptions::default())
+                .unwrap();
+            (reference, records(&stats))
+        })
+        .collect();
+    let pool = WorkerPool::new(2, 8);
+    let engine = PooledEngine::new(db.clone(), pool.clone());
+    // The round the first caller is in; the others start with its second.
+    let lead_round = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for caller in 0..3 {
+            let (engine, shapes, expected, records) = (&engine, &shapes, &expected, &records);
+            let lead_round = &lead_round;
+            s.spawn(move || {
+                let rounds = if caller == 0 { 0..4 } else { 1..2 };
+                for round in rounds {
+                    if caller == 0 {
+                        lead_round.store(round, std::sync::atomic::Ordering::SeqCst);
+                    }
+                    while lead_round.load(std::sync::atomic::Ordering::SeqCst) < round {
+                        std::thread::yield_now();
+                    }
+                    // Each caller walks the shapes from its own offset, so
+                    // different queries overlap.
+                    for k in 0..shapes.len() {
+                        let i = (k + caller * 5 + round) % shapes.len();
+                        let (got, stats) = engine.run_with_stats(&shapes[i], &opts).unwrap();
+                        let at = format!("{} (caller {caller}, round {round})", shapes[i].id);
+                        assert_eq!(got.canonicalized(), expected[i].0, "{at}");
+                        assert_eq!(records(&stats), expected[i].1, "{at}");
+                    }
+                }
+            });
+        }
+    });
+    pool.shutdown();
+}

@@ -51,17 +51,21 @@
 //! threads created once, priority + admission budget), so N concurrent
 //! queries share one fixed set of threads instead of spawning N×P. This is
 //! what `qppt-server` runs on, and what embedded callers use too (a pool is
-//! two lines to create). Sequential execution is the one-morsel case of the
-//! same job: at `parallelism = 1` the morsel list is
-//! `[KeyRange::full()]` and the calling thread drains it without touching
-//! the pool.
+//! two lines to create). The pool budgets cores: each query is
+//! [granted](WorkerPool::grant) at most the cores its load leaves free, so
+//! a lone query runs on every core and concurrent ones one core each.
+//! Sequential execution is the one-morsel case of the same job: at
+//! `parallelism = 1`, or granted one core, the morsel list is
+//! `[KeyRange::full()]` and the calling thread drains it with no job and
+//! no wakeup.
 //!
 //! Every query — embedded, served, cached or `cache=off` — runs the same
 //! four steps: **plan** ([`build_plan`](qppt_core::build_plan)), **σ**
 //! ([`PooledEngine::materialize_missing_dims`]: the dimension selections
 //! not already at hand are materialized **once**, before the fact pipeline
-//! starts — as one participating pool job when two or more remain — and
-//! shared read-only by all workers), **exec**
+//! starts — as one participating pool job when two or more remain and the
+//! pool grants more than one core — and shared read-only by all workers),
+//! **exec**
 //! ([`PooledEngine::run_prepared_agg`]) and **finish** (decode, or ship the
 //! undecoded aggregate). Base index *builds* can also run on the pool's
 //! width — see [`prepare_indexes_pooled`] and [`ThreadTasks`]

@@ -6,19 +6,44 @@
 //! factors. [`WorkerPool`] is Leis et al.'s shared morsel-driven pool
 //! instead: a fixed set of workers created at startup, to which queries
 //! submit *jobs* — bundles of pull-able tasks (morsels, dimension
-//! selections, index-build partitions). It is the only parallel execution
-//! substrate in the tree.
+//! selections). It is the only parallel execution substrate in the tree.
 //!
-//! Scheduling model:
+//! **The pool budgets cores, not threads.** Its size is the number of
+//! threads that may be inside some job's work at once, and one count
+//! covers all of them: pool workers that joined a job, callers that
+//! participate in their own job ([`run_participating`]), and callers that
+//! run a job alone ([`run_inline`]). Intra-query parallelism shortens a
+//! query's span by spending extra work (forking, merging, waking), which
+//! pays only while cores sit idle; with the count, a busy pool stops
+//! paying it:
+//!
+//! * **Callers always run.** A caller never waits for a core: it works its
+//!   own job at once, counted as running, whatever the count.
+//! * **Workers join only into free cores.** An idle worker joins a job
+//!   only while fewer threads than the pool's size are running — or when
+//!   nobody works the job yet (an unstarted [`submit`]ted job), so no job
+//!   is ever left with unclaimed work and nobody to do it. A joined worker
+//!   works until the job's dispenser is empty: the grant keeps a parallel
+//!   job from overlapping a burst of load for long, and handing its
+//!   morsels back to the caller mid-query measured no gain.
+//! * **One wakeup per freed core.** A submission wakes at most one worker,
+//!   and only when a core is free (or its job has no caller); a caller
+//!   that frees a core wakes one worker if a job could use it.
+//! * **Admission picks the width.** [`grant`](WorkerPool::grant) tells a
+//!   query how many cores its load leaves free, so under load a query
+//!   takes the one-core path — no partition, no job, no wakeup — instead
+//!   of forking into cores that other queries hold.
+//!
+//! Across jobs:
 //!
 //! * **Work pulling within a job** — a job exposes an atomic task dispenser
-//!   through [`PoolJob::work`]; every worker that *joins* the job pulls
-//!   tasks until none remain, so skewed tasks self-balance.
+//!   through [`PoolJob::work`]; every participant pulls tasks until none
+//!   remain, so skewed tasks self-balance.
 //! * **Priority across jobs** — idle workers join the admitted job with the
 //!   highest `priority` (ties: submission order, i.e. FIFO). A job never
-//!   uses more than [`PoolJob::max_workers`] workers, so one wide query
-//!   cannot monopolize the pool against a concurrent narrow one any harder
-//!   than its own parallelism setting allows.
+//!   has more than [`PoolJob::max_workers`] participants at once, so one
+//!   wide query cannot monopolize the pool against a concurrent narrow one
+//!   any harder than its own parallelism setting allows.
 //! * **Admission budget** — at most `max_active` jobs are admitted at once;
 //!   [`WorkerPool::submit`] blocks until a slot frees. This bounds memory
 //!   (per-query partial aggregation tables) and keeps tail latency sane
@@ -27,13 +52,17 @@
 //! Determinism: the pool adds no nondeterminism of its own — jobs own their
 //! task dispensers and merge their partials in participant order, and all
 //! QPPT partials merge commutatively (accumulator sums), so results are
-//! byte-identical no matter which worker ran which task (see
-//! `par_equivalence` and the `serve_equivalence` integration test).
+//! byte-identical no matter which thread ran which task, or how many did
+//! (see `par_equivalence` and the `serve_equivalence` integration test).
 //!
-//! Shutdown semantics: jobs that have started (≥ 1 worker joined) run to
-//! completion; jobs still queued unstarted are aborted, and waiting on them
-//! returns [`JobAborted`](JobHandle::wait). [`WorkerPool::shutdown`] then
-//! joins every worker thread.
+//! Shutdown semantics: jobs that have started (a caller participates, or
+//! ≥ 1 worker joined) run to completion; jobs still queued unstarted are
+//! aborted, and waiting on them returns [`JobAborted`](JobHandle::wait).
+//! [`WorkerPool::shutdown`] then joins every worker thread.
+//!
+//! [`run_participating`]: WorkerPool::run_participating
+//! [`run_inline`]: WorkerPool::run_inline
+//! [`submit`]: WorkerPool::submit
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -57,12 +86,27 @@ pub struct PoolMetrics {
     pub admission_waits: Arc<Counter>,
     /// Jobs aborted by shutdown before any worker joined.
     pub admission_rejections: Arc<Counter>,
+    /// Threads inside some job's work right now — the core budget in use.
+    pub running: Arc<Gauge>,
+    /// Admissions ([`grant`](WorkerPool::grant)s) that asked for more
+    /// than one core and got one: the load sent the job to its caller
+    /// alone.
+    pub granted_one: Arc<Counter>,
+    /// Admissions granted more than one core.
+    pub granted_many: Arc<Counter>,
 }
 
 impl PoolMetrics {
     /// Registers the pool's metric families in `registry` under their
     /// stable exported names.
     pub fn register(registry: &Registry) -> Self {
+        let granted = |grant: &'static str| {
+            registry.counter_with(
+                "qppt_pool_admissions_total",
+                "Parallel jobs admitted, by cores granted (one: run alone on the caller).",
+                vec![("grant", grant.into())],
+            )
+        };
         Self {
             queue_depth: registry.gauge(
                 "qppt_pool_queue_depth",
@@ -84,6 +128,12 @@ impl PoolMetrics {
                 "qppt_pool_admission_rejections_total",
                 "Jobs aborted by shutdown before any worker joined.",
             ),
+            running: registry.gauge(
+                "qppt_pool_running_threads",
+                "Threads inside a job's work, callers included (the core budget in use).",
+            ),
+            granted_one: granted("one"),
+            granted_many: granted("many"),
         }
     }
 }
@@ -91,15 +141,15 @@ impl PoolMetrics {
 /// A bundle of pull-able tasks submitted to the [`WorkerPool`].
 ///
 /// Implementations hold their own atomic task dispenser and per-participant
-/// result slots; the pool only decides *which workers* call [`work`] and
-/// *when the job is finished* (no unclaimed tasks and no worker still
+/// result slots; the pool only decides *which threads* call [`work`] and
+/// *when the job is finished* (no unclaimed tasks and no participant still
 /// inside `work`).
 ///
 /// [`work`]: PoolJob::work
 pub trait PoolJob: Send + Sync {
-    /// Upper bound on concurrently useful workers (e.g. the query's
-    /// `parallelism`, clamped to its task count). The pool never lets more
-    /// than this many workers join.
+    /// Upper bound on concurrently useful participants (e.g. the query's
+    /// granted cores, clamped to its task count). The pool never lets more
+    /// than this many threads work the job at once.
     fn max_workers(&self) -> usize;
 
     /// `true` while unclaimed tasks remain. Once this returns `false` it
@@ -107,8 +157,8 @@ pub trait PoolJob: Send + Sync {
     fn has_work(&self) -> bool;
 
     /// Pull tasks from the job's dispenser and run them until none remain.
-    /// Called by up to [`max_workers`](PoolJob::max_workers) pool threads;
-    /// must not panic (worker threads treat panics as fatal).
+    /// Called by up to [`max_workers`](PoolJob::max_workers) threads; must
+    /// not panic (worker threads treat panics as fatal).
     fn work(&self);
 }
 
@@ -120,8 +170,8 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// Blocks until the job finished (all tasks executed and every
-    /// participating worker returned). Returns `Err(JobAborted)` if the
-    /// pool shut down before the job started.
+    /// participant returned). Returns `Err(JobAborted)` if the pool shut
+    /// down before the job started.
     pub fn wait(self) -> Result<(), JobAborted> {
         let mut st = self.slot.state.lock().expect("pool lock");
         while *st == SlotState::Pending {
@@ -177,13 +227,23 @@ impl DoneSlot {
 struct Entry {
     seq: u64,
     priority: i32,
-    /// Workers that ever joined (never decremented; capped at
-    /// `job.max_workers()`).
+    /// Participants that ever joined, a participating caller included
+    /// (never decremented; capped at `job.max_workers()`).
     joined: usize,
-    /// Workers currently inside `job.work()`.
+    /// Participants currently inside `job.work()`.
     active: usize,
     job: Arc<dyn PoolJob>,
     slot: Arc<DoneSlot>,
+}
+
+impl Entry {
+    /// May an idle worker join now? The job has unclaimed work and room
+    /// under its cap, and either a core is free or nobody works it yet.
+    fn joinable(&self, core_free: bool) -> bool {
+        self.joined < self.job.max_workers()
+            && (core_free || self.joined == 0)
+            && self.job.has_work()
+    }
 }
 
 struct PoolState {
@@ -192,6 +252,12 @@ struct PoolState {
     shutdown: bool,
 }
 
+/// Fixed-point scale of [`Inner::load_avg`].
+const LOAD_SCALE: usize = 256;
+/// Each admission moves the running load average by 1/`LOAD_WEIGHT` of
+/// the way to the threads running at that moment.
+const LOAD_WEIGHT: usize = 8;
+
 struct Inner {
     state: Mutex<PoolState>,
     /// Workers wait here for admitted work.
@@ -199,6 +265,17 @@ struct Inner {
     /// Submitters wait here for an admission slot.
     admit_cv: Condvar,
     max_active: usize,
+    /// The core budget: the pool's thread count.
+    size: usize,
+    /// Threads inside some job's work — joined workers, participating
+    /// callers and callers running alone. Taken without the state lock
+    /// only by a caller starting to run alone (it never waits); every
+    /// release happens under the lock, so a worker that finds no free core
+    /// is always woken by the release that frees one.
+    running: AtomicUsize,
+    /// Running average of `running` sampled at each
+    /// [`grant`](WorkerPool::grant), in 1/[`LOAD_SCALE`]ths of a thread.
+    load_avg: AtomicUsize,
     /// Observability handles, `None` when the pool runs uninstrumented.
     metrics: Option<PoolMetrics>,
 }
@@ -211,20 +288,48 @@ impl Inner {
             m.jobs_completed.inc();
         }
     }
+
+    /// Counts one more running thread; returns the new count.
+    fn take_core(&self) -> usize {
+        if let Some(m) = &self.metrics {
+            m.running.add(1);
+        }
+        self.running.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Counts one running thread less. Called with the state lock held.
+    fn release_core(&self) {
+        if let Some(m) = &self.metrics {
+            m.running.sub(1);
+        }
+        self.running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn core_free(&self) -> bool {
+        self.running.load(Ordering::SeqCst) < self.size
+    }
+
+    /// Wakes one worker if a queued job could use a free core. Called with
+    /// the state lock held, so a worker between its check and its wait
+    /// cannot miss the notification.
+    fn wake_for(&self, st: &PoolState) {
+        if self.core_free() && st.queue.iter().any(|e| e.joinable(true)) {
+            self.work_cv.notify_one();
+        }
+    }
 }
 
 /// The shared worker pool (see module docs).
 pub struct WorkerPool {
     inner: Arc<Inner>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
-    size: usize,
     threads_created: AtomicUsize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("size", &self.size)
+            .field("size", &self.inner.size)
             .field("max_active", &self.inner.max_active)
             .finish()
     }
@@ -233,13 +338,14 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Creates a pool of `size` worker threads (≥ 1) admitting at most
     /// `max_active` concurrent jobs (≥ 1). All threads are spawned here —
-    /// queries never spawn again.
+    /// queries never spawn again. `size` is also the pool's core budget.
     pub fn new(size: usize, max_active: usize) -> Arc<Self> {
         Self::new_with_metrics(size, max_active, None)
     }
 
-    /// [`new`](Self::new) with observability: the pool reports queue depth
-    /// and job/admission counters through `metrics`.
+    /// [`new`](Self::new) with observability: the pool reports queue depth,
+    /// running threads, grants and job/admission counters through
+    /// `metrics`.
     pub fn new_with_metrics(
         size: usize,
         max_active: usize,
@@ -255,12 +361,14 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             admit_cv: Condvar::new(),
             max_active: max_active.max(1),
+            size,
+            running: AtomicUsize::new(0),
+            load_avg: AtomicUsize::new(0),
             metrics,
         });
         let pool = Arc::new(Self {
             inner: inner.clone(),
             threads: Mutex::new(Vec::with_capacity(size)),
-            size,
             threads_created: AtomicUsize::new(0),
         });
         let mut threads = pool.threads.lock().expect("pool lock");
@@ -278,9 +386,9 @@ impl WorkerPool {
         pool
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads — and the core budget.
     pub fn size(&self) -> usize {
-        self.size
+        self.inner.size
     }
 
     /// Admission budget (max concurrently admitted jobs).
@@ -296,10 +404,47 @@ impl WorkerPool {
         self.threads_created.load(Ordering::Relaxed)
     }
 
+    /// Admits a job that could use `wanted` cores, its caller's included,
+    /// and returns how many it gets: `wanted` capped by the cores the
+    /// pool's load leaves free, and at least one — the caller's own, which
+    /// it never waits for. A grant of one means: run the job alone on the
+    /// calling thread ([`run_inline`](Self::run_inline)). A job that can
+    /// use only one core makes no admission: it gets one, and the pool
+    /// records nothing.
+    ///
+    /// The load is the larger of the threads running now and their running
+    /// average over past grants (each grant weighs the current count by
+    /// 1/8), rounded up. The average is what sees a concurrent client that
+    /// is between two queries at this instant: under steady load it stays
+    /// near one thread per client, so every query takes one core; a lone
+    /// client's samples are zero, so its queries take them all.
+    pub fn grant(&self, wanted: usize) -> usize {
+        if wanted <= 1 {
+            return 1;
+        }
+        let inner = &self.inner;
+        let running = inner.running.load(Ordering::Relaxed);
+        let avg = inner.load_avg.load(Ordering::Relaxed);
+        // Racing grants may lose an update; it is an average.
+        let avg = ((LOAD_WEIGHT - 1) * avg + running * LOAD_SCALE) / LOAD_WEIGHT;
+        inner.load_avg.store(avg, Ordering::Relaxed);
+        let load = running.max(avg.div_ceil(LOAD_SCALE));
+        let granted = wanted.min(inner.size.saturating_sub(load)).max(1);
+        if let Some(m) = &inner.metrics {
+            if granted > 1 {
+                m.granted_many.inc();
+            } else {
+                m.granted_one.inc();
+            }
+        }
+        granted
+    }
+
     /// Submits a job at `priority` (higher runs first; FIFO within a
-    /// priority). Blocks while the admission budget is exhausted. The job
-    /// starts executing as soon as a worker is free; call
-    /// [`JobHandle::wait`] for completion.
+    /// priority). Blocks while the admission budget is exhausted. A worker
+    /// joins the job as soon as one is idle — even when every core is
+    /// taken, since nobody else works it; call [`JobHandle::wait`] for
+    /// completion.
     ///
     /// A job with no work at submission completes immediately; a submission
     /// after [`shutdown`](Self::shutdown) is aborted.
@@ -310,9 +455,10 @@ impl WorkerPool {
     /// [`submit`](Self::submit), also returning the queue sequence number
     /// when the job was actually enqueued (`None`: aborted or completed
     /// immediately). With `participating`, the entry starts with the
-    /// *caller* pre-joined (`joined = active = 1`): pool workers then fill
-    /// only the remaining `max_workers - 1` slots, and shutdown treats the
-    /// job as started (it runs to completion instead of aborting).
+    /// *caller* pre-joined (`joined = active = 1`, counted as running):
+    /// pool workers then fill at most the remaining `max_workers - 1`
+    /// places, and only into free cores; shutdown treats the job as
+    /// started (it runs to completion instead of aborting).
     fn submit_inner(
         &self,
         job: Arc<dyn PoolJob>,
@@ -345,6 +491,7 @@ impl WorkerPool {
             let seq = st.next_seq;
             st.next_seq += 1;
             let caller = participating as usize;
+            let room = job.max_workers() > caller;
             st.queue.push(Entry {
                 seq,
                 priority,
@@ -357,7 +504,14 @@ impl WorkerPool {
                 m.queue_depth.add(1);
                 m.jobs_started.inc();
             }
-            self.inner.work_cv.notify_all();
+            let running = if participating {
+                self.inner.take_core()
+            } else {
+                self.inner.running.load(Ordering::SeqCst)
+            };
+            if room && (running < self.inner.size || !participating) {
+                self.inner.work_cv.notify_one();
+            }
             enqueued = Some(seq);
         }
         drop(st);
@@ -370,19 +524,17 @@ impl WorkerPool {
     }
 
     /// Submits `job` and **participates**: the calling thread runs
-    /// [`PoolJob::work`] itself — counting as one of the job's
-    /// [`max_workers`](PoolJob::max_workers) participants — while free pool
-    /// workers fill the remaining slots; then waits for completion.
+    /// [`PoolJob::work`] itself at once — counted as running, and as one
+    /// of the job's [`max_workers`](PoolJob::max_workers) participants —
+    /// while pool workers join into whatever cores are free; then waits for
+    /// completion.
     ///
-    /// This is the serving-path latency fix for low concurrency: the caller
-    /// starts pulling tasks immediately instead of paying a condvar
-    /// round-trip to a (possibly busy) pool thread. At one client the query
-    /// effectively runs inline on the connection thread; under load the
-    /// pool still balances, and results stay byte-identical because the
-    /// job's partial merge is participant-ordered and commutative.
-    /// Admission is unchanged: the call blocks while the budget is
-    /// exhausted; after [`shutdown`](Self::shutdown) the job is aborted
-    /// without the caller working.
+    /// Results stay byte-identical however many participants there were,
+    /// because the job's partial merge is participant-ordered and
+    /// commutative. Admission is unchanged: the call blocks while the
+    /// budget of admitted jobs is exhausted; after
+    /// [`shutdown`](Self::shutdown) the job is aborted without the caller
+    /// working.
     pub fn run_participating(
         &self,
         job: Arc<dyn PoolJob>,
@@ -396,9 +548,22 @@ impl WorkerPool {
         handle.wait()
     }
 
-    /// The caller's counterpart of the worker-loop retirement: drops the
-    /// caller's `active` slot for entry `seq` and retires the job if the
-    /// caller was the last participant inside `work()`.
+    /// Runs `job` alone on the calling thread, counted as running — a
+    /// one-core grant: no queue entry, no handle, no wakeup unless the
+    /// core it frees can serve a queued job.
+    pub fn run_inline(&self, job: &dyn PoolJob) {
+        let inner = &self.inner;
+        inner.take_core();
+        job.work();
+        let st = inner.state.lock().expect("pool lock");
+        inner.release_core();
+        inner.wake_for(&st);
+    }
+
+    /// The caller's counterpart of the worker-loop retirement: releases
+    /// the caller's core and place in entry `seq`, retires the job if the
+    /// caller was the last participant inside `work()`, and hands the
+    /// freed core to a worker if a queued job can use it.
     fn leave(&self, seq: u64) {
         let mut st = self.inner.state.lock().expect("pool lock");
         let i = st
@@ -407,12 +572,14 @@ impl WorkerPool {
             .position(|e| e.seq == seq)
             .expect("participating jobs stay queued until their last worker leaves");
         st.queue[i].active -= 1;
+        self.inner.release_core();
         if st.queue[i].active == 0 && !st.queue[i].job.has_work() {
             let e = st.queue.remove(i);
             self.inner.job_retired();
             e.slot.finish(SlotState::Done);
             self.inner.admit_cv.notify_all();
         }
+        self.inner.wake_for(&st);
     }
 
     /// Stops the pool: started jobs run to completion, unstarted queued
@@ -456,22 +623,29 @@ impl Drop for WorkerPool {
 
 fn worker_loop(inner: &Inner) {
     loop {
-        // Pick the best joinable job: has unclaimed work, worker cap not
-        // reached, highest priority, earliest submission.
+        // Pick the best joinable job: has unclaimed work, room under its
+        // cap, a free core (or nobody working it), highest priority,
+        // earliest submission.
         let (job, seq) = {
             let mut st = inner.state.lock().expect("pool lock");
             loop {
+                let core_free = inner.core_free();
                 let best = st
                     .queue
                     .iter()
                     .enumerate()
-                    .filter(|(_, e)| e.joined < e.job.max_workers() && e.job.has_work())
+                    .filter(|(_, e)| e.joinable(core_free))
                     .max_by_key(|(_, e)| (e.priority, std::cmp::Reverse(e.seq)))
                     .map(|(i, _)| i);
                 if let Some(i) = best {
-                    st.queue[i].joined += 1;
-                    st.queue[i].active += 1;
-                    break (st.queue[i].job.clone(), st.queue[i].seq);
+                    let e = &mut st.queue[i];
+                    e.joined += 1;
+                    e.active += 1;
+                    let joined = (e.job.clone(), e.seq);
+                    inner.take_core();
+                    // Cores left over after this join go to one more worker.
+                    inner.wake_for(&st);
+                    break joined;
                 }
                 if st.shutdown {
                     // Nothing joinable remains; in-flight entries are
@@ -489,8 +663,11 @@ fn worker_loop(inner: &Inner) {
         job.work();
         drop(job);
 
-        // Retire the job when its last active worker returns.
+        // Give the core back, then retire the job if this was its last
+        // participant — in that order, so the next query admitted after
+        // the completion sees the core free.
         let mut st = inner.state.lock().expect("pool lock");
+        inner.release_core();
         let i = st
             .queue
             .iter()
@@ -779,6 +956,44 @@ mod tests {
         assert_eq!(metrics.jobs_started.get(), 2);
         assert_eq!(metrics.jobs_completed.get(), 2);
         assert_eq!(metrics.queue_depth.get(), 0);
+        pool.shutdown();
+    }
+
+    /// A grant spends only the cores the load leaves free: the threads
+    /// running now, and — through the running average — those running at
+    /// recent grants, until the average decays.
+    #[test]
+    fn grant_spends_only_free_cores() {
+        struct Probe {
+            pool: Arc<WorkerPool>,
+            got: AtomicUsize,
+        }
+        impl PoolJob for Probe {
+            fn max_workers(&self) -> usize {
+                1
+            }
+            fn has_work(&self) -> bool {
+                false
+            }
+            fn work(&self) {
+                self.got.store(self.pool.grant(2), Ordering::Relaxed);
+            }
+        }
+        let pool = WorkerPool::new(2, 4);
+        assert_eq!(pool.grant(1), 1);
+        assert_eq!(pool.grant(2), 2);
+        assert_eq!(pool.grant(8), 2, "never more than the pool's cores");
+        // A caller running alone holds one of the two cores.
+        let probe = Probe {
+            pool: pool.clone(),
+            got: AtomicUsize::new(0),
+        };
+        pool.run_inline(&probe);
+        assert_eq!(probe.got.load(Ordering::Relaxed), 1);
+        // The average remembers it for a while, then lets go.
+        assert_eq!(pool.grant(2), 1);
+        let decayed = (0..64).position(|_| pool.grant(2) == 2);
+        assert!(decayed.is_some_and(|n| n > 8), "{decayed:?}");
         pool.shutdown();
     }
 

@@ -9,18 +9,28 @@
 //! bounded by the pool size, not queries × parallelism — the property
 //! `qppt-server` is built on.
 //!
-//! There is one fact-pipeline path: a morsel job whose workers drain a
-//! list of [`KeyRange`] morsels. Two things keep its latency low:
+//! There is one fact-pipeline path: a morsel job whose participants drain
+//! a list of [`KeyRange`] morsels. How wide it runs is decided per query,
+//! at admission:
 //!
-//! * **Sequential is the one-morsel case** — a job allowed a single worker
-//!   (`parallelism = 1`) gets the one morsel [`KeyRange::full`] and is
-//!   worked on the calling (connection) thread without touching the pool,
-//!   so a single-client workload pays zero cross-thread round-trips.
-//! * **Caller participation** — parallel queries submit their jobs with
-//!   [`WorkerPool::run_participating`]: the calling thread counts as one
-//!   of the job's workers and starts pulling tasks immediately; free pool
-//!   workers fill the remaining slots. At low concurrency the query runs
-//!   mostly inline, under load the pool balances as before.
+//! * **The grant** — a query asks the pool for
+//!   [`pipeline_participants`](PooledEngine::pipeline_participants) cores
+//!   and gets the smaller of that and the cores its load leaves free
+//!   ([`WorkerPool::grant`]). `parallelism` is an upper bound: a lone
+//!   query runs on every core, while under concurrent load each query
+//!   gets one. Splitting a query shortens its span by spending extra work
+//!   (partition, merge, wakeups), which pays only on idle cores.
+//! * **One core is the one-morsel case** — a query granted one core (or
+//!   allowed one: `parallelism = 1`) gets the one morsel
+//!   [`KeyRange::full`] and is worked on the calling (connection) thread,
+//!   counted by the pool as running ([`WorkerPool::run_inline`]): no
+//!   partition, no job, no wakeup.
+//! * **More cores: caller participation** — the query partitions its key
+//!   domain and submits the job with [`WorkerPool::run_participating`]:
+//!   the calling thread starts pulling morsels immediately and pool
+//!   workers join into the free cores it was granted.
+//!
+//! The σ step takes the same grant for its per-dimension tasks.
 //!
 //! There is one pipeline. [`run_at`](PooledEngine::run_at) is plan → σ
 //! ([`materialize_missing_dims`](PooledEngine::materialize_missing_dims))
@@ -29,7 +39,7 @@
 //! `qppt-cache` dimension tier is simply not *missing*, and a cached
 //! [`PreparedQuery`](qppt_core::PreparedQuery) skips straight to
 //! `run_prepared`. The prepared `InterTable`s are shared read-only across
-//! every morsel worker of every execution.
+//! every morsel participant of every execution.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -113,12 +123,13 @@ impl PooledEngine {
     /// `None` otherwise; all `None` for an uncached run — and returns the
     /// completed slots (`Some` exactly for the `Materialized` handles).
     ///
-    /// With two or more selections to build and `parallelism > 1` they run
-    /// as one participating pool job (one task per dimension; even a
-    /// size-1 pool is worth submitting to, because the caller counts as a
-    /// worker); otherwise the same task loop runs inline on the calling
-    /// thread. Each σ depends only on its own dimension table, so what is
-    /// built never depends on what arrived pre-built.
+    /// The selections are one task each. The query asks the pool for as
+    /// many cores as it has tasks, up to
+    /// [`pipeline_participants`](Self::pipeline_participants); granted more
+    /// than one, the tasks run as one participating pool job, otherwise
+    /// the same task loop runs on the calling thread. Each σ depends only
+    /// on its own dimension table, so what is built never depends on what
+    /// arrived pre-built, nor on who built it.
     pub fn materialize_missing_dims(
         &self,
         plan: &Arc<Plan>,
@@ -133,25 +144,22 @@ impl PooledEngine {
         if tasks.is_empty() {
             return Ok(dims);
         }
-        let pooled = tasks.len() > 1 && plan.opts.parallelism > 1;
+        let cores = self.pool.grant(
+            self.pipeline_participants(plan.opts.parallelism)
+                .min(tasks.len()),
+        );
         let job = Arc::new(DimJob {
             db: self.db.clone(),
             snap,
             plan: plan.clone(),
-            max_workers: plan.opts.parallelism.min(tasks.len()),
+            max_workers: cores,
             tasks,
             next: AtomicUsize::new(0),
             results: Mutex::new(dims),
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
         });
-        if pooled {
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())?;
-        } else {
-            job.work();
-        }
+        self.run_job(cores, &job, priority)?;
         if let Some(e) = job.error.lock().expect("job lock").take() {
             return Err(e);
         }
@@ -211,19 +219,19 @@ impl PooledEngine {
         Ok((run, stats))
     }
 
-    /// Workers the fact pipeline of a query at `parallelism` may use,
-    /// caller included (the calling thread participates in its own jobs,
-    /// so the bound is pool + 1) — what the serving layer reports as
-    /// `workers=`.
+    /// Participants the fact pipeline of a query at `parallelism` may ask
+    /// for, caller included (pool + 1 at most) — what the serving layer
+    /// reports as `workers=`. It is the query's upper bound: the pool
+    /// [grants](WorkerPool::grant) at most its size, and under load one.
     pub fn pipeline_participants(&self, parallelism: usize) -> usize {
         parallelism.clamp(1, self.pool.size() + 1)
     }
 
-    /// Runs the fact pipeline as a morsel job. Allowed more than one
-    /// worker, the job partitions the stage-1 key domain and runs on the
-    /// shared pool with the caller participating; allowed one, it is the
-    /// one-morsel case, worked on the calling thread — no handles, no pool
-    /// wakeups.
+    /// Runs the fact pipeline as a morsel job on the cores the pool
+    /// grants. Granted more than one, the job partitions the stage-1 key
+    /// domain and runs on the shared pool with the caller participating;
+    /// granted one, it is the one-morsel case, worked on the calling
+    /// thread — no partition, no handles, no pool wakeups.
     fn execute_pipeline(
         &self,
         snap: Snapshot,
@@ -232,8 +240,10 @@ impl PooledEngine {
         fused: &Arc<Option<FusedSelection>>,
         priority: i32,
     ) -> Result<(GroupRun, ExecStats), QpptError> {
-        let workers = self.pipeline_participants(plan.opts.parallelism);
-        let morsels = if workers > 1 {
+        let cores = self
+            .pool
+            .grant(self.pipeline_participants(plan.opts.parallelism));
+        let morsels = if cores > 1 {
             partition_morsels(&self.db, plan)?
         } else {
             vec![KeyRange::full()]
@@ -244,7 +254,7 @@ impl PooledEngine {
             plan: plan.clone(),
             dim_tables: dim_tables.clone(),
             fused: fused.clone(),
-            max_workers: workers.min(morsels.len()),
+            max_workers: cores.min(morsels.len()),
             morsels,
             next: AtomicUsize::new(0),
             participants: AtomicUsize::new(0),
@@ -252,18 +262,30 @@ impl PooledEngine {
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
         });
-        if workers > 1 {
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())?;
-        } else {
-            job.work();
-        }
+        self.run_job(cores, &job, priority)?;
         if let Some(e) = job.error.lock().expect("job lock").take() {
             return Err(e);
         }
         let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
         merge_partials(plan, partials)
+    }
+
+    /// Runs `job` on `cores`: with the caller participating in a pool job
+    /// when granted more than one, alone on the calling thread otherwise.
+    fn run_job<J: PoolJob + 'static>(
+        &self,
+        cores: usize,
+        job: &Arc<J>,
+        priority: i32,
+    ) -> Result<(), QpptError> {
+        if cores > 1 {
+            self.pool
+                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
+                .map_err(|_| pool_down())
+        } else {
+            self.pool.run_inline(job.as_ref());
+            Ok(())
+        }
     }
 }
 

@@ -12,9 +12,10 @@
 //! of thread timing.
 //!
 //! The persistent [`WorkerPool`](crate::WorkerPool) decides *which* threads
-//! run [`drain_morsels`] (through [`PooledEngine`](crate::PooledEngine)'s
-//! morsel job, where N concurrent queries share one fixed set of threads);
-//! the loop itself and the merge live here.
+//! run [`drain_morsels`], and how many (through
+//! [`PooledEngine`](crate::PooledEngine)'s morsel job, where N concurrent
+//! queries share one fixed set of threads and its cores); the loop itself
+//! and the merge live here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

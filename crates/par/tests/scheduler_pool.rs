@@ -1,12 +1,15 @@
 //! Direct scheduler coverage: work pulling under contention, empty
-//! partitions, deterministic merges across worker orders, and the
-//! pool-parallel index build — properties `par_equivalence` only exercises
-//! indirectly.
+//! partitions, deterministic merges across worker orders, the pool's core
+//! budget, and the pool-parallel index build — properties
+//! `par_equivalence` only exercises indirectly.
 
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use qppt_core::{prepare_indexes, GroupRun, PlanOptions, QpptEngine};
-use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
+use qppt_par::{prepare_indexes_pooled, PoolJob, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{ColumnType, Database, Schema, TableBuilder, Value};
 
@@ -335,5 +338,262 @@ fn parallel_index_build_bit_identical() {
         let got = pooled.run(&q, &opts_par).unwrap();
         assert_eq!(got, expected, "{} on parallel-built indexes", q.id);
     }
+    pool.shutdown();
+}
+
+/// A lone query asks for every core and gets them: on an idle pool each
+/// parallel admission is granted more than one core, and the query runs
+/// as a participating job. It fails if admission ever degrades to "always
+/// sequential".
+#[test]
+fn a_lone_query_runs_on_every_core() {
+    use qppt_obs::Registry;
+    use qppt_par::PoolMetrics;
+    let ssb = prepared_db(0.02, 42);
+    let db = Arc::new(ssb.db);
+    let sequential = QpptEngine::new(&db);
+    let metrics = PoolMetrics::register(&Registry::new());
+    let pool = WorkerPool::new_with_metrics(2, 8, Some(metrics.clone()));
+    let pooled = PooledEngine::new(db.clone(), pool.clone());
+    let opts = PlanOptions::default().with_parallelism(2);
+    let queries = queries::all_queries();
+    for q in &queries {
+        let expected = sequential.run(q, &PlanOptions::default()).unwrap();
+        assert_eq!(pooled.run(q, &opts).unwrap(), expected, "{}", q.id);
+        // The query's threads are out of the budget before it returns.
+        assert_eq!(metrics.running.get(), 0, "{}", q.id);
+    }
+    assert_eq!(
+        metrics.granted_one.get(),
+        0,
+        "a lone query was sent to one core"
+    );
+    // Every fact pipeline asked for two cores; σ steps with two or more
+    // selections to build did too.
+    let granted = metrics.granted_many.get();
+    assert!(granted >= queries.len() as u64, "{granted} parallel grants");
+    // Each of them ran as a participating pool job.
+    assert_eq!(metrics.jobs_started.get(), granted);
+    pool.shutdown();
+}
+
+/// A [`PoolJob`](qppt_par::PoolJob) for the budget tests: `tasks` tasks,
+/// each counted in its own slot (so "exactly once" is checkable), summed
+/// into its participant's partial (so the merge is checkable), waiting
+/// while its `gate` is set and then spinning `spin` rounds. It records its
+/// participants: how many are inside `work` at once (the peak), and which
+/// of them are pool workers (threads named `qppt-pool-*`).
+struct BudgetJob {
+    next: AtomicUsize,
+    runs: Vec<AtomicUsize>,
+    max_workers: usize,
+    gate: Arc<AtomicBool>,
+    spin: u32,
+    inside: AtomicUsize,
+    peak: AtomicUsize,
+    workers_inside: AtomicUsize,
+    worker_entries: AtomicUsize,
+    partials: std::sync::Mutex<Vec<usize>>,
+}
+
+impl BudgetJob {
+    fn new(tasks: usize, max_workers: usize, spin: u32) -> Arc<Self> {
+        Self::gated(tasks, max_workers, spin, Arc::new(AtomicBool::new(false)))
+    }
+
+    fn gated(tasks: usize, max_workers: usize, spin: u32, gate: Arc<AtomicBool>) -> Arc<Self> {
+        Arc::new(Self {
+            next: AtomicUsize::new(0),
+            runs: (0..tasks).map(|_| AtomicUsize::new(0)).collect(),
+            max_workers,
+            gate,
+            spin,
+            inside: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+            workers_inside: AtomicUsize::new(0),
+            worker_entries: AtomicUsize::new(0),
+            partials: std::sync::Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Every task ran exactly once, and the participants' partials merge
+    /// to the sum of all task indexes.
+    fn assert_complete(&self, what: &str) {
+        for (i, r) in self.runs.iter().enumerate() {
+            assert_eq!(get(r), 1, "{what}: task {i} ran {} times", get(r));
+        }
+        let n = self.runs.len();
+        let merged: usize = self.partials.lock().unwrap().iter().sum();
+        assert_eq!(
+            merged,
+            n * n.saturating_sub(1) / 2,
+            "{what}: partials merge"
+        );
+    }
+}
+
+impl PoolJob for BudgetJob {
+    fn max_workers(&self) -> usize {
+        self.max_workers
+    }
+
+    fn has_work(&self) -> bool {
+        get(&self.next) < self.runs.len()
+    }
+
+    fn work(&self) {
+        let worker = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("qppt-pool-"));
+        let now = self.inside.fetch_add(1, SeqCst) + 1;
+        self.peak.fetch_max(now, SeqCst);
+        if worker {
+            self.worker_entries.fetch_add(1, SeqCst);
+            self.workers_inside.fetch_add(1, SeqCst);
+        }
+        let mut partial = 0;
+        loop {
+            let i = self.next.fetch_add(1, SeqCst);
+            let Some(runs) = self.runs.get(i) else {
+                break;
+            };
+            while self.gate.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            for s in 0..self.spin {
+                std::hint::black_box(s);
+            }
+            runs.fetch_add(1, SeqCst);
+            partial += i;
+        }
+        self.partials.lock().unwrap().push(partial);
+        if worker {
+            self.workers_inside.fetch_sub(1, SeqCst);
+        }
+        self.inside.fetch_sub(1, SeqCst);
+    }
+}
+
+fn get(a: &AtomicUsize) -> usize {
+    a.load(SeqCst)
+}
+
+/// Spins until `cond` holds; after 20 s opens every gate in `gates` (so
+/// the callers held at them can return) and fails.
+fn wait_until(what: &str, gates: &[&AtomicBool], cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !cond() {
+        if Instant::now() > deadline {
+            gates.iter().for_each(|g| g.store(false, SeqCst));
+            panic!("timed out waiting until {what}");
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// The core budget, step by step, on a pool of two: callers always run,
+/// and a worker joins only into a free core — or into a job nobody works.
+/// Gates hold each participant inside a known task, so every step is
+/// deterministic.
+#[test]
+fn callers_hold_the_budget_and_workers_join_only_free_cores() {
+    let pool = WorkerPool::new(2, 8);
+    let (gate_a, gate_bc) = (
+        Arc::new(AtomicBool::new(true)),
+        Arc::new(AtomicBool::new(true)),
+    );
+    let gates = [&*gate_a, &*gate_bc];
+    let a = BudgetJob::gated(2, 2, 0, gate_a.clone());
+    let b = BudgetJob::gated(8, 2, 0, gate_bc.clone());
+    let c = BudgetJob::gated(8, 2, 0, gate_bc.clone());
+    let no_worker_in_b_or_c = |when: &str| {
+        std::thread::sleep(Duration::from_millis(50));
+        for (name, job) in [("B", &b), ("C", &c)] {
+            let joined = get(&job.worker_entries);
+            if joined > 0 {
+                gates.iter().for_each(|g| g.store(false, SeqCst));
+            }
+            assert_eq!(joined, 0, "a worker joined {name} {when}");
+        }
+    };
+    std::thread::scope(|s| {
+        let caller = |job: &Arc<BudgetJob>| {
+            let (pool, job) = (pool.clone(), job.clone());
+            move || pool.run_participating(job as Arc<dyn PoolJob>, 0).unwrap()
+        };
+        // One caller on an idle pool: a worker joins into the free core.
+        s.spawn(caller(&a));
+        wait_until("A's caller and a worker hold A's two tasks", &gates, || {
+            get(&a.inside) == 2 && get(&a.workers_inside) == 1
+        });
+        // Two more callers run at once, though A holds both cores; the
+        // idle worker stays out of their jobs.
+        s.spawn(caller(&b));
+        s.spawn(caller(&c));
+        wait_until("B's and C's callers are in", &gates, || {
+            get(&b.inside) == 1 && get(&c.inside) == 1
+        });
+        no_worker_in_b_or_c("while four threads ran on two cores");
+        // A job nobody participates in still gets a worker, though the
+        // callers hold every core.
+        let n = BudgetJob::new(32, 2, 100);
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let (pool, n) = (pool.clone(), n.clone());
+            std::thread::spawn(move || tx.send(pool.run(n as Arc<dyn PoolJob>, 0)));
+        }
+        let done = rx.recv_timeout(Duration::from_secs(20));
+        if done.is_err() {
+            gates.iter().for_each(|g| g.store(false, SeqCst));
+        }
+        assert_eq!(done, Ok(Ok(())), "a job nobody worked stalled");
+        n.assert_complete("non-participating job");
+        // A finishes; its worker leaves, and B's and C's callers still hold
+        // both cores.
+        gate_a.store(false, SeqCst);
+        wait_until("A is done", &gates, || get(&a.inside) == 0 && !a.has_work());
+        no_worker_in_b_or_c("while their callers held both cores");
+        // Shut down with B and C queued, started and unfinished: the
+        // workers leave, the callers finish alone.
+        pool.shutdown();
+        gate_bc.store(false, SeqCst);
+    });
+    a.assert_complete("job A");
+    b.assert_complete("job B");
+    c.assert_complete("job C");
+}
+
+/// Pool invariants under contention: four callers on two cores, each
+/// running jobs back to back — mostly participating, every fifth one
+/// submitted for the pool alone — while workers join whatever cores the
+/// callers leave free. No job ever has more participants at once than the
+/// pool has cores (a worker joins only into a free core, or into a job
+/// nobody works), every task runs exactly once, and every job completes
+/// and merges.
+#[test]
+fn pool_invariants_under_contention() {
+    const CORES: usize = 2;
+    const CALLERS: usize = 4;
+    let pool = WorkerPool::new(CORES, 16);
+    std::thread::scope(|s| {
+        for c in 0..CALLERS {
+            let pool = &pool;
+            s.spawn(move || {
+                for r in 0..300 {
+                    let job = BudgetJob::new(1 + (c * 7 + r) % 24, CALLERS + CORES, 2_000);
+                    let what = format!("caller {c} round {r}");
+                    if (c + r) % 5 == 0 {
+                        pool.run(job.clone() as Arc<dyn PoolJob>, 0).unwrap();
+                    } else {
+                        pool.run_participating(job.clone() as Arc<dyn PoolJob>, (r % 3) as i32)
+                            .unwrap();
+                    }
+                    job.assert_complete(&what);
+                    let peak = get(&job.peak);
+                    assert!(peak <= CORES, "{what}: {peak} participants at once");
+                }
+            });
+        }
+    });
     pool.shutdown();
 }

@@ -34,6 +34,12 @@
 //! client-visible errors, and the router's own metrics must record ≥ 1
 //! failover with exactly 3 replicas still live.
 //!
+//! Both modes first send the probe set under load: three connections at
+//! once, each at `parallelism=2` with `cache=off`, so every probe executes
+//! while the others do — more concurrent queries than a two-core runner
+//! has cores, so the worker pool grants some of them one core and others
+//! two. Every answer must equal the oracle's.
+//!
 //! Both modes end with a `METRICS` probe: the exposition must parse under
 //! the strict Prometheus checker and count the queries this very smoke
 //! just issued (in router mode: per-shard labels plus the summed
@@ -90,7 +96,8 @@ fn main() {
     }
     let engine = QpptEngine::new(&ssb.db);
 
-    let mut failed = run_probes(&mut client, &engine, &opts, &[]);
+    let mut failed = concurrent_probes(&addr, &engine, &opts);
+    failed += run_probes(&mut client, &engine, &opts, &[]);
     failed += metrics_probe(&mut client, None);
 
     if shutdown {
@@ -177,6 +184,7 @@ fn router_smoke(chaos: bool) {
             failed += 1;
         }
     }
+    failed += concurrent_probes(&rh.addr().to_string(), &engine, &opts);
     failed += run_probes(&mut client, &engine, &opts, &[]);
     failed += metrics_probe(&mut client, Some(2));
     failed += router_cache_probe(&mut client, &engine, &opts);
@@ -476,6 +484,33 @@ fn run_probes(
     }
 
     failed
+}
+
+/// Connections [`concurrent_probes`] sends from at once.
+const LOAD_CONNECTIONS: usize = 3;
+
+/// The probe set under load: [`LOAD_CONNECTIONS`] connections each run
+/// [`run_probes`] at the same time with `cache=off`, so every probe
+/// executes beside the others. Returns the number of failures.
+fn concurrent_probes(addr: &str, engine: &QpptEngine, opts: &PlanOptions) -> usize {
+    eprintln!(
+        "smoke: {LOAD_CONNECTIONS} connections send every probe at once \
+         (cache=off parallelism=2) …"
+    );
+    std::thread::scope(|s| {
+        let conns: Vec<_> = (0..LOAD_CONNECTIONS)
+            .map(|_| {
+                s.spawn(|| match QpptClient::connect(addr) {
+                    Ok(mut client) => run_probes(&mut client, engine, opts, &[("cache", "off")]),
+                    Err(e) => {
+                        eprintln!("smoke: FAIL — load connection: {e}");
+                        1
+                    }
+                })
+            })
+            .collect();
+        conns.into_iter().map(|c| c.join().unwrap_or(1)).sum()
+    })
 }
 
 /// The ad-hoc probe: supplier nations by year in Asia.

@@ -87,7 +87,8 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
     let server = serve(Arc::new(engine), "127.0.0.1:0").unwrap();
     let mut client = QpptClient::connect(server.addr()).unwrap();
 
-    // A fixed sequence: 2 RUNs (cold + warm), 1 ad-hoc QUERY, 1 PING.
+    // A fixed sequence: 2 RUNs (cold + warm), 1 ad-hoc QUERY (alone on the
+    // pool at parallelism 2, so granted both cores), 1 PING.
     client.run("q2.3", &[]).expect("cold run");
     client.run("q2.3", &[]).expect("warm run");
     client
@@ -97,7 +98,7 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
              dim=date[join=d_datekey:lo_orderdate;d_year between 1992 and 1997;carry=d_year] \
              agg=sum(lo_revenue):rev group=supplier.s_nation,date.d_year \
              order=group:1,agg:0:desc id=obs-adhoc",
-            &[],
+            &[("parallelism", "2")],
         )
         .expect("ad-hoc query");
     client.ping().expect("ping");
@@ -132,6 +133,14 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
     // Pool families are registered through the same registry.
     assert!(expo.value("qppt_pool_jobs_started_total", &[]).is_some());
     assert_eq!(expo.value("qppt_pool_queue_depth", &[]), Some(0));
+    // The pool explains its grants: the lone parallel query got both
+    // cores, nothing was sent to one, and no thread is running at idle.
+    assert!(expo.value("qppt_pool_admissions_total", &[("grant", "many")]) >= Some(1));
+    assert_eq!(
+        expo.value("qppt_pool_admissions_total", &[("grant", "one")]),
+        Some(0)
+    );
+    assert_eq!(expo.value("qppt_pool_running_threads", &[]), Some(0));
 
     // CACHE STATS and METRICS agree exactly: both render the same
     // snapshot. (The METRICS scrape above does not touch cache counters.)
