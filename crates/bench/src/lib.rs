@@ -21,15 +21,14 @@ pub struct BenchDb {
 }
 
 impl BenchDb {
-    /// Generates and fully prepares an SSB instance (indexes for every
-    /// query, every plan-option variant).
+    /// Generates and prepares an SSB instance: every base index the 13
+    /// queries need under the default plan options, which the figure
+    /// binaries' variants (join buffer, select-join, join width) share.
     pub fn prepare(sf: f64, seed: u64) -> Self {
         let mut ssb = SsbDb::generate(sf, seed);
         let default = PlanOptions::default();
-        let setops = PlanOptions::default().with_set_ops(true);
         for q in queries::all_queries() {
             prepare_indexes(&mut ssb.db, &q, &default).expect("SSB indexes build");
-            prepare_indexes(&mut ssb.db, &q, &setops).expect("SSB set-op indexes build");
         }
         Self { ssb }
     }

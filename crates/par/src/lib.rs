@@ -46,26 +46,25 @@
 //!    [`QueryResult`](qppt_storage::QueryResult) — is byte-identical to a
 //!    sequential run, whatever the thread timing.
 //!
-//! One engine drives that machinery: [`PooledEngine`]. Queries submit
-//! their morsel queues as jobs to a persistent shared [`WorkerPool`] (std
-//! threads created once, priority + admission budget), so N concurrent
-//! queries share one fixed set of threads instead of spawning N×P. This is
-//! what `qppt-server` runs on, and what embedded callers use too (a pool is
-//! two lines to create). The pool budgets cores: each query is
-//! [granted](WorkerPool::grant) at most the cores its load leaves free, so
-//! a lone query runs on every core and concurrent ones one core each.
+//! One engine drives that machinery: [`PooledEngine`]. Each query works
+//! its morsel queue as a job on its calling thread, and a persistent shared
+//! [`WorkerPool`] (std threads created once) lends it free cores, so N
+//! concurrent queries share one fixed set of threads instead of spawning
+//! N×P — for `qppt-server` and embedded callers alike. Each query is
+//! [granted](WorkerPool::grant) at most the cores its load leaves free: a
+//! lone query runs on every core, concurrent ones on one core each.
 //! Sequential execution is the one-morsel case of the same job: at
 //! `parallelism = 1`, or granted one core, the morsel list is
-//! `[KeyRange::full()]` and the calling thread drains it with no job and
-//! no wakeup.
+//! `[KeyRange::full()]`, drained on the calling thread with no queue entry
+//! and no wakeup.
 //!
 //! Every query — embedded, served, cached or `cache=off` — runs the same
 //! four steps: **plan** ([`build_plan`](qppt_core::build_plan)), **σ**
 //! ([`PooledEngine::materialize_missing_dims`]: the dimension selections
 //! not already at hand are materialized **once**, before the fact pipeline
-//! starts — as one participating pool job when two or more remain and the
-//! pool grants more than one core — and shared read-only by all workers),
-//! **exec**
+//! starts — as one pool job that free workers may join when two or more
+//! remain and the pool grants more than one core — and shared read-only by
+//! all workers), **exec**
 //! ([`PooledEngine::run_prepared_agg`]) and **finish** (decode, or ship the
 //! undecoded aggregate). Base index *builds* can also run on the pool's
 //! width — see [`prepare_indexes_pooled`] and [`ThreadTasks`]
@@ -99,10 +98,11 @@ mod morsel;
 mod pool;
 mod pooled;
 mod prepare;
+mod protocol;
 mod scheduler;
 
 pub use morsel::Partitioner;
-pub use pool::{JobAborted, JobHandle, PoolJob, PoolMetrics, WorkerPool};
+pub use pool::{PoolJob, PoolMetrics, WorkerPool};
 pub use pooled::PooledEngine;
 pub use prepare::{prepare_indexes_pooled, ThreadTasks};
 

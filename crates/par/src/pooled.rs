@@ -3,34 +3,21 @@
 //! [`QpptEngine`](qppt_core::QpptEngine), executed on a persistent shared
 //! [`WorkerPool`].
 //!
-//! N concurrent queries submit their morsel queues and their
-//! dimension-selection tasks as [`PoolJob`]s; the pool's fixed workers
-//! interleave them under the priority/admission policy. Total threads are
-//! bounded by the pool size, not queries × parallelism — the property
-//! `qppt-server` is built on.
-//!
-//! There is one fact-pipeline path: a morsel job whose participants drain
-//! a list of [`KeyRange`] morsels. How wide it runs is decided per query,
-//! at admission:
-//!
-//! * **The grant** — a query asks the pool for
-//!   [`pipeline_participants`](PooledEngine::pipeline_participants) cores
-//!   and gets the smaller of that and the cores its load leaves free
-//!   ([`WorkerPool::grant`]). `parallelism` is an upper bound: a lone
-//!   query runs on every core, while under concurrent load each query
-//!   gets one. Splitting a query shortens its span by spending extra work
-//!   (partition, merge, wakeups), which pays only on idle cores.
-//! * **One core is the one-morsel case** — a query granted one core (or
-//!   allowed one: `parallelism = 1`) gets the one morsel
-//!   [`KeyRange::full`] and is worked on the calling (connection) thread,
-//!   counted by the pool as running ([`WorkerPool::run_inline`]): no
-//!   partition, no job, no wakeup.
-//! * **More cores: caller participation** — the query partitions its key
-//!   domain and submits the job with [`WorkerPool::run_participating`]:
-//!   the calling thread starts pulling morsels immediately and pool
-//!   workers join into the free cores it was granted.
-//!
-//! The σ step takes the same grant for its per-dimension tasks.
+//! Each query works its own jobs — its morsel queue and its
+//! dimension-selection tasks, as [`PoolJob`]s — on the calling thread, and
+//! the pool's fixed workers join them into free cores, so total threads are
+//! bounded by the pool size plus the callers, not queries × parallelism —
+//! the property `qppt-server` is built on. How wide a job runs is decided
+//! per query, at admission: the query asks for
+//! [`pipeline_participants`](PooledEngine::pipeline_participants) cores and
+//! gets what its load leaves free ([`WorkerPool::grant`]) — every core when
+//! alone, one under concurrent load, since splitting a query spends extra
+//! work (partition, merge, wakeups) that pays only on idle cores. Granted
+//! one, the fact pipeline is the one morsel [`KeyRange::full`] in a job of
+//! one participant, which [`WorkerPool::run`] works on the caller with no
+//! partition, queue entry or wakeup; granted more, the query partitions its
+//! key domain and starts pulling morsels while workers join. The σ step
+//! takes the same grant for its per-dimension tasks.
 //!
 //! There is one pipeline. [`run_at`](PooledEngine::run_at) is plan → σ
 //! ([`materialize_missing_dims`](PooledEngine::materialize_missing_dims))
@@ -41,7 +28,7 @@
 //! `run_prepared`. The prepared `InterTable`s are shared read-only across
 //! every morsel participant of every execution.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -126,10 +113,10 @@ impl PooledEngine {
     /// The selections are one task each. The query asks the pool for as
     /// many cores as it has tasks, up to
     /// [`pipeline_participants`](Self::pipeline_participants); granted more
-    /// than one, the tasks run as one participating pool job, otherwise
-    /// the same task loop runs on the calling thread. Each σ depends only
-    /// on its own dimension table, so what is built never depends on what
-    /// arrived pre-built, nor on who built it.
+    /// than one, free workers may join the calling thread's task loop,
+    /// otherwise it runs alone. Each σ depends only on its own dimension
+    /// table, so what is built never depends on what arrived pre-built, nor
+    /// on who built it.
     pub fn materialize_missing_dims(
         &self,
         plan: &Arc<Plan>,
@@ -157,9 +144,8 @@ impl PooledEngine {
             next: AtomicUsize::new(0),
             results: Mutex::new(dims),
             error: Mutex::new(None),
-            aborted: AtomicBool::new(false),
         });
-        self.run_job(cores, &job, priority)?;
+        self.pool.run(job.clone(), priority);
         if let Some(e) = job.error.lock().expect("job lock").take() {
             return Err(e);
         }
@@ -220,18 +206,16 @@ impl PooledEngine {
     }
 
     /// Participants the fact pipeline of a query at `parallelism` may ask
-    /// for, caller included (pool + 1 at most) — what the serving layer
-    /// reports as `workers=`. It is the query's upper bound: the pool
+    /// for, caller included (the pool's size at most) — what the serving
+    /// layer reports as `workers=`. It is the query's upper bound: the pool
     /// [grants](WorkerPool::grant) at most its size, and under load one.
     pub fn pipeline_participants(&self, parallelism: usize) -> usize {
-        parallelism.clamp(1, self.pool.size() + 1)
+        parallelism.clamp(1, self.pool.size())
     }
 
     /// Runs the fact pipeline as a morsel job on the cores the pool
-    /// grants. Granted more than one, the job partitions the stage-1 key
-    /// domain and runs on the shared pool with the caller participating;
-    /// granted one, it is the one-morsel case, worked on the calling
-    /// thread — no partition, no handles, no pool wakeups.
+    /// grants: the stage-1 key domain partitioned when granted more than
+    /// one, the one morsel [`KeyRange::full`] otherwise.
     fn execute_pipeline(
         &self,
         snap: Snapshot,
@@ -260,37 +244,14 @@ impl PooledEngine {
             participants: AtomicUsize::new(0),
             partials: Mutex::new(Vec::new()),
             error: Mutex::new(None),
-            aborted: AtomicBool::new(false),
         });
-        self.run_job(cores, &job, priority)?;
+        self.pool.run(job.clone(), priority);
         if let Some(e) = job.error.lock().expect("job lock").take() {
             return Err(e);
         }
         let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
         merge_partials(plan, partials)
     }
-
-    /// Runs `job` on `cores`: with the caller participating in a pool job
-    /// when granted more than one, alone on the calling thread otherwise.
-    fn run_job<J: PoolJob + 'static>(
-        &self,
-        cores: usize,
-        job: &Arc<J>,
-        priority: i32,
-    ) -> Result<(), QpptError> {
-        if cores > 1 {
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())
-        } else {
-            self.pool.run_inline(job.as_ref());
-            Ok(())
-        }
-    }
-}
-
-fn pool_down() -> QpptError {
-    QpptError::Internal("worker pool shut down while the query was queued".into())
 }
 
 /// The fact-pipeline job: a per-query morsel queue on the shared pool.
@@ -301,13 +262,13 @@ struct MorselJob {
     dim_tables: Arc<Vec<Option<Arc<DimSelection>>>>,
     fused: Arc<Option<FusedSelection>>,
     morsels: Vec<KeyRange>,
-    /// Atomic morsel dispenser (work pulling).
+    /// Atomic morsel dispenser (work pulling); an error exhausts it, so
+    /// every participant stops at its next claim.
     next: AtomicUsize,
     /// Participant ids for the deterministic merge order.
     participants: AtomicUsize,
     partials: Mutex<Vec<(usize, AggTable, ExecStats)>>,
     error: Mutex<Option<QpptError>>,
-    aborted: AtomicBool,
     max_workers: usize,
 }
 
@@ -317,8 +278,7 @@ impl PoolJob for MorselJob {
     }
 
     fn has_work(&self) -> bool {
-        !self.aborted.load(Ordering::Relaxed)
-            && self.next.load(Ordering::Relaxed) < self.morsels.len()
+        self.next.load(Ordering::Relaxed) < self.morsels.len()
     }
 
     fn work(&self) {
@@ -340,9 +300,8 @@ impl PoolJob for MorselJob {
             }
             Ok(None) => {}
             Err(e) => {
-                self.aborted.store(true, Ordering::Relaxed);
-                let mut err = self.error.lock().expect("job lock");
-                err.get_or_insert(e);
+                self.next.store(self.morsels.len(), Ordering::Relaxed);
+                self.error.lock().expect("job lock").get_or_insert(e);
             }
         }
     }
@@ -355,12 +314,12 @@ struct DimJob {
     plan: Arc<Plan>,
     /// Dimension indexes to materialize.
     tasks: Vec<usize>,
+    /// Task dispenser; an error exhausts it, as in [`MorselJob`].
     next: AtomicUsize,
     /// Slot per dimension (not per task), so output stays in dim order;
     /// pre-built slots ride along untouched.
     results: Mutex<Vec<Option<Arc<DimSelection>>>>,
     error: Mutex<Option<QpptError>>,
-    aborted: AtomicBool,
     max_workers: usize,
 }
 
@@ -370,8 +329,7 @@ impl PoolJob for DimJob {
     }
 
     fn has_work(&self) -> bool {
-        !self.aborted.load(Ordering::Relaxed)
-            && self.next.load(Ordering::Relaxed) < self.tasks.len()
+        self.next.load(Ordering::Relaxed) < self.tasks.len()
     }
 
     fn work(&self) {
@@ -383,9 +341,8 @@ impl PoolJob for DimJob {
             match materialize_dim_selection(&self.db, self.snap, &self.plan, di) {
                 Ok(r) => self.results.lock().expect("job lock")[di] = r,
                 Err(e) => {
-                    self.aborted.store(true, Ordering::Relaxed);
-                    let mut err = self.error.lock().expect("job lock");
-                    err.get_or_insert(e);
+                    self.next.store(self.tasks.len(), Ordering::Relaxed);
+                    self.error.lock().expect("job lock").get_or_insert(e);
                     break;
                 }
             }

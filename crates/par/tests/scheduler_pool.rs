@@ -492,9 +492,8 @@ fn wait_until(what: &str, gates: &[&AtomicBool], cond: impl Fn() -> bool) {
 }
 
 /// The core budget, step by step, on a pool of two: callers always run,
-/// and a worker joins only into a free core — or into a job nobody works.
-/// Gates hold each participant inside a known task, so every step is
-/// deterministic.
+/// and a worker joins only into a free core. Gates hold each participant
+/// inside a known task, so every step is deterministic.
 #[test]
 fn callers_hold_the_budget_and_workers_join_only_free_cores() {
     let pool = WorkerPool::new(2, 8);
@@ -519,7 +518,7 @@ fn callers_hold_the_budget_and_workers_join_only_free_cores() {
     std::thread::scope(|s| {
         let caller = |job: &Arc<BudgetJob>| {
             let (pool, job) = (pool.clone(), job.clone());
-            move || pool.run_participating(job as Arc<dyn PoolJob>, 0).unwrap()
+            move || pool.run(job, 0)
         };
         // One caller on an idle pool: a worker joins into the free core.
         s.spawn(caller(&a));
@@ -534,20 +533,6 @@ fn callers_hold_the_budget_and_workers_join_only_free_cores() {
             get(&b.inside) == 1 && get(&c.inside) == 1
         });
         no_worker_in_b_or_c("while four threads ran on two cores");
-        // A job nobody participates in still gets a worker, though the
-        // callers hold every core.
-        let n = BudgetJob::new(32, 2, 100);
-        let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let (pool, n) = (pool.clone(), n.clone());
-            std::thread::spawn(move || tx.send(pool.run(n as Arc<dyn PoolJob>, 0)));
-        }
-        let done = rx.recv_timeout(Duration::from_secs(20));
-        if done.is_err() {
-            gates.iter().for_each(|g| g.store(false, SeqCst));
-        }
-        assert_eq!(done, Ok(Ok(())), "a job nobody worked stalled");
-        n.assert_complete("non-participating job");
         // A finishes; its worker leaves, and B's and C's callers still hold
         // both cores.
         gate_a.store(false, SeqCst);
@@ -564,12 +549,11 @@ fn callers_hold_the_budget_and_workers_join_only_free_cores() {
 }
 
 /// Pool invariants under contention: four callers on two cores, each
-/// running jobs back to back — mostly participating, every fifth one
-/// submitted for the pool alone — while workers join whatever cores the
-/// callers leave free. No job ever has more participants at once than the
-/// pool has cores (a worker joins only into a free core, or into a job
-/// nobody works), every task runs exactly once, and every job completes
-/// and merges.
+/// running jobs back to back — mostly parallel, every fifth one a job of
+/// one participant, run alone on its caller — while workers join whatever
+/// cores the callers leave free. No job ever has more participants at once
+/// than the pool has cores (a worker joins only into a free core), every
+/// task runs exactly once, and every job completes and merges.
 #[test]
 fn pool_invariants_under_contention() {
     const CORES: usize = 2;
@@ -580,15 +564,14 @@ fn pool_invariants_under_contention() {
             let pool = &pool;
             s.spawn(move || {
                 for r in 0..300 {
-                    let job = BudgetJob::new(1 + (c * 7 + r) % 24, CALLERS + CORES, 2_000);
+                    let width = if (c + r) % 5 == 0 { 1 } else { CALLERS + CORES };
+                    let job = BudgetJob::new(1 + (c * 7 + r) % 24, width, 2_000);
                     let what = format!("caller {c} round {r}");
-                    if (c + r) % 5 == 0 {
-                        pool.run(job.clone() as Arc<dyn PoolJob>, 0).unwrap();
-                    } else {
-                        pool.run_participating(job.clone() as Arc<dyn PoolJob>, (r % 3) as i32)
-                            .unwrap();
-                    }
+                    pool.run(job.clone(), (r % 3) as i32);
                     job.assert_complete(&what);
+                    if width == 1 {
+                        assert_eq!(get(&job.worker_entries), 0, "{what}: a worker joined");
+                    }
                     let peak = get(&job.peak);
                     assert!(peak <= CORES, "{what}: {peak} participants at once");
                 }

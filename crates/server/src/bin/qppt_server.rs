@@ -9,6 +9,12 @@
 //!     --cache-dim-mb 256 --cache-ttl-secs 600
 //! ```
 //!
+//! Pool flags: `--threads` sizes the worker pool, which is also its core
+//! budget, and `--admission` bounds how many parallel jobs (queries
+//! granted more than one core) it queues at once; a query run on one core
+//! makes no entry and is not counted. `--parallelism` is the default
+//! per-query upper bound on cores.
+//!
 //! Cache flags: `--no-cache` serves every `RUN` uncached,
 //! `--cache-dim-mb` sizes the shared dimension-σ tier's byte budget, and
 //! `--cache-ttl-secs` reclaims entries idle for longer (0 = no age limit).

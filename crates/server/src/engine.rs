@@ -93,7 +93,7 @@ pub struct ServeInfo {
     pub seed: u64,
     /// Worker-pool threads.
     pub pool_threads: usize,
-    /// Admission budget (max concurrently executing queries).
+    /// Admission budget (max parallel jobs queued on the pool at once).
     pub admission: usize,
     /// Detected hardware parallelism (1 means intra-query speedups are
     /// impossible on this host).

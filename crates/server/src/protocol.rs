@@ -468,9 +468,10 @@ pub struct ServedStats {
     /// End-to-end wall micros on the server (plan + execute + decode).
     pub total_micros: u128,
     /// Workers the pipeline was allowed, caller included:
-    /// `clamp(parallelism, 1, pool size + 1)` — the connection thread
-    /// participates in its own morsel job
-    /// (`PooledEngine::pipeline_participants`).
+    /// `clamp(parallelism, 1, pool size)` — the widest grant the pool can
+    /// give, since the connection thread's core counts against the pool's
+    /// budget (`PooledEngine::pipeline_participants`). Under load the pool
+    /// may grant fewer.
     pub workers: usize,
     /// One rendered line per operator.
     pub op_lines: Vec<String>,

@@ -13,12 +13,12 @@
 //!   verb handling.
 //!
 //! Threading model: the acceptor thread plus one thread per live
-//! connection. Connection threads only parse/serialize — query execution
-//! happens on the engine's fixed [`WorkerPool`](qppt_par::WorkerPool)
-//! (sequential fallbacks and the calling thread's share of participating
-//! jobs run inline on the connection thread), so the pool's
-//! priority/admission policy governs the actual CPU, and total *worker*
-//! threads stay bounded by the pool size however many clients connect.
+//! connection. A connection thread parses a request, works its query's
+//! jobs itself and serializes the answer; the workers of the engine's
+//! fixed [`WorkerPool`](qppt_par::WorkerPool) join a parallel job into the
+//! cores the pool's budget leaves free, so the pool's grant and priority
+//! decide who gets the spare CPU, and total *worker* threads stay bounded
+//! by the pool size however many clients connect.
 //!
 //! Robustness: request lines are read incrementally with a hard length cap
 //! ([`ServerConfig::max_line_bytes`]) — an oversized or non-UTF-8 line

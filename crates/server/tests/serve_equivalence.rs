@@ -126,16 +126,10 @@ fn protocol_surface_and_errors() {
         .unwrap();
     assert_eq!(served.result, oracle);
 
-    // `workers=` is the engine's own participant bound — the connection
-    // thread works its morsel job beside the pool — for every parallelism,
-    // on the served cold path and on a result-tier hit alike.
-    for (par, want) in [
-        (1, 1),
-        (2, 2),
-        (3, 3),
-        (4, POOL_THREADS + 1),
-        (9, POOL_THREADS + 1),
-    ] {
+    // `workers=` is the engine's own participant bound — the widest grant
+    // the pool can give, its size — for every parallelism, on the served
+    // cold path and on a result-tier hit alike.
+    for (par, want) in [(1, 1), (2, 2), (3, 3), (4, POOL_THREADS), (9, POOL_THREADS)] {
         assert_eq!(engine.pooled().pipeline_participants(par), want);
         for _ in 0..2 {
             let served = client
