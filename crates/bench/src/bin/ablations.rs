@@ -13,7 +13,7 @@
 //! cargo run --release -p qppt-bench --bin ablations -- [all|joinbuffer|duplicates|kprime|compression]
 //! ```
 
-use qppt_bench::{arg_f64, arg_usize, ms, print_table, time_best_of, time_once, BenchDb};
+use qppt_bench::{arg_f64, arg_mode, arg_usize, ms, print_table, time_best_of, time_once, BenchDb};
 use qppt_core::PlanOptions;
 use qppt_mem::{DupArena, LinkedDupArena, Xoshiro256StarStar};
 use qppt_ssb::queries;
@@ -21,23 +21,23 @@ use qppt_trie::{PrefixTree, TrieConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
+    let modes = ["all", "joinbuffer", "duplicates", "kprime", "compression"];
+    let which = arg_mode(&args, &modes).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+    match which {
         "joinbuffer" => joinbuffer(&args),
         "duplicates" => duplicates(&args),
         "kprime" => kprime(&args),
         "compression" => compression(&args),
-        "all" => {
+        _ => {
+            // "all", the default.
             joinbuffer(&args);
             duplicates(&args);
             kprime(&args);
             compression(&args);
         }
-        other => panic!("unknown ablation {other:?}"),
     }
 }
 

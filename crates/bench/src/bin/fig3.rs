@@ -10,7 +10,7 @@
 //! cargo run --release -p qppt-bench --bin fig3 -- [insert|lookup|both] [--keys a,b,c]
 //! ```
 
-use qppt_bench::{arg_usize_list, print_table, time_once};
+use qppt_bench::{arg_mode, arg_usize_list, print_table, time_once};
 use qppt_hash::{ChainedHashMap, OpenHashMap};
 use qppt_kiss::{KissConfig, KissTree};
 use qppt_mem::Xoshiro256StarStar;
@@ -20,11 +20,10 @@ const BATCH: usize = 2048;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "both".to_string());
+    let mode = arg_mode(&args, &["both", "insert", "lookup"]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let sizes = arg_usize_list(&args, "--keys", &[100_000, 1_000_000, 4_000_000]);
 
     if mode == "insert" || mode == "both" {

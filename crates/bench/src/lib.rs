@@ -123,6 +123,24 @@ pub fn arg_str(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The positional mode argument of a figure binary: the first argument
+/// that is neither a `--flag` nor the value after one, so flags may come
+/// before or after it. Without one the mode is `modes[0]`; a mode outside
+/// `modes` is an error naming the valid ones.
+pub fn arg_mode<'a>(args: &'a [String], modes: &[&'a str]) -> Result<&'a str, String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if a.starts_with("--") {
+            rest.next();
+        } else if modes.contains(&a.as_str()) {
+            return Ok(a);
+        } else {
+            return Err(format!("unknown mode {a:?} (valid: {})", modes.join(", ")));
+        }
+    }
+    Ok(modes[0])
+}
+
 /// Comma-separated usize list (`--keys 100000,1000000`).
 pub fn arg_usize_list(args: &[String], flag: &str, default: &[usize]) -> Vec<usize> {
     match arg_str(args, flag) {
@@ -153,6 +171,29 @@ mod tests {
         assert_eq!(arg_usize_list(&args, "--keys", &[1]), vec![10, 20]);
         assert_eq!(arg_usize_list(&args, "--nope", &[1]), vec![1]);
         assert_eq!(arg_usize(&args, "--nope", 7), 7);
+
+        // A flag's value is never the mode, wherever the flags stand.
+        let modes = ["all", "joinbuffer"];
+        let mode = |line: &[&str]| {
+            let args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+            arg_mode(&args, &modes).map(str::to_string)
+        };
+        assert_eq!(mode(&["--sf", "0.02", "--runs", "1"]), Ok("all".into()));
+        assert_eq!(mode(&[]), Ok("all".into()));
+        assert_eq!(
+            mode(&["--sf", "0.02", "joinbuffer"]),
+            Ok("joinbuffer".into())
+        );
+        assert_eq!(
+            mode(&["joinbuffer", "--sf", "0.02"]),
+            Ok("joinbuffer".into())
+        );
+        let err = mode(&["--sf", "0.02", "fig"]).unwrap_err();
+        assert!(
+            err.contains("\"fig\"") && err.contains("all, joinbuffer"),
+            "{err}"
+        );
+        assert!(mode(&["10000"]).is_err());
     }
 
     #[test]

@@ -118,14 +118,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_storage::{
-    sync_scan_indexes, sync_scan_indexes_range, BaseIndex, CompiledPred, Database, DenseIndex,
-    DenseSlots, IndexedTable, Lane, Lanes, MvccTable, PayloadBuf, ProbeScratch, QueryResult, Row,
-    Rows, Snapshot, StorageError, TreeIndex, Value, Values,
+    sync_scan_indexes_range, BaseIndex, CompiledPred, Database, DenseIndex, DenseSlots,
+    IndexedTable, Lane, Lanes, MvccTable, PayloadBuf, ProbeScratch, QueryResult, Row, Rows,
+    Snapshot, TreeIndex, Value, Values,
 };
 
 use crate::inter::{AggTable, GroupRun, InterTable};
 use crate::layout::{Layout, Src};
-use crate::options::PlanOptions;
 use crate::plan::{DimHandleKind, JoinStage, MainInput, Plan, ResolvedDim, StageOutput};
 use crate::stats::{ExecStats, OpStats};
 use crate::{PartialAggregate, QpptError};
@@ -235,7 +234,7 @@ pub fn materialize_dim(
     for c in &dim.carried_names {
         layout.add(Src::Dim(dim.spec_idx), c);
     }
-    let (keys, carried) = staged_selection(db, snap, &plan.opts, dim)?;
+    let (keys, carried) = staged_selection(db, snap, dim)?;
     let stride = dim.carried_names.len();
     let mut payload = PayloadBuf::with_capacity(stride, keys.len());
     for i in 0..keys.len() {
@@ -337,7 +336,7 @@ pub fn materialize_fused_selection(
         return Ok(None);
     };
     let dim = &plan.dims[main];
-    let (keys, carried) = staged_selection(db, snap, &plan.opts, dim)?;
+    let (keys, carried) = staged_selection(db, snap, dim)?;
     Ok(Some(FusedSelection {
         keys,
         carried,
@@ -353,12 +352,11 @@ pub fn materialize_fused_selection(
 fn staged_selection(
     db: &Database,
     snap: Snapshot,
-    opts: &PlanOptions,
     dim: &ResolvedDim,
 ) -> Result<(Vec<u64>, Vec<u64>), QpptError> {
     let stride = dim.carried_names.len();
     let (mut scanned_keys, mut scanned_carried) = (Vec::new(), Vec::new());
-    scan_dim_selection(db, snap, opts, dim, |key, c| {
+    scan_dim_selection(db, snap, dim, |key, c| {
         scanned_keys.push(key);
         scanned_carried.extend_from_slice(c);
     })?;
@@ -1555,8 +1553,7 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
                 )
             }
             None => {
-                let opts = self.plan.opts;
-                scan_dim_selection(db, snap, &opts, dim, |key, c| {
+                scan_dim_selection(db, snap, dim, |key, c| {
                     if range.contains(key) {
                         scanned_keys.push(key);
                         scanned_carried.extend_from_slice(c);
@@ -1591,37 +1588,24 @@ impl<'g, L: Lane> StageRun<'_, '_, 'g, L> {
     }
 }
 
-/// Streams a dimension selection: scans a base index, applies the
-/// predicates its key does not answer from the carried payload, checks MVCC
-/// visibility, and yields `(join key, carried values)` per qualifying tuple.
-/// The index is the one keyed on the first predicate's column — or, for a
-/// `multidim` selection, on all predicate columns, so the whole conjunction
-/// is one key range and no residual predicates remain (§4.1); a dimension
-/// without predicates scans the index on its join column whole. With
-/// `selection_via_set_ops`, multi-predicate selections instead run one
-/// rid-set selection per predicate and intersect them with the synchronous
-/// scan (§4.1).
+/// Streams a dimension selection (§4.1): scans the base index keyed on the
+/// first predicate's column, tests the other predicates on the carried
+/// payload, checks MVCC visibility, and yields `(join key, carried values)`
+/// per qualifying tuple. A dimension without predicates scans the index on
+/// its join column whole.
 pub fn scan_dim_selection(
     db: &Database,
     snap: Snapshot,
-    opts: &PlanOptions,
     dim: &ResolvedDim,
     mut f: impl FnMut(u64, &[u64]),
 ) -> Result<(), QpptError> {
-    if opts.selection_via_set_ops && dim.preds.len() >= 2 && !dim.multidim {
-        return scan_dim_selection_set_ops(db, snap, dim, f);
-    }
     let mvt = db.table(&dim.table)?;
     let check_vis = !mvt.fully_visible(snap);
-    // The index's key columns, and how many leading predicates they answer.
-    let (key_names, keyed) = match dim.pred_cols.len() {
-        0 => (std::slice::from_ref(&dim.join_col_name), 0),
-        n if dim.multidim => (&dim.pred_cols[..], n),
-        _ => (&dim.pred_cols[..1], 1),
-    };
-    let bi = db.find_index_on(&dim.table, key_names)?;
-    let key_name = key_names.join("+");
-    let pos = |c: &String| payload_pos(bi.payload_pos_by_name(c), &dim.table, &key_name, c);
+    // The index's key column, and how many leading predicates it answers.
+    let keyed = dim.preds.len().min(1);
+    let key_col = dim.pred_cols.first().unwrap_or(&dim.join_col_name);
+    let bi = db.find_index(&dim.table, key_col)?;
+    let pos = |c: &String| payload_pos(bi.payload_pos_by_name(c), &dim.table, key_col, c);
     // Without predicates the index key *is* the join key.
     let join_pos = match keyed {
         0 => None,
@@ -1655,91 +1639,30 @@ pub fn scan_dim_selection(
         f(join_pos.map_or(key, |p| row.get(p)), &carried);
     };
     // The index's own packer turns predicate constants into its keys: a
-    // constant no key part can hold matches nothing.
-    if let [CompiledPred::InSet { codes, .. }] = key_preds {
-        for &code in codes {
-            if let Ok(key) = bi.packer().pack([code]) {
-                bi.data.index.get_each(key, |pid| visit(key, pid));
-            }
-        }
-        return Ok(());
-    }
-    let bounds: Option<Vec<(u64, u64)>> = key_preds
-        .iter()
-        .map(|p| match p {
-            CompiledPred::Range { lo, hi, .. } => Some((*lo, *hi)),
-            _ => None,
-        })
-        .collect();
-    if let Some((lo, hi)) = bounds.and_then(|b| bi.packer().pack_range(&b)) {
-        bi.data.index.range_each(lo, hi, visit);
-    }
-    Ok(())
-}
-
-/// §4.1: per-predicate rid-set selections combined with `intersect`.
-fn scan_dim_selection_set_ops(
-    db: &Database,
-    snap: Snapshot,
-    dim: &ResolvedDim,
-    mut f: impl FnMut(u64, &[u64]),
-) -> Result<(), QpptError> {
-    let mvt = db.table(&dim.table)?;
-    let t = mvt.table();
-    // One rid-keyed index per predicate.
-    let mut rid_sets: Vec<TreeIndex> = Vec::with_capacity(dim.preds.len());
-    for (k, pred) in dim.preds.iter().enumerate() {
-        let bi = db.find_index(&dim.table, &dim.pred_cols[k])?;
-        let mut set = TreeIndex::new_kiss();
-        let mut add = |pid: u32| {
-            let rid = bi.data.payload.row(pid).get(0);
-            set.insert(rid, 0);
-        };
-        match pred {
-            CompiledPred::Range { lo, hi, .. } => {
-                bi.data.index.range_each(*lo, *hi, |_, pid| add(pid))
-            }
-            CompiledPred::InSet { codes, .. } => {
-                for &code in codes {
-                    bi.data.index.get_each(code, &mut add);
+    // constant the key's width cannot hold matches nothing.
+    let range = match key_preds {
+        [CompiledPred::InSet { codes, .. }] => {
+            for &code in codes {
+                if let Ok(key) = bi.packer().pack([code]) {
+                    bi.data.index.get_each(key, |pid| visit(key, pid));
                 }
             }
-            CompiledPred::Never => {}
+            return Ok(());
         }
-        rid_sets.push(set);
+        [CompiledPred::Range { lo, hi, .. }] => bi.packer().pack_range(&[(*lo, *hi)]),
+        [CompiledPred::Never] => None,
+        _ => bi.packer().pack_range(&[]),
+    };
+    if let Some((lo, hi)) = range {
+        bi.data.index.range_each(lo, hi, visit);
     }
-    // Fold with intersections (synchronous scans over rid sets).
-    let mut acc = rid_sets.remove(0);
-    for other in &rid_sets {
-        let mut next = TreeIndex::new_kiss();
-        sync_scan_indexes(&acc, other, |rid, _, _| next.insert(rid, 0));
-        acc = next;
-    }
-    // Fetch join key and carried columns from the row store (this is the
-    // secondary-index path: random accesses into the storage layer).
-    let join_col = t.schema().col(&dim.join_col_name)?;
-    let carried_cols: Vec<usize> = dim
-        .carried_names
-        .iter()
-        .map(|c| t.schema().col(c))
-        .collect::<Result<_, StorageError>>()?;
-    let mut carried = vec![0u64; carried_cols.len()];
-    acc.for_each(|rid, _| {
-        let rid = rid as u32;
-        if !mvt.visible(rid, snap) {
-            return;
-        }
-        for (i, &c) in carried_cols.iter().enumerate() {
-            carried[i] = t.get(rid, c);
-        }
-        f(t.get(rid, join_col), &carried);
-    });
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::PlanOptions;
     use crate::plan::{build_plan, prepare_indexes};
     use qppt_storage::{
         AggExpr, ColRef, ColumnType, DimSpec, Expr, Predicate, QuerySpec, Schema, TableBuilder,
@@ -2037,7 +1960,7 @@ mod tests {
         // The construction it replaces: one `(key, carried)` pair per
         // tuple, stably sorted by key.
         let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
-        scan_dim_selection(&db, snap, &plan.opts, &plan.dims[0], |key, c| {
+        scan_dim_selection(&db, snap, &plan.dims[0], |key, c| {
             entries.push((key, c.to_vec()));
         })
         .unwrap();

@@ -178,8 +178,6 @@ pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
         join_buffer,
         max_join_ways,
         prefer_kiss,
-        selection_via_set_ops,
-        multidim_selections,
         parallelism,
         morsel_bits,
         par_index_build: _,
@@ -189,8 +187,6 @@ pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
         .write_u64(join_buffer as u64)
         .write_u64(max_join_ways as u64)
         .write_u64(prefer_kiss as u64)
-        .write_u64(selection_via_set_ops as u64)
-        .write_u64(multidim_selections as u64)
         .write_u64(parallelism as u64)
         .write_u64(morsel_bits as u64);
     h.finish()
@@ -229,10 +225,9 @@ fn write_compiled_pred(h: &mut Fnv64, p: &CompiledPred) {
 /// [`materialize_dim`](crate::exec::materialize_dim) reads to build the
 /// dimension `InterTable` — table, join column, compiled predicate set
 /// (constants are dictionary codes, deterministic per table version),
-/// carried columns in payload order, the multidimensional-scan shape, the
-/// key domain that drives the §2.2 index-structure choice, and the three
-/// [`PlanOptions`] knobs that change the materialization procedure
-/// (`prefer_kiss`, `selection_via_set_ops`, `multidim_selections`).
+/// carried columns in payload order, the key domain that drives the §2.2
+/// index-structure choice, and the one [`PlanOptions`] knob that changes
+/// the materialization procedure (`prefer_kiss`).
 ///
 /// Deliberately *excluded*: the query the dimension came from (group-by,
 /// aggregates, other dims), the fact-side join column, the dimension's
@@ -255,10 +250,7 @@ pub fn fingerprint_dim(dim: &ResolvedDim, opts: &PlanOptions) -> u64 {
     for c in &dim.carried_names {
         h.write_str(c);
     }
-    h.write_u64(dim.multidim as u64);
-    h.write_u64(opts.prefer_kiss as u64)
-        .write_u64(opts.selection_via_set_ops as u64)
-        .write_u64(opts.multidim_selections as u64);
+    h.write_u64(opts.prefer_kiss as u64);
     h.finish()
 }
 
@@ -316,8 +308,6 @@ mod tests {
             base.with_join_buffer(64),
             base.with_max_join_ways(2),
             base.with_prefer_kiss(false),
-            base.with_set_ops(true),
-            base.with_multidim(true),
             base.with_parallelism(4),
             base.with_morsel_bits(9),
         ];

@@ -20,8 +20,7 @@
 //! The [`engine::QpptEngine`] plans and executes
 //! [`qppt_storage::QuerySpec`] star queries; [`options::PlanOptions`]
 //! exposes the demonstrator's optimization knobs (select-join on/off, join
-//! buffer size, maximum star-join width, KISS vs. prefix-tree indexes, and
-//! the set-operator selection strategy).
+//! buffer size, maximum star-join width, KISS vs. prefix-tree indexes).
 //!
 //! ```
 //! use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};

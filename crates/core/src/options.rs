@@ -3,8 +3,8 @@
 //! These are exactly the knobs the paper's demonstrator exposes (Appendix A,
 //! Fig. 10): select-join composition on/off, the join/selection buffer size
 //! (1 = unbuffered, 64, 512, 2048), and the maximum multi-way/star join
-//! width (2-way … multi-way). Two extra switches cover §2.2's index choice
-//! (KISS vs. prefix tree) and §4.1's set-operator selection strategy.
+//! width (2-way … multi-way). One extra switch covers §2.2's index choice
+//! (KISS vs. prefix tree).
 //!
 //! On top of the paper's knobs sit the **parallel execution** knobs consumed
 //! by the `qppt-par` subsystem: worker count ([`PlanOptions::parallelism`])
@@ -28,15 +28,6 @@ pub struct PlanOptions {
     /// Use the KISS-Tree for 32-bit key domains (§2.2). When off, every
     /// index is a `k′ = 4` prefix tree.
     pub prefer_kiss: bool,
-    /// Process multi-predicate selections as per-predicate rid-set
-    /// selections combined with set operators (§4.1's intersect path)
-    /// instead of index-scan + residual filtering.
-    pub selection_via_set_ops: bool,
-    /// Use multidimensional (multi-column) base indexes for eligible
-    /// conjunctive selections (§4.1: "the selection operator prefers to
-    /// operate on a multidimensional index as input"). Eligible = equality
-    /// predicates on all leading columns, at most a range on the last.
-    pub multidim_selections: bool,
     /// Worker count for the morsel-driven parallel executor (`qppt-par`),
     /// an upper bound: the pool grants a query at most the cores its load
     /// leaves free, so a lone query runs this wide (up to the pool's size)
@@ -66,7 +57,9 @@ pub struct PlanOptions {
 /// Has no behaviour: kept only so the frozen benchmark's `layers.rs`
 /// builds (it passes [`PlanOptions::batch_mode`] to
 /// `PooledEngine::run_prepared_agg`). Delete it, with that call, as soon as
-/// the benchmark may be edited.
+/// the benchmark may be edited. The same holds for the unread `_opts`
+/// parameter of [`validate_indexes`](crate::validate::validate_indexes),
+/// which `layers.rs` also calls.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchMode;
 
@@ -77,8 +70,6 @@ impl Default for PlanOptions {
             join_buffer: 512,
             max_join_ways: 5,
             prefer_kiss: true,
-            selection_via_set_ops: false,
-            multidim_selections: false,
             parallelism: 1,
             morsel_bits: 6,
             par_index_build: false,
@@ -152,18 +143,6 @@ impl PlanOptions {
         self
     }
 
-    /// Builder-style setter.
-    pub fn with_set_ops(mut self, on: bool) -> Self {
-        self.selection_via_set_ops = on;
-        self
-    }
-
-    /// Builder-style setter.
-    pub fn with_multidim(mut self, on: bool) -> Self {
-        self.multidim_selections = on;
-        self
-    }
-
     /// Builder-style setter for the parallel worker count.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
@@ -194,8 +173,6 @@ mod tests {
         assert_eq!(o.join_buffer, 512);
         assert_eq!(o.max_join_ways, 5);
         assert!(o.prefer_kiss);
-        assert!(!o.selection_via_set_ops);
-        assert!(!o.multidim_selections);
         assert_eq!(o.parallelism, 1);
         assert_eq!(o.morsel_bits, 6);
         assert!(!o.par_index_build);
@@ -250,18 +227,14 @@ mod tests {
             .with_join_buffer(64)
             .with_max_join_ways(2)
             .with_prefer_kiss(false)
-            .with_set_ops(true)
-            .with_multidim(true)
             .with_parallelism(4)
             .with_morsel_bits(8)
             .with_par_index_build(true);
         assert!(o.par_index_build);
         assert!(!o.select_join);
-        assert!(o.multidim_selections);
         assert_eq!(o.join_buffer, 64);
         assert_eq!(o.max_join_ways, 2);
         assert!(!o.prefer_kiss);
-        assert!(o.selection_via_set_ops);
         assert_eq!(o.parallelism, 4);
         assert_eq!(o.morsel_bits, 8);
     }

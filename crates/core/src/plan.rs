@@ -53,10 +53,6 @@ pub struct ResolvedDim {
     pub handle: DimHandleKind,
     /// Largest join-key code (drives the §2.2 index-structure choice).
     pub join_key_max: u64,
-    /// Set when the selection runs over the multidimensional index keyed on
-    /// all of `pred_cols` (§4.1): the whole conjunction is one contiguous
-    /// key range there, with no residual predicates.
-    pub multidim: bool,
 }
 
 /// Main input mode of a join stage.
@@ -189,13 +185,8 @@ impl Plan {
             let what = match d.handle {
                 DimHandleKind::Base => format!("base index on {}.{}", d.table, d.join_col_name),
                 DimHandleKind::Materialized => format!(
-                    "σ({}){} → intermediate index on {}.{} carrying {:?}",
+                    "σ({}) → intermediate index on {}.{} carrying {:?}",
                     d.pred_cols.join(","),
-                    if d.multidim {
-                        " via multidim index"
-                    } else {
-                        ""
-                    },
                     d.table,
                     d.join_col_name,
                     d.carried_names
@@ -250,18 +241,12 @@ impl Plan {
     }
 }
 
-/// Every index definition the query needs under the given options, computed
-/// once so every builder ([`prepare_indexes`], `qppt_par`'s pooled one) and
-/// the serving-time validation agree on the set: the fact index on the first
-/// FK carrying the stream columns, one selection index per dimension,
-/// per-predicate rid-set indexes for `selection_via_set_ops`, and
-/// multidimensional indexes over the predicate columns of
-/// `multidim_selections` conjunctions of the right shape.
-pub fn planned_indexes(
-    db: &Database,
-    spec: &QuerySpec,
-    opts: &PlanOptions,
-) -> Result<Vec<IndexDef>, QpptError> {
+/// Every index definition the query needs, computed once so every builder
+/// ([`prepare_indexes`], `qppt_par`'s pooled one) and the serving-time
+/// validation agree on the set: the fact index on the first FK carrying the
+/// stream columns, and one selection index per dimension (§4.1). The set
+/// depends on the query alone, not on the plan options.
+pub fn planned_indexes(spec: &QuerySpec) -> Result<Vec<IndexDef>, QpptError> {
     let mut planned = Vec::new();
     // Fact index on the first dimension's FK, carrying everything the
     // stream needs (partially clustered, §3).
@@ -287,28 +272,6 @@ pub fn planned_indexes(
             let c: Vec<&str> = d.carried.iter().map(String::as_str).collect();
             planned.push(IndexDef::new(&d.table, &d.join_col, &c));
         }
-        if opts.selection_via_set_ops && d.predicates.len() >= 2 {
-            for p in &d.predicates {
-                planned.push(IndexDef::new(&d.table, p.column(), &[]));
-            }
-        }
-        if opts.multidim_selections && d.predicates.len() >= 2 {
-            let t = db.table(&d.table)?.table();
-            let preds: Vec<CompiledPred> = d
-                .predicates
-                .iter()
-                .map(|p| compile_predicate(t, p))
-                .collect::<Result<_, StorageError>>()?;
-            if multidim_shape(&preds) {
-                let mut carried: Vec<String> = vec![d.join_col.clone()];
-                carried.extend(d.carried.iter().cloned());
-                planned.push(IndexDef {
-                    table: d.table.clone(),
-                    keys: d.predicates.iter().map(|p| p.column().into()).collect(),
-                    carried,
-                });
-            }
-        }
     }
     Ok(planned)
 }
@@ -333,7 +296,7 @@ pub fn prepare_indexes_with(
     tasks: &dyn BuildTasks,
 ) -> Result<(), QpptError> {
     db.prefer_kiss = opts.prefer_kiss;
-    for def in &planned_indexes(db, spec, opts)? {
+    for def in &planned_indexes(spec)? {
         db.create_index_with(def, tasks)?;
     }
     Ok(())
@@ -392,7 +355,6 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
             DimHandleKind::Materialized
         };
         let stats = t.stats(join_col);
-        let multidim = opts.multidim_selections && multidim_shape(&preds);
         dims.push(ResolvedDim {
             spec_idx: i,
             table: d.table.clone(),
@@ -407,7 +369,6 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
             carried_names: d.carried.clone(),
             handle,
             join_key_max: if stats.min > stats.max { 0 } else { stats.max },
-            multidim,
         });
     }
 
@@ -604,21 +565,6 @@ pub fn build_plan(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result
     })
 }
 
-/// The predicate *shape* a multidimensional index answers as one key range
-/// (the composite-prefix rule): ≥2 predicates, every one a `Range`, all but
-/// the last a point (`lo == hi`). Whether the constants fit the index's key
-/// parts is the index's own business at scan time.
-fn multidim_shape(preds: &[CompiledPred]) -> bool {
-    let Some((last, leading)) = preds.split_last() else {
-        return false;
-    };
-    !leading.is_empty()
-        && matches!(last, CompiledPred::Range { .. })
-        && leading
-            .iter()
-            .all(|p| matches!(p, CompiledPred::Range { lo, hi, .. } if lo == hi))
-}
-
 /// `true` if `col` feeds an aggregate (such fact columns survive key
 /// consumption).
 fn is_agg_input(spec: &QuerySpec, col: &str) -> bool {
@@ -652,22 +598,6 @@ mod tests {
         let key = gk.pack(&[513, 7, 1997]);
         assert_eq!(gk.packer.unpack(key), vec![1997, 513]);
         assert!(gk.pack(&[200, 0, 1]) < gk.pack(&[0, 0, 2]));
-    }
-
-    #[test]
-    fn multidim_shape_is_points_then_one_range() {
-        let r = |lo, hi| CompiledPred::Range { col: 0, lo, hi };
-        assert!(multidim_shape(&[r(6, 6), r(1994, 1994)]));
-        assert!(multidim_shape(&[r(6, 6), r(3, 3), r(0, u64::MAX)]));
-        assert!(!multidim_shape(&[r(6, 6)]));
-        assert!(!multidim_shape(&[r(1, 6), r(1994, 1994)]));
-        assert!(!multidim_shape(&[r(6, 6), CompiledPred::Never]));
-        let set = CompiledPred::InSet {
-            col: 0,
-            codes: vec![1, 2],
-        };
-        assert!(!multidim_shape(&[set.clone(), r(1, 2)]));
-        assert!(!multidim_shape(&[r(6, 6), set]));
     }
 
     #[test]

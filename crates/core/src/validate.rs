@@ -137,11 +137,10 @@ impl From<PlanError> for QpptError {
 }
 
 /// The full pre-flight of the serving path: catalog checks, then index
-/// availability under the effective plan options.
-pub fn validate(db: &Database, spec: &QuerySpec, opts: &PlanOptions) -> Result<(), QpptError> {
+/// availability (which no plan option changes).
+pub fn validate(db: &Database, spec: &QuerySpec) -> Result<(), QpptError> {
     validate_spec(db, spec)?;
-    validate_indexes(db, spec, opts)?;
-    Ok(())
+    validate_indexes(db, spec, &PlanOptions::default())
 }
 
 /// Pure catalog validation (no index requirements) — see module docs.
@@ -281,12 +280,16 @@ fn validate_predicate(
 /// `find_index`/payload unwrap an unprepared ad-hoc query could hit into a
 /// [`PlanError::MissingIndex`] / [`PlanError::IndexMissingColumn`] before
 /// any work is done.
+///
+/// The index set depends on the query alone, so `_opts` is unread: like
+/// [`BatchMode`](crate::options::BatchMode), it stays only because the
+/// frozen benchmark's `layers.rs` passes it. Drop it with that call.
 pub fn validate_indexes(
     db: &Database,
     spec: &QuerySpec,
-    opts: &PlanOptions,
+    _opts: &PlanOptions,
 ) -> Result<(), QpptError> {
-    for def in &planned_indexes(db, spec, opts)? {
+    for def in &planned_indexes(spec)? {
         let bi = db
             .find_index_on(&def.table, &def.keys)
             .map_err(|_| PlanError::MissingIndex {
@@ -452,16 +455,16 @@ mod tests {
         let q = spec();
         let opts = PlanOptions::default();
         assert!(matches!(
-            validate(&db, &q, &opts),
+            validate(&db, &q),
             Err(QpptError::Plan(PlanError::MissingIndex { .. }))
         ));
         crate::plan::prepare_indexes(&mut db, &q, &opts).unwrap();
-        validate(&db, &q, &opts).unwrap();
+        validate(&db, &q).unwrap();
 
         // A query reading a column the prepared index does not carry.
         let mut wide = q.clone();
         wide.dims[0].carried.push("x".into());
-        match validate(&db, &wide, &opts) {
+        match validate(&db, &wide) {
             // Depending on overlap this is a missing payload column.
             Err(QpptError::Plan(
                 PlanError::IndexMissingColumn { .. } | PlanError::MissingIndex { .. },

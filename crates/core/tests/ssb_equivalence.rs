@@ -177,77 +177,23 @@ fn prefix_tree_only_agrees_with_kiss() {
 }
 
 #[test]
-fn set_op_selections_agree() {
-    // Q1.3 (two date predicates) and Q3.x exercise the intersect path.
-    let plain = PlanOptions::default();
-    let setops = PlanOptions::default().with_set_ops(true);
-    let mut ssb = SsbDb::generate(0.01, 19);
-    for q in queries::all_queries() {
-        prepare_indexes(&mut ssb.db, &q, &plain).unwrap();
-        prepare_indexes(&mut ssb.db, &q, &setops).unwrap();
-    }
-    let engine = QpptEngine::new(&ssb.db);
-    for q in queries::all_queries() {
-        let a = engine.run(&q, &plain).unwrap();
-        let b = engine.run(&q, &setops).unwrap();
-        assert_same(&a, &b, &format!("{} set-ops", q.id));
-    }
-}
-
-#[test]
-fn multidim_selections_agree() {
-    // Q1.3 (d_weeknuminyear = 6 AND d_year = 1994) collapses into a point
-    // lookup on a (weeknum, year) composite index; Q3.x date predicates are
-    // single-column and stay on the normal path — results must be identical
-    // either way.
-    let plain = PlanOptions::default();
-    let multidim = PlanOptions::default().with_multidim(true);
-    let mut ssb = SsbDb::generate(0.01, 29);
-    for q in queries::all_queries() {
-        prepare_indexes(&mut ssb.db, &q, &plain).unwrap();
-        prepare_indexes(&mut ssb.db, &q, &multidim).unwrap();
-    }
-    let engine = QpptEngine::new(&ssb.db);
-    for q in queries::all_queries() {
-        let a = engine.run(&q, &plain).unwrap();
-        let b = engine.run(&q, &multidim).unwrap();
-        assert_same(&a, &b, &format!("{} multidim", q.id));
-    }
-    // The Q1.3 plan really uses the multidimensional index.
-    let explain = engine.explain(&queries::q1_3(), &multidim).unwrap();
-    assert!(
-        explain.contains("multidim") || multidim.select_join,
-        "{explain}"
-    );
-    let explain_plain = engine
-        .explain(&queries::q1_3(), &multidim.with_select_join(false))
-        .unwrap();
-    assert!(
-        explain_plain.contains("via multidim index"),
-        "{explain_plain}"
-    );
-}
-
-#[test]
-fn multidim_with_trailing_range_predicate() {
+fn leading_point_with_trailing_range_residual_matches_reference() {
     // Custom query: d_year = 1993 AND d_weeknuminyear BETWEEN 4 AND 9 —
-    // leading equality, trailing range, the other eligible shape.
+    // the selection scans the d_year index for the point and tests the
+    // trailing range on the carried payload.
     let mut q = queries::q1_1();
     q.id = "Q1.1-week-range".into();
     q.dims[0].predicates = vec![
         qppt_storage::Predicate::eq("d_year", 1993i64),
         qppt_storage::Predicate::between("d_weeknuminyear", 4i64, 9i64),
     ];
-    let plain = PlanOptions::default();
-    let multidim = PlanOptions::default().with_multidim(true);
+    let opts = PlanOptions::default();
     let mut ssb = SsbDb::generate(0.01, 30);
-    prepare_indexes(&mut ssb.db, &q, &plain).unwrap();
-    prepare_indexes(&mut ssb.db, &q, &multidim).unwrap();
+    prepare_indexes(&mut ssb.db, &q, &opts).unwrap();
     let snap = ssb.db.snapshot();
     let engine = QpptEngine::new(&ssb.db);
     let oracle = run_reference(&ssb.db, &q, snap).unwrap();
-    assert_same(&engine.run(&q, &plain).unwrap(), &oracle, "plain");
-    assert_same(&engine.run(&q, &multidim).unwrap(), &oracle, "multidim");
+    assert_same(&engine.run(&q, &opts).unwrap(), &oracle, "default");
     assert!(!oracle.rows.is_empty());
 }
 
@@ -263,12 +209,11 @@ fn insert_copy(ssb: &mut SsbDb, table: &str, set: &[(&str, i64)]) {
 }
 
 #[test]
-fn insert_outgrowing_a_multidim_key_part_is_found_not_aliased() {
+fn insert_outgrowing_a_key_width_is_found_not_aliased() {
     // d_year tops out at 1998 (11 bits); a 2050 date needs 12. Index
-    // maintenance must not file the row under 2050 & 2047 = 2: a multidim
-    // selection runs no residual predicates that would catch the alias.
-    // Year is the trailing key part in the first shape (no spare bits →
-    // the index is rebuilt) and the leading one in the second.
+    // maintenance must not file the row under 2050 & 2047 = 2. The first
+    // shape tests the year as a residual on the weeknum index's payload;
+    // the second scans the single-column d_year index, which must grow.
     let shapes = |year: i64| {
         let mut by_week = queries::q1_3();
         by_week.fact_predicates.clear();
@@ -284,12 +229,10 @@ fn insert_outgrowing_a_multidim_key_part_is_found_not_aliased() {
         [by_week, by_year]
     };
     let plain = PlanOptions::default();
-    let multidim = PlanOptions::default().with_multidim(true);
     let mut ssb = SsbDb::generate(0.01, 31);
     // The indexes exist (built for in-domain constants) before the insert.
     for q in &shapes(1994) {
         prepare_indexes(&mut ssb.db, q, &plain).unwrap();
-        prepare_indexes(&mut ssb.db, q, &multidim).unwrap();
     }
     let new_date = [
         ("d_datekey", 20500207),
@@ -306,7 +249,7 @@ fn insert_outgrowing_a_multidim_key_part_is_found_not_aliased() {
             oracle.rows[0].agg_values[0] > 0,
             "the inserted order is selected"
         );
-        for opts in [plain, multidim, multidim.with_select_join(false)] {
+        for opts in [plain, plain.with_select_join(false)] {
             assert_same(
                 &engine.run(q, &opts).unwrap(),
                 &oracle,

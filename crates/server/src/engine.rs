@@ -525,7 +525,7 @@ impl ServeEngine {
             // Fingerprinting fails only on catalog errors (unknown
             // tables); prefer the validate pass's typed report.
             Err(e) => {
-                qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
+                qppt_core::validate(db, spec).map_err(ServeError::Engine)?;
                 return Err(ServeError::Engine(QpptError::Storage(e)));
             }
         };

@@ -404,9 +404,8 @@ impl Default for RunControls {
 /// Applies `RUN` option overrides onto the server's default plan options.
 /// Returns the effective options plus the per-request controls (pool
 /// priority, cache switch). Only execution-strategy knobs are accepted —
-/// knobs that change which base indexes must exist (`prefer_kiss`,
-/// `selection_via_set_ops`, `multidim_selections`) are rejected, since the
-/// server prepared its indexes at startup.
+/// `prefer_kiss`, which changes which base indexes must exist, is rejected,
+/// since the server prepared its indexes at startup.
 pub fn apply_overrides(
     base: PlanOptions,
     options: &[(String, String)],

@@ -414,16 +414,6 @@ fn key_as_u32(key: u64) -> u32 {
     key as u32
 }
 
-/// Synchronous index scan over two [`TreeIndex`]es (§4.2):
-/// [`sync_scan_indexes_range`] over the whole key domain.
-pub fn sync_scan_indexes<'l, 'r>(
-    left: &'l TreeIndex,
-    right: &'r TreeIndex,
-    f: impl FnMut(u64, Values<'l, u32>, Values<'r, u32>),
-) {
-    sync_scan_indexes_range(left, right, 0, u64::MAX, f)
-}
-
 /// The synchronous index scan over two [`TreeIndex`]es (§4.2), restricted
 /// to keys in `[lo, hi]` — the one cursor of the executor: each morsel
 /// co-walks only the subtrees whose key interval intersects its range, and
@@ -917,7 +907,7 @@ mod tests {
         ];
         for (l, r) in &cases {
             let mut hits = Vec::new();
-            sync_scan_indexes(l, r, |k, lv, rv| {
+            sync_scan_indexes_range(l, r, 0, u64::MAX, |k, lv, rv| {
                 assert_eq!(lv.count(), 1);
                 assert_eq!(rv.count(), 1);
                 hits.push(k);

@@ -23,8 +23,8 @@
 
 use qppt_mem::Xoshiro256StarStar;
 use qppt_storage::{
-    sync_scan_indexes, sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Lanes,
-    PayloadBuf, ProbeScratch, Schema, StorageError, TableBuilder, TreeIndex, Value,
+    sync_scan_indexes_range, ColumnType, Database, IndexDef, KeyWidth, Lanes, PayloadBuf,
+    ProbeScratch, Schema, StorageError, TableBuilder, TreeIndex, Value,
 };
 use std::collections::BTreeMap;
 
@@ -165,7 +165,7 @@ fn sync_scan_range_matches_btreemap_model_all_variants() {
             let full: Vec<u64> = lm.keys().copied().filter(|k| rm.contains_key(k)).collect();
             assert!(!full.is_empty(), "{label}: the model must overlap");
             let mut got = Vec::new();
-            sync_scan_indexes(&l, &r, |k, _, _| got.push(k));
+            sync_scan_indexes_range(&l, &r, 0, u64::MAX, |k, _, _| got.push(k));
             assert_eq!(got, full, "{label} full domain");
         }
     }

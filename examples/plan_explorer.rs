@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release --example plan_explorer -- --query Q2.3 \
 //!     [--select-join on|off] [--buffer 1|64|512|2048] [--ways 2..5] \
-//!     [--multidim on|off] [--set-ops on|off] [--kiss on|off] [--sf 0.02]
+//!     [--kiss on|off] [--sf 0.02]
 //! ```
 
 use qppt::core::{prepare_indexes, PlanOptions, QpptEngine};
@@ -30,8 +30,6 @@ fn main() {
     let ways: usize = arg(&args, "--ways")
         .map(|v| v.parse().unwrap())
         .unwrap_or(5);
-    let multidim = matches!(arg(&args, "--multidim").as_deref(), Some("on"));
-    let set_ops = matches!(arg(&args, "--set-ops").as_deref(), Some("on"));
     let kiss = !matches!(arg(&args, "--kiss").as_deref(), Some("off"));
 
     let spec = queries::all_queries()
@@ -49,8 +47,6 @@ fn main() {
         .with_select_join(select_join)
         .with_join_buffer(buffer)
         .with_max_join_ways(ways)
-        .with_multidim(multidim)
-        .with_set_ops(set_ops)
         .with_prefer_kiss(kiss);
 
     eprintln!("generating SSB at SF={sf} and building base indexes …");

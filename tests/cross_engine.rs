@@ -47,13 +47,7 @@ fn option_matrix_is_result_invariant() {
             })
         })
         .collect();
-    all_opts.push(PlanOptions::default().with_multidim(true));
-    all_opts.push(PlanOptions::default().with_set_ops(true));
-    all_opts.push(
-        PlanOptions::default()
-            .with_prefer_kiss(false)
-            .with_multidim(true),
-    );
+    all_opts.push(PlanOptions::default().with_prefer_kiss(false));
     for q in queries::all_queries() {
         for o in &all_opts {
             prepare_indexes(&mut ssb.db, &q, o).unwrap();
